@@ -2,7 +2,6 @@
 
 from .mpoly import ExactScalar, MPoly, Rat, merge_tables, poly_gcd, poly_lcm
 from .ratfunc import LaurentSeries, RatFunc, laurent_expand_eps, ratfunc_normalize
-from .linalg import SingularMatrixError, linsolve_fraction_field
 from .parser import ParseError, parse_expression, parse_polynomial
 from .systems import (
     DEGENERATE,

@@ -12,10 +12,8 @@ Exit codes: 0 ok, 2 parse error, 3 class mismatch / unusable input,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 from .liapunov import EngineError
@@ -221,14 +219,8 @@ def cmd_qhcenter(args) -> int:
         while v <= b:
             points.append(v)
             v = v + step
-        workers = int(os.environ.get("CENTERLAB_THREADS", "1"))
-        systems = [(substitute(s, {name: v}), {"sweep": {name: str(v)}}) for v in points]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                entries = list(ex.map(lambda t: analyze(*t), systems))
-        else:
-            entries = [analyze(*t) for t in systems]
-        qdata = {"sweep": entries}
+        qdata = {"sweep": [analyze(substitute(s, {name: v}), {"sweep": {name: str(v)}})
+                           for v in points]}
     else:
         qdata = analyze(s, {})
     data = {

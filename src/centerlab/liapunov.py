@@ -5,9 +5,11 @@ perturbed-degenerate linear parts.
 The engine seeds H_2 (``(x^2+y^2)/2``, or ``(mu*x^2+y^2)/2`` when the linear
 part is (y, -mu*x)) and solves one homogeneous linear system per degree n so
 that the derivative of H along the flow is a combination of powers of
-(x^2+y^2).  At even degrees the obstruction coefficient V is the unique value
-making the degree-n equation solvable; the kernel ambiguity in H_n is fixed
-by forcing the y^n coefficient to zero.  All arithmetic is exact; the
+(x^2+y^2).  Every supported linear part is (sigma*y, -mu*x), so that system
+splits into two bidiagonal recurrences, solved by one sweep each.  At even
+degrees the obstruction coefficient V is the unique value making the
+degree-n equation solvable; the kernel ambiguity in H_n is fixed by forcing
+the y^n coefficient to zero.  All arithmetic is exact; the
 denominators of the H_n and of the V's are polynomials in eps only.
 """
 
@@ -17,8 +19,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import SingularMatrixError, bareiss_solve
-from .mpoly import MPoly, poly_lcm
+from .mpoly import EngineError, MPoly, Rat, poly_lcm
 from .ratfunc import RatFunc
 from .systems import (
     LINEAR_TYPE,
@@ -30,12 +31,6 @@ from .systems import (
 )
 
 SUPPORTED_CLASSES = (LINEAR_TYPE, PERTURBED_NILPOTENT, PERTURBED_DEGENERATE)
-
-
-class EngineError(RuntimeError):
-    """Internal fault: the homological system degenerated beyond the expected
-    one-dimensional obstruction.  Signals a convention or implementation
-    problem, not a bad input."""
 
 
 @dataclass
@@ -118,6 +113,19 @@ def _xy_coefficients(p: MPoly, n: int) -> Dict[int, MPoly]:
     return {t: MPoly(p.vars, d) for t, d in out.items()}
 
 
+def _from_xy_coefficients(vars, coeffs: Dict[int, MPoly], n: int) -> MPoly:
+    """Inverse of :func:`_xy_coefficients`: the sum of coeffs[t] * x^(n-t) y^t."""
+    ix, iy = _state_indices(vars)
+    terms = {}
+    for t, p in coeffs.items():
+        for e, c in p.terms.items():
+            e2 = list(e)
+            e2[ix] = n - t
+            e2[iy] = t
+            terms[tuple(e2)] = c
+    return MPoly(vars, terms)
+
+
 def _monomial_xy(vars, i: int, j: int) -> MPoly:
     ix, iy = _state_indices(vars)
     e = [0] * len(vars)
@@ -146,31 +154,15 @@ def _seed(system: PlaneSystem) -> Tuple[MPoly, MPoly]:
     return num, MPoly.const(vars, 2)
 
 
-class _HomologicalOperator:
-    """L(H) = H_x * P_1 + H_y * Q_1 restricted to x,y-homogeneous degree n."""
-
-    def __init__(self, system: PlaneSystem):
-        self.vars = system.vars
-        p1, q1 = system.linear_part()
-        self.p1 = p1
-        self.q1 = q1
-
-    def apply(self, poly: MPoly) -> MPoly:
-        return poly.diff("x") * self.p1 + poly.diff("y") * self.q1
-
-    def matrix(self, n: int) -> List[List[MPoly]]:
-        """Matrix of L on the basis x^n, x^(n-1) y, ..., y^n (column order)."""
-        cols = []
-        for t in range(n + 1):
-            img = self.apply(_monomial_xy(self.vars, n - t, t))
-            cols.append(_xy_coefficients(img, n) if img else {})
-        zero = MPoly.zero(self.vars)
-        return [[cols[t].get(s, zero) for t in range(n + 1)] for s in range(n + 1)]
+def _linear_scalars(system: PlaneSystem) -> Tuple[MPoly, MPoly]:
+    """(sigma, mu) with linear part (sigma*y, -mu*x); for every supported
+    class each is a nonzero rational constant or c*eps."""
+    p1, q1 = system.linear_part()
+    return _xy_coefficients(p1, 1)[1], -_xy_coefficients(q1, 1)[0]
 
 
 def solve_homological_step(system: PlaneSystem, residual: MPoly,
-                           degree: Optional[int] = None,
-                           pivot: str = "first"):
+                           degree: Optional[int] = None):
     """Solve L(H_n) = -residual (+ V*(x^2+y^2)^(n/2) at even n).
 
     ``residual`` must be x,y-homogeneous; returns (H_n, V) with H_n a
@@ -183,53 +175,83 @@ def solve_homological_step(system: PlaneSystem, residual: MPoly,
         degree = residual.degree_in_state()
         if degree < 0:
             raise ValueError("degree required for a zero residual")
-    vars = system.vars
-    den = MPoly.const(vars, 1)
-    H_num, V = _solve_degree(_HomologicalOperator(system), degree,
-                             residual, den, pivot=pivot)
-    return H_num, V
+    sigma, mu = _linear_scalars(system)
+    return _solve_degree(sigma, mu, degree, residual, MPoly.const(system.vars, 1))
 
 
-def _solve_degree(op: _HomologicalOperator, n: int, R_num: MPoly, R_den: MPoly,
-                  pivot: str = "first"):
+def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
     """Core solve at degree n with residual R_num / R_den.
 
+    With L(x^(n-t) y^t) = sigma*(n-t)*x^(n-t-1) y^(t+1) - mu*t*x^(n-t+1) y^(t-1),
+    row s of L(H_n) = V*(x^2+y^2)^(n/2) - R reads
+
+        sigma*(n-s+1)*h_(s-1) - mu*(s+1)*h_(s+1) = V*c_s - r_s,
+
+    with c_s the coefficient of x^(n-s) y^s in (x^2+y^2)^(n/2) (zero at odd
+    n).  The even rows fix the odd coefficients in a forward sweep that
+    carries V symbolically; at even n row n then gives V over the eps-only
+    Delta_n, which vanishes exactly when the system is singular.  The odd
+    rows fix the even coefficients in a backward sweep from h_n = 0 (the
+    kernel rule) at even n, or h_(n+1) = 0 at odd n.
+
     Returns (H_n as RatFunc, V as RatFunc or None)."""
-    vars = op.vars
-    even = n % 2 == 0
-    A = op.matrix(n)
-    rhs_coeffs = _xy_coefficients(R_num, n) if not R_num.is_zero else {}
+    vars = R_num.vars
     zero = MPoly.zero(vars)
-    rhs = [-(rhs_coeffs.get(s, zero)) for s in range(n + 1)]
+    r = _xy_coefficients(R_num, n) if R_num else {}
+    even = n % 2 == 0
+    half = (n + 1) // 2  # steps in each sweep
+    mu_pow = [MPoly.const(vars, 1)]
+    sigma_pow = [MPoly.const(vars, 1)]
+    for _ in range(half):
+        mu_pow.append(mu_pow[-1] * mu)
+        sigma_pow.append(sigma_pow[-1] * sigma)
 
+    # forward sweep over rows s = 2k: h_(2k+1) = (a_k - V*b_k) / mu^(k+1)
+    a: List[MPoly] = []
+    b: List[MPoly] = []
+    ak = bk = zero
+    for k in range(half):
+        s = 2 * k
+        w = sigma * (n - s + 1)
+        inv = Rat(1, s + 1)
+        ak = (w * ak + mu_pow[k] * r.get(s, zero)) * inv
+        a.append(ak)
+        if even:
+            bk = (w * bk + mu_pow[k] * comb(half, k)) * inv
+            b.append(bk)
     if even:
-        circle = _xy_coefficients(_circle_power(vars, n // 2), n)
-        M = [[A[s][t] for t in range(n)] + [-(circle.get(s, zero))]
-             for s in range(n + 1)]
+        # row n: sigma*h_(n-1) = V - r_n
+        delta = mu_pow[half] + sigma * bk
+        if delta.is_zero:
+            raise EngineError(
+                f"homological system at degree {n} is singular beyond the expected "
+                "one-dimensional obstruction")
+        v_num = mu_pow[half] * r.get(n, zero) + sigma * ak
+        V = RatFunc(v_num, delta * R_den)
     else:
-        M = A
-    try:
-        nums, det = bareiss_solve(M, rhs, pivot=pivot)
-    except SingularMatrixError as exc:
-        raise EngineError(
-            f"homological system at degree {n} is singular beyond the expected "
-            f"one-dimensional obstruction: {exc}") from exc
+        delta = MPoly.const(vars, 1)
+        V = None
 
-    full_den = det * R_den
-    if even:
-        coeff_nums, v_num = nums[:-1], nums[-1]
-        V = RatFunc(v_num, full_den)
-    else:
-        coeff_nums, V = nums, None
-    H_num = MPoly.zero(vars)
-    for t, num in enumerate(coeff_nums):
-        if not num.is_zero:
-            H_num = H_num + num * _monomial_xy(vars, n - t, t)
-    return RatFunc(H_num, full_den), V
+    # every coefficient goes over the common denominator mu^half * sigma^half * delta
+    coeffs: Dict[int, MPoly] = {}
+    for k in range(half):
+        num = a[k] * delta - v_num * b[k] if even else a[k]
+        coeffs[2 * k + 1] = num * (mu_pow[half - k - 1] * sigma_pow[half])
+
+    # backward sweep over odd rows s, from h_top = 0: h_(top-2j) = g_j / sigma^j
+    top = n if even else n + 1
+    even_scale = mu_pow[half] * delta
+    g = zero
+    for j in range(1, half + 1):
+        s = top - 2 * j + 1
+        g = (mu * (s + 1) * g - sigma_pow[j - 1] * r.get(s, zero)) * Rat(1, n - s + 1)
+        coeffs[top - 2 * j] = g * (sigma_pow[half - j] * even_scale)
+
+    H_num = _from_xy_coefficients(vars, coeffs, n)
+    return RatFunc(H_num, mu_pow[half] * sigma_pow[half] * delta * R_den), V
 
 
-def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int,
-                               pivot: str = "first") -> LiapunovReport:
+def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int) -> LiapunovReport:
     """Run the degree-by-degree scheme up to ``max_even_degree``.
 
     The linear class must be linear_type, perturbed_nilpotent or
@@ -246,7 +268,7 @@ def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int,
     if max_even_degree < 4:
         raise ValueError("max_even_degree must be at least 4")
     vars = system.vars
-    op = _HomologicalOperator(system)
+    sigma, mu = _linear_scalars(system)
     parts = system.nonlinear_parts()
     seed_num, seed_den = _seed(system)
 
@@ -276,7 +298,7 @@ def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int,
             D = MPoly.const(vars, 1)
             R_num = MPoly.zero(vars)
 
-        H_n, V = _solve_degree(op, n, R_num, D, pivot=pivot)
+        H_n, V = _solve_degree(sigma, mu, n, R_num, D)
         h_store[n] = (H_n.num, H_n.den)
         h_table.append((n, H_n))
         if n % 2 == 0:

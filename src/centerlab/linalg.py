@@ -1,80 +1,18 @@
-"""Fraction-free linear algebra over polynomial entries.
+"""Fraction-free determinants over polynomial entries, and the Sylvester
+resultant built on them.
 
-The solver runs Bareiss-style Gauss-Jordan elimination (Montante's scheme):
-every intermediate entry is a minor of the original matrix, divisions are
-exact, and a single final division by the determinant produces the solution.
+Bareiss elimination keeps every intermediate entry a minor of the original
+matrix, so each division by the previous pivot is exact.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-from .mpoly import MPoly, poly_lcm
-from .ratfunc import RatFunc
-
-
-class SingularMatrixError(ValueError):
-    """The coefficient matrix has identically zero determinant."""
+from .mpoly import EngineError, MPoly
 
 
-def _pick_pivot(rows, col, start, strategy):
-    candidates = [i for i in range(start, len(rows)) if not rows[i][col].is_zero]
-    if not candidates:
-        return None
-    if strategy == "sparsest":
-        return min(candidates, key=lambda i: (len(rows[i][col]), i))
-    return candidates[0]
-
-
-def bareiss_solve(A: Sequence[Sequence[MPoly]], rhs: Sequence[MPoly],
-                  pivot: str = "first"):
-    """Solve A x = rhs over the polynomial ring; returns (numerators, den).
-
-    The exact solution is x_i = numerators[i] / den with den = +/-det(A).
-    Raises SingularMatrixError when det(A) is identically zero.
-    """
-    n = len(A)
-    if any(len(row) != n for row in A) or len(rhs) != n:
-        raise ValueError("bareiss_solve expects a square system")
-    if n == 0:
-        return [], None
-    one = MPoly.const(rhs[0].vars, 1)
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(A)]
-    prev = one
-    for k in range(n):
-        p = _pick_pivot(rows, k, k, pivot)
-        if p is None:
-            raise SingularMatrixError(f"no pivot in column {k}: determinant is identically zero")
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-        piv = rows[k][k]
-        for i in range(n):
-            if i == k:
-                continue
-            f = rows[i][k]
-            fz = f.is_zero
-            for j in range(k + 1, n + 1):
-                rij = rows[i][j]
-                if fz:
-                    if rij.is_zero:
-                        continue
-                    t = rij * piv
-                else:
-                    t = rij * piv - f * rows[k][j]
-                if prev is not one:
-                    q = t.try_div(prev)
-                    assert q is not None, "fraction-free division failed"
-                    t = q
-                rows[i][j] = t
-            if not fz:
-                rows[i][k] = MPoly.zero(piv.vars)
-        prev = piv
-    det = rows[n - 1][n - 1]
-    # after full elimination every diagonal entry equals the final pivot
-    return [rows[i][n] for i in range(n)], det
-
-
-def bareiss_det(A: Sequence[Sequence[MPoly]], pivot: str = "first") -> MPoly:
+def bareiss_det(A: Sequence[Sequence[MPoly]]) -> MPoly:
     """Determinant by fraction-free forward elimination."""
     n = len(A)
     if n == 0:
@@ -84,7 +22,7 @@ def bareiss_det(A: Sequence[Sequence[MPoly]], pivot: str = "first") -> MPoly:
     prev = one
     sign = 1
     for k in range(n - 1):
-        p = _pick_pivot(rows, k, k, pivot)
+        p = next((i for i in range(k, n) if not rows[i][k].is_zero), None)
         if p is None:
             return MPoly.zero(A[0][0].vars)
         if p != k:
@@ -96,45 +34,13 @@ def bareiss_det(A: Sequence[Sequence[MPoly]], pivot: str = "first") -> MPoly:
                 t = rows[i][j] * piv - rows[i][k] * rows[k][j]
                 if prev is not one:
                     q = t.try_div(prev)
-                    assert q is not None
+                    if q is None:
+                        raise EngineError("fraction-free division by the previous pivot failed")
                     t = q
                 rows[i][j] = t
         prev = piv
     d = rows[n - 1][n - 1]
     return d * sign if sign < 0 else d
-
-
-def linsolve_fraction_field(A: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc],
-                            pivot: str = "first") -> List[RatFunc]:
-    """Exact solution of a square system over the rational-function field.
-
-    A determinant vanishing only at isolated eps values is not an error: the
-    solution is returned as rational functions carrying those poles.
-    """
-    n = len(A)
-    if any(len(row) != n for row in A) or len(rhs) != n:
-        raise ValueError("expected a square system")
-    if n == 0:
-        return []
-    vars = rhs[0].vars
-    rowsA: List[List[MPoly]] = []
-    rowsB: List[MPoly] = []
-    for i in range(n):
-        dens = [A[i][j].den for j in range(n)] + [rhs[i].den]
-        scale = dens[0]
-        for d in dens[1:]:
-            scale = poly_lcm(scale, d)
-        row = []
-        for j in range(n):
-            m = scale.try_div(A[i][j].den)
-            assert m is not None
-            row.append(A[i][j].num * m)
-        m = scale.try_div(rhs[i].den)
-        assert m is not None
-        rowsA.append(row)
-        rowsB.append(rhs[i].num * m)
-    nums, det = bareiss_solve(rowsA, rowsB, pivot=pivot)
-    return [RatFunc(nm, det) for nm in nums]
 
 
 def sylvester_resultant(a: MPoly, b: MPoly, var: str) -> MPoly:

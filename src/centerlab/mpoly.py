@@ -31,6 +31,13 @@ _ZERO = Rat(0)
 _ONE = Rat(1)
 
 
+class EngineError(RuntimeError):
+    """Internal fault: an exact computation broke an invariant it relies on,
+    such as a division that must be exact or a homological system singular
+    beyond the expected one-dimensional obstruction.  Signals an
+    implementation problem, not a bad input."""
+
+
 def _as_rat(c: Scalar):
     return c if type(c) is type(_ZERO) else Rat(c)
 
@@ -119,12 +126,6 @@ class MPoly:
         if any(expo):
             raise ValueError(f"not a constant polynomial: {self}")
         return c
-
-    def total_degree(self) -> int:
-        """Total degree across all variables; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, var: str) -> int:
         if not self.terms:
@@ -537,7 +538,8 @@ def _content_primitive(p: MPoly, var: str):
         cont = MPoly.const(p.vars, 1)
         return cont, p.primitive()
     pp = p.try_div(cont)
-    assert pp is not None
+    if pp is None:
+        raise EngineError(f"content in {var} does not divide the polynomial exactly")
     return cont, pp.primitive()
 
 
@@ -619,5 +621,6 @@ def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
         return MPoly.zero(a.vars)
     g = poly_gcd(a, b)
     q = (a * b).try_div(g)
-    assert q is not None
+    if q is None:
+        raise EngineError("lcm: the gcd does not divide the product exactly")
     return q.primitive()

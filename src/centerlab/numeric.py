@@ -237,8 +237,6 @@ class ReturnMapResult:
     warnings: List[str] = field(default_factory=list)
     nfev: int = 0
 
-    def displacements(self) -> List[float]:
-        return [s.displacement for s in self.samples]
 
 
 def _ray(transversal) -> Tuple[float, float, str]:

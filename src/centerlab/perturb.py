@@ -162,9 +162,6 @@ class CenterConditions:
     constants: List[Tuple[int, int, RatFunc]] = field(default_factory=list)  # (index, degree, V)
     warnings: List[str] = field(default_factory=list)
 
-    def base_polys(self) -> List[MPoly]:
-        return [c.poly for c in self.base_conditions]
-
 
 def _reduce_modulo(poly: MPoly, conditions: Sequence[MPoly]) -> MPoly:
     """Multivariate reduction of ``poly`` by the leading terms of the
@@ -430,8 +427,7 @@ class PipelineResult(CenterConditions):
 
 def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
                                mode: str = ALL_ORDERS,
-                               perturbation_params: Sequence[str] = (),
-                               pivot: str = "first") -> PipelineResult:
+                               perturbation_params: Sequence[str] = ()) -> PipelineResult:
     """Stage-wise center-condition extraction.
 
     Computes constants degree by degree; at the first nonzero constant its
@@ -447,7 +443,7 @@ def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
     index = 0
     floor = 0
     while True:
-        report = compute_liapunov_constants(current, max_even_degree, pivot=pivot)
+        report = compute_liapunov_constants(current, max_even_degree)
         result.reports.append(report)
         first = next((c for c in report.constants
                       if c.degree > floor and not c.is_zero), None)

@@ -98,12 +98,6 @@ class PQCircle:
         z, w = self.trajectory(th)
         return float(z), float(w)
 
-    def identity_error(self, theta: float) -> float:
-        z, w = self.cs_sn(theta)
-        return abs(self.p * z ** (2 * self.q) + self.q * w ** (2 * self.p) - 1.0)
-
-    def max_identity_error(self) -> float:
-        return max(self.identity_error(th) for th, _, _ in self.samples) if self.samples else 0.0
 
 
 def _pq_rhs(p: int, q: int):

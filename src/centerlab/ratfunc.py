@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from .mpoly import MPoly, Rat, Scalar, poly_gcd, rat_content
+from .mpoly import EngineError, MPoly, Scalar, poly_gcd, rat_content
 
 
 class RatFunc:
@@ -188,7 +188,8 @@ def _single_var_reduce(num: MPoly, den: MPoly, var: str):
     if not g.is_constant:
         num2 = num.try_div(g)
         den2 = den.try_div(g)
-        assert num2 is not None and den2 is not None
+        if num2 is None or den2 is None:
+            raise EngineError(f"gcd in {var} does not divide numerator and denominator exactly")
         return num2, den2
     return num, den
 

@@ -102,12 +102,6 @@ def sturm_count(chain: List[list], lo, hi) -> int:
     return va - vb
 
 
-def sturm_count_all(chain: List[list]) -> int:
-    va = _sign_changes([(c[-1] * ((-1) ** (len(c) - 1))) for c in chain])
-    vb = _sign_changes([c[-1] for c in chain])
-    return va - vb
-
-
 def root_bound(p: Sequence):
     """Cauchy bound: all real roots lie in [-M, M]."""
     p = trim(p)
@@ -207,14 +201,6 @@ def refine_to_float(p: Sequence, lo, hi, tol: float = 1e-14) -> float:
         if float(hi - lo) < tol * max(1.0, abs(float(lo))):
             break
     return float((lo + hi) / 2)
-
-
-def count_roots_in(p: Sequence, lo, hi) -> int:
-    """Distinct real roots in the open-closed interval (lo, hi]."""
-    sf = squarefree(p)
-    if degree(sf) <= 0:
-        return 0
-    return sturm_count(sturm_chain(sf), lo, hi)
 
 
 def strict_sign_on_nonneg_axis(p: Sequence) -> Optional[int]:

@@ -80,61 +80,3 @@ def to_json(report: dict, no_timings: bool = False) -> str:
 
 def from_json(text: str) -> dict:
     return json.loads(text)
-
-
-def render_text(data: dict) -> str:
-    """Human-readable summary derived from the JSON report (one way only)."""
-    lines = []
-    cls = data.get("class")
-    if isinstance(cls, dict):
-        lines.append(f"class: {cls['base']} (analyzed as {cls['analyzed']})")
-    elif cls:
-        lines.append(f"class: {cls}")
-    if "perturbation" in data:
-        p = data["perturbation"]
-        if p.get("kind", "none") != "none":
-            extra = f" degree {p['degree']}" if "degree" in p else ""
-            lines.append(f"perturbation: {p.get('template', '')} {p['kind']}{extra}".strip())
-    for entry in data.get("liapunov", []):
-        lines.append(f"V{entry['k']} (degree {entry['degree']}) = {entry['canonical']}")
-    conds = data.get("conditions", [])
-    if conds:
-        lines.append("center conditions:")
-        for c in conds:
-            solved = f"   [solves {c['solved']}]" if c.get("solved") else ""
-            lines.append(f"  {c['canonical']} = 0   (V{c['constant']}, "
-                         f"{EPS_DISPLAY}^{c['eps_order']}){solved}")
-    elif "conditions" in data:
-        lines.append("center conditions: none up to the truncation degree")
-    if "residual_zero" in data:
-        lines.append("first integral verified: residual is "
-                     + ("identically zero" if data["residual_zero"]
-                        else f"nonzero ({data['residual_terms']} terms)"))
-    if "structure" in data:
-        st = data["structure"]
-        if "verdict" in st:
-            lines.append(f"reversibility: {st['verdict']}"
-                         + (" (every angle)" if st.get("all_angles") else ""))
-            for c in st.get("conditions", []):
-                lines.append(f"  axis condition: {c['canonical']} = 0")
-        if "hamiltonian" in st:
-            lines.append(f"hamiltonian: {st['hamiltonian']}")
-        if "characteristic_directions" in st:
-            dirs = st["characteristic_directions"]
-            lines.append("candidate characteristic directions: "
-                         + ("; ".join(dirs) if dirs else "none"))
-    if "qhomog" in data:
-        q = data["qhomog"]
-        entries = q["sweep"] if isinstance(q, dict) and "sweep" in q else [q]
-        for e in entries:
-            label = f" at {e['sweep']}" if "sweep" in e else ""
-            extra = f", integral {e['integral']:.3e}" if "integral" in e else ""
-            lines.append(f"quasi-homogeneous verdict{label}: {e.get('verdict')}{extra}")
-    if "numeric" in data:
-        nm = data["numeric"]
-        lines.append(f"return map ({nm.get('transversal', '')}): {nm['classification']}")
-        for sm in nm.get("samples", []):
-            lines.append(f"  x0 = {sm['x0']}: displacement {sm['displacement']:.3e}")
-    for w in data.get("warnings", []):
-        lines.append(f"note: {w}")
-    return "\n".join(lines)

@@ -35,6 +35,17 @@ CUBIC_FAMILY_A = ("xdot = -y + a11*x*y + a02*y^2 + a30*x^3 + a21*x^2*y + a12*x*y
                   "ydot = x^3")
 CUBIC_FAMILY_B = ("xdot = -y; "
                   "ydot = a11*x*y + a02*y^2 + a30*x^3 + a21*x^2*y + a12*x*y^2 + a03*y^3")
+# linear parts (sigma*y, -mu*x) for the homological solve, which divides by
+# sigma and mu: unit, negative, scaled and eps-carrying values of each
+HOMOLOGICAL_LINEAR_PARTS = (
+    "xdot = y; ydot = -eps*x",
+    "xdot = -y; ydot = x",
+    "xdot = eps*y; ydot = -eps*x",
+    "xdot = 2*y; ydot = -2*eps*x",
+    "xdot = -3/2*y; ydot = 3/10*x",  # specialised eps_factor 1/5
+    "xdot = -eps*y; ydot = eps*x",
+    "xdot = 5*y; ydot = -5*x",
+)
 
 
 def sysfrom(text):

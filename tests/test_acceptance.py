@@ -46,6 +46,7 @@ from conftest import (
     HAM_QH_EPS,
     HOMOG_CUBIC,
     HOMOG_CUBIC_EPS,
+    HOMOLOGICAL_LINEAR_PARTS,
     NIL_CUBIC_AB,
     NIL_CUBIC_AB_EPS,
     NIL_CUBIC_K,
@@ -372,14 +373,12 @@ def test_criterion_6_return_maps():
 
 def test_criterion_7_homological_backsubstitution():
     rnd = random.Random(101)
-    lin = parse_system("xdot = y; ydot = -eps*x")
-    rot = parse_system("xdot = -y; ydot = x")
-    deg = parse_system("xdot = eps*y; ydot = -eps*x")
+    linear_parts = [parse_system(t) for t in HOMOLOGICAL_LINEAR_PARTS]
     count = 0
     guard = 0
     while count < 200 and guard < 2000:
         guard += 1
-        s = (lin, rot, deg)[guard % 3]
+        s = linear_parts[guard % len(linear_parts)]
         n = rnd.choice([3, 4, 5, 6, 7])
         residual = random_poly(rnd, s.vars, ("x", "y"), homogeneous=n, n_terms=4)
         if residual.is_zero:
@@ -391,6 +390,9 @@ def test_criterion_7_homological_backsubstitution():
         if n % 2 == 0:
             circle = poly("x^2 + y^2", s.vars) ** (n // 2)
             target = target + V * RatFunc(circle)
+            # kernel rule: no y^n term in H_n
+            ix = s.vars.index("x")
+            assert all(e[ix] for e in H.num.terms)
         assert RatFunc(applied, H.den) == target
         count += 1
     assert count >= 200

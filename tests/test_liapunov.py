@@ -2,7 +2,9 @@ import pytest
 
 from centerlab.liapunov import (
     ConstantEntry,
+    EngineError,
     LiapunovReport,
+    _solve_degree,
     compute_liapunov_constants,
     count_independent_constants,
     solve_homological_step,
@@ -15,6 +17,7 @@ from centerlab.systems import ClassificationError, parse_system, substitute
 from conftest import (
     DEG_QUINTIC_EPS,
     HOMOG_CUBIC_EPS,
+    HOMOLOGICAL_LINEAR_PARTS,
     NIL_CUBIC_AB_EPS,
     NIL_DARBOUX_EPS,
     NIL_SEXTIC_EPS,
@@ -127,15 +130,6 @@ def test_backsubstitution_invariant():
     assert verify_backsubstitution(rep2)
 
 
-def test_pivot_order_does_not_change_constants():
-    s = parse_system(NIL_CUBIC_AB_EPS)
-    r1 = compute_liapunov_constants(s, 6, pivot="first")
-    r2 = compute_liapunov_constants(s, 6, pivot="sparsest")
-    for c1, c2 in zip(r1.constants, r2.constants):
-        assert c1.degree == c2.degree
-        assert c1.value == c2.value
-
-
 def test_specialization_commutes():
     s = parse_system(NIL_CUBIC_AB_EPS)
     rep = compute_liapunov_constants(s, 4)
@@ -168,12 +162,10 @@ def test_homological_step_seed_degree():
 
 
 def test_homological_step_random_backsubstitution(rng):
-    lin = parse_system("xdot = y; ydot = -eps*x")
-    rot = parse_system("xdot = -y; ydot = x")
-    deg = parse_system("xdot = eps*y; ydot = -eps*x")
+    linear_parts = [parse_system(t) for t in HOMOLOGICAL_LINEAR_PARTS]
     count = 0
     for trial in range(200):
-        s = (lin, rot, deg)[trial % 3]
+        s = linear_parts[trial % len(linear_parts)]
         n = rng.choice([3, 5, 7])
         residual = random_poly(rng, s.vars, ("x", "y"), homogeneous=n, n_terms=4)
         if residual.is_zero:
@@ -186,6 +178,15 @@ def test_homological_step_random_backsubstitution(rng):
         assert RatFunc(applied, H.den) == RatFunc(-residual)
         count += 1
     assert count >= 190
+
+
+def test_singular_degree_system_raises_engine_error():
+    # the saddle linear part (y, x), outside every supported class, makes the
+    # degree-2 system singular: Delta_2 = mu + sigma = 0
+    vars = ("x", "y", "eps")
+    one = MPoly.const(vars, 1)
+    with pytest.raises(EngineError):
+        _solve_degree(one, -one, 2, MPoly.zero(vars), one)
 
 
 def test_count_independent_examples():

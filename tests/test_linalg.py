@@ -1,84 +1,8 @@
-import pytest
+from centerlab.linalg import bareiss_det, sylvester_resultant
 
-from centerlab.linalg import (
-    SingularMatrixError,
-    bareiss_det,
-    linsolve_fraction_field,
-    sylvester_resultant,
-)
-from centerlab.ratfunc import RatFunc
-
-from conftest import poly, random_poly, rf
+from conftest import poly
 
 TAB = ("x", "y", "eps")
-
-
-def _rf_matrix(rows, table):
-    return [[rf(e, table) for e in row] for row in rows]
-
-
-def test_identity_system():
-    A = _rf_matrix([["1", "0"], ["0", "1"]], TAB)
-    rhs = [rf("eps + 2", TAB), rf("x", TAB)]
-    assert linsolve_fraction_field(A, rhs) == rhs
-
-
-def test_two_by_two_cramer_in_eps():
-    A = _rf_matrix([["eps", "1"], ["1", "eps"]], TAB)
-    rhs = [rf("1", TAB), rf("0", TAB)]
-    sol = linsolve_fraction_field(A, rhs)
-    assert sol[0] == rf("eps/(eps^2 - 1)", TAB)
-    assert sol[1] == rf("-1/(eps^2 - 1)", TAB)
-
-
-def test_singular_matrix_reported():
-    A = _rf_matrix([["eps", "eps"], ["1", "1"]], TAB)
-    with pytest.raises(SingularMatrixError):
-        linsolve_fraction_field(A, [rf("1", TAB), rf("0", TAB)])
-
-
-def test_pole_at_isolated_eps_is_not_an_error():
-    # determinant vanishes only at eps = +/-1: the solution simply carries
-    # those poles
-    A = _rf_matrix([["eps", "1"], ["1", "eps"]], TAB)
-    sol = linsolve_fraction_field(A, [rf("1", TAB), rf("1", TAB)])
-    assert sol[0] == rf("1/(eps + 1)", TAB)
-
-
-def test_random_systems_back_substitute(rng):
-    table = ("x", "y", "eps", "a")
-    for trial in range(200):
-        n = rng.choice([2, 3, 4, 6])
-        A = [[RatFunc(random_poly(rng, table, ("eps",), max_degree=1, n_terms=2))
-              for _ in range(n)] for _ in range(n)]
-        x_true = [RatFunc(random_poly(rng, table, ("eps", "a"), max_degree=1, n_terms=2))
-                  for _ in range(n)]
-        rhs = [sum((A[i][j] * x_true[j] for j in range(n)), RatFunc.zero(table))
-               for i in range(n)]
-        try:
-            sol = linsolve_fraction_field(A, rhs,
-                                          pivot="sparsest" if trial % 2 else "first")
-        except SingularMatrixError:
-            continue
-        residual = [sum((A[i][j] * sol[j] for j in range(n)), RatFunc.zero(table)) - rhs[i]
-                    for i in range(n)]
-        assert all(r.is_zero for r in residual)
-
-
-def test_pivot_strategy_does_not_change_solution(rng):
-    table = TAB
-    for _ in range(20):
-        n = 4
-        A = [[RatFunc(random_poly(rng, table, ("eps",), max_degree=2, n_terms=2))
-              for _ in range(n)] for _ in range(n)]
-        rhs = [RatFunc(random_poly(rng, table, ("eps",), max_degree=1, n_terms=1))
-               for _ in range(n)]
-        try:
-            s1 = linsolve_fraction_field(A, rhs, pivot="first")
-            s2 = linsolve_fraction_field(A, rhs, pivot="sparsest")
-        except SingularMatrixError:
-            continue
-        assert all(a == b for a, b in zip(s1, s2))
 
 
 def test_bareiss_det_matches_cofactor():

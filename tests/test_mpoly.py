@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from centerlab.mpoly import MPoly, Rat, merge_tables, poly_gcd, poly_lcm
+from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables, poly_gcd, poly_lcm
 
 from conftest import poly, random_poly
 
@@ -76,6 +76,14 @@ def test_lcm_contains_both(rng):
         m = poly_lcm(a, b)
         assert m.try_div(a.primitive()) is not None
         assert m.try_div(b.primitive()) is not None
+
+
+def test_inexact_division_in_lcm_raises(monkeypatch):
+    # an explicit check, not an assert, so that it survives python -O
+    a, b = poly("eps + 1", TAB), poly("eps - 1", TAB)
+    monkeypatch.setattr(MPoly, "try_div", lambda self, divisor: None)
+    with pytest.raises(EngineError):
+        poly_lcm(a, b)
 
 
 def test_negative_power_rejected():
