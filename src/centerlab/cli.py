@@ -348,7 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ClassificationError as exc:
         print(f"class mismatch: {exc}", file=sys.stderr)
         return 3
-    except EngineError as exc:
+    except (EngineError, ZeroDivisionError) as exc:
         print(f"engine fault: {exc}", file=sys.stderr)
         return 4
     except (ValueError, RuntimeError) as exc:

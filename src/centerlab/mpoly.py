@@ -9,6 +9,7 @@ polynomials is ``x > y > eps > parameters`` (parameters alphabetical).
 
 from __future__ import annotations
 
+import heapq
 import os
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -418,23 +419,39 @@ class MPoly:
             return self * (_ONE / c)
         lm = divisor.leading_monomial()
         lc = divisor.terms[lm]
-        rem = {e: c for e, c in self.terms.items()}
+        tail = [(de, dc) for de, dc in divisor.terms.items() if de != lm]
+        rem = dict(self.terms)
+        # Max-heap of the remainder's monomials: the graded-lex key negated
+        # for heapq, then the monomial itself.  Entries are deleted lazily:
+        # one whose monomial has left ``rem`` is skipped when popped.  The
+        # order is compatible with multiplication, so every monomial pushed
+        # below sorts under the one just popped, and the terms leave in the
+        # order of a full rescan of ``rem``.
+        heap = [(-sum(e), tuple([-i for i in e]), e) for e in rem]
+        heapq.heapify(heap)
         qterms = {}
-        while rem:
-            e = max(rem, key=MPoly._key)
-            c = rem[e]
-            qe = tuple(i - j for i, j in zip(e, lm))
-            if any(k < 0 for k in qe):
+        while heap:
+            e = heapq.heappop(heap)[2]
+            c = rem.pop(e, None)
+            if c is None:
+                continue
+            qe = tuple([i - j for i, j in zip(e, lm)])
+            if min(qe) < 0:
                 return None
             qc = c / lc
-            qterms[qe] = qterms.get(qe, _ZERO) + qc
-            for de, dc in divisor.terms.items():
-                te = tuple(i + j for i, j in zip(qe, de))
-                s = rem.get(te, _ZERO) - qc * dc
-                if s:
-                    rem[te] = s
-                elif te in rem:
-                    del rem[te]
+            qterms[qe] = qc
+            for de, dc in tail:
+                te = tuple([i + j for i, j in zip(qe, de)])
+                old = rem.get(te)
+                if old is None:
+                    rem[te] = -(qc * dc)
+                    heapq.heappush(heap, (-sum(te), tuple([-i for i in te]), te))
+                else:
+                    s = old - qc * dc
+                    if s:
+                        rem[te] = s
+                    else:
+                        del rem[te]
         return MPoly(self.vars, qterms)
 
     def divides(self, other: "MPoly") -> bool:
@@ -620,7 +637,7 @@ def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
     if a.is_zero or b.is_zero:
         return MPoly.zero(a.vars)
     g = poly_gcd(a, b)
-    q = (a * b).try_div(g)
+    q = a.try_div(g)
     if q is None:
-        raise EngineError("lcm: the gcd does not divide the product exactly")
-    return q.primitive()
+        raise EngineError("lcm: the gcd does not divide its argument exactly")
+    return (q * b).primitive()

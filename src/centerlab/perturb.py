@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liapunov import LiapunovReport, compute_liapunov_constants
-from .mpoly import MPoly, Rat, merge_tables
+from .mpoly import EngineError, MPoly, Rat, merge_tables
 from .ratfunc import RatFunc, laurent_expand_eps
 from .systems import (
     DEGENERATE,
@@ -163,16 +163,16 @@ class CenterConditions:
     warnings: List[str] = field(default_factory=list)
 
 
+_REDUCE_PASSES = 1000
+
+
 def _reduce_modulo(poly: MPoly, conditions: Sequence[MPoly]) -> MPoly:
     """Multivariate reduction of ``poly`` by the leading terms of the
     conditions (graded lex).  Repeats until no term is divisible."""
     if poly.is_zero or not conditions:
         return poly
-    changed = True
-    guard = 0
-    while changed and not poly.is_zero and guard < 1000:
+    for _ in range(_REDUCE_PASSES):
         changed = False
-        guard += 1
         for c in conditions:
             if c.is_zero:
                 continue
@@ -187,8 +187,12 @@ def _reduce_modulo(poly: MPoly, conditions: Sequence[MPoly]) -> MPoly:
                 changed = True
                 break
             if poly.is_zero:
-                break
-    return poly
+                return poly
+        if not changed:
+            return poly
+    # graded-lex reduction terminates, so running out of passes is a fault
+    raise EngineError(f"reduction modulo the conditions did not terminate "
+                      f"after {_REDUCE_PASSES} passes")
 
 
 def _linear_solve_for(poly: MPoly, names: Sequence[str]) -> Optional[Tuple[str, MPoly]]:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from centerlab.cli import main
+from centerlab.mpoly import MPoly
 from centerlab.report import from_json, poly_from_terms, ratfunc_from_entry
 
 from conftest import (
@@ -115,6 +116,21 @@ def test_exit_code_parse_error(sysfile, capsys):
 def test_exit_code_class_mismatch(sysfile, capsys):
     rc = main(["liapunov", sysfile("xdot = x; ydot = -y"), "--no-timings"])
     assert rc == 3
+
+
+def test_exit_code_engine_fault_on_zero_division(sysfile, capsys, monkeypatch):
+    # a ZeroDivisionError inside the exact engine is a fault: exit 4 with a
+    # one-line message, not a traceback
+    def fail(self, divisor):
+        raise ZeroDivisionError("division by zero polynomial")
+
+    monkeypatch.setattr(MPoly, "try_div", fail)
+    rc = main(["liapunov", sysfile(NIL_CUBIC_AB), "--perturb", "minimal",
+               "--max-degree", "4", "--no-timings"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == "engine fault: division by zero polynomial\n"
 
 
 def test_deterministic_output(sysfile, capsys):

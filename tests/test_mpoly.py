@@ -119,3 +119,112 @@ def test_substitution():
     assert q == poly("x^2 + 1/2*y", ("x", "y", "eps"))
     r = p.subs({"k": poly("x", ("x", "y", "eps", "k"))}, ("x", "y", "eps"))
     assert r == poly("x^2 + x*y", ("x", "y", "eps"))
+
+
+def _not_lex_first_divisor(rng, table):
+    # the graded-lex leading monomial is not the lexicographic maximum:
+    # a degree-2 term in later variables beats a linear term in x
+    d = random_poly(rng, table, ("y", "eps", "a"), max_degree=2, n_terms=2)
+    return d + poly("x", table) + poly("y^2", table) * Rat(rng.randint(1, 5))
+
+
+def test_try_div_matches_sympy_reduced(rng):
+    # differential test: try_div is exact exactly when sympy's grlex division
+    # by the single divisor leaves remainder 0, and then the quotients agree
+    sympy = pytest.importorskip("sympy")
+    table = merge_tables(TAB, ("a",))
+    gens = sympy.symbols(table)
+
+    def to_sympy(p):
+        return sum((sympy.Rational(int(c.numerator), int(c.denominator))
+                    * sympy.Mul(*[g ** k for g, k in zip(gens, e)])
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    cases = 0
+    while cases < 90:
+        p = random_poly(rng, table, table, max_degree=3, n_terms=rng.randint(1, 5))
+        if cases % 3 == 2:
+            d = _not_lex_first_divisor(rng, table)
+        else:
+            d = random_poly(rng, table, table, max_degree=2, n_terms=rng.randint(1, 4))
+        if p.is_zero or d.is_zero:
+            continue
+        m = random_poly(rng, table, table, max_degree=4, n_terms=1)
+        for dividend in (p * d, p * d + m, p):
+            (sq,), sr = sympy.reduced(to_sympy(dividend), [to_sympy(d)], *gens,
+                                      order="grlex")
+            q = dividend.try_div(d)
+            if sr == 0:
+                assert q is not None
+                assert sympy.expand(to_sympy(q) - sq) == 0
+            else:
+                assert q is None
+        cases += 1
+
+
+def _rescan_div(p, d):
+    # reference: pick the leading remainder term by rescanning the remainder
+    lm = d.leading_monomial()
+    rem, q = dict(p.terms), {}
+    while rem:
+        e = max(rem, key=MPoly._key)
+        qe = tuple(i - j for i, j in zip(e, lm))
+        if min(qe) < 0:
+            return None
+        q[qe] = rem[e] / d.terms[lm]
+        for de, dc in d.terms.items():
+            te = tuple(i + j for i, j in zip(qe, de))
+            rem[te] = rem.get(te, 0) - q[qe] * dc
+            if not rem[te]:
+                del rem[te]
+    return q
+
+
+def test_try_div_matches_rescan_reference(rng):
+    # same quotient terms, inserted in the same order, as a full rescan
+    for _ in range(150):
+        p = random_poly(rng, TAB, TAB, max_degree=4, n_terms=rng.randint(1, 6))
+        d = random_poly(rng, TAB, TAB, max_degree=3, n_terms=rng.randint(2, 4))
+        if p.is_zero or d.is_zero or d.is_constant:
+            continue
+        for dividend in (p * d, p * d + poly("x*y^2", TAB), p):
+            q = dividend.try_div(d)
+            ref = _rescan_div(dividend, d)
+            assert (q is None) == (ref is None)
+            if q is not None:
+                assert list(q.terms.items()) == list(ref.items())
+
+
+def test_try_div_leading_monomial_not_lex_first():
+    table = merge_tables(TAB, ("a",))
+    d = poly("x + y^2 - a", table)
+    assert d.leading_monomial() == (0, 2, 0, 0)
+    p = poly("x^2*eps - 3/2*a*y + 1", table)
+    assert (p * d).try_div(d) == p
+    assert (p * d + poly("y", table)).try_div(d) is None
+
+
+def test_try_div_by_zero_polynomial_raises():
+    with pytest.raises(ZeroDivisionError):
+        poly("x + 1", TAB).try_div(MPoly.zero(TAB))
+
+
+def _hypothesis_polys():
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.builds(Rat, st.integers(-30, 30).filter(bool), st.integers(1, 9))
+    expo = st.tuples(*[st.integers(0, 3)] * len(TAB))
+    return st.dictionaries(expo, coeff, min_size=1, max_size=6).map(
+        lambda terms: MPoly(TAB, terms))
+
+
+def test_product_divides_back_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    polys = _hypothesis_polys()
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(polys, polys)
+    def check(p, d):
+        assert (p * d).try_div(d) == p
+
+    check()

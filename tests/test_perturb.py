@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from centerlab.liapunov import compute_liapunov_constants
-from centerlab.mpoly import MPoly
+from centerlab import perturb
+from centerlab.mpoly import EngineError, MPoly
 from centerlab.perturb import (
     ALL_ORDERS,
     FIRST_ORDER,
@@ -212,3 +213,13 @@ def test_vanishing_singularities_linear_family_passes():
     r = check_no_vanishing_singularities(fam, [Fraction(1, 100), Fraction(1, 10000)])
     assert r.passed
     assert all(s.distance is None for s in r.samples)
+
+
+def test_reduce_modulo_out_of_passes_is_an_engine_fault(monkeypatch):
+    # reducing a^3 by a - b takes three passes (a^3 -> a^2*b -> a*b^2 -> b^3)
+    table = ("x", "y", "eps", "a", "b")
+    target, cond = poly("a^3", table), poly("a - b", table)
+    assert perturb._reduce_modulo(target, [cond]) == poly("b^3", table)
+    monkeypatch.setattr(perturb, "_REDUCE_PASSES", 2)
+    with pytest.raises(EngineError):
+        perturb._reduce_modulo(target, [cond])
