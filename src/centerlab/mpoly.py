@@ -10,23 +10,17 @@ polynomials is ``x > y > eps > parameters`` (parameters alphabetical).
 from __future__ import annotations
 
 import heapq
-import os
 from fractions import Fraction
+from math import gcd
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-if not os.environ.get("CENTERLAB_NO_GMPY2"):
-    try:
-        from gmpy2 import mpq as Rat
-    except ImportError:  # pragma: no cover
-        Rat = Fraction
-else:  # pragma: no cover
-    Rat = Fraction
-
-#: Exact scalar type: an arbitrary-precision rational.  gmpy2's mpq is used
-#: when available (same canonical form: reduced, positive denominator).
+#: Exact scalar type: an arbitrary-precision rational (reduced, positive
+#: denominator).
+Rat = Fraction
 ExactScalar = Rat
 
-Scalar = Union[int, Fraction, "ExactScalar"]
+Scalar = Union[int, Fraction]
 
 _ZERO = Rat(0)
 _ONE = Rat(1)
@@ -40,13 +34,7 @@ class EngineError(RuntimeError):
 
 
 def _as_rat(c: Scalar):
-    return c if type(c) is type(_ZERO) else Rat(c)
-
-
-def _int_gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
+    return c if type(c) is Rat else Rat(c)
 
 
 def rat_content(coeffs: Iterable) -> "ExactScalar":
@@ -54,12 +42,23 @@ def rat_content(coeffs: Iterable) -> "ExactScalar":
     num = 0
     den = 1
     for c in coeffs:
-        num = _int_gcd(num, int(c.numerator))
-        d = int(c.denominator)
-        den = den * d // _int_gcd(den, d)
+        num = gcd(num, c.numerator)
+        d = c.denominator
+        den = den * d // gcd(den, d)
     if num == 0:
         return _ZERO
     return Rat(num, den)
+
+
+def _int_numerators(terms: Mapping[tuple, Fraction]):
+    """``([(expo, numerator), ...], den)``: the coefficients as integers over
+    ``den``, the lcm of their denominators."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
 class MPoly:
@@ -159,7 +158,7 @@ class MPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)) or type(other) is type(_ZERO):
+        if isinstance(other, (int, Fraction)):
             other = MPoly.const(self.vars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -180,7 +179,7 @@ class MPoly:
         if isinstance(other, MPoly):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is type(_ZERO):
+        if isinstance(other, (int, Fraction)):
             return MPoly.const(self.vars, other)
         return None
 
@@ -218,7 +217,7 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other) is type(_ZERO):
+        if isinstance(other, (int, Fraction)):
             c = _as_rat(other)
             out = MPoly.__new__(MPoly)
             out.vars = self.vars
@@ -230,19 +229,23 @@ class MPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        # Integer numerators over each operand's common denominator: the
+        # double loop runs on ints and each output coefficient is built once.
+        (a, da), (b, db) = _int_numerators(a), _int_numerators(b)
         terms: dict = {}
         get = terms.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                s = get(e, _ZERO) + ca * cb
+        for ea, ca in a:
+            for eb, cb in b:
+                e = tuple(map(add, ea, eb))
+                s = get(e, 0) + ca * cb
                 if s:
                     terms[e] = s
                 elif e in terms:
                     del terms[e]
+        d = da * db
         out = MPoly.__new__(MPoly)
         out.vars = self.vars
-        out.terms = terms
+        out.terms = {e: Rat(n, d) for e, n in terms.items()}
         return out
 
     __rmul__ = __mul__

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from .mpoly import EngineError, MPoly, Scalar, poly_gcd, rat_content
+from .mpoly import EngineError, MPoly, Rat, Scalar, poly_gcd, rat_content
 
 
 class RatFunc:
@@ -83,7 +83,7 @@ class RatFunc:
         return not self.num.is_zero
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, MPoly)) or type(other).__name__ in ("Fraction", "mpq"):
+        if isinstance(other, (int, Rat, MPoly)):
             other = RatFunc.const(self.vars, other) if not isinstance(other, MPoly) else RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -99,7 +99,7 @@ class RatFunc:
             return other
         if isinstance(other, MPoly):
             return RatFunc(other)
-        if isinstance(other, int) or type(other).__name__ in ("Fraction", "mpq"):
+        if isinstance(other, (int, Rat)):
             return RatFunc.const(self.vars, other)
         return None
 
@@ -170,21 +170,32 @@ class RatFunc:
 
 def _single_var_reduce(num: MPoly, den: MPoly, var: str):
     """Cancel the common factor of a pair whose denominator involves a single
-    variable; the gcd runs over univariate slices of the numerator."""
+    variable.  ``var`` is irreducible, so the gcd is ``var^min(v(num), v(den))``,
+    with ``v`` the lowest exponent of ``var``, times the gcd of ``num`` and
+    ``den / var^v(den)``.  Only that second factor needs gcds (over univariate
+    slices of the numerator), and none when the cofactor is constant."""
     i = num.vars.index(var)
     n = len(num.vars)
-    groups: dict = {}
-    for e, c in num.terms.items():
-        key = e[:i] + (0,) + e[i + 1:]
-        groups.setdefault(key, {})[e[i]] = c
-    g = den
-    for terms in groups.values():
-        if g.is_constant:
-            break
-        slice_poly = MPoly(num.vars,
-                           {tuple(k if j == i else 0 for j in range(n)): c
-                            for k, c in terms.items()})
-        g = poly_gcd(g, slice_poly)
+
+    def shift(p, k):
+        return MPoly(p.vars, {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in p.terms.items()})
+
+    vd = min(e[i] for e in den.terms)
+    g = shift(den, -vd)
+    if not g.is_constant:
+        groups: dict = {}
+        for e, c in num.terms.items():
+            groups.setdefault(e[:i] + e[i + 1:], {})[e[i]] = c
+        for terms in groups.values():
+            slice_poly = MPoly(num.vars,
+                               {tuple(k if j == i else 0 for j in range(n)): c
+                                for k, c in terms.items()})
+            g = poly_gcd(g, slice_poly)
+            if g.is_constant:
+                break
+    if g.is_constant:
+        g = MPoly.const(num.vars, 1)
+    g = shift(g, min(vd, min(e[i] for e in num.terms)))
     if not g.is_constant:
         num2 = num.try_div(g)
         den2 = den.try_div(g)

@@ -84,3 +84,22 @@ def random_poly(rnd, table, vars_use, max_degree=3, n_terms=4, lo=-6, hi=6, homo
             c = rnd.randint(lo, hi)
         terms[tuple(e)] = terms.get(tuple(e), 0) + Rat(c, rnd.randint(1, 4))
     return MPoly(table, terms)
+
+
+def to_sympy(p):
+    """``p`` as a sympy expression in symbols named after its table (the
+    caller has already skipped when sympy is missing)."""
+    import sympy
+
+    gens = sympy.symbols(p.vars)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[g ** k for g, k in zip(gens, e)])
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def from_sympy(expr, table):
+    """A sympy polynomial expression as an MPoly over ``table``."""
+    import sympy
+
+    terms = sympy.Poly(expr, *sympy.symbols(table)).terms()
+    return MPoly(table, {e: Rat(int(c.p), int(c.q)) for e, c in terms})

@@ -4,7 +4,7 @@ import pytest
 
 from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables, poly_gcd, poly_lcm
 
-from conftest import poly, random_poly
+from conftest import from_sympy, poly, random_poly, to_sympy
 
 TAB = ("x", "y", "eps")
 
@@ -135,11 +135,6 @@ def test_try_div_matches_sympy_reduced(rng):
     table = merge_tables(TAB, ("a",))
     gens = sympy.symbols(table)
 
-    def to_sympy(p):
-        return sum((sympy.Rational(int(c.numerator), int(c.denominator))
-                    * sympy.Mul(*[g ** k for g, k in zip(gens, e)])
-                    for e, c in p.terms.items()), sympy.Integer(0))
-
     cases = 0
     while cases < 90:
         p = random_poly(rng, table, table, max_degree=3, n_terms=rng.randint(1, 5))
@@ -228,3 +223,93 @@ def test_product_divides_back_property():
         assert (p * d).try_div(d) == p
 
     check()
+
+
+def _fraction_mul(p, q):
+    # reference: the product accumulated term by term in Fraction arithmetic,
+    # smaller operand outside; also counts partial sums that cancelled to 0
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    terms, cancelled = {}, 0
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            s = terms.get(e, Rat(0)) + ca * cb
+            if s:
+                terms[e] = s
+            elif e in terms:
+                del terms[e]
+                cancelled += 1
+    return terms, cancelled
+
+
+def _unit_poly(rng):
+    monos = [(i, j, 0) for i in range(3) for j in range(3 - i)]
+    return MPoly(TAB, {e: rng.choice((-1, 1)) for e in rng.sample(monos, 4)})
+
+
+WIDE_TAB = merge_tables(TAB, tuple(f"p{i:02d}" for i in range(43)))
+
+
+def test_mul_matches_fraction_reference(rng):
+    # same terms, inserted in the same order, as the Fraction product loop
+    assert len(WIDE_TAB) == 46
+    cases = []
+    for _ in range(150):
+        # mixed denominators: random_poly draws denominators 1..4
+        cases.append((random_poly(rng, TAB, TAB, n_terms=rng.randint(1, 6)),
+                      random_poly(rng, TAB, TAB, n_terms=rng.randint(1, 6))))
+        # unit coefficients on few monomials: many partial sums cancel
+        cases.append((_unit_poly(rng), _unit_poly(rng)))
+        used = rng.sample(WIDE_TAB, 5)
+        cases.append((random_poly(rng, WIDE_TAB, used, n_terms=rng.randint(1, 5)),
+                      random_poly(rng, WIDE_TAB, used, n_terms=rng.randint(1, 5))))
+        # scalar and constant operands
+        cases.append((random_poly(rng, TAB, TAB), MPoly.const(TAB, Rat(rng.randint(-9, 9), 7))))
+    cancelled = 0
+    for p, q in cases:
+        ref, k = _fraction_mul(p, q)
+        cancelled += k
+        got = p * q
+        assert got.terms == ref
+        assert list(got.terms) == list(ref)
+        assert all(type(c) is Rat for c in got.terms.values())
+    assert cancelled > 50
+    p = random_poly(rng, WIDE_TAB, WIDE_TAB[:6])
+    for c in (3, Rat(-5, 6), 0):
+        assert (p * c).terms == (c * p).terms == _fraction_mul(p, MPoly.const(WIDE_TAB, c))[0]
+    assert (p * MPoly.zero(WIDE_TAB)).is_zero
+
+
+def test_ring_laws_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    polys = _hypothesis_polys()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(polys, polys, polys)
+    def check(p, q, r):
+        assert p * q == q * p
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+
+    check()
+
+
+def test_gcd_matches_sympy(rng):
+    # differential test: gcd of a pair with a planted common factor, after
+    # both sides are made primitive with a positive leading coefficient
+    sympy = pytest.importorskip("sympy")
+    table = merge_tables(TAB, ("a", "b"))
+    cases = 0
+    while cases < 40:
+        g = random_poly(rng, table, table, max_degree=2, n_terms=rng.randint(1, 3))
+        s = random_poly(rng, table, table, max_degree=2, n_terms=rng.randint(1, 3))
+        t = random_poly(rng, table, table, max_degree=2, n_terms=rng.randint(1, 3))
+        if g.is_zero or s.is_zero or t.is_zero or g.is_constant:
+            continue
+        a, b = g * s, g * t
+        expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), table).primitive()
+        assert poly_gcd(a, b).primitive() == expected
+        cases += 1

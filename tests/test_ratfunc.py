@@ -1,9 +1,10 @@
 import pytest
 
 from centerlab.mpoly import MPoly, Rat, merge_tables
-from centerlab.ratfunc import laurent_expand_eps, laurent_resum, ratfunc_normalize
+from centerlab import ratfunc
+from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum, ratfunc_normalize
 
-from conftest import poly, random_poly, rf
+from conftest import from_sympy, poly, random_poly, rf, to_sympy
 
 TAB = ("x", "y", "eps")
 PTAB = ("x", "y", "eps", "a", "mu")
@@ -49,6 +50,43 @@ def test_scaling_invariance(rng):
         rhs = ratfunc_normalize(a, b)
         assert lhs == rhs
         assert str(lhs) == str(rhs)  # canonical form is identical, not just equal
+
+
+def _eps_poly_nonzero_at_0(rng, table):
+    p = random_poly(rng, table, ("eps",), max_degree=3, n_terms=3)
+    return p + Rat(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)) - p.coefficient((0,) * len(table))
+
+
+def test_eps_only_denominator_matches_sympy_cancel(rng):
+    # eps^k, eps^k*P and P with P(0) != 0, against numerators with and
+    # without a factor of eps or of P, over several parameters
+    sympy = pytest.importorskip("sympy")
+    table = merge_tables(TAB, ("a", "b", "c"))
+    eps = poly("eps", table)
+    for _ in range(20):
+        k = rng.randint(1, 4)
+        p = _eps_poly_nonzero_at_0(rng, table)
+        r = random_poly(rng, table, table, max_degree=3, n_terms=rng.randint(1, 5))
+        if r.is_zero:
+            continue
+        for den in (eps ** k, eps ** k * p, p):
+            for num in (r, r * eps ** rng.randint(1, 5), r * p, r * p * eps ** rng.randint(0, 3)):
+                got = RatFunc(num, den)
+                q_num, q_den = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+                assert got.den == from_sympy(q_den, table).primitive()
+                assert sympy.expand(to_sympy(got.num) * q_den - q_num * to_sympy(got.den)) == 0
+
+
+def test_eps_power_denominator_needs_no_gcd(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called for an eps-power denominator")
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", no_gcd)
+    r = RatFunc(poly("eps^2*(x + a) + eps^5*y", PTAB), poly("2*eps^3", PTAB))
+    assert r.num == poly("(x + a + eps^3*y)/2", PTAB)
+    assert r.den == poly("eps", PTAB)
+    r = RatFunc(poly("x - mu", PTAB), poly("-3*eps^2", PTAB))
+    assert (r.num, r.den) == (poly("(mu - x)/3", PTAB), poly("eps^2", PTAB))
 
 
 def test_zero_denominator_rejected():
