@@ -1,45 +1,41 @@
 """Adaptive ODE integration and Poincare return maps for numeric systems.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with the standard
-quartic dense-output interpolant and PI step control.  Event locations are
-refined by bisection on the dense output.  Verdicts produced here are
-evidence only; they never override an exact result.
+The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
+J. Comput. Appl. Math. 6, 1980) with an I step-size controller.  It runs on
+plain Python floats: states and stage derivatives are tuples and the stage
+sums are unrolled over the tableau's nonzero entries, because on two or
+three components array overhead would cost far more than the right-hand
+side.  Each accepted step keeps its stage derivatives, and the quartic
+dense-output interpolant is built from them only when a segment is
+evaluated.  Event locations are refined by bisection on the dense output.
+Verdicts produced here are evidence only; they never override an exact
+result.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .systems import PlaneSystem
 from .structure import CharacteristicDirections, characteristic_directions
 
-# Dormand-Prince RK5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# dense-output coefficients (quartic interpolant of the 5(4) pair)
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+State = Tuple[float, ...]
+
+# Dense-output weights of the quartic interpolant of the 5(4) pair: row s
+# holds the coefficients of theta, theta^2, theta^3, theta^4 multiplying the
+# stage derivative k_s, for the stages 1, 3, 4, 5, 6, 7 (the row of stage 2
+# is zero).
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 
 class IntegrationError(RuntimeError):
@@ -76,45 +72,55 @@ def compile_system(s: PlaneSystem) -> Callable:
 
 @dataclass
 class DenseSegment:
+    """One accepted step: its start time, step size, start state and the
+    seven stage derivatives, from which ``eval`` builds the interpolant."""
+
     t0: float
     h: float
-    y0: np.ndarray
-    Q: np.ndarray  # state_dim x 4
+    y0: State
+    k: Tuple[State, ...]
 
-    def eval(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        powers = np.array([theta, theta ** 2, theta ** 3, theta ** 4])
-        return self.y0 + self.h * (self.Q @ powers)
+    def eval(self, t: float) -> State:
+        th = (t - self.t0) / self.h
+        w1, w3, w4, w5, w6, w7 = [th * (a + th * (b + th * (c + th * d)))
+                                  for a, b, c, d in _P]
+        h = self.h
+        k1, _, k3, k4, k5, k6, k7 = self.k
+        return tuple([a + h * (w1 * b1 + w3 * b3 + w4 * b4 + w5 * b5 + w6 * b6 + w7 * b7)
+                      for a, b1, b3, b4, b5, b6, b7 in zip(self.y0, k1, k3, k4, k5, k6, k7)])
 
 
 @dataclass
 class Trajectory:
     t: List[float]
-    y: List[np.ndarray]
+    y: List[State]
     segments: List[DenseSegment]
     status: str
     nfev: int
     steps: int
     closest_approach: float
 
-    def __call__(self, t: float) -> np.ndarray:
-        lo, hi = 0, len(self.segments) - 1
-        if not self.segments:
+    def __call__(self, t: float) -> State:
+        segs = self.segments
+        if not segs:
             return self.y[0]
+        # the first segment whose end is not before t in the direction of time
+        sign = 1.0 if segs[0].h > 0 else -1.0
+        lo, hi = 0, len(segs) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.segments[mid].t0 + self.segments[mid].h < t:
+            if (segs[mid].t0 + segs[mid].h - t) * sign < 0:
                 lo = mid + 1
             else:
                 hi = mid
-        return self.segments[lo].eval(t)
+        return segs[lo].eval(t)
 
     @property
     def t_end(self) -> float:
         return self.t[-1]
 
     @property
-    def y_end(self) -> np.ndarray:
+    def y_end(self) -> State:
         return self.y[-1]
 
 
@@ -125,7 +131,10 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     """Integrate dstate/dt = f(*state) over t_span with local error control.
 
     ``step_callback(segment, y_new)`` may return a truthy value to stop the
-    integration early (used for event detection).
+    integration early (used for event detection).  A step is accepted only
+    when its error norm is at most 1, so a step with non-finite stages (or
+    whose right-hand side overflows) is rejected and shrunk; if that never
+    ends, the step size underflows and ``IntegrationError`` is raised.
     """
     if not (0 < rel_tol <= 1e-4):
         raise ValueError("rel_tol must be in (0, 1e-4]")
@@ -133,26 +142,29 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
         raise ValueError("abs_tol must be in (0, 1e-4]")
     t0, t1 = t_span
     direction = 1.0 if t1 >= t0 else -1.0
-    y = np.asarray(state0, dtype=float)
+    y = tuple([float(v) for v in state0])
     n = len(y)
     t = t0
-    k = np.empty((7, n))
-    fy = np.asarray(f(*y))
+    closest = math.hypot(y[0], y[1])
+    try:
+        fy = f(*y)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise IntegrationError(f"right-hand side not finite at t={t:.6g}",
+                               closest_approach=closest) from exc
     nfev = 1
     # initial step heuristic
-    scale = abs_tol + rel_tol * np.abs(y)
-    d0 = float(np.max(np.abs(y) / scale))
-    d1 = float(np.max(np.abs(fy) / scale))
+    scale = [abs_tol + rel_tol * abs(v) for v in y]
+    d0 = max([abs(v) / s for v, s in zip(y, scale)])
+    d1 = max([abs(v) / s for v, s in zip(fy, scale)])
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = direction * min(h, abs(t1 - t0))
 
     ts = [t]
-    ys = [y.copy()]
+    ys = [y]
     segments: List[DenseSegment] = []
-    closest = float(np.hypot(*y[:2]))
     steps = 0
     status = "finished"
-    hmin = 16 * abs(t1 - t0) * np.finfo(float).eps + 1e-300
+    hmin = 16 * abs(t1 - t0) * sys.float_info.epsilon + 1e-300
 
     while (t - t1) * direction < 0:
         if steps >= max_steps:
@@ -163,28 +175,51 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
                 f"step size underflow at t={t:.6g}", closest_approach=closest)
         if (t + h - t1) * direction > 0:
             h = t1 - t
-        k[0] = fy
-        failed = False
-        for i in range(1, 7):
-            yi = y + h * (k[:i].T @ _A[i])
-            k[i] = f(*yi)
+        k1 = fy
         nfev += 6
-        y_new = yi  # stage 7 argument equals the 5th-order solution
-        err_vec = h * (k.T @ _E)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err > 1.0:
+        # Dormand-Prince RK5(4) tableau, unrolled: stage i is evaluated at
+        # y + h * sum_j a_ij k_j, and the stage-7 argument is the 5th-order
+        # solution.
+        try:
+            k2 = f(*[a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
+            k3 = f(*[a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
+            k4 = f(*[a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
+                     for a, b1, b2, b3 in zip(y, k1, k2, k3)])
+            k5 = f(*[a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
+                              - 212 / 729 * b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+            k6 = f(*[a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3
+                              + 49 / 176 * b4 - 5103 / 18656 * b5)
+                     for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = tuple([a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
+                                    - 2187 / 6784 * b5 + 11 / 84 * b6)
+                           for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)])
+            k7 = f(*y_new)
+        except (OverflowError, ZeroDivisionError):
+            # float ** and / raise where a non-finite value would result:
+            # reject the step like one with a non-finite error
+            err = math.inf
+        else:
+            # RMS norm of the embedded error estimate, scaled per component
+            acc = 0.0
+            for a, a_new, b1, b3, b4, b5, b6, b7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                r = (h * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
+                          - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
+                     / (abs_tol + rel_tol * max(abs(a), abs(a_new))))
+                acc += r * r
+            err = math.sqrt(acc / n)
+        if not err <= 1.0:  # also rejects a NaN error
             h *= max(0.2, 0.9 * err ** (-0.2))
             continue
-        seg = DenseSegment(t, h, y.copy(), k.T @ _P)
+        seg = DenseSegment(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
         segments.append(seg)
         steps += 1
         t += h
-        y = y_new.copy()
-        fy = k[6].copy()
+        y = y_new
+        fy = k7
         ts.append(t)
-        ys.append(y.copy())
-        closest = min(closest, float(np.hypot(*y[:2])))
+        ys.append(y)
+        closest = min(closest, math.hypot(y[0], y[1]))
         if step_callback is not None and step_callback(seg, y):
             status = "event"
             break
@@ -199,7 +234,7 @@ def integrate_system(s: PlaneSystem, state0, t_span, rel_tol=1e-10, abs_tol=1e-1
                               rel_tol=rel_tol, abs_tol=abs_tol, **kw)
 
 
-def _refine_crossing(seg: DenseSegment, gfun: Callable, tol: float = 1e-12) -> Tuple[float, np.ndarray]:
+def _refine_crossing(seg: DenseSegment, gfun: Callable, tol: float = 1e-12) -> Tuple[float, State]:
     """Bisection for g(y(t)) = 0 over one dense segment; the bracket is
     shrunk until the crossing coordinate is within ``tol``."""
     lo, hi = seg.t0, seg.t0 + seg.h
@@ -272,7 +307,7 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
     warnings: List[str] = []
     nfev = 0
     for x0 in x0_list:
-        start = np.array([cx * x0, cy * x0])
+        start = (cx * x0, cy * x0)
         g0dot = gfun(f(*start))
         if g0dot == 0:
             warnings.append(f"x0={x0}: orbit tangent to the transversal at start")
@@ -283,7 +318,7 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
         def callback(seg, y_new):
             g_new = gfun(y_new)
             g_old = gfun(seg.y0)
-            if float(np.hypot(*y_new)) > guard_radius:
+            if math.hypot(*y_new) > guard_radius:
                 state["escaped"] = True
                 return True
             if not state["armed"]:

@@ -14,7 +14,7 @@ and satisfy p*Cs^(2q) + q*Sn^(2p) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Tuple
 
@@ -84,19 +84,16 @@ def pq_period(p: int, q: int) -> float:
 
 @dataclass
 class PQCircle:
-    """One period of (Cs, Sn) with dense output and the identity residual."""
+    """One period of (Cs, Sn) with dense output."""
 
     p: int
     q: int
     tau: float
     trajectory: Trajectory
-    tolerance: float
-    samples: List[Tuple[float, float, float]] = field(default_factory=list)
 
     def cs_sn(self, theta: float) -> Tuple[float, float]:
-        th = theta % self.tau
-        z, w = self.trajectory(th)
-        return float(z), float(w)
+        z, w = self.trajectory(theta % self.tau)
+        return z, w
 
 
 
@@ -131,9 +128,7 @@ def pq_circle(p: int, q: int, rel_tol: float = 1e-12, abs_tol: float = 1e-14) ->
 
     traj = integrate_adaptive(f, (z0, 0.0), (0.0, 2.5 * tau_formula),
                               rel_tol=rel_tol, abs_tol=abs_tol, step_callback=callback)
-    tau = hit.get("t", tau_formula)
-    samples = [(t, float(y[0]), float(y[1])) for t, y in zip(traj.t, traj.y)]
-    return PQCircle(p, q, tau, traj, tolerance=max(1e-10, 100 * rel_tol), samples=samples)
+    return PQCircle(p, q, hit.get("t", tau_formula), traj)
 
 
 def pq_trig(p: int, q: int, theta: float, circle: Optional[PQCircle] = None) -> Tuple[float, float]:

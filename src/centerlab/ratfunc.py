@@ -42,9 +42,11 @@ class RatFunc:
         c = rat_content(den.terms.values())
         if den.leading_coefficient() < 0:
             c = -c
-        inv = 1 / c
-        self.num = num * inv
-        self.den = den * inv
+        if c != 1:
+            inv = 1 / c
+            num, den = num * inv, den * inv
+        self.num = num
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 

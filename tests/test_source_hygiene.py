@@ -1,6 +1,9 @@
 """Source-level rules for the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import centerlab
@@ -34,3 +37,16 @@ def test_no_environment_variables_read_in_package():
                 found += [f"{path.name}:{node.lineno}" for alias in node.names
                           if alias.name in ("environ", "getenv")]
     assert found == []
+
+
+def test_numpy_not_imported_by_package_or_cli():
+    # numpy is loaded only where it is used (the companion-matrix roots in
+    # perturb); a stray top-level import would cost every run its set-up
+    # time and memory
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, centerlab, centerlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
