@@ -1,7 +1,7 @@
 """centerlab: exact center-vs-focus analysis for planar polynomial systems."""
 
 from .mpoly import ExactScalar, MPoly, Rat, merge_tables, poly_gcd, poly_lcm
-from .ratfunc import LaurentSeries, RatFunc, laurent_expand_eps, ratfunc_normalize
+from .ratfunc import LaurentSeries, RatFunc, laurent_expand_eps
 from .parser import ParseError, parse_expression, parse_polynomial
 from .systems import (
     DEGENERATE,

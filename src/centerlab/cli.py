@@ -48,10 +48,14 @@ from .numeric import classify_monodromic, return_map
 
 
 def _rat(text: str):
-    if "/" in text:
-        a, b = text.split("/", 1)
-        return Rat(int(a), int(b))
-    return Rat(int(text))
+    """An exact rational from ``N`` or ``N/D``; anything else is a parse error."""
+    try:
+        if "/" in text:
+            a, b = text.split("/", 1)
+            return Rat(int(a), int(b))
+        return Rat(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"expected an integer or N/D with D != 0, got {text!r}", 0, 0) from None
 
 
 def _load_system(args) -> tuple:
@@ -127,8 +131,7 @@ def cmd_liapunov(args) -> int:
         "mixed_conditions": [condition_entry(c.eps_order, c.poly, constant=c.constant_index)
                              for c in result.mixed_conditions],
         "side_conditions": [display_str(p) for p in result.side_conditions],
-        "convention": result.reports[0].convention.as_dict() if result.reports else {},
-        "warnings": list(result.warnings),
+        "convention": result.convention.as_dict(),
     }
     _emit(args, data, t0)
     return 0
@@ -213,7 +216,12 @@ def cmd_qhcenter(args) -> int:
 
     if args.sweep:
         name, _, rng = args.sweep.partition("=")
-        a, b, step = (_rat(v) for v in rng.split(":"))
+        bounds = rng.split(":")
+        if len(bounds) != 3:
+            raise ParseError(f"--sweep expects NAME=A:B:STEP, got {args.sweep!r}", 0, 0)
+        a, b, step = (_rat(v) for v in bounds)
+        if step <= 0:
+            raise ParseError(f"--sweep step must be positive, got {step}", 0, 0)
         points = []
         v = a
         while v <= b:

@@ -71,7 +71,6 @@ class LiapunovReport:
     convention: ConventionRecord
     h_table: List[Tuple[int, RatFunc]]
     constants: List[ConstantEntry]
-    side_conditions: List[MPoly] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
 
     @property
@@ -348,54 +347,3 @@ def verify_backsubstitution(report: LiapunovReport) -> bool:
         if residual.homogeneous_part(d):
             return False
     return True
-
-
-def count_independent_constants(report: LiapunovReport) -> int:
-    """Number of constants that stay nonzero after substituting the solved
-    varieties of the earlier ones (when those solve as explicit parameter
-    eliminations).  When an earlier condition is not explicitly solvable the
-    later count is undetermined and a warning is recorded on the report."""
-    subs: Dict[str, object] = {}
-    count = 0
-    undetermined_from = None
-    for entry in report.indexed:
-        v = entry.value.subs(subs, entry.value.vars) if subs else entry.value
-        if v.is_zero:
-            continue
-        count += 1
-        sol = _explicit_elimination(v.num, report.system.params, subs)
-        if sol is None:
-            if entry is not report.indexed[-1]:
-                undetermined_from = entry.degree
-            break
-        subs[sol[0]] = sol[1]
-    if undetermined_from is not None:
-        report.warnings.append(
-            f"independence beyond the constant at degree {undetermined_from} "
-            "is undetermined (no explicit parameter elimination)")
-    return count
-
-
-def _explicit_elimination(num: MPoly, params, existing) -> Optional[Tuple[str, MPoly]]:
-    """Solve num = 0 (identically in eps) for one parameter appearing
-    linearly with constant coefficient, if possible."""
-    for p in params:
-        if p in existing or p not in num.vars:
-            continue
-        if num.degree_in(p) != 1:
-            continue
-        by_p = num.coefficients_in(p)
-        lead = by_p.get(1)
-        rest = by_p.get(0, MPoly.zero(num.vars))
-        if lead is None:
-            continue
-        # lead must be a constant multiple of an eps-only polynomial dividing rest
-        if any(v not in ("eps",) for v in lead.variables_present()):
-            continue
-        q = rest.try_div(-lead)
-        if q is None:
-            continue
-        if "eps" in q.variables_present():
-            continue
-        return p, q
-    return None

@@ -334,7 +334,7 @@ class MPoly:
                 values[name] = val.embed(vs) if val.vars != vs else val
             else:
                 values[name] = MPoly.const(vs, val)
-        result = MPoly.zero(vs)
+        acc: dict = {}
         pow_cache: dict = {}
         for e, c in self.terms.items():
             term = MPoly.const(vs, c)
@@ -358,8 +358,17 @@ class MPoly:
                 continue
             if any(e2):
                 term = term * MPoly.monomial(vs, e2)
-            result = result + term
-        return result
+            # the add-or-delete step of __add__, on one accumulator
+            for e3, c3 in term.terms.items():
+                s = acc.get(e3, _ZERO) + c3
+                if s:
+                    acc[e3] = s
+                elif e3 in acc:
+                    del acc[e3]
+        out = MPoly.__new__(MPoly)
+        out.vars = vs
+        out.terms = acc
+        return out
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         total = 0.0

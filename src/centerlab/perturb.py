@@ -15,9 +15,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .liapunov import LiapunovReport, compute_liapunov_constants
-from .mpoly import EngineError, MPoly, Rat, merge_tables
+from .linalg import sylvester_resultant
+from .liapunov import ConventionRecord, compute_liapunov_constants
+from .mpoly import EngineError, MPoly, Rat, merge_tables, poly_gcd
+from .numeric import compile_system
 from .ratfunc import RatFunc, laurent_expand_eps
+from .realroots import isolate_real_roots, refine_to_float
 from .systems import (
     DEGENERATE,
     NILPOTENT,
@@ -152,17 +155,6 @@ class Condition:
         return f"{self.poly} = 0"
 
 
-@dataclass
-class CenterConditions:
-    mode: str
-    base_conditions: List[Condition] = field(default_factory=list)
-    perturbation_conditions: List[Condition] = field(default_factory=list)
-    mixed_conditions: List[Condition] = field(default_factory=list)
-    side_conditions: List[MPoly] = field(default_factory=list)
-    constants: List[Tuple[int, int, RatFunc]] = field(default_factory=list)  # (index, degree, V)
-    warnings: List[str] = field(default_factory=list)
-
-
 _REDUCE_PASSES = 1000
 
 
@@ -211,42 +203,6 @@ def _linear_solve_for(poly: MPoly, names: Sequence[str]) -> Optional[Tuple[str, 
             continue
         return p, value
     return None
-
-
-def extract_center_conditions(report: LiapunovReport, mode: str = ALL_ORDERS,
-                              perturbation_params: Sequence[str] = ()) -> CenterConditions:
-    """Turn the constants of one report into polynomial conditions by eps
-    order.  ``all_orders``: every Laurent coefficient of every nonzero
-    constant must vanish.  ``first_order``: only the two lowest orders
-    present in each constant are used."""
-    out = CenterConditions(mode=mode)
-    pset = set(perturbation_params)
-    base = [p for p in report.system.params if p not in pset]
-    for entry in report.indexed:
-        series = laurent_expand_eps(entry.value, _order_bound(entry.value))
-        if series.side_condition is not None:
-            out.side_conditions.append(series.side_condition)
-        items = series.items()
-        if mode == FIRST_ORDER:
-            orders = sorted(k for k, c in items if not c.is_zero)[:2]
-            items = [(k, c) for k, c in items if k in orders]
-        out.constants.append((entry.index, entry.degree, entry.value))
-        for k, coeff in items:
-            poly = coeff.num.primitive().embed(report.system.vars)
-            if poly.is_zero:
-                continue
-            present = set(poly.variables_present())
-            if present <= set(base):
-                kind = "base"
-            elif present <= pset:
-                kind = "perturbation"
-            else:
-                kind = "mixed"
-            cond = Condition(poly, k, entry.index, kind)
-            {"base": out.base_conditions,
-             "perturbation": out.perturbation_conditions,
-             "mixed": out.mixed_conditions}[kind].append(cond)
-    return out
 
 
 def _order_bound(v: RatFunc) -> int:
@@ -310,11 +266,6 @@ def check_no_vanishing_singularities(family: PlaneSystem, eps_samples: Sequence,
 
 def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float, float]]:
     """Non-origin real solutions of P = Q = 0 inside the disk (numeric)."""
-    from .linalg import sylvester_resultant
-    from .mpoly import poly_gcd
-    from .numeric import compile_system
-    from .realroots import isolate_real_roots, refine_to_float
-
     pts: List[Tuple[float, float]] = []
     g = poly_gcd(s.P, s.Q)
     f = compile_system(s)
@@ -421,11 +372,22 @@ def _y_candidates(P1: MPoly, Q1: MPoly, xr: float, radius: float) -> List[float]
 
 
 @dataclass
-class PipelineResult(CenterConditions):
+class PipelineResult:
     """Center conditions accumulated over the staged computation, where each
-    solved condition is substituted before the next constant is computed."""
+    solved condition is substituted before the next constant is computed.
 
-    reports: List[LiapunovReport] = field(default_factory=list)
+    ``constants`` holds one (index, degree, V) entry per stage: the first
+    nonzero constant above the previous stage's degree, after the earlier
+    stages' solved conditions were substituted.
+    """
+
+    mode: str
+    convention: ConventionRecord
+    base_conditions: List[Condition] = field(default_factory=list)
+    perturbation_conditions: List[Condition] = field(default_factory=list)
+    mixed_conditions: List[Condition] = field(default_factory=list)
+    side_conditions: List[MPoly] = field(default_factory=list)
+    constants: List[Tuple[int, int, RatFunc]] = field(default_factory=list)
     substitutions: Dict[str, MPoly] = field(default_factory=dict)
 
 
@@ -438,17 +400,18 @@ def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
     eps-order conditions are classified (base / perturbation / mixed),
     linearly solvable ones are substituted into the family, and the
     computation restarts on the reduced family.  Base conditions are reported
-    reduced modulo the earlier ones.
+    reduced modulo the earlier ones.  ``all_orders``: every Laurent
+    coefficient of the constant must vanish; ``first_order``: only the two
+    lowest orders present are used.
     """
-    result = PipelineResult(mode=mode)
     current = perturbed
+    report = compute_liapunov_constants(current, max_even_degree)
+    result = PipelineResult(mode=mode, convention=report.convention)
     full_table = perturbed.vars
     pset = set(perturbation_params)
     index = 0
     floor = 0
     while True:
-        report = compute_liapunov_constants(current, max_even_degree)
-        result.reports.append(report)
         first = next((c for c in report.constants
                       if c.degree > floor and not c.is_zero), None)
         if first is None:
@@ -497,6 +460,9 @@ def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
                 else:
                     reducers.append(poly)
         if new_subs:
+            # an unchanged family keeps its constants: only a substitution
+            # calls for a new computation
             result.substitutions.update(new_subs)
             current = substitute(current, new_subs)
+            report = compute_liapunov_constants(current, max_even_degree)
     return result

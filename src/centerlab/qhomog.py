@@ -260,6 +260,13 @@ def condition_ii_integral(s: PlaneSystem, sig: QHSignature,
     verdict = condition_i_no_real_factors(s, sig)
     if not verdict.holds:
         raise ValueError(f"condition (i) fails: {verdict.detail}")
+    return _period_integral(s, sig, rel_tol)
+
+
+def _period_integral(s: PlaneSystem, sig: QHSignature,
+                     rel_tol: float = 1e-12) -> ConditionIIResult:
+    """The integral of :func:`condition_ii_integral`, for a system whose
+    condition (i) is already known to hold."""
     fPQ = compile_system(s)
     p, q = sig.p, sig.q
     e1 = 2 * p - 1
@@ -310,7 +317,7 @@ def classify_qh_center(s: PlaneSystem, sig: QHSignature,
     info["condition_i"] = verdict_i
     if not verdict_i.holds:
         return "undecided", info
-    res = condition_ii_integral(s, sig)
+    res = _period_integral(s, sig)
     info["condition_ii"] = res
     threshold = max(zero_tol, 1e3 * res.error)
     info["threshold"] = threshold

@@ -58,10 +58,6 @@ class RatFunc:
     def const(cls, vars, c: Scalar) -> "RatFunc":
         return cls(MPoly.const(vars, c))
 
-    @classmethod
-    def poly(cls, p: MPoly) -> "RatFunc":
-        return cls(p)
-
     # -- views ---------------------------------------------------------------
 
     @property
@@ -205,11 +201,6 @@ def _single_var_reduce(num: MPoly, den: MPoly, var: str):
             raise EngineError(f"gcd in {var} does not divide numerator and denominator exactly")
         return num2, den2
     return num, den
-
-
-def ratfunc_normalize(num: MPoly, den: MPoly) -> RatFunc:
-    """Canonical reduced form of the formal quotient num/den."""
-    return RatFunc(num, den)
 
 
 @dataclass

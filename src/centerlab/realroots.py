@@ -1,8 +1,9 @@
 """Exact real-root location for univariate polynomials over the rationals.
 
-Polynomials are dense coefficient lists (index = power).  Rational roots are
-found exactly; irrational ones are isolated by Sturm bisection and refined to
-floats.
+This is the package's one dense-list layer: polynomials are coefficient
+lists (index = power), and callers convert a univariate ``MPoly`` to one only
+to isolate or refine its real roots.  Rational roots are found exactly;
+irrational ones are isolated by Sturm bisection and refined to floats.
 """
 
 from __future__ import annotations
@@ -34,26 +35,27 @@ def derivative(p: Sequence) -> list:
     return [c * k for k, c in enumerate(p)][1:]
 
 
-def poly_rem(a: Sequence, b: Sequence) -> list:
-    a = trim(a)
+def poly_divmod(a: Sequence, b: Sequence) -> Tuple[list, list]:
+    """Quotient and remainder of ``a`` by a nonzero ``b``, both trimmed."""
+    r = trim(a)
     b = trim(b)
     if not b:
-        raise ZeroDivisionError
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
+        raise ZeroDivisionError("division by the zero polynomial")
+    q = [Rat(0)] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = f
         for i, c in enumerate(b):
-            a[i + shift] -= f * c
-        a = trim(a)
-        if not a:
-            break
-    return a
+            r[i + shift] -= f * c
+        r = trim(r)
+    return trim(q), r
 
 
 def poly_gcd_univ(a: Sequence, b: Sequence) -> list:
     a, b = trim(a), trim(b)
     while b:
-        a, b = b, poly_rem(a, b)
+        a, b = b, poly_divmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
@@ -67,23 +69,13 @@ def squarefree(p: Sequence) -> list:
     g = poly_gcd_univ(p, derivative(p))
     if len(g) <= 1:
         return p
-    rem = list(p)
-    # exact division p / g
-    out = [Rat(0)] * (len(p) - len(g) + 1)
-    while len(rem) >= len(g) and rem:
-        f = rem[-1] / g[-1]
-        shift = len(rem) - len(g)
-        out[shift] = f
-        for i, c in enumerate(g):
-            rem[i + shift] -= f * c
-        rem = trim(rem)
-    return trim(out)
+    return poly_divmod(p, g)[0]
 
 
 def sturm_chain(p: Sequence) -> List[list]:
     chain = [trim(p), trim(derivative(p))]
     while chain[-1]:
-        r = poly_rem(chain[-2], chain[-1])
+        r = poly_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])

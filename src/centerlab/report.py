@@ -76,7 +76,3 @@ def to_json(report: dict, no_timings: bool = False) -> str:
     if no_timings:
         data.pop("timings", None)
     return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False)
-
-
-def from_json(text: str) -> dict:
-    return json.loads(text)

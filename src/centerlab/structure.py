@@ -10,13 +10,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .mpoly import MPoly, Rat, merge_tables, poly_gcd
 from .ratfunc import RatFunc
-from .realroots import (
-    eval_poly,
-    isolate_real_roots,
-    rational_roots,
-    refine_to_float,
-    trim,
-)
+from .realroots import isolate_real_roots, poly_divmod, refine_to_float, trim
 from .systems import PlaneSystem, lie_derivative
 
 
@@ -147,7 +141,6 @@ def _state_coefficients(p: MPoly) -> dict:
 def _circle_reduce_poly(poly: MPoly, cname: str, sname: str) -> MPoly:
     """Canonical representative modulo c^2 + s^2 - 1: degree in s at most 1."""
     isn = poly.vars.index(sname)
-    ic = poly.vars.index(cname)
     c2m1 = MPoly.const(poly.vars, 1) - MPoly.variable(cname, poly.vars) ** 2
     out = MPoly.zero(poly.vars)
     for e, coeff in poly.terms.items():
@@ -171,57 +164,41 @@ def _linear_reduce(poly: MPoly, rows: Sequence[MPoly]) -> MPoly:
 
 
 def _solve_on_circle(conditions: List[MPoly], cname: str, sname: str) -> ReversibilityResult:
-    table = conditions[0].vars
-    ic = table.index(cname)
-    isn = table.index(sname)
-
     exact: List[Tuple[Rat, Rat]] = []
     # axis cases first, checked exactly
     for cv, sv in ((Rat(1), Rat(0)), (Rat(0), Rat(1)), (Rat(-1), Rat(0)), (Rat(0), Rat(-1))):
         if all(g.subs({cname: cv, sname: sv}, ()).is_zero for g in conditions):
             exact.append((cv, sv))
 
-    # reduce each condition to A(c) + B(c)*s modulo s^2 = 1 - c^2
-    reduced = [_reduce_circle(g, cname, sname) for g in conditions]
-    unielims: List[list] = []
-    for (A, B) in reduced:
-        if not trim(B):
-            unielims.append(A)
-        else:
-            # s = -A/B on solutions; s^2 = 1 - c^2 gives A^2 - (1-c^2) B^2 = 0
-            A2 = _poly_mul(A, A)
-            B2 = _poly_mul(B, B)
-            circ = _poly_sub(A2, _poly_mul([Rat(1), Rat(0), Rat(-1)], B2))
-            unielims.append(circ)
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            Ai, Bi = reduced[i]
-            Aj, Bj = reduced[j]
-            cross = _poly_sub(_poly_mul(Ai, Bj), _poly_mul(Aj, Bi))
-            if trim(cross):
-                unielims.append(cross)
-
-    from .realroots import poly_gcd_univ
-
-    g = None
-    for u in unielims:
-        u = trim(u)
-        if not u:
-            continue
-        g = u if g is None else poly_gcd_univ(g, u)
+    # each condition is A(c) + B(c)*s modulo s^2 = 1 - c^2
+    zero = MPoly.zero(conditions[0].vars)
+    reduced = []
+    for g in conditions:
+        by_s = _circle_reduce_poly(g, cname, sname).coefficients_in(sname)
+        reduced.append((by_s.get(0, zero), by_s.get(1, zero)))
+    one_minus_c2 = 1 - MPoly.variable(cname, zero.vars) ** 2
+    # s = -A/B on solutions, so s^2 = 1 - c^2 gives A^2 - (1-c^2) B^2 = 0, and
+    # two conditions agree on s only where A_i B_j - A_j B_i = 0
+    unielims = [A if B.is_zero else A * A - one_minus_c2 * (B * B) for A, B in reduced]
+    unielims += [Ai * Bj - Aj * Bi for i, (Ai, Bi) in enumerate(reduced)
+                 for Aj, Bj in reduced[i + 1:]]
+    g = zero
+    for u in filter(None, unielims):
+        g = poly_gcd(g, u)
     witnesses: List[Tuple[float, float]] = [(float(c), float(s)) for c, s in exact]
-    if g is not None and len(trim(g)) > 1:
-        for lo, hi, ex in isolate_real_roots(g):
+    if not g.is_constant:
+        ic = g.vars.index(cname)
+        dense = [Rat(0)] * (g.degree_in(cname) + 1)
+        for e, coeff in g.terms.items():
+            dense[e[ic]] = coeff
+        for lo, hi, ex in isolate_real_roots(dense):
             if ex is not None:
                 cv = ex
                 if abs(cv) > 1:
                     continue
-                s2 = 1 - cv * cv
-                svs = []
-                rs = _rat_sqrt(s2)
+                rs = _rat_sqrt(1 - cv * cv)
                 if rs is not None:
-                    svs = [rs, -rs] if rs else [Rat(0)]
-                    for sv in svs:
+                    for sv in ([rs, -rs] if rs else [Rat(0)]):
                         if all(gq.subs({cname: cv, sname: sv}, ()).is_zero for gq in conditions):
                             if (cv, sv) not in exact:
                                 exact.append((cv, sv))
@@ -231,12 +208,12 @@ def _solve_on_circle(conditions: List[MPoly], cname: str, sname: str) -> Reversi
             else:
                 if hi < -1 or lo > 1:
                     continue
-                cf = refine_to_float(g, lo, hi)
+                cf = refine_to_float(dense, lo, hi)
             if abs(cf) > 1:
                 continue
             sf = math.sqrt(max(0.0, 1 - cf * cf))
             for sv in (sf, -sf):
-                if all(abs(_eval_float(gq, {cname: cf, sname: sv})) < 1e-9 for gq in conditions):
+                if all(abs(gq.eval_float({cname: cf, sname: sv})) < 1e-9 for gq in conditions):
                     if not any(abs(w[0] - cf) < 1e-9 and abs(w[1] - sv) < 1e-9 for w in witnesses):
                         witnesses.append((cf, sv))
     verdict = "reversible" if witnesses else "not_reversible"
@@ -244,63 +221,14 @@ def _solve_on_circle(conditions: List[MPoly], cname: str, sname: str) -> Reversi
                                witnesses=witnesses, exact_witnesses=exact)
 
 
-def _reduce_circle(g: MPoly, cname: str, sname: str):
-    """Write g = A(c) + B(c) s modulo s^2 -> 1 - c^2; returns dense coefficient
-    lists for A and B."""
-    A: dict = {}
-    B: dict = {}
-    ic = g.vars.index(cname)
-    isn = g.vars.index(sname)
-    for e, coeff in g.terms.items():
-        k = e[isn]
-        m = e[ic]
-        # s^k = (1-c^2)^(k//2) * s^(k%2)
-        half = k // 2
-        target = B if k % 2 else A
-        for j in range(half + 1):
-            from math import comb
-
-            cc = coeff * comb(half, j) * (-1) ** j
-            deg = m + 2 * j
-            target[deg] = target.get(deg, Rat(0)) + cc
-    size_a = max(A) + 1 if A else 0
-    size_b = max(B) + 1 if B else 0
-    a = [A.get(i, Rat(0)) for i in range(size_a)]
-    b = [B.get(i, Rat(0)) for i in range(size_b)]
-    return trim(a), trim(b)
-
-
-def _poly_mul(a, b):
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return []
-    out = [Rat(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return trim([(a[i] if i < len(a) else Rat(0)) - (b[i] if i < len(b) else Rat(0))
-                 for i in range(n)])
-
-
 def _rat_sqrt(v) -> Optional[Rat]:
     if v < 0:
         return None
-    import math as _m
-
-    pn = _m.isqrt(int(v.numerator))
-    pd = _m.isqrt(int(v.denominator))
+    pn = math.isqrt(v.numerator)
+    pd = math.isqrt(v.denominator)
     if pn * pn == v.numerator and pd * pd == v.denominator:
         return Rat(pn, pd)
     return None
-
-
-def _eval_float(p: MPoly, point: dict) -> float:
-    return p.eval_float(point)
 
 
 # -- Darboux first integrals ---------------------------------------------------
@@ -448,7 +376,6 @@ def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:
     if x_mult > 0:
         directions.append(Direction(x, math.pi / 2, x_mult, True))
     if len(b) > 1:
-        rats = rational_roots(b)
         for lo, hi, ex in isolate_real_roots(b):
             if ex is not None:
                 r = ex
@@ -468,16 +395,10 @@ def _xy_part(e, table):
 
 
 def _multiplicity(b, r) -> int:
+    """Multiplicity of the root ``r`` of ``b``."""
     m = 0
-    cur = trim(b)
-    while cur and eval_poly(cur, r) == 0:
-        # synthetic division by (t - r)
-        out = []
-        acc = Rat(0)
-        for c in reversed(cur):
-            acc = acc * r + c
-            out.append(acc)
-        quotient = list(reversed(out[:-1]))
-        cur = trim(quotient)
+    q, rem = poly_divmod(b, [-r, Rat(1)])
+    while not rem:
         m += 1
+        q, rem = poly_divmod(q, [-r, Rat(1)])
     return m

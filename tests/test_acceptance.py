@@ -27,7 +27,7 @@ from centerlab.qhomog import (
     pq_circle,
     pq_period,
 )
-from centerlab.ratfunc import RatFunc, laurent_expand_eps, ratfunc_normalize
+from centerlab.ratfunc import RatFunc, laurent_expand_eps
 from centerlab.structure import (
     DarbouxExpr,
     characteristic_directions,
@@ -411,10 +411,10 @@ def test_criterion_7_ratfunc_normalization():
         r = random_poly(rnd, table, ("x", "y"), max_degree=2, n_terms=2)
         if q.is_zero or r.is_zero:
             continue
-        f = ratfunc_normalize(p * q, q * r)
-        g = ratfunc_normalize(p, r)
+        f = RatFunc(p * q, q * r)
+        g = RatFunc(p, r)
         assert f.num * g.den == g.num * f.den
-        again = ratfunc_normalize(f.num, f.den)
+        again = RatFunc(f.num, f.den)
         assert again.num == f.num and again.den == f.den  # idempotent
         count += 1
     assert count >= 200
@@ -454,7 +454,7 @@ def test_criterion_7_laurent_multiply_back():
         den = random_poly(rnd, table, ("eps",), max_degree=2, n_terms=2)
         if den.is_zero or num.is_zero:
             continue
-        f = ratfunc_normalize(num, den)
+        f = RatFunc(num, den)
         series = laurent_expand_eps(f, 4)
         if series.side_condition is not None:
             continue

@@ -6,7 +6,7 @@ import pytest
 
 from centerlab.cli import main
 from centerlab.mpoly import MPoly
-from centerlab.report import from_json, poly_from_terms, ratfunc_from_entry
+from centerlab.report import poly_from_terms, ratfunc_from_entry
 
 from conftest import (
     DEG_FACTORED,
@@ -31,7 +31,7 @@ def sysfile(tmp_path):
 def run_cli(args, capsys):
     rc = main(args)
     out = capsys.readouterr().out
-    return rc, (from_json(out) if out.strip() else None)
+    return rc, (json.loads(out) if out.strip() else None)
 
 
 def test_liapunov_minimal_report(sysfile, capsys):
@@ -179,3 +179,25 @@ def test_qhcenter_sweep(sysfile, capsys):
     entries = data["qhomog"]["sweep"]
     assert [e["verdict"] for e in entries] == ["center", "focus", "focus"]
     assert [e["sweep"]["mu"] for e in entries] == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("value", ["1/0", "x", "1/2/3", "", "1.5"])
+def test_exit_code_bad_set_value_is_parse_error(sysfile, capsys, value):
+    rc = main(["liapunov", sysfile(NIL_CUBIC_AB), "--set", f"A={value}",
+               "--max-degree", "4", "--no-timings"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("sweep", ["mu=0:2:0", "mu=0:2:-1/4", "mu=0:2", "mu=0:1/0:1"])
+def test_exit_code_bad_sweep_is_parse_error(sysfile, capsys, sweep):
+    # a step <= 0 never reaches the end of the range: it is refused before
+    # the first point
+    rc = main(["qhcenter", sysfile(HOMOG_CUBIC), "--set", "lambda=1", "--sweep", sweep,
+               "--no-timings"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")

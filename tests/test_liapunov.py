@@ -1,12 +1,9 @@
 import pytest
 
 from centerlab.liapunov import (
-    ConstantEntry,
     EngineError,
-    LiapunovReport,
     _solve_degree,
     compute_liapunov_constants,
-    count_independent_constants,
     solve_homological_step,
     verify_backsubstitution,
 )
@@ -187,19 +184,3 @@ def test_singular_degree_system_raises_engine_error():
     one = MPoly.const(vars, 1)
     with pytest.raises(EngineError):
         _solve_degree(one, -one, 2, MPoly.zero(vars), one)
-
-
-def test_count_independent_examples():
-    s = parse_system(NIL_CUBIC_AB_EPS)
-    rep = compute_liapunov_constants(s, 6)
-    assert count_independent_constants(rep) == 2
-
-    zero_rep = compute_liapunov_constants(parse_system("xdot = y; ydot = -eps*x"), 6)
-    assert count_independent_constants(zero_rep) == 0
-
-    # constructed dependency: V2 = eps * V1
-    v1 = rf("(A*B - 3*L)*eps", s.vars)
-    dep = LiapunovReport(
-        system=s, max_even_degree=6, convention=rep.convention, h_table=[],
-        constants=[ConstantEntry(4, v1, 1), ConstantEntry(6, v1 * rf("eps", s.vars), 2)])
-    assert count_independent_constants(dep) == 1

@@ -313,3 +313,51 @@ def test_gcd_matches_sympy(rng):
         expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), table).primitive()
         assert poly_gcd(a, b).primitive() == expected
         cases += 1
+
+
+def _accumulating_subs(p, bindings, vs):
+    # reference: the substitution summed with one MPoly addition per term
+    values = {n: (v if isinstance(v, MPoly) else MPoly.const(vs, v))
+              for n, v in bindings.items() if n in p.vars}
+    result = MPoly.zero(vs)
+    for e, c in p.terms.items():
+        term = MPoly.const(vs, c)
+        e2 = [0] * len(vs)
+        for i, k in enumerate(e):
+            if k and p.vars[i] in values:
+                term = term * values[p.vars[i]] ** k
+            elif k:
+                e2[vs.index(p.vars[i])] += k
+        result = result + term * MPoly.monomial(vs, e2)
+    return result
+
+
+def test_subs_matches_accumulating_reference(rng):
+    # same terms, inserted in the same order, as summing term by term
+    table = merge_tables(TAB, ("a", "b"))
+    cases = 0
+    for _ in range(200):
+        p = random_poly(rng, table, table, max_degree=4, n_terms=rng.randint(1, 8))
+        names = rng.sample(table, rng.randint(1, 3))
+        bindings = {}
+        for name in names:
+            kind = rng.randrange(3)
+            if kind == 0:
+                bindings[name] = Rat(rng.randint(-3, 3), rng.randint(1, 3))
+            else:
+                # polynomial values over the other variables collide with
+                # existing monomials, so partial sums cancel
+                rest = [v for v in table if v not in names]
+                bindings[name] = random_poly(rng, table, rest, max_degree=2,
+                                             n_terms=rng.randint(1, 3), lo=-2, hi=2)
+        vs = tuple(v for v in table if v not in bindings) if rng.random() < 0.5 else table
+        bindings = {n: (v.embed(vs) if isinstance(v, MPoly) else v)
+                    for n, v in bindings.items()}
+        got = p.subs(bindings, vs)
+        ref = _accumulating_subs(p, bindings, vs)
+        assert got.vars == ref.vars
+        assert got.terms == ref.terms
+        assert list(got.terms) == list(ref.terms)
+        cases += len(p.terms) > len(got.terms)
+    # some substitutions merged or cancelled terms
+    assert cases > 20

@@ -12,7 +12,6 @@ from centerlab.perturb import (
     build_perturbation,
     center_conditions_pipeline,
     check_no_vanishing_singularities,
-    extract_center_conditions,
     general_perturbation,
     minimal_perturbation,
 )
@@ -27,6 +26,7 @@ from conftest import (
     DEG_QUINTIC_EPS,
     HOMOG_CUBIC,
     NIL_CUBIC_AB,
+    NIL_CUBIC_AB_EPS,
     NIL_CUBIC_K,
     NIL_SEXTIC,
     poly,
@@ -107,24 +107,44 @@ def test_general_perturbation_name_collision():
         general_perturbation(s, degree=3)
 
 
-def test_extract_conditions_all_orders_separates_kinds():
+def test_pipeline_all_orders_separates_kinds():
     s = parse_system(
         "xdot = y + x^2 + k2*x*y + eps*x*(a10*x + a01*y + a20*x^2 + a11*x*y + a02*y^2); "
         "ydot = -eps*x + k1*x^2 - x^3 + eps*x*(b10*x + b01*y + b20*x^2 + b11*x*y + b02*y^2)")
     pset = [p for p in s.params if p not in ("k1", "k2")]
-    rep = compute_liapunov_constants(s, 4)
-    conds = extract_center_conditions(rep, ALL_ORDERS, perturbation_params=pset)
-    assert [str(c.poly) for c in conds.base_conditions] == ["2*k1"] or \
-           [str(c.poly) for c in conds.base_conditions] == ["k1"]
-    assert conds.mixed_conditions  # eps^1 order mixes k's and b10
-    assert not conds.side_conditions
+    res = center_conditions_pipeline(s, 4, ALL_ORDERS, perturbation_params=pset)
+    assert [(str(c.poly), c.eps_order, c.kind) for c in res.base_conditions] == [
+        ("k1", 0, "base")]
+    # the eps^1 order mixes k2 and b10, and is solved for the perturbation
+    # parameter
+    first = res.perturbation_conditions[0]
+    assert (str(first.poly), first.eps_order, first.kind) == ("2*b10 - k2", 1, "mixed")
+    assert (first.solved[0], str(first.solved[1])) == ("b10", "1/2*k2")
+    assert all(c.kind == "mixed" and c.solved for c in res.perturbation_conditions)
+    assert not res.mixed_conditions
+    assert not res.side_conditions
 
 
-def test_extract_conditions_first_order():
+def test_pipeline_first_order_reads_lowest_orders():
     s = parse_system(DEG_QUINTIC_EPS)
-    rep = compute_liapunov_constants(s, 8)
-    conds = extract_center_conditions(rep, FIRST_ORDER)
-    assert [str(c.poly) for c in conds.base_conditions] == ["a*mu"]
+    res = center_conditions_pipeline(s, 8, FIRST_ORDER)
+    assert [str(c.poly) for c in res.base_conditions] == ["a*mu"]
+    assert [c.eps_order for c in res.base_conditions] == [-1]
+
+
+def test_pipeline_stage_counts():
+    # one stage per constant that stays nonzero once the earlier stages'
+    # solved conditions are substituted
+    assert len(center_conditions_pipeline(parse_system(NIL_CUBIC_AB_EPS), 6).constants) == 2
+    assert len(center_conditions_pipeline(parse_system("xdot = y; ydot = -eps*x"),
+                                          6).constants) == 0
+
+
+def test_pipeline_reports_the_first_stage_convention():
+    s = parse_system(NIL_CUBIC_AB_EPS)
+    res = center_conditions_pipeline(s, 6)
+    assert res.convention == compute_liapunov_constants(s, 6).convention
+    assert res.convention.seed == "(mu*x^2+y^2)/2 with mu = eps"
 
 
 def test_pipeline_cubic_k_family_general_degree5():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from centerlab import qhomog
 from centerlab.mpoly import Rat
 from centerlab.qhomog import (
     QHSignature,
@@ -188,3 +189,20 @@ def test_classify_quartic_hamiltonian_center():
 def test_classify_condition_i_failure_undecided():
     verdict, info = classify_qh_center(_cubic(0, 3), SIG11)
     assert verdict == "undecided"
+
+
+def test_classify_decides_condition_i_once(monkeypatch):
+    calls = []
+    decide = qhomog.condition_i_no_real_factors
+
+    def counted(s, sig, *args, **kwargs):
+        calls.append(sig)
+        return decide(s, sig, *args, **kwargs)
+
+    monkeypatch.setattr(qhomog, "condition_i_no_real_factors", counted)
+    verdict, info = classify_qh_center(_cubic(1, 1), SIG11)
+    assert verdict == "focus"
+    assert len(calls) == 1
+    # the stand-alone integral still checks condition (i) itself
+    assert info["condition_ii"] == condition_ii_integral(_cubic(1, 1), SIG11)
+    assert len(calls) == 2

@@ -2,7 +2,7 @@ import pytest
 
 from centerlab.mpoly import MPoly, Rat, merge_tables
 from centerlab import ratfunc
-from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum, ratfunc_normalize
+from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum
 
 from conftest import from_sympy, poly, random_poly, rf, to_sympy
 
@@ -11,17 +11,17 @@ PTAB = ("x", "y", "eps", "a", "mu")
 
 
 def test_normalize_common_monomial_factor():
-    r = ratfunc_normalize(poly("2*eps^2", TAB), poly("2*eps", TAB))
+    r = RatFunc(poly("2*eps^2", TAB), poly("2*eps", TAB))
     assert r == rf("eps", TAB)
     assert r.den == MPoly.const(TAB, 1)
 
 
 def test_normalize_canonical_denominator_sign():
-    r = ratfunc_normalize(poly("-a*mu", PTAB), poly("eps", PTAB))
+    r = RatFunc(poly("-a*mu", PTAB), poly("eps", PTAB))
     assert r.den == poly("eps", PTAB)
     assert r.num == poly("-a*mu", PTAB)
     # the sign lives in the numerator, the denominator leads positive
-    r2 = ratfunc_normalize(poly("a*mu", PTAB), poly("-eps", PTAB))
+    r2 = RatFunc(poly("a*mu", PTAB), poly("-eps", PTAB))
     assert r2 == r
 
 
@@ -33,8 +33,8 @@ def test_normalize_cross_multiplication_oracle(rng):
         r = random_poly(rng, table, ("x", "y"), max_degree=2, n_terms=2)
         if q.is_zero or r.is_zero:
             continue
-        left = ratfunc_normalize(p * q, q * r)
-        right = ratfunc_normalize(p, r)
+        left = RatFunc(p * q, q * r)
+        right = RatFunc(p, r)
         assert left.num * right.den == right.num * left.den
 
 
@@ -46,8 +46,8 @@ def test_scaling_invariance(rng):
         d = random_poly(rng, TAB, ("x", "y", "eps"), max_degree=2, n_terms=2)
         if b.is_zero or d.is_zero:
             continue
-        lhs = ratfunc_normalize(a * d, b * d)
-        rhs = ratfunc_normalize(a, b)
+        lhs = RatFunc(a * d, b * d)
+        rhs = RatFunc(a, b)
         assert lhs == rhs
         assert str(lhs) == str(rhs)  # canonical form is identical, not just equal
 
@@ -91,11 +91,11 @@ def test_eps_power_denominator_needs_no_gcd(monkeypatch):
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        ratfunc_normalize(poly("x", TAB), MPoly.zero(TAB))
+        RatFunc(poly("x", TAB), MPoly.zero(TAB))
 
 
 def test_laurent_simple_pole():
-    f = ratfunc_normalize(poly("-a*mu", PTAB), poly("eps", PTAB))
+    f = RatFunc(poly("-a*mu", PTAB), poly("eps", PTAB))
     series = laurent_expand_eps(f, 3)
     items = series.poly_items()
     assert len(items) == 1
@@ -113,7 +113,7 @@ def test_laurent_polynomial_identity():
 
 def test_laurent_inverse_series_multiply_back():
     den = poly("3 + 2*eps + 3*eps^2", TAB)
-    f = ratfunc_normalize(MPoly.const(TAB, 1), den)
+    f = RatFunc(MPoly.const(TAB, 1), den)
     series = laurent_expand_eps(f, 2)
     assert series.poly_items()[0] == (0, MPoly.const((), Rat(1, 3)))
     assert series.poly_items()[1][1].constant_value() == Rat(-2, 9)
@@ -131,7 +131,7 @@ def test_laurent_resum_property(rng):
         den = random_poly(rng, table, ("eps",), max_degree=2, n_terms=2)
         if den.is_zero:
             continue
-        f = ratfunc_normalize(num, den)
+        f = RatFunc(num, den)
         order = 4
         series = laurent_expand_eps(f, order)
         if series.side_condition is not None:
@@ -150,7 +150,7 @@ def test_laurent_rejects_state_variables():
 
 def test_laurent_parameter_denominator_side_condition():
     table = ("x", "y", "eps", "a")
-    f = ratfunc_normalize(MPoly.const(table, 1), poly("a + eps", table))
+    f = RatFunc(MPoly.const(table, 1), poly("a + eps", table))
     series = laurent_expand_eps(f, 1)
     assert series.side_condition == poly("a", ("a",))
     items = series.items()

@@ -39,6 +39,28 @@ def test_no_environment_variables_read_in_package():
     assert found == []
 
 
+def test_no_function_local_imports_in_package():
+    # imports sit at module top, so a module's dependencies are read off its
+    # head; the one exception is numpy, loaded only where perturb uses it
+    allowed = {("perturb.py", "numpy")}
+    found = set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or "."]
+                else:
+                    continue
+                found.update(f"{path.name}:{node.lineno}:{name}" for name in names
+                             if (path.name, name) not in allowed)
+    assert sorted(found) == []
+
+
 def test_numpy_not_imported_by_package_or_cli():
     # numpy is loaded only where it is used (the companion-matrix roots in
     # perturb); a stray top-level import would cost every run its set-up

@@ -1,10 +1,14 @@
 import math
+import random
 
 from centerlab.mpoly import MPoly, Rat
 from centerlab.parser import parse_first_integral
 from centerlab.ratfunc import RatFunc
+from centerlab.realroots import isolate_real_roots, poly_gcd_univ, refine_to_float, trim
 from centerlab.structure import (
     DarbouxExpr,
+    _multiplicity,
+    _solve_on_circle,
     characteristic_directions,
     is_hamiltonian,
     reversibility_conditions,
@@ -21,6 +25,7 @@ from conftest import (
     NIL_DARBOUX,
     NIL_REVERSIBLE_EPS,
     poly,
+    random_poly,
     rf,
 )
 
@@ -69,8 +74,6 @@ def test_reversibility_witness_satisfies_invariance_numerically():
     r = reversibility_conditions(s)
     c, sn = r.witnesses[0]
     # rotated field must satisfy P(u,v) = -P(u,-v), Q(u,v) = Q(u,-v)
-    import random
-
     rnd = random.Random(7)
     fP = lambda x, y: y + x * x
     fQ = lambda x, y: -x ** 3
@@ -88,6 +91,144 @@ def test_reversibility_witness_satisfies_invariance_numerically():
         P2, Q2 = rot(u, -v)
         assert abs(P1 + P2) <= 1e-12
         assert abs(Q1 - Q2) <= 1e-12
+
+
+# reference: the circle solve on dense coefficient lists in c, kept to check
+# the MPoly version against
+
+def _ref_reduce_circle(g, cname, sname):
+    # g = A(c) + B(c) s modulo s^2 -> 1 - c^2, as dense lists
+    A, B = {}, {}
+    ic, isn = g.vars.index(cname), g.vars.index(sname)
+    for e, coeff in g.terms.items():
+        k, m = e[isn], e[ic]
+        target = B if k % 2 else A
+        for j in range(k // 2 + 1):
+            target[m + 2 * j] = target.get(m + 2 * j, Rat(0)) \
+                + coeff * math.comb(k // 2, j) * (-1) ** j
+    return (trim([A.get(i, Rat(0)) for i in range(max(A) + 1 if A else 0)]),
+            trim([B.get(i, Rat(0)) for i in range(max(B) + 1 if B else 0)]))
+
+
+def _ref_mul(a, b):
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return []
+    out = [Rat(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_sub(a, b):
+    n = max(len(a), len(b))
+    return trim([(a[i] if i < len(a) else Rat(0)) - (b[i] if i < len(b) else Rat(0))
+                 for i in range(n)])
+
+
+def _ref_rat_sqrt(v):
+    if v < 0:
+        return None
+    pn, pd = math.isqrt(v.numerator), math.isqrt(v.denominator)
+    return Rat(pn, pd) if pn * pn == v.numerator and pd * pd == v.denominator else None
+
+
+def _ref_solve_on_circle(conditions, cname, sname):
+    exact = []
+    for cv, sv in ((Rat(1), Rat(0)), (Rat(0), Rat(1)), (Rat(-1), Rat(0)), (Rat(0), Rat(-1))):
+        if all(g.subs({cname: cv, sname: sv}, ()).is_zero for g in conditions):
+            exact.append((cv, sv))
+    reduced = [_ref_reduce_circle(g, cname, sname) for g in conditions]
+    unielims = []
+    for A, B in reduced:
+        if not trim(B):
+            unielims.append(A)
+        else:
+            unielims.append(_ref_sub(_ref_mul(A, A),
+                                     _ref_mul([Rat(1), Rat(0), Rat(-1)], _ref_mul(B, B))))
+    for i in range(len(reduced)):
+        for j in range(i + 1, len(reduced)):
+            cross = _ref_sub(_ref_mul(reduced[i][0], reduced[j][1]),
+                             _ref_mul(reduced[j][0], reduced[i][1]))
+            if cross:
+                unielims.append(cross)
+    g = None
+    for u in map(trim, unielims):
+        if u:
+            g = u if g is None else poly_gcd_univ(g, u)
+    witnesses = [(float(c), float(s)) for c, s in exact]
+    if g is not None and len(trim(g)) > 1:
+        for lo, hi, ex in isolate_real_roots(g):
+            if ex is not None:
+                if abs(ex) > 1:
+                    continue
+                rs = _ref_rat_sqrt(1 - ex * ex)
+                if rs is not None:
+                    for sv in ([rs, -rs] if rs else [Rat(0)]):
+                        if all(gq.subs({cname: ex, sname: sv}, ()).is_zero for gq in conditions):
+                            if (ex, sv) not in exact:
+                                exact.append((ex, sv))
+                                witnesses.append((float(ex), float(sv)))
+                    continue
+                cf = float(ex)
+            else:
+                if hi < -1 or lo > 1:
+                    continue
+                cf = refine_to_float(g, lo, hi)
+            if abs(cf) > 1:
+                continue
+            sf = math.sqrt(max(0.0, 1 - cf * cf))
+            for sv in (sf, -sf):
+                if all(abs(gq.eval_float({cname: cf, sname: sv})) < 1e-9 for gq in conditions):
+                    if not any(abs(w[0] - cf) < 1e-9 and abs(w[1] - sv) < 1e-9
+                               for w in witnesses):
+                        witnesses.append((cf, sv))
+    return ("reversible" if witnesses else "not_reversible"), witnesses, exact
+
+
+CS = ("c", "s")
+# lines through points of the unit circle: rational points, and the
+# irrational points where s = c and s = 2c
+CIRCLE_LINES = (
+    "c - 3/5", "s - 4/5", "5*c + 12*s - 13", "c + 3/5", "s + 12/13", "8*c - 15*s",
+    "s - c", "s - 2*c", "c", "s", "c - 1", "s + 1",
+)
+
+
+def test_solve_on_circle_matches_dense_reference():
+    rng = random.Random(31)
+    lines = [poly(t, CS) for t in CIRCLE_LINES]
+    circle = poly("c^2 + s^2 - 1", CS)
+    verdicts = set()
+    for _ in range(120):
+        planted = rng.sample(lines, rng.randint(0, 2))
+        conditions = []
+        for _ in range(rng.randint(1, 3)):
+            g = MPoly.const(CS, 1)
+            for line in planted:
+                g = g * line
+            g = g * random_poly(rng, CS, CS, max_degree=2, n_terms=rng.randint(1, 3))
+            if rng.random() < 0.3:
+                g = g + circle * random_poly(rng, CS, CS, max_degree=2, n_terms=2)
+            if not g.is_zero:
+                conditions.append(g)
+        if not conditions:
+            continue
+        got = _solve_on_circle(conditions, "c", "s")
+        verdict, witnesses, exact = _ref_solve_on_circle(conditions, "c", "s")
+        assert (got.verdict, got.witnesses, got.exact_witnesses) == (verdict, witnesses, exact)
+        verdicts.add((verdict, bool(exact), len(witnesses) > len(exact)))
+    # both verdicts, exact witnesses and float-only witnesses were exercised
+    assert {v for v, _, _ in verdicts} == {"reversible", "not_reversible"}
+    assert any(e for _, e, _ in verdicts) and any(f for _, _, f in verdicts)
+
+
+def test_multiplicity_of_rational_root():
+    b = [Rat(c) for c in (-8, 12, -6, 1)]  # (t - 2)^3
+    assert _multiplicity(b, Rat(2)) == 3
+    assert _multiplicity(_ref_mul(b, [Rat(1), Rat(1)]), Rat(-1)) == 1
+    assert _multiplicity(b, Rat(1)) == 0
 
 
 # -- Darboux first integrals -----------------------------------------------------
