@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 parse error, 3 class mismatch / unusable input,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -27,7 +28,7 @@ from .perturb import (
     general_perturbation,
     minimal_perturbation,
 )
-from .qhomog import QHSignature, classify_qh_center, detect_quasi_homogeneity
+from .qhomog import classify_qh_center, detect_quasi_homogeneity, qh_signature
 from .report import condition_entry, display_str, poly_terms, ratfunc_entry, to_json
 from .structure import (
     DarbouxExpr,
@@ -56,6 +57,47 @@ def _rat(text: str):
         return Rat(int(text))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected an integer or N/D with D != 0, got {text!r}", 0, 0) from None
+
+
+def _number(option: str, text: str) -> float:
+    """A finite float option value; anything else is a parse error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{option} expects a finite number, got {text!r}", 0, 0)
+    return value
+
+
+def _positive_int(option: str, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ParseError(f"{option} expects a positive integer, got {text!r}", 0, 0)
+    return value
+
+
+def _weights(text: str) -> tuple:
+    """The ``--pq P,Q`` weights: two coprime positive integers."""
+    try:
+        p, q = (int(v) for v in text.split(","))
+    except ValueError:
+        p = q = 0
+    if p < 1 or q < 1 or math.gcd(p, q) != 1:
+        raise ParseError(f"--pq expects two coprime positive integers P,Q, got {text!r}", 0, 0)
+    return p, q
+
+
+def _radii(args) -> List[float]:
+    return [_number("--x0", v) for v in args.x0] if args.x0 else [0.02, 0.05, 0.1]
+
+
+def _transversal(text: str):
+    """``x+``, ``y+`` (or ``x``, ``y``) or an angle in radians."""
+    return text if text in ("x+", "x", "y+", "y") else _number("--transversal", text)
 
 
 def _load_system(args) -> tuple:
@@ -97,8 +139,10 @@ def cmd_liapunov(args) -> int:
         choice = "minimal" if base_class in (NILPOTENT, DEGENERATE) else "none"
     if choice != "none":
         default_kind = "nilpotent" if base_class == NILPOTENT else "degenerate"
-        if choice.startswith("general"):
-            deg = int(choice.split(":", 1)[1]) if ":" in choice else 5
+        if choice == "general" or choice.startswith("general:"):
+            deg = 5
+            if ":" in choice:
+                deg = _positive_int("--perturb general:D", choice.partition(":")[2])
             spec = general_perturbation(s, degree=deg, kind=default_kind)
             perturb_desc = {"kind": default_kind, "template": "general", "degree": deg}
         elif choice in ("minimal", "nilpotent", "degenerate", "hamiltonian"):
@@ -192,14 +236,16 @@ def cmd_reversible(args) -> int:
 def cmd_qhcenter(args) -> int:
     t0 = time.perf_counter()
     s, source = _load_system(args)
+    pq = _weights(args.pq) if args.pq else None
 
     def analyze(system: PlaneSystem, label: dict) -> dict:
-        sigs = detect_quasi_homogeneity(system, args.bound)
-        if args.pq:
-            p, q = (int(v) for v in args.pq.split(","))
-            match = [g for g in sigs if (g.p, g.q) == (p, q)]
-            sig = match[0] if match else QHSignature(p, q, -1)
+        if pq:
+            sig = qh_signature(system, *pq)
+            if sig is None:
+                raise ClassificationError(
+                    f"the system is not ({pq[0]},{pq[1]})-quasi-homogeneous")
         else:
+            sigs = detect_quasi_homogeneity(system, args.bound)
             if not sigs:
                 return {**label, "verdict": "undecided",
                         "note": "no quasi-homogeneous structure detected"}
@@ -244,8 +290,8 @@ def cmd_qhcenter(args) -> int:
 def cmd_returnmap(args) -> int:
     t0 = time.perf_counter()
     s, source = _load_system(args)
-    x0 = [float(v) for v in args.x0] if args.x0 else [0.02, 0.05, 0.1]
-    rm = return_map(s, x0, transversal=args.transversal, rel_tol=args.rel_tol)
+    rm = return_map(s, _radii(args), transversal=_transversal(args.transversal),
+                    rel_tol=args.rel_tol)
     data = {
         "input": source,
         "class": s.linear_class,
@@ -265,8 +311,7 @@ def cmd_returnmap(args) -> int:
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     s, source = _load_system(args)
-    x0 = [float(v) for v in args.x0] if args.x0 else [0.02, 0.05, 0.1]
-    verdict = classify_monodromic(s, x0, transversal=args.transversal)
+    verdict = classify_monodromic(s, _radii(args), transversal=_transversal(args.transversal))
     dirs = verdict.directions
     data = {
         "input": source,
@@ -324,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qhcenter", help="quasi-homogeneous center test")
     common(p)
-    p.add_argument("--pq", help="force the weights, e.g. 2,3")
+    p.add_argument("--pq", help="force the weights P,Q, e.g. 2,3 (not limited by --bound)")
     p.add_argument("--bound", type=int, default=8, help="search bound for (p,q)")
     p.add_argument("--sweep", metavar="NAME=A:B:STEP",
                    help="sweep one parameter over a rational range")

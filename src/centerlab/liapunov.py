@@ -9,15 +9,16 @@ that the derivative of H along the flow is a combination of powers of
 splits into two bidiagonal recurrences, solved by one sweep each.  At even
 degrees the obstruction coefficient V is the unique value making the
 degree-n equation solvable; the kernel ambiguity in H_n is fixed by forcing
-the y^n coefficient to zero.  All arithmetic is exact; the
-denominators of the H_n and of the V's are polynomials in eps only.
+the y^n coefficient to zero.  All arithmetic is exact; the denominators of
+the H_n and of the V's are polynomials in eps only, which lets the one degree
+loop, :class:`DegreePass`, specialise parameters between degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .mpoly import EngineError, MPoly, Rat, poly_lcm
 from .ratfunc import RatFunc
@@ -28,6 +29,7 @@ from .systems import (
     ClassificationError,
     PlaneSystem,
     lie_derivative,
+    substitute,
 )
 
 SUPPORTED_CLASSES = (LINEAR_TYPE, PERTURBED_NILPOTENT, PERTURBED_DEGENERATE)
@@ -57,7 +59,6 @@ class ConventionRecord:
 class ConstantEntry:
     degree: int
     value: RatFunc
-    index: Optional[int] = None  # 1-based among nonzero constants, degree order
 
     @property
     def is_zero(self) -> bool:
@@ -69,14 +70,14 @@ class LiapunovReport:
     system: PlaneSystem
     max_even_degree: int
     convention: ConventionRecord
-    h_table: List[Tuple[int, RatFunc]]
+    h_table: Dict[int, RatFunc]
     constants: List[ConstantEntry]
     warnings: List[str] = field(default_factory=list)
 
     @property
     def indexed(self) -> List[ConstantEntry]:
         """The nonzero constants, in order of appearance."""
-        return [c for c in self.constants if c.index is not None]
+        return [c for c in self.constants if not c.is_zero]
 
     def constant_at_degree(self, degree: int) -> Optional[ConstantEntry]:
         for c in self.constants:
@@ -141,16 +142,14 @@ def _circle_power(vars, half: int) -> MPoly:
     return acc
 
 
-def _seed(system: PlaneSystem) -> Tuple[MPoly, MPoly]:
-    """H_2 as (numerator, denominator): (x^2+y^2)/2, with the x^2 weighted by
-    the perturbation factor for a perturbed-nilpotent linear part."""
+def _seed(system: PlaneSystem) -> RatFunc:
+    """H_2 = (x^2+y^2)/2, with the x^2 weighted by the perturbation factor for
+    a perturbed-nilpotent linear part."""
     vars = system.vars
+    x2 = _monomial_xy(vars, 2, 0)
     if system.linear_class == PERTURBED_NILPOTENT:
-        mu = system.eps_factor
-        num = _monomial_xy(vars, 2, 0) * mu + _monomial_xy(vars, 0, 2)
-    else:
-        num = _monomial_xy(vars, 2, 0) + _monomial_xy(vars, 0, 2)
-    return num, MPoly.const(vars, 2)
+        x2 = x2 * system.eps_factor
+    return RatFunc(x2 + _monomial_xy(vars, 0, 2), MPoly.const(vars, 2))
 
 
 def _linear_scalars(system: PlaneSystem) -> Tuple[MPoly, MPoly]:
@@ -250,6 +249,68 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
     return RatFunc(H_num, mu_pow[half] * sigma_pow[half] * delta * R_den), V
 
 
+class DegreePass:
+    """One pass over degrees 3..``max_even_degree``: iterating solves each
+    degree n once into the table ``H`` (degree -> H_n) and yields (n, V) at
+    every even n.  Between yields the consumer may :meth:`specialise`
+    parameters.  sigma and mu carry no parameters and every denominator is
+    eps-only, so H_k of the specialised family is the specialised H_k: the
+    stored table is re-expressed, not recomputed.
+    """
+
+    def __init__(self, system: PlaneSystem, max_even_degree: int):
+        if system.linear_class not in SUPPORTED_CLASSES:
+            raise ClassificationError(
+                f"Liapunov computation needs a linear_type, perturbed_nilpotent or "
+                f"perturbed_degenerate system, got {system.linear_class!r}; apply a "
+                "linear change of variables to reach one of the normal forms "
+                "(-y, x), (y, 0), (0, 0), (y, -eps*x), (eps*y, -eps*x)")
+        if max_even_degree < 4:
+            raise ValueError("max_even_degree must be at least 4")
+        self.max_even_degree = max_even_degree
+        self.convention = ConventionRecord(
+            seed=("(mu*x^2+y^2)/2 with mu = " + str(system.eps_factor)
+                  if system.linear_class == PERTURBED_NILPOTENT else "(x^2+y^2)/2"))
+        self.H: Dict[int, RatFunc] = {2: _seed(system)}
+        self._use(system)
+
+    def _use(self, system: PlaneSystem) -> None:
+        self.system = system
+        self._sigma, self._mu = _linear_scalars(system)
+        self._parts = system.nonlinear_parts()
+
+    def specialise(self, bindings: Mapping[str, MPoly]) -> None:
+        """Substitute ``bindings`` into the family and into every stored H_k."""
+        self._use(substitute(self.system, bindings))
+        vars = self.system.vars
+        self.H = {k: h.subs(bindings, vars) for k, h in self.H.items()}
+
+    def __iter__(self) -> Iterator[Tuple[int, RatFunc]]:
+        for n in range(3, self.max_even_degree + 1):
+            H_n, V = _solve_degree(self._sigma, self._mu, n, *self._residual(n))
+            self.H[n] = H_n
+            if V is not None:
+                yield n, V
+
+    def _residual(self, n: int) -> Tuple[MPoly, MPoly]:
+        """The degree-n part of the Lie derivative of H_2 + ... + H_(n-1)
+        along the nonlinear terms, as (numerator, eps-only denominator)."""
+        vars = self.system.vars
+        D = MPoly.const(vars, 1)
+        pieces = []
+        for k, h in self.H.items():
+            if n + 1 - k in self._parts:
+                pd, qd = self._parts[n + 1 - k]
+                piece = h.num.diff("x") * pd + h.num.diff("y") * qd
+                if piece:
+                    pieces.append((piece, h.den))
+                    D = poly_lcm(D, h.den)
+        R_num = MPoly.zero(vars)
+        for piece, dk in pieces:
+            R_num = R_num + piece * D.try_div(dk)
+        return R_num, D
+
+
 def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int) -> LiapunovReport:
     """Run the degree-by-degree scheme up to ``max_even_degree``.
 
@@ -258,72 +319,19 @@ def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int) -> Lia
     degree is evidence, not a proof of a center; the report carries a
     warning to that effect.
     """
-    if system.linear_class not in SUPPORTED_CLASSES:
-        raise ClassificationError(
-            f"Liapunov computation needs a linear_type, perturbed_nilpotent or "
-            f"perturbed_degenerate system, got {system.linear_class!r}; apply a "
-            "linear change of variables to reach one of the normal forms "
-            "(-y, x), (y, 0), (0, 0), (y, -eps*x), (eps*y, -eps*x)")
-    if max_even_degree < 4:
-        raise ValueError("max_even_degree must be at least 4")
-    vars = system.vars
-    sigma, mu = _linear_scalars(system)
-    parts = system.nonlinear_parts()
-    seed_num, seed_den = _seed(system)
-
-    h_store: Dict[int, Tuple[MPoly, MPoly]] = {2: (seed_num, seed_den)}
-    h_table: List[Tuple[int, RatFunc]] = [(2, RatFunc(seed_num, seed_den))]
-    constants: List[ConstantEntry] = []
-
-    for n in range(3, max_even_degree + 1):
-        pieces = []
-        for k, (hnum, hden) in h_store.items():
-            d = n + 1 - k
-            if d < 2 or d not in parts:
-                continue
-            pd, qd = parts[d]
-            piece = hnum.diff("x") * pd + hnum.diff("y") * qd
-            if piece:
-                pieces.append((piece, hden))
-        if pieces:
-            D = pieces[0][1]
-            for _, dk in pieces[1:]:
-                D = poly_lcm(D, dk)
-            R_num = MPoly.zero(vars)
-            for piece, dk in pieces:
-                m = D.try_div(dk)
-                R_num = R_num + piece * m
-        else:
-            D = MPoly.const(vars, 1)
-            R_num = MPoly.zero(vars)
-
-        H_n, V = _solve_degree(sigma, mu, n, R_num, D)
-        h_store[n] = (H_n.num, H_n.den)
-        h_table.append((n, H_n))
-        if n % 2 == 0:
-            constants.append(ConstantEntry(degree=n, value=V))
-
-    idx = 0
-    for entry in constants:
-        if not entry.is_zero:
-            idx += 1
-            entry.index = idx
-
-    seed_desc = ("(mu*x^2+y^2)/2 with mu = " + str(system.eps_factor)
-                 if system.linear_class == PERTURBED_NILPOTENT
-                 else "(x^2+y^2)/2")
-    report = LiapunovReport(
+    run = DegreePass(system, max_even_degree)
+    constants = [ConstantEntry(degree=n, value=V) for n, V in run]
+    return LiapunovReport(
         system=system,
         max_even_degree=max_even_degree,
-        convention=ConventionRecord(seed=seed_desc),
-        h_table=h_table,
+        convention=run.convention,
+        h_table=run.H,
         constants=constants,
         warnings=[
             "no obstruction up to the truncation degree is evidence, not a "
             "center proof: a center requires all constants to vanish"
-        ] if not [c for c in constants if not c.is_zero] else [],
+        ] if all(c.is_zero for c in constants) else [],
     )
-    return report
 
 
 def verify_backsubstitution(report: LiapunovReport) -> bool:
@@ -333,12 +341,12 @@ def verify_backsubstitution(report: LiapunovReport) -> bool:
     s = report.system
     vars = s.vars
     D = MPoly.const(vars, 1)
-    for _, h in report.h_table:
+    for h in report.h_table.values():
         D = poly_lcm(D, h.den)
     for c in report.constants:
         D = poly_lcm(D, c.value.den)
     H_scaled = MPoly.zero(vars)
-    for _, h in report.h_table:
+    for h in report.h_table.values():
         H_scaled = H_scaled + h.num * D.try_div(h.den)
     residual = lie_derivative(H_scaled, s)
     for c in report.constants:

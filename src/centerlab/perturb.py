@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import sylvester_resultant
-from .liapunov import ConventionRecord, compute_liapunov_constants
+from .liapunov import ConventionRecord, DegreePass
 from .mpoly import EngineError, MPoly, Rat, merge_tables, poly_gcd
 from .numeric import compile_system
 from .ratfunc import RatFunc, laurent_expand_eps
@@ -376,9 +376,9 @@ class PipelineResult:
     """Center conditions accumulated over the staged computation, where each
     solved condition is substituted before the next constant is computed.
 
-    ``constants`` holds one (index, degree, V) entry per stage: the first
-    nonzero constant above the previous stage's degree, after the earlier
-    stages' solved conditions were substituted.
+    ``constants`` holds one (index, degree, V) entry per stage: each nonzero
+    constant of the pass, computed on the family that the earlier stages'
+    solved conditions reduced.
     """
 
     mode: str
@@ -388,38 +388,32 @@ class PipelineResult:
     mixed_conditions: List[Condition] = field(default_factory=list)
     side_conditions: List[MPoly] = field(default_factory=list)
     constants: List[Tuple[int, int, RatFunc]] = field(default_factory=list)
-    substitutions: Dict[str, MPoly] = field(default_factory=dict)
 
 
 def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
                                mode: str = ALL_ORDERS,
                                perturbation_params: Sequence[str] = ()) -> PipelineResult:
-    """Stage-wise center-condition extraction.
+    """Stage-wise center-condition extraction in one degree-by-degree pass.
 
-    Computes constants degree by degree; at the first nonzero constant its
-    eps-order conditions are classified (base / perturbation / mixed),
-    linearly solvable ones are substituted into the family, and the
-    computation restarts on the reduced family.  Base conditions are reported
-    reduced modulo the earlier ones.  ``all_orders``: every Laurent
+    Each nonzero constant starts a stage: its eps-order conditions are
+    classified (base / perturbation / mixed), linearly solvable ones are
+    substituted into the family, and the pass carries on at the next degree
+    on the reduced family (see :class:`DegreePass`).  Base conditions are
+    reported reduced modulo the earlier ones.  ``all_orders``: every Laurent
     coefficient of the constant must vanish; ``first_order``: only the two
     lowest orders present are used.
     """
-    current = perturbed
-    report = compute_liapunov_constants(current, max_even_degree)
-    result = PipelineResult(mode=mode, convention=report.convention)
+    run = DegreePass(perturbed, max_even_degree)
+    result = PipelineResult(mode=mode, convention=run.convention)
     full_table = perturbed.vars
     pset = set(perturbation_params)
-    index = 0
-    floor = 0
-    while True:
-        first = next((c for c in report.constants
-                      if c.degree > floor and not c.is_zero), None)
-        if first is None:
-            break
-        index += 1
-        floor = first.degree
-        result.constants.append((index, first.degree, first.value))
-        series = laurent_expand_eps(first.value, _order_bound(first.value))
+    for degree, V in run:
+        if V.is_zero:
+            continue
+        current = run.system
+        index = len(result.constants) + 1
+        result.constants.append((index, degree, V))
+        series = laurent_expand_eps(V, _order_bound(V))
         if series.side_condition is not None:
             result.side_conditions.append(series.side_condition)
         items = series.items()
@@ -460,9 +454,5 @@ def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
                 else:
                     reducers.append(poly)
         if new_subs:
-            # an unchanged family keeps its constants: only a substitution
-            # calls for a new computation
-            result.substitutions.update(new_subs)
-            current = substitute(current, new_subs)
-            report = compute_liapunov_constants(current, max_even_degree)
+            run.specialise(new_subs)
     return result

@@ -44,30 +44,31 @@ def _weight_degree(poly: MPoly, p: int, q: int) -> Optional[int]:
     return weights.pop() if len(weights) == 1 else -1
 
 
+def qh_signature(s: PlaneSystem, p: int, q: int) -> Optional[QHSignature]:
+    """The signature for the weights (p, q), or None when P and Q are not
+    (p,q)-quasi-homogeneous of one weight degree m >= 0."""
+    wp = _weight_degree(s.P, p, q)
+    wq = _weight_degree(s.Q, p, q)
+    if wp == -1 or wq == -1:
+        return None
+    m_candidates = set()
+    if wp is not None:
+        m_candidates.add(wp - (p - 1))
+    if wq is not None:
+        m_candidates.add(wq - (q - 1))
+    if len(m_candidates) != 1:
+        return None
+    m = m_candidates.pop()
+    return QHSignature(p, q, m) if m >= 0 else None
+
+
 def detect_quasi_homogeneity(s: PlaneSystem, search_bound: int = 10) -> List[QHSignature]:
     """All coprime (p, q) up to the bound making the system quasi-homogeneous."""
     if s.P.is_zero and s.Q.is_zero:
         raise ValueError("zero vector field")
-    out = []
-    for p in range(1, search_bound + 1):
-        for q in range(1, search_bound + 1):
-            if gcd(p, q) != 1:
-                continue
-            wp = _weight_degree(s.P, p, q)
-            wq = _weight_degree(s.Q, p, q)
-            if wp == -1 or wq == -1:
-                continue
-            m_candidates = set()
-            if wp is not None:
-                m_candidates.add(wp - (p - 1))
-            if wq is not None:
-                m_candidates.add(wq - (q - 1))
-            if len(m_candidates) != 1:
-                continue
-            m = m_candidates.pop()
-            if m >= 0:
-                out.append(QHSignature(p, q, m))
-    return out
+    sigs = (qh_signature(s, p, q) for p in range(1, search_bound + 1)
+            for q in range(1, search_bound + 1) if gcd(p, q) == 1)
+    return [sig for sig in sigs if sig is not None]
 
 
 # -- generalized trigonometric functions ---------------------------------------

@@ -201,3 +201,51 @@ def test_exit_code_bad_sweep_is_parse_error(sysfile, capsys, sweep):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("parse error:")
+
+
+def _refused(capsys, rc, code, option):
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    prefix = "parse error:" if code == 2 else "class mismatch:"
+    assert captured.err.startswith(prefix) and option in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pq", ["2", "1,1,1", "a,b", "0,1", "-1,2", "2,4"])
+def test_exit_code_bad_pq_is_parse_error(sysfile, capsys, pq):
+    rc = main(["qhcenter", sysfile(HOMOG_CUBIC), "--set", "lambda=1", "--set", "mu=0",
+               f"--pq={pq}", "--no-timings"])
+    _refused(capsys, rc, 2, "--pq")
+
+
+@pytest.mark.parametrize("choice", ["general:x", "general:0", "general:"])
+def test_exit_code_bad_general_degree_is_parse_error(sysfile, capsys, choice):
+    rc = main(["liapunov", sysfile(NIL_CUBIC_AB), "--perturb", choice, "--no-timings"])
+    _refused(capsys, rc, 2, "--perturb")
+
+
+@pytest.mark.parametrize("command", ["returnmap", "classify"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_exit_code_bad_x0_is_parse_error(sysfile, capsys, command, value):
+    rc = main([command, sysfile(NIL_REVERSIBLE), "--x0", "0.05", "--x0", value,
+               "--no-timings"])
+    _refused(capsys, rc, 2, "--x0")
+
+
+@pytest.mark.parametrize("command", ["returnmap", "classify"])
+def test_exit_code_bad_transversal_is_parse_error(sysfile, capsys, command):
+    rc = main([command, sysfile(NIL_REVERSIBLE), "--transversal", "abc", "--no-timings"])
+    _refused(capsys, rc, 2, "--transversal")
+
+
+def test_qhcenter_forced_weights_are_decided_directly(sysfile, capsys):
+    path = sysfile(HOMOG_CUBIC)
+    center = ["qhcenter", path, "--set", "lambda=1", "--set", "mu=0", "--no-timings"]
+    # not (1,2)-quasi-homogeneous: refused, not classified with weight degree -1
+    _refused(capsys, main(center + ["--pq", "1,2"]), 3, "(1,2)")
+    # (1,1) lies outside a search bound of 0 and is still decided
+    rc, data = run_cli(center + ["--pq", "1,1", "--bound", "0"], capsys)
+    assert rc == 0
+    assert (data["qhomog"]["pq"], data["qhomog"]["weight_degree"]) == ([1, 1], 3)
+    assert data["qhomog"]["verdict"] == "center"

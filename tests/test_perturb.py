@@ -3,18 +3,21 @@ from fractions import Fraction
 import pytest
 
 from centerlab.liapunov import compute_liapunov_constants
-from centerlab import perturb
+from centerlab import liapunov, perturb
 from centerlab.mpoly import EngineError, MPoly
 from centerlab.perturb import (
     ALL_ORDERS,
     FIRST_ORDER,
+    Condition,
     PerturbationSpec,
+    PipelineResult,
     build_perturbation,
     center_conditions_pipeline,
     check_no_vanishing_singularities,
     general_perturbation,
     minimal_perturbation,
 )
+from centerlab.ratfunc import laurent_expand_eps
 from centerlab.structure import is_hamiltonian
 from centerlab.systems import ClassificationError, lie_derivative, parse_system, substitute
 
@@ -243,3 +246,149 @@ def test_reduce_modulo_out_of_passes_is_an_engine_fault(monkeypatch):
     monkeypatch.setattr(perturb, "_REDUCE_PASSES", 2)
     with pytest.raises(EngineError):
         perturb._reduce_modulo(target, [cond])
+
+
+def _restart_pipeline(perturbed, max_even_degree, mode=ALL_ORDERS, perturbation_params=()):
+    """Reference: the restart-per-stage pipeline.  After every substitution it
+    recomputes all constants of the reduced family from degree 3 and reads
+    the first nonzero one above the previous stage's degree."""
+    current = perturbed
+    report = compute_liapunov_constants(current, max_even_degree)
+    result = PipelineResult(mode=mode, convention=report.convention)
+    full_table = perturbed.vars
+    pset = set(perturbation_params)
+    index = 0
+    floor = 0
+    while True:
+        first = next((c for c in report.constants
+                      if c.degree > floor and not c.is_zero), None)
+        if first is None:
+            break
+        index += 1
+        floor = first.degree
+        result.constants.append((index, first.degree, first.value))
+        series = laurent_expand_eps(first.value, perturb._order_bound(first.value))
+        if series.side_condition is not None:
+            result.side_conditions.append(series.side_condition)
+        items = series.items()
+        if mode == FIRST_ORDER:
+            orders = sorted(k for k, c in items if not c.is_zero)[:2]
+            items = [(k, c) for k, c in items if k in orders]
+        new_subs = {}
+        reducers = [c.poly for c in result.base_conditions if c.solved is None]
+        for k, coeff in items:
+            poly_k = coeff.num.primitive().embed(current.vars)
+            if new_subs:
+                poly_k = poly_k.subs(new_subs, current.vars)
+            poly_k = perturb._reduce_modulo(poly_k.embed(full_table), reducers).primitive()
+            if poly_k.is_zero:
+                continue
+            present = set(poly_k.variables_present())
+            if present & pset:
+                sol = perturb._linear_solve_for(poly_k, [p for p in current.params if p in pset])
+                if sol is not None:
+                    cond = Condition(poly_k, k, index,
+                                     "perturbation" if present <= pset else "mixed",
+                                     solved=sol)
+                    result.perturbation_conditions.append(cond)
+                    new_subs[sol[0]] = sol[1].embed(current.vars)
+                else:
+                    result.mixed_conditions.append(Condition(poly_k, k, index, "mixed"))
+            else:
+                cond = Condition(poly_k, k, index, "base")
+                result.base_conditions.append(cond)
+                sol = perturb._linear_solve_for(poly_k,
+                                                [p for p in current.params if p not in pset])
+                if sol is not None:
+                    cond.solved = sol
+                    new_subs[sol[0]] = sol[1].embed(current.vars)
+                else:
+                    reducers.append(poly_k)
+        if new_subs:
+            current = substitute(current, new_subs)
+            report = compute_liapunov_constants(current, max_even_degree)
+    return result
+
+
+def _raw(text, base_params=None):
+    s = parse_system(text)
+    return s, [] if base_params is None else [p for p in s.params if p not in base_params]
+
+
+def _perturbed(text, kind="nilpotent", general_degree=None):
+    s = parse_system(text)
+    spec = (general_perturbation(s, degree=general_degree) if general_degree
+            else minimal_perturbation(kind))
+    pert = build_perturbation(s, spec)
+    return pert, [p for p in pert.params if p not in s.params]
+
+
+K_RAW = ("xdot = y + x^2 + k2*x*y + eps*x*(a10*x + a01*y + a20*x^2 + a11*x*y + a02*y^2); "
+         "ydot = -eps*x + k1*x^2 - x^3 + eps*x*(b10*x + b01*y + b20*x^2 + b11*x*y + b02*y^2)")
+
+# every family the pipeline tests here and in test_acceptance.py run:
+# id -> (family, perturbation parameters), max_even_degree, mode
+PIPELINE_CASES = {
+    "k-raw-d4": (lambda: _raw(K_RAW, ("k1", "k2")), 4, ALL_ORDERS),
+    "quintic-eps-d8": (lambda: _raw(DEG_QUINTIC_EPS), 8, FIRST_ORDER),
+    "ab-eps-d6": (lambda: _raw(NIL_CUBIC_AB_EPS), 6, ALL_ORDERS),
+    "linear-d6": (lambda: _raw("xdot = y; ydot = -eps*x"), 6, ALL_ORDERS),
+    "k-general5-d6": (lambda: _perturbed(NIL_CUBIC_K, general_degree=5), 6, ALL_ORDERS),
+    "ab-minimal-d6": (lambda: _perturbed(NIL_CUBIC_AB), 6, ALL_ORDERS),
+    "ab-minimal-d8": (lambda: _perturbed(NIL_CUBIC_AB), 8, ALL_ORDERS),
+    "sextic-minimal-d10": (lambda: _perturbed(NIL_SEXTIC), 10, ALL_ORDERS),
+    "family-a-d6": (lambda: _perturbed(CUBIC_FAMILY_A), 6, ALL_ORDERS),
+    "family-b-d6": (lambda: _perturbed(CUBIC_FAMILY_B), 6, ALL_ORDERS),
+    "family-b-d7": (lambda: _perturbed(CUBIC_FAMILY_B), 7, ALL_ORDERS),
+    "quintic-degenerate-d10": (lambda: _perturbed(DEG_QUINTIC, "degenerate"), 10, FIRST_ORDER),
+    "homog-hamiltonian-d4": (lambda: _perturbed(HOMOG_CUBIC, "hamiltonian"), 4, FIRST_ORDER),
+}
+
+
+def _poly_key(p):
+    return p.vars, sorted(p.terms.items())
+
+
+def _condition_key(c):
+    solved = None if c.solved is None else (c.solved[0], _poly_key(c.solved[1]))
+    return _poly_key(c.poly), c.eps_order, c.constant_index, c.kind, solved
+
+
+def _result_key(r):
+    return {
+        "mode": r.mode,
+        "convention": r.convention.as_dict(),
+        "constants": [(k, degree, _poly_key(v.num), _poly_key(v.den))
+                      for k, degree, v in r.constants],
+        "base": [_condition_key(c) for c in r.base_conditions],
+        "perturbation": [_condition_key(c) for c in r.perturbation_conditions],
+        "mixed": [_condition_key(c) for c in r.mixed_conditions],
+        "side": [_poly_key(p) for p in r.side_conditions],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+def test_pipeline_matches_restart_reference(case):
+    build, degree, mode = PIPELINE_CASES[case]
+    family, pset = build()
+    got = center_conditions_pipeline(family, degree, mode, perturbation_params=pset)
+    want = _restart_pipeline(family, degree, mode, perturbation_params=pset)
+    assert _result_key(got) == _result_key(want)
+
+
+@pytest.mark.parametrize("text, degree", [(NIL_CUBIC_AB, 8), (CUBIC_FAMILY_B, 7)],
+                         ids=["ab-minimal-d8", "family-b-d7"])
+def test_pipeline_solves_each_degree_once(monkeypatch, text, degree):
+    solved = []
+    solve = liapunov._solve_degree
+
+    def counted(sigma, mu, n, R_num, R_den):
+        solved.append(n)
+        return solve(sigma, mu, n, R_num, R_den)
+
+    monkeypatch.setattr(liapunov, "_solve_degree", counted)
+    family, _ = _perturbed(text)
+    res = center_conditions_pipeline(family, degree)
+    # the pass specialised the family at least once on the way
+    assert any(c.solved for c in res.base_conditions)
+    assert solved == list(range(3, degree + 1))

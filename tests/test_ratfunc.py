@@ -164,3 +164,80 @@ def test_arithmetic_and_pow():
     assert (f * g) == rf("eps/((1+eps)^2)", TAB)
     assert f ** 2 == rf("eps^2/((1+eps)^2)", TAB)
     assert (f / g) == rf("eps", TAB)
+
+
+LTAB = ("x", "y", "eps", "a", "b")
+
+
+def test_laurent_matches_sympy_series(rng):
+    # f = num / (eps^v * u(eps)) with u(0) a nonzero constant or a polynomial
+    # in the parameters; every coefficient through the order must match
+    # sympy's series, and resumming must reproduce f through that order
+    sympy = pytest.importorskip("sympy")
+    eps_s = sympy.Symbol("eps")
+    eps = poly("eps", LTAB)
+    for trial in range(16):
+        v = rng.randint(0, 2)
+        if trial % 2:
+            u0 = MPoly.const(LTAB, Rat(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)))
+        else:
+            u0 = poly(rng.choice(("a", "a + 2", "a*b - 1", "b^2 + 3")), LTAB)
+        u = u0 + eps * random_poly(rng, LTAB, ("eps", "a", "b"), max_degree=2, n_terms=2)
+        num = random_poly(rng, LTAB, ("eps", "a", "b"), max_degree=3, n_terms=4)
+        if num.is_zero:
+            continue
+        f = RatFunc(num, eps ** v * u)
+        order = rng.randint(0, 2)
+        series = laurent_expand_eps(f, order)
+        den_by_eps = f.den.coefficients_in("eps")
+        low = den_by_eps[min(den_by_eps)].restrict(("a", "b"))
+        assert series.side_condition == (None if low.is_constant else low.primitive())
+        # num/u is analytic at eps = 0: its Taylor coefficient of eps^(k+v)
+        # is the Laurent coefficient of eps^k in f
+        taylor = sympy.expand(sympy.series(to_sympy(num) / to_sympy(u),
+                                           eps_s, 0, order + v + 1).removeO())
+        for k in range(-v - 1, order + 1):
+            got = series.coefficient(k)
+            got_s = to_sympy(got.num) / to_sympy(got.den) if got else 0
+            want = taylor.coeff(eps_s, k + v) if k + v >= 0 else 0
+            assert sympy.cancel(got_s - want) == 0, (trial, k)
+        diff = f - laurent_resum(series, LTAB)
+        if not diff.is_zero:
+            tail = laurent_expand_eps(diff, order)
+            assert tail.lowest_order is None or tail.lowest_order > order
+
+
+def _hypothesis_polys_in(slots, max_size, top=2):
+    """Polynomials over LTAB whose exponents are nonzero only in ``slots``."""
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.builds(Rat, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    expo = st.tuples(*[st.integers(0, top) if i in slots else st.just(0)
+                       for i in range(len(LTAB))])
+    return st.dictionaries(expo, coeff, min_size=1, max_size=max_size).map(
+        lambda terms: MPoly(LTAB, terms))
+
+
+def test_eps_only_denominator_properties():
+    # the two facts the degree pass relies on when it specialises the stored
+    # H table: a canonical form that ignores common factors, and substitution
+    # of a parameter that commutes with normalisation over an eps-only
+    # denominator
+    hypothesis = pytest.importorskip("hypothesis")
+    every = range(len(LTAB))
+    nums, factors = _hypothesis_polys_in(every, 5), _hypothesis_polys_in(every, 2)
+    dens = _hypothesis_polys_in({LTAB.index("eps")}, 3, top=3)
+    values = _hypothesis_polys_in({LTAB.index("b")}, 2)
+    ptab = ("x", "y", "eps", "b")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(nums, dens, factors, values)
+    def check(n, d, g, val):
+        r = RatFunc(n, d)
+        scaled = RatFunc(n * g, d * g)
+        assert (scaled.num.terms, scaled.den.terms) == (r.num.terms, r.den.terms)
+        binding = {"a": val}
+        lhs = RatFunc(n.subs(binding, ptab), d.subs(binding, ptab))
+        rhs = r.subs(binding, ptab)
+        assert (lhs.num.terms, lhs.den.terms) == (rhs.num.terms, rhs.den.terms)
+
+    check()
