@@ -70,13 +70,21 @@ def _number(option: str, text: str) -> float:
     return value
 
 
-def _positive_int(option: str, text: str) -> int:
+def _int_at_least(option: str, text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise ParseError(f"{option} expects a positive integer, got {text!r}", 0, 0)
+        value = least - 1
+    if value < least:
+        raise ParseError(f"{option} expects an integer >= {least}, got {text!r}", 0, 0)
+    return value
+
+
+def _rel_tol(text: str) -> float:
+    """The ``--rel-tol`` value: a number in (0, 1e-4]."""
+    value = _number("--rel-tol", text)
+    if not 0 < value <= 1e-4:
+        raise ParseError(f"--rel-tol expects a number in (0, 1e-4], got {text!r}", 0, 0)
     return value
 
 
@@ -91,8 +99,15 @@ def _weights(text: str) -> tuple:
     return p, q
 
 
+def _radius(text: str) -> float:
+    value = _number("--x0", text)
+    if value <= 0:
+        raise ParseError(f"--x0 expects a positive radius, got {text!r}", 0, 0)
+    return value
+
+
 def _radii(args) -> List[float]:
-    return [_number("--x0", v) for v in args.x0] if args.x0 else [0.02, 0.05, 0.1]
+    return [_radius(v) for v in args.x0] if args.x0 else [0.02, 0.05, 0.1]
 
 
 def _transversal(text: str):
@@ -128,6 +143,7 @@ def _emit(args, data: dict, t0: float) -> None:
 
 def cmd_liapunov(args) -> int:
     t0 = time.perf_counter()
+    max_degree = _int_at_least("--max-degree", args.max_degree, 4)
     s, source = _load_system(args)
     base_class = s.linear_class
     perturb_desc = {"kind": "none"}
@@ -142,7 +158,7 @@ def cmd_liapunov(args) -> int:
         if choice == "general" or choice.startswith("general:"):
             deg = 5
             if ":" in choice:
-                deg = _positive_int("--perturb general:D", choice.partition(":")[2])
+                deg = _int_at_least("--perturb general:D", choice.partition(":")[2], 1)
             spec = general_perturbation(s, degree=deg, kind=default_kind)
             perturb_desc = {"kind": default_kind, "template": "general", "degree": deg}
         elif choice in ("minimal", "nilpotent", "degenerate", "hamiltonian"):
@@ -157,7 +173,7 @@ def cmd_liapunov(args) -> int:
     if mode is None:
         mode = FIRST_ORDER if base_class == DEGENERATE else ALL_ORDERS
 
-    result = center_conditions_pipeline(s, args.max_degree, mode=mode,
+    result = center_conditions_pipeline(s, max_degree, mode=mode,
                                         perturbation_params=perturbation_params)
     data = {
         "input": source,
@@ -258,6 +274,8 @@ def cmd_qhcenter(args) -> int:
             entry["integral"] = info["condition_ii"].value
             entry["integral_error"] = info["condition_ii"].error
             entry["numeric"] = True
+        if "detail" in info:
+            entry["detail"] = info["detail"]
         return entry
 
     if args.sweep:
@@ -291,7 +309,7 @@ def cmd_returnmap(args) -> int:
     t0 = time.perf_counter()
     s, source = _load_system(args)
     rm = return_map(s, _radii(args), transversal=_transversal(args.transversal),
-                    rel_tol=args.rel_tol)
+                    rel_tol=_rel_tol(args.rel_tol))
     data = {
         "input": source,
         "class": s.linear_class,
@@ -352,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", default="auto",
                    help="auto | none | minimal | nilpotent | degenerate | "
                         "general[:D] | hamiltonian")
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", default="8")
     p.add_argument("--mode", choices=["all-orders", "first-order"], default=None)
     p.set_defaults(func=cmd_liapunov)
 
@@ -379,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--x0", action="append", help="initial radius (repeatable)")
     p.add_argument("--transversal", default="x+", help="x+ | y+ | angle in radians")
-    p.add_argument("--rel-tol", type=float, default=1e-12)
+    p.add_argument("--rel-tol", default="1e-12", help="in (0, 1e-4]")
     p.set_defaults(func=cmd_returnmap)
 
     p = sub.add_parser("classify", help="characteristic directions + return map")

@@ -9,10 +9,18 @@ of the generalized trigonometric functions Cs, Sn, which solve
     z' = -w^(2p-1),  w' = z^(2q-1),  z(0) = p^(-1/(2q)),  w(0) = 0
 
 and satisfy p*Cs^(2q) + q*Sn^(2p) = 1.
+
+Both conditions read (Cs, Sn) from one node table per (p, q): the values at
+tau*k/N for N a power of two, exact cos/sin when p = q = 1 and otherwise the
+dense output of one tight integration of the system above.  Condition (ii)
+is the periodic trapezoid rule on those nodes, which converges geometrically
+for an analytic periodic integrand (Trefethen & Weideman, SIAM Review 56,
+2014); N doubles until two successive sums agree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -148,6 +156,50 @@ def measured_period(p: int, q: int, rel_tol: float = 1e-12) -> float:
     return pq_circle(p, q, rel_tol=rel_tol).tau
 
 
+class PQNodes:
+    """(Cs, Sn) at the nodes tau*k/n of one period, n a power of two.
+
+    The nodes of n are those of n/2 plus the ones with odd k, so each level's
+    odd nodes are computed once, when first asked for, and kept."""
+
+    def __init__(self, p: int, q: int):
+        if p == q == 1:
+            self.tau = 2 * math.pi
+            self._at = lambda t: (math.cos(t), math.sin(t))
+        else:
+            self.tau = pq_period(p, q)
+            self._at = pq_circle(p, q).trajectory
+        # level j holds the nodes tau*k/2^j with odd k (level 0: the node 0)
+        self._levels: List[List[Tuple[float, float]]] = [[self._at(0.0)]]
+
+    def odd(self, n: int) -> List[Tuple[float, float]]:
+        """The nodes tau*k/n with odd k (for n = 1, the node at 0)."""
+        if n < 1 or n & (n - 1):
+            raise ValueError(f"node count must be a power of two, got {n}")
+        j = n.bit_length() - 1
+        while len(self._levels) <= j:
+            m = 2 ** len(self._levels)
+            self._levels.append([self._at(self.tau * k / m) for k in range(1, m, 2)])
+        return self._levels[j]
+
+    def nodes(self, n: int) -> List[Tuple[float, float]]:
+        """All n nodes tau*k/n, k = 0 .. n-1."""
+        self.odd(n)
+        out = self._levels[0]
+        for level in self._levels[1:n.bit_length()]:
+            merged = [None] * (2 * len(out))
+            merged[0::2] = out
+            merged[1::2] = level
+            out = merged
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def pq_nodes(p: int, q: int) -> PQNodes:
+    """The node table of (p, q), shared by every caller in the process."""
+    return PQNodes(p, q)
+
+
 # -- center conditions ----------------------------------------------------------
 
 
@@ -173,8 +225,9 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature,
     the origin (equivalently whether it has a real factor).
 
     Even-even forms are decided exactly through the substitution
-    (x^2, y^2) -> (s, t); otherwise the form is evaluated along the
-    (p,q)-circle on a grid with a derivative-bound certificate.
+    (x^2, y^2) -> (s, t); otherwise the form is evaluated at the ``grid``
+    nodes of the (p,q)-circle's node table (a power of two) with a
+    derivative-bound certificate.
     """
     if not s.is_numeric():
         raise ValueError("specialize parameters first")
@@ -214,12 +267,11 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature,
                                  detail="even form, certified by Sturm count")
 
     # grid + derivative bound along the (p,q)-circle
-    circle = pq_circle(sig.p, sig.q)
+    table = pq_nodes(sig.p, sig.q)
     p_, q_ = sig.p, sig.q
     fPQ = compile_system(s)
 
-    def G(th):
-        z, w = circle.cs_sn(th)
+    def G(z, w):
         P, Q = fPQ(z, w)
         return p_ * z * Q - q_ * w * P
 
@@ -233,8 +285,8 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature,
         for e, c in poly.terms.items():
             acc += abs(float(c)) * zmax ** e[ix] * wmax ** e[iy]
         bound += acc * extra
-    h = circle.tau / grid
-    values = [G(k * h) for k in range(grid)]
+    h = table.tau / grid
+    values = [G(z, w) for z, w in table.nodes(grid)]
     mn = min(abs(v) for v in values)
     if mn > bound * h / 2:
         return ConditionIVerdict(True, sign=1 if values[0] > 0 else -1, exact=False,
@@ -250,6 +302,15 @@ class ConditionIIResult:
     value: float
     error: float
     period: float
+    nodes: int            # trapezoid nodes of the returned value
+    difference: float     # |I_nodes - I_(nodes/2)|
+    converged: bool       # difference <= rel_tol * trapezoid sum of |F/G|
+
+
+# the trapezoid rule starts from this many nodes, so that an early chance
+# agreement of two coarse sums cannot stop it, and gives up past the cap
+MIN_NODES = 64
+MAX_NODES = 2 ** 16
 
 
 def condition_ii_integral(s: PlaneSystem, sig: QHSignature,
@@ -267,44 +328,47 @@ def condition_ii_integral(s: PlaneSystem, sig: QHSignature,
 def _period_integral(s: PlaneSystem, sig: QHSignature,
                      rel_tol: float = 1e-12) -> ConditionIIResult:
     """The integral of :func:`condition_ii_integral`, for a system whose
-    condition (i) is already known to hold."""
+    condition (i) is already known to hold, by the periodic trapezoid rule.
+
+    The node count doubles from ``MIN_NODES`` (each doubling evaluates F/G
+    at the new odd nodes only) until the halving difference is at most
+    ``rel_tol`` times the trapezoid sum of |F/G|, or until ``MAX_NODES``,
+    where the result is returned with ``converged`` false."""
+    if not 0 < rel_tol <= 1e-4:
+        raise ValueError("rel_tol must be in (0, 1e-4]")
     fPQ = compile_system(s)
     p, q = sig.p, sig.q
     e1 = 2 * p - 1
     e2 = 2 * q - 1
-    z0 = p ** (-1 / (2 * q))
+    table = pq_nodes(p, q)
 
-    def rhs(z, w, I):
-        P, Q = fPQ(z, w)
-        F = z ** e2 * P + w ** e1 * Q
-        G = p * z * Q - q * w * P
-        return (-(w ** e1), z ** e2, F / G)
+    def sums(nodes):
+        total = size = 0.0
+        for z, w in nodes:
+            P, Q = fPQ(z, w)
+            G = p * z * Q - q * w * P
+            # G rounding to 0 at a node makes the sums non-finite, which
+            # ends the doubling unconverged
+            v = (z ** e2 * P + w ** e1 * Q) / G if G else math.inf
+            total += v
+            size += abs(v)
+        return total, size
 
-    def run(tol):
-        tau_formula = pq_period(p, q)
-        hit = {}
-
-        def callback(seg, y_new):
-            if seg.t0 + seg.h < 0.5 * tau_formula:
-                return False
-            if seg.y0[1] < 0 <= y_new[1] and y_new[0] > 0:
-                tc, yc = _refine_crossing(seg, lambda st: st[1])
-                hit["t"] = tc
-                hit["I"] = yc[2]
-                return True
-            return False
-
-        traj = integrate_adaptive(rhs, (z0, 0.0, 0.0), (0.0, 2.5 * tau_formula),
-                                  rel_tol=tol, abs_tol=tol * 1e-2,
-                                  step_callback=callback)
-        if "I" not in hit:
-            raise RuntimeError("integration did not close the period")
-        return hit["t"], hit["I"]
-
-    tau1, i1 = run(rel_tol)
-    tau2, i2 = run(min(1e-4, rel_tol * 100))
-    err = abs(i1 - i2) + abs(i1) * rel_tol * 10 + 1e-15
-    return ConditionIIResult(i1, err, tau1)
+    n = MIN_NODES
+    total, size = sums(table.nodes(n))
+    value = table.tau * total / n
+    while True:
+        odd_total, odd_size = sums(table.odd(2 * n))
+        n *= 2
+        total += odd_total
+        size += odd_size
+        new = table.tau * total / n
+        diff = abs(new - value)
+        value = new
+        converged = diff <= rel_tol * table.tau * size / n
+        if converged or n >= MAX_NODES or not math.isfinite(diff):
+            err = diff + abs(value) * rel_tol * 10 + 1e-15
+            return ConditionIIResult(value, err, table.tau, n, diff, converged)
 
 
 def classify_qh_center(s: PlaneSystem, sig: QHSignature,
@@ -312,7 +376,9 @@ def classify_qh_center(s: PlaneSystem, sig: QHSignature,
     """center / focus / undecided via conditions (i) and (ii).
 
     The verdict is numeric: the integral is declared zero when its magnitude
-    is below max(zero_tol, 1000 * quadrature error estimate)."""
+    is below max(zero_tol, 1000 * quadrature error estimate).  A quadrature
+    that did not converge gives undecided, with a ``detail`` naming its node
+    count and halving difference."""
     info: dict = {}
     verdict_i = condition_i_no_real_factors(s, sig)
     info["condition_i"] = verdict_i
@@ -320,6 +386,10 @@ def classify_qh_center(s: PlaneSystem, sig: QHSignature,
         return "undecided", info
     res = _period_integral(s, sig)
     info["condition_ii"] = res
+    if not res.converged:
+        info["detail"] = (f"trapezoid rule not converged at {res.nodes} nodes: "
+                          f"halving difference {res.difference:.3g}")
+        return "undecided", info
     threshold = max(zero_tol, 1e3 * res.error)
     info["threshold"] = threshold
     if abs(res.value) <= threshold:

@@ -226,11 +226,35 @@ def test_exit_code_bad_general_degree_is_parse_error(sysfile, capsys, choice):
 
 
 @pytest.mark.parametrize("command", ["returnmap", "classify"])
-@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
 def test_exit_code_bad_x0_is_parse_error(sysfile, capsys, command, value):
     rc = main([command, sysfile(NIL_REVERSIBLE), "--x0", "0.05", "--x0", value,
                "--no-timings"])
     _refused(capsys, rc, 2, "--x0")
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["liapunov", "--max-degree", "2"], "--max-degree"),
+    (["liapunov", "--max-degree", "x"], "--max-degree"),
+    (["returnmap", "--rel-tol", "0"], "--rel-tol"),
+    (["returnmap", "--rel-tol", "1e-3"], "--rel-tol"),
+    (["returnmap", "--rel-tol", "nan"], "--rel-tol"),
+], ids=["max-degree=2", "max-degree=x", "rel-tol=0", "rel-tol=1e-3", "rel-tol=nan"])
+def test_exit_code_out_of_range_option_is_parse_error(sysfile, capsys, argv, option):
+    rc = main(argv[:1] + [sysfile(NIL_REVERSIBLE)] + argv[1:] + ["--no-timings"])
+    _refused(capsys, rc, 2, option)
+
+
+def test_qhcenter_unconverged_quadrature_shows_detail(sysfile, capsys):
+    # mu = 25/9 - 1e-8: condition (i) holds, but the peak of F/G at
+    # theta = pi/2 is too narrow for the trapezoid rule's node cap
+    rc, data = run_cli(["qhcenter", sysfile(HOMOG_CUBIC), "--set", "lambda=1",
+                        "--set", "mu=2499999991/900000000", "--no-timings"], capsys)
+    assert rc == 0
+    entry = data["qhomog"]
+    assert entry["verdict"] == "undecided" and entry["condition_i"] is True
+    assert entry["detail"].startswith("trapezoid rule not converged at 65536 nodes: "
+                                      "halving difference ")
 
 
 @pytest.mark.parametrize("command", ["returnmap", "classify"])

@@ -19,6 +19,8 @@ from centerlab.systems import parse_system, substitute
 
 from conftest import DEG_FACTORED, HAM_QH, HOMOG_CUBIC, NIL_DARBOUX, NIL_REVERSIBLE, poly
 
+import test_qhomog
+
 
 def test_circle_returns_after_two_pi():
     s = parse_system("xdot = -y; ydot = x")
@@ -345,17 +347,18 @@ def test_scalar_core_matches_numpy_reference_return_map_stop():
 
 def test_scalar_core_matches_numpy_reference_condition_ii(monkeypatch):
     # the 3-state (Cs, Sn, integral) right-hand side of condition (ii),
-    # captured from the integrations the quadrature runs
+    # captured from the integrations of the double Dormand-Prince quadrature
+    # that test_qhomog keeps as the reference for the trapezoid rule
     calls = []
-    real = qhomog.integrate_adaptive
+    real = test_qhomog.integrate_adaptive
 
     def spy(*args, **kw):
         calls.append((args, kw))
         return real(*args, **kw)
 
-    monkeypatch.setattr(qhomog, "integrate_adaptive", spy)
+    monkeypatch.setattr(test_qhomog, "integrate_adaptive", spy)
     s = substitute(parse_system(HOMOG_CUBIC), {"lambda": 1, "mu": 1})
-    qhomog.condition_ii_integral(s, qhomog.QHSignature(1, 1, 3))
+    test_qhomog.reference_period_integral(s, qhomog.QHSignature(1, 1, 3))
     three_state = [c for c in calls if len(c[0][1]) == 3]
     assert len(three_state) == 2
     for args, kw in three_state:

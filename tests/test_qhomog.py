@@ -5,6 +5,7 @@ import pytest
 
 from centerlab import qhomog
 from centerlab.mpoly import Rat
+from centerlab.numeric import _refine_crossing, compile_system, integrate_adaptive
 from centerlab.qhomog import (
     QHSignature,
     classify_qh_center,
@@ -21,10 +22,67 @@ from centerlab.systems import parse_system, substitute
 from conftest import HAM_QH, HAM_QH_EPS, HOMOG_CUBIC, poly
 
 SIG11 = QHSignature(1, 1, 3)
+SIG238 = QHSignature(2, 3, 8)
 
 
 def _cubic(lam, mu):
     return substitute(parse_system(HOMOG_CUBIC), {"lambda": lam, "mu": mu})
+
+
+def _closed_form(mu, lam=1.0):
+    """The condition (ii) integral of the homogeneous cubic, for mu < 25/9."""
+    s1 = cmath.sqrt(9 * mu - 25)
+    s2 = cmath.sqrt(81 * mu + 64)
+    s3 = cmath.sqrt(-17 - cmath.sqrt(64 + 81 * mu))
+    s4 = cmath.sqrt(-17 + cmath.sqrt(64 + 81 * mu))
+    closed = (-4 * cmath.pi * lam) / (s1 * s2 * s3 * s4) * (
+        s3 * (160 - 27 * mu - 5 * cmath.sqrt(64 + 81 * mu))
+        + s4 * (-160 + 27 * mu - 5 * cmath.sqrt(64 + 81 * mu)))
+    assert abs(closed.imag) < 1e-12
+    return closed.real
+
+
+def reference_period_integral(s, sig, rel_tol=1e-12):
+    """The double Dormand-Prince quadrature that the trapezoid rule replaced:
+    the 3-state (Cs, Sn, I) system integrated once at ``rel_tol`` and once at
+    ``100*rel_tol`` up to the return of (Cs, Sn) to its start."""
+    fPQ = compile_system(s)
+    p, q = sig.p, sig.q
+    e1 = 2 * p - 1
+    e2 = 2 * q - 1
+    z0 = p ** (-1 / (2 * q))
+
+    def rhs(z, w, I):
+        P, Q = fPQ(z, w)
+        F = z ** e2 * P + w ** e1 * Q
+        G = p * z * Q - q * w * P
+        return (-(w ** e1), z ** e2, F / G)
+
+    def run(tol):
+        tau_formula = pq_period(p, q)
+        hit = {}
+
+        def callback(seg, y_new):
+            if seg.t0 + seg.h < 0.5 * tau_formula:
+                return False
+            if seg.y0[1] < 0 <= y_new[1] and y_new[0] > 0:
+                _, yc = _refine_crossing(seg, lambda st: st[1])
+                hit["I"] = yc[2]
+                return True
+            return False
+
+        integrate_adaptive(rhs, (z0, 0.0, 0.0), (0.0, 2.5 * tau_formula),
+                           rel_tol=tol, abs_tol=tol * 1e-2, step_callback=callback)
+        assert "I" in hit, "integration did not close the period"
+        return hit["I"]
+
+    i1 = run(rel_tol)
+    i2 = run(min(1e-4, rel_tol * 100))
+    return i1, abs(i1 - i2) + abs(i1) * rel_tol * 10 + 1e-15
+
+
+def _reference_verdict(value, error, zero_tol=1e-8):
+    return "center" if abs(value) <= max(zero_tol, 1e3 * error) else "focus"
 
 
 # -- detection -------------------------------------------------------------------
@@ -140,6 +198,35 @@ def test_condition_ii_focus_case_matches_closed_form():
     assert abs(r.value - closed.real) <= 1e-6 * abs(closed.real)
 
 
+@pytest.mark.parametrize("mu", [Rat(1, 2), Rat(1), Rat(3, 2), Rat(2), Rat(5, 2)])
+def test_condition_ii_matches_closed_form_to_rounding(mu):
+    # the double Dormand-Prince quadrature was off by up to 3e-12 here
+    r = condition_ii_integral(_cubic(1, mu), SIG11)
+    closed = _closed_form(float(mu))
+    assert r.converged
+    assert abs(r.value - closed) <= 1e-12 * abs(closed)
+
+
+_REFERENCE_CASES = (
+    [(f"cubic-mu={k}/8", _cubic(1, Rat(k, 8)), SIG11) for k in range(17)]
+    + [("ham-qh", substitute(parse_system(HAM_QH), {"a": 1, "b": 1}), SIG238),
+       ("ham-qh-eps", substitute(parse_system(HAM_QH_EPS), {"a": 1, "b": 1, "eps": 1}),
+        SIG238)])
+
+
+@pytest.mark.parametrize("s,sig", [c[1:] for c in _REFERENCE_CASES],
+                         ids=[c[0] for c in _REFERENCE_CASES])
+def test_trapezoid_matches_double_dopri_reference(s, sig):
+    value, error = reference_period_integral(s, sig)
+    verdict, info = classify_qh_center(s, sig)
+    r = info["condition_ii"]
+    assert r.converged and r.nodes >= qhomog.MIN_NODES
+    assert abs(r.value - value) <= 1e-9
+    assert verdict == _reference_verdict(value, error)
+    # the halving difference is far below the double integration's estimate
+    assert r.error <= error
+
+
 def test_condition_ii_weighted_hamiltonian_zero():
     s = substitute(parse_system(HAM_QH), {"a": 1, "b": 1})
     r = condition_ii_integral(s, QHSignature(2, 3, 8))
@@ -149,6 +236,12 @@ def test_condition_ii_weighted_hamiltonian_zero():
 def test_condition_ii_requires_condition_i():
     with pytest.raises(ValueError, match="condition"):
         condition_ii_integral(_cubic(0, 3), SIG11)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-12, 1e-3])
+def test_condition_ii_rejects_tolerance_out_of_range(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        condition_ii_integral(_cubic(1, 1), SIG11, rel_tol=rel_tol)
 
 
 def test_condition_ii_invariant_under_time_rescaling():
@@ -184,6 +277,84 @@ def test_classify_quartic_hamiltonian_center():
     verdict, _ = classify_qh_center(parse_system("xdot = -y^3; ydot = x^3"),
                                     QHSignature(1, 1, 3))
     assert verdict == "center"
+
+
+@pytest.mark.parametrize("digits", [4, 8])
+def test_classify_near_singular_is_never_center(digits):
+    # mu just below 25/9, where condition (i) still holds: G nearly vanishes
+    # at theta = pi/2, F/G has a narrow peak and the integral is large
+    mu = Rat(25, 9) - Rat(1, 10 ** digits)
+    verdict, info = classify_qh_center(_cubic(1, mu), SIG11)
+    r = info["condition_ii"]
+    assert verdict != "center"
+    if r.converged:
+        assert verdict == "focus"
+        closed = _closed_form(float(mu))
+        assert abs(r.value - closed) <= 1e-9 * abs(closed)
+    else:
+        assert verdict == "undecided"
+        assert r.nodes == qhomog.MAX_NODES
+        assert info["detail"] == (f"trapezoid rule not converged at {qhomog.MAX_NODES} "
+                                  f"nodes: halving difference {r.difference:.3g}")
+    # the peak narrows with the distance to 25/9: 1e-8 is past the node cap
+    assert r.converged == (digits == 4)
+
+
+def test_unconverged_quadrature_is_undecided(monkeypatch):
+    # a cap the tolerance cannot meet: the value is returned, the verdict is
+    # not read from it
+    monkeypatch.setattr(qhomog, "MAX_NODES", 128)
+    verdict, info = classify_qh_center(_cubic(1, Rat(25, 9) - Rat(1, 10 ** 4)), SIG11)
+    assert verdict == "undecided"
+    r = info["condition_ii"]
+    assert (r.nodes, r.converged) == (128, False)
+    assert r.difference > 1e-12 * abs(r.value)
+    assert "threshold" not in info
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_builds_node_table_once(monkeypatch):
+    # (2,3)-quasi-homogeneous of weight degree 8 with a weighted form
+    # 2x^6 - c*x^3*y^2 + 3y^4 that is not even-even, so condition (i) also
+    # reads the node table (on its 2048-node grid)
+    family = parse_system("xdot = -y^3 + c*x^3*y; ydot = x^5 + c*x^2*y^2")
+    qhomog.pq_nodes.cache_clear()
+    circles = _count_calls(monkeypatch, qhomog, "pq_circle")
+    integrations = _count_calls(monkeypatch, qhomog, "integrate_adaptive")
+    for k in range(1, 5):
+        s = substitute(family, {"c": Rat(k, 8)})
+        verdict, info = classify_qh_center(s, SIG238)
+        assert not info["condition_i"].exact and info["condition_ii"].converged
+    assert len(circles) == len(integrations) == 1
+    # at p = q = 1 the nodes are cos and sin: no integration at all
+    for k in range(17):
+        classify_qh_center(_cubic(1, Rat(k, 8)), SIG11)
+    assert len(circles) == len(integrations) == 1
+
+
+def test_node_table_levels():
+    table = qhomog.pq_nodes(2, 3)
+    assert table is qhomog.pq_nodes(2, 3)
+    nodes = table.nodes(16)
+    assert nodes[0::2] == table.nodes(8)
+    assert nodes[1::2] == table.odd(16)
+    circle = pq_circle(2, 3)
+    for k, (z, w) in enumerate(nodes):
+        cs, sn = circle.cs_sn(table.tau * k / 16)
+        assert abs(z - cs) <= 1e-12 and abs(w - sn) <= 1e-12
+    with pytest.raises(ValueError, match="power of two"):
+        table.nodes(12)
 
 
 def test_classify_condition_i_failure_undecided():
