@@ -17,7 +17,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .liapunov import EngineError
+from .liapunov import MIN_EVEN_DEGREE, EngineError
 from .mpoly import Rat
 from .parser import ParseError, parse_first_integral
 from .perturb import (
@@ -45,7 +45,7 @@ from .systems import (
     parse_system,
     substitute,
 )
-from .numeric import classify_monodromic, return_map
+from .numeric import check_tolerance, classify_monodromic, return_map
 
 
 def _rat(text: str):
@@ -81,10 +81,12 @@ def _int_at_least(option: str, text: str, least: int) -> int:
 
 
 def _rel_tol(text: str) -> float:
-    """The ``--rel-tol`` value: a number in (0, 1e-4]."""
+    """The ``--rel-tol`` value: a tolerance the integrator accepts."""
     value = _number("--rel-tol", text)
-    if not 0 < value <= 1e-4:
-        raise ParseError(f"--rel-tol expects a number in (0, 1e-4], got {text!r}", 0, 0)
+    try:
+        check_tolerance("--rel-tol", value)
+    except ValueError as exc:
+        raise ParseError(f"{exc}, got {text!r}", 0, 0) from None
     return value
 
 
@@ -143,7 +145,7 @@ def _emit(args, data: dict, t0: float) -> None:
 
 def cmd_liapunov(args) -> int:
     t0 = time.perf_counter()
-    max_degree = _int_at_least("--max-degree", args.max_degree, 4)
+    max_degree = _int_at_least("--max-degree", args.max_degree, MIN_EVEN_DEGREE)
     s, source = _load_system(args)
     base_class = s.linear_class
     perturb_desc = {"kind": "none"}
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--x0", action="append", help="initial radius (repeatable)")
     p.add_argument("--transversal", default="x+", help="x+ | y+ | angle in radians")
-    p.add_argument("--rel-tol", default="1e-12", help="in (0, 1e-4]")
+    p.add_argument("--rel-tol", default="1e-12")
     p.set_defaults(func=cmd_returnmap)
 
     p = sub.add_parser("classify", help="characteristic directions + return map")

@@ -33,6 +33,8 @@ from .systems import (
 )
 
 SUPPORTED_CLASSES = (LINEAR_TYPE, PERTURBED_NILPOTENT, PERTURBED_DEGENERATE)
+# the least max_even_degree: the first constant sits at degree 4
+MIN_EVEN_DEGREE = 4
 
 
 @dataclass
@@ -265,8 +267,8 @@ class DegreePass:
                 f"perturbed_degenerate system, got {system.linear_class!r}; apply a "
                 "linear change of variables to reach one of the normal forms "
                 "(-y, x), (y, 0), (0, 0), (y, -eps*x), (eps*y, -eps*x)")
-        if max_even_degree < 4:
-            raise ValueError("max_even_degree must be at least 4")
+        if max_even_degree < MIN_EVEN_DEGREE:
+            raise ValueError(f"max_even_degree must be at least {MIN_EVEN_DEGREE}")
         self.max_even_degree = max_even_degree
         self.convention = ConventionRecord(
             seed=("(mu*x^2+y^2)/2 with mu = " + str(system.eps_factor)

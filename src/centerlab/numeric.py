@@ -124,6 +124,12 @@ class Trajectory:
         return self.y[-1]
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Refuse an integration tolerance outside (0, 1e-4]."""
+    if not (0 < value <= 1e-4):
+        raise ValueError(f"{name} must be in (0, 1e-4]")
+
+
 def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float, float],
                        rel_tol: float = 1e-10, abs_tol: float = 1e-12,
                        max_steps: int = 1_000_000,
@@ -136,10 +142,8 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     whose right-hand side overflows) is rejected and shrunk; if that never
     ends, the step size underflows and ``IntegrationError`` is raised.
     """
-    if not (0 < rel_tol <= 1e-4):
-        raise ValueError("rel_tol must be in (0, 1e-4]")
-    if not (0 < abs_tol <= 1e-4):
-        raise ValueError("abs_tol must be in (0, 1e-4]")
+    check_tolerance("rel_tol", rel_tol)
+    check_tolerance("abs_tol", abs_tol)
     t0, t1 = t_span
     direction = 1.0 if t1 >= t0 else -1.0
     y = tuple([float(v) for v in state0])

@@ -10,12 +10,12 @@ of the generalized trigonometric functions Cs, Sn, which solve
 
 and satisfy p*Cs^(2q) + q*Sn^(2p) = 1.
 
-Both conditions read (Cs, Sn) from one node table per (p, q): the values at
-tau*k/N for N a power of two, exact cos/sin when p = q = 1 and otherwise the
-dense output of one tight integration of the system above.  Condition (ii)
-is the periodic trapezoid rule on those nodes, which converges geometrically
-for an analytic periodic integrand (Trefethen & Weideman, SIAM Review 56,
-2014); N doubles until two successive sums agree.
+Both conditions sample (Cs, Sn) through one cached map per (p, q): exact
+cos/sin when p = q = 1 and otherwise the dense output of one tight
+integration of the system above.  Condition (ii) is the periodic trapezoid
+rule on N equally spaced nodes, which converges geometrically for an
+analytic periodic integrand (Trefethen & Weideman, SIAM Review 56, 2014); N
+doubles until two successive sums agree.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .mpoly import MPoly, Rat, poly_gcd
 from .numeric import Trajectory, compile_system, integrate_adaptive, _refine_crossing
@@ -116,7 +116,11 @@ def _pq_rhs(p: int, q: int):
     return f
 
 
-def pq_circle(p: int, q: int, rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> PQCircle:
+# the tolerance of the (Cs, Sn) integration that the center conditions sample
+CIRCLE_REL_TOL = 1e-12
+
+
+def pq_circle(p: int, q: int, rel_tol: float = CIRCLE_REL_TOL, abs_tol: float = 1e-14) -> PQCircle:
     """Integrate the defining system over one full period (the period itself
     is located by the return of (Cs, Sn) to the initial point)."""
     f = _pq_rhs(p, q)
@@ -156,48 +160,15 @@ def measured_period(p: int, q: int, rel_tol: float = 1e-12) -> float:
     return pq_circle(p, q, rel_tol=rel_tol).tau
 
 
-class PQNodes:
-    """(Cs, Sn) at the nodes tau*k/n of one period, n a power of two.
-
-    The nodes of n are those of n/2 plus the ones with odd k, so each level's
-    odd nodes are computed once, when first asked for, and kept."""
-
-    def __init__(self, p: int, q: int):
-        if p == q == 1:
-            self.tau = 2 * math.pi
-            self._at = lambda t: (math.cos(t), math.sin(t))
-        else:
-            self.tau = pq_period(p, q)
-            self._at = pq_circle(p, q).trajectory
-        # level j holds the nodes tau*k/2^j with odd k (level 0: the node 0)
-        self._levels: List[List[Tuple[float, float]]] = [[self._at(0.0)]]
-
-    def odd(self, n: int) -> List[Tuple[float, float]]:
-        """The nodes tau*k/n with odd k (for n = 1, the node at 0)."""
-        if n < 1 or n & (n - 1):
-            raise ValueError(f"node count must be a power of two, got {n}")
-        j = n.bit_length() - 1
-        while len(self._levels) <= j:
-            m = 2 ** len(self._levels)
-            self._levels.append([self._at(self.tau * k / m) for k in range(1, m, 2)])
-        return self._levels[j]
-
-    def nodes(self, n: int) -> List[Tuple[float, float]]:
-        """All n nodes tau*k/n, k = 0 .. n-1."""
-        self.odd(n)
-        out = self._levels[0]
-        for level in self._levels[1:n.bit_length()]:
-            merged = [None] * (2 * len(out))
-            merged[0::2] = out
-            merged[1::2] = level
-            out = merged
-        return out
-
-
 @functools.lru_cache(maxsize=16)
-def pq_nodes(p: int, q: int) -> PQNodes:
-    """The node table of (p, q), shared by every caller in the process."""
-    return PQNodes(p, q)
+def pq_sampler(p: int, q: int) -> Tuple[float, Callable[[float], Tuple[float, float]]]:
+    """``(tau, at)`` for the weights (p, q): the period and the map t ->
+    (Cs(t), Sn(t)) on [0, tau).  cos/sin when p = q = 1, otherwise the dense
+    output of one :func:`pq_circle` run, shared by every caller in the
+    process."""
+    if p == q == 1:
+        return 2 * math.pi, lambda t: (math.cos(t), math.sin(t))
+    return pq_period(p, q), pq_circle(p, q).trajectory
 
 
 # -- center conditions ----------------------------------------------------------
@@ -225,9 +196,8 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature,
     the origin (equivalently whether it has a real factor).
 
     Even-even forms are decided exactly through the substitution
-    (x^2, y^2) -> (s, t); otherwise the form is evaluated at the ``grid``
-    nodes of the (p,q)-circle's node table (a power of two) with a
-    derivative-bound certificate.
+    (x^2, y^2) -> (s, t); otherwise the form is evaluated at ``grid`` equally
+    spaced points of the (p,q)-circle with a derivative-bound certificate.
     """
     if not s.is_numeric():
         raise ValueError("specialize parameters first")
@@ -267,11 +237,12 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature,
                                  detail="even form, certified by Sturm count")
 
     # grid + derivative bound along the (p,q)-circle
-    table = pq_nodes(sig.p, sig.q)
+    tau, at = pq_sampler(sig.p, sig.q)
     p_, q_ = sig.p, sig.q
     fPQ = compile_system(s)
 
-    def G(z, w):
+    def G(th):
+        z, w = at(th)
         P, Q = fPQ(z, w)
         return p_ * z * Q - q_ * w * P
 
@@ -285,8 +256,8 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature,
         for e, c in poly.terms.items():
             acc += abs(float(c)) * zmax ** e[ix] * wmax ** e[iy]
         bound += acc * extra
-    h = table.tau / grid
-    values = [G(z, w) for z, w in table.nodes(grid)]
+    h = tau / grid
+    values = [G(k * h) for k in range(grid)]
     mn = min(abs(v) for v in values)
     if mn > bound * h / 2:
         return ConditionIVerdict(True, sign=1 if values[0] > 0 else -1, exact=False,
@@ -333,18 +304,24 @@ def _period_integral(s: PlaneSystem, sig: QHSignature,
     The node count doubles from ``MIN_NODES`` (each doubling evaluates F/G
     at the new odd nodes only) until the halving difference is at most
     ``rel_tol`` times the trapezoid sum of |F/G|, or until ``MAX_NODES``,
-    where the result is returned with ``converged`` false."""
-    if not 0 < rel_tol <= 1e-4:
-        raise ValueError("rel_tol must be in (0, 1e-4]")
+    where the result is returned with ``converged`` false.  ``error`` is the
+    halving difference plus ``10*rel_tol*|I|``, plus, when p != q,
+    ``CIRCLE_REL_TOL`` times the integral of |F/G| for the error of the
+    integrated (Cs, Sn)."""
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
     fPQ = compile_system(s)
     p, q = sig.p, sig.q
     e1 = 2 * p - 1
     e2 = 2 * q - 1
-    table = pq_nodes(p, q)
+    tau, at = pq_sampler(p, q)
+    node_tol = 0.0 if p == q == 1 else CIRCLE_REL_TOL
 
-    def sums(nodes):
+    def sums(n, first, step):
+        # F/G at the nodes tau*k/n, k = first, first + step, ... < n
         total = size = 0.0
-        for z, w in nodes:
+        for k in range(first, n, step):
+            z, w = at(tau * k / n)
             P, Q = fPQ(z, w)
             G = p * z * Q - q * w * P
             # G rounding to 0 at a node makes the sums non-finite, which
@@ -355,29 +332,33 @@ def _period_integral(s: PlaneSystem, sig: QHSignature,
         return total, size
 
     n = MIN_NODES
-    total, size = sums(table.nodes(n))
-    value = table.tau * total / n
+    total, size = sums(n, 0, 1)
+    value = tau * total / n
     while True:
-        odd_total, odd_size = sums(table.odd(2 * n))
         n *= 2
+        odd_total, odd_size = sums(n, 1, 2)
         total += odd_total
         size += odd_size
-        new = table.tau * total / n
+        new = tau * total / n
         diff = abs(new - value)
         value = new
-        converged = diff <= rel_tol * table.tau * size / n
+        mass = tau * size / n
+        converged = diff <= rel_tol * mass
         if converged or n >= MAX_NODES or not math.isfinite(diff):
-            err = diff + abs(value) * rel_tol * 10 + 1e-15
-            return ConditionIIResult(value, err, table.tau, n, diff, converged)
+            err = diff + abs(value) * rel_tol * 10 + node_tol * mass + 1e-15
+            return ConditionIIResult(value, err, tau, n, diff, converged)
 
 
 def classify_qh_center(s: PlaneSystem, sig: QHSignature,
                        zero_tol: float = 1e-8) -> Tuple[str, dict]:
     """center / focus / undecided via conditions (i) and (ii).
 
-    The verdict is numeric: the integral is declared zero when its magnitude
-    is below max(zero_tol, 1000 * quadrature error estimate).  A quadrature
-    that did not converge gives undecided, with a ``detail`` naming its node
+    The verdict is numeric: the integral is declared nonzero (focus) when
+    its magnitude exceeds max(zero_tol, 1000 * quadrature error estimate)
+    and zero (center) otherwise.  A quadrature that did not converge can
+    still show a focus, since its error estimate carries the halving
+    difference, but never a center: below the threshold it gives undecided.
+    Either way an unconverged quadrature leaves a ``detail`` naming its node
     count and halving difference."""
     info: dict = {}
     verdict_i = condition_i_no_real_factors(s, sig)
@@ -386,12 +367,11 @@ def classify_qh_center(s: PlaneSystem, sig: QHSignature,
         return "undecided", info
     res = _period_integral(s, sig)
     info["condition_ii"] = res
+    threshold = max(zero_tol, 1e3 * res.error)
+    info["threshold"] = threshold
     if not res.converged:
         info["detail"] = (f"trapezoid rule not converged at {res.nodes} nodes: "
                           f"halving difference {res.difference:.3g}")
-        return "undecided", info
-    threshold = max(zero_tol, 1e3 * res.error)
-    info["threshold"] = threshold
-    if abs(res.value) <= threshold:
-        return "center", info
-    return "focus", info
+    if abs(res.value) > threshold:
+        return "focus", info
+    return ("center" if res.converged else "undecided"), info

@@ -227,6 +227,20 @@ def test_trapezoid_matches_double_dopri_reference(s, sig):
     assert r.error <= error
 
 
+@pytest.mark.parametrize("s", [
+    substitute(parse_system(HAM_QH), {"a": 1, "b": 1}),
+    substitute(parse_system(HAM_QH_EPS), {"a": 1, "b": 1, "eps": 1}),
+    parse_system("xdot = -y^3 + x^3*y; ydot = x^5"),
+], ids=["ham-qh", "ham-qh-eps", "reversible"])
+def test_condition_ii_error_bounds_p_ne_q_centers(s):
+    # Hamiltonian or reversible, so the integral is exactly 0; the error of
+    # the integrated (Cs, Sn) dominates the halving difference and must be
+    # carried by the estimate
+    r = condition_ii_integral(s, SIG238)
+    assert r.converged and r.difference < 1e-13
+    assert abs(r.value) <= r.error <= 1e-11
+
+
 def test_condition_ii_weighted_hamiltonian_zero():
     s = substitute(parse_system(HAM_QH), {"a": 1, "b": 1})
     r = condition_ii_integral(s, QHSignature(2, 3, 8))
@@ -238,7 +252,7 @@ def test_condition_ii_requires_condition_i():
         condition_ii_integral(_cubic(0, 3), SIG11)
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1e-12, 1e-3])
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan])
 def test_condition_ii_rejects_tolerance_out_of_range(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
         condition_ii_integral(_cubic(1, 1), SIG11, rel_tol=rel_tol)
@@ -279,37 +293,41 @@ def test_classify_quartic_hamiltonian_center():
     assert verdict == "center"
 
 
-@pytest.mark.parametrize("digits", [4, 8])
-def test_classify_near_singular_is_never_center(digits):
+@pytest.mark.parametrize("digits,verdict", [(4, "focus"), (6, "focus"), (8, "undecided")])
+def test_classify_near_singular_is_never_center(digits, verdict):
     # mu just below 25/9, where condition (i) still holds: G nearly vanishes
-    # at theta = pi/2, F/G has a narrow peak and the integral is large
+    # at theta = pi/2, F/G has a peak of width about 10^(-digits/2) and the
+    # integral is large.  At 1e-4 the trapezoid rule converges; at 1e-6 it
+    # reaches the node cap, but |I| already exceeds 1000 halving differences,
+    # which shows the focus that the double Dormand-Prince quadrature read;
+    # at 1e-8 it does not
     mu = Rat(25, 9) - Rat(1, 10 ** digits)
-    verdict, info = classify_qh_center(_cubic(1, mu), SIG11)
+    s = _cubic(1, mu)
+    got, info = classify_qh_center(s, SIG11)
     r = info["condition_ii"]
-    assert verdict != "center"
+    assert got == verdict
+    assert r.converged == (digits == 4)
+    assert abs(r.value - _closed_form(float(mu))) <= r.error
     if r.converged:
-        assert verdict == "focus"
-        closed = _closed_form(float(mu))
-        assert abs(r.value - closed) <= 1e-9 * abs(closed)
+        assert "detail" not in info
     else:
-        assert verdict == "undecided"
         assert r.nodes == qhomog.MAX_NODES
         assert info["detail"] == (f"trapezoid rule not converged at {qhomog.MAX_NODES} "
                                   f"nodes: halving difference {r.difference:.3g}")
-    # the peak narrows with the distance to 25/9: 1e-8 is past the node cap
-    assert r.converged == (digits == 4)
+    if verdict == "focus":
+        assert _reference_verdict(*reference_period_integral(s, SIG11)) == "focus"
 
 
 def test_unconverged_quadrature_is_undecided(monkeypatch):
-    # a cap the tolerance cannot meet: the value is returned, the verdict is
-    # not read from it
+    # a cap the tolerance cannot meet and a value within 1000 halving
+    # differences: neither center nor focus is read from it
     monkeypatch.setattr(qhomog, "MAX_NODES", 128)
     verdict, info = classify_qh_center(_cubic(1, Rat(25, 9) - Rat(1, 10 ** 4)), SIG11)
     assert verdict == "undecided"
     r = info["condition_ii"]
     assert (r.nodes, r.converged) == (128, False)
     assert r.difference > 1e-12 * abs(r.value)
-    assert "threshold" not in info
+    assert abs(r.value) <= info["threshold"]
 
 
 def _count_calls(monkeypatch, module, name):
@@ -324,12 +342,12 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_sweep_builds_node_table_once(monkeypatch):
+def test_sweep_integrates_the_circle_once(monkeypatch):
     # (2,3)-quasi-homogeneous of weight degree 8 with a weighted form
     # 2x^6 - c*x^3*y^2 + 3y^4 that is not even-even, so condition (i) also
-    # reads the node table (on its 2048-node grid)
+    # samples the circle (on its 2048-point grid)
     family = parse_system("xdot = -y^3 + c*x^3*y; ydot = x^5 + c*x^2*y^2")
-    qhomog.pq_nodes.cache_clear()
+    qhomog.pq_sampler.cache_clear()
     circles = _count_calls(monkeypatch, qhomog, "pq_circle")
     integrations = _count_calls(monkeypatch, qhomog, "integrate_adaptive")
     for k in range(1, 5):
@@ -343,18 +361,15 @@ def test_sweep_builds_node_table_once(monkeypatch):
     assert len(circles) == len(integrations) == 1
 
 
-def test_node_table_levels():
-    table = qhomog.pq_nodes(2, 3)
-    assert table is qhomog.pq_nodes(2, 3)
-    nodes = table.nodes(16)
-    assert nodes[0::2] == table.nodes(8)
-    assert nodes[1::2] == table.odd(16)
+def test_sampler_matches_circle():
+    tau, at = qhomog.pq_sampler(2, 3)
+    assert qhomog.pq_sampler(2, 3)[1] is at
+    assert tau == pq_period(2, 3)
     circle = pq_circle(2, 3)
-    for k, (z, w) in enumerate(nodes):
-        cs, sn = circle.cs_sn(table.tau * k / 16)
-        assert abs(z - cs) <= 1e-12 and abs(w - sn) <= 1e-12
-    with pytest.raises(ValueError, match="power of two"):
-        table.nodes(12)
+    for k in range(16):
+        assert at(tau * k / 16) == circle.cs_sn(tau * k / 16)
+    tau, at = qhomog.pq_sampler(1, 1)
+    assert tau == 2 * math.pi and at(1.0) == (math.cos(1.0), math.sin(1.0))
 
 
 def test_classify_condition_i_failure_undecided():
