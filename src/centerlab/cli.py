@@ -56,7 +56,7 @@ def _rat(text: str):
             return Rat(int(a), int(b))
         return Rat(int(text))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected an integer or N/D with D != 0, got {text!r}", 0, 0) from None
+        raise ParseError(f"expected an integer or N/D with D != 0, got {text!r}") from None
 
 
 def _number(option: str, text: str) -> float:
@@ -66,7 +66,7 @@ def _number(option: str, text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ParseError(f"{option} expects a finite number, got {text!r}", 0, 0)
+        raise ParseError(f"{option} expects a finite number, got {text!r}")
     return value
 
 
@@ -76,7 +76,7 @@ def _int_at_least(option: str, text: str, least: int) -> int:
     except ValueError:
         value = least - 1
     if value < least:
-        raise ParseError(f"{option} expects an integer >= {least}, got {text!r}", 0, 0)
+        raise ParseError(f"{option} expects an integer >= {least}, got {text!r}")
     return value
 
 
@@ -86,7 +86,7 @@ def _rel_tol(text: str) -> float:
     try:
         check_tolerance("--rel-tol", value)
     except ValueError as exc:
-        raise ParseError(f"{exc}, got {text!r}", 0, 0) from None
+        raise ParseError(f"{exc}, got {text!r}") from None
     return value
 
 
@@ -97,14 +97,14 @@ def _weights(text: str) -> tuple:
     except ValueError:
         p = q = 0
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
-        raise ParseError(f"--pq expects two coprime positive integers P,Q, got {text!r}", 0, 0)
+        raise ParseError(f"--pq expects two coprime positive integers P,Q, got {text!r}")
     return p, q
 
 
 def _radius(text: str) -> float:
     value = _number("--x0", text)
     if value <= 0:
-        raise ParseError(f"--x0 expects a positive radius, got {text!r}", 0, 0)
+        raise ParseError(f"--x0 expects a positive radius, got {text!r}")
     return value
 
 
@@ -126,7 +126,7 @@ def _load_system(args) -> tuple:
         for item in args.set:
             name, _, val = item.partition("=")
             if not val:
-                raise ParseError(f"--set expects name=value, got {item!r}", 0, 0)
+                raise ParseError(f"--set expects name=value, got {item!r}")
             binds[name.strip()] = _rat(val.strip())
         s = substitute(s, binds)
     return s, source
@@ -168,7 +168,7 @@ def cmd_liapunov(args) -> int:
             spec = minimal_perturbation(kind)
             perturb_desc = {"kind": kind, "template": "minimal"}
         else:
-            raise ParseError(f"unknown --perturb choice {choice!r}", 0, 0)
+            raise ParseError(f"unknown --perturb choice {choice!r}")
         before = set(s.params)
         s = build_perturbation(s, spec)
         perturbation_params = [p for p in s.params if p not in before]
@@ -284,10 +284,10 @@ def cmd_qhcenter(args) -> int:
         name, _, rng = args.sweep.partition("=")
         bounds = rng.split(":")
         if len(bounds) != 3:
-            raise ParseError(f"--sweep expects NAME=A:B:STEP, got {args.sweep!r}", 0, 0)
+            raise ParseError(f"--sweep expects NAME=A:B:STEP, got {args.sweep!r}")
         a, b, step = (_rat(v) for v in bounds)
         if step <= 0:
-            raise ParseError(f"--sweep step must be positive, got {step}", 0, 0)
+            raise ParseError(f"--sweep step must be positive, got {step}")
         points = []
         v = a
         while v <= b:

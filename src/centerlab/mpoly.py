@@ -83,6 +83,16 @@ class MPoly:
         self.vars = vs
         self.terms = cleaned
 
+    @classmethod
+    def _of(cls, vars: tuple, terms: dict) -> "MPoly":
+        """A polynomial from parts that are already canonical: a tuple table
+        and nonzero ``Rat`` coefficients under tuple exponents of its arity.
+        Nothing is checked or copied; use ``MPoly(vars, terms)`` otherwise."""
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.terms = terms
+        return out
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -194,18 +204,12 @@ class MPoly:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return MPoly._of(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -219,10 +223,7 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_rat(other)
-            out = MPoly.__new__(MPoly)
-            out.vars = self.vars
-            out.terms = {e: v * c for e, v in self.terms.items()} if c else {}
-            return out
+            return MPoly._of(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
@@ -243,10 +244,7 @@ class MPoly:
                 elif e in terms:
                     del terms[e]
         d = da * db
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = {e: Rat(n, d) for e, n in terms.items()}
-        return out
+        return MPoly._of(self.vars, {e: Rat(n, d) for e, n in terms.items()})
 
     __rmul__ = __mul__
 
@@ -298,25 +296,6 @@ class MPoly:
             terms[tuple(e2)] = c
         return MPoly(vs, terms)
 
-    def restrict(self, vars: Sequence[str]) -> "MPoly":
-        """Re-express over a smaller table; dropped variables must be absent."""
-        vs = tuple(vars)
-        keep = []
-        for i, v in enumerate(self.vars):
-            if v in vs:
-                keep.append((i, vs.index(v)))
-            else:
-                if any(e[i] for e in self.terms):
-                    raise ValueError(f"variable {v} present; cannot restrict")
-        n = len(vs)
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = [0] * n
-            for i, j in keep:
-                e2[j] = e[i]
-            terms[tuple(e2)] = c
-        return MPoly(vs, terms)
-
     def subs(self, bindings: Mapping[str, object], vars: Optional[Sequence[str]] = None) -> "MPoly":
         """Substitute values (scalars or MPoly over the target table) for variables.
 
@@ -365,10 +344,7 @@ class MPoly:
                     acc[e3] = s
                 elif e3 in acc:
                     del acc[e3]
-        out = MPoly.__new__(MPoly)
-        out.vars = vs
-        out.terms = acc
-        return out
+        return MPoly._of(vs, acc)
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         total = 0.0
@@ -415,7 +391,7 @@ class MPoly:
             e2 = list(e)
             e2[i] = 0
             out.setdefault(k, {})[tuple(e2)] = c
-        return {k: MPoly(self.vars, t) for k, t in out.items()}
+        return {k: MPoly._of(self.vars, t) for k, t in out.items()}
 
     # -- exact division, content, gcd ---------------------------------------
 
@@ -464,7 +440,7 @@ class MPoly:
                         rem[te] = s
                     else:
                         del rem[te]
-        return MPoly(self.vars, qterms)
+        return MPoly._of(self.vars, qterms)
 
     def divides(self, other: "MPoly") -> bool:
         return other.try_div(self) is not None

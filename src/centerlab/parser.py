@@ -25,8 +25,11 @@ _KEYWORDS = {"xdot", "ydot", "params", "assume"}
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
+    """A malformed input: in a system file with its ``line`` and ``col``, or
+    in a command-line option without a position."""
+
+    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
+        super().__init__(message if line is None else f"line {line}, col {col}: {message}")
         self.message = message
         self.line = line
         self.col = col

@@ -10,12 +10,14 @@ of the generalized trigonometric functions Cs, Sn, which solve
 
 and satisfy p*Cs^(2q) + q*Sn^(2p) = 1.
 
-Both conditions sample (Cs, Sn) through one cached map per (p, q): exact
-cos/sin when p = q = 1 and otherwise the dense output of one tight
-integration of the system above.  Condition (ii) is the periodic trapezoid
-rule on N equally spaced nodes, which converges geometrically for an
-analytic periodic integrand (Trefethen & Weideman, SIAM Review 56, 2014); N
-doubles until two successive sums agree.
+Condition (i) is decided exactly: weighted homogeneity reduces it to the
+real roots of the two univariate polynomials W(1, t) and W(-1, t), counted
+by Sturm chains.  Condition (ii) samples (Cs, Sn) through one cached map per
+(p, q): exact cos/sin when p = q = 1 and otherwise the dense output of one
+tight integration of the system above.  It is the periodic trapezoid rule
+on N equally spaced nodes, which converges geometrically for an analytic
+periodic integrand (Trefethen & Weideman, SIAM Review 56, 2014); N doubles
+until two successive sums agree.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, List, Optional, Tuple
 
-from .mpoly import MPoly, Rat, poly_gcd
+from .mpoly import MPoly, Rat
 from .numeric import Trajectory, compile_system, integrate_adaptive, _refine_crossing
-from .realroots import strict_sign_on_nonneg_axis, trim
+from .realroots import poly_gcd_univ, real_root_count, trim
 from .systems import PlaneSystem
 
 
@@ -178,8 +180,6 @@ def pq_sampler(p: int, q: int) -> Tuple[float, Callable[[float], Tuple[float, fl
 class ConditionIVerdict:
     holds: bool
     sign: Optional[int] = None       # sign of G along the circle when it holds
-    exact: bool = False              # certified by exact even-form analysis
-    witness: Optional[Tuple[float, float]] = None  # theta window of a sign change
     detail: str = ""
 
 
@@ -190,82 +190,50 @@ def _weighted_form(s: PlaneSystem, sig: QHSignature) -> MPoly:
     return x * s.Q * sig.p - y * s.P * sig.q
 
 
-def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature,
-                                grid: int = 2048) -> ConditionIVerdict:
-    """Decide whether the weighted form p*x*Q - q*y*P vanishes anywhere off
-    the origin (equivalently whether it has a real factor).
+def _on_line(poly: MPoly, x0: int) -> list:
+    """poly(x0, t) as a dense coefficient list in t."""
+    ix = poly.vars.index("x")
+    iy = poly.vars.index("y")
+    out = [Rat(0)] * (poly.degree_in("y") + 1)
+    for e, c in poly.terms.items():
+        out[e[iy]] += c * x0 ** e[ix]
+    return trim(out)
 
-    Even-even forms are decided exactly through the substitution
-    (x^2, y^2) -> (s, t); otherwise the form is evaluated at ``grid`` equally
-    spaced points of the (p,q)-circle with a derivative-bound certificate.
+
+def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature) -> ConditionIVerdict:
+    """Decide exactly whether the weighted form W = p*x*Q - q*y*P vanishes
+    anywhere off the origin (equivalently whether it has a real factor).
+
+    Weighted homogeneity, W(l^p*x, l^q*y) = l^d*W(x, y) for l > 0, moves
+    every point off the origin onto the line x = 1, the line x = -1 or the
+    point (0, +-1).  So W keeps one strict sign off the origin exactly when
+    W(0, 1), its pure y-power coefficient, is nonzero and neither W(1, t)
+    nor W(-1, t) has a real root (two Sturm counts each); the sign is that
+    of W(0, 1).  The same scaling makes the coprimality of P and Q
+    univariate: a common factor is x or divides gcd(P(1, t), Q(1, t)).
+    Raises ``ValueError`` when the system is not quasi-homogeneous with the
+    signature ``sig`` or when P and Q are not coprime.
     """
     if not s.is_numeric():
         raise ValueError("specialize parameters first")
-    g = poly_gcd(s.P, s.Q)
-    if not g.is_constant:
-        raise ValueError(f"P and Q must be coprime; common factor {g}")
+    if qh_signature(s, sig.p, sig.q) != sig:
+        raise ValueError(f"the system is not {sig}")
+    ix = s.vars.index("x")
+    if all(e[ix] for e in s.P.terms) and all(e[ix] for e in s.Q.terms):
+        raise ValueError("P and Q must be coprime; common factor x")
+    if len(poly_gcd_univ(_on_line(s.P, 1), _on_line(s.Q, 1))) > 1:
+        raise ValueError("P and Q must be coprime; P(1, t) and Q(1, t) have a common factor")
     W = _weighted_form(s, sig)
     if W.is_zero:
         return ConditionIVerdict(False, detail="weighted form is identically zero")
-    ix = W.vars.index("x")
-    iy = W.vars.index("y")
-    if all(e[ix] % 2 == 0 and e[iy] % 2 == 0 for e in W.terms):
-        # W(x,y) = w(x^2, y^2): no real zero off the origin iff w keeps one
-        # strict sign on the closed positive quadrant minus the origin.
-        # Weighted homogeneity reduces that to w(1, t) on t >= 0 plus the
-        # s = 0 boundary slice.
-        wx: dict = {}
-        for e, c in W.terms.items():
-            key = (e[ix] // 2, e[iy] // 2)
-            wx[key] = wx.get(key, Rat(0)) + c
-        poly_t: dict = {}
-        for (i, j), c in wx.items():
-            poly_t[j] = poly_t.get(j, Rat(0)) + c
-        dense = trim([poly_t.get(k, Rat(0)) for k in range(max(poly_t) + 1)])
-        sgn = strict_sign_on_nonneg_axis(dense)
-        if sgn is None:
-            return ConditionIVerdict(False, exact=True,
-                                     detail="w(1,t) vanishes for some t >= 0")
-        pure = [(j, c) for (i, j), c in wx.items() if i == 0]
-        if not pure:
-            return ConditionIVerdict(False, exact=True,
-                                     detail="x^2 divides the weighted form")
-        (_, c0) = pure[0]
-        if (c0 > 0) != (sgn > 0):
-            return ConditionIVerdict(False, exact=True, detail="sign change across x = 0")
-        return ConditionIVerdict(True, sign=sgn, exact=True,
-                                 detail="even form, certified by Sturm count")
-
-    # grid + derivative bound along the (p,q)-circle
-    tau, at = pq_sampler(sig.p, sig.q)
-    p_, q_ = sig.p, sig.q
-    fPQ = compile_system(s)
-
-    def G(th):
-        z, w = at(th)
-        P, Q = fPQ(z, w)
-        return p_ * z * Q - q_ * w * P
-
-    zmax = sig.p ** (-1 / (2 * sig.q))
-    wmax = sig.q ** (-1 / (2 * sig.p))
-    Wx = W.diff("x")
-    Wy = W.diff("y")
-    bound = 0.0
-    for poly, extra in ((Wx, wmax ** (2 * sig.p - 1)), (Wy, zmax ** (2 * sig.q - 1))):
-        acc = 0.0
-        for e, c in poly.terms.items():
-            acc += abs(float(c)) * zmax ** e[ix] * wmax ** e[iy]
-        bound += acc * extra
-    h = tau / grid
-    values = [G(k * h) for k in range(grid)]
-    mn = min(abs(v) for v in values)
-    if mn > bound * h / 2:
-        return ConditionIVerdict(True, sign=1 if values[0] > 0 else -1, exact=False,
-                                 detail=f"grid of {grid} nodes with Lipschitz margin")
-    k = min(range(grid), key=lambda i: abs(values[i]))
-    return ConditionIVerdict(False, exact=False,
-                             witness=(k * h - h / 2, k * h + h / 2),
-                             detail="sign change or near-zero on the circle")
+    c = sum((v for e, v in W.terms.items() if not e[ix]), Rat(0))  # W(0, 1)
+    if not c:
+        return ConditionIVerdict(False, detail="x divides the weighted form")
+    for x0 in (1, -1):
+        if real_root_count(_on_line(W, x0)):
+            return ConditionIVerdict(False, detail=f"W({x0}, t) has a real root")
+    return ConditionIVerdict(True, sign=1 if c > 0 else -1,
+                             detail="W(1, t) and W(-1, t) have no real root (Sturm counts)")
 
 
 @dataclass

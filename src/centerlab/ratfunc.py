@@ -176,7 +176,7 @@ def _single_var_reduce(num: MPoly, den: MPoly, var: str):
     n = len(num.vars)
 
     def shift(p, k):
-        return MPoly(p.vars, {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in p.terms.items()})
+        return MPoly._of(p.vars, {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in p.terms.items()})
 
     vd = min(e[i] for e in den.terms)
     g = shift(den, -vd)
@@ -251,15 +251,15 @@ def laurent_expand_eps(f: RatFunc, order: int) -> LaurentSeries:
     if f.is_zero:
         return LaurentSeries({}, order)
     if "eps" not in vars:
-        coeff = RatFunc(f.num.restrict(param_vars), f.den.restrict(param_vars))
+        coeff = RatFunc(f.num.embed(param_vars), f.den.embed(param_vars))
         return LaurentSeries({0: coeff} if 0 <= order else {}, order)
 
     den_by_eps = f.den.coefficients_in("eps")
     v = min(den_by_eps)
-    u = {k - v: c.restrict(param_vars) for k, c in den_by_eps.items()}
+    u = {k - v: c.embed(param_vars) for k, c in den_by_eps.items()}
     u0 = u[0]
 
-    num_by_eps = {k: c.restrict(param_vars) for k, c in f.num.coefficients_in("eps").items()}
+    num_by_eps = {k: c.embed(param_vars) for k, c in f.num.coefficients_in("eps").items()}
     w = min(num_by_eps)
 
     n_terms = order + v - w  # highest needed index of 1/u series beyond the base

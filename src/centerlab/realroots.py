@@ -1,14 +1,15 @@
 """Exact real-root location for univariate polynomials over the rationals.
 
 This is the package's one dense-list layer: polynomials are coefficient
-lists (index = power), and callers convert a univariate ``MPoly`` to one only
-to isolate or refine its real roots.  Rational roots are found exactly;
+lists (index = power), and callers convert a univariate ``MPoly`` (or a
+quasi-homogeneous form on a line) to one only to count, isolate or refine
+its real roots or to take a gcd.  Rational roots are found exactly;
 irrational ones are isolated by Sturm bisection and refined to floats.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .mpoly import Rat, rat_content
 
@@ -195,18 +196,10 @@ def refine_to_float(p: Sequence, lo, hi, tol: float = 1e-14) -> float:
     return float((lo + hi) / 2)
 
 
-def strict_sign_on_nonneg_axis(p: Sequence) -> Optional[int]:
-    """+1 or -1 when p(t) keeps that strict sign for all t >= 0; None when it
-    vanishes somewhere there."""
-    p = trim(p)
-    if not p:
-        return None
-    v0 = eval_poly(p, Rat(0))
-    if v0 == 0:
-        return None
-    sf = squarefree(p)
-    chain = sturm_chain(sf)
-    M = root_bound(sf)
-    if sturm_count(chain, Rat(0), M) > 0:
-        return None
-    return 1 if v0 > 0 else -1
+def real_root_count(p: Sequence) -> int:
+    """Number of distinct real roots of a nonzero p: the Sturm chain's sign
+    changes at -infinity minus those at +infinity, read off the leading
+    coefficients."""
+    chain = sturm_chain(p)
+    at_minus = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return _sign_changes(at_minus) - _sign_changes([c[-1] for c in chain])

@@ -113,6 +113,23 @@ def test_exit_code_parse_error(sysfile, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["returnmap", "--x0", "0"], "--x0 expects a positive radius, got '0'"),
+    (["liapunov", "--set", "A"], "--set expects name=value, got 'A'"),
+], ids=["x0=0", "set=A"])
+def test_option_error_has_no_source_position(sysfile, capsys, argv, message):
+    # an option value has no line and column; only system-file errors do
+    rc = main(argv[:1] + [sysfile(NIL_REVERSIBLE)] + argv[1:] + ["--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", f"parse error: {message}\n")
+
+
+def test_system_file_error_keeps_its_position(sysfile, capsys):
+    rc = main(["liapunov", sysfile("xdot = y +; ydot = x"), "--no-timings"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("parse error: line 1, col ")
+
+
 def test_exit_code_class_mismatch(sysfile, capsys):
     rc = main(["liapunov", sysfile("xdot = x; ydot = -y"), "--no-timings"])
     assert rc == 3

@@ -76,7 +76,7 @@ def test_hamiltonian_perturbation_preserves_divergence_and_integral():
     assert pert.linear_class == "perturbed_degenerate"
     H = poly("eps*(x^2 + y^2)/2 + x^4/4 + y^4/4", pert.vars)
     assert lie_derivative(H, pert).is_zero
-    assert substitute(pert, {"eps": 0}).P == s.P.embed(pert.vars).restrict(s.vars)
+    assert substitute(pert, {"eps": 0}).P == s.P.embed(pert.vars).embed(s.vars)
 
 
 def test_spec_invariants_rejected():
@@ -101,7 +101,7 @@ def test_general_perturbation_template():
     assert pert.linear_class == "perturbed_nilpotent"
     # eps -> 0 recovers the base exactly
     base = substitute(pert, {"eps": 0})
-    assert base.P.restrict(s.vars) == s.P and base.Q.restrict(s.vars) == s.Q
+    assert base.P.embed(s.vars) == s.P and base.Q.embed(s.vars) == s.Q
 
 
 def test_general_perturbation_name_collision():

@@ -16,6 +16,7 @@ from centerlab.qhomog import (
     pq_circle,
     pq_period,
     pq_trig,
+    qh_signature,
 )
 from centerlab.systems import parse_system, substitute
 
@@ -142,7 +143,7 @@ def test_period_classical_value():
 
 def test_condition_i_cubic_exact():
     v = condition_i_no_real_factors(_cubic(1, 1), SIG11)
-    assert v.holds and v.exact
+    assert v.holds
     # weighted form: 9x^4 + 34x^2y^2 + (25 - 9mu)y^4, definite iff mu < 25/9
     v2 = condition_i_no_real_factors(_cubic(0, 3), SIG11)
     assert not v2.holds
@@ -160,18 +161,89 @@ def test_condition_i_weighted_hamiltonian():
 
 
 def test_condition_i_requires_coprime():
-    s = parse_system("xdot = (-y + y^2)*(x^2 + y^2); ydot = (x + 2*x^2)*(x^2 + y^2)")
+    # homogeneous with the common factor x + y, which is not x: it shows up
+    # in gcd(P(1, t), Q(1, t))
+    s = parse_system("xdot = -(x + y)*y^2; ydot = (x + y)*x^2")
     with pytest.raises(ValueError, match="coprime"):
         condition_i_no_real_factors(s, SIG11)
 
 
-def test_condition_i_grid_path():
-    # the weighted form x^4 + x^3*y + y^4 is not even-even, so the decision
-    # goes through the grid + Lipschitz certificate
+@pytest.mark.parametrize("s,sig", [
+    (parse_system("xdot = (-y + y^2)*(x^2 + y^2); ydot = (x + 2*x^2)*(x^2 + y^2)"), SIG11),
+    (substitute(parse_system(HAM_QH_EPS), {"a": 1, "b": 1, "eps": 1}), SIG238),
+    (parse_system("xdot = -y^3; ydot = x^3"), QHSignature(1, 1, 2)),
+], ids=["mixed-degrees", "ham-qh-eps", "wrong-weight-degree"])
+def test_condition_i_refuses_non_quasi_homogeneous(s, sig):
+    # the reduction to x = +-1 holds only for (p,q)-quasi-homogeneous P, Q
+    with pytest.raises(ValueError, match="not"):
+        condition_i_no_real_factors(s, sig)
+
+
+def test_condition_i_form_not_even():
+    # the weighted form x^4 + x^3*y + y^4 is not even in x or y; it is
+    # positive off the origin, and decided exactly like the even forms
     s = parse_system("xdot = -y^3; ydot = x^3 + x^2*y")
-    sig = QHSignature(1, 1, 3)
-    v = condition_i_no_real_factors(s, sig)
-    assert v.holds and not v.exact
+    v = condition_i_no_real_factors(s, SIG11)
+    assert v.holds and v.sign == 1
+    # x^4 - 2*x^3*y + y^4 vanishes on the diagonal (W(1, 1) = 0)
+    s = parse_system("xdot = -y^3; ydot = x^3 - 2*x^2*y")
+    assert not condition_i_no_real_factors(s, SIG11).holds
+
+
+def _weighted_monomials(weight, p, q):
+    return [(i, (weight - p * i) // q) for i in range(weight // p + 1)
+            if (weight - p * i) % q == 0]
+
+
+def test_condition_i_matches_sympy_property():
+    # random (p,q)-quasi-homogeneous P, Q with small integer coefficients:
+    # the coprimality check against sympy.gcd, the verdict against sympy's
+    # real roots of W(1, t) and W(-1, t) and W(0, 1) != 0, and the reported
+    # sign against W at rational points
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    x, y, t = sympy.symbols("x y t")
+
+    def real_root_free(expr):
+        return not sympy.real_roots(sympy.Poly(expr, t))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        p, q = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 3)]))
+        m = data.draw(st.integers(1, 6))
+        sides = []
+        for weight in (p - 1 + m, q - 1 + m):
+            monos = _weighted_monomials(weight, p, q)
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(monos),
+                                        max_size=len(monos)))
+            sides.append(sum((c * x ** i * y ** j for c, (i, j) in zip(coeffs, monos)),
+                             sympy.Integer(0)))
+        P, Q = sides
+        hypothesis.assume(P != 0 or Q != 0)
+        s = parse_system(f"xdot = {P}; ydot = {Q}".replace("**", "^"))
+        sig = QHSignature(p, q, m)
+        if sympy.Poly(sympy.gcd(P, Q), x, y).total_degree() > 0:
+            with pytest.raises(ValueError, match="coprime"):
+                condition_i_no_real_factors(s, sig)
+            return
+        v = condition_i_no_real_factors(s, sig)
+        W = sympy.expand(p * x * Q - q * y * P)
+        expected = (W != 0 and W.subs({x: 0, y: 1}) != 0
+                    and real_root_free(W.subs({x: 1, y: t}))
+                    and real_root_free(W.subs({x: -1, y: t})))
+        assert v.holds == expected
+        if v.holds:
+            for _ in range(5):
+                a, b = (data.draw(st.fractions(-5, 5, max_denominator=7)) for _ in "ab")
+                hypothesis.assume(a or b)
+                value = W.subs({x: sympy.Rational(a.numerator, a.denominator),
+                                y: sympy.Rational(b.numerator, b.denominator)})
+                assert (value > 0) == (v.sign > 0)
+
+    check()
 
 
 # -- condition (ii) ------------------------------------------------------------------
@@ -218,11 +290,15 @@ _REFERENCE_CASES = (
                          ids=[c[0] for c in _REFERENCE_CASES])
 def test_trapezoid_matches_double_dopri_reference(s, sig):
     value, error = reference_period_integral(s, sig)
-    verdict, info = classify_qh_center(s, sig)
-    r = info["condition_ii"]
+    r = qhomog._period_integral(s, sig)
     assert r.converged and r.nodes >= qhomog.MIN_NODES
     assert abs(r.value - value) <= 1e-9
-    assert verdict == _reference_verdict(value, error)
+    # HAM_QH_EPS at eps = 1 is not (2,3)-quasi-homogeneous, so it has no
+    # verdict to compare; its integral is still defined
+    if qh_signature(s, sig.p, sig.q) == sig:
+        verdict, info = classify_qh_center(s, sig)
+        assert info["condition_ii"] == r
+        assert verdict == _reference_verdict(value, error)
     # the halving difference is far below the double integration's estimate
     assert r.error <= error
 
@@ -235,8 +311,9 @@ def test_trapezoid_matches_double_dopri_reference(s, sig):
 def test_condition_ii_error_bounds_p_ne_q_centers(s):
     # Hamiltonian or reversible, so the integral is exactly 0; the error of
     # the integrated (Cs, Sn) dominates the halving difference and must be
-    # carried by the estimate
-    r = condition_ii_integral(s, SIG238)
+    # carried by the estimate (HAM_QH_EPS at eps = 1 is not
+    # (2,3)-quasi-homogeneous, so condition (i) would refuse it)
+    r = qhomog._period_integral(s, SIG238)
     assert r.converged and r.difference < 1e-13
     assert abs(r.value) <= r.error <= 1e-11
 
@@ -277,9 +354,11 @@ def test_condition_ii_odd_symmetry_zero():
 
 
 def test_classify_perturbed_hamiltonian_center():
+    # at eps = 1 the x^3 and x^5 terms have (2,3)-weights 6 and 10: the
+    # system is not (2,3)-quasi-homogeneous and is refused, not classified
     s = substitute(parse_system(HAM_QH_EPS), {"a": 1, "b": 1, "eps": 1})
-    verdict, info = classify_qh_center(s, QHSignature(2, 3, 8))
-    assert verdict == "center"
+    with pytest.raises(ValueError, match="not"):
+        classify_qh_center(s, QHSignature(2, 3, 8))
 
 
 def test_classify_cubic_focus():
@@ -344,8 +423,8 @@ def _count_calls(monkeypatch, module, name):
 
 def test_sweep_integrates_the_circle_once(monkeypatch):
     # (2,3)-quasi-homogeneous of weight degree 8 with a weighted form
-    # 2x^6 - c*x^3*y^2 + 3y^4 that is not even-even, so condition (i) also
-    # samples the circle (on its 2048-point grid)
+    # 2x^6 - c*x^3*y^2 + 3y^4; condition (i) is exact and samples nothing,
+    # condition (ii) samples the circle
     family = parse_system("xdot = -y^3 + c*x^3*y; ydot = x^5 + c*x^2*y^2")
     qhomog.pq_sampler.cache_clear()
     circles = _count_calls(monkeypatch, qhomog, "pq_circle")
@@ -353,7 +432,7 @@ def test_sweep_integrates_the_circle_once(monkeypatch):
     for k in range(1, 5):
         s = substitute(family, {"c": Rat(k, 8)})
         verdict, info = classify_qh_center(s, SIG238)
-        assert not info["condition_i"].exact and info["condition_ii"].converged
+        assert info["condition_i"].holds and info["condition_ii"].converged
     assert len(circles) == len(integrations) == 1
     # at p = q = 1 the nodes are cos and sin: no integration at all
     for k in range(17):

@@ -7,6 +7,7 @@ from centerlab.realroots import (
     isolate_real_roots,
     poly_divmod,
     poly_gcd_univ,
+    real_root_count,
     refine_to_float,
     squarefree,
     trim,
@@ -100,3 +101,22 @@ def test_isolated_root_counts_match_sympy():
                 assert abs(refine_to_float(p, lo, hi) - float(root)) <= 1e-12 * max(1, abs(float(root)))
         checked += len(roots)
     assert checked > 60
+
+
+def test_real_root_count_matches_sympy():
+    # distinct real roots from the Sturm chain's leading coefficients, on
+    # planted rational roots, repeated factors and either leading sign
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(11)
+    for _ in range(120):
+        p = _dense(rng, rng.randint(0, 4))
+        for _ in range(rng.randint(0, 3)):
+            p = _mul(p, [Rat(rng.randint(-5, 5), rng.randint(1, 3)), Rat(1)])
+        if rng.random() < 0.3:
+            p = _mul(p, p)
+        if not trim(p):
+            continue
+        assert real_root_count(p) == len(set(sympy.real_roots(_to_sympy(p, t))))
+    assert real_root_count([Rat(-3)]) == 0
+    assert real_root_count([Rat(1), Rat(0), Rat(1)]) == 0
