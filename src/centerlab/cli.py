@@ -48,15 +48,17 @@ from .systems import (
 from .numeric import check_tolerance, classify_monodromic, return_map
 
 
-def _rat(text: str):
-    """An exact rational from ``N`` or ``N/D``; anything else is a parse error."""
+def _rat(option: str, text: str):
+    """An exact rational from ``N`` or ``N/D``; anything else is a parse error
+    that names ``option``."""
     try:
         if "/" in text:
             a, b = text.split("/", 1)
             return Rat(int(a), int(b))
         return Rat(int(text))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected an integer or N/D with D != 0, got {text!r}") from None
+        raise ParseError(
+            f"{option} expects an integer or N/D with D != 0, got {text!r}") from None
 
 
 def _number(option: str, text: str) -> float:
@@ -127,7 +129,7 @@ def _load_system(args) -> tuple:
             name, _, val = item.partition("=")
             if not val:
                 raise ParseError(f"--set expects name=value, got {item!r}")
-            binds[name.strip()] = _rat(val.strip())
+            binds[name.strip()] = _rat(f"--set {name.strip()}", val.strip())
         s = substitute(s, binds)
     return s, source
 
@@ -285,7 +287,8 @@ def cmd_qhcenter(args) -> int:
         bounds = rng.split(":")
         if len(bounds) != 3:
             raise ParseError(f"--sweep expects NAME=A:B:STEP, got {args.sweep!r}")
-        a, b, step = (_rat(v) for v in bounds)
+        a, b, step = (_rat(f"--sweep {part}", v)
+                      for part, v in zip(("start", "end", "step"), bounds))
         if step <= 0:
             raise ParseError(f"--sweep step must be positive, got {step}")
         points = []

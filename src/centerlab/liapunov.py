@@ -102,30 +102,17 @@ def _state_indices(vars) -> Tuple[int, int]:
 def _xy_coefficients(p: MPoly, n: int) -> Dict[int, MPoly]:
     """Decompose an x,y-homogeneous polynomial of degree n: maps t to the
     (x,y)-free coefficient of x^(n-t) y^t."""
-    ix, iy = _state_indices(p.vars)
-    out: Dict[int, dict] = {}
-    for e, c in p.terms.items():
-        if e[ix] + e[iy] != n:
+    out: Dict[int, MPoly] = {}
+    for (i, t), c in p.coefficients_in_vars(("x", "y")).items():
+        if i + t != n:
             raise ValueError(f"polynomial is not x,y-homogeneous of degree {n}")
-        t = e[iy]
-        e2 = list(e)
-        e2[ix] = 0
-        e2[iy] = 0
-        out.setdefault(t, {})[tuple(e2)] = c
-    return {t: MPoly(p.vars, d) for t, d in out.items()}
+        out[t] = c
+    return out
 
 
 def _from_xy_coefficients(vars, coeffs: Dict[int, MPoly], n: int) -> MPoly:
     """Inverse of :func:`_xy_coefficients`: the sum of coeffs[t] * x^(n-t) y^t."""
-    ix, iy = _state_indices(vars)
-    terms = {}
-    for t, p in coeffs.items():
-        for e, c in p.terms.items():
-            e2 = list(e)
-            e2[ix] = n - t
-            e2[iy] = t
-            terms[tuple(e2)] = c
-    return MPoly(vars, terms)
+    return MPoly.from_coefficients(vars, ("x", "y"), {(n - t, t): c for t, c in coeffs.items()})
 
 
 def _monomial_xy(vars, i: int, j: int) -> MPoly:

@@ -5,15 +5,28 @@ combined only when their tables agree; use :func:`merge_tables` /
 :meth:`MPoly.embed` to move a polynomial into a larger table first.  The
 monomial order is graded lexicographic in the table order, which for system
 polynomials is ``x > y > eps > parameters`` (parameters alphabetical).
+
+A polynomial is stored as one positive rational content times a primitive
+integer polynomial: integer coefficients whose gcd is 1 and which carry the
+signs, under exponent tuples; zero has no terms.  The form is fixed when a
+polynomial is built and kept by every operation, so the kernels run on
+integers and never build a ``Fraction``.  By Gauss's lemma a product of
+primitive polynomials is primitive, so a product multiplies the contents and
+needs no gcd, and an exact quotient of primitive polynomials is integral.
+``Rat`` appears only at the edge: :meth:`MPoly.coefficient`,
+:meth:`MPoly.constant_value`, :meth:`MPoly.leading_coefficient`,
+:meth:`MPoly.content`, :meth:`MPoly.sorted_terms` and the read-only
+:attr:`MPoly.terms` view.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 #: Exact scalar type: an arbitrary-precision rational (reduced, positive
 #: denominator).
@@ -50,25 +63,67 @@ def rat_content(coeffs: Iterable) -> "ExactScalar":
     return Rat(num, den)
 
 
-def _int_numerators(terms: Mapping[tuple, Fraction]):
-    """``([(expo, numerator), ...], den)``: the coefficients as integers over
-    ``den``, the lcm of their denominators."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+def _ratio_mul(n1: int, d1: int, n2: int, d2: int):
+    """(n1/d1) * (n2/d2) in lowest terms, for two fractions in lowest terms."""
+    if d1 == d2 == 1:
+        return n1 * n2, 1
+    g1 = gcd(n1, d2)
+    g2 = gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def _mul_ints(a: dict, b: dict) -> dict:
+    """Product of two nonzero integer term dicts, smaller operand outside."""
+    if len(a) > len(b):
+        a, b = b, a
+    inner = list(b.items())
+    terms: dict = {}
+    get = terms.get
+    for ea, ca in a.items():
+        for eb, cb in inner:
+            e = tuple(map(add, ea, eb))
+            s = get(e, 0) + ca * cb
+            if s:
+                terms[e] = s
+            elif e in terms:
+                del terms[e]
+    return terms
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms: exponent tuple -> ``Rat``,
+    in the polynomial's term order; each coefficient is built when read."""
+
+    __slots__ = ("_num", "_den", "_ints")
+
+    def __init__(self, p: "MPoly"):
+        self._num, self._den, self._ints = p._num, p._den, p._ints
+
+    def __getitem__(self, expo):
+        return Rat(self._num * self._ints[expo], self._den)
+
+    def __iter__(self):
+        return iter(self._ints)
+
+    def __len__(self):
+        return len(self._ints)
+
+    def __contains__(self, expo):
+        return expo in self._ints
 
 
 class MPoly:
     """A sparse multivariate polynomial over the rationals.
 
-    ``vars`` is the ordered variable table; ``terms`` maps exponent tuples
-    (one entry per table slot) to nonzero rational coefficients.
+    ``vars`` is the ordered variable table.  The value is the content
+    ``_num/_den`` (positive, in lowest terms, 1 for zero) times ``_ints``,
+    which maps exponent tuples (one entry per table slot) to nonzero
+    integers whose gcd is 1.  Only this module reads or writes these
+    attributes; a term dict is never changed after construction, so
+    polynomials may share one.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_num", "_den", "_ints")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Scalar]):
         vs = tuple(vars)
@@ -77,34 +132,63 @@ class MPoly:
         for expo, c in terms.items():
             if len(expo) != n:
                 raise ValueError(f"exponent arity {len(expo)} != table size {n}")
-            c = _as_rat(c)
+            if type(c) is not int and type(c) is not Rat:
+                c = Rat(c)
             if c:
                 cleaned[tuple(expo)] = c
         self.vars = vs
-        self.terms = cleaned
+        if not cleaned:
+            self._num = self._den = 1
+            self._ints = cleaned
+            return
+        content = rat_content(cleaned.values())
+        num, den = content.numerator, content.denominator
+        self._num, self._den = num, den
+        self._ints = {e: c.numerator // num * (den // c.denominator)
+                      for e, c in cleaned.items()}
 
     @classmethod
-    def _of(cls, vars: tuple, terms: dict) -> "MPoly":
-        """A polynomial from parts that are already canonical: a tuple table
-        and nonzero ``Rat`` coefficients under tuple exponents of its arity.
-        Nothing is checked or copied; use ``MPoly(vars, terms)`` otherwise."""
+    def _of(cls, vars: tuple, num: int, den: int, ints: dict) -> "MPoly":
+        """A polynomial from parts that are already canonical: a tuple table,
+        a positive content num/den in lowest terms (1 when ``ints`` is empty)
+        and a primitive integer term dict.  Nothing is checked or copied."""
         out = cls.__new__(cls)
         out.vars = vars
-        out.terms = terms
+        out._num = num
+        out._den = den
+        out._ints = ints
         return out
+
+    @classmethod
+    def _reduced(cls, vars: tuple, num: int, den: int, ints: dict) -> "MPoly":
+        """Like :meth:`_of` for a positive content not yet in lowest terms and
+        integer terms whose gcd may exceed 1: that gcd moves into the content."""
+        if not ints:
+            return cls._of(vars, 1, 1, ints)
+        g = gcd(*ints.values())
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+            num *= g
+        h = gcd(num, den)
+        if h != 1:
+            num //= h
+            den //= h
+        return cls._of(vars, num, den, ints)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "MPoly":
-        return cls(vars, {})
+        return cls._of(tuple(vars), 1, 1, {})
 
     @classmethod
     def const(cls, vars: Sequence[str], c: Scalar) -> "MPoly":
+        vs = tuple(vars)
         c = _as_rat(c)
         if not c:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(tuple(vars)): c})
+            return cls._of(vs, 1, 1, {})
+        n = c.numerator
+        return cls._of(vs, abs(n), c.denominator, {(0,) * len(vs): 1 if n > 0 else -1})
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str]) -> "MPoly":
@@ -112,70 +196,118 @@ class MPoly:
         i = vs.index(name)
         expo = [0] * len(vs)
         expo[i] = 1
-        return cls(vs, {tuple(expo): _ONE})
+        return cls._of(vs, 1, 1, {tuple(expo): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], expo: Sequence[int], c: Scalar = 1) -> "MPoly":
         return cls(vars, {tuple(expo): c})
 
+    @classmethod
+    def from_coefficients(cls, vars: Sequence[str], names: Sequence[str],
+                          coeffs: Mapping[tuple, "MPoly"]) -> "MPoly":
+        """Inverse of :meth:`coefficients_in_vars`: the sum of ``coeffs[k]``
+        times the monomial with exponents ``k`` in ``names``.  Each
+        coefficient must be free of ``names``, so the parts do not overlap
+        and their sum needs no gcd."""
+        vs = tuple(vars)
+        idx = [vs.index(v) for v in names]
+        parts = [(k, c) for k, c in coeffs.items() if c._ints]
+        if not parts:
+            return cls._of(vs, 1, 1, {})
+        # the gcd of the contents; each content is an integer multiple of it
+        num, den = 0, 1
+        for _, c in parts:
+            num = gcd(num, c._num)
+            den = den // gcd(den, c._den) * c._den
+        ints = {}
+        for k, c in parts:
+            f = c._num // num * (den // c._den)
+            for e, v in c._ints.items():
+                e2 = list(e)
+                for i, p in zip(idx, k):
+                    e2[i] = p
+                ints[tuple(e2)] = f * v
+        return cls._of(vs, num, den, ints)
+
     # -- predicates and views --------------------------------------------
 
     @property
+    def terms(self) -> _Terms:
+        """Read-only view of the terms: exponent tuple -> nonzero ``Rat``."""
+        return _Terms(self)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._ints)
+
+    def content(self):
+        """The positive rational gcd of the coefficients (0 for zero)."""
+        return Rat(self._num, self._den) if self._ints else _ZERO
 
     def constant_value(self):
         """The value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.terms:
+        if not self._ints:
             return _ZERO
-        [(expo, c)] = self.terms.items()
+        [(expo, c)] = self._ints.items()
         if any(expo):
             raise ValueError(f"not a constant polynomial: {self}")
-        return c
+        return Rat(self._num * c, self._den)
 
     def degree_in(self, var: str) -> int:
-        if not self.terms:
+        if not self._ints:
             return -1
         i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._ints)
+
+    def lowest_degree_in(self, var: str) -> int:
+        """The least exponent of ``var`` over the terms; -1 if zero."""
+        if not self._ints:
+            return -1
+        i = self.vars.index(var)
+        return min(e[i] for e in self._ints)
 
     def degree_in_state(self, state=("x", "y")) -> int:
         """Total degree counting only the listed variables; -1 if zero."""
-        if not self.terms:
+        if not self._ints:
             return -1
         idx = [self.vars.index(v) for v in state if v in self.vars]
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        return max(sum(e[i] for i in idx) for e in self._ints)
 
     def variables_present(self) -> tuple:
         present = [False] * len(self.vars)
-        for e in self.terms:
+        for e in self._ints:
             for i, p in enumerate(e):
                 if p:
                     present[i] = True
         return tuple(v for v, p in zip(self.vars, present) if p)
 
     def coefficient(self, expo: Sequence[int]):
-        return self.terms.get(tuple(expo), _ZERO)
+        n = self._ints.get(tuple(expo))
+        return Rat(self._num * n, self._den) if n else _ZERO
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._ints)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._ints)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
+            return self.is_constant and self.constant_value() == other
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self._num == other._num
+                and self._den == other._den and self._ints == other._ints)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # a constant equals its value as a number, so it hashes like it
+        if self.is_constant:
+            return hash(self.constant_value())
+        return hash((self.vars, self._num, self._den, frozenset(self._ints.items())))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -193,58 +325,70 @@ class MPoly:
             return MPoly.const(self.vars, other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
+    def _plus(self, other: "MPoly", sign: int) -> "MPoly":
+        """self + sign*other for sign = 1 or -1."""
+        a, b = self._ints, other._ints
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        # both contents are integer multiples fa, fb of their gcd num/den
+        na, da, nb, db = self._num, self._den, other._num, other._den
+        num = gcd(na, nb)
+        den = da // gcd(da, db) * db
+        fa = na // num * (den // da)
+        fb = sign * (nb // num) * (den // db)
+        terms = dict(a) if fa == 1 else {e: fa * c for e, c in a.items()}
+        get = terms.get
+        for e, c in b.items():
+            s = get(e, 0) + fb * c
             if s:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return MPoly._of(self.vars, terms)
+        return MPoly._reduced(self.vars, num, den, terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of(self.vars, self._num, self._den,
+                         {e: -c for e, c in self._ints.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_rat(other)
-            return MPoly._of(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
-        if not isinstance(other, MPoly):
+        if isinstance(other, MPoly):
+            self._check(other)
+            if not self._ints or not other._ints:
+                return MPoly._of(self.vars, 1, 1, {})
+            # Gauss's lemma: the integer product is primitive again
+            return MPoly._of(self.vars, *_ratio_mul(self._num, self._den, other._num, other._den),
+                             _mul_ints(self._ints, other._ints))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        # Integer numerators over each operand's common denominator: the
-        # double loop runs on ints and each output coefficient is built once.
-        (a, da), (b, db) = _int_numerators(a), _int_numerators(b)
-        terms: dict = {}
-        get = terms.get
-        for ea, ca in a:
-            for eb, cb in b:
-                e = tuple(map(add, ea, eb))
-                s = get(e, 0) + ca * cb
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        d = da * db
-        return MPoly._of(self.vars, {e: Rat(n, d) for e, n in terms.items()})
+        n = other.numerator
+        if not n or not self._ints:
+            return MPoly._of(self.vars, 1, 1, {})
+        # a scalar changes only the content, and the signs when negative
+        ints = self._ints
+        if n < 0:
+            n = -n
+            ints = {e: -c for e, c in ints.items()}
+        return MPoly._of(self.vars, *_ratio_mul(self._num, self._den, n, other.denominator),
+                         ints)
 
     __rmul__ = __mul__
 
@@ -264,13 +408,12 @@ class MPoly:
     def diff(self, var: str) -> "MPoly":
         """Partial derivative with respect to ``var``."""
         i = self.vars.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                terms[tuple(e2)] = c * e[i]
-        return MPoly(self.vars, terms)
+        ints = {}
+        for e, c in self._ints.items():
+            k = e[i]
+            if k:
+                ints[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return MPoly._reduced(self.vars, self._num, self._den, ints)
 
     # -- substitution and table management --------------------------------
 
@@ -278,23 +421,32 @@ class MPoly:
         """Re-express over another table, which must contain every variable
         actually present (unused table slots may be dropped)."""
         vs = tuple(vars)
+        if vs == self.vars:
+            return self
         n = len(vs)
-        posmap = {}
-        for i, v in enumerate(self.vars):
-            if v in vs:
-                posmap[i] = vs.index(v)
-        terms = {}
-        for e, c in self.terms.items():
+        pos = {v: j for j, v in enumerate(vs)}
+        posmap = [pos.get(v) for v in self.vars]
+        ints = {}
+        for e, c in self._ints.items():
             e2 = [0] * n
             for i, k in enumerate(e):
                 if k:
-                    j = posmap.get(i)
+                    j = posmap[i]
                     if j is None:
                         raise ValueError(
                             f"variable {self.vars[i]} present; cannot re-express over {vs}")
                     e2[j] = k
-            terms[tuple(e2)] = c
-        return MPoly(vs, terms)
+            ints[tuple(e2)] = c
+        return MPoly._of(vs, self._num, self._den, ints)
+
+    def shift(self, var: str, k: int) -> "MPoly":
+        """``self * var^k``; a negative ``k`` divides by ``var^-k``, which
+        must divide every term."""
+        i = self.vars.index(var)
+        if k < 0 and self.lowest_degree_in(var) < -k:
+            raise ValueError(f"{var}^{-k} does not divide {self}")
+        return MPoly._of(self.vars, self._num, self._den,
+                         {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in self._ints.items()})
 
     def subs(self, bindings: Mapping[str, object], vars: Optional[Sequence[str]] = None) -> "MPoly":
         """Substitute values (scalars or MPoly over the target table) for variables.
@@ -305,46 +457,69 @@ class MPoly:
         if vars is None:
             vars = tuple(v for v in self.vars if v not in bindings)
         vs = tuple(vars)
-        values = {}
-        for name, val in bindings.items():
-            if name not in self.vars:
-                continue
-            if isinstance(val, MPoly):
-                values[name] = val.embed(vs) if val.vars != vs else val
+        # per slot of self: (value over vs, highest exponent in self) for a
+        # substituted variable, else its slot in vs (None when vs lacks it)
+        pos = {v: j for j, v in enumerate(vs)}
+        slots: list = []
+        for i, name in enumerate(self.vars):
+            if name in bindings:
+                val = bindings[name]
+                if not isinstance(val, MPoly):
+                    val = MPoly.const(vs, val)
+                elif val.vars != vs:
+                    val = val.embed(vs)
+                top = max((e[i] for e in self._ints), default=0)
+                slots.append((val, top))
             else:
-                values[name] = MPoly.const(vs, val)
+                slots.append(pos.get(name))
+        # A value c*A (A primitive) to the power k is c^k * A^k, with A^k
+        # primitive.  Every term is brought over den = prod(c_den^top), so a
+        # term scales by the integer prod(c_num^k) * den / prod(c_den^k).
+        den = 1
+        for s in slots:
+            if isinstance(s, tuple):
+                den *= s[0]._den ** s[1]
+        powers: dict = {}
         acc: dict = {}
-        pow_cache: dict = {}
-        for e, c in self.terms.items():
-            term = MPoly.const(vs, c)
-            dead = False
+        get = acc.get
+        for e, n in self._ints.items():
+            t = None
+            dk = 1
             e2 = [0] * len(vs)
             for i, k in enumerate(e):
                 if not k:
                     continue
-                name = self.vars[i]
-                if name in values:
-                    key = (name, k)
-                    if key not in pow_cache:
-                        pow_cache[key] = values[name] ** k
-                    term = term * pow_cache[key]
-                    if term.is_zero:
-                        dead = True
+                s = slots[i]
+                if isinstance(s, tuple):
+                    key = (i, k)
+                    pw = powers.get(key)
+                    if pw is None:
+                        val = s[0]
+                        pw = powers[key] = ((val ** k)._ints, val._num ** k, val._den ** k)
+                    if not pw[0]:
                         break
+                    t = pw[0] if t is None else _mul_ints(t, pw[0])
+                    n *= pw[1]
+                    dk *= pw[2]
+                elif s is None:
+                    raise ValueError(f"variable {self.vars[i]} present; not in {vs}")
                 else:
-                    e2[vs.index(name)] += k
-            if dead:
-                continue
-            if any(e2):
-                term = term * MPoly.monomial(vs, e2)
-            # the add-or-delete step of __add__, on one accumulator
-            for e3, c3 in term.terms.items():
-                s = acc.get(e3, _ZERO) + c3
-                if s:
-                    acc[e3] = s
-                elif e3 in acc:
-                    del acc[e3]
-        return MPoly._of(vs, acc)
+                    e2[s] += k
+            else:  # no value was zero
+                if t is None:
+                    t = {(0,) * len(vs): 1}
+                n *= den // dk
+                shift = any(e2)
+                # the add-or-delete step of __add__, on one accumulator
+                for e3, c3 in t.items():
+                    if shift:
+                        e3 = tuple(map(add, e3, e2))
+                    v = get(e3, 0) + n * c3
+                    if v:
+                        acc[e3] = v
+                    elif e3 in acc:
+                        del acc[e3]
+        return MPoly._reduced(vs, self._num, self._den * den, acc)
 
     def eval_float(self, point: Mapping[str, float]) -> float:
         total = 0.0
@@ -363,35 +538,43 @@ class MPoly:
         return (sum(expo), expo)
 
     def leading_monomial(self) -> tuple:
-        if not self.terms:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=MPoly._key)
+        return max(self._ints, key=MPoly._key)
 
     def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
+        return Rat(self._num * self._ints[self.leading_monomial()], self._den)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: MPoly._key(t[0]), reverse=True)
+        num, den = self._num, self._den
+        return [(e, Rat(num * n, den)) for e, n in
+                sorted(self._ints.items(), key=lambda t: MPoly._key(t[0]), reverse=True)]
 
     # -- pieces ------------------------------------------------------------
 
     def homogeneous_part(self, degree: int, state=("x", "y")) -> "MPoly":
         """The part whose total degree in the state variables equals ``degree``."""
         idx = [self.vars.index(v) for v in state if v in self.vars]
-        terms = {e: c for e, c in self.terms.items() if sum(e[i] for i in idx) == degree}
-        return MPoly(self.vars, terms)
+        ints = {e: c for e, c in self._ints.items() if sum(e[i] for i in idx) == degree}
+        return MPoly._reduced(self.vars, self._num, self._den, ints)
 
     def coefficients_in(self, var: str) -> dict:
         """View as univariate in ``var``: maps exponent -> MPoly (same table)."""
-        i = self.vars.index(var)
+        return {k: c for (k,), c in self.coefficients_in_vars((var,)).items()}
+
+    def coefficients_in_vars(self, names: Sequence[str]) -> dict:
+        """Group the terms by their exponents of ``names``: maps each exponent
+        tuple (one entry per name) to its coefficient, a polynomial free of
+        ``names`` over the same table."""
+        idx = [self.vars.index(v) for v in names]
         out: dict = {}
-        for e, c in self.terms.items():
-            k = e[i]
+        for e, c in self._ints.items():
             e2 = list(e)
-            e2[i] = 0
-            out.setdefault(k, {})[tuple(e2)] = c
-        return {k: MPoly._of(self.vars, t) for k, t in out.items()}
+            for i in idx:
+                e2[i] = 0
+            out.setdefault(tuple([e[i] for i in idx]), {})[tuple(e2)] = c
+        return {k: MPoly._reduced(self.vars, self._num, self._den, t) for k, t in out.items()}
 
     # -- exact division, content, gcd ---------------------------------------
 
@@ -405,10 +588,14 @@ class MPoly:
         if divisor.is_constant:
             c = divisor.constant_value()
             return self * (_ONE / c)
+        # Both integer parts are primitive, so an exact quotient of them is
+        # an integer polynomial (Gauss's lemma): a coefficient that does not
+        # divide exactly already means the division is not exact.
         lm = divisor.leading_monomial()
-        lc = divisor.terms[lm]
-        tail = [(de, dc) for de, dc in divisor.terms.items() if de != lm]
-        rem = dict(self.terms)
+        ints = divisor._ints
+        lc = ints[lm]
+        tail = [(de, dc) for de, dc in ints.items() if de != lm]
+        rem = dict(self._ints)
         # Max-heap of the remainder's monomials: the graded-lex key negated
         # for heapq, then the monomial itself.  Entries are deleted lazily:
         # one whose monomial has left ``rem`` is skipped when popped.  The
@@ -426,7 +613,9 @@ class MPoly:
             qe = tuple([i - j for i, j in zip(e, lm)])
             if min(qe) < 0:
                 return None
-            qc = c / lc
+            qc, r = divmod(c, lc)
+            if r:
+                return None
             qterms[qe] = qc
             for de, dc in tail:
                 te = tuple([i + j for i, j in zip(qe, de)])
@@ -440,7 +629,8 @@ class MPoly:
                         rem[te] = s
                     else:
                         del rem[te]
-        return MPoly._of(self.vars, qterms)
+        return MPoly._of(self.vars, *_ratio_mul(self._num, self._den, divisor._den, divisor._num),
+                         qterms)
 
     def divides(self, other: "MPoly") -> bool:
         return other.try_div(self) is not None
@@ -449,15 +639,15 @@ class MPoly:
         """Divide out the rational content and fix the leading sign positive."""
         if self.is_zero:
             return self
-        cont = rat_content(self.terms.values())
-        if self.leading_coefficient() < 0:
-            cont = -cont
-        return self * (_ONE / cont)
+        inv = Rat(self._den, self._num)
+        if self._ints[self.leading_monomial()] < 0:
+            inv = -inv
+        return self * inv
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._ints:
             return "0"
         pieces = []
         for e, c in self.sorted_terms():
@@ -549,37 +739,37 @@ def _content_primitive(p: MPoly, var: str):
 
 
 def _univariate_gcd(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """Monic Euclidean gcd for polynomials in a single variable."""
+    """Euclidean gcd for polynomials in a single variable, on integer
+    coefficients: each pseudo-remainder is made primitive."""
     i = a.vars.index(var)
-
-    def as_dict(p):
-        return {e[i]: c for e, c in p.terms.items()}
-
-    fa, fb = as_dict(a), as_dict(b)
+    fa = {e[i]: c for e, c in a._ints.items()}
+    fb = {e[i]: c for e, c in b._ints.items()}
     while fb:
-        da = max(fa) if fa else -1
         db = max(fb)
-        if da < db:
-            fa, fb = fb, fa
-            continue
-        lead = fb[db]
-        if lead != 1:
-            fb = {k: c / lead for k, c in fb.items()}
+        lb = fb[db]
         while fa and max(fa) >= db:
+            # fa <- (lb*fa - lr*var^(dr-db)*fb) / gcd(lb, lr): the leading term cancels
             dr = max(fa)
-            f = fa.pop(dr)
+            g = gcd(fa[dr], lb)
+            ma, mb = lb // g, fa[dr] // g
+            if ma != 1:
+                for k in fa:
+                    fa[k] *= ma
             for k, c in fb.items():
-                if k == db:
-                    continue
                 key = k + dr - db
-                s = fa.get(key, _ZERO) - f * c
+                s = fa.get(key, 0) - mb * c
                 if s:
                     fa[key] = s
-                elif key in fa:
+                else:
                     del fa[key]
+        if fa:
+            g = gcd(*fa.values())
+            if g != 1:
+                fa = {k: c // g for k, c in fa.items()}
         fa, fb = fb, fa
     n = len(a.vars)
-    g = MPoly(a.vars, {tuple(k if j == i else 0 for j in range(n)): c for k, c in fa.items()})
+    g = MPoly._of(a.vars, 1, 1, {tuple(k if j == i else 0 for j in range(n)): c
+                                 for k, c in fa.items()})
     return g.primitive()
 
 
@@ -615,7 +805,7 @@ def _pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
         shift = MPoly.monomial(a.vars, tuple(dr - db if j == i else 0 for j in range(len(a.vars))))
         r = r * lc_b - b * (lc_r * shift)
         if r and len(r) > 8:
-            c = rat_content(r.terms.values())
+            c = r.content()
             if c != 1:
                 r = r * (_ONE / c)
     return r

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from .mpoly import EngineError, MPoly, Rat, Scalar, poly_gcd, rat_content
+from .mpoly import EngineError, MPoly, Rat, Scalar, poly_gcd
 
 
 class RatFunc:
@@ -38,8 +38,9 @@ class RatFunc:
             if not g.is_constant:
                 num = num.try_div(g)
                 den = den.try_div(g)
-        # scale so den is integer-primitive with positive leading coefficient
-        c = rat_content(den.terms.values())
+        # scale so den is integer-primitive with positive leading coefficient:
+        # a scalar product changes only the content (and negates on a sign)
+        c = den.content()
         if den.leading_coefficient() < 0:
             c = -c
         if c != 1:
@@ -88,6 +89,10 @@ class RatFunc:
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
+        # the canonical denominator of a polynomial is 1, and such a value
+        # equals its numerator, so it hashes like it
+        if self.den.is_constant:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     # -- arithmetic ------------------------------------------------------------
@@ -172,28 +177,17 @@ def _single_var_reduce(num: MPoly, den: MPoly, var: str):
     with ``v`` the lowest exponent of ``var``, times the gcd of ``num`` and
     ``den / var^v(den)``.  Only that second factor needs gcds (over univariate
     slices of the numerator), and none when the cofactor is constant."""
-    i = num.vars.index(var)
-    n = len(num.vars)
-
-    def shift(p, k):
-        return MPoly._of(p.vars, {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in p.terms.items()})
-
-    vd = min(e[i] for e in den.terms)
-    g = shift(den, -vd)
+    vd = den.lowest_degree_in(var)
+    g = den.shift(var, -vd)
     if not g.is_constant:
-        groups: dict = {}
-        for e, c in num.terms.items():
-            groups.setdefault(e[:i] + e[i + 1:], {})[e[i]] = c
-        for terms in groups.values():
-            slice_poly = MPoly(num.vars,
-                               {tuple(k if j == i else 0 for j in range(n)): c
-                                for k, c in terms.items()})
+        others = [v for v in num.vars if v != var]
+        for slice_poly in num.coefficients_in_vars(others).values():
             g = poly_gcd(g, slice_poly)
             if g.is_constant:
                 break
     if g.is_constant:
         g = MPoly.const(num.vars, 1)
-    g = shift(g, min(vd, min(e[i] for e in num.terms)))
+    g = g.shift(var, min(vd, num.lowest_degree_in(var)))
     if not g.is_constant:
         num2 = num.try_div(g)
         den2 = den.try_div(g)

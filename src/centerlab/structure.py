@@ -93,7 +93,7 @@ def reversibility_conditions(s: PlaneSystem) -> ReversibilityResult:
     for g in (even, odd):
         # corner coefficients (pure powers of u or v) first: they give the
         # cleanest generators
-        for t, coeff in sorted(_state_coefficients(g).items(),
+        for t, coeff in sorted(g.coefficients_in_vars(("x", "y")).items(),
                                key=lambda kv: (min(kv[0]), kv[0])):
             poly = coeff.embed(cs_table).primitive()
             if poly.is_zero:
@@ -121,21 +121,6 @@ def reversibility_conditions(s: PlaneSystem) -> ReversibilityResult:
         return ReversibilityResult([], (cname, sname), "reversible", all_angles=True,
                                    witnesses=[(1.0, 0.0)], exact_witnesses=[(Rat(1), Rat(0))])
     return _solve_on_circle(conditions, cname, sname)
-
-
-def _state_coefficients(p: MPoly) -> dict:
-    """Group terms by their (x, y) exponents; values keep the remaining
-    variables."""
-    ix = p.vars.index("x")
-    iy = p.vars.index("y")
-    out: dict = {}
-    for e, cc in p.terms.items():
-        key = (e[ix], e[iy])
-        e2 = list(e)
-        e2[ix] = 0
-        e2[iy] = 0
-        out.setdefault(key, {})[tuple(e2)] = cc
-    return {k: MPoly(p.vars, d) for k, d in out.items()}
 
 
 def _circle_reduce_poly(poly: MPoly, cname: str, sname: str) -> MPoly:

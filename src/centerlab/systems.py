@@ -90,21 +90,10 @@ class PlaneSystem:
 def _linear_coefficients(P: MPoly, Q: MPoly):
     """Coefficients of x and y in the degree-1 parts, as polynomials in the
     remaining variables."""
-    ix = P.vars.index("x")
-    iy = P.vars.index("y")
-
     def split(p):
-        cx = {}
-        cy = {}
-        for e, c in p.homogeneous_part(1).terms.items():
-            e2 = list(e)
-            if e[ix] == 1:
-                e2[ix] = 0
-                cx[tuple(e2)] = c
-            else:
-                e2[iy] = 0
-                cy[tuple(e2)] = c
-        return MPoly(p.vars, cx), MPoly(p.vars, cy)
+        parts = p.homogeneous_part(1).coefficients_in_vars(("x", "y"))
+        zero = MPoly.zero(p.vars)
+        return parts.get((1, 0), zero), parts.get((0, 1), zero)
 
     return split(P) + split(Q)
 

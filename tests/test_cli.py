@@ -116,7 +116,11 @@ def test_exit_code_parse_error(sysfile, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["returnmap", "--x0", "0"], "--x0 expects a positive radius, got '0'"),
     (["liapunov", "--set", "A"], "--set expects name=value, got 'A'"),
-], ids=["x0=0", "set=A"])
+    (["liapunov", "--set", "A=1/0"],
+     "--set A expects an integer or N/D with D != 0, got '1/0'"),
+    (["qhcenter", "--sweep", "mu=0:x:1/8"],
+     "--sweep end expects an integer or N/D with D != 0, got 'x'"),
+], ids=["x0=0", "set=A", "set=A=1/0", "sweep-end=x"])
 def test_option_error_has_no_source_position(sysfile, capsys, argv, message):
     # an option value has no line and column; only system-file errors do
     rc = main(argv[:1] + [sysfile(NIL_REVERSIBLE)] + argv[1:] + ["--no-timings"])

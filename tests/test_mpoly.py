@@ -1,8 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 
-from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables, poly_gcd, poly_lcm
+from centerlab.mpoly import (EngineError, MPoly, Rat, merge_tables, poly_gcd, poly_lcm,
+                             rat_content)
 
 from conftest import from_sympy, poly, random_poly, to_sympy
 
@@ -361,3 +363,319 @@ def test_subs_matches_accumulating_reference(rng):
         cases += len(p.terms) > len(got.terms)
     # some substitutions merged or cancelled terms
     assert cases > 20
+
+
+# -- Fraction references for the integer-primitive kernels --------------------
+#
+# Each reference works on plain dicts exponent -> Fraction, in the order the
+# Fraction kernels inserted terms, so the tests compare both the terms and
+# their order.  ``_check_form`` checks the stored form itself.
+
+def _check_form(p):
+    # one positive content in lowest terms times a primitive integer dict
+    assert p._den > 0 and p._num > 0 and gcd(p._num, p._den) == 1
+    assert all(type(c) is int and c for c in p._ints.values())
+    assert all(len(e) == len(p.vars) for e in p._ints)
+    if p._ints:
+        assert gcd(*p._ints.values()) == 1
+    else:
+        assert (p._num, p._den) == (1, 1)
+    return p
+
+
+def _fold(acc, terms, scale=1):
+    # the add-or-delete accumulation of the Fraction kernels
+    for e, c in terms.items():
+        s = acc.get(e, Rat(0)) + scale * c
+        if s:
+            acc[e] = s
+        elif e in acc:
+            del acc[e]
+    return acc
+
+
+def _fmul(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    terms = {}
+    for ea, ca in a.items():
+        _fold(terms, {tuple(i + j for i, j in zip(ea, eb)): ca * cb for eb, cb in b.items()})
+    return terms
+
+
+def _fpow(a, k, n):
+    result, base = {(0,) * n: Rat(1)}, a
+    while k:
+        if k & 1:
+            result = _fmul(result, base)
+        k >>= 1
+        if k:
+            base = _fmul(base, base)
+    return result
+
+
+def _fscale(a, c):
+    return {e: v * c for e, v in a.items()} if c else {}
+
+
+def _ftry_div(p, d):
+    # the Fraction heap division: the same loop over rational coefficients
+    lm = max(d, key=MPoly._key)
+    rem, q = dict(p), {}
+    while rem:
+        e = max(rem, key=MPoly._key)
+        qe = tuple(i - j for i, j in zip(e, lm))
+        if min(qe) < 0:
+            return None
+        q[qe] = rem.pop(e) / d[lm]
+        _fold(rem, {tuple(i + j for i, j in zip(qe, de)): dc
+                    for de, dc in d.items() if de != lm}, -q[qe])
+    return q
+
+
+def _fdiff(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def _fsubs(p, bindings, vs):
+    values = {}
+    for n, v in bindings.items():
+        if n in p.vars:
+            values[n] = dict(v.terms) if isinstance(v, MPoly) else ({(0,) * len(vs): Rat(v)}
+                                                                      if v else {})
+    acc = {}
+    for e, c in p.terms.items():
+        term = {(0,) * len(vs): c}
+        e2 = [0] * len(vs)
+        for i, k in enumerate(e):
+            name = p.vars[i]
+            if k and name in values:
+                term = _fmul(term, _fpow(values[name], k, len(vs))) if values[name] else {}
+            elif k:
+                e2[vs.index(name)] += k
+        _fold(acc, {tuple(i + j for i, j in zip(te, e2)): tc for te, tc in term.items()})
+    return acc
+
+
+def _fembed(p, vs):
+    return {tuple(e[p.vars.index(v)] if v in p.vars else 0 for v in vs): c
+            for e, c in p.terms.items()}
+
+
+def _fcoefficients_in(p, i):
+    out = {}
+    for e, c in p.terms.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return out
+
+
+def _fprimitive(a):
+    if not a:
+        return {}
+    c = rat_content(a.values())
+    if a[max(a, key=MPoly._key)] < 0:
+        c = -c
+    return {e: v / c for e, v in a.items()}
+
+
+def _same(got, ref):
+    _check_form(got)
+    assert got.terms == ref
+    assert list(got.terms) == list(ref)
+    assert all(type(c) is Rat for c in got.terms.values())
+
+
+def _kernel_cases(rng):
+    # mixed denominators, unit coefficients that cancel, and the 46-variable table
+    cases = []
+    for _ in range(60):
+        cases.append((TAB, random_poly(rng, TAB, TAB, n_terms=rng.randint(1, 6)),
+                      random_poly(rng, TAB, TAB, n_terms=rng.randint(1, 6))))
+        cases.append((TAB, _unit_poly(rng), _unit_poly(rng)))
+        used = rng.sample(WIDE_TAB, 5)
+        cases.append((WIDE_TAB, random_poly(rng, WIDE_TAB, used, n_terms=rng.randint(1, 5)),
+                      random_poly(rng, WIDE_TAB, used, n_terms=rng.randint(1, 5))))
+    return cases
+
+
+def test_add_sub_neg_match_fraction_reference(rng):
+    for _, p, q in _kernel_cases(rng):
+        _same(p + q, _fold(dict(p.terms), q.terms))
+        _same(p - q, _fold(dict(p.terms), q.terms, -1))
+        _same(-p, {e: -c for e, c in p.terms.items()})
+        _same(p - p, {})
+        _same(p + 3, _fold(dict(p.terms), {(0,) * len(p.vars): Rat(3)}))
+        _same(Rat(1, 2) - p, _fold({e: -c for e, c in p.terms.items()},
+                                   {(0,) * len(p.vars): Rat(1, 2)}))
+
+
+def test_scalar_mul_pow_match_fraction_reference(rng):
+    for _, p, q in _kernel_cases(rng):
+        for c in (1, -1, 0, 7, Rat(-5, 6), Rat(4, 9)):
+            _same(p * c, _fscale(p.terms, Rat(c)))
+            _same(c * p, _fscale(p.terms, Rat(c)))
+        _same(p * q, _fmul(p.terms, q.terms))
+        for k in (0, 1, 2, 3):
+            _same(p ** k, _fpow(p.terms, k, len(p.vars)))
+
+
+def test_try_div_matches_fraction_reference(rng):
+    for table, p, d in _kernel_cases(rng):
+        if d.is_constant:
+            continue
+        for dividend in (p * d, p * d + MPoly.variable(table[1], table), p):
+            got, ref = dividend.try_div(d), _ftry_div(dividend.terms, d.terms)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                _same(got, ref)
+
+
+def test_try_div_non_integral_quotient_before_non_divisible_monomial():
+    # x / (2x + 1): the first quotient coefficient 1/2 is not an integer, so
+    # the integer division stops there; the Fraction loop goes on until the
+    # constant term fails to divide
+    d = poly("2*x + 1", TAB)
+    for p in (poly("x", TAB), poly("x^2*y + 3*y", TAB), poly("5/3*x*eps - 1", TAB)):
+        assert _ftry_div(p.terms, d.terms) is None
+        assert p.try_div(d) is None
+    # a rational content that makes the quotient exact
+    q = (d * poly("x/3 - 2/7*eps", TAB)).try_div(d)
+    _same(q, dict(poly("x/3 - 2/7*eps", TAB).terms))
+
+
+def test_diff_embed_pieces_primitive_match_fraction_reference(rng):
+    for table, p, _ in _kernel_cases(rng):
+        for i, v in enumerate(table[:6]):
+            _same(p.diff(v), _fdiff(p.terms, i))
+            ref = _fcoefficients_in(p, i)
+            got = p.coefficients_in(v)
+            assert list(got) == list(ref)
+            for k in ref:
+                _same(got[k], ref[k])
+        for d in range(4):
+            _same(p.homogeneous_part(d),
+                  {e: c for e, c in p.terms.items() if e[0] + e[1] == d})
+        _same(p.primitive(), _fprimitive(p.terms))
+        _same((-p).primitive(), _fprimitive(p.terms))
+        wider = merge_tables(table, ("zeta",))
+        _same(p.embed(wider), _fembed(p, wider))
+        present = merge_tables(p.variables_present())
+        _same(p.embed(present), _fembed(p, present))
+        _same(p.embed(present).embed(table), dict(p.terms))
+
+
+def test_coefficients_in_vars_round_trip(rng):
+    for table, p, _ in _kernel_cases(rng):
+        names = table[:2] if rng.random() < 0.5 else (table[2], table[0])
+        parts = p.coefficients_in_vars(names)
+        idx = [table.index(v) for v in names]
+        for k, c in parts.items():
+            _check_form(c)
+            assert all(e[i] == 0 for e in c.terms for i in idx)
+        # the parts come back grouped, so only the terms are compared, not their order
+        back = _check_form(MPoly.from_coefficients(table, names, parts))
+        assert back == p and back.terms == p.terms
+
+
+def test_subs_matches_fraction_reference(rng):
+    table = merge_tables(TAB, ("a", "b"))
+    cancelled = 0
+    for _ in range(200):
+        p = random_poly(rng, table, table, max_degree=4, n_terms=rng.randint(1, 8))
+        names = rng.sample(table, rng.randint(1, 3))
+        bindings = {}
+        for name in names:
+            kind = rng.randrange(4)
+            if kind == 0:
+                bindings[name] = Rat(rng.randint(-3, 3), rng.randint(1, 3))
+            elif kind == 1:
+                bindings[name] = rng.randint(-2, 2)
+            else:
+                rest = [v for v in table if v not in names]
+                bindings[name] = random_poly(rng, table, rest, max_degree=2,
+                                             n_terms=rng.randint(1, 3), lo=-2, hi=2)
+        vs = tuple(v for v in table if v not in bindings) if rng.random() < 0.5 else table
+        bindings = {n: (v.embed(vs) if isinstance(v, MPoly) else v)
+                    for n, v in bindings.items()}
+        got = p.subs(bindings, vs)
+        assert got.vars == vs
+        _same(got, _fsubs(p, bindings, vs))
+        cancelled += len(got) < len(p)
+    assert cancelled > 20
+    # a substitution whose terms all cancel
+    q = poly("x*a - x^2", table)
+    _same(q.subs({"a": poly("x", table)}, table), {})
+
+
+def test_constructor_normalises_content():
+    p = MPoly(TAB, {(1, 0, 0): Rat(-4, 6), (0, 1, 0): 2, (0, 0, 1): Rat(0)})
+    _check_form(p)
+    assert (p._num, p._den, p._ints) == (2, 3, {(1, 0, 0): -1, (0, 1, 0): 3})
+    assert p.content() == Rat(2, 3)
+    assert MPoly.zero(TAB).content() == 0
+    assert p.coefficient((0, 1, 0)) == 2 and p.coefficient((0, 0, 1)) == 0
+    assert p.leading_coefficient() == Rat(-2, 3)
+    _check_form(MPoly.const(TAB, Rat(-3, 4)))
+    assert MPoly.const(TAB, Rat(-3, 4)).constant_value() == Rat(-3, 4)
+
+
+def test_terms_view_is_read_only():
+    p = poly("x - 1/2*y", TAB)
+    with pytest.raises(TypeError):
+        p.terms[(1, 0, 0)] = 5
+    assert dict(p.terms) == {(1, 0, 0): 1, (0, 1, 0): Rat(-1, 2)}
+    assert (0, 1, 0) in p.terms and len(p.terms) == 2
+    assert list(p.terms) == [(1, 0, 0), (0, 1, 0)]
+
+
+def test_representation_invariant_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    polys = _hypothesis_polys()
+    scalars = st.builds(Rat, st.integers(-12, 12), st.integers(1, 6))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(polys, polys, scalars)
+    def check(p, q, c):
+        free_of_y = q.subs({"y": c}, TAB)
+        results = [p, p + q, p - q, p - p, -p, p * c, c * p, p * q, p ** 2,
+                   (p * q).try_div(q), p.diff("x"), p.diff("eps"), p.primitive(),
+                   p.subs({"y": free_of_y}, TAB), p.subs({"x": c}),
+                   p.embed(merge_tables(TAB, ("a",))), p.homogeneous_part(1),
+                   MPoly.from_coefficients(TAB, ("x", "y"), p.coefficients_in_vars(("x", "y")))]
+        results += list(p.coefficients_in("y").values())
+        for r in results:
+            _check_form(r)
+
+    check()
+
+
+def _equal_pairs(rng):
+    # equal polynomials reached by different orders of operations
+    for _ in range(60):
+        p, q, r = (random_poly(rng, TAB, TAB, n_terms=rng.randint(1, 4)) for _ in range(3))
+        c = Rat(rng.randint(-6, 6), rng.randint(1, 5))
+        yield p * (q + r), q * p + r * p
+        yield (p + c) - q, p - (q - c)
+        yield (p * c) * q, p * (q * c)
+        yield (p * q).try_div(q), p
+        yield (p - p) * r, MPoly.zero(TAB)
+        yield MPoly.const(TAB, c), (p + c) - p
+        yield MPoly(TAB, p.terms), p
+
+
+def test_equal_polynomials_hash_equal(rng):
+    seen = 0
+    for a, b in _equal_pairs(rng):
+        assert a == b
+        assert hash(a) == hash(b)
+        seen += 1
+    assert seen == 420
+    # a constant polynomial equals its value, so it hashes like it
+    for c in (0, 3, -7, Rat(2, 3), Rat(-5, 1)):
+        p = MPoly.const(("x",), c)
+        assert p == c and hash(p) == hash(c)
+        assert {p: 1}.get(c) == 1
+    assert {MPoly.const(TAB, 3): "three"}[3] == "three"
+    assert hash(poly("x + 1", TAB)) != hash(poly("x + 2", TAB))

@@ -241,3 +241,69 @@ def test_eps_only_denominator_properties():
         assert (lhs.num.terms, lhs.den.terms) == (rhs.num.terms, rhs.den.terms)
 
     check()
+
+
+RTAB = ("eps", "a", "b")
+
+
+def _hypothesis_ratfuncs():
+    """Rational functions over (eps, a, b) with denominators in all three.
+    Each part has at most two terms of degree at most 1 in each variable:
+    the laws multiply three of them, and the primitive remainder sequence in
+    ``poly_gcd`` grows fast on coprime inputs with more terms."""
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.builds(Rat, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 1)] * len(RTAB))
+    polys = st.dictionaries(expo, coeff, min_size=1, max_size=2).map(
+        lambda terms: MPoly(RTAB, terms))
+    return st.builds(RatFunc, polys, polys)
+
+
+def test_multivariate_ring_laws_property():
+    # RatFunc.__init__ scales by the denominator's content and sign: the
+    # canonical forms must still satisfy the field laws exactly
+    hypothesis = pytest.importorskip("hypothesis")
+    fs = _hypothesis_ratfuncs()
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(fs, fs, fs)
+    def check(f, g, h):
+        assert f + g == g + f and f * g == g * f
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert (f / g) * g == f
+        assert f - f == 0 and (f - f).is_zero
+        for r in (f + g, f * g, f / g):
+            # the canonical form: denominator primitive with a positive lead
+            assert r.den.content() == 1 and r.den.leading_coefficient() > 0
+        assert hash(f * g) == hash(g * f) and hash(f - f) == hash(0)
+
+    check()
+
+
+def test_multivariate_normalisation_matches_sympy_cancel(rng):
+    # RatFunc(n, d) against sympy.cancel: the same reduced denominator up to
+    # the canonical scaling, and the same function
+    sympy = pytest.importorskip("sympy")
+    cases = 0
+    while cases < 60:
+        g = random_poly(rng, RTAB, RTAB, max_degree=2, n_terms=rng.randint(1, 3))
+        n = random_poly(rng, RTAB, RTAB, max_degree=2, n_terms=rng.randint(1, 3)) * g
+        d = random_poly(rng, RTAB, RTAB, max_degree=2, n_terms=rng.randint(1, 3)) * g
+        if n.is_zero or d.is_zero:
+            continue
+        r = RatFunc(n, d)
+        pn, pd = sympy.fraction(sympy.cancel(to_sympy(n) / to_sympy(d)))
+        want_den = from_sympy(pd, RTAB)
+        assert r.den == want_den.primitive()
+        assert r.num * want_den == from_sympy(pn, RTAB) * r.den
+        cases += 1
+
+
+def test_constant_ratfunc_hashes_like_its_value():
+    for c in (0, 4, Rat(-3, 7)):
+        f = RatFunc.const(RTAB, c)
+        assert f == c and hash(f) == hash(c)
+    p = poly("a*b - eps", RTAB)
+    assert RatFunc(p) == p and hash(RatFunc(p)) == hash(p)

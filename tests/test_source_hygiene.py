@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import centerlab
+from centerlab.mpoly import MPoly
 
 PACKAGE_DIR = Path(centerlab.__file__).parent
 
@@ -72,3 +73,22 @@ def test_numpy_not_imported_by_package_or_cli():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_polynomial_representation_private_to_mpoly():
+    # one module owns the data format of a polynomial (content times
+    # primitive integer terms): no other module reads or writes those
+    # attributes, by name or through getattr/setattr strings
+    private = set(MPoly.__slots__) - {"vars"}
+    assert private and all(name.startswith("_") for name in private)
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name == "mpoly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno}:{node.attr}")
+            elif isinstance(node, ast.Constant) and node.value in private:
+                found.append(f"{path.name}:{node.lineno}:{node.value!r}")
+    assert found == []
