@@ -8,24 +8,43 @@ polynomials is ``x > y > eps > parameters`` (parameters alphabetical).
 
 A polynomial is stored as one positive rational content times a primitive
 integer polynomial: integer coefficients whose gcd is 1 and which carry the
-signs, under exponent tuples; zero has no terms.  The form is fixed when a
-polynomial is built and kept by every operation, so the kernels run on
-integers and never build a ``Fraction``.  By Gauss's lemma a product of
-primitive polynomials is primitive, so a product multiplies the contents and
-needs no gcd, and an exact quotient of primitive polynomials is integral.
-``Rat`` appears only at the edge: :meth:`MPoly.coefficient`,
-:meth:`MPoly.constant_value`, :meth:`MPoly.leading_coefficient`,
-:meth:`MPoly.content`, :meth:`MPoly.sorted_terms` and the read-only
-:attr:`MPoly.terms` view.
+signs; zero has no terms.  The form is fixed when a polynomial is built and
+kept by every operation, so the kernels run on integers and never build a
+``Fraction``.  By Gauss's lemma a product of primitive polynomials is
+primitive, so a product multiplies the contents and needs no gcd, and an
+exact quotient of primitive polynomials is integral.
+
+Each monomial is one non-negative ``int`` key (packed exponent vectors, after
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  For a table of ``n`` variables the key
+has ``n + 1`` fields of 16 bits: the total degree in the top field, then one
+field per variable in table order.  Integer order of keys is therefore
+graded-lex order, and a product of monomials is one integer ``+``.  The top
+bit of each variable field is a guard bit: it is clear in every valid key, so
+a key difference ``e - l`` has ``l`` dividing ``e`` exactly when it is
+non-negative with no guard bit set (a borrow out of a field sets that field's
+guard bit).  Every exponent and every total degree stays below ``2**15``; a
+product whose degrees reach that limit raises :class:`EngineError` instead of
+wrapping into the next field.  One check per product of ``deg a + deg b``
+suffices, because no field exceeds its key's total degree.
+
+Exponent tuples and ``Rat`` appear only at the public edge: the
+``MPoly(vars, terms)`` constructor, :meth:`MPoly.monomial`,
+:meth:`MPoly.coefficient`, :meth:`MPoly.leading_monomial`,
+:meth:`MPoly.sorted_terms` and the read-only :attr:`MPoly.terms` view, plus
+the ``Rat`` accessors :meth:`MPoly.constant_value`,
+:meth:`MPoly.leading_coefficient` and :meth:`MPoly.content`.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
+import struct
+from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd
-from operator import add
+from operator import or_
 from typing import Iterable, Optional, Sequence, Union
 
 #: Exact scalar type: an arbitrary-precision rational (reduced, positive
@@ -38,12 +57,73 @@ Scalar = Union[int, Fraction]
 _ZERO = Rat(0)
 _ONE = Rat(1)
 
+# 16-bit key fields, read and written with struct's "H"; the top bit of each
+# variable field is its guard bit, so exponents and degrees stay below _CAP
+_W = 16
+_CAP = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+
 
 class EngineError(RuntimeError):
     """Internal fault: an exact computation broke an invariant it relies on,
     such as a division that must be exact or a homological system singular
     beyond the expected one-dimensional obstruction.  Signals an
     implementation problem, not a bad input."""
+
+
+class _Keys:
+    """The packed-key layout for tables of ``n`` variables."""
+
+    __slots__ = ("n", "top", "guard", "_fields", "_slots", "_size")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.top = _W * n  # shift of the total-degree field
+        self.guard = int.from_bytes(b"\x80\x00" * n, "big")
+        self._fields = struct.Struct(f">{n + 1}H")
+        self._slots = struct.Struct(f">{n}H")
+        self._size = 2 * (n + 1)
+
+    def shift(self, i: int) -> int:
+        """Shift of table slot ``i``'s field."""
+        return _W * (self.n - 1 - i)
+
+    def var(self, i: int, k: int) -> int:
+        """Key of the ``k``-th power of the variable in slot ``i`` (for a
+        negative ``k``, the amount to add to divide a key by ``var^-k``)."""
+        return (k << self.shift(i)) + (k << self.top)
+
+    def pack(self, expo) -> int:
+        """Key of an exponent tuple; ValueError unless it holds ``n``
+        non-negative integers of total degree below the limit."""
+        if len(expo) != self.n:
+            raise ValueError(f"exponent arity {len(expo)} != table size {self.n}")
+        for k in expo:
+            if type(k) is not int or k < 0:
+                raise ValueError(f"exponents must be non-negative integers: {tuple(expo)}")
+        d = sum(expo)
+        if d >= _CAP:
+            raise ValueError(f"total degree {d} of {tuple(expo)} reaches the limit {_CAP}")
+        return int.from_bytes(self._fields.pack(d, *expo), "big")
+
+    def find(self, expo) -> Optional[int]:
+        """Key to look an exponent tuple up with; None when it packs to no
+        key (such a tuple is the exponent of no term)."""
+        try:
+            return int.from_bytes(self._fields.pack(sum(expo), *expo), "big")
+        except (struct.error, TypeError):
+            return None
+
+    def unpack(self, key: int) -> tuple:
+        return self._slots.unpack_from(key.to_bytes(self._size, "big"), 2)
+
+
+# one layout per table length in use
+_keys = lru_cache(maxsize=None)(_Keys)
+
+
+def _degree_limit(d: int):
+    raise EngineError(f"monomial degree {d} reaches the packed-key limit {_CAP}")
 
 
 def _as_rat(c: Scalar):
@@ -72,8 +152,12 @@ def _ratio_mul(n1: int, d1: int, n2: int, d2: int):
     return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
 
 
-def _mul_ints(a: dict, b: dict) -> dict:
-    """Product of two nonzero integer term dicts, smaller operand outside."""
+def _mul_ints(a: dict, b: dict, top: int) -> dict:
+    """Product of two nonzero integer term dicts whose keys carry the total
+    degree from bit ``top`` up; smaller operand outside."""
+    d = (max(a) >> top) + (max(b) >> top)
+    if d >= _CAP:
+        _degree_limit(d)
     if len(a) > len(b):
         a, b = b, a
     inner = list(b.items())
@@ -81,7 +165,7 @@ def _mul_ints(a: dict, b: dict) -> dict:
     get = terms.get
     for ea, ca in a.items():
         for eb, cb in inner:
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             s = get(e, 0) + ca * cb
             if s:
                 terms[e] = s
@@ -92,24 +176,55 @@ def _mul_ints(a: dict, b: dict) -> dict:
 
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms: exponent tuple -> ``Rat``,
-    in the polynomial's term order; each coefficient is built when read."""
+    in the polynomial's term order; each tuple and coefficient is built
+    when read."""
 
-    __slots__ = ("_num", "_den", "_ints")
+    __slots__ = ("_num", "_den", "_ints", "_keys")
 
     def __init__(self, p: "MPoly"):
         self._num, self._den, self._ints = p._num, p._den, p._ints
+        self._keys = _keys(len(p.vars))
 
     def __getitem__(self, expo):
-        return Rat(self._num * self._ints[expo], self._den)
+        n = self._ints.get(self._keys.find(expo))
+        if n is None:
+            raise KeyError(expo)
+        return Rat(self._num * n, self._den)
 
     def __iter__(self):
-        return iter(self._ints)
+        return map(self._keys.unpack, self._ints)
 
     def __len__(self):
         return len(self._ints)
 
     def __contains__(self, expo):
-        return expo in self._ints
+        return self._keys.find(expo) in self._ints
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return _TermValues(self)
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        t = self._mapping
+        unpack, num, den = t._keys.unpack, t._num, t._den
+        for e, n in t._ints.items():
+            yield unpack(e), Rat(num * n, den)
+
+
+class _TermValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        t = self._mapping
+        num, den = t._num, t._den
+        for n in t._ints.values():
+            yield Rat(num * n, den)
 
 
 class MPoly:
@@ -117,25 +232,24 @@ class MPoly:
 
     ``vars`` is the ordered variable table.  The value is the content
     ``_num/_den`` (positive, in lowest terms, 1 for zero) times ``_ints``,
-    which maps exponent tuples (one entry per table slot) to nonzero
+    which maps packed monomial keys (see the module docstring) to nonzero
     integers whose gcd is 1.  Only this module reads or writes these
-    attributes; a term dict is never changed after construction, so
-    polynomials may share one.
+    attributes or the key layout; a term dict is never changed after
+    construction, so polynomials may share one.
     """
 
     __slots__ = ("vars", "_num", "_den", "_ints")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Scalar]):
         vs = tuple(vars)
-        n = len(vs)
+        pack = _keys(len(vs)).pack
         cleaned = {}
         for expo, c in terms.items():
-            if len(expo) != n:
-                raise ValueError(f"exponent arity {len(expo)} != table size {n}")
+            key = pack(expo)
             if type(c) is not int and type(c) is not Rat:
                 c = Rat(c)
             if c:
-                cleaned[tuple(expo)] = c
+                cleaned[key] = c
         self.vars = vs
         if not cleaned:
             self._num = self._den = 1
@@ -188,15 +302,12 @@ class MPoly:
         if not c:
             return cls._of(vs, 1, 1, {})
         n = c.numerator
-        return cls._of(vs, abs(n), c.denominator, {(0,) * len(vs): 1 if n > 0 else -1})
+        return cls._of(vs, abs(n), c.denominator, {0: 1 if n > 0 else -1})
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str]) -> "MPoly":
         vs = tuple(vars)
-        i = vs.index(name)
-        expo = [0] * len(vs)
-        expo[i] = 1
-        return cls._of(vs, 1, 1, {tuple(expo): 1})
+        return cls._of(vs, 1, 1, {_keys(len(vs)).var(vs.index(name), 1): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], expo: Sequence[int], c: Scalar = 1) -> "MPoly":
@@ -210,7 +321,8 @@ class MPoly:
         coefficient must be free of ``names``, so the parts do not overlap
         and their sum needs no gcd."""
         vs = tuple(vars)
-        idx = [vs.index(v) for v in names]
+        ks = _keys(len(vs))
+        shifts = [ks.shift(vs.index(v)) for v in names]
         parts = [(k, c) for k, c in coeffs.items() if c._ints]
         if not parts:
             return cls._of(vs, 1, 1, {})
@@ -221,12 +333,15 @@ class MPoly:
             den = den // gcd(den, c._den) * c._den
         ints = {}
         for k, c in parts:
+            if any(type(p) is not int or p < 0 for p in k):
+                raise ValueError(f"exponents must be non-negative integers: {k}")
+            d = sum(k) + (max(c._ints) >> ks.top)
+            if d >= _CAP:
+                _degree_limit(d)
+            step = sum(p << s for p, s in zip(k, shifts)) + (sum(k) << ks.top)
             f = c._num // num * (den // c._den)
             for e, v in c._ints.items():
-                e2 = list(e)
-                for i, p in zip(idx, k):
-                    e2[i] = p
-                ints[tuple(e2)] = f * v
+                ints[e + step] = f * v
         return cls._of(vs, num, den, ints)
 
     # -- predicates and views --------------------------------------------
@@ -242,7 +357,8 @@ class MPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._ints)
+        # the constant monomial is the only key 0
+        return not any(self._ints)
 
     def content(self):
         """The positive rational gcd of the coefficients (0 for zero)."""
@@ -252,41 +368,45 @@ class MPoly:
         """The value of a constant polynomial (0 for the zero polynomial)."""
         if not self._ints:
             return _ZERO
-        [(expo, c)] = self._ints.items()
-        if any(expo):
+        [(key, c)] = self._ints.items()
+        if key:
             raise ValueError(f"not a constant polynomial: {self}")
         return Rat(self._num * c, self._den)
+
+    def _field(self, var: str) -> int:
+        return _keys(len(self.vars)).shift(self.vars.index(var))
 
     def degree_in(self, var: str) -> int:
         if not self._ints:
             return -1
-        i = self.vars.index(var)
-        return max(e[i] for e in self._ints)
+        s = self._field(var)
+        return max(map((_MASK << s).__and__, self._ints)) >> s
 
     def lowest_degree_in(self, var: str) -> int:
         """The least exponent of ``var`` over the terms; -1 if zero."""
         if not self._ints:
             return -1
-        i = self.vars.index(var)
-        return min(e[i] for e in self._ints)
+        s = self._field(var)
+        return min(map((_MASK << s).__and__, self._ints)) >> s
+
+    def _state_degree(self, state):
+        """Function from a key to its total degree in the state variables."""
+        shifts = [self._field(v) for v in state if v in self.vars]
+        return lambda e: sum([(e >> s) & _MASK for s in shifts])
 
     def degree_in_state(self, state=("x", "y")) -> int:
         """Total degree counting only the listed variables; -1 if zero."""
         if not self._ints:
             return -1
-        idx = [self.vars.index(v) for v in state if v in self.vars]
-        return max(sum(e[i] for i in idx) for e in self._ints)
+        return max(map(self._state_degree(state), self._ints))
 
     def variables_present(self) -> tuple:
-        present = [False] * len(self.vars)
-        for e in self._ints:
-            for i, p in enumerate(e):
-                if p:
-                    present[i] = True
-        return tuple(v for v, p in zip(self.vars, present) if p)
+        ks = _keys(len(self.vars))
+        seen = reduce(or_, self._ints, 0)
+        return tuple(v for i, v in enumerate(self.vars) if (seen >> ks.shift(i)) & _MASK)
 
     def coefficient(self, expo: Sequence[int]):
-        n = self._ints.get(tuple(expo))
+        n = self._ints.get(_keys(len(self.vars)).find(expo))
         return Rat(self._num * n, self._den) if n else _ZERO
 
     def __len__(self) -> int:
@@ -376,7 +496,7 @@ class MPoly:
                 return MPoly._of(self.vars, 1, 1, {})
             # Gauss's lemma: the integer product is primitive again
             return MPoly._of(self.vars, *_ratio_mul(self._num, self._den, other._num, other._den),
-                             _mul_ints(self._ints, other._ints))
+                             _mul_ints(self._ints, other._ints, _W * len(self.vars)))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         n = other.numerator
@@ -407,15 +527,42 @@ class MPoly:
 
     def diff(self, var: str) -> "MPoly":
         """Partial derivative with respect to ``var``."""
+        ks = _keys(len(self.vars))
         i = self.vars.index(var)
+        s, step = ks.shift(i), ks.var(i, 1)
         ints = {}
         for e, c in self._ints.items():
-            k = e[i]
+            k = (e >> s) & _MASK
             if k:
-                ints[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+                ints[e - step] = c * k
         return MPoly._reduced(self.vars, self._num, self._den, ints)
 
     # -- substitution and table management --------------------------------
+
+    def _moves(self, vs: tuple, skip=()) -> tuple:
+        """How keys over ``self.vars`` become keys over ``vs``: the shift of
+        the degree field in the old and in the new table, (mask, left shift)
+        and (mask, right shift) pairs that move each variable present and
+        not in ``skip`` to its slot in ``vs``, and (name, field mask) for
+        each such variable that ``vs`` lacks."""
+        old, new = _keys(len(self.vars)), _keys(len(vs))
+        seen = reduce(or_, self._ints, 0)
+        pos = {v: j for j, v in enumerate(vs)}
+        masks: dict = {}
+        missing = []
+        for i, v in enumerate(self.vars):
+            s = old.shift(i)
+            if v in skip or not (seen >> s) & _MASK:
+                continue
+            j = pos.get(v)
+            if j is None:
+                missing.append((v, _MASK << s))
+                continue
+            d = new.shift(j) - s
+            masks[d] = masks.get(d, 0) | (_MASK << s)
+        left = [(m, d) for d, m in masks.items() if d >= 0]
+        right = [(m, -d) for d, m in masks.items() if d < 0]
+        return old.top, new.top, left, right, missing
 
     def embed(self, vars: Sequence[str]) -> "MPoly":
         """Re-express over another table, which must contain every variable
@@ -423,20 +570,17 @@ class MPoly:
         vs = tuple(vars)
         if vs == self.vars:
             return self
-        n = len(vs)
-        pos = {v: j for j, v in enumerate(vs)}
-        posmap = [pos.get(v) for v in self.vars]
+        top, top2, left, right, missing = self._moves(vs)
+        if missing:
+            raise ValueError(f"variable {missing[0][0]} present; cannot re-express over {vs}")
         ints = {}
         for e, c in self._ints.items():
-            e2 = [0] * n
-            for i, k in enumerate(e):
-                if k:
-                    j = posmap[i]
-                    if j is None:
-                        raise ValueError(
-                            f"variable {self.vars[i]} present; cannot re-express over {vs}")
-                    e2[j] = k
-            ints[tuple(e2)] = c
+            k = (e >> top) << top2
+            for m, d in left:
+                k |= (e & m) << d
+            for m, d in right:
+                k |= (e & m) >> d
+            ints[k] = c
         return MPoly._of(vs, self._num, self._den, ints)
 
     def shift(self, var: str, k: int) -> "MPoly":
@@ -445,8 +589,14 @@ class MPoly:
         i = self.vars.index(var)
         if k < 0 and self.lowest_degree_in(var) < -k:
             raise ValueError(f"{var}^{-k} does not divide {self}")
+        ks = _keys(len(self.vars))
+        if k > 0 and self._ints:
+            d = (max(self._ints) >> ks.top) + k
+            if d >= _CAP:
+                _degree_limit(d)
+        step = ks.var(i, k)
         return MPoly._of(self.vars, self._num, self._den,
-                         {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in self._ints.items()})
+                         {e + step: c for e, c in self._ints.items()})
 
     def subs(self, bindings: Mapping[str, object], vars: Optional[Sequence[str]] = None) -> "MPoly":
         """Substitute values (scalars or MPoly over the target table) for variables.
@@ -457,10 +607,16 @@ class MPoly:
         if vars is None:
             vars = tuple(v for v in self.vars if v not in bindings)
         vs = tuple(vars)
-        # per slot of self: (value over vs, highest exponent in self) for a
-        # substituted variable, else its slot in vs (None when vs lacks it)
-        pos = {v: j for j, v in enumerate(vs)}
-        slots: list = []
+        old = _keys(len(self.vars))
+        top = _W * len(vs)
+        seen = reduce(or_, self._ints, 0)
+        # A value c*A (A primitive) to the power k is c^k * A^k, with A^k
+        # primitive.  Every term is brought over den = prod(c_den^h), h the
+        # highest exponent of the slot, so a term scales by the integer
+        # prod(c_num^k) * den / prod(c_den^k).  ``subst`` holds (slot, value
+        # over vs) for each substituted slot present in self, in table order.
+        den = 1
+        subst = []
         for i, name in enumerate(self.vars):
             if name in bindings:
                 val = bindings[name]
@@ -468,57 +624,71 @@ class MPoly:
                     val = MPoly.const(vs, val)
                 elif val.vars != vs:
                     val = val.embed(vs)
-                top = max((e[i] for e in self._ints), default=0)
-                slots.append((val, top))
-            else:
-                slots.append(pos.get(name))
-        # A value c*A (A primitive) to the power k is c^k * A^k, with A^k
-        # primitive.  Every term is brought over den = prod(c_den^top), so a
-        # term scales by the integer prod(c_num^k) * den / prod(c_den^k).
-        den = 1
-        for s in slots:
-            if isinstance(s, tuple):
-                den *= s[0]._den ** s[1]
+                s = old.shift(i)
+                if (seen >> s) & _MASK:
+                    if val._den != 1:
+                        den *= val._den ** (max(map((_MASK << s).__and__, self._ints)) >> s)
+                    subst.append((i, val))
+        top_old, _, left, right, missing = self._moves(vs, bindings)
+        smask = sum(_MASK << old.shift(i) for i, _ in subst)
         powers: dict = {}
+        # per substituted part of a key: the product of the values' primitive
+        # powers ({} when a value is zero), the integer the term scales by,
+        # and the degree the substituted variables took out of the key
+        combos: dict = {}
         acc: dict = {}
         get = acc.get
         for e, n in self._ints.items():
-            t = None
-            dk = 1
-            e2 = [0] * len(vs)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                s = slots[i]
-                if isinstance(s, tuple):
+            part = e & smask
+            combo = combos.get(part)
+            if combo is None:
+                expo = old.unpack(e)
+                t = None
+                f = dk = 1
+                dropped = 0
+                for i, val in subst:
+                    k = expo[i]
+                    if not k:
+                        continue
+                    dropped += k
                     key = (i, k)
                     pw = powers.get(key)
                     if pw is None:
-                        val = s[0]
                         pw = powers[key] = ((val ** k)._ints, val._num ** k, val._den ** k)
                     if not pw[0]:
+                        t = {}
                         break
-                    t = pw[0] if t is None else _mul_ints(t, pw[0])
-                    n *= pw[1]
+                    t = pw[0] if t is None else _mul_ints(t, pw[0], top)
+                    f *= pw[1]
                     dk *= pw[2]
-                elif s is None:
-                    raise ValueError(f"variable {self.vars[i]} present; not in {vs}")
-                else:
-                    e2[s] += k
-            else:  # no value was zero
                 if t is None:
-                    t = {(0,) * len(vs): 1}
-                n *= den // dk
-                shift = any(e2)
-                # the add-or-delete step of __add__, on one accumulator
-                for e3, c3 in t.items():
-                    if shift:
-                        e3 = tuple(map(add, e3, e2))
-                    v = get(e3, 0) + n * c3
-                    if v:
-                        acc[e3] = v
-                    elif e3 in acc:
-                        del acc[e3]
+                    t = {0: 1}
+                combo = combos[part] = (t, f * (den // dk), dropped)
+            t, f, dropped = combo
+            if not t:
+                continue
+            for name, m in missing:
+                if e & m:
+                    raise ValueError(f"variable {name} present; not in {vs}")
+            n *= f
+            # the kept variables of the term, moved to their slots in vs
+            shift = ((e >> top_old) - dropped) << top
+            for m, d in left:
+                shift |= (e & m) << d
+            for m, d in right:
+                shift |= (e & m) >> d
+            # the add-or-delete step of __add__, on one accumulator
+            for e3, c3 in t.items():
+                e3 += shift
+                v = get(e3, 0) + n * c3
+                if v:
+                    acc[e3] = v
+                elif e3 in acc:
+                    del acc[e3]
+        if acc:
+            d = max(acc) >> top
+            if d >= _CAP:
+                _degree_limit(d)
         return MPoly._reduced(vs, self._num, self._den * den, acc)
 
     def eval_float(self, point: Mapping[str, float]) -> float:
@@ -535,28 +705,31 @@ class MPoly:
 
     @staticmethod
     def _key(expo: tuple):
+        """Graded-lex sort key of an exponent tuple; the integer order of
+        packed keys is this order."""
         return (sum(expo), expo)
 
     def leading_monomial(self) -> tuple:
         if not self._ints:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self._ints, key=MPoly._key)
+        return _keys(len(self.vars)).unpack(max(self._ints))
 
     def leading_coefficient(self):
-        return Rat(self._num * self._ints[self.leading_monomial()], self._den)
+        return Rat(self._num * self._ints[max(self._ints)], self._den)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
         num, den = self._num, self._den
-        return [(e, Rat(num * n, den)) for e, n in
-                sorted(self._ints.items(), key=lambda t: MPoly._key(t[0]), reverse=True)]
+        unpack = _keys(len(self.vars)).unpack
+        return [(unpack(e), Rat(num * n, den)) for e, n in
+                sorted(self._ints.items(), reverse=True)]
 
     # -- pieces ------------------------------------------------------------
 
     def homogeneous_part(self, degree: int, state=("x", "y")) -> "MPoly":
         """The part whose total degree in the state variables equals ``degree``."""
-        idx = [self.vars.index(v) for v in state if v in self.vars]
-        ints = {e: c for e, c in self._ints.items() if sum(e[i] for i in idx) == degree}
+        deg = self._state_degree(state)
+        ints = {e: c for e, c in self._ints.items() if deg(e) == degree}
         return MPoly._reduced(self.vars, self._num, self._den, ints)
 
     def coefficients_in(self, var: str) -> dict:
@@ -567,14 +740,22 @@ class MPoly:
         """Group the terms by their exponents of ``names``: maps each exponent
         tuple (one entry per name) to its coefficient, a polynomial free of
         ``names`` over the same table."""
+        ks = _keys(len(self.vars))
         idx = [self.vars.index(v) for v in names]
-        out: dict = {}
+        mask = sum(_MASK << ks.shift(i) for i in idx)
+        # per part of a key in names: (its exponents of names, the terms
+        # with that part, the amount that takes the part out of a key)
+        groups: dict = {}
         for e, c in self._ints.items():
-            e2 = list(e)
-            for i in idx:
-                e2[i] = 0
-            out.setdefault(tuple([e[i] for i in idx]), {})[tuple(e2)] = c
-        return {k: MPoly._reduced(self.vars, self._num, self._den, t) for k, t in out.items()}
+            part = e & mask
+            g = groups.get(part)
+            if g is None:
+                expo = ks.unpack(part)
+                k = tuple([expo[i] for i in idx])
+                g = groups[part] = (k, {}, part + (sum(k) << ks.top))
+            g[1][e - g[2]] = c
+        return {k: MPoly._reduced(self.vars, self._num, self._den, t)
+                for k, t, _ in groups.values()}
 
     # -- exact division, content, gcd ---------------------------------------
 
@@ -591,38 +772,41 @@ class MPoly:
         # Both integer parts are primitive, so an exact quotient of them is
         # an integer polynomial (Gauss's lemma): a coefficient that does not
         # divide exactly already means the division is not exact.
-        lm = divisor.leading_monomial()
         ints = divisor._ints
+        lm = max(ints)
         lc = ints[lm]
         tail = [(de, dc) for de, dc in ints.items() if de != lm]
+        guard = _keys(len(self.vars)).guard
         rem = dict(self._ints)
-        # Max-heap of the remainder's monomials: the graded-lex key negated
-        # for heapq, then the monomial itself.  Entries are deleted lazily:
-        # one whose monomial has left ``rem`` is skipped when popped.  The
-        # order is compatible with multiplication, so every monomial pushed
-        # below sorts under the one just popped, and the terms leave in the
-        # order of a full rescan of ``rem``.
-        heap = [(-sum(e), tuple([-i for i in e]), e) for e in rem]
+        # Max-heap of the remainder's keys, negated for heapq.  Entries are
+        # deleted lazily: one whose monomial has left ``rem`` is skipped
+        # when popped.  The order is compatible with multiplication, so
+        # every key pushed below sorts under the one just popped, and the
+        # terms leave in the order of a full rescan of ``rem``.
+        heap = [-e for e in rem]
         heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
         qterms = {}
         while heap:
-            e = heapq.heappop(heap)[2]
+            e = -heappop(heap)
             c = rem.pop(e, None)
             if c is None:
                 continue
-            qe = tuple([i - j for i, j in zip(e, lm)])
-            if min(qe) < 0:
+            qe = e - lm
+            # lm divides e iff no field borrowed: a borrow sets a guard bit,
+            # or makes the difference negative
+            if qe < 0 or qe & guard:
                 return None
             qc, r = divmod(c, lc)
             if r:
                 return None
             qterms[qe] = qc
             for de, dc in tail:
-                te = tuple([i + j for i, j in zip(qe, de)])
+                te = qe + de
                 old = rem.get(te)
                 if old is None:
                     rem[te] = -(qc * dc)
-                    heapq.heappush(heap, (-sum(te), tuple([-i for i in te]), te))
+                    heappush(heap, -te)
                 else:
                     s = old - qc * dc
                     if s:
@@ -640,7 +824,7 @@ class MPoly:
         if self.is_zero:
             return self
         inv = Rat(self._den, self._num)
-        if self._ints[self.leading_monomial()] < 0:
+        if self._ints[max(self._ints)] < 0:
             inv = -inv
         return self * inv
 
@@ -741,9 +925,11 @@ def _content_primitive(p: MPoly, var: str):
 def _univariate_gcd(a: MPoly, b: MPoly, var: str) -> MPoly:
     """Euclidean gcd for polynomials in a single variable, on integer
     coefficients: each pseudo-remainder is made primitive."""
+    ks = _keys(len(a.vars))
     i = a.vars.index(var)
-    fa = {e[i]: c for e, c in a._ints.items()}
-    fb = {e[i]: c for e, c in b._ints.items()}
+    s = ks.shift(i)
+    fa = {(e >> s) & _MASK: c for e, c in a._ints.items()}
+    fb = {(e >> s) & _MASK: c for e, c in b._ints.items()}
     while fb:
         db = max(fb)
         lb = fb[db]
@@ -767,9 +953,7 @@ def _univariate_gcd(a: MPoly, b: MPoly, var: str) -> MPoly:
             if g != 1:
                 fa = {k: c // g for k, c in fa.items()}
         fa, fb = fb, fa
-    n = len(a.vars)
-    g = MPoly._of(a.vars, 1, 1, {tuple(k if j == i else 0 for j in range(n)): c
-                                 for k, c in fa.items()})
+    g = MPoly._of(a.vars, 1, 1, {ks.var(i, k): c for k, c in fa.items()})
     return g.primitive()
 
 
@@ -794,6 +978,7 @@ def _pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
     da, db = a.degree_in(var), b.degree_in(var)
     if da < db:
         return a
+    ks = _keys(len(a.vars))
     i = a.vars.index(var)
     b_coeffs = b.coefficients_in(var)
     lc_b = b_coeffs[db]
@@ -802,7 +987,7 @@ def _pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
         dr = r.degree_in(var)
         r_coeffs = r.coefficients_in(var)
         lc_r = r_coeffs[dr]
-        shift = MPoly.monomial(a.vars, tuple(dr - db if j == i else 0 for j in range(len(a.vars))))
+        shift = MPoly._of(a.vars, 1, 1, {ks.var(i, dr - db): 1})
         r = r * lc_b - b * (lc_r * shift)
         if r and len(r) > 8:
             c = r.content()

@@ -232,12 +232,6 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     return Trajectory(ts, ys, segments, status, nfev, steps, closest)
 
 
-def integrate_system(s: PlaneSystem, state0, t_span, rel_tol=1e-10, abs_tol=1e-12,
-                     **kw) -> Trajectory:
-    return integrate_adaptive(compile_system(s), state0, t_span,
-                              rel_tol=rel_tol, abs_tol=abs_tol, **kw)
-
-
 def _refine_crossing(seg: DenseSegment, gfun: Callable, tol: float = 1e-12) -> Tuple[float, State]:
     """Bisection for g(y(t)) = 0 over one dense segment; the bracket is
     shrunk until the crossing coordinate is within ``tol``."""

@@ -146,22 +146,6 @@ def pq_circle(p: int, q: int, rel_tol: float = CIRCLE_REL_TOL, abs_tol: float = 
     return PQCircle(p, q, hit.get("t", tau_formula), traj)
 
 
-def pq_trig(p: int, q: int, theta: float, circle: Optional[PQCircle] = None) -> Tuple[float, float]:
-    """(Cs(theta), Sn(theta)) by adaptive integration from the defining
-    initial condition."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    if circle is None:
-        circle = pq_circle(p, q)
-    return circle.cs_sn(theta)
-
-
-def measured_period(p: int, q: int, rel_tol: float = 1e-12) -> float:
-    """Return time of (Cs, Sn) to the initial point (oracle for the Gamma
-    formula)."""
-    return pq_circle(p, q, rel_tol=rel_tol).tau
-
-
 @functools.lru_cache(maxsize=16)
 def pq_sampler(p: int, q: int) -> Tuple[float, Callable[[float], Tuple[float, float]]]:
     """``(tau, at)`` for the weights (p, q): the period and the map t ->

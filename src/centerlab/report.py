@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from .mpoly import MPoly, Rat, merge_tables
+from .mpoly import MPoly
 from .ratfunc import RatFunc
 
 EPS_DISPLAY = "ε"
@@ -28,20 +28,6 @@ def poly_terms(p: MPoly) -> List[dict]:
     return out
 
 
-def poly_from_terms(terms: List[dict], vars=None) -> MPoly:
-    names = set()
-    for t in terms:
-        names.update(t["exponents"])
-    table = merge_tables(tuple(names)) if vars is None else tuple(vars)
-    d = {}
-    for t in terms:
-        e = [0] * len(table)
-        for v, k in t["exponents"].items():
-            e[table.index(v)] = k
-        d[tuple(e)] = Rat(t["coeff_num"], t["coeff_den"])
-    return MPoly(table, d)
-
-
 def display_str(obj) -> str:
     return str(obj).replace("eps", EPS_DISPLAY)
 
@@ -54,15 +40,6 @@ def ratfunc_entry(v: RatFunc, k: Optional[int], degree: int) -> dict:
         "den_terms": poly_terms(v.den),
         "canonical": display_str(v),
     }
-
-
-def ratfunc_from_entry(entry: dict) -> RatFunc:
-    names = set()
-    for t in entry["num_terms"] + entry["den_terms"]:
-        names.update(t["exponents"])
-    table = merge_tables(tuple(names))
-    return RatFunc(poly_from_terms(entry["num_terms"], table),
-                   poly_from_terms(entry["den_terms"], table))
 
 
 def condition_entry(eps_order: int, poly: MPoly, **extra) -> dict:

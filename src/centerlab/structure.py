@@ -19,21 +19,6 @@ def is_hamiltonian(s: PlaneSystem) -> bool:
     return (s.P.diff("x") + s.Q.diff("y")).is_zero
 
 
-def rotate_system(s: PlaneSystem, c, sn) -> PlaneSystem:
-    """Rotate coordinates by the angle with cosine c and sine sn (exact
-    rationals on the unit circle, e.g. (3/5, 4/5))."""
-    if Rat(c) ** 2 + Rat(sn) ** 2 != 1:
-        raise ValueError("(c, sn) must lie on the unit circle")
-    table = s.vars
-    x = MPoly.variable("x", table)
-    y = MPoly.variable("y", table)
-    X = x * c + y * sn
-    Y = x * (-Rat(sn)) + y * c
-    P = s.P.subs({"x": X, "y": Y}, table)
-    Q = s.Q.subs({"x": X, "y": Y}, table)
-    return PlaneSystem(P * c - Q * sn, P * sn + Q * c, s.params, s.assumptions)
-
-
 # -- time-reversibility -------------------------------------------------------
 
 

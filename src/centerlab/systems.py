@@ -165,14 +165,6 @@ def make_system(xdot: str, ydot: str, params: str = "") -> PlaneSystem:
 class HomogeneousDecomposition:
     parts: List[Tuple[int, MPoly, MPoly]]
 
-    def reassemble(self, vars) -> Tuple[MPoly, MPoly]:
-        P = MPoly.zero(vars)
-        Q = MPoly.zero(vars)
-        for _, pd, qd in self.parts:
-            P = P + pd
-            Q = Q + qd
-        return P, Q
-
 
 def homogeneous_parts(s: PlaneSystem) -> HomogeneousDecomposition:
     """Split (P, Q) into components homogeneous in x, y, degrees ascending."""

@@ -4,6 +4,7 @@ import pytest
 
 from centerlab.mpoly import MPoly, Rat
 from centerlab.parser import parse_expression, parse_polynomial
+from centerlab.qhomog import pq_circle
 from centerlab.systems import parse_system
 
 # benchmark families used across the suite
@@ -46,6 +47,12 @@ HOMOLOGICAL_LINEAR_PARTS = (
     "xdot = -eps*y; ydot = eps*x",
     "xdot = 5*y; ydot = -5*x",
 )
+
+
+def measured_period(p, q, rel_tol=1e-12):
+    """Return time of (Cs, Sn) to the initial point, measured by adaptive
+    integration (the oracle for the Gamma-function period formula)."""
+    return pq_circle(p, q, rel_tol=rel_tol).tau
 
 
 def sysfrom(text):

@@ -23,7 +23,6 @@ from centerlab.qhomog import (
     QHSignature,
     condition_ii_integral,
     detect_quasi_homogeneity,
-    measured_period,
     pq_circle,
     pq_period,
 )
@@ -56,6 +55,7 @@ from conftest import (
     NIL_REVERSIBLE_EPS,
     NIL_SEXTIC,
     NIL_SEXTIC_EPS,
+    measured_period,
     poly,
     random_poly,
     rf,

@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from centerlab.cli import main
-from centerlab.mpoly import MPoly
-from centerlab.report import poly_from_terms, ratfunc_from_entry
+from centerlab.mpoly import MPoly, Rat, merge_tables
+from centerlab.ratfunc import RatFunc
 
 from conftest import (
     DEG_FACTORED,
@@ -16,6 +16,32 @@ from conftest import (
     NIL_REVERSIBLE,
     rf,
 )
+
+
+def poly_from_terms(terms, vars=None):
+    """The polynomial of a JSON term list, over ``vars`` or the canonical
+    table of the variables it names."""
+    names = set()
+    for t in terms:
+        names.update(t["exponents"])
+    table = merge_tables(tuple(names)) if vars is None else tuple(vars)
+    d = {}
+    for t in terms:
+        e = [0] * len(table)
+        for v, k in t["exponents"].items():
+            e[table.index(v)] = k
+        d[tuple(e)] = Rat(t["coeff_num"], t["coeff_den"])
+    return MPoly(table, d)
+
+
+def ratfunc_from_entry(entry):
+    """The rational function of a JSON Liapunov-constant entry."""
+    names = set()
+    for t in entry["num_terms"] + entry["den_terms"]:
+        names.update(t["exponents"])
+    table = merge_tables(tuple(names))
+    return RatFunc(poly_from_terms(entry["num_terms"], table),
+                   poly_from_terms(entry["den_terms"], table))
 
 
 @pytest.fixture

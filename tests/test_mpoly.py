@@ -375,7 +375,8 @@ def _check_form(p):
     # one positive content in lowest terms times a primitive integer dict
     assert p._den > 0 and p._num > 0 and gcd(p._num, p._den) == 1
     assert all(type(c) is int and c for c in p._ints.values())
-    assert all(len(e) == len(p.vars) for e in p._ints)
+    assert all(type(e) is int for e in p._ints)
+    assert all(len(e) == len(p.vars) for e in p.terms)
     if p._ints:
         assert gcd(*p._ints.values()) == 1
     else:
@@ -610,7 +611,8 @@ def test_subs_matches_fraction_reference(rng):
 def test_constructor_normalises_content():
     p = MPoly(TAB, {(1, 0, 0): Rat(-4, 6), (0, 1, 0): 2, (0, 0, 1): Rat(0)})
     _check_form(p)
-    assert (p._num, p._den, p._ints) == (2, 3, {(1, 0, 0): -1, (0, 1, 0): 3})
+    assert (p._num, p._den, list(p._ints.values())) == (2, 3, [-1, 3])
+    assert list(p.terms) == [(1, 0, 0), (0, 1, 0)]
     assert p.content() == Rat(2, 3)
     assert MPoly.zero(TAB).content() == 0
     assert p.coefficient((0, 1, 0)) == 2 and p.coefficient((0, 0, 1)) == 0
@@ -679,3 +681,153 @@ def test_equal_polynomials_hash_equal(rng):
         assert {p: 1}.get(c) == 1
     assert {MPoly.const(TAB, 3): "three"}[3] == "three"
     assert hash(poly("x + 1", TAB)) != hash(poly("x + 2", TAB))
+
+
+# -- packed monomial keys -------------------------------------------------------
+#
+# The kernels run on one int per monomial; these tests reach the layout through
+# the private ``_keys`` and compare the kernels with tuple-keyed references.
+
+CAP = 2 ** 15  # exponents and total degrees stay below this
+
+
+def test_constructor_rejects_invalid_exponents():
+    for expo in ((-1, 2), (1.0, 0), (0, Rat(1)), (True, 0), (0, "1")):
+        with pytest.raises(ValueError):
+            MPoly(("x", "y"), {expo: 3})
+        with pytest.raises(ValueError):
+            MPoly(("x", "y"), {expo: 0})
+    with pytest.raises(ValueError):
+        MPoly.monomial(("x", "y"), (0, -1))
+    with pytest.raises(ValueError):
+        MPoly(("x", "y"), {(CAP - 1, 1): 1})
+    # a lookup with such a tuple finds nothing
+    p = poly("x + y", ("x", "y"))
+    assert p.coefficient((-1, 2)) == 0 and (1.0, 0) not in p.terms
+    assert p.coefficient((1, 0)) == 1 and (0, 1) in p.terms
+
+
+def test_packed_key_order_is_graded_lex_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from centerlab.mpoly import _keys
+
+    # up to 8 variables; entries up to 4000 keep every total degree under CAP
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 4000))
+    pairs = st.integers(0, 8).flatmap(
+        lambda n: st.tuples(*[st.tuples(*[entry] * n)] * 2))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(pairs)
+    def check(pair):
+        a, b = pair
+        ks = _keys(len(a))
+        ka, kb = ks.pack(a), ks.pack(b)
+        assert ks.unpack(ka) == a and ks.unpack(kb) == b
+        assert ka >= 0 and not ka & ks.guard
+        assert (ka < kb) == (MPoly._key(a) < MPoly._key(b))
+        assert (ka == kb) == (a == b)
+        # a product of monomials is one integer +
+        if sum(a) + sum(b) < CAP:
+            assert ka + kb == ks.pack(tuple(i + j for i, j in zip(a, b)))
+
+    check()
+
+
+def test_product_reaching_degree_limit_raises():
+    half = MPoly.monomial(TAB, (CAP // 2, 0, 0))
+    below = MPoly.monomial(TAB, (CAP // 2 - 1, 0, 0), 3)
+    assert (half * below).leading_monomial() == (CAP - 1, 0, 0)
+    for a, b in ((half, half), (half, MPoly.monomial(TAB, (0, CAP // 2, 0))),
+                 (half + 1, MPoly.monomial(TAB, (0, 0, CAP // 2)) - 1)):
+        with pytest.raises(EngineError):
+            a * b
+    with pytest.raises(EngineError):
+        half ** 2
+    with pytest.raises(EngineError):
+        half.shift("eps", CAP // 2)
+    with pytest.raises(EngineError):
+        (half * MPoly.variable("y", TAB)).subs({"y": half}, TAB)
+    assert half.shift("eps", CAP // 2 - 1).leading_monomial() == (CAP // 2, 0, CAP // 2 - 1)
+
+
+def test_try_div_borrow_cases_return_none():
+    x, y, eps = (MPoly.variable(v, TAB) for v in TAB)
+    cases = [
+        (x, y),                      # same degree, y field borrows from x
+        (x * y ** 2, y ** 3),        # x field is free, y field too small
+        (y, eps),
+        (x, eps),                    # the borrow runs through an empty y field
+        (x ** 2 * eps, x * eps ** 2),  # the divisor leads the dividend in eps only
+        (x ** 2 * eps + y, x * eps ** 2 + y ** 2),
+        (x * y ** 2, y ** 3 + x * eps),
+    ]
+    for p, d in cases:
+        assert p.try_div(d) is None, (p, d)
+        assert _ftry_div(p.terms, d.terms) is None
+    assert (x * y ** 3).try_div(y ** 3) == x
+
+
+def _shift_ref(a, i, k):
+    return {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in a.items()}
+
+
+def _coefficients_in_vars_ref(p, names):
+    idx = [p.vars.index(v) for v in names]
+    out = {}
+    for e, c in p.terms.items():
+        rest = tuple(0 if i in idx else k for i, k in enumerate(e))
+        out.setdefault(tuple(e[i] for i in idx), {})[rest] = c
+    return out
+
+
+def test_packed_kernels_match_tuple_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    table = ("x", "y", "eps", "a", "b")
+    coeff = st.builds(Rat, st.integers(-20, 20).filter(bool), st.integers(1, 6))
+    # small exponents, and large ones that fill more than a byte of a field
+    entry = st.one_of(st.integers(0, 3), st.integers(250, 300))
+    polys = st.dictionaries(st.tuples(*[entry] * len(table)), coeff, min_size=1,
+                            max_size=5).map(lambda terms: MPoly(table, terms))
+    names = st.lists(st.sampled_from(table), min_size=1, max_size=3, unique=True)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(polys, polys, names, st.integers(0, 4))
+    def check(p, q, vs, k):
+        _same(p * q, _fmul(p.terms, q.terms))
+        for dividend in (p * q, p * q + MPoly.variable("y", table), p):
+            if q.is_constant:
+                break
+            got, ref = dividend.try_div(q), _ftry_div(dividend.terms, q.terms)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                _same(got, ref)
+        for v in vs:
+            i = table.index(v)
+            _same(p.diff(v), _fdiff(p.terms, i))
+            _same(p.shift(v, k), _shift_ref(p.terms, i, k))
+            low = p.lowest_degree_in(v)
+            _same(p.shift(v, -low), _shift_ref(p.terms, i, -low))
+        parts = p.coefficients_in_vars(vs)
+        ref = _coefficients_in_vars_ref(p, vs)
+        assert list(parts) == list(ref)
+        for key in ref:
+            _same(parts[key], ref[key])
+        assert MPoly.from_coefficients(table, vs, parts).terms == p.terms
+        # "ab" lands between "a" and "b", so fields move both ways
+        wider = merge_tables(table, ("ab", "zeta"))
+        _same(p.embed(wider), _fembed(p, wider))
+        present = merge_tables(p.variables_present())
+        assert p.variables_present() == tuple(v for v in table if p.degree_in(v) > 0)
+        _same(p.embed(present), _fembed(p, present))
+        rest = tuple(v for v in table if v not in vs)
+        x0 = MPoly.monomial(rest, (1,) + (0,) * (len(rest) - 1), Rat(-2, 3)) if rest else 5
+        bindings = {v: (Rat(k - 2, 2) if j == 0 else x0) for j, v in enumerate(vs)}
+        _same(p.subs(bindings, rest), _fsubs(p, bindings, rest))
+        bindings = {v: (b.embed(table) if isinstance(b, MPoly) else b) for v, b in bindings.items()}
+        _same(p.subs(bindings, table), _fsubs(p, bindings, table))
+
+    check()

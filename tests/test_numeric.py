@@ -12,7 +12,6 @@ from centerlab.numeric import (
     classify_monodromic,
     compile_system,
     integrate_adaptive,
-    integrate_system,
     return_map,
 )
 from centerlab.systems import parse_system, substitute
@@ -20,6 +19,11 @@ from centerlab.systems import parse_system, substitute
 from conftest import DEG_FACTORED, HAM_QH, HOMOG_CUBIC, NIL_DARBOUX, NIL_REVERSIBLE, poly
 
 import test_qhomog
+
+
+def integrate_system(s, state0, t_span, rel_tol=1e-10, abs_tol=1e-12, **kw):
+    return integrate_adaptive(compile_system(s), state0, t_span,
+                              rel_tol=rel_tol, abs_tol=abs_tol, **kw)
 
 
 def test_circle_returns_after_two_pi():

@@ -12,15 +12,13 @@ from centerlab.qhomog import (
     condition_i_no_real_factors,
     condition_ii_integral,
     detect_quasi_homogeneity,
-    measured_period,
     pq_circle,
     pq_period,
-    pq_trig,
     qh_signature,
 )
 from centerlab.systems import parse_system, substitute
 
-from conftest import HAM_QH, HAM_QH_EPS, HOMOG_CUBIC, poly
+from conftest import HAM_QH, HAM_QH_EPS, HOMOG_CUBIC, measured_period, poly
 
 SIG11 = QHSignature(1, 1, 3)
 SIG238 = QHSignature(2, 3, 8)
@@ -117,7 +115,7 @@ def test_classical_case_matches_cos_sin():
 
 def test_initial_condition():
     for p, q in ((1, 1), (2, 3), (3, 2), (1, 2)):
-        cs, sn = pq_trig(p, q, 0.0, circle=pq_circle(p, q))
+        cs, sn = pq_circle(p, q).cs_sn(0.0)
         assert abs(cs - p ** (-1 / (2 * q))) < 1e-14
         assert sn == 0.0
 

@@ -92,3 +92,68 @@ def test_polynomial_representation_private_to_mpoly():
             elif isinstance(node, ast.Constant) and node.value in private:
                 found.append(f"{path.name}:{node.lineno}:{node.value!r}")
     assert found == []
+
+
+def _mpoly_private_reads(source):
+    """``file:line:name`` for each underscore name (not a dunder) that the
+    module source imports from ``centerlab.mpoly``, or reads as an attribute
+    of that module or of a name imported from it, or passes to
+    getattr/setattr/hasattr on such a name."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("centerlab.mpoly", "mpoly") and node.level in (0, 1):
+                for alias in node.names:
+                    if private(alias.name):
+                        found.append(f"{node.lineno}:{alias.name}")
+                    bound.add(alias.asname or alias.name)
+            elif node.module in ("centerlab", None):
+                bound.update(alias.asname or alias.name for alias in node.names
+                             if alias.name == "mpoly")
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == "centerlab.mpoly")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and dotted(node.value) in bound):
+            found.append(f"{node.lineno}:{node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "hasattr") and len(node.args) > 1
+              and dotted(node.args[0]) in bound and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str) and private(node.args[1].value)):
+            found.append(f"{node.lineno}:{node.args[1].value}")
+    return found
+
+
+def test_mpoly_private_names_read_only_by_mpoly():
+    # the packed monomial keys (their layout, the pack/unpack helpers, the
+    # field width and guard bits) and mpoly's other private helpers stay
+    # inside mpoly.py; every other module goes through the tuple edge
+    caught = [
+        "from .mpoly import MPoly, _keys\n",
+        "from centerlab.mpoly import _CAP as cap\n",
+        "from . import mpoly\nmpoly._W\n",
+        "import centerlab.mpoly\ncenterlab.mpoly._MASK\n",
+        "import centerlab.mpoly as m\nm._keys(3)\n",
+        "from .mpoly import MPoly\nMPoly._of((), 1, 1, {})\n",
+        "from .mpoly import MPoly as P\ngetattr(P, '_reduced')\n",
+    ]
+    assert all(_mpoly_private_reads(src) for src in caught)
+    assert _mpoly_private_reads("from .mpoly import MPoly\nMPoly.__mul__\nMPoly.zero(())\n") == []
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name != "mpoly.py":
+            found += [f"{path.name}:{hit}" for hit in _mpoly_private_reads(path.read_text())]
+    assert found == []

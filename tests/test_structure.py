@@ -12,10 +12,9 @@ from centerlab.structure import (
     characteristic_directions,
     is_hamiltonian,
     reversibility_conditions,
-    rotate_system,
     verify_darboux_integral,
 )
-from centerlab.systems import parse_system, substitute
+from centerlab.systems import PlaneSystem, parse_system, substitute
 
 from conftest import (
     DEG_FACTORED,
@@ -28,6 +27,21 @@ from conftest import (
     random_poly,
     rf,
 )
+
+
+def rotate_system(s, c, sn):
+    """Rotate coordinates by the angle with cosine c and sine sn (exact
+    rationals on the unit circle, e.g. (3/5, 4/5))."""
+    if Rat(c) ** 2 + Rat(sn) ** 2 != 1:
+        raise ValueError("(c, sn) must lie on the unit circle")
+    table = s.vars
+    x = MPoly.variable("x", table)
+    y = MPoly.variable("y", table)
+    X = x * c + y * sn
+    Y = x * (-Rat(sn)) + y * c
+    P = s.P.subs({"x": X, "y": Y}, table)
+    Q = s.Q.subs({"x": X, "y": Y}, table)
+    return PlaneSystem(P * c - Q * sn, P * sn + Q * c, s.params, s.assumptions)
 
 
 # -- Hamiltonian test ----------------------------------------------------------

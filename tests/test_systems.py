@@ -1,6 +1,6 @@
 import pytest
 
-from centerlab.mpoly import Rat
+from centerlab.mpoly import MPoly, Rat
 from centerlab.systems import (
     ClassificationError,
     PlaneSystem,
@@ -52,11 +52,19 @@ def test_unsupported_linear_parts_rejected_by_engines(text):
         compute_liapunov_constants(s, 4)
 
 
+def reassemble(dec, vars):
+    """(P, Q) summed back from their homogeneous parts."""
+    P = Q = MPoly.zero(vars)
+    for _, pd, qd in dec.parts:
+        P, Q = P + pd, Q + qd
+    return P, Q
+
+
 def test_homogeneous_parts_of_factored_family():
     s = parse_system(DEG_FACTORED)
     dec = homogeneous_parts(s)
     assert [d for d, _, _ in dec.parts] == [3, 4]
-    P, Q = dec.reassemble(s.vars)
+    P, Q = reassemble(dec, s.vars)
     assert P == s.P and Q == s.Q
 
 
@@ -78,7 +86,7 @@ def test_reassembly_random(rng):
         except ClassificationError:
             continue
         dec = homogeneous_parts(s)
-        P2, Q2 = dec.reassemble(s.vars)
+        P2, Q2 = reassemble(dec, s.vars)
         assert P2 == s.P and Q2 == s.Q
         assert all((pd.homogeneous_part(d) == pd) and (qd.homogeneous_part(d) == qd)
                    for d, pd, qd in dec.parts)
