@@ -32,7 +32,6 @@ from .qhomog import classify_qh_center, detect_quasi_homogeneity, qh_signature
 from .report import condition_entry, display_str, poly_terms, ratfunc_entry, to_json
 from .structure import (
     DarbouxExpr,
-    characteristic_directions,
     is_hamiltonian,
     reversibility_conditions,
     verify_darboux_integral,

@@ -9,9 +9,13 @@ that the derivative of H along the flow is a combination of powers of
 splits into two bidiagonal recurrences, solved by one sweep each.  At even
 degrees the obstruction coefficient V is the unique value making the
 degree-n equation solvable; the kernel ambiguity in H_n is fixed by forcing
-the y^n coefficient to zero.  All arithmetic is exact; the denominators of
-the H_n and of the V's are polynomials in eps only, which lets the one degree
-loop, :class:`DegreePass`, specialise parameters between degrees.
+the y^n coefficient to zero.  All arithmetic is exact.  The solve at degree n
+divides by the eps-only f_n = mu^h*sigma^h*Delta_n (h = ceil(n/2)) that it
+forms itself, so the one degree loop, :class:`DegreePass`, keeps H_n as a
+numerator over the chain f_3*...*f_n: common denominators are products, no
+gcd runs per degree, and parameters can be specialised between degrees.
+Only the values that leave the loop (each V, a report's H table) are reduced
+to a :class:`RatFunc`.
 """
 
 from __future__ import annotations
@@ -95,10 +99,6 @@ class LiapunovReport:
         return not self.indexed
 
 
-def _state_indices(vars) -> Tuple[int, int]:
-    return vars.index("x"), vars.index("y")
-
-
 def _xy_coefficients(p: MPoly, n: int) -> Dict[int, MPoly]:
     """Decompose an x,y-homogeneous polynomial of degree n: maps t to the
     (x,y)-free coefficient of x^(n-t) y^t."""
@@ -110,35 +110,23 @@ def _xy_coefficients(p: MPoly, n: int) -> Dict[int, MPoly]:
     return out
 
 
-def _from_xy_coefficients(vars, coeffs: Dict[int, MPoly], n: int) -> MPoly:
-    """Inverse of :func:`_xy_coefficients`: the sum of coeffs[t] * x^(n-t) y^t."""
-    return MPoly.from_coefficients(vars, ("x", "y"), {(n - t, t): c for t, c in coeffs.items()})
-
-
 def _monomial_xy(vars, i: int, j: int) -> MPoly:
-    ix, iy = _state_indices(vars)
-    e = [0] * len(vars)
-    e[ix] = i
-    e[iy] = j
-    return MPoly.monomial(vars, e)
+    return MPoly.variable("x", vars) ** i * MPoly.variable("y", vars) ** j
 
 
 def _circle_power(vars, half: int) -> MPoly:
     """(x^2 + y^2)^half."""
-    acc = MPoly.zero(vars)
-    for k in range(half + 1):
-        acc = acc + _monomial_xy(vars, 2 * (half - k), 2 * k) * comb(half, k)
-    return acc
+    return (_monomial_xy(vars, 2, 0) + _monomial_xy(vars, 0, 2)) ** half
 
 
-def _seed(system: PlaneSystem) -> RatFunc:
+def _seed(system: PlaneSystem) -> MPoly:
     """H_2 = (x^2+y^2)/2, with the x^2 weighted by the perturbation factor for
     a perturbed-nilpotent linear part."""
     vars = system.vars
     x2 = _monomial_xy(vars, 2, 0)
     if system.linear_class == PERTURBED_NILPOTENT:
         x2 = x2 * system.eps_factor
-    return RatFunc(x2 + _monomial_xy(vars, 0, 2), MPoly.const(vars, 2))
+    return (x2 + _monomial_xy(vars, 0, 2)) * Rat(1, 2)
 
 
 def _linear_scalars(system: PlaneSystem) -> Tuple[MPoly, MPoly]:
@@ -153,8 +141,8 @@ def solve_homological_step(system: PlaneSystem, residual: MPoly,
     """Solve L(H_n) = -residual (+ V*(x^2+y^2)^(n/2) at even n).
 
     ``residual`` must be x,y-homogeneous; returns (H_n, V) with H_n a
-    rational-function pair (numerator over an eps-only denominator) and V a
-    RatFunc for even n, None for odd n.
+    RatFunc over an eps-only denominator and V a RatFunc for even n, None for
+    odd n.
     """
     if system.linear_class not in SUPPORTED_CLASSES:
         raise ClassificationError(f"unsupported linear class {system.linear_class!r}")
@@ -163,7 +151,8 @@ def solve_homological_step(system: PlaneSystem, residual: MPoly,
         if degree < 0:
             raise ValueError("degree required for a zero residual")
     sigma, mu = _linear_scalars(system)
-    return _solve_degree(sigma, mu, degree, residual, MPoly.const(system.vars, 1))
+    H_num, f, V = _solve_degree(sigma, mu, degree, residual, MPoly.const(system.vars, 1))
+    return RatFunc(H_num, f), V
 
 
 def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
@@ -181,7 +170,8 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
     rows fix the even coefficients in a backward sweep from h_n = 0 (the
     kernel rule) at even n, or h_(n+1) = 0 at odd n.
 
-    Returns (H_n as RatFunc, V as RatFunc or None)."""
+    Returns (H_num, f_n, V): H_n = H_num / (f_n * R_den) with the eps-only
+    f_n = mu^half * sigma^half * Delta_n, and V a RatFunc (None at odd n)."""
     vars = R_num.vars
     zero = MPoly.zero(vars)
     r = _xy_coefficients(R_num, n) if R_num else {}
@@ -234,17 +224,18 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
         g = (mu * (s + 1) * g - sigma_pow[j - 1] * r.get(s, zero)) * Rat(1, n - s + 1)
         coeffs[top - 2 * j] = g * (sigma_pow[half - j] * even_scale)
 
-    H_num = _from_xy_coefficients(vars, coeffs, n)
-    return RatFunc(H_num, mu_pow[half] * sigma_pow[half] * delta * R_den), V
+    H_num = MPoly.from_coefficients(vars, ("x", "y"), {(n - t, t): c for t, c in coeffs.items()})
+    return H_num, mu_pow[half] * sigma_pow[half] * delta, V
 
 
 class DegreePass:
     """One pass over degrees 3..``max_even_degree``: iterating solves each
-    degree n once into the table ``H`` (degree -> H_n) and yields (n, V) at
-    every even n.  Between yields the consumer may :meth:`specialise`
-    parameters.  sigma and mu carry no parameters and every denominator is
-    eps-only, so H_k of the specialised family is the specialised H_k: the
-    stored table is re-expressed, not recomputed.
+    degree n once into the table ``H`` (degree -> (num_n, f_n)) and yields
+    (n, V) at every even n.  H_n is num_n over the chain f_2*...*f_n, with
+    f_2 = 1 and f_n the eps-only factor of the degree-n solve.  Between
+    yields the consumer may :meth:`specialise` parameters.  sigma and mu
+    carry no parameters, so H_k of the specialised family is the specialised
+    H_k: the stored table is re-expressed, not recomputed.
     """
 
     def __init__(self, system: PlaneSystem, max_even_degree: int):
@@ -260,7 +251,8 @@ class DegreePass:
         self.convention = ConventionRecord(
             seed=("(mu*x^2+y^2)/2 with mu = " + str(system.eps_factor)
                   if system.linear_class == PERTURBED_NILPOTENT else "(x^2+y^2)/2"))
-        self.H: Dict[int, RatFunc] = {2: _seed(system)}
+        self.H: Dict[int, Tuple[MPoly, MPoly]] = {
+            2: (_seed(system), MPoly.const(system.vars, 1))}
         self._use(system)
 
     def _use(self, system: PlaneSystem) -> None:
@@ -269,35 +261,57 @@ class DegreePass:
         self._parts = system.nonlinear_parts()
 
     def specialise(self, bindings: Mapping[str, MPoly]) -> None:
-        """Substitute ``bindings`` into the family and into every stored H_k."""
+        """Substitute ``bindings`` into the family and into every stored
+        numerator.  The f_k are eps-only and stay; the factor F_j of f_j
+        prime to eps is dropped where the bindings make it divide every
+        numerator from num_j on, which happens where they make V_j vanish."""
         self._use(substitute(self.system, bindings))
         vars = self.system.vars
-        self.H = {k: h.subs(bindings, vars) for k, h in self.H.items()}
+        nums = {k: num.subs(bindings, vars) for k, (num, _) in self.H.items()}
+        fs = {k: f.embed(vars) for k, (_, f) in self.H.items()}
+        for j, f in list(fs.items()):
+            F = f if f.is_constant else f.shift("eps", -f.lowest_degree_in("eps"))
+            if F.is_constant:
+                continue
+            quotients = {}
+            for k in range(j, max(nums) + 1):
+                quotients[k] = nums[k].try_div(F)
+                if quotients[k] is None:
+                    break
+            else:
+                nums.update(quotients)
+                fs[j] = f.try_div(F)
+        self.H = {k: (nums[k], fs[k]) for k in nums}
+
+    def h_table(self) -> Dict[int, RatFunc]:
+        """The stored H_k, each reduced over its chain denominator."""
+        chain = MPoly.const(self.system.vars, 1)
+        table = {}
+        for k, (num, f) in self.H.items():
+            chain = chain * f
+            table[k] = RatFunc(num, chain)
+        return table
 
     def __iter__(self) -> Iterator[Tuple[int, RatFunc]]:
         for n in range(3, self.max_even_degree + 1):
-            H_n, V = _solve_degree(self._sigma, self._mu, n, *self._residual(n))
-            self.H[n] = H_n
+            H_num, f, V = _solve_degree(self._sigma, self._mu, n, *self._residual(n))
+            self.H[n] = (H_num, f)
             if V is not None:
                 yield n, V
 
     def _residual(self, n: int) -> Tuple[MPoly, MPoly]:
         """The degree-n part of the Lie derivative of H_2 + ... + H_(n-1)
-        along the nonlinear terms, as (numerator, eps-only denominator)."""
+        along the nonlinear terms, as (numerator, chain f_2*...*f_(n-1)).
+        Horner's rule over the chain: acc <- acc*f_k + grad(num_k).(P, Q)_(n+1-k)."""
         vars = self.system.vars
-        D = MPoly.const(vars, 1)
-        pieces = []
-        for k, h in self.H.items():
+        acc = MPoly.zero(vars)
+        chain = MPoly.const(vars, 1)
+        for k, (num, f) in self.H.items():
+            acc, chain = acc * f, chain * f
             if n + 1 - k in self._parts:
                 pd, qd = self._parts[n + 1 - k]
-                piece = h.num.diff("x") * pd + h.num.diff("y") * qd
-                if piece:
-                    pieces.append((piece, h.den))
-                    D = poly_lcm(D, h.den)
-        R_num = MPoly.zero(vars)
-        for piece, dk in pieces:
-            R_num = R_num + piece * D.try_div(dk)
-        return R_num, D
+                acc = acc + num.diff("x") * pd + num.diff("y") * qd
+        return acc, chain
 
 
 def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int) -> LiapunovReport:
@@ -314,7 +328,7 @@ def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int) -> Lia
         system=system,
         max_even_degree=max_even_degree,
         convention=run.convention,
-        h_table=run.H,
+        h_table=run.h_table(),
         constants=constants,
         warnings=[
             "no obstruction up to the truncation degree is evidence, not a "

@@ -873,9 +873,10 @@ def merge_tables(*tables: Sequence[str]) -> tuple:
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Greatest common divisor, primitive with positive leading coefficient.
 
-    Univariate pairs use a monic Euclidean sequence; otherwise content
-    extraction plus a primitive pseudo-remainder sequence on the first table
-    variable present in either argument.
+    When one argument involves a single variable the gcd is built from
+    univariate gcds (:func:`_single_var_gcd`); otherwise content extraction
+    plus a primitive pseudo-remainder sequence on the first table variable
+    present in either argument.
     """
     a._check(b)
     if a.is_zero:
@@ -884,9 +885,10 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
         return a.primitive()
     if a.is_constant or b.is_constant:
         return MPoly.const(a.vars, 1)
-    present = set(a.variables_present()) | set(b.variables_present())
-    if len(present) == 1:
-        return _univariate_gcd(a, b, next(iter(present)))
+    pa, pb = a.variables_present(), b.variables_present()
+    if len(pa) == 1 or len(pb) == 1:
+        return _single_var_gcd(a, b, pa[0]) if len(pa) == 1 else _single_var_gcd(b, a, pb[0])
+    present = set(pa) | set(pb)
     var = next(v for v in a.vars if v in present)
     if a.degree_in(var) == 0 or b.degree_in(var) == 0:
         # One argument is free of the main variable: the gcd divides the
@@ -899,6 +901,25 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     cg = poly_gcd(ca, cb)
     g = _primitive_prs(pa, pb, var)
     return (cg * g).primitive()
+
+
+def _single_var_gcd(u: MPoly, other: MPoly, var: str) -> MPoly:
+    """gcd of ``u``, which involves ``var`` alone, with ``other``.  ``var`` is
+    irreducible, so the gcd is ``var^min(v(u), v(other))``, with ``v`` the
+    lowest exponent of ``var``, times the gcd of ``u / var^v(u)`` with every
+    univariate slice of ``other``, taken shortest first until it is constant;
+    an eps-power denominator needs no gcd kernel at all."""
+    low = min(u.lowest_degree_in(var), other.lowest_degree_in(var))
+    g = u.shift(var, -u.lowest_degree_in(var))
+    if not g.is_constant:
+        others = [v for v in u.vars if v != var]
+        for piece in sorted(other.coefficients_in_vars(others).values(), key=len):
+            g = _univariate_gcd(g, piece, var)
+            if g.is_constant:
+                break
+    if g.is_constant:
+        g = MPoly.const(u.vars, 1)
+    return g.shift(var, low)
 
 
 def _coeff_gcd(polys) -> MPoly:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .mpoly import MPoly, Rat, merge_tables
+from .mpoly import MPoly, merge_tables
 from .ratfunc import RatFunc
 
 RESERVED = ("x", "y", "eps")

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import sylvester_resultant
 from .liapunov import ConventionRecord, DegreePass
-from .mpoly import EngineError, MPoly, Rat, merge_tables, poly_gcd
+from .mpoly import MPoly, Rat, merge_tables, poly_gcd
 from .numeric import compile_system
 from .ratfunc import RatFunc, laurent_expand_eps
 from .realroots import isolate_real_roots, refine_to_float
@@ -155,36 +155,29 @@ class Condition:
         return f"{self.poly} = 0"
 
 
-_REDUCE_PASSES = 1000
-
-
 def _reduce_modulo(poly: MPoly, conditions: Sequence[MPoly]) -> MPoly:
-    """Multivariate reduction of ``poly`` by the leading terms of the
-    conditions (graded lex).  Repeats until no term is divisible."""
-    if poly.is_zero or not conditions:
+    """Remainder of ``poly`` on division by the conditions (graded lex): the
+    leading term of what is left is cancelled by the first condition whose
+    leading monomial divides it, or else moved to the remainder.  Each step
+    removes the leading term and adds only smaller ones, and graded-lex
+    order is a well-order, so the loop ends."""
+    divisors = [(c.leading_monomial(), c.leading_coefficient(), c)
+                for c in conditions if not c.is_zero]
+    if not divisors:
         return poly
-    for _ in range(_REDUCE_PASSES):
-        changed = False
-        for c in conditions:
-            if c.is_zero:
-                continue
-            lm = c.leading_monomial()
-            lc = c.terms[lm]
-            for e in list(poly.terms):
-                q = tuple(i - j for i, j in zip(e, lm))
-                if any(k < 0 for k in q):
-                    continue
-                coeff = poly.terms[e] / lc
-                poly = poly - c * (coeff * MPoly.monomial(poly.vars, q))
-                changed = True
+    vars = poly.vars
+    rem = MPoly.zero(vars)
+    while poly:
+        lm, lc = poly.leading_monomial(), poly.leading_coefficient()
+        for dm, dc, c in divisors:
+            q = tuple(i - j for i, j in zip(lm, dm))
+            if min(q) >= 0:
+                poly = poly - c * MPoly.monomial(vars, q, lc / dc)
                 break
-            if poly.is_zero:
-                return poly
-        if not changed:
-            return poly
-    # graded-lex reduction terminates, so running out of passes is a fault
-    raise EngineError(f"reduction modulo the conditions did not terminate "
-                      f"after {_REDUCE_PASSES} passes")
+        else:
+            lead = MPoly.monomial(vars, lm, lc)
+            rem, poly = rem + lead, poly - lead
+    return rem
 
 
 def _linear_solve_for(poly: MPoly, names: Sequence[str]) -> Optional[Tuple[str, MPoly]]:

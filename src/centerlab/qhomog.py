@@ -44,39 +44,33 @@ class QHSignature:
         return f"({self.p},{self.q})-quasi-homogeneous of weight degree {self.m}"
 
 
-def _weight_degree(poly: MPoly, p: int, q: int) -> Optional[int]:
-    """The common (p,q)-weight of all monomials, or None if mixed."""
-    if poly.is_zero:
+def _xy_exponents(s: PlaneSystem) -> set:
+    """(i, j, 0) for each monomial x^i y^j of P and (i, j, 1) for each of Q."""
+    ix, iy = s.vars.index("x"), s.vars.index("y")
+    return {(e[ix], e[iy], c) for c, poly in enumerate((s.P, s.Q)) for e in poly.terms}
+
+
+def _signature(exponents: set, p: int, q: int) -> Optional[QHSignature]:
+    """P has weight degree p-1+m and Q has q-1+m: every monomial gives m."""
+    ms = {p * i + q * j - (q if c else p) + 1 for i, j, c in exponents}
+    if len(ms) != 1:
         return None
-    ix = poly.vars.index("x")
-    iy = poly.vars.index("y")
-    weights = {p * e[ix] + q * e[iy] for e in poly.terms}
-    return weights.pop() if len(weights) == 1 else -1
+    m = ms.pop()
+    return QHSignature(p, q, m) if m >= 0 else None
 
 
 def qh_signature(s: PlaneSystem, p: int, q: int) -> Optional[QHSignature]:
     """The signature for the weights (p, q), or None when P and Q are not
     (p,q)-quasi-homogeneous of one weight degree m >= 0."""
-    wp = _weight_degree(s.P, p, q)
-    wq = _weight_degree(s.Q, p, q)
-    if wp == -1 or wq == -1:
-        return None
-    m_candidates = set()
-    if wp is not None:
-        m_candidates.add(wp - (p - 1))
-    if wq is not None:
-        m_candidates.add(wq - (q - 1))
-    if len(m_candidates) != 1:
-        return None
-    m = m_candidates.pop()
-    return QHSignature(p, q, m) if m >= 0 else None
+    return _signature(_xy_exponents(s), p, q)
 
 
 def detect_quasi_homogeneity(s: PlaneSystem, search_bound: int = 10) -> List[QHSignature]:
     """All coprime (p, q) up to the bound making the system quasi-homogeneous."""
     if s.P.is_zero and s.Q.is_zero:
         raise ValueError("zero vector field")
-    sigs = (qh_signature(s, p, q) for p in range(1, search_bound + 1)
+    exponents = _xy_exponents(s)
+    sigs = (_signature(exponents, p, q) for p in range(1, search_bound + 1)
             for q in range(1, search_bound + 1) if gcd(p, q) == 1)
     return [sig for sig in sigs if sig is not None]
 

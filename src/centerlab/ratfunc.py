@@ -1,4 +1,11 @@
-"""Reduced rational functions and Laurent expansion around eps = 0."""
+"""Reduced rational functions and Laurent expansion around eps = 0.
+
+A :class:`RatFunc` is reduced when it is built, on one path: one
+``poly_gcd`` of numerator and denominator and two exact divisions, checked.
+The degree loop keeps its own numerators over known eps-only denominators
+(see :class:`centerlab.liapunov.DegreePass`), so gcds run only on the values
+that leave it (each V and the Laurent coefficients) and on parsed input.
+"""
 
 from __future__ import annotations
 
@@ -28,16 +35,11 @@ class RatFunc:
             self.num = num
             self.den = MPoly.const(num.vars, 1)
             return
-        pv = den.variables_present()
-        if len(pv) == 1:
-            # any common factor divides the denominator, hence involves only
-            # its single variable: reduce with univariate gcds only
-            num, den = _single_var_reduce(num, den, pv[0])
-        elif pv:
-            g = poly_gcd(num, den)
-            if not g.is_constant:
-                num = num.try_div(g)
-                den = den.try_div(g)
+        g = poly_gcd(num, den)
+        if not g.is_constant:
+            num, den = num.try_div(g), den.try_div(g)
+            if num is None or den is None:
+                raise EngineError("the gcd does not divide numerator and denominator exactly")
         # scale so den is integer-primitive with positive leading coefficient:
         # a scalar product changes only the content (and negates on a sign)
         c = den.content()
@@ -169,32 +171,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-
-def _single_var_reduce(num: MPoly, den: MPoly, var: str):
-    """Cancel the common factor of a pair whose denominator involves a single
-    variable.  ``var`` is irreducible, so the gcd is ``var^min(v(num), v(den))``,
-    with ``v`` the lowest exponent of ``var``, times the gcd of ``num`` and
-    ``den / var^v(den)``.  Only that second factor needs gcds (over univariate
-    slices of the numerator), and none when the cofactor is constant."""
-    vd = den.lowest_degree_in(var)
-    g = den.shift(var, -vd)
-    if not g.is_constant:
-        others = [v for v in num.vars if v != var]
-        for slice_poly in num.coefficients_in_vars(others).values():
-            g = poly_gcd(g, slice_poly)
-            if g.is_constant:
-                break
-    if g.is_constant:
-        g = MPoly.const(num.vars, 1)
-    g = g.shift(var, min(vd, num.lowest_degree_in(var)))
-    if not g.is_constant:
-        num2 = num.try_div(g)
-        den2 = den.try_div(g)
-        if num2 is None or den2 is None:
-            raise EngineError(f"gcd in {var} does not divide numerator and denominator exactly")
-        return num2, den2
-    return num, den
 
 
 @dataclass

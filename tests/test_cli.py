@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from centerlab import ratfunc
 from centerlab.cli import main
-from centerlab.mpoly import MPoly, Rat, merge_tables
+from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables
 from centerlab.ratfunc import RatFunc
 
 from conftest import (
@@ -178,6 +179,24 @@ def test_exit_code_engine_fault_on_zero_division(sysfile, capsys, monkeypatch):
     assert rc == 4
     assert captured.out == ""
     assert captured.err == "engine fault: division by zero polynomial\n"
+
+
+def test_exit_code_engine_fault_on_gcd_that_does_not_divide(sysfile, capsys, monkeypatch):
+    # a gcd that does not divide both parts is an engine fault, raised as
+    # EngineError by RatFunc and mapped to exit 4, not an AttributeError
+    def planted(a, b):
+        return MPoly.variable("x", a.vars) + 1
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", planted)
+    table = ("x", "y")
+    with pytest.raises(EngineError):
+        RatFunc(MPoly.variable("y", table), MPoly.variable("x", table))
+    rc = main(["liapunov", sysfile(NIL_CUBIC_AB), "--perturb", "minimal",
+               "--max-degree", "4", "--no-timings"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("engine fault: ") and captured.err.count("\n") == 1
 
 
 def test_deterministic_output(sysfile, capsys):

@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from centerlab.liapunov import compute_liapunov_constants
-from centerlab import liapunov, perturb
-from centerlab.mpoly import EngineError, MPoly
+from centerlab import liapunov, mpoly, perturb, ratfunc
+from centerlab.mpoly import MPoly
 from centerlab.perturb import (
     ALL_ORDERS,
     FIRST_ORDER,
@@ -238,14 +239,18 @@ def test_vanishing_singularities_linear_family_passes():
     assert all(s.distance is None for s in r.samples)
 
 
-def test_reduce_modulo_out_of_passes_is_an_engine_fault(monkeypatch):
-    # reducing a^3 by a - b takes three passes (a^3 -> a^2*b -> a*b^2 -> b^3)
+def test_reduce_modulo_long_reduction_terminates():
+    # reducing a^3 by a - b takes three steps (a^3 -> a^2*b -> a*b^2 -> b^3);
+    # a reduction of 1001 steps is no fault either
     table = ("x", "y", "eps", "a", "b")
     target, cond = poly("a^3", table), poly("a - b", table)
     assert perturb._reduce_modulo(target, [cond]) == poly("b^3", table)
-    monkeypatch.setattr(perturb, "_REDUCE_PASSES", 2)
-    with pytest.raises(EngineError):
-        perturb._reduce_modulo(target, [cond])
+    a, b = poly("a", table), poly("b", table)
+    long = MPoly.zero(table)
+    for k in range(1001):
+        long = long + a * b ** k
+    assert perturb._reduce_modulo(long, [a]).is_zero
+    assert perturb._reduce_modulo(long + b, [a]) == b
 
 
 def _restart_pipeline(perturbed, max_even_degree, mode=ALL_ORDERS, perturbation_params=()):
@@ -374,6 +379,68 @@ def test_pipeline_matches_restart_reference(case):
     got = center_conditions_pipeline(family, degree, mode, perturbation_params=pset)
     want = _restart_pipeline(family, degree, mode, perturbation_params=pset)
     assert _result_key(got) == _result_key(want)
+
+
+def _recorded_pass(monkeypatch):
+    """Make the pipeline's DegreePass instances visible: returns the list
+    they are appended to."""
+    runs = []
+
+    class Recorded(liapunov.DegreePass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(perturb, "DegreePass", Recorded)
+    return runs
+
+
+@pytest.mark.parametrize("text, degree", [(NIL_CUBIC_AB, 8), (CUBIC_FAMILY_B, 7)],
+                         ids=["ab-minimal-d8", "family-b-d7"])
+def test_specialised_h_table_matches_fresh_pass(monkeypatch, text, degree):
+    # the stored H_k, re-expressed by specialise (numerators substituted,
+    # chain factors dropped where they cancel), equal those of a pass run
+    # on the specialised family from the start
+    runs = _recorded_pass(monkeypatch)
+    family, _ = _perturbed(text)
+    res = center_conditions_pipeline(family, degree)
+    assert any(c.solved for c in res.base_conditions)
+    [run] = runs
+    fresh = liapunov.DegreePass(run.system, degree)
+    list(fresh)
+    got, want = run.h_table(), fresh.h_table()
+    assert sorted(got) == sorted(want) == list(range(2, degree + 1))
+    for k in want:
+        assert (got[k].num, got[k].den) == (want[k].num, want[k].den), k
+    # the factor of f_4 that V_4's vanishing cancelled is out of the chain
+    assert any(len(f) < len(fresh.H[k][1]) for k, (_, f) in run.H.items())
+
+
+def test_degree_pass_reduces_only_the_constants(monkeypatch):
+    # gcds run once per nonzero V, from the solve, and never from the
+    # residual or specialise (poly_lcm would reach mpoly.poly_gcd)
+    stacks = []
+    gcd = ratfunc.poly_gcd
+
+    def recorded(a, b):
+        frame, names = sys._getframe(1), []
+        while frame is not None:
+            names.append(frame.f_code.co_qualname)
+            frame = frame.f_back
+        stacks.append(names)
+        return gcd(a, b)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", recorded)
+    monkeypatch.setattr(mpoly, "poly_gcd", recorded)
+    runs = _recorded_pass(monkeypatch)
+    family, _ = _perturbed(NIL_CUBIC_AB)
+    res = center_conditions_pipeline(family, 12)
+    assert runs and any(c.solved for c in res.base_conditions)
+    in_pass = [names for names in stacks if "DegreePass.__iter__" in names]
+    assert all("_solve_degree" in names for names in in_pass)
+    assert len(in_pass) == len(res.constants) == len(range(4, 13, 2))
+    assert not any({"DegreePass._residual", "DegreePass.specialise"} & set(names)
+                   for names in stacks)
 
 
 @pytest.mark.parametrize("text, degree", [(NIL_CUBIC_AB, 8), (CUBIC_FAMILY_B, 7)],

@@ -1,7 +1,7 @@
 import pytest
 
 from centerlab.mpoly import MPoly, Rat, merge_tables
-from centerlab import ratfunc
+from centerlab import mpoly, ratfunc
 from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum
 
 from conftest import from_sympy, poly, random_poly, rf, to_sympy
@@ -78,10 +78,11 @@ def test_eps_only_denominator_matches_sympy_cancel(rng):
 
 
 def test_eps_power_denominator_needs_no_gcd(monkeypatch):
-    def no_gcd(a, b):
-        raise AssertionError("poly_gcd called for an eps-power denominator")
+    def no_gcd(*args):
+        raise AssertionError("gcd kernel called for an eps-power denominator")
 
-    monkeypatch.setattr(ratfunc, "poly_gcd", no_gcd)
+    monkeypatch.setattr(mpoly, "_univariate_gcd", no_gcd)
+    monkeypatch.setattr(mpoly, "_primitive_prs", no_gcd)
     r = RatFunc(poly("eps^2*(x + a) + eps^5*y", PTAB), poly("2*eps^3", PTAB))
     assert r.num == poly("(x + a + eps^3*y)/2", PTAB)
     assert r.den == poly("eps", PTAB)

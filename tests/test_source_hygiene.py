@@ -157,3 +157,53 @@ def test_mpoly_private_names_read_only_by_mpoly():
         if path.name != "mpoly.py":
             found += [f"{path.name}:{hit}" for hit in _mpoly_private_reads(path.read_text())]
     assert found == []
+
+
+def _unused_imports(source):
+    """``line:name`` for each name a module source imports (``__future__``
+    aside) and never reads, counting names inside string annotations."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    trees = [tree] + [ast.parse(a.value, mode="eval") for a in annotations
+                      if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+    return [f"{line}:{name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports_in_package():
+    # every import of a module is read there; __init__.py imports to re-export
+    caught = [
+        "import os\n",
+        "import os.path\nx = 1\n",
+        "from typing import List\nx: int = 1\n",
+        "from .mpoly import MPoly, Rat\nMPoly.zero(())\n",
+        "import numpy as np\nnumpy = 1\nnumpy\n",
+    ]
+    assert all(_unused_imports(src) for src in caught)
+    kept = [
+        "from __future__ import annotations\n",
+        "import os.path\nos.path.join\n",
+        "from typing import List\ndef f(a: 'List[int]') -> None: ...\n",
+        "from .mpoly import MPoly as P\nclass C(P): ...\n",
+    ]
+    assert not any(_unused_imports(src) for src in kept)
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name != "__init__.py":
+            found += [f"{path.name}:{hit}" for hit in _unused_imports(path.read_text())]
+    assert found == []
