@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 parse error, 3 class mismatch / unusable input,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -356,7 +357,10 @@ def cmd_classify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones
+    (parsing never changes it)."""
     ap = argparse.ArgumentParser(prog="centerlab",
                                  description="Exact center-vs-focus analysis for planar "
                                              "polynomial systems")
@@ -413,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -33,7 +33,11 @@ Exponent tuples and ``Rat`` appear only at the public edge: the
 :meth:`MPoly.coefficient`, :meth:`MPoly.leading_monomial`,
 :meth:`MPoly.sorted_terms` and the read-only :attr:`MPoly.terms` view, plus
 the ``Rat`` accessors :meth:`MPoly.constant_value`,
-:meth:`MPoly.leading_coefficient` and :meth:`MPoly.content`.
+:meth:`MPoly.leading_coefficient`, :meth:`MPoly.content` and
+:meth:`MPoly.coefficient_list`.  No other module reads exponent tuples
+by table position: they group terms through :meth:`MPoly.coefficients_in`
+and :meth:`MPoly.coefficients_in_vars` or take dense univariate lists
+from :meth:`MPoly.coefficient_list`.
 """
 
 from __future__ import annotations
@@ -756,6 +760,37 @@ class MPoly:
             g[1][e - g[2]] = c
         return {k: MPoly._reduced(self.vars, self._num, self._den, t)
                 for k, t, _ in groups.values()}
+
+    def coefficient_list(self, var: str, at: Optional[Mapping[str, Scalar]] = None) -> list:
+        """The coefficients in ``var`` as ``Rat`` (index = power, no trailing
+        zeros), with each variable of ``at`` set to its number; ValueError
+        when any other variable is present."""
+        at = at or {}
+        ks = _keys(len(self.vars))
+        seen = reduce(or_, self._ints, 0)
+        for i, v in enumerate(self.vars):
+            if v != var and v not in at and (seen >> ks.shift(i)) & _MASK:
+                raise ValueError(f"variable {v} present; not {var} or set in {sorted(at)}")
+        # every term is brought over den = prod(d^h), h the highest exponent
+        # of the slot, so a^k = n^k * d^(h-k) / den with an integer numerator
+        den = 1
+        slots = []
+        for v, a in at.items():
+            a = _as_rat(a)
+            s = self._field(v)
+            h = max(map((_MASK << s).__and__, self._ints), default=0) >> s
+            den *= a.denominator ** h
+            slots.append((s, a.numerator, a.denominator, h))
+        s = self._field(var)
+        sums: dict = {}
+        for e, n in self._ints.items():
+            for t, an, ad, h in slots:
+                k = (e >> t) & _MASK
+                n *= an ** k * ad ** (h - k)
+            k = (e >> s) & _MASK
+            sums[k] = sums.get(k, 0) + n
+        top = max((k for k, n in sums.items() if n), default=-1)
+        return [Rat(self._num * sums.get(k, 0), self._den * den) for k in range(top + 1)]
 
     # -- exact division, content, gcd ---------------------------------------
 

@@ -15,7 +15,6 @@ result.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -53,14 +52,15 @@ def compile_system(s: PlaneSystem) -> Callable:
     def render(p) -> str:
         if p.is_zero:
             return "0.0"
-        ix, iy = p.vars.index("x"), p.vars.index("y")
         parts = []
-        for e, c in p.sorted_terms():
-            piece = repr(float(c))
-            if e[ix]:
-                piece += "*x" + (f"**{e[ix]}" if e[ix] > 1 else "")
-            if e[iy]:
-                piece += "*y" + (f"**{e[iy]}" if e[iy] > 1 else "")
+        # descending graded-lex order, as MPoly.sorted_terms lists them
+        for (i, j), c in sorted(p.coefficients_in_vars(("x", "y")).items(),
+                                key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            piece = repr(float(c.constant_value()))
+            if i:
+                piece += "*x" + (f"**{i}" if i > 1 else "")
+            if j:
+                piece += "*y" + (f"**{j}" if j > 1 else "")
             parts.append(piece)
         return " + ".join(parts)
 
@@ -168,13 +168,14 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     segments: List[DenseSegment] = []
     steps = 0
     status = "finished"
-    hmin = 16 * abs(t1 - t0) * sys.float_info.epsilon + 1e-300
 
     while (t - t1) * direction < 0:
         if steps >= max_steps:
             status = "max_steps"
             break
-        if abs(h) < hmin or abs(h) < 1e-15 * max(1.0, abs(t)):
+        # the floor is the float resolution at t, not a share of the span:
+        # a return map runs towards a far horizon that it never reaches
+        if abs(h) < 1e-15 * max(1.0, abs(t)):
             raise IntegrationError(
                 f"step size underflow at t={t:.6g}", closest_approach=closest)
         if (t + h - t1) * direction > 0:
@@ -232,9 +233,9 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     return Trajectory(ts, ys, segments, status, nfev, steps, closest)
 
 
-def _refine_crossing(seg: DenseSegment, gfun: Callable, tol: float = 1e-12) -> Tuple[float, State]:
+def _refine_crossing(seg: DenseSegment, gfun: Callable) -> Tuple[float, State]:
     """Bisection for g(y(t)) = 0 over one dense segment; the bracket is
-    shrunk until the crossing coordinate is within ``tol``."""
+    shrunk until the crossing coordinate is within 1e-12."""
     lo, hi = seg.t0, seg.t0 + seg.h
     glo = gfun(seg.eval(lo))
     for _ in range(200):
@@ -247,7 +248,7 @@ def _refine_crossing(seg: DenseSegment, gfun: Callable, tol: float = 1e-12) -> T
             lo, glo = mid, gm
         else:
             hi = mid
-        if abs(gm) < tol and (hi - lo) < tol * max(1.0, abs(mid)):
+        if abs(gm) < 1e-12 and (hi - lo) < 1e-12 * max(1.0, abs(mid)):
             break
     tcross = 0.5 * (lo + hi)
     return tcross, seg.eval(tcross)
@@ -283,7 +284,7 @@ def _ray(transversal) -> Tuple[float, float, str]:
 
 def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
                rel_tol: float = 1e-12, abs_tol: float = 1e-14,
-               guard_radius: float = 1.0, max_steps: int = 1_000_000) -> ReturnMapResult:
+               guard_radius: float = 1.0) -> ReturnMapResult:
     """First-return map on a ray from the origin.
 
     For each starting radius the orbit is integrated until it crosses the ray
@@ -332,8 +333,7 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
             return False
 
         traj = integrate_adaptive(f, start, (0.0, 1e9), rel_tol=rel_tol,
-                                  abs_tol=abs_tol, max_steps=max_steps,
-                                  step_callback=callback)
+                                  abs_tol=abs_tol, step_callback=callback)
         nfev += traj.nfev
         if state["escaped"]:
             warnings.append(f"x0={x0}: orbit left the guard radius {guard_radius} "
@@ -369,14 +369,14 @@ class MonodromicVerdict:
 
 
 def classify_monodromic(s: PlaneSystem, x0_list: Sequence[float] = (0.02, 0.05, 0.1),
-                        transversal="x+", **kw) -> MonodromicVerdict:
+                        transversal="x+") -> MonodromicVerdict:
     """Candidate characteristic directions together with return-map evidence.
 
     Both parts are evidence, not proof; discrepancies with exact results
     should be resolved in favor of the exact ones.
     """
     dirs = characteristic_directions(s)
-    rm = return_map(s, x0_list, transversal=transversal, **kw)
+    rm = return_map(s, x0_list, transversal=transversal)
     summary = (f"{len(dirs.directions)} candidate characteristic direction(s); "
                f"return map: {rm.classification}")
     return MonodromicVerdict(dirs, rm, summary)

@@ -235,12 +235,8 @@ class ParsedSystem:
 
 
 def _collect_symbols(tokens: List[Token]) -> List[str]:
-    names = []
-    for i, t in enumerate(tokens):
-        if t.kind != "NAME" or t.text in _KEYWORDS or t.text in RESERVED:
-            continue
-        names.append(t.text)
-    return sorted(set(names))
+    return sorted({t.text for t in tokens if t.kind == "NAME"
+                   and t.text not in _KEYWORDS and t.text not in RESERVED})
 
 
 def parse_system_source(text: str) -> ParsedSystem:
@@ -251,7 +247,7 @@ def parse_system_source(text: str) -> ParsedSystem:
 
     declared: List[str] = []
     assumptions: List[Assumption] = []
-    P = Q = None
+    dots = {}  # "xdot" / "ydot" -> polynomial
     while True:
         p.skip_newlines()
         tok = p.peek()
@@ -291,7 +287,7 @@ def parse_system_source(text: str) -> ParsedSystem:
             if not diff.is_polynomial:
                 p.error("assumption must be polynomial", op_tok)
             assumptions.append(Assumption(diff.as_poly(), op))
-        elif tok.text == "xdot":
+        elif tok.text in ("xdot", "ydot"):
             p.next()
             p.expect_op("=")
             start = p.peek()
@@ -299,25 +295,15 @@ def parse_system_source(text: str) -> ParsedSystem:
             if not expr.is_polynomial:
                 raise ParseError("right-hand side must be polynomial (division only by constants)",
                                  start.line, start.col)
-            P = expr.as_poly()
-            if p.peek().kind == "OP" and p.peek().text == ";":
-                p.next()
-        elif tok.text == "ydot":
-            p.next()
-            p.expect_op("=")
-            start = p.peek()
-            expr = p.parse_expr()
-            if not expr.is_polynomial:
-                raise ParseError("right-hand side must be polynomial (division only by constants)",
-                                 start.line, start.col)
-            Q = expr.as_poly()
+            dots[tok.text] = expr.as_poly()
             if p.peek().kind == "OP" and p.peek().text == ";":
                 p.next()
         else:
             p.error(f"unexpected {tok.text!r} (expected xdot/ydot/params/assume)")
-    if P is None or Q is None:
+    if len(dots) < 2:
         last = tokens[-1]
         raise ParseError("both xdot and ydot must be defined", last.line, last.col)
+    P, Q = dots["xdot"], dots["ydot"]
     all_params = tuple(sorted(set(params) | set(declared)))
     full = merge_tables(RESERVED, all_params)
     return ParsedSystem(P.embed(full) if P.vars != full else P,

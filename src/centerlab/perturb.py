@@ -85,16 +85,10 @@ def general_perturbation(system: PlaneSystem, degree: int = 5,
     table = merge_tables(system.vars, names)
 
     def fill(prefix):
-        g = MPoly.zero(table)
-        for d in range(lo, degree + 1):
-            for i in range(d + 1):
-                coeff = MPoly.variable(f"{prefix}{i}{d - i}", table)
-                ix, iy = table.index("x"), table.index("y")
-                e = [0] * len(table)
-                e[ix] = i
-                e[iy] = d - i
-                g = g + coeff * MPoly.monomial(table, e)
-        return g
+        # the coefficient of x^i*y^j is the parameter named prefix + "ij"
+        return MPoly.from_coefficients(table, ("x", "y"), {
+            (i, d - i): MPoly.variable(f"{prefix}{i}{d - i}", table)
+            for d in range(lo, degree + 1) for i in range(d + 1)})
 
     return PerturbationSpec(kind, fill("a"), fill("b"))
 
@@ -285,13 +279,13 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
         return None
 
     if not g.is_constant:
-        # a whole curve of singular points: minimize the distance along rays
-        gx = g
+        # a whole curve of singular points: minimize the distance along rays;
+        # on the ray (r*cs, r*sn) the coefficient of r^d is g_d(cs, sn)
+        parts = [g.homogeneous_part(d) for d in range(g.degree_in_state() + 1)]
         for k in range(720):
             th = 2 * math.pi * k / 720
             cs, sn = math.cos(th), math.sin(th)
-            coeffs = _ray_poly(gx, cs, sn)
-            for r in _real_roots_float(coeffs):
+            for r in _real_roots_float([gd.eval_float({"x": cs, "y": sn}) for gd in parts]):
                 if 1e-9 < r <= radius:
                     pts.append((r * cs, r * sn))
         P1 = s.P.try_div(g)
@@ -305,10 +299,7 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
         except ValueError:
             res = None
         if res is not None and not res.is_zero:
-            ix = res.vars.index("x")
-            coeffs = [Rat(0)] * (res.degree_in("x") + 1)
-            for e, c in res.terms.items():
-                coeffs[e[ix]] += c
+            coeffs = res.coefficient_list("x")
             for lo, hi, ex in isolate_real_roots(coeffs):
                 xr = float(ex) if ex is not None else refine_to_float(coeffs, lo, hi)
                 if abs(xr) > radius:
@@ -322,17 +313,6 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
                         if not any(abs(x2 - a) + abs(y2 - b) < 1e-7 for a, b in pts):
                             pts.append((x2, y2))
     return pts
-
-
-def _ray_poly(g: MPoly, cs: float, sn: float):
-    ix = g.vars.index("x")
-    iy = g.vars.index("y")
-    dense: Dict[int, float] = {}
-    for e, c in g.terms.items():
-        d = e[ix] + e[iy]
-        dense[d] = dense.get(d, 0.0) + float(c) * cs ** e[ix] * sn ** e[iy]
-    top = max(dense) if dense else 0
-    return [dense.get(k, 0.0) for k in range(top + 1)]
 
 
 def _real_roots_float(coeffs) -> List[float]:
@@ -350,13 +330,10 @@ def _real_roots_float(coeffs) -> List[float]:
 def _y_candidates(P1: MPoly, Q1: MPoly, xr: float, radius: float) -> List[float]:
     out = []
     for poly in (P1, Q1):
-        iy = poly.vars.index("y")
-        ix = poly.vars.index("x")
-        dense: Dict[int, float] = {}
-        for e, c in poly.terms.items():
-            dense[e[iy]] = dense.get(e[iy], 0.0) + float(c) * xr ** e[ix]
-        top = max(dense) if dense else 0
-        for r in _real_roots_float([dense.get(k, 0.0) for k in range(top + 1)]):
+        by_y = poly.coefficients_in("y")
+        dense = [by_y[k].eval_float({"x": xr}) if k in by_y else 0.0
+                 for k in range(max(by_y, default=0) + 1)]
+        for r in _real_roots_float(dense):
             if abs(r) <= radius * 1.5:
                 out.append(r)
         if out:

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, List, Optional, Tuple
 
-from .mpoly import MPoly, Rat
+from .mpoly import MPoly
 from .numeric import Trajectory, compile_system, integrate_adaptive, _refine_crossing
-from .realroots import poly_gcd_univ, real_root_count, trim
+from .realroots import poly_gcd_univ, real_root_count
 from .systems import PlaneSystem
 
 
@@ -46,8 +46,8 @@ class QHSignature:
 
 def _xy_exponents(s: PlaneSystem) -> set:
     """(i, j, 0) for each monomial x^i y^j of P and (i, j, 1) for each of Q."""
-    ix, iy = s.vars.index("x"), s.vars.index("y")
-    return {(e[ix], e[iy], c) for c, poly in enumerate((s.P, s.Q)) for e in poly.terms}
+    return {(i, j, c) for c, poly in enumerate((s.P, s.Q))
+            for i, j in poly.coefficients_in_vars(("x", "y"))}
 
 
 def _signature(exponents: set, p: int, q: int) -> Optional[QHSignature]:
@@ -65,7 +65,7 @@ def qh_signature(s: PlaneSystem, p: int, q: int) -> Optional[QHSignature]:
     return _signature(_xy_exponents(s), p, q)
 
 
-def detect_quasi_homogeneity(s: PlaneSystem, search_bound: int = 10) -> List[QHSignature]:
+def detect_quasi_homogeneity(s: PlaneSystem, search_bound: int) -> List[QHSignature]:
     """All coprime (p, q) up to the bound making the system quasi-homogeneous."""
     if s.P.is_zero and s.Q.is_zero:
         raise ValueError("zero vector field")
@@ -168,16 +168,6 @@ def _weighted_form(s: PlaneSystem, sig: QHSignature) -> MPoly:
     return x * s.Q * sig.p - y * s.P * sig.q
 
 
-def _on_line(poly: MPoly, x0: int) -> list:
-    """poly(x0, t) as a dense coefficient list in t."""
-    ix = poly.vars.index("x")
-    iy = poly.vars.index("y")
-    out = [Rat(0)] * (poly.degree_in("y") + 1)
-    for e, c in poly.terms.items():
-        out[e[iy]] += c * x0 ** e[ix]
-    return trim(out)
-
-
 def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature) -> ConditionIVerdict:
     """Decide exactly whether the weighted form W = p*x*Q - q*y*P vanishes
     anywhere off the origin (equivalently whether it has a real factor).
@@ -196,19 +186,19 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature) -> ConditionIV
         raise ValueError("specialize parameters first")
     if qh_signature(s, sig.p, sig.q) != sig:
         raise ValueError(f"the system is not {sig}")
-    ix = s.vars.index("x")
-    if all(e[ix] for e in s.P.terms) and all(e[ix] for e in s.Q.terms):
+    if s.P.lowest_degree_in("x") != 0 and s.Q.lowest_degree_in("x") != 0:
         raise ValueError("P and Q must be coprime; common factor x")
-    if len(poly_gcd_univ(_on_line(s.P, 1), _on_line(s.Q, 1))) > 1:
+    on_x1 = [poly.coefficient_list("y", {"x": 1}) for poly in (s.P, s.Q)]
+    if len(poly_gcd_univ(*on_x1)) > 1:
         raise ValueError("P and Q must be coprime; P(1, t) and Q(1, t) have a common factor")
     W = _weighted_form(s, sig)
     if W.is_zero:
         return ConditionIVerdict(False, detail="weighted form is identically zero")
-    c = sum((v for e, v in W.terms.items() if not e[ix]), Rat(0))  # W(0, 1)
+    c = sum(W.coefficient_list("y", {"x": 0}))  # W(0, 1)
     if not c:
         return ConditionIVerdict(False, detail="x divides the weighted form")
     for x0 in (1, -1):
-        if real_root_count(_on_line(W, x0)):
+        if real_root_count(W.coefficient_list("y", {"x": x0})):
             return ConditionIVerdict(False, detail=f"W({x0}, t) has a real root")
     return ConditionIVerdict(True, sign=1 if c > 0 else -1,
                              detail="W(1, t) and W(-1, t) have no real root (Sturm counts)")
@@ -295,12 +285,11 @@ def _period_integral(s: PlaneSystem, sig: QHSignature,
             return ConditionIIResult(value, err, tau, n, diff, converged)
 
 
-def classify_qh_center(s: PlaneSystem, sig: QHSignature,
-                       zero_tol: float = 1e-8) -> Tuple[str, dict]:
+def classify_qh_center(s: PlaneSystem, sig: QHSignature) -> Tuple[str, dict]:
     """center / focus / undecided via conditions (i) and (ii).
 
     The verdict is numeric: the integral is declared nonzero (focus) when
-    its magnitude exceeds max(zero_tol, 1000 * quadrature error estimate)
+    its magnitude exceeds max(1e-8, 1000 * quadrature error estimate)
     and zero (center) otherwise.  A quadrature that did not converge can
     still show a focus, since its error estimate carries the halving
     difference, but never a center: below the threshold it gives undecided.
@@ -313,7 +302,7 @@ def classify_qh_center(s: PlaneSystem, sig: QHSignature,
         return "undecided", info
     res = _period_integral(s, sig)
     info["condition_ii"] = res
-    threshold = max(zero_tol, 1e3 * res.error)
+    threshold = max(1e-8, 1e3 * res.error)
     info["threshold"] = threshold
     if not res.converged:
         info["detail"] = (f"trapezoid rule not converged at {res.nodes} nodes: "

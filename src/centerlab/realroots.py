@@ -3,12 +3,17 @@
 This is the package's one dense-list layer: polynomials are coefficient
 lists (index = power), and callers convert a univariate ``MPoly`` (or a
 quasi-homogeneous form on a line) to one only to count, isolate or refine
-its real roots or to take a gcd.  Rational roots are found exactly;
-irrational ones are isolated by Sturm bisection and refined to floats.
+its real roots or to take a gcd.  Real roots are isolated by Sturm
+bisection.  A rational root of the square-free part, made integer and
+primitive with leading coefficient a_n, has a denominator dividing a_n, so
+a_n*r is an integer: each isolating interval is bisected below width
+1/|a_n| and its one candidate is tested exactly.  Irrational roots are
+refined to floats by bisection.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 from .mpoly import Rat, rat_content
@@ -103,45 +108,11 @@ def root_bound(p: Sequence):
     return Rat(1) + m / lead
 
 
-def rational_roots(p: Sequence) -> List:
-    """All rational roots (with multiplicity ignored), exact."""
-    p = trim(p)
-    if not p:
-        raise ValueError("zero polynomial")
-    scale = rat_content(p)
-    ints = [int(c / scale) for c in p]
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    ints = ints[k:]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    roots = set()
-    if k > 0:
-        roots.add(Rat(0))
-
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
-
-    for pdiv in divisors(a0):
-        for qdiv in divisors(an):
-            for cand in (Rat(pdiv, qdiv), Rat(-pdiv, qdiv)):
-                if eval_poly(ints, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
 def isolate_real_roots(p: Sequence) -> List[Tuple]:
     """Isolating intervals for the distinct real roots of p.
 
-    Returns a sorted list of (lo, hi, exact) with exact a rational root when
-    lo == hi, else an open interval containing exactly one root.
+    Returns a sorted list of (lo, hi, exact): an interval (lo, hi) holding
+    exactly one root, and that root when it is rational, else None.
     """
     sf = squarefree(p)
     if degree(sf) <= 0:
@@ -166,15 +137,30 @@ def isolate_real_roots(p: Sequence) -> List[Tuple]:
         split(mid, hi, n - nl)
 
     split(-M, M, sturm_count(chain, -M, M))
-    rats = rational_roots(sf)
-    final = []
-    for lo, hi in sorted(out, key=lambda t: t[0]):
-        hit = [r for r in rats if lo < r <= hi]
-        final.append((lo, hi, hit[0] if hit else None))
-    return final
+    # a rational root u/v of the integer-primitive sf has v | a_n, so it is a
+    # multiple of 1/a_n: an interval narrower than that holds one candidate
+    an = abs(sf[-1] / rat_content(sf))
+    return [(lo, hi, _rational_root_in(sf, an, lo, hi)) for lo, hi in sorted(out)]
 
 
-def refine_to_float(p: Sequence, lo, hi, tol: float = 1e-14) -> float:
+def _rational_root_in(sf: list, an, lo, hi):
+    """The root of the square-free ``sf`` in (lo, hi) if it is rational,
+    else None; ``an`` is |a_n| of ``sf`` made integer and primitive."""
+    slo = eval_poly(sf, lo) > 0
+    while (hi - lo) * an >= 1:
+        mid = (lo + hi) / 2
+        fm = eval_poly(sf, mid)
+        if not fm:
+            return mid
+        if (fm > 0) == slo:
+            lo = mid
+        else:
+            hi = mid
+    cand = Rat(math.floor(hi * an), an)
+    return cand if lo < cand and not eval_poly(sf, cand) else None
+
+
+def refine_to_float(p: Sequence, lo, hi) -> float:
     """Bisection refinement of an isolating interval to a float root."""
     sf = squarefree(p)
     flo, fhi = eval_poly(sf, lo), eval_poly(sf, hi)
@@ -191,7 +177,7 @@ def refine_to_float(p: Sequence, lo, hi, tol: float = 1e-14) -> float:
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-        if float(hi - lo) < tol * max(1.0, abs(float(lo))):
+        if float(hi - lo) < 1e-14 * max(1.0, abs(float(lo))):
             break
     return float((lo + hi) / 2)
 

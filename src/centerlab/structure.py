@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .mpoly import MPoly, Rat, merge_tables, poly_gcd
 from .ratfunc import RatFunc
-from .realroots import isolate_real_roots, poly_divmod, refine_to_float, trim
+from .realroots import isolate_real_roots, poly_divmod, refine_to_float
 from .systems import PlaneSystem, lie_derivative
 
 
@@ -110,14 +110,10 @@ def reversibility_conditions(s: PlaneSystem) -> ReversibilityResult:
 
 def _circle_reduce_poly(poly: MPoly, cname: str, sname: str) -> MPoly:
     """Canonical representative modulo c^2 + s^2 - 1: degree in s at most 1."""
-    isn = poly.vars.index(sname)
     c2m1 = MPoly.const(poly.vars, 1) - MPoly.variable(cname, poly.vars) ** 2
     out = MPoly.zero(poly.vars)
-    for e, coeff in poly.terms.items():
-        k = e[isn]
-        e2 = list(e)
-        e2[isn] = k % 2
-        base = MPoly.monomial(poly.vars, e2, coeff)
+    for k, coeff in poly.coefficients_in(sname).items():
+        base = coeff.shift(sname, k % 2)
         if k >= 2:
             base = base * (c2m1 ** (k // 2))
         out = out + base
@@ -127,9 +123,9 @@ def _circle_reduce_poly(poly: MPoly, cname: str, sname: str) -> MPoly:
 def _linear_reduce(poly: MPoly, rows: Sequence[MPoly]) -> MPoly:
     for r in rows:
         lm = r.leading_monomial()
-        c = poly.terms.get(lm)
+        c = poly.coefficient(lm)
         if c:
-            poly = poly - r * (c / r.terms[lm])
+            poly = poly - r * (c / r.leading_coefficient())
     return poly
 
 
@@ -157,10 +153,7 @@ def _solve_on_circle(conditions: List[MPoly], cname: str, sname: str) -> Reversi
         g = poly_gcd(g, u)
     witnesses: List[Tuple[float, float]] = [(float(c), float(s)) for c, s in exact]
     if not g.is_constant:
-        ic = g.vars.index(cname)
-        dense = [Rat(0)] * (g.degree_in(cname) + 1)
-        for e, coeff in g.terms.items():
-            dense[e[ic]] = coeff
+        dense = g.coefficient_list(cname)
         for lo, hi, ex in isolate_real_roots(dense):
             if ex is not None:
                 cv = ex
@@ -329,18 +322,12 @@ def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:
     M = x * s.Q - y * s.P
     if M.is_zero:
         return CharacteristicDirections(-1, M, [], every_direction=True)
-    d = min(sum(_xy_part(e, table)) for e in M.terms)
+    d = min(i + j for i, j in M.coefficients_in_vars(("x", "y")))
     B = M.homogeneous_part(d)
     used = set(B.variables_present()) - {"x", "y"}
     if used:
         raise ValueError(f"specialize parameters first: {sorted(used)}")
-    ix = table.index("x")
-    iy = table.index("y")
-    coeffs = {}
-    for e, c in B.terms.items():
-        coeffs[e[iy]] = c
-    b = [coeffs.get(k, Rat(0)) for k in range(d + 1)]
-    b = trim(b)
+    b = B.coefficient_list("y", {"x": 1})
     directions: List[Direction] = []
     x_mult = d - (len(b) - 1)
     if x_mult > 0:
@@ -358,10 +345,6 @@ def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:
                                             interval=(lo, hi)))
     directions.sort(key=lambda dd: dd.angle)
     return CharacteristicDirections(d, B, directions)
-
-
-def _xy_part(e, table):
-    return (e[table.index("x")], e[table.index("y")])
 
 
 def _multiplicity(b, r) -> int:

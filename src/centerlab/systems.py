@@ -104,13 +104,8 @@ def _eps_monomial_value(p: MPoly) -> Optional[MPoly]:
         return None
     if p.is_constant:
         return p if p.constant_value() > 0 else None
-    if len(p.terms) != 1:
-        return None
-    [(e, c)] = p.terms.items()
-    ie = p.vars.index("eps") if "eps" in p.vars else None
-    if ie is None:
-        return None
-    if e[ie] == 1 and sum(e) == 1 and c > 0:
+    c = p.coefficients_in("eps") if "eps" in p.vars else {}
+    if c.keys() == {1} and c[1].is_constant and c[1].constant_value() > 0:
         return p
     return None
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -339,3 +340,35 @@ def test_qhcenter_forced_weights_are_decided_directly(sysfile, capsys):
     assert rc == 0
     assert (data["qhomog"]["pq"], data["qhomog"]["weight_degree"]) == ([1, 1], 3)
     assert data["qhomog"]["verdict"] == "center"
+
+
+def test_classify_large_coefficient_finishes(sysfile, capsys):
+    # a 21-digit leading coefficient: the characteristic form 7*x^4 +
+    # (10^20 + 39)*y^4 has no real root, which root isolation shows without
+    # factoring its coefficients, and the fast flow needs steps far below a
+    # share of the return map's horizon
+    path = sysfile("xdot = -100000000000000000039*y^3; ydot = 7*x^3")
+    t0 = time.perf_counter()
+    rc, data = run_cli(["classify", path, "--no-timings"], capsys)
+    assert time.perf_counter() - t0 < 10
+    assert rc == 0
+    assert data["structure"]["characteristic_directions"] == []
+    assert data["numeric"]["classification"] == "center_evidence"
+    assert [sm["x0"] for sm in data["numeric"]["samples"]] == [0.02, 0.05, 0.1]
+
+
+def test_consecutive_calls_share_no_option_values(sysfile, capsys):
+    # the parser is built once per process; appended options start empty on
+    # every call
+    path = sysfile(HOMOG_CUBIC)
+    rc, first = run_cli(["classify", path, "--set", "lambda=1", "--set", "mu=1",
+                         "--x0", "0.05", "--no-timings"], capsys)
+    assert rc == 0 and [sm["x0"] for sm in first["numeric"]["samples"]] == [0.05]
+    rc, data = run_cli(["classify", sysfile(NIL_REVERSIBLE, "nil.sys"), "--no-timings"], capsys)
+    assert rc == 0 and [sm["x0"] for sm in data["numeric"]["samples"]] == [0.02, 0.05, 0.1]
+    # without --set the parameters stay symbolic and the command is refused
+    assert main(["classify", path, "--no-timings"]) == 3
+    assert "specialize parameters first: ['mu']" in capsys.readouterr().err
+    rc, again = run_cli(["classify", path, "--set", "lambda=1", "--set", "mu=1",
+                         "--x0", "0.05", "--no-timings"], capsys)
+    assert again == first

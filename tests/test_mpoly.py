@@ -831,3 +831,56 @@ def test_packed_kernels_match_tuple_reference_property():
         _same(p.subs(bindings, table), _fsubs(p, bindings, table))
 
     check()
+
+
+def _coefficient_list_ref(p, var, at):
+    """p's coefficients in ``var`` with the variables of ``at`` set, summed
+    term by term over exponent tuples; ValueError for any other variable."""
+    sums = {}
+    for e, c in p.terms.items():
+        for v, k in zip(p.vars, e):
+            if k and v != var:
+                if v not in at:
+                    raise ValueError(v)
+                c *= Rat(at[v]) ** k
+        k = e[p.vars.index(var)]
+        sums[k] = sums.get(k, Rat(0)) + c
+    top = max((k for k, c in sums.items() if c), default=-1)
+    return [sums.get(k, Rat(0)) for k in range(top + 1)]
+
+
+def test_coefficient_list_matches_tuple_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    table = ("x", "y", "eps", "a")
+    coeff = st.builds(Rat, st.integers(-20, 20).filter(bool), st.integers(1, 6))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(table)), coeff,
+                            max_size=6).map(lambda terms: MPoly(table, terms))
+    value = st.one_of(st.integers(-3, 3), st.builds(Rat, st.integers(-5, 5), st.integers(1, 4)))
+    values = st.lists(value, min_size=len(table), max_size=len(table))
+    unset = st.sets(st.sampled_from(table), max_size=2)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(polys, st.sampled_from(table), values, unset)
+    def check(p, var, vals, missing):
+        at = {v: c for v, c in zip(table, vals) if v != var and v not in missing}
+        try:
+            ref = _coefficient_list_ref(p, var, at)
+        except ValueError:
+            with pytest.raises(ValueError):
+                p.coefficient_list(var, at)
+            return
+        got = p.coefficient_list(var, at)
+        assert got == ref and all(type(c) is Rat for c in got)
+        # with every other variable set first, no ``at`` is needed
+        rest = p.subs(at, table)
+        assert rest.coefficient_list(var) == rest.coefficient_list(var, {}) == ref
+
+    check()
+    p = poly("x^2*y - 3*y^3 + 1/2", ("x", "y"))
+    assert p.coefficient_list("y", {"x": 2}) == [Rat(1, 2), Rat(4), Rat(0), Rat(-3)]
+    assert p.coefficient_list("x", {"y": Rat(-1, 3)}) == [Rat(11, 18), Rat(0), Rat(-1, 3)]
+    assert MPoly.zero(("x", "y")).coefficient_list("y", {"x": 5}) == []
+    with pytest.raises(ValueError, match="variable x present"):
+        p.coefficient_list("y")

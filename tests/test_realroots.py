@@ -79,7 +79,7 @@ def test_isolated_root_counts_match_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     rng = random.Random(7)
-    checked = 0
+    cases = []
     for _ in range(80):
         # planted rational roots, repeated factors and random cofactors
         p = _dense(rng, rng.randint(1, 4))
@@ -87,8 +87,20 @@ def test_isolated_root_counts_match_sympy():
             p = _mul(p, [Rat(rng.randint(-5, 5), rng.randint(1, 3)), Rat(1)])
         if rng.random() < 0.3:
             p = _mul(p, p)
-        if len(p) < 2:
-            continue
+        if len(p) >= 2:
+            cases.append(p)
+    # planted roots up to 10^25 and 40-digit irreducible quadratics, whose
+    # coefficients are too large to factor by trial division
+    big = 10 ** 25
+    cases += [
+        _mul(_mul([Rat(7 - big, 3), Rat(1)], [Rat(big, 10 ** 12 + 39), Rat(1)]),
+             [Rat(-2), Rat(0), Rat(1)]),
+        _mul(_mul([Rat(-3), Rat(big)], [Rat(-big), Rat(1)]), [Rat(big + 1), Rat(-1)]),
+        [Rat(-(2 * 10 ** 39 + 11)), Rat(0), Rat(10 ** 39 + 3)],
+        [Rat(10 ** 39 + 1), Rat(-(3 * 10 ** 39 + 5)), Rat(10 ** 39 + 7)],
+    ]
+    checked = 0
+    for p in cases:
         roots = isolate_real_roots(p)
         expected = sorted(set(sympy.real_roots(_to_sympy(p, t))), key=float)
         assert len(roots) == len(expected)

@@ -207,3 +207,52 @@ def test_no_unused_imports_in_package():
         if path.name != "__init__.py":
             found += [f"{path.name}:{hit}" for hit in _unused_imports(path.read_text())]
     assert found == []
+
+
+def _exponent_layout_reads(source):
+    """``line:what`` for each read of the ``.terms`` view and each ``.index``
+    call on a variable table: a name ``vars`` or ``table`` (or one ending in
+    ``_vars`` or ``_table``) or a ``.vars`` attribute."""
+    def table(node):
+        if isinstance(node, ast.Name):
+            return node.id in ("vars", "table") or node.id.endswith(("_vars", "_table"))
+        return isinstance(node, ast.Attribute) and node.attr == "vars"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "terms":
+            found.append(f"{node.lineno}:.terms")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "index" and table(node.func.value)):
+            found.append(f"{node.lineno}:.index")
+    return found
+
+
+def test_exponent_layout_read_only_by_mpoly():
+    # exponent tuples are mpoly's edge: other modules group terms with
+    # coefficients_in / coefficients_in_vars or take coefficient_list, and
+    # never look a variable up by its table position
+    caught = [
+        "for e, c in p.terms.items(): pass\n",
+        "n = len(s.P.terms)\n",
+        "i = vars.index('x')\n",
+        "i = table.index('y')\n",
+        "i = cs_table.index('c')\n",
+        "i = p.vars.index('x')\n",
+        "i = s.P.vars.index('eps')\n",
+    ]
+    assert all(_exponent_layout_reads(src) for src in caught)
+    kept = [
+        "p.sorted_terms()\n",
+        "terms = {}\nterms.items()\n",
+        "names.index('x')\n",
+        "'x' in p.vars\n",
+        "p.coefficient_list('y', {'x': 1})\n",
+        "d = {'terms': 1}\n",
+    ]
+    assert not any(_exponent_layout_reads(src) for src in kept)
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name != "mpoly.py":
+            found += [f"{path.name}:{hit}" for hit in _exponent_layout_reads(path.read_text())]
+    assert found == []
