@@ -2,18 +2,23 @@
 
 The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6, 1980) with an I step-size controller.  It runs on
-plain Python floats: states and stage derivatives are tuples and the stage
-sums are unrolled over the tableau's nonzero entries, because on two or
-three components array overhead would cost far more than the right-hand
-side.  Each accepted step keeps its stage derivatives, and the quartic
-dense-output interpolant is built from them only when a segment is
-evaluated.  Event locations are refined by bisection on the dense output.
-Verdicts produced here are evidence only; they never override an exact
-result.
+plain Python floats, because on two or three components array overhead
+would cost far more than the right-hand side.  The stepping loop is Python
+source generated from the tableau's nonzero entries once per number of
+state components and compiled on first use: each component is a scalar
+local and every stage sum and the error sum are written out term by term.
+The order of those float operations is fixed (it is that of the tableau's
+rows, left to right), so a run repeats bit for bit and the loop gives the
+same states and step sizes as one over tuples and lists.  Each accepted
+step keeps its stage derivatives as tuples, and the quartic dense-output
+interpolant is built from them only when a segment is evaluated.  Event
+locations are refined by bisection on the dense output.  Verdicts produced
+here are evidence only; they never override an exact result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -66,7 +71,7 @@ def compile_system(s: PlaneSystem) -> Callable:
 
     src = f"def _f(x, y):\n    return ({render(s.P)}, {render(s.Q)})\n"
     ns: dict = {}
-    exec(src, ns)
+    exec(compile(src, "<rhs>", "exec"), ns)
     return ns["_f"]
 
 
@@ -141,96 +146,164 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     when its error norm is at most 1, so a step with non-finite stages (or
     whose right-hand side overflows) is rejected and shrunk; if that never
     ends, the step size underflows and ``IntegrationError`` is raised.
+
+    The steps run in the loop that :func:`_dopri_loop` generates for the
+    state's number of components.  Its stage sums, error sum and
+    comparisons are written out in the one fixed order of the tableau's
+    rows, so every state, step size and stage derivative, and every return
+    map and report built from them, repeats bit for bit.
     """
     check_tolerance("rel_tol", rel_tol)
     check_tolerance("abs_tol", abs_tol)
     t0, t1 = t_span
     direction = 1.0 if t1 >= t0 else -1.0
     y = tuple([float(v) for v in state0])
-    n = len(y)
-    t = t0
     closest = math.hypot(y[0], y[1])
     try:
         fy = f(*y)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise IntegrationError(f"right-hand side not finite at t={t:.6g}",
+        raise IntegrationError(f"right-hand side not finite at t={t0:.6g}",
                                closest_approach=closest) from exc
-    nfev = 1
     # initial step heuristic
     scale = [abs_tol + rel_tol * abs(v) for v in y]
     d0 = max([abs(v) / s for v, s in zip(y, scale)])
     d1 = max([abs(v) / s for v, s in zip(fy, scale)])
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = direction * min(h, abs(t1 - t0))
+    return _dopri_loop(len(y))(f, t0, t1, direction, y, fy, h, closest,
+                               rel_tol, abs_tol, max_steps, step_callback)
 
+
+# Dormand-Prince RK5(4) tableau as (j, numerator, denominator) of its nonzero
+# weights a_sj: stage s + 2 is evaluated at y + h * sum_j a_sj k_j, and the
+# last row is the 5th-order solution, which is also the stage-7 argument.
+_STAGES = (
+    ((1, 1, 5),),
+    ((1, 3, 40), (2, 9, 40)),
+    ((1, 44, 45), (2, -56, 15), (3, 32, 9)),
+    ((1, 19372, 6561), (2, -25360, 2187), (3, 64448, 6561), (4, -212, 729)),
+    ((1, 9017, 3168), (2, -355, 33), (3, 46732, 5247), (4, 49, 176), (5, -5103, 18656)),
+    ((1, 35, 384), (3, 500, 1113), (4, 125, 192), (5, -2187, 6784), (6, 11, 84)),
+)
+# weights of the embedded error estimate (5th- minus 4th-order solution)
+_ERROR = ((1, 71, 57600), (3, -71, 16695), (4, 71, 1920), (5, -17253, 339200),
+          (6, 22, 525), (7, -1, 40))
+
+_LOOP = """\
+def dopri_loop(f, t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
+               max_steps, step_callback):
+    {y_} = y
+    {k1_} = k1
     ts = [t]
     ys = [y]
-    segments: List[DenseSegment] = []
+    segments = []
+    nfev = 1
     steps = 0
     status = "finished"
-
     while (t - t1) * direction < 0:
         if steps >= max_steps:
             status = "max_steps"
             break
         # the floor is the float resolution at t, not a share of the span:
         # a return map runs towards a far horizon that it never reaches
-        if abs(h) < 1e-15 * max(1.0, abs(t)):
+        at = abs(t)
+        if abs(h) < 1e-15 * (at if at > 1.0 else 1.0):
             raise IntegrationError(
-                f"step size underflow at t={t:.6g}", closest_approach=closest)
+                f"step size underflow at t={{t:.6g}}", closest_approach=closest)
         if (t + h - t1) * direction > 0:
             h = t1 - t
-        k1 = fy
         nfev += 6
-        # Dormand-Prince RK5(4) tableau, unrolled: stage i is evaluated at
-        # y + h * sum_j a_ij k_j, and the stage-7 argument is the 5th-order
-        # solution.
         try:
-            k2 = f(*[a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
-            k3 = f(*[a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
-            k4 = f(*[a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
-                     for a, b1, b2, b3 in zip(y, k1, k2, k3)])
-            k5 = f(*[a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
-                              - 212 / 729 * b4)
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-            k6 = f(*[a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3
-                              + 49 / 176 * b4 - 5103 / 18656 * b5)
-                     for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = tuple([a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
-                                    - 2187 / 6784 * b5 + 11 / 84 * b6)
-                           for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)])
-            k7 = f(*y_new)
+{stages}
         except (OverflowError, ZeroDivisionError):
             # float ** and / raise where a non-finite value would result:
             # reject the step like one with a non-finite error
-            err = math.inf
+            err = inf
         else:
             # RMS norm of the embedded error estimate, scaled per component
-            acc = 0.0
-            for a, a_new, b1, b3, b4, b5, b6, b7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                r = (h * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
-                          - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
-                     / (abs_tol + rel_tol * max(abs(a), abs(a_new))))
-                acc += r * r
-            err = math.sqrt(acc / n)
+{error}
         if not err <= 1.0:  # also rejects a NaN error
-            h *= max(0.2, 0.9 * err ** (-0.2))
+            factor = 0.9 * err ** (-0.2)
+            h *= factor if factor > 0.2 else 0.2
             continue
         seg = DenseSegment(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
         segments.append(seg)
         steps += 1
         t += h
-        y = y_new
-        fy = k7
+        y = ({yn_})
+        {y_} = y
+        k1 = k7
+        {k1_} = k7
         ts.append(t)
         ys.append(y)
-        closest = min(closest, math.hypot(y[0], y[1]))
+        r = hypot(y_0, y_1)
+        closest = r if r < closest else closest
         if step_callback is not None and step_callback(seg, y):
             status = "event"
             break
         factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
-        h *= min(10.0, max(0.2, factor))
+        factor = factor if factor > 0.2 else 0.2
+        h *= factor if factor < 10.0 else 10.0
     return Trajectory(ts, ys, segments, status, nfev, steps, closest)
+"""
+
+
+def _weighted_sum(row, i: int) -> str:
+    """Source of sum_j a_j * k_j[i] over one tableau row, term by term from
+    the left, each weight the float nearest num/den and a negative one
+    written as a subtraction."""
+    out = ""
+    for j, num, den in row:
+        if not out:
+            out = f"{num / den!r} * k{j}_{i}"
+        else:
+            out += f" {'-' if num < 0 else '+'} {abs(num) / den!r} * k{j}_{i}"
+    return out
+
+
+@functools.cache
+def _dopri_loop(n: int) -> Callable:
+    """The stepping loop of :func:`integrate_adaptive` for states of ``n``
+    components, generated and compiled on first use.
+
+    Each component is a scalar local (``y_0``, ``k3_1``, ...), so a step
+    builds no list and calls no ``zip``; the states and stage derivatives
+    that a segment keeps are still tuples.  ``max(u, v)`` is written
+    ``v if v > u else u`` and ``min(u, v)`` ``v if v < u else u``, which is
+    what the builtins compute, NaN included, and the error sum starts at its
+    first square, which is what adding that square to 0.0 gives.
+    """
+    comps = range(n)
+
+    def names(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in comps)
+
+    stages = []
+    for s, row in enumerate(_STAGES, start=2):
+        args = [f"y_{i} + h * ({_weighted_sum(row, i)})" for i in comps]
+        if s < 7:
+            stages.append(f"k{s} = f({', '.join(args)})")
+            stages.append(f"{names(f'k{s}_')} = k{s}")
+        else:
+            stages += [f"yn_{i} = {a}" for i, a in zip(comps, args)]
+    stages.append(f"k7 = f({names('yn_')})")
+    stages.append(f"{names('k7_')} = k7")
+    error = []
+    for i in comps:
+        error.append(f"u = abs(y_{i})")
+        error.append(f"v = abs(yn_{i})")
+        error.append(f"r_{i} = h * ({_weighted_sum(_ERROR, i)})"
+                     " / (abs_tol + rel_tol * (v if v > u else u))")
+    error.append(f"err = sqrt(({' + '.join(f'r_{i} * r_{i}' for i in comps)}) / {n})")
+    src = _LOOP.format(
+        y_=names("y_"), k1_=names("k1_"), yn_=names("yn_"),
+        stages="\n".join(" " * 12 + line for line in stages),
+        error="\n".join(" " * 12 + line for line in error))
+    ns = {"DenseSegment": DenseSegment, "Trajectory": Trajectory,
+          "IntegrationError": IntegrationError, "inf": math.inf,
+          "sqrt": math.sqrt, "hypot": math.hypot}
+    exec(compile(src, f"<dopri n={n}>", "exec"), ns)
+    return ns["dopri_loop"]
 
 
 def _refine_crossing(seg: DenseSegment, gfun: Callable) -> Tuple[float, State]:
@@ -312,11 +385,13 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
             warnings.append(f"x0={x0}: orbit tangent to the transversal at start")
             continue
         want_sign = 1.0 if g0dot > 0 else -1.0
-        state = {"armed": False, "hit": None, "escaped": False}
+        # g at the step's start is g at the previous step's end (seg.y0 is
+        # the previous y_new; rejected steps never reach the callback)
+        state = {"armed": False, "hit": None, "escaped": False, "g": gfun(start)}
 
         def callback(seg, y_new):
-            g_new = gfun(y_new)
-            g_old = gfun(seg.y0)
+            g_old = state["g"]
+            g_new = state["g"] = gfun(y_new)
             if math.hypot(*y_new) > guard_radius:
                 state["escaped"] = True
                 return True

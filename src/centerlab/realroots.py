@@ -8,7 +8,8 @@ bisection.  A rational root of the square-free part, made integer and
 primitive with leading coefficient a_n, has a denominator dividing a_n, so
 a_n*r is an integer: each isolating interval is bisected below width
 1/|a_n| and its one candidate is tested exactly.  Irrational roots are
-refined to floats by bisection.
+refined to floats by bisection on integer numerators over a common
+denominator.
 """
 
 from __future__ import annotations
@@ -161,25 +162,50 @@ def _rational_root_in(sf: list, an, lo, hi):
 
 
 def refine_to_float(p: Sequence, lo, hi) -> float:
-    """Bisection refinement of an isolating interval to a float root."""
+    """Bisection refinement of an isolating interval to a float root.
+
+    The bisection runs on integer numerators over one common denominator
+    ``den = D * 2^k``, D the lcm of the denominators of ``lo`` and ``hi``
+    and k the number of halvings so far.  The sign of the square-free part
+    at ``m / den`` is that of the homogenised Horner sum
+    ``sum_i c_i m^i den^(d-i)`` over its integer-primitive coefficients
+    c_i, which is ``den^d`` times the value over a positive content.  The
+    midpoints, the stop test and the returned float are thus those of the
+    same bisection in exact fractions.
+    """
     sf = squarefree(p)
-    flo, fhi = eval_poly(sf, lo), eval_poly(sf, hi)
-    if flo == 0:
-        return float(lo)
-    if fhi == 0:
-        return float(hi)
+    content = rat_content(sf)
+    coeffs = [int(c / content) for c in reversed(sf)]
+
+    def value(m: int, den: int) -> int:
+        acc, power = 0, 1
+        for c in coeffs:
+            acc = acc * m + c * power
+            power *= den
+        return acc
+
+    lo, hi = Rat(lo), Rat(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    fa = value(a, den)
+    if fa == 0:
+        return a / den
+    if value(b, den) == 0:
+        return b / den
     for _ in range(200):
-        mid = (lo + hi) / 2
-        fm = eval_poly(sf, mid)
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        fm = value(mid, den)
         if fm == 0:
-            return float(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+            return mid / den
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
         else:
-            hi, fhi = mid, fm
-        if float(hi - lo) < 1e-14 * max(1.0, abs(float(lo))):
+            b = mid
+        if (b - a) / den < 1e-14 * max(1.0, abs(a / den)):
             break
-    return float((lo + hi) / 2)
+    return (a + b) / (2 * den)
 
 
 def real_root_count(p: Sequence) -> int:

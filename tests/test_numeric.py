@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,8 +11,11 @@ from centerlab import qhomog
 from centerlab.numeric import (
     DenseSegment,
     IntegrationError,
+    Trajectory,
+    _dopri_loop,
     _refine_crossing,
     classify_monodromic,
+    check_tolerance,
     compile_system,
     integrate_adaptive,
     return_map,
@@ -390,3 +396,196 @@ def test_scalar_core_matches_numpy_reference_max_steps():
     got, _ = _assert_same_run(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 100.0),
                               rel_tol=1e-12, abs_tol=1e-14, max_steps=25)
     assert got.status == "max_steps" and got.steps == 25
+
+
+# -- bit-exact test against the tuple loop that the generated loop replaced --
+
+def _tuple_loop_integrate(f, state0, t_span, rel_tol=1e-10, abs_tol=1e-12,
+                          max_steps=1_000_000, step_callback=None):
+    # the stepping loop on float tuples, with list comprehensions over zip
+    check_tolerance("rel_tol", rel_tol)
+    check_tolerance("abs_tol", abs_tol)
+    t0, t1 = t_span
+    direction = 1.0 if t1 >= t0 else -1.0
+    y = tuple([float(v) for v in state0])
+    n = len(y)
+    t = t0
+    closest = math.hypot(y[0], y[1])
+    try:
+        fy = f(*y)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise IntegrationError(f"right-hand side not finite at t={t:.6g}",
+                               closest_approach=closest) from exc
+    nfev = 1
+    scale = [abs_tol + rel_tol * abs(v) for v in y]
+    d0 = max([abs(v) / s for v, s in zip(y, scale)])
+    d1 = max([abs(v) / s for v, s in zip(fy, scale)])
+    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+    h = direction * min(h, abs(t1 - t0))
+    ts = [t]
+    ys = [y]
+    segments = []
+    steps = 0
+    status = "finished"
+    while (t - t1) * direction < 0:
+        if steps >= max_steps:
+            status = "max_steps"
+            break
+        if abs(h) < 1e-15 * max(1.0, abs(t)):
+            raise IntegrationError(
+                f"step size underflow at t={t:.6g}", closest_approach=closest)
+        if (t + h - t1) * direction > 0:
+            h = t1 - t
+        k1 = fy
+        nfev += 6
+        try:
+            k2 = f(*[a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
+            k3 = f(*[a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
+            k4 = f(*[a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
+                     for a, b1, b2, b3 in zip(y, k1, k2, k3)])
+            k5 = f(*[a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
+                              - 212 / 729 * b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+            k6 = f(*[a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3
+                              + 49 / 176 * b4 - 5103 / 18656 * b5)
+                     for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = tuple([a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
+                                    - 2187 / 6784 * b5 + 11 / 84 * b6)
+                           for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)])
+            k7 = f(*y_new)
+        except (OverflowError, ZeroDivisionError):
+            err = math.inf
+        else:
+            acc = 0.0
+            for a, a_new, b1, b3, b4, b5, b6, b7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                r = (h * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
+                          - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
+                     / (abs_tol + rel_tol * max(abs(a), abs(a_new))))
+                acc += r * r
+            err = math.sqrt(acc / n)
+        if not err <= 1.0:
+            h *= max(0.2, 0.9 * err ** (-0.2))
+            continue
+        seg = DenseSegment(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
+        segments.append(seg)
+        steps += 1
+        t += h
+        y = y_new
+        fy = k7
+        ts.append(t)
+        ys.append(y)
+        closest = min(closest, math.hypot(y[0], y[1]))
+        if step_callback is not None and step_callback(seg, y):
+            status = "event"
+            break
+        factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
+        h *= min(10.0, max(0.2, factor))
+    return Trajectory(ts, ys, segments, status, nfev, steps, closest)
+
+
+def _assert_bit_identical(f, state0, t_span, **kw):
+    # == on every field (t, y, each segment's t0/h/y0/k, nfev, steps, status,
+    # closest_approach); repr also tells -0.0 from 0.0
+    ref = _tuple_loop_integrate(f, state0, t_span, **kw)
+    got = integrate_adaptive(f, state0, t_span, **kw)
+    assert got == ref
+    assert repr(got) == repr(ref)
+    return got
+
+
+def test_generated_loop_bit_identical_harmonic():
+    got = _assert_bit_identical(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 6.0),
+                                rel_tol=1e-12, abs_tol=1e-14)
+    assert got.status == "finished" and got.steps > 100
+
+
+def test_generated_loop_bit_identical_return_map_stop():
+    f = compile_system(parse_system(NIL_REVERSIBLE))
+
+    def callback(seg, y_new):
+        return seg.y0[1] > 0 >= y_new[1] and y_new[0] > 0
+
+    got = _assert_bit_identical(f, (0.1, 0.0), (0.0, 1e9), rel_tol=1e-12, abs_tol=1e-14,
+                                step_callback=callback)
+    assert got.status == "event" and got.steps > 100
+
+
+def test_generated_loop_bit_identical_condition_ii(monkeypatch):
+    # the 3-state (Cs, Sn, integral) right-hand side of condition (ii), as in
+    # the numpy-reference test above
+    calls = []
+    real = test_qhomog.integrate_adaptive
+
+    def spy(*args, **kw):
+        calls.append((args, kw))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(test_qhomog, "integrate_adaptive", spy)
+    s = substitute(parse_system(HOMOG_CUBIC), {"lambda": 1, "mu": 1})
+    test_qhomog.reference_period_integral(s, qhomog.QHSignature(1, 1, 3))
+    three_state = [c for c in calls if len(c[0][1]) == 3]
+    assert len(three_state) == 2
+    for args, kw in three_state:
+        assert _assert_bit_identical(*args, **kw).status == "event"
+
+
+def test_generated_loop_bit_identical_time_reversed():
+    f = compile_system(parse_system(DEG_FACTORED))
+    got = _assert_bit_identical(f, (0.2, 0.05), (0.0, -3.0), rel_tol=1e-11, abs_tol=1e-13)
+    assert got.t_end == -3.0 and all(seg.h < 0 for seg in got.segments)
+
+
+def test_generated_loop_bit_identical_max_steps():
+    got = _assert_bit_identical(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 100.0),
+                                rel_tol=1e-12, abs_tol=1e-14, max_steps=25)
+    assert got.status == "max_steps" and got.steps == 25
+
+
+def test_generated_loop_bit_identical_overflow_rejection():
+    # math.exp raises OverflowError on trial stages that leave |y| < 1.001:
+    # those steps are rejected and shrunk, and the run still finishes
+    overflows = []
+
+    def f(x, y):
+        if abs(y) > 1.001:
+            overflows.append(y)
+            return (-y, math.exp(1e3))
+        return (-y, x)
+
+    got = _assert_bit_identical(f, (1.0, 0.0), (0.0, 6.0), rel_tol=1e-4, abs_tol=1e-6)
+    assert got.status == "finished" and overflows
+    # and a run that ends in step-size underflow raises the same error
+    errors = []
+    for integrate in (_tuple_loop_integrate, integrate_adaptive):
+        with pytest.raises(IntegrationError) as err:
+            integrate(lambda x, y: (1.0, 2.0 ** (2000 * x)), (0.0, 0.0), (0.0, 10.0))
+        errors.append((str(err.value), err.value.closest_approach))
+    assert errors[0] == errors[1]
+
+
+def test_loop_built_on_first_use_and_shared_per_dimension():
+    # importing numeric generates no loop; every 2-state integration runs the
+    # one loop built for n = 2, and a 3-state one builds its own
+    code = (
+        "from centerlab import numeric\n"
+        "info = numeric._dopri_loop.cache_info\n"
+        "assert info().currsize == 0, info()\n"
+        "numeric.integrate_adaptive(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 1.0))\n"
+        "numeric.integrate_adaptive(lambda x, y: (y, -x), (0.5, 0.0), (0.0, 2.0))\n"
+        "assert info()[:2] == (1, 1) and info().currsize == 1, info()\n"
+        "numeric.integrate_adaptive(lambda x, y, z: (-y, x, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0))\n"
+        "assert info().currsize == 2, info()\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_generated_code_names_its_source():
+    # profiles and tracebacks name the compiled right-hand side and the
+    # generated loop, not "<string>"
+    f = compile_system(parse_system("xdot = -y; ydot = x"))
+    assert f.__code__.co_filename == "<rhs>"
+    assert _dopri_loop(2).__code__.co_filename == "<dopri n=2>"

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from centerlab import structure
 from centerlab.mpoly import Rat
 from centerlab.realroots import (
+    degree,
+    eval_poly,
     isolate_real_roots,
     poly_divmod,
     poly_gcd_univ,
@@ -12,6 +15,7 @@ from centerlab.realroots import (
     squarefree,
     trim,
 )
+from centerlab.systems import parse_system
 
 
 def _dense(rng, degree, lo=-6, hi=6):
@@ -132,3 +136,67 @@ def test_real_root_count_matches_sympy():
         assert real_root_count(p) == len(set(sympy.real_roots(_to_sympy(p, t))))
     assert real_root_count([Rat(-3)]) == 0
     assert real_root_count([Rat(1), Rat(0), Rat(1)]) == 0
+
+
+def _fraction_refine_to_float(p, lo, hi):
+    # the bisection in exact fractions that refine_to_float replaced: the
+    # oracle for its midpoints, its stop test and the float it returns
+    sf = squarefree(p)
+    flo, fhi = eval_poly(sf, lo), eval_poly(sf, hi)
+    if flo == 0:
+        return float(lo)
+    if fhi == 0:
+        return float(hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        fm = eval_poly(sf, mid)
+        if fm == 0:
+            return float(mid)
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+        if float(hi - lo) < 1e-14 * max(1.0, abs(float(lo))):
+            break
+    return float((lo + hi) / 2)
+
+
+def test_refine_to_float_matches_fraction_bisection_property():
+    # any interval, isolating or not, with roots at its ends, inside it or
+    # none: the same float as the bisection in fractions, not a close one
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rat = st.builds(Rat, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+    coeffs = st.lists(st.builds(Rat, st.integers(-40, 40), st.integers(1, 12)),
+                      min_size=2, max_size=7).filter(lambda c: degree(c) >= 1)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(coeffs, rat, rat)
+    def check(p, a, b):
+        hypothesis.assume(a != b)
+        lo, hi = min(a, b), max(a, b)
+        assert refine_to_float(p, lo, hi) == _fraction_refine_to_float(p, lo, hi)
+        for lo, hi, ex in isolate_real_roots(p):
+            if ex is None:
+                assert refine_to_float(p, lo, hi) == _fraction_refine_to_float(p, lo, hi)
+
+    check()
+
+
+def test_refine_to_float_matches_fraction_bisection_on_directions(monkeypatch):
+    # the four irrational characteristic directions of this cubic are the
+    # refinements whose Fraction Horner evaluations once dominated the cost
+    # of characteristic_directions
+    calls = []
+
+    def spy(p, lo, hi):
+        calls.append((p, lo, hi))
+        return refine_to_float(p, lo, hi)
+
+    monkeypatch.setattr(structure, "refine_to_float", spy)
+    s = parse_system("xdot = 2*x^3 - 3*x*y^2 + y^3; ydot = x^3 - 7*x^2*y + y^3")
+    dirs = structure.characteristic_directions(s)
+    assert len(calls) == 4 and not any(d.exact for d in dirs.directions)
+    for p, lo, hi in calls:
+        assert refine_to_float(p, lo, hi) == _fraction_refine_to_float(p, lo, hi)
