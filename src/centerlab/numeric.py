@@ -9,11 +9,18 @@ state components and compiled on first use: each component is a scalar
 local and every stage sum and the error sum are written out term by term.
 The order of those float operations is fixed (it is that of the tableau's
 rows, left to right), so a run repeats bit for bit and the loop gives the
-same states and step sizes as one over tuples and lists.  Each accepted
-step keeps its stage derivatives as tuples, and the quartic dense-output
-interpolant is built from them only when a segment is evaluated.  Event
-locations are refined by bisection on the dense output.  Verdicts produced
-here are evidence only; they never override an exact result.
+same states and step sizes as one over tuples and lists.
+
+The stage sums, the error norm and the step-size control are shared by two
+tails of the loop, each compiled once per dimension.  The dense tail keeps
+every accepted step's stage derivatives as tuples, builds the quartic
+dense-output interpolant from them only when a segment is evaluated, and
+calls a step callback.  The crossing tail runs the return map's test (guard
+radius, arming, sign change of the distance from the ray, radial side)
+inline after each accepted step and keeps nothing per step: only the
+segment of the crossing is built, and the crossing is refined by bisection
+on its dense output.  Verdicts produced here are evidence only; they never
+override an exact result.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .systems import PlaneSystem
 from .structure import CharacteristicDirections, characteristic_directions
@@ -69,9 +76,11 @@ def compile_system(s: PlaneSystem) -> Callable:
             parts.append(piece)
         return " + ".join(parts)
 
-    src = f"def _f(x, y):\n    return ({render(s.P)}, {render(s.Q)})\n"
+    p, q = render(s.P), render(s.Q)
+    src = f"def _f(x, y):\n    return ({p}, {q})\n"
     ns: dict = {}
-    exec(compile(src, "<rhs>", "exec"), ns)
+    # a label per system, so that a profile keeps one entry for each
+    exec(compile(src, f"<rhs xdot = {p}; ydot = {q}>", "exec"), ns)
     return ns["_f"]
 
 
@@ -97,6 +106,14 @@ class DenseSegment:
 
 @dataclass
 class Trajectory:
+    """An integration's kept points and segments, its counts and how it
+    ended.  With the dense tail every accepted step is kept; with the
+    crossing tail only the start and end points, and the one segment in
+    which the crossing was found, with ``crossing`` its refined (t, state).
+    ``status`` is "finished", "max_steps", "event" (stopped by the step
+    callback or at a crossing) or "escaped" (left a crossing's guard
+    radius)."""
+
     t: List[float]
     y: List[State]
     segments: List[DenseSegment]
@@ -104,6 +121,7 @@ class Trajectory:
     nfev: int
     steps: int
     closest_approach: float
+    crossing: Optional[Tuple[float, State]] = None
 
     def __call__(self, t: float) -> State:
         segs = self.segments
@@ -129,6 +147,28 @@ class Trajectory:
         return self.y[-1]
 
 
+class Crossing(NamedTuple):
+    """The return map's stop test, run inside the stepping loop: the first
+    crossing of the ray from the origin along (cx, cy) in the direction
+    ``want_sign`` of g, after the orbit has left the ray's line, or leaving
+    ``guard_radius``.  ``x0`` is the starting radius, which sets how far
+    from the line the orbit must get before a crossing counts."""
+
+    cx: float
+    cy: float
+    want_sign: float
+    guard_radius: float
+    x0: float
+
+    def g(self, state: State) -> float:
+        """Signed distance of ``state`` from the ray's line."""
+        return -self.cy * state[0] + self.cx * state[1]
+
+    def radial(self, state: State) -> float:
+        """Coordinate of ``state`` along the ray."""
+        return self.cx * state[0] + self.cy * state[1]
+
+
 def check_tolerance(name: str, value: float) -> None:
     """Refuse an integration tolerance outside (0, 1e-4]."""
     if not (0 < value <= 1e-4):
@@ -138,7 +178,8 @@ def check_tolerance(name: str, value: float) -> None:
 def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float, float],
                        rel_tol: float = 1e-10, abs_tol: float = 1e-12,
                        max_steps: int = 1_000_000,
-                       step_callback: Optional[Callable] = None) -> Trajectory:
+                       step_callback: Optional[Callable] = None,
+                       crossing: Optional[Crossing] = None) -> Trajectory:
     """Integrate dstate/dt = f(*state) over t_span with local error control.
 
     ``step_callback(segment, y_new)`` may return a truthy value to stop the
@@ -151,10 +192,18 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     state's number of components.  Its stage sums, error sum and
     comparisons are written out in the one fixed order of the tableau's
     rows, so every state, step size and stage derivative, and every return
-    map and report built from them, repeats bit for bit.
+    map and report built from them, repeats bit for bit.  The loop has two
+    tails.  The dense tail keeps every accepted step as a segment and calls
+    ``step_callback``.  Given a ``crossing`` (a plane state only, and no
+    callback), the crossing tail runs that stop test after each accepted
+    step and keeps no per-step data: the trajectory holds the start and end
+    points and at most the one segment of the crossing, so its memory does
+    not grow with the number of steps.
     """
     check_tolerance("rel_tol", rel_tol)
     check_tolerance("abs_tol", abs_tol)
+    if crossing is not None and (step_callback is not None or len(state0) != 2):
+        raise ValueError("a crossing needs a plane state and no step callback")
     t0, t1 = t_span
     direction = 1.0 if t1 >= t0 else -1.0
     y = tuple([float(v) for v in state0])
@@ -170,8 +219,9 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     d1 = max([abs(v) / s for v, s in zip(fy, scale)])
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = direction * min(h, abs(t1 - t0))
-    return _dopri_loop(len(y))(f, t0, t1, direction, y, fy, h, closest,
-                               rel_tol, abs_tol, max_steps, step_callback)
+    loop = _dopri_loop(len(y), crossing is not None)
+    return loop(f, t0, t1, direction, y, fy, h, closest, rel_tol, abs_tol, max_steps,
+                step_callback if crossing is None else crossing)
 
 
 # Dormand-Prince RK5(4) tableau as (j, numerator, denominator) of its nonzero
@@ -189,14 +239,15 @@ _STAGES = (
 _ERROR = ((1, 71, 57600), (3, -71, 16695), (4, 71, 1920), (5, -17253, 339200),
           (6, 22, 525), (7, -1, 40))
 
+# The loop is one template with two tails.  Both share the stage sums, the
+# error norm, the rejection of a step and the step-size control; they differ
+# in what an accepted step keeps and in how the loop stops.
 _LOOP = """\
 def dopri_loop(f, t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
-               max_steps, step_callback):
+               max_steps, event):
     {y_} = y
     {k1_} = k1
-    ts = [t]
-    ys = [y]
-    segments = []
+{prologue}
     nfev = 1
     steps = 0
     status = "finished"
@@ -226,6 +277,20 @@ def dopri_loop(f, t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
             factor = 0.9 * err ** (-0.2)
             h *= factor if factor > 0.2 else 0.2
             continue
+{tail}
+        factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
+        factor = factor if factor > 0.2 else 0.2
+        h *= factor if factor < 10.0 else 10.0
+    return Trajectory({result})
+"""
+
+# dense tail: every accepted step is kept as a segment and shown to the
+# step callback (``event``), which may stop the loop
+_DENSE_PROLOGUE = """\
+    ts = [t]
+    ys = [y]
+    segments = []"""
+_DENSE_TAIL = """\
         seg = DenseSegment(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
         segments.append(seg)
         steps += 1
@@ -238,14 +303,58 @@ def dopri_loop(f, t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
         ys.append(y)
         r = hypot(y_0, y_1)
         closest = r if r < closest else closest
-        if step_callback is not None and step_callback(seg, y):
+        if event is not None and event(seg, y):
             status = "event"
+            break"""
+_DENSE_RESULT = "ts, ys, segments, status, nfev, steps, closest"
+
+# crossing tail: ``event`` is a Crossing.  An accepted step keeps nothing;
+# g = -cy*y_0 + cx*y_1 is the signed distance from the ray's line, carried
+# from one step to the next.  The loop stops when the orbit leaves the
+# guard radius, or at the first step after arming in which g changes sign
+# towards want_sign on the ray's side and the refined crossing is on that
+# side too: only that step's segment is built and kept.
+_CROSSING_PROLOGUE = """\
+    t_start = t
+    segments = []
+    crossing = None
+    cx = event.cx
+    cy = event.cy
+    want_sign = event.want_sign
+    guard_radius = event.guard_radius
+    arm_tol = 1e3 * abs_tol + 1e-12 * abs(event.x0)
+    g_old = -cy * y_0 + cx * y_1
+    armed = False"""
+_CROSSING_TAIL = """\
+        steps += 1
+        r = hypot(yn_0, yn_1)
+        closest = r if r < closest else closest
+        g = -cy * yn_0 + cx * yn_1
+        if r > guard_radius:
+            status = "escaped"
+            t += h
+            {y_} = {yn_}
             break
-        factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
-        factor = factor if factor > 0.2 else 0.2
-        h *= factor if factor < 10.0 else 10.0
-    return Trajectory(ts, ys, segments, status, nfev, steps, closest)
-"""
+        if not armed:
+            # wait until the orbit has genuinely left the section
+            armed = abs(g) > arm_tol and g * want_sign < 0
+        elif g_old * want_sign < 0 <= g * want_sign and cx * yn_0 + cy * yn_1 > 0:
+            seg = DenseSegment(t, h, ({y_}), (k1, k2, k3, k4, k5, k6, k7))
+            crossing = refine_crossing(seg, event.g)
+            if event.radial(crossing[1]) > 0:
+                segments.append(seg)
+                status = "event"
+                t += h
+                {y_} = {yn_}
+                break
+            crossing = None
+        g_old = g
+        t += h
+        {y_} = {yn_}
+        k1 = k7
+        {k1_} = k7"""
+_CROSSING_RESULT = ("[t_start, t], [y, ({y_})], segments, status, nfev, steps, closest, "
+                    "crossing")
 
 
 def _weighted_sum(row, i: int) -> str:
@@ -262,9 +371,10 @@ def _weighted_sum(row, i: int) -> str:
 
 
 @functools.cache
-def _dopri_loop(n: int) -> Callable:
+def _dopri_loop(n: int, crossing: bool = False) -> Callable:
     """The stepping loop of :func:`integrate_adaptive` for states of ``n``
-    components, generated and compiled on first use.
+    components, generated and compiled on first use: with the dense tail,
+    or with the crossing tail when ``crossing`` is true.
 
     Each component is a scalar local (``y_0``, ``k3_1``, ...), so a step
     builds no list and calls no ``zip``; the states and stage derivatives
@@ -295,14 +405,18 @@ def _dopri_loop(n: int) -> Callable:
         error.append(f"r_{i} = h * ({_weighted_sum(_ERROR, i)})"
                      " / (abs_tol + rel_tol * (v if v > u else u))")
     error.append(f"err = sqrt(({' + '.join(f'r_{i} * r_{i}' for i in comps)}) / {n})")
+    state = {"y_": names("y_"), "k1_": names("k1_"), "yn_": names("yn_")}
+    prologue, tail, result = ((_CROSSING_PROLOGUE, _CROSSING_TAIL, _CROSSING_RESULT)
+                              if crossing else (_DENSE_PROLOGUE, _DENSE_TAIL, _DENSE_RESULT))
     src = _LOOP.format(
-        y_=names("y_"), k1_=names("k1_"), yn_=names("yn_"),
+        **state, prologue=prologue, tail=tail.format(**state), result=result.format(**state),
         stages="\n".join(" " * 12 + line for line in stages),
         error="\n".join(" " * 12 + line for line in error))
     ns = {"DenseSegment": DenseSegment, "Trajectory": Trajectory,
           "IntegrationError": IntegrationError, "inf": math.inf,
-          "sqrt": math.sqrt, "hypot": math.hypot}
-    exec(compile(src, f"<dopri n={n}>", "exec"), ns)
+          "sqrt": math.sqrt, "hypot": math.hypot, "refine_crossing": _refine_crossing}
+    label = f"<dopri n={n} crossing>" if crossing else f"<dopri n={n}>"
+    exec(compile(src, label, "exec"), ns)
     return ns["dopri_loop"]
 
 
@@ -362,63 +476,38 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
 
     For each starting radius the orbit is integrated until it crosses the ray
     again in the direction of its initial departure; the crossing is refined
-    on the dense output.  Classification: center evidence when every
-    |displacement| <= max(1e-9, 100*rel_tol)*x0, focus evidence on a
-    consistent sign, inconclusive otherwise.
+    on the dense output of the step in which it happens.  The test runs in
+    the integrator's crossing tail (see :class:`Crossing`), so an orbit of
+    any number of steps keeps at most that one segment.  Classification:
+    center evidence when every |displacement| <= max(1e-9, 100*rel_tol)*x0,
+    focus evidence on a consistent sign, inconclusive otherwise.
     """
     f = compile_system(s)
     cx, cy, name = _ray(transversal)
-
-    def gfun(state):
-        return -cy * state[0] + cx * state[1]  # signed distance from the ray plane
-
-    def radial(state):
-        return cx * state[0] + cy * state[1]
-
     samples: List[ReturnSample] = []
     warnings: List[str] = []
     nfev = 0
     for x0 in x0_list:
         start = (cx * x0, cy * x0)
-        g0dot = gfun(f(*start))
+        ray = Crossing(cx, cy, 1.0, guard_radius, x0)
+        g0dot = ray.g(f(*start))
         if g0dot == 0:
             warnings.append(f"x0={x0}: orbit tangent to the transversal at start")
             continue
-        want_sign = 1.0 if g0dot > 0 else -1.0
-        # g at the step's start is g at the previous step's end (seg.y0 is
-        # the previous y_new; rejected steps never reach the callback)
-        state = {"armed": False, "hit": None, "escaped": False, "g": gfun(start)}
-
-        def callback(seg, y_new):
-            g_old = state["g"]
-            g_new = state["g"] = gfun(y_new)
-            if math.hypot(*y_new) > guard_radius:
-                state["escaped"] = True
-                return True
-            if not state["armed"]:
-                # wait until the orbit has genuinely left the section
-                if abs(g_new) > 1e3 * abs_tol + 1e-12 * abs(x0) and g_new * want_sign < 0:
-                    state["armed"] = True
-                return False
-            if g_old * want_sign < 0 <= g_new * want_sign and radial(y_new) > 0:
-                tc, yc = _refine_crossing(seg, gfun)
-                if radial(yc) > 0:
-                    state["hit"] = (tc, yc)
-                    return True
-            return False
-
+        if not g0dot > 0:
+            ray = ray._replace(want_sign=-1.0)
         traj = integrate_adaptive(f, start, (0.0, 1e9), rel_tol=rel_tol,
-                                  abs_tol=abs_tol, step_callback=callback)
+                                  abs_tol=abs_tol, crossing=ray)
         nfev += traj.nfev
-        if state["escaped"]:
+        if traj.status == "escaped":
             warnings.append(f"x0={x0}: orbit left the guard radius {guard_radius} "
                             "(evidence against monodromy)")
             continue
-        if state["hit"] is None:
+        if traj.crossing is None:
             warnings.append(f"x0={x0}: no return within {traj.steps} steps ({traj.status})")
             continue
-        tc, yc = state["hit"]
-        value = radial(yc)
+        tc, yc = traj.crossing
+        value = ray.radial(yc)
         samples.append(ReturnSample(x0, value, value - x0, tc))
 
     if not samples:

@@ -9,11 +9,14 @@ primitive with leading coefficient a_n, has a denominator dividing a_n, so
 a_n*r is an integer: each isolating interval is bisected below width
 1/|a_n| and its one candidate is tested exactly.  Irrational roots are
 refined to floats by bisection on integer numerators over a common
-denominator.
+denominator.  Both bisections read signs from one homogenised integer
+Horner sum over that integer-primitive square-free part, which is computed
+once per polynomial and shared.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Sequence, Tuple
 
@@ -109,15 +112,46 @@ def root_bound(p: Sequence):
     return Rat(1) + m / lead
 
 
+@functools.lru_cache(maxsize=64)
+def _primitive_squarefree(p: Tuple) -> Tuple[int, ...]:
+    """The square-free part of the trimmed ``p``, made integer and
+    primitive (index = power).  Callers isolate the roots of a polynomial
+    and then refine each irrational one, so this is kept per polynomial."""
+    sf = squarefree(p)
+    content = rat_content(sf)
+    return tuple(int(c / content) for c in sf)
+
+
+def _homogenised(coeffs: Sequence[int], m: int, den: int) -> int:
+    """``den^d`` times the polynomial with integer ``coeffs`` (index =
+    power, degree d) at ``m / den``: ``sum_i c_i m^i den^(d-i)`` by Horner's
+    rule.  For ``den > 0`` it has the sign of the value at ``m / den``."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * m + c * power
+        power *= den
+    return acc
+
+
+def _common_denominator(lo, hi) -> Tuple[int, int, int]:
+    """Integers a, b, den > 0 with lo = a / den and hi = b / den."""
+    lo, hi = Rat(lo), Rat(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
 def isolate_real_roots(p: Sequence) -> List[Tuple]:
     """Isolating intervals for the distinct real roots of p.
 
     Returns a sorted list of (lo, hi, exact): an interval (lo, hi) holding
     exactly one root, and that root when it is rational, else None.
     """
-    sf = squarefree(p)
-    if degree(sf) <= 0:
+    coeffs = _primitive_squarefree(tuple(trim(p)))
+    if len(coeffs) <= 1:
         return []
+    # a nonzero multiple of the square-free part: the same Sturm signs,
+    # root bound and zero tests
+    sf = [Rat(c) for c in coeffs]
     chain = sturm_chain(sf)
     M = root_bound(sf)
     out = []
@@ -138,27 +172,29 @@ def isolate_real_roots(p: Sequence) -> List[Tuple]:
         split(mid, hi, n - nl)
 
     split(-M, M, sturm_count(chain, -M, M))
-    # a rational root u/v of the integer-primitive sf has v | a_n, so it is a
-    # multiple of 1/a_n: an interval narrower than that holds one candidate
-    an = abs(sf[-1] / rat_content(sf))
-    return [(lo, hi, _rational_root_in(sf, an, lo, hi)) for lo, hi in sorted(out)]
+    return [(lo, hi, _rational_root_in(coeffs, lo, hi)) for lo, hi in sorted(out)]
 
 
-def _rational_root_in(sf: list, an, lo, hi):
-    """The root of the square-free ``sf`` in (lo, hi) if it is rational,
-    else None; ``an`` is |a_n| of ``sf`` made integer and primitive."""
-    slo = eval_poly(sf, lo) > 0
-    while (hi - lo) * an >= 1:
-        mid = (lo + hi) / 2
-        fm = eval_poly(sf, mid)
+def _rational_root_in(coeffs: Sequence[int], lo, hi):
+    """The root in (lo, hi) of the integer-primitive square-free ``coeffs``
+    if it is rational, else None.  A rational root has a denominator
+    dividing a_n, so it is a multiple of 1/|a_n|: the interval is bisected
+    below that width and its one candidate floor(hi*|a_n|)/|a_n| tested."""
+    an = abs(coeffs[-1])
+    a, b, den = _common_denominator(lo, hi)
+    slo = _homogenised(coeffs, a, den) > 0
+    while (b - a) * an >= den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        fm = _homogenised(coeffs, mid, den)
         if not fm:
-            return mid
+            return Rat(mid, den)
         if (fm > 0) == slo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    cand = Rat(math.floor(hi * an), an)
-    return cand if lo < cand and not eval_poly(sf, cand) else None
+            b = mid
+    q = b * an // den
+    return Rat(q, an) if a * an < q * den and not _homogenised(coeffs, q, an) else None
 
 
 def refine_to_float(p: Sequence, lo, hi) -> float:
@@ -166,37 +202,22 @@ def refine_to_float(p: Sequence, lo, hi) -> float:
 
     The bisection runs on integer numerators over one common denominator
     ``den = D * 2^k``, D the lcm of the denominators of ``lo`` and ``hi``
-    and k the number of halvings so far.  The sign of the square-free part
-    at ``m / den`` is that of the homogenised Horner sum
-    ``sum_i c_i m^i den^(d-i)`` over its integer-primitive coefficients
-    c_i, which is ``den^d`` times the value over a positive content.  The
+    and k the number of halvings so far, with signs from
+    :func:`_homogenised` over the integer-primitive square-free part.  The
     midpoints, the stop test and the returned float are thus those of the
     same bisection in exact fractions.
     """
-    sf = squarefree(p)
-    content = rat_content(sf)
-    coeffs = [int(c / content) for c in reversed(sf)]
-
-    def value(m: int, den: int) -> int:
-        acc, power = 0, 1
-        for c in coeffs:
-            acc = acc * m + c * power
-            power *= den
-        return acc
-
-    lo, hi = Rat(lo), Rat(hi)
-    den = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    fa = value(a, den)
+    coeffs = _primitive_squarefree(tuple(trim(p)))
+    a, b, den = _common_denominator(lo, hi)
+    fa = _homogenised(coeffs, a, den)
     if fa == 0:
         return a / den
-    if value(b, den) == 0:
+    if _homogenised(coeffs, b, den) == 0:
         return b / den
     for _ in range(200):
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
-        fm = value(mid, den)
+        fm = _homogenised(coeffs, mid, den)
         if fm == 0:
             return mid / den
         if (fm > 0) == (fa > 0):

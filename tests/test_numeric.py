@@ -1,3 +1,4 @@
+import glob
 import math
 import os
 import subprocess
@@ -7,12 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from centerlab import qhomog
+from centerlab import numeric, qhomog
 from centerlab.numeric import (
+    Crossing,
     DenseSegment,
     IntegrationError,
+    ReturnMapResult,
+    ReturnSample,
     Trajectory,
     _dopri_loop,
+    _ray,
     _refine_crossing,
     classify_monodromic,
     check_tolerance,
@@ -575,6 +580,16 @@ def test_loop_built_on_first_use_and_shared_per_dimension():
         "assert info()[:2] == (1, 1) and info().currsize == 1, info()\n"
         "numeric.integrate_adaptive(lambda x, y, z: (-y, x, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0))\n"
         "assert info().currsize == 2, info()\n"
+        # a return map builds the crossing loop on its first call, and
+        # every later return map runs that one
+        "from centerlab.systems import parse_system\n"
+        "s = parse_system('xdot = -y; ydot = x')\n"
+        "assert info().currsize == 2, info()\n"
+        "numeric.return_map(s, [0.1, 0.2])\n"
+        "assert info().currsize == 3, info()\n"
+        "hits = info().hits\n"
+        "numeric.return_map(s, [0.3], transversal='y+')\n"
+        "assert info().currsize == 3 and info().hits == hits + 1, info()\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -585,7 +600,234 @@ def test_loop_built_on_first_use_and_shared_per_dimension():
 
 def test_generated_code_names_its_source():
     # profiles and tracebacks name the compiled right-hand side and the
-    # generated loop, not "<string>"
+    # generated loop, not "<string>"; each system and each tail has its own
+    # label, which cProfile keys its entries by
     f = compile_system(parse_system("xdot = -y; ydot = x"))
-    assert f.__code__.co_filename == "<rhs>"
+    assert f.__code__.co_filename == "<rhs xdot = -1.0*y; ydot = 1.0*x>"
+    g = compile_system(parse_system("xdot = -y^3; ydot = x^3 + x^5"))
+    assert g.__code__.co_filename == "<rhs xdot = -1.0*y**3; ydot = 1.0*x**5 + 1.0*x**3>"
     assert _dopri_loop(2).__code__.co_filename == "<dopri n=2>"
+    assert _dopri_loop(2, True).__code__.co_filename == "<dopri n=2 crossing>"
+
+
+# -- bit-exact test against the return map that ran on the dense tail --
+
+def _callback_return_map(s, x0_list, transversal="x+", rel_tol=1e-12, abs_tol=1e-14,
+                         guard_radius=1.0):
+    # the return map as a step callback on the dense tail, which keeps every
+    # segment: the oracle for the crossing tail
+    f = numeric.compile_system(s)
+    cx, cy, name = _ray(transversal)
+
+    def gfun(state):
+        return -cy * state[0] + cx * state[1]
+
+    def radial(state):
+        return cx * state[0] + cy * state[1]
+
+    samples, warnings, nfev, trajs = [], [], 0, []
+    for x0 in x0_list:
+        start = (cx * x0, cy * x0)
+        g0dot = gfun(f(*start))
+        if g0dot == 0:
+            warnings.append(f"x0={x0}: orbit tangent to the transversal at start")
+            continue
+        want_sign = 1.0 if g0dot > 0 else -1.0
+        state = {"armed": False, "hit": None, "escaped": False, "g": gfun(start)}
+
+        def callback(seg, y_new):
+            g_old = state["g"]
+            g_new = state["g"] = gfun(y_new)
+            if math.hypot(*y_new) > guard_radius:
+                state["escaped"] = True
+                return True
+            if not state["armed"]:
+                if abs(g_new) > 1e3 * abs_tol + 1e-12 * abs(x0) and g_new * want_sign < 0:
+                    state["armed"] = True
+                return False
+            if g_old * want_sign < 0 <= g_new * want_sign and radial(y_new) > 0:
+                tc, yc = _refine_crossing(seg, gfun)
+                if radial(yc) > 0:
+                    state["hit"] = (tc, yc)
+                    return True
+            return False
+
+        traj = integrate_adaptive(f, start, (0.0, 1e9), rel_tol=rel_tol,
+                                  abs_tol=abs_tol, step_callback=callback)
+        trajs.append(traj)
+        nfev += traj.nfev
+        if state["escaped"]:
+            warnings.append(f"x0={x0}: orbit left the guard radius {guard_radius} "
+                            "(evidence against monodromy)")
+            continue
+        if state["hit"] is None:
+            warnings.append(f"x0={x0}: no return within {traj.steps} steps ({traj.status})")
+            continue
+        tc, yc = state["hit"]
+        value = radial(yc)
+        samples.append(ReturnSample(x0, value, value - x0, tc))
+    if not samples:
+        cls = "inconclusive"
+    else:
+        tol = max(1e-9, 1e2 * rel_tol)
+        if all(abs(sm.displacement) <= tol * sm.x0 for sm in samples):
+            cls = "center_evidence"
+        elif all(sm.displacement < 0 for sm in samples):
+            cls = "stable_focus_evidence"
+        elif all(sm.displacement > 0 for sm in samples):
+            cls = "unstable_focus_evidence"
+        else:
+            cls = "inconclusive"
+    return ReturnMapResult(name, samples, cls, rel_tol, warnings, nfev), trajs
+
+
+def _assert_same_return_map(s, x0_list, **kw):
+    # == and repr on every sample, warning, nfev and the classification; the
+    # crossing tail's steps, counts, closest approach and end point equal the
+    # dense tail's, and it keeps at most the segment of the crossing
+    ref, ref_trajs = _callback_return_map(s, x0_list, **kw)
+    got_trajs = []
+    real = numeric.integrate_adaptive
+
+    def spy(*args, **kwargs):
+        got_trajs.append(real(*args, **kwargs))
+        return got_trajs[-1]
+
+    numeric.integrate_adaptive = spy
+    try:
+        got = return_map(s, x0_list, **kw)
+    finally:
+        numeric.integrate_adaptive = real
+    assert got == ref
+    assert repr(got) == repr(ref)
+    assert len(got_trajs) == len(ref_trajs)
+    for g, r in zip(got_trajs, ref_trajs):
+        assert (g.steps, g.nfev, g.closest_approach) == (r.steps, r.nfev, r.closest_approach)
+        assert (g.t, g.y) == ([r.t[0], r.t[-1]], [r.y[0], r.y[-1]])
+        assert g.status == ("escaped" if r.status == "event" and g.crossing is None
+                            else r.status)
+        assert g.segments == ([] if g.crossing is None else [r.segments[-1]])
+    return got
+
+
+def _numeric_system_files():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    out = []
+    for path in sorted(glob.glob(os.path.join(root, "sample_systems", "*.sys"))
+                       + glob.glob(os.path.join(root, "bench", "systems", "*.sys"))):
+        with open(path) as fh:
+            s = parse_system(fh.read())
+        if s.is_numeric():
+            out.append((os.path.basename(path), s))
+    return out
+
+
+_NUMERIC_SYSTEMS = _numeric_system_files()
+_BENCH_RADII = [k / 100 for k in range(2, 11)]
+
+
+@pytest.mark.parametrize("transversal", ["x+", "y+", "0.7"])
+@pytest.mark.parametrize("name,system", _NUMERIC_SYSTEMS, ids=[n for n, _ in _NUMERIC_SYSTEMS])
+def test_crossing_tail_bit_identical_on_system_files(name, system, transversal):
+    got = _assert_same_return_map(system, _BENCH_RADII, transversal=transversal)
+    assert len(got.samples) + len(got.warnings) == len(_BENCH_RADII)
+    if transversal == "x+":
+        assert len(got.samples) == len(_BENCH_RADII)
+
+
+def test_system_files_cover_the_return_map_benchmark():
+    # the five parameter-free files: four centers and one focus
+    assert len(_NUMERIC_SYSTEMS) == 5
+
+
+def test_crossing_tail_bit_identical_on_stops_without_return():
+    # leaving the guard radius: one orbit after some steps, one at once
+    unstable = parse_system("xdot = -y + x*(x^2 + y^2); ydot = x + y*(x^2 + y^2)")
+    got = _assert_same_return_map(unstable, [0.9, 1.5, 0.05], guard_radius=1.0)
+    assert sum("guard radius" in w for w in got.warnings) == 2 and len(got.samples) == 1
+    # the orbit leaves the x-axis and settles at (0, x0) on the y-axis, so
+    # the run reaches the far horizon without a return
+    node = parse_system("xdot = -x^3; ydot = x^3")
+    got = _assert_same_return_map(node, [0.05, 0.1])
+    assert [w.endswith("(finished)") and "no return within" in w for w in got.warnings] \
+        == [True, True]
+    # orbits tangent to the ray at the start are not integrated
+    got = _assert_same_return_map(parse_system("xdot = -x; ydot = -y"), [0.05, 0.1])
+    assert all("tangent" in w for w in got.warnings) and got.nfev == 0
+    # a ray at an angle that the focus crosses with y < 0
+    got = _assert_same_return_map(unstable, [0.05, 0.1], transversal="-2.5")
+    assert got.classification == "unstable_focus_evidence"
+
+
+@pytest.mark.parametrize("rhs,message", [
+    # finite-time blowup inside a far guard radius: the step size underflows
+    (lambda x, y: (1.0 + x * x, 1.0 + y * y), "step size underflow"),
+    # trial stages whose right-hand side overflows are rejected until the
+    # step size underflows
+    (lambda x, y: (1.0, 2.0 ** (2000 * x)), "step size underflow at t=0.502"),
+])
+def test_crossing_tail_raises_as_dense_tail(monkeypatch, rhs, message):
+    monkeypatch.setattr(numeric, "compile_system", lambda s: rhs)
+    s = parse_system("xdot = -y; ydot = x")
+    errors = []
+    for run in (lambda: _callback_return_map(s, [0.01], guard_radius=math.inf),
+                lambda: return_map(s, [0.01], guard_radius=math.inf)):
+        with pytest.raises(IntegrationError) as err:
+            run()
+        errors.append((str(err.value), err.value.closest_approach))
+    assert errors[0] == errors[1]
+    assert message in errors[0][0] and errors[0][1] is not None
+
+
+def test_crossing_tail_keeps_bounded_memory():
+    # an orbit that never meets the crossing test runs thousands of steps:
+    # the crossing tail keeps its two end points and no segment, with the
+    # dense tail's steps, evaluations, closest approach and end point
+    f = lambda x, y: (-y, x)  # noqa: E731
+    never = Crossing(1.0, 0.0, -1.0, 2.0, 1.0)
+    kw = dict(rel_tol=1e-10, abs_tol=1e-12)
+    got = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0), crossing=never, **kw)
+    dense = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0), **kw)
+    assert got.steps > 5000 and got.status == dense.status == "finished"
+    assert len(got.segments) == 0 and len(got.t) <= 2 and len(got.y) <= 2
+    assert (got.steps, got.nfev, got.closest_approach) == \
+        (dense.steps, dense.nfev, dense.closest_approach)
+    assert (got.t_end, got.y_end) == (dense.t_end, dense.y_end)
+    # the same at max_steps, and at a crossing: one segment, the last one
+    capped = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0), crossing=never, max_steps=3000,
+                                **kw)
+    assert capped.status == "max_steps" and capped.steps == 3000 and not capped.segments
+    hit = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0),
+                             crossing=Crossing(1.0, 0.0, 1.0, 2.0, 1.0), **kw)
+    assert hit.status == "event" and len(hit.segments) == 1 and len(hit.t) == 2
+    assert abs(hit.crossing[0] - 2 * math.pi) < 1e-8
+    assert hit.segments[0].t0 < hit.crossing[0] <= hit.segments[0].t0 + hit.segments[0].h
+
+
+def test_crossing_checks_its_inputs():
+    ray = Crossing(1.0, 0.0, 1.0, 2.0, 1.0)
+    with pytest.raises(IntegrationError, match="not finite") as err:
+        integrate_adaptive(lambda x, y: (x ** 2000, 0.0), (2.0, 0.0), (0.0, 1.0), crossing=ray)
+    assert err.value.closest_approach == 2.0
+    with pytest.raises(ValueError, match="plane state"):
+        integrate_adaptive(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 1.0), crossing=ray,
+                           step_callback=lambda seg, y: False)
+    with pytest.raises(ValueError, match="plane state"):
+        integrate_adaptive(lambda x, y, z: (-y, x, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0),
+                           crossing=ray)
+
+
+def test_crossing_behind_the_origin_does_not_stop():
+    # a straight orbit whose third step ends with x > 0 after crossing y = 0
+    # at x = -0.005: the refined crossing lies behind the origin, so the run
+    # goes on to the end of the span, as the step callback's did
+    f = lambda x, y: (1.0, 1.0)  # noqa: E731
+    ray = Crossing(1.0, 0.0, 1.0, 100.0, 0.1)
+    got = integrate_adaptive(f, (-0.105, -0.1), (0.0, 10.0), crossing=ray)
+    dense = integrate_adaptive(f, (-0.105, -0.1), (0.0, 10.0))
+    third = dense.segments[2]
+    assert third.y0[1] < 0 < dense.y[3][1] and dense.y[3][0] > 0
+    assert _refine_crossing(third, ray.g)[1][0] < 0
+    assert got.status == "finished" and got.crossing is None and not got.segments
+    assert (got.steps, got.nfev, got.t_end, got.y_end) == \
+        (dense.steps, dense.nfev, dense.t_end, dense.y_end)

@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
-from centerlab import structure
-from centerlab.mpoly import Rat
+from centerlab import realroots, structure
+from centerlab.mpoly import Rat, rat_content
 from centerlab.realroots import (
     degree,
     eval_poly,
@@ -12,7 +13,10 @@ from centerlab.realroots import (
     poly_gcd_univ,
     real_root_count,
     refine_to_float,
+    root_bound,
     squarefree,
+    sturm_chain,
+    sturm_count,
     trim,
 )
 from centerlab.systems import parse_system
@@ -106,7 +110,9 @@ def test_isolated_root_counts_match_sympy():
     checked = 0
     for p in cases:
         roots = isolate_real_roots(p)
-        expected = sorted(set(sympy.real_roots(_to_sympy(p, t))), key=float)
+        # sympy lists real roots in ascending order; sorting them by float
+        # would tie 10^25 and 10^25 + 1 and follow the set's hash order
+        expected = list(dict.fromkeys(sympy.real_roots(_to_sympy(p, t))))
         assert len(roots) == len(expected)
         for (lo, hi, ex), root in zip(roots, expected):
             if ex is not None:
@@ -200,3 +206,89 @@ def test_refine_to_float_matches_fraction_bisection_on_directions(monkeypatch):
     assert len(calls) == 4 and not any(d.exact for d in dirs.directions)
     for p, lo, hi in calls:
         assert refine_to_float(p, lo, hi) == _fraction_refine_to_float(p, lo, hi)
+
+
+def _fraction_isolate_real_roots(p):
+    # isolation with the rational-root test bisecting in exact fractions
+    # (Fraction Horner), over the square-free part as squarefree returns it:
+    # the oracle for the intervals and roots that the integer signs give
+    sf = squarefree(p)
+    if degree(sf) <= 0:
+        return []
+    chain = sturm_chain(sf)
+    M = root_bound(sf)
+    out = []
+
+    def split(lo, hi, n):
+        if n == 0:
+            return
+        if n == 1:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        step = (hi - lo) / 4
+        while eval_poly(sf, mid) == 0:
+            mid = mid + step
+            step = step / 3
+        nl = sturm_count(chain, lo, mid)
+        split(lo, mid, nl)
+        split(mid, hi, n - nl)
+
+    def rational_root_in(an, lo, hi):
+        slo = eval_poly(sf, lo) > 0
+        while (hi - lo) * an >= 1:
+            mid = (lo + hi) / 2
+            fm = eval_poly(sf, mid)
+            if not fm:
+                return mid
+            if (fm > 0) == slo:
+                lo = mid
+            else:
+                hi = mid
+        cand = Rat(math.floor(hi * an), an)
+        return cand if lo < cand and not eval_poly(sf, cand) else None
+
+    split(-M, M, sturm_count(chain, -M, M))
+    an = abs(sf[-1] / rat_content(sf))
+    return [(lo, hi, rational_root_in(an, lo, hi)) for lo, hi in sorted(out)]
+
+
+def test_isolation_matches_fraction_reference():
+    # the same intervals (== and repr, so the same Fractions) and the same
+    # rational roots, on planted roots with large denominators, repeated
+    # factors, either leading sign and roots on bisection midpoints
+    rng = random.Random(23)
+    cases = [[Rat(-1), Rat(0), Rat(1)], [Rat(0), Rat(3)], [Rat(-2), Rat(0), Rat(4)],
+             _mul([Rat(-1, 3), Rat(1)], [Rat(-2), Rat(0), Rat(1)])]
+    for _ in range(150):
+        p = _dense(rng, rng.randint(1, 4), -20, 20)
+        for _ in range(rng.randint(0, 3)):
+            p = _mul(p, [Rat(rng.randint(-500, 500), rng.randint(1, 97)), Rat(rng.choice((1, -3)))])
+        if rng.random() < 0.3:
+            p = _mul(p, p)
+        if degree(p) >= 1:
+            cases.append(p)
+    found = 0
+    for p in cases:
+        got = isolate_real_roots(p)
+        assert got == _fraction_isolate_real_roots(p)
+        assert repr(got) == repr(_fraction_isolate_real_roots(p))
+        found += sum(ex is not None for _, _, ex in got)
+    assert found > 100
+
+
+def test_squarefree_part_computed_once_per_polynomial(monkeypatch):
+    # characteristic_directions isolates the roots of one polynomial and
+    # refines its four irrational roots: one square-free part for all five
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return squarefree(p)
+
+    monkeypatch.setattr(realroots, "squarefree", spy)
+    realroots._primitive_squarefree.cache_clear()
+    s = parse_system("xdot = 2*x^3 - 3*x*y^2 + y^3; ydot = x^3 - 7*x^2*y + y^3")
+    dirs = structure.characteristic_directions(s)
+    assert len(dirs.directions) == 4
+    assert len(calls) == 1
