@@ -10,8 +10,10 @@ splits into two bidiagonal recurrences, solved by one sweep each.  At even
 degrees the obstruction coefficient V is the unique value making the
 degree-n equation solvable; the kernel ambiguity in H_n is fixed by forcing
 the y^n coefficient to zero.  All arithmetic is exact.  The solve at degree n
-divides by the eps-only f_n = mu^h*sigma^h*Delta_n (h = ceil(n/2)) that it
-forms itself, so the one degree loop, :class:`DegreePass`, keeps H_n as a
+divides by the eps-only f_n = mu^h*sigma^h (h = ceil(n/2)) that it forms
+itself, times Delta_n only at an even degree whose V_n is nonzero: when
+V_n = 0, Delta_n cancels from every coefficient, so f_n stays an
+eps-monomial.  The one degree loop, :class:`DegreePass`, keeps H_n as a
 numerator over the chain f_3*...*f_n: common denominators are products, no
 gcd runs per degree, and parameters can be specialised between degrees.
 Only the values that leave the loop (each V, a report's H table) are reduced
@@ -168,10 +170,13 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
     carries V symbolically; at even n row n then gives V over the eps-only
     Delta_n, which vanishes exactly when the system is singular.  The odd
     rows fix the even coefficients in a backward sweep from h_n = 0 (the
-    kernel rule) at even n, or h_(n+1) = 0 at odd n.
+    kernel rule) at even n, or h_(n+1) = 0 at odd n; the start depends on
+    the parity of n alone, not on V.
 
     Returns (H_num, f_n, V): H_n = H_num / (f_n * R_den) with the eps-only
-    f_n = mu^half * sigma^half * Delta_n, and V a RatFunc (None at odd n)."""
+    f_n = mu^half * sigma^half * Delta_n when V is nonzero, and
+    mu^half * sigma^half, an eps-monomial, when V is zero or n is odd; V is
+    a RatFunc (None at odd n)."""
     vars = R_num.vars
     zero = MPoly.zero(vars)
     r = _xy_coefficients(R_num, n) if R_num else {}
@@ -204,15 +209,20 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
                 f"homological system at degree {n} is singular beyond the expected "
                 "one-dimensional obstruction")
         v_num = mu_pow[half] * r.get(n, zero) + sigma * ak
+    else:
+        v_num = zero
+    if v_num:
         V = RatFunc(v_num, delta * R_den)
     else:
+        # without V, delta would cancel from every coefficient: f_n is the
+        # eps-monomial mu^half * sigma^half
+        V = RatFunc(v_num) if even else None
         delta = MPoly.const(vars, 1)
-        V = None
 
     # every coefficient goes over the common denominator mu^half * sigma^half * delta
     coeffs: Dict[int, MPoly] = {}
     for k in range(half):
-        num = a[k] * delta - v_num * b[k] if even else a[k]
+        num = a[k] * delta - v_num * b[k] if v_num else a[k]
         coeffs[2 * k + 1] = num * (mu_pow[half - k - 1] * sigma_pow[half])
 
     # backward sweep over odd rows s, from h_top = 0: h_(top-2j) = g_j / sigma^j
@@ -232,7 +242,8 @@ class DegreePass:
     """One pass over degrees 3..``max_even_degree``: iterating solves each
     degree n once into the table ``H`` (degree -> (num_n, f_n)) and yields
     (n, V) at every even n.  H_n is num_n over the chain f_2*...*f_n, with
-    f_2 = 1 and f_n the eps-only factor of the degree-n solve.  Between
+    f_2 = 1 and f_n the eps-only factor of the degree-n solve, which carries
+    Delta_n only when V_n is nonzero (see :func:`_solve_degree`).  Between
     yields the consumer may :meth:`specialise` parameters.  sigma and mu
     carry no parameters, so H_k of the specialised family is the specialised
     H_k: the stored table is re-expressed, not recomputed.
@@ -263,8 +274,10 @@ class DegreePass:
     def specialise(self, bindings: Mapping[str, MPoly]) -> None:
         """Substitute ``bindings`` into the family and into every stored
         numerator.  The f_k are eps-only and stay; the factor F_j of f_j
-        prime to eps is dropped where the bindings make it divide every
-        numerator from num_j on, which happens where they make V_j vanish."""
+        prime to eps (Delta_j, present only where V_j was nonzero) is
+        dropped where the bindings make it divide every numerator from num_j
+        on, which happens where they make V_j vanish.  An eps-monomial f_j
+        has no such factor and is skipped."""
         self._use(substitute(self.system, bindings))
         vars = self.system.vars
         nums = {k: num.subs(bindings, vars) for k, (num, _) in self.H.items()}

@@ -26,7 +26,10 @@ non-negative with no guard bit set (a borrow out of a field sets that field's
 guard bit).  Every exponent and every total degree stays below ``2**15``; a
 product whose degrees reach that limit raises :class:`EngineError` instead of
 wrapping into the next field.  One check per product of ``deg a + deg b``
-suffices, because no field exceeds its key's total degree.
+suffices, because no field exceeds its key's total degree.  A one-term
+operand has integer coefficient +-1 (its term dict is primitive), so a
+product by it is a key shift: each key of the other operand plus one key,
+with the signs flipped for -1, and no term can cancel.
 
 Exponent tuples and ``Rat`` appear only at the public edge: the
 ``MPoly(vars, terms)`` constructor, :meth:`MPoly.monomial`,
@@ -164,6 +167,10 @@ def _mul_ints(a: dict, b: dict, top: int) -> dict:
         _degree_limit(d)
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        # a key shift: distinct keys stay distinct, so nothing cancels
+        [(ea, ca)] = a.items()
+        return {ea + eb: ca * cb for eb, cb in b.items()}
     inner = list(b.items())
     terms: dict = {}
     get = terms.get

@@ -9,12 +9,15 @@ string (eps rendered as the Greek letter).  Reports round-trip losslessly.
 from __future__ import annotations
 
 import json
+import re
 from typing import List, Optional
 
 from .mpoly import MPoly
 from .ratfunc import RatFunc
 
 EPS_DISPLAY = "ε"
+# the variable eps as a whole word: a parameter such as keps keeps its name
+_EPS_WORD = re.compile(r"\beps\b")
 
 
 def poly_terms(p: MPoly) -> List[dict]:
@@ -29,7 +32,7 @@ def poly_terms(p: MPoly) -> List[dict]:
 
 
 def display_str(obj) -> str:
-    return str(obj).replace("eps", EPS_DISPLAY)
+    return _EPS_WORD.sub(EPS_DISPLAY, str(obj))
 
 
 def ratfunc_entry(v: RatFunc, k: Optional[int], degree: int) -> dict:

@@ -1,7 +1,9 @@
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from conftest import (
     NIL_REVERSIBLE,
     rf,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_systems"
 
 
 def poly_from_terms(terms, vars=None):
@@ -222,6 +226,22 @@ def test_json_polynomials_roundtrip(sysfile, capsys):
 
         assert parse_polynomial(cond["canonical"].replace("ε", "eps"),
                                 poly.vars) == poly
+
+
+def test_canonical_renames_only_the_variable_eps(tmp_path, capsys):
+    # eps prints as the Greek letter; a parameter whose name contains eps
+    # keeps its name
+    text = (SAMPLES / "nilpotent_cubic_ab.sys").read_text()
+    path = tmp_path / "nilpotent_cubic_keps.sys"
+    path.write_text(re.sub(r"\bA\b", "keps", text))
+    rc, data = run_cli(["liapunov", str(path), "--perturb", "minimal",
+                        "--max-degree", "8", "--no-timings"], capsys)
+    assert rc == 0
+    assert [c["canonical"] for c in data["conditions"]] == [
+        "B*keps - 3*L", "B*keps^3 - 2*B*K*keps"]
+    for entry in data["liapunov"]:
+        assert "keps" in entry["canonical"] and "ε" in entry["canonical"]
+        assert "kε" not in entry["canonical"]
 
 
 def test_entry_point_runs():

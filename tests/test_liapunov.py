@@ -1,6 +1,8 @@
 import pytest
 
+from centerlab import liapunov
 from centerlab.liapunov import (
+    DegreePass,
     EngineError,
     _solve_degree,
     compute_liapunov_constants,
@@ -17,6 +19,7 @@ from conftest import (
     HOMOLOGICAL_LINEAR_PARTS,
     NIL_CUBIC_AB_EPS,
     NIL_DARBOUX_EPS,
+    NIL_REVERSIBLE_EPS,
     NIL_SEXTIC_EPS,
     poly,
     random_poly,
@@ -115,6 +118,37 @@ def test_reversible_system_constants_vanish():
     s = parse_system("xdot = y + x^2; ydot = -eps*x - x^3")
     rep = compute_liapunov_constants(s, 10)
     assert rep.all_zero()
+
+
+def test_zero_constants_keep_delta_out_of_the_chain():
+    # every V_n vanishes, so no Delta_n enters the table: each f_n is the
+    # eps-monomial mu^h*sigma^h and the H_k still satisfy the identity
+    s = parse_system(NIL_REVERSIBLE_EPS)
+    run = DegreePass(s, 14)
+    assert [n for n, V in run if V.is_zero] == [4, 6, 8, 10, 12, 14]
+    assert sorted(run.H) == list(range(2, 15))
+    assert all(len(f) == 1 for _, f in run.H.values())
+    assert verify_backsubstitution(compute_liapunov_constants(s, 14))
+
+
+def test_nonzero_constants_keep_delta_in_the_chain(monkeypatch):
+    runs = []
+
+    class Recorded(DegreePass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(liapunov, "DegreePass", Recorded)
+    s = parse_system(NIL_CUBIC_AB_EPS)
+    rep = compute_liapunov_constants(s, 8)
+    [run] = runs
+    for n in (4, 6, 8):
+        assert not rep.constant_at_degree(n).is_zero
+        # f_n = mu^h*sigma^h*Delta_n with the multi-term Delta_n
+        assert len(run.H[n][1]) == n // 2 + 1, n
+    assert all(len(run.H[n][1]) == 1 for n in (3, 5, 7))
+    assert verify_backsubstitution(rep)
 
 
 def test_backsubstitution_invariant():

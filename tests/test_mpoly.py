@@ -284,6 +284,30 @@ def test_mul_matches_fraction_reference(rng):
     assert (p * MPoly.zero(WIDE_TAB)).is_zero
 
 
+def test_one_term_product_property():
+    # a one-term operand makes the product a key shift; it must equal the
+    # product rebuilt term by term from the public view, in the same order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    polys = _hypothesis_polys()
+    coeff = st.builds(Rat, st.integers(-30, 30).filter(bool), st.integers(1, 9))
+    monos = st.builds(lambda e, c: MPoly.monomial(TAB, e, c),
+                      st.tuples(*[st.integers(0, 3)] * len(TAB)), coeff)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(polys, monos)
+    def check(p, m):
+        [(em, cm)] = m.terms.items()
+        want = MPoly(TAB, {tuple(i + j for i, j in zip(e, em)): c * cm
+                           for e, c in p.terms.items()})
+        assert p * m == m * p == want
+        assert list((p * m).terms.items()) == list((m * p).terms.items()) \
+            == list(want.terms.items())
+
+    check()
+
+
 def test_ring_laws_property():
     hypothesis = pytest.importorskip("hypothesis")
     polys = _hypothesis_polys()
@@ -740,7 +764,10 @@ def test_product_reaching_degree_limit_raises():
     below = MPoly.monomial(TAB, (CAP // 2 - 1, 0, 0), 3)
     assert (half * below).leading_monomial() == (CAP - 1, 0, 0)
     for a, b in ((half, half), (half, MPoly.monomial(TAB, (0, CAP // 2, 0))),
-                 (half + 1, MPoly.monomial(TAB, (0, 0, CAP // 2)) - 1)):
+                 (half + 1, MPoly.monomial(TAB, (0, 0, CAP // 2)) - 1),
+                 # one-term operands against several terms: key shifts
+                 (half * Rat(-2, 3), MPoly.monomial(TAB, (0, 0, CAP // 2)) + 1),
+                 (MPoly.monomial(TAB, (0, CAP // 2, 0)) + 1, below * MPoly.variable("y", TAB))):
         with pytest.raises(EngineError):
             a * b
     with pytest.raises(EngineError):

@@ -412,8 +412,12 @@ def test_specialised_h_table_matches_fresh_pass(monkeypatch, text, degree):
     assert sorted(got) == sorted(want) == list(range(2, degree + 1))
     for k in want:
         assert (got[k].num, got[k].den) == (want[k].num, want[k].den), k
-    # the factor of f_4 that V_4's vanishing cancelled is out of the chain
-    assert any(len(f) < len(fresh.H[k][1]) for k, (_, f) in run.H.items())
+    # the stored numerators and chain factors themselves agree: a factor that
+    # a vanishing V cancels is out of the specialised chain, as it never
+    # enters the fresh one
+    assert sorted(run.H) == sorted(fresh.H)
+    for k in fresh.H:
+        assert run.H[k] == fresh.H[k], k
 
 
 def test_degree_pass_reduces_only_the_constants(monkeypatch):
