@@ -11,9 +11,7 @@ from .systems import (
     PERTURBED_NILPOTENT,
     ClassificationError,
     PlaneSystem,
-    homogeneous_parts,
     lie_derivative,
-    make_system,
     parse_system,
     substitute,
 )

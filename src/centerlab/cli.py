@@ -205,18 +205,8 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     s, source = _load_system(args)
     parsed = parse_first_integral(args.integral, s.vars)
-    power = []
-    for base, expo in parsed.power_factors:
-        if base.is_polynomial:
-            power.append((base.as_poly(), expo))
-        else:
-            power.append((base, expo))
-    expr = DarbouxExpr(
-        power_factors=power,
-        exp_factor=(None if parsed.exp_factor is None
-                    else (parsed.exp_factor[0], parsed.exp_factor[1])),
-        arg_factor=parsed.arg_factor,
-    )
+    expr = DarbouxExpr(power_factors=parsed.power_factors, exp_factor=parsed.exp_factor,
+                       arg_factor=parsed.arg_factor)
     residual = verify_darboux_integral(s, expr)
     data = {
         "input": source,

@@ -13,18 +13,22 @@ the y^n coefficient to zero.  All arithmetic is exact.  The solve at degree n
 divides by the eps-only f_n = mu^h*sigma^h (h = ceil(n/2)) that it forms
 itself, times Delta_n only at an even degree whose V_n is nonzero: when
 V_n = 0, Delta_n cancels from every coefficient, so f_n stays an
-eps-monomial.  The one degree loop, :class:`DegreePass`, keeps H_n as a
-numerator over the chain f_3*...*f_n: common denominators are products, no
-gcd runs per degree, and parameters can be specialised between degrees.
-Only the values that leave the loop (each V, a report's H table) are reduced
-to a :class:`RatFunc`.
+eps-monomial.
+
+:class:`DegreePass` is the engine's one entry: ``V = dict(DegreePass(s, N))``
+runs the degree loop, which keeps H_n as a numerator over the chain
+f_3*...*f_n: common denominators are products, no gcd runs per degree, and
+parameters can be specialised between degrees.  Only the values that leave
+the loop (each V, and the H table of :meth:`DegreePass.h_table`) are reduced
+to a :class:`RatFunc`.  :func:`verify_backsubstitution` (run, constants) is
+the exact oracle for a finished pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .mpoly import EngineError, MPoly, Rat, poly_lcm
 from .ratfunc import RatFunc
@@ -63,44 +67,6 @@ class ConventionRecord:
         }
 
 
-@dataclass
-class ConstantEntry:
-    degree: int
-    value: RatFunc
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-
-@dataclass
-class LiapunovReport:
-    system: PlaneSystem
-    max_even_degree: int
-    convention: ConventionRecord
-    h_table: Dict[int, RatFunc]
-    constants: List[ConstantEntry]
-    warnings: List[str] = field(default_factory=list)
-
-    @property
-    def indexed(self) -> List[ConstantEntry]:
-        """The nonzero constants, in order of appearance."""
-        return [c for c in self.constants if not c.is_zero]
-
-    def constant_at_degree(self, degree: int) -> Optional[ConstantEntry]:
-        for c in self.constants:
-            if c.degree == degree:
-                return c
-        return None
-
-    def first_nonzero(self) -> Optional[ConstantEntry]:
-        idx = self.indexed
-        return idx[0] if idx else None
-
-    def all_zero(self) -> bool:
-        return not self.indexed
-
-
 def _xy_coefficients(p: MPoly, n: int) -> Dict[int, MPoly]:
     """Decompose an x,y-homogeneous polynomial of degree n: maps t to the
     (x,y)-free coefficient of x^(n-t) y^t."""
@@ -136,25 +102,6 @@ def _linear_scalars(system: PlaneSystem) -> Tuple[MPoly, MPoly]:
     class each is a nonzero rational constant or c*eps."""
     p1, q1 = system.linear_part()
     return _xy_coefficients(p1, 1)[1], -_xy_coefficients(q1, 1)[0]
-
-
-def solve_homological_step(system: PlaneSystem, residual: MPoly,
-                           degree: Optional[int] = None):
-    """Solve L(H_n) = -residual (+ V*(x^2+y^2)^(n/2) at even n).
-
-    ``residual`` must be x,y-homogeneous; returns (H_n, V) with H_n a
-    RatFunc over an eps-only denominator and V a RatFunc for even n, None for
-    odd n.
-    """
-    if system.linear_class not in SUPPORTED_CLASSES:
-        raise ClassificationError(f"unsupported linear class {system.linear_class!r}")
-    if degree is None:
-        degree = residual.degree_in_state()
-        if degree < 0:
-            raise ValueError("degree required for a zero residual")
-    sigma, mu = _linear_scalars(system)
-    H_num, f, V = _solve_degree(sigma, mu, degree, residual, MPoly.const(system.vars, 1))
-    return RatFunc(H_num, f), V
 
 
 def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
@@ -327,47 +274,21 @@ class DegreePass:
         return acc, chain
 
 
-def compute_liapunov_constants(system: PlaneSystem, max_even_degree: int) -> LiapunovReport:
-    """Run the degree-by-degree scheme up to ``max_even_degree``.
-
-    The linear class must be linear_type, perturbed_nilpotent or
-    perturbed_degenerate.  Absence of obstructions up to the truncation
-    degree is evidence, not a proof of a center; the report carries a
-    warning to that effect.
-    """
-    run = DegreePass(system, max_even_degree)
-    constants = [ConstantEntry(degree=n, value=V) for n, V in run]
-    return LiapunovReport(
-        system=system,
-        max_even_degree=max_even_degree,
-        convention=run.convention,
-        h_table=run.h_table(),
-        constants=constants,
-        warnings=[
-            "no obstruction up to the truncation degree is evidence, not a "
-            "center proof: a center requires all constants to vanish"
-        ] if all(c.is_zero for c in constants) else [],
-    )
-
-
-def verify_backsubstitution(report: LiapunovReport) -> bool:
-    """Exact check of the defining identity: the Lie derivative of the summed
-    H equals the recorded combination of (x^2+y^2) powers through the
-    truncation degree."""
-    s = report.system
+def verify_backsubstitution(run: DegreePass, constants: Mapping[int, RatFunc]) -> bool:
+    """Exact check of the defining identity for a finished ``run`` and the
+    constants it yielded (degree -> V): the Lie derivative of the summed H
+    equals the combination of (x^2+y^2) powers through the truncation
+    degree."""
+    s = run.system
     vars = s.vars
+    h_table = run.h_table()
     D = MPoly.const(vars, 1)
-    for h in report.h_table.values():
+    for h in (*h_table.values(), *constants.values()):
         D = poly_lcm(D, h.den)
-    for c in report.constants:
-        D = poly_lcm(D, c.value.den)
     H_scaled = MPoly.zero(vars)
-    for h in report.h_table.values():
+    for h in h_table.values():
         H_scaled = H_scaled + h.num * D.try_div(h.den)
     residual = lie_derivative(H_scaled, s)
-    for c in report.constants:
-        residual = residual - c.value.num * D.try_div(c.value.den) * _circle_power(vars, c.degree // 2)
-    for d in range(0, report.max_even_degree + 1):
-        if residual.homogeneous_part(d):
-            return False
-    return True
+    for n, V in constants.items():
+        residual = residual - V.num * D.try_div(V.den) * _circle_power(vars, n // 2)
+    return not any(residual.homogeneous_part(d) for d in range(run.max_even_degree + 1))

@@ -858,9 +858,6 @@ class MPoly:
         return MPoly._of(self.vars, *_ratio_mul(self._num, self._den, divisor._den, divisor._num),
                          qterms)
 
-    def divides(self, other: "MPoly") -> bool:
-        return other.try_div(self) is not None
-
     def primitive(self) -> "MPoly":
         """Divide out the rational content and fix the leading sign positive."""
         if self.is_zero:

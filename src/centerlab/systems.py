@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from .mpoly import MPoly, Rat, merge_tables
 from .parser import Assumption, parse_system_source
@@ -149,28 +149,6 @@ def parse_system(text: str) -> PlaneSystem:
     """Parse system text (see the grammar in :mod:`centerlab.parser`)."""
     parsed = parse_system_source(text)
     return PlaneSystem(parsed.P, parsed.Q, parsed.params, parsed.assumptions)
-
-
-def make_system(xdot: str, ydot: str, params: str = "") -> PlaneSystem:
-    header = f"params: {params}\n" if params else ""
-    return parse_system(f"{header}xdot = {xdot}; ydot = {ydot}")
-
-
-@dataclass
-class HomogeneousDecomposition:
-    parts: List[Tuple[int, MPoly, MPoly]]
-
-
-def homogeneous_parts(s: PlaneSystem) -> HomogeneousDecomposition:
-    """Split (P, Q) into components homogeneous in x, y, degrees ascending."""
-    parts = []
-    top = max(s.P.degree_in_state(), s.Q.degree_in_state(), 0)
-    for d in range(0, top + 1):
-        pd = s.P.homogeneous_part(d)
-        qd = s.Q.homogeneous_part(d)
-        if pd or qd:
-            parts.append((d, pd, qd))
-    return HomogeneousDecomposition(parts)
 
 
 def lie_derivative(H: MPoly, s: PlaneSystem) -> MPoly:

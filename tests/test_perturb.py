@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from centerlab.liapunov import compute_liapunov_constants
+from centerlab.liapunov import DegreePass
 from centerlab import liapunov, mpoly, perturb, ratfunc
 from centerlab.mpoly import MPoly
 from centerlab.perturb import (
@@ -147,7 +147,7 @@ def test_pipeline_stage_counts():
 def test_pipeline_reports_the_first_stage_convention():
     s = parse_system(NIL_CUBIC_AB_EPS)
     res = center_conditions_pipeline(s, 6)
-    assert res.convention == compute_liapunov_constants(s, 6).convention
+    assert res.convention == DegreePass(s, 6).convention
     assert res.convention.seed == "(mu*x^2+y^2)/2 with mu = eps"
 
 
@@ -258,21 +258,22 @@ def _restart_pipeline(perturbed, max_even_degree, mode=ALL_ORDERS, perturbation_
     recomputes all constants of the reduced family from degree 3 and reads
     the first nonzero one above the previous stage's degree."""
     current = perturbed
-    report = compute_liapunov_constants(current, max_even_degree)
-    result = PipelineResult(mode=mode, convention=report.convention)
+    run = DegreePass(current, max_even_degree)
+    result = PipelineResult(mode=mode, convention=run.convention)
+    constants = dict(run)
     full_table = perturbed.vars
     pset = set(perturbation_params)
     index = 0
     floor = 0
     while True:
-        first = next((c for c in report.constants
-                      if c.degree > floor and not c.is_zero), None)
+        first = next(((n, V) for n, V in constants.items()
+                      if n > floor and not V.is_zero), None)
         if first is None:
             break
         index += 1
-        floor = first.degree
-        result.constants.append((index, first.degree, first.value))
-        series = laurent_expand_eps(first.value, perturb._order_bound(first.value))
+        floor, value = first
+        result.constants.append((index, floor, value))
+        series = laurent_expand_eps(value, perturb._order_bound(value))
         if series.side_condition is not None:
             result.side_conditions.append(series.side_condition)
         items = series.items()
@@ -311,7 +312,7 @@ def _restart_pipeline(perturbed, max_even_degree, mode=ALL_ORDERS, perturbation_
                     reducers.append(poly_k)
         if new_subs:
             current = substitute(current, new_subs)
-            report = compute_liapunov_constants(current, max_even_degree)
+            constants = dict(DegreePass(current, max_even_degree))
     return result
 
 

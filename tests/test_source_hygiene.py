@@ -256,3 +256,63 @@ def test_exponent_layout_read_only_by_mpoly():
         if path.name != "mpoly.py":
             found += [f"{path.name}:{hit}" for hit in _exponent_layout_reads(path.read_text())]
     assert found == []
+
+
+def _unnamed_public_definitions(sources):
+    """``module:name`` for each public module-level function or class of the
+    sources (module file name -> text) that no module but ``__init__.py``
+    names, as a name, an attribute or an imported name, and that
+    ``__init__.py`` does not import to re-export."""
+    defined, named, exported = [], set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}:{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if module == "__init__.py":
+                if isinstance(node, ast.ImportFrom):
+                    exported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return [d for d in defined if d.split(":")[1] not in named | exported]
+
+
+# public names that no package module calls yet, each with its reason
+UNNAMED_PUBLIC_ALLOWED = {
+    "liapunov.py:verify_backsubstitution":
+        "test oracle of the back-substitution identity, to be run from the CLI as a check",
+    "ratfunc.py:laurent_resum":
+        "test oracle of the Laurent expansion, to be run from the CLI as a check",
+    "perturb.py:check_no_vanishing_singularities":
+        "test oracle of the no-collapse condition, to be run from the CLI as a check",
+    "qhomog.py:condition_ii_integral":
+        "the public form of the period integral: it checks condition (i) before integrating",
+}
+
+
+def test_every_public_definition_is_named_by_the_package():
+    # a public function or class that no module uses and __init__.py does not
+    # export is dead code or test-only API; the few kept on purpose are listed
+    caught = [
+        {"a.py": "def helper(): ...\n"},
+        {"a.py": "class Report: ...\n", "b.py": "from .a import other\nother()\n"},
+        {"a.py": "def f(): ...\n", "__init__.py": "from . import a\na.f\n"},
+        {"a.py": "async def f(): ...\n", "b.py": "'f'\n"},
+    ]
+    assert all(_unnamed_public_definitions(src) for src in caught)
+    kept = [
+        {"a.py": "def _private(): ...\n"},
+        {"a.py": "def f(): ...\nf()\n"},
+        {"a.py": "def f(): ...\n", "b.py": "from .a import f\n"},
+        {"a.py": "class C: ...\n", "b.py": "from . import a\na.C()\n"},
+        {"a.py": "def f(): ...\n", "__init__.py": "from .a import f\n"},
+        {"a.py": "def f(): ...\n", "b.py": "def g(x=f): ...\n", "__init__.py": "from .b import g\n"},
+    ]
+    assert not any(_unnamed_public_definitions(src) for src in kept)
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.rglob("*.py"))}
+    assert sorted(_unnamed_public_definitions(sources)) == sorted(UNNAMED_PUBLIC_ALLOWED)

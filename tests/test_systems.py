@@ -1,10 +1,10 @@
 import pytest
 
+from centerlab.liapunov import DegreePass
 from centerlab.mpoly import MPoly, Rat
 from centerlab.systems import (
     ClassificationError,
     PlaneSystem,
-    homogeneous_parts,
     lie_derivative,
     parse_system,
     substitute,
@@ -44,34 +44,33 @@ def test_classification(text, expected):
     "xdot = eps*y; ydot = -3*eps*x",        # mismatched degenerate rotation
 ])
 def test_unsupported_linear_parts_rejected_by_engines(text):
-    from centerlab.liapunov import compute_liapunov_constants
-
     s = parse_system(text)
     assert s.linear_class == "other"
     with pytest.raises(ClassificationError, match="linear change of variables"):
-        compute_liapunov_constants(s, 4)
+        DegreePass(s, 4)
 
 
-def reassemble(dec, vars):
-    """(P, Q) summed back from their homogeneous parts."""
-    P = Q = MPoly.zero(vars)
-    for _, pd, qd in dec.parts:
+def reassemble(s):
+    """(P, Q) summed back from the linear part and the nonlinear parts."""
+    P, Q = s.linear_part()
+    for pd, qd in s.nonlinear_parts().values():
         P, Q = P + pd, Q + qd
     return P, Q
 
 
-def test_homogeneous_parts_of_factored_family():
+def test_linear_and_nonlinear_parts_of_factored_family():
     s = parse_system(DEG_FACTORED)
-    dec = homogeneous_parts(s)
-    assert [d for d, _, _ in dec.parts] == [3, 4]
-    P, Q = reassemble(dec, s.vars)
+    zero = MPoly.zero(s.vars)
+    assert s.linear_part() == (zero, zero)
+    assert sorted(s.nonlinear_parts()) == [3, 4]
+    P, Q = reassemble(s)
     assert P == s.P and Q == s.Q
 
 
-def test_homogeneous_parts_linear_center():
+def test_linear_and_nonlinear_parts_linear_center():
     s = parse_system("xdot = -y; ydot = x")
-    dec = homogeneous_parts(s)
-    assert [d for d, _, _ in dec.parts] == [1]
+    assert s.linear_part() == (s.P, s.Q)
+    assert s.nonlinear_parts() == {}
 
 
 def test_reassembly_random(rng):
@@ -85,11 +84,11 @@ def test_reassembly_random(rng):
             s = PlaneSystem(P, Q, ("a",))
         except ClassificationError:
             continue
-        dec = homogeneous_parts(s)
-        P2, Q2 = reassemble(dec, s.vars)
+        P2, Q2 = reassemble(s)
         assert P2 == s.P and Q2 == s.Q
+        parts = {1: s.linear_part(), **s.nonlinear_parts()}
         assert all((pd.homogeneous_part(d) == pd) and (qd.homogeneous_part(d) == qd)
-                   for d, pd, qd in dec.parts)
+                   for d, (pd, qd) in parts.items())
 
 
 def test_lie_derivative_of_linear_first_integral():
