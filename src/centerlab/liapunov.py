@@ -291,4 +291,4 @@ def verify_backsubstitution(run: DegreePass, constants: Mapping[int, RatFunc]) -
     residual = lie_derivative(H_scaled, s)
     for n, V in constants.items():
         residual = residual - V.num * D.try_div(V.den) * _circle_power(vars, n // 2)
-    return not any(residual.homogeneous_part(d) for d in range(run.max_even_degree + 1))
+    return not any(d <= run.max_even_degree for d in residual.homogeneous_parts())

@@ -29,7 +29,10 @@ wrapping into the next field.  One check per product of ``deg a + deg b``
 suffices, because no field exceeds its key's total degree.  A one-term
 operand has integer coefficient +-1 (its term dict is primitive), so a
 product by it is a key shift: each key of the other operand plus one key,
-with the signs flipped for -1, and no term can cancel.
+with the signs flipped for -1, and no term can cancel.  The layout of each
+table length, with every field's shift and mask, is built once, as is the
+plan that moves keys between two tables (:meth:`MPoly.embed`,
+:meth:`MPoly.subs`), held in a bounded cache.
 
 Exponent tuples and ``Rat`` appear only at the public edge: the
 ``MPoly(vars, terms)`` constructor, :meth:`MPoly.monomial`,
@@ -81,24 +84,23 @@ class EngineError(RuntimeError):
 class _Keys:
     """The packed-key layout for tables of ``n`` variables."""
 
-    __slots__ = ("n", "top", "guard", "_fields", "_slots", "_size")
+    __slots__ = ("n", "top", "guard", "shifts", "masks", "_fields", "_slots", "_size")
 
     def __init__(self, n: int):
         self.n = n
         self.top = _W * n  # shift of the total-degree field
         self.guard = int.from_bytes(b"\x80\x00" * n, "big")
+        # per table slot: the shift and the mask of its field
+        self.shifts = tuple(_W * (n - 1 - i) for i in range(n))
+        self.masks = tuple(_MASK << s for s in self.shifts)
         self._fields = struct.Struct(f">{n + 1}H")
         self._slots = struct.Struct(f">{n}H")
         self._size = 2 * (n + 1)
 
-    def shift(self, i: int) -> int:
-        """Shift of table slot ``i``'s field."""
-        return _W * (self.n - 1 - i)
-
     def var(self, i: int, k: int) -> int:
         """Key of the ``k``-th power of the variable in slot ``i`` (for a
         negative ``k``, the amount to add to divide a key by ``var^-k``)."""
-        return (k << self.shift(i)) + (k << self.top)
+        return (k << self.shifts[i]) + (k << self.top)
 
     def pack(self, expo) -> int:
         """Key of an exponent tuple; ValueError unless it holds ``n``
@@ -127,6 +129,31 @@ class _Keys:
 
 # one layout per table length in use
 _keys = lru_cache(maxsize=None)(_Keys)
+
+
+@lru_cache(maxsize=256)
+def _plan(old: tuple, new: tuple, skip: frozenset) -> tuple:
+    """How keys over table ``old`` become keys over ``new``, for every
+    polynomial: the shift of the degree field in each, (mask, left shift)
+    and (mask, right shift) groups that move each variable of ``old`` not in
+    ``skip`` to its slot in ``new``, and (name, field mask) for each such
+    variable that ``new`` lacks."""
+    ko, kn = _keys(len(old)), _keys(len(new))
+    pos = {v: j for j, v in enumerate(new)}
+    groups: dict = {}
+    missing = []
+    for v, s, m in zip(old, ko.shifts, ko.masks):
+        if v in skip:
+            continue
+        j = pos.get(v)
+        if j is None:
+            missing.append((v, m))
+            continue
+        d = kn.shifts[j] - s
+        groups[d] = groups.get(d, 0) | m
+    left = tuple((m, d) for d, m in groups.items() if d >= 0)
+    right = tuple((m, -d) for d, m in groups.items() if d < 0)
+    return ko.top, kn.top, left, right, tuple(missing)
 
 
 def _degree_limit(d: int):
@@ -333,7 +360,7 @@ class MPoly:
         and their sum needs no gcd."""
         vs = tuple(vars)
         ks = _keys(len(vs))
-        shifts = [ks.shift(vs.index(v)) for v in names]
+        shifts = [ks.shifts[vs.index(v)] for v in names]
         parts = [(k, c) for k, c in coeffs.items() if c._ints]
         if not parts:
             return cls._of(vs, 1, 1, {})
@@ -384,37 +411,27 @@ class MPoly:
             raise ValueError(f"not a constant polynomial: {self}")
         return Rat(self._num * c, self._den)
 
-    def _field(self, var: str) -> int:
-        return _keys(len(self.vars)).shift(self.vars.index(var))
+    def _field(self, var: str) -> tuple:
+        """The mask and the shift of ``var``'s key field."""
+        ks, i = _keys(len(self.vars)), self.vars.index(var)
+        return ks.masks[i], ks.shifts[i]
 
     def degree_in(self, var: str) -> int:
         if not self._ints:
             return -1
-        s = self._field(var)
-        return max(map((_MASK << s).__and__, self._ints)) >> s
+        m, s = self._field(var)
+        return max(map(m.__and__, self._ints)) >> s
 
     def lowest_degree_in(self, var: str) -> int:
         """The least exponent of ``var`` over the terms; -1 if zero."""
         if not self._ints:
             return -1
-        s = self._field(var)
-        return min(map((_MASK << s).__and__, self._ints)) >> s
-
-    def _state_degree(self, state):
-        """Function from a key to its total degree in the state variables."""
-        shifts = [self._field(v) for v in state if v in self.vars]
-        return lambda e: sum([(e >> s) & _MASK for s in shifts])
-
-    def degree_in_state(self, state=("x", "y")) -> int:
-        """Total degree counting only the listed variables; -1 if zero."""
-        if not self._ints:
-            return -1
-        return max(map(self._state_degree(state), self._ints))
+        m, s = self._field(var)
+        return min(map(m.__and__, self._ints)) >> s
 
     def variables_present(self) -> tuple:
-        ks = _keys(len(self.vars))
         seen = reduce(or_, self._ints, 0)
-        return tuple(v for i, v in enumerate(self.vars) if (seen >> ks.shift(i)) & _MASK)
+        return tuple(v for v, m in zip(self.vars, _keys(len(self.vars)).masks) if seen & m)
 
     def coefficient(self, expo: Sequence[int]):
         n = self._ints.get(_keys(len(self.vars)).find(expo))
@@ -540,7 +557,7 @@ class MPoly:
         """Partial derivative with respect to ``var``."""
         ks = _keys(len(self.vars))
         i = self.vars.index(var)
-        s, step = ks.shift(i), ks.var(i, 1)
+        s, step = ks.shifts[i], ks.var(i, 1)
         ints = {}
         for e, c in self._ints.items():
             k = (e >> s) & _MASK
@@ -550,40 +567,17 @@ class MPoly:
 
     # -- substitution and table management --------------------------------
 
-    def _moves(self, vs: tuple, skip=()) -> tuple:
-        """How keys over ``self.vars`` become keys over ``vs``: the shift of
-        the degree field in the old and in the new table, (mask, left shift)
-        and (mask, right shift) pairs that move each variable present and
-        not in ``skip`` to its slot in ``vs``, and (name, field mask) for
-        each such variable that ``vs`` lacks."""
-        old, new = _keys(len(self.vars)), _keys(len(vs))
-        seen = reduce(or_, self._ints, 0)
-        pos = {v: j for j, v in enumerate(vs)}
-        masks: dict = {}
-        missing = []
-        for i, v in enumerate(self.vars):
-            s = old.shift(i)
-            if v in skip or not (seen >> s) & _MASK:
-                continue
-            j = pos.get(v)
-            if j is None:
-                missing.append((v, _MASK << s))
-                continue
-            d = new.shift(j) - s
-            masks[d] = masks.get(d, 0) | (_MASK << s)
-        left = [(m, d) for d, m in masks.items() if d >= 0]
-        right = [(m, -d) for d, m in masks.items() if d < 0]
-        return old.top, new.top, left, right, missing
-
     def embed(self, vars: Sequence[str]) -> "MPoly":
         """Re-express over another table, which must contain every variable
         actually present (unused table slots may be dropped)."""
         vs = tuple(vars)
         if vs == self.vars:
             return self
-        top, top2, left, right, missing = self._moves(vs)
-        if missing:
-            raise ValueError(f"variable {missing[0][0]} present; cannot re-express over {vs}")
+        top, top2, left, right, missing = _plan(self.vars, vs, frozenset())
+        seen = reduce(or_, self._ints, 0)
+        for name, m in missing:
+            if seen & m:
+                raise ValueError(f"variable {name} present; cannot re-express over {vs}")
         ints = {}
         for e, c in self._ints.items():
             k = (e >> top) << top2
@@ -619,7 +613,6 @@ class MPoly:
             vars = tuple(v for v in self.vars if v not in bindings)
         vs = tuple(vars)
         old = _keys(len(self.vars))
-        top = _W * len(vs)
         seen = reduce(or_, self._ints, 0)
         # A value c*A (A primitive) to the power k is c^k * A^k, with A^k
         # primitive.  Every term is brought over den = prod(c_den^h), h the
@@ -635,13 +628,15 @@ class MPoly:
                     val = MPoly.const(vs, val)
                 elif val.vars != vs:
                     val = val.embed(vs)
-                s = old.shift(i)
-                if (seen >> s) & _MASK:
+                m = old.masks[i]
+                if seen & m:
                     if val._den != 1:
-                        den *= val._den ** (max(map((_MASK << s).__and__, self._ints)) >> s)
+                        den *= val._den ** (max(map(m.__and__, self._ints)) >> old.shifts[i])
                     subst.append((i, val))
-        top_old, _, left, right, missing = self._moves(vs, bindings)
-        smask = sum(_MASK << old.shift(i) for i, _ in subst)
+        top_old, top, left, right, missing = _plan(self.vars, vs, frozenset(bindings))
+        # only a variable present can make a term refuse the target table
+        missing = [(name, m) for name, m in missing if seen & m]
+        smask = sum(old.masks[i] for i, _ in subst)
         powers: dict = {}
         # per substituted part of a key: the product of the values' primitive
         # powers ({} when a value is zero), the integer the term scales by,
@@ -737,11 +732,26 @@ class MPoly:
 
     # -- pieces ------------------------------------------------------------
 
+    def homogeneous_parts(self, state=("x", "y")) -> dict:
+        """Maps each total degree in the state variables, ascending, to the
+        nonzero part of that degree; one pass over the terms."""
+        ks = _keys(len(self.vars))
+        fields = [(m, s) for v, m, s in zip(self.vars, ks.masks, ks.shifts) if v in state]
+        split: dict = {}
+        for e, c in self._ints.items():
+            d = 0
+            for m, s in fields:
+                d += (e & m) >> s
+            t = split.get(d)
+            if t is None:
+                t = split[d] = {}
+            t[e] = c
+        return {d: MPoly._reduced(self.vars, self._num, self._den, split[d])
+                for d in sorted(split)}
+
     def homogeneous_part(self, degree: int, state=("x", "y")) -> "MPoly":
         """The part whose total degree in the state variables equals ``degree``."""
-        deg = self._state_degree(state)
-        ints = {e: c for e, c in self._ints.items() if deg(e) == degree}
-        return MPoly._reduced(self.vars, self._num, self._den, ints)
+        return self.homogeneous_parts(state).get(degree) or MPoly.zero(self.vars)
 
     def coefficients_in(self, var: str) -> dict:
         """View as univariate in ``var``: maps exponent -> MPoly (same table)."""
@@ -753,7 +763,7 @@ class MPoly:
         ``names`` over the same table."""
         ks = _keys(len(self.vars))
         idx = [self.vars.index(v) for v in names]
-        mask = sum(_MASK << ks.shift(i) for i in idx)
+        mask = sum(ks.masks[i] for i in idx)
         # per part of a key in names: (its exponents of names, the terms
         # with that part, the amount that takes the part out of a key)
         groups: dict = {}
@@ -773,10 +783,9 @@ class MPoly:
         zeros), with each variable of ``at`` set to its number; ValueError
         when any other variable is present."""
         at = at or {}
-        ks = _keys(len(self.vars))
         seen = reduce(or_, self._ints, 0)
-        for i, v in enumerate(self.vars):
-            if v != var and v not in at and (seen >> ks.shift(i)) & _MASK:
+        for v, m in zip(self.vars, _keys(len(self.vars)).masks):
+            if v != var and v not in at and seen & m:
                 raise ValueError(f"variable {v} present; not {var} or set in {sorted(at)}")
         # every term is brought over den = prod(d^h), h the highest exponent
         # of the slot, so a^k = n^k * d^(h-k) / den with an integer numerator
@@ -784,11 +793,11 @@ class MPoly:
         slots = []
         for v, a in at.items():
             a = _as_rat(a)
-            s = self._field(v)
-            h = max(map((_MASK << s).__and__, self._ints), default=0) >> s
+            m, s = self._field(v)
+            h = max(map(m.__and__, self._ints), default=0) >> s
             den *= a.denominator ** h
             slots.append((s, a.numerator, a.denominator, h))
-        s = self._field(var)
+        _, s = self._field(var)
         sums: dict = {}
         for e, n in self._ints.items():
             for t, an, ad, h in slots:
@@ -987,7 +996,7 @@ def _univariate_gcd(a: MPoly, b: MPoly, var: str) -> MPoly:
     coefficients: each pseudo-remainder is made primitive."""
     ks = _keys(len(a.vars))
     i = a.vars.index(var)
-    s = ks.shift(i)
+    s = ks.shifts[i]
     fa = {(e >> s) & _MASK: c for e, c in a._ints.items()}
     fb = {(e >> s) & _MASK: c for e, c in b._ints.items()}
     while fb:

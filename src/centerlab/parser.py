@@ -164,6 +164,8 @@ class ExprParser:
         if tok.kind == "OP" and tok.text == "^":
             self.next()
             k = self.parse_int_exponent()
+            if k < 0 and atom.is_zero:
+                self.error("zero to a negative power", tok)
             return atom ** k
         return atom
 

@@ -55,9 +55,10 @@ class PerturbationSpec:
         for g in (self.G1, self.G2):
             if g is None or g.is_zero:
                 continue
-            if not g.homogeneous_part(0).is_zero:
+            parts = g.homogeneous_parts()
+            if 0 in parts:
                 raise ValueError("G terms must have no constant term")
-            if self.kind == "degenerate" and not g.homogeneous_part(1).is_zero:
+            if self.kind == "degenerate" and 1 in parts:
                 raise ValueError("degenerate-kind G terms must have no linear part")
 
 
@@ -281,7 +282,8 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
     if not g.is_constant:
         # a whole curve of singular points: minimize the distance along rays;
         # on the ray (r*cs, r*sn) the coefficient of r^d is g_d(cs, sn)
-        parts = [g.homogeneous_part(d) for d in range(g.degree_in_state() + 1)]
+        split = g.homogeneous_parts()
+        parts = [split.get(d, MPoly.zero(g.vars)) for d in range(max(split) + 1)]
         for k in range(720):
             th = 2 * math.pi * k / 720
             cs, sn = math.cos(th), math.sin(th)

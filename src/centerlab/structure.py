@@ -322,8 +322,9 @@ def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:
     M = x * s.Q - y * s.P
     if M.is_zero:
         return CharacteristicDirections(-1, M, [], every_direction=True)
-    d = min(i + j for i, j in M.coefficients_in_vars(("x", "y")))
-    B = M.homogeneous_part(d)
+    parts = M.homogeneous_parts()
+    d = min(parts)
+    B = parts[d]
     used = set(B.variables_present()) - {"x", "y"}
     if used:
         raise ValueError(f"specialize parameters first: {sorted(used)}")

@@ -44,6 +44,9 @@ class PlaneSystem:
     in ``eps_factor``.  Any other linear part is classified ``other``: the
     numeric and structural analyses still apply, the exact engines reject it
     with a pre-normalization message.
+
+    P and Q are split by degree in the state variables once, when the
+    system is built; the classification and the part views read that split.
     """
 
     P: MPoly
@@ -52,10 +55,16 @@ class PlaneSystem:
     assumptions: Tuple[Assumption, ...] = ()
     linear_class: str = field(init=False)
     eps_factor: Optional[MPoly] = field(init=False, default=None)
+    # degree -> (P_d, Q_d), ascending, for every degree where P or Q is nonzero
+    _by_degree: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.P._check(self.Q)
-        cls, eps_factor = _classify(self.P, self.Q)
+        P, Q = self.P.homogeneous_parts(), self.Q.homogeneous_parts()
+        zero = MPoly.zero(self.P.vars)
+        split = {d: (P.get(d, zero), Q.get(d, zero)) for d in sorted(P.keys() | Q.keys())}
+        object.__setattr__(self, "_by_degree", split)
+        cls, eps_factor = _classify(split, zero)
         object.__setattr__(self, "linear_class", cls)
         object.__setattr__(self, "eps_factor", eps_factor)
 
@@ -66,18 +75,12 @@ class PlaneSystem:
         return self.P.vars
 
     def linear_part(self) -> Tuple[MPoly, MPoly]:
-        return (self.P.homogeneous_part(1), self.Q.homogeneous_part(1))
+        zero = MPoly.zero(self.vars)
+        return self._by_degree.get(1, (zero, zero))
 
     def nonlinear_parts(self) -> dict:
         """Maps degree (>= 2) to (P_d, Q_d), skipping zero pairs."""
-        out = {}
-        top = max(self.P.degree_in_state(), self.Q.degree_in_state(), 1)
-        for d in range(2, top + 1):
-            pd = self.P.homogeneous_part(d)
-            qd = self.Q.homogeneous_part(d)
-            if pd or qd:
-                out[d] = (pd, qd)
-        return out
+        return {d: pq for d, pq in self._by_degree.items() if d >= 2}
 
     def is_numeric(self) -> bool:
         used = set(self.P.variables_present()) | set(self.Q.variables_present())
@@ -85,17 +88,6 @@ class PlaneSystem:
 
     def __str__(self) -> str:
         return format_system(self)
-
-
-def _linear_coefficients(P: MPoly, Q: MPoly):
-    """Coefficients of x and y in the degree-1 parts, as polynomials in the
-    remaining variables."""
-    def split(p):
-        parts = p.homogeneous_part(1).coefficients_in_vars(("x", "y"))
-        zero = MPoly.zero(p.vars)
-        return parts.get((1, 0), zero), parts.get((0, 1), zero)
-
-    return split(P) + split(Q)
 
 
 def _eps_monomial_value(p: MPoly) -> Optional[MPoly]:
@@ -110,13 +102,15 @@ def _eps_monomial_value(p: MPoly) -> Optional[MPoly]:
     return None
 
 
-def _classify(P: MPoly, Q: MPoly):
-    for p, name in ((P, "xdot"), (Q, "ydot")):
-        c = p.homogeneous_part(0)
+def _classify(split: dict, zero: MPoly):
+    """Linear class and eps factor from the degree split of (P, Q)."""
+    for c, name in zip(split.get(0, ()), ("xdot", "ydot")):
         if not c.is_zero:
             raise ClassificationError(
                 f"{name} has a nonzero constant term; the origin must be a singular point")
-    a_p, b_p, a_q, b_q = _linear_coefficients(P, Q)
+    # the coefficients of x and y in P_1 and Q_1, polynomials in the other variables
+    linear = [p.coefficients_in_vars(("x", "y")) for p in split.get(1, (zero, zero))]
+    a_p, b_p, a_q, b_q = (c.get(k, zero) for c in linear for k in ((1, 0), (0, 1)))
     if not a_p.is_zero or not b_q.is_zero:
         return OTHER, None
     if a_q.is_zero and b_p.is_zero:

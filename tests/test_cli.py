@@ -11,6 +11,7 @@ from centerlab import ratfunc
 from centerlab.cli import main
 from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables
 from centerlab.ratfunc import RatFunc
+from centerlab.systems import parse_system
 
 from conftest import (
     DEG_FACTORED,
@@ -164,6 +165,33 @@ def test_system_file_error_keeps_its_position(sysfile, capsys):
     rc = main(["liapunov", sysfile("xdot = y +; ydot = x"), "--no-timings"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("parse error: line 1, col ")
+
+
+@pytest.mark.parametrize("text,col", [
+    ("xdot = y + (x-x)^(-1); ydot = -x", 17),
+    ("xdot = y + 0^(-2); ydot = -x", 13),
+    ("xdot = y\nydot = -x + 2*(eps - eps)^-3", 26),
+], ids=["difference", "literal", "second-line"])
+def test_zero_to_a_negative_power_is_a_parse_error(sysfile, capsys, text, col):
+    # a bad input, not an engine fault: exit 2 with the position of the '^'
+    line = text.count("\n") + 1
+    for command in ("liapunov", "classify"):
+        rc = main([command, sysfile(text), "--no-timings"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"parse error: line {line}, col {col}: zero to a negative power\n"
+    # a zero base to a non-negative power is still a polynomial (0^0 = 1)
+    assert parse_system("xdot = y + (x-x)^2 + 0^0 - 1; ydot = -x") == parse_system(
+        "xdot = y; ydot = -x")
+
+
+def test_verify_zero_integral_factor_to_a_negative_power(capsys):
+    # the plain-expression parse refuses it, and the product form then
+    # rejects the zero factor: exit 3, not an engine fault
+    rc = main(["verify", str(SAMPLES / "factored_quartic.sys"),
+               "--integral", "(x-x)^(-1)", "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (3, "", "error: zero power factor\n")
 
 
 def test_exit_code_class_mismatch(sysfile, capsys):

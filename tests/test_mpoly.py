@@ -911,3 +911,127 @@ def test_coefficient_list_matches_tuple_reference_property():
     assert MPoly.zero(("x", "y")).coefficient_list("y", {"x": 5}) == []
     with pytest.raises(ValueError, match="variable x present"):
         p.coefficient_list("y")
+
+
+def _table_ref(p, vs):
+    """p's terms over the table ``vs``, moved one exponent tuple at a time;
+    ValueError naming the first variable present (in p's table order) that
+    ``vs`` lacks."""
+    present = [v for i, v in enumerate(p.vars) if any(e[i] for e in p.terms)]
+    for v in present:
+        if v not in vs:
+            raise ValueError(v)
+    return {tuple(e[p.vars.index(v)] if v in p.vars else 0 for v in vs): c
+            for e, c in p.terms.items()}
+
+
+def test_move_plans_match_term_reference_property():
+    # embed and subs move keys between tables by a plan cached per pair of
+    # tables; every move must match the tuple-level reference, whatever was
+    # cached before it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from centerlab import mpoly
+
+    names = ("x", "y", "eps", "a", "b", "c", "d")
+    coeff = st.builds(Rat, st.integers(-20, 20).filter(bool), st.integers(1, 6))
+    seen = {"moved": 0, "dropped": 0, "refused": 0, "twins": 0}
+
+    @st.composite
+    def cases(draw):
+        old = tuple(draw(st.permutations(names))[:draw(st.integers(2, 6))])
+        used = draw(st.sets(st.sampled_from(old), min_size=1))
+        expo = st.tuples(*[st.integers(0, 3) if v in used else st.just(0) for v in old])
+        p = MPoly(old, draw(st.dictionaries(expo, coeff, min_size=1, max_size=5)))
+        new = tuple(draw(st.permutations(names))[:draw(st.integers(1, 7))])
+        # a table of the same length, most often under other names
+        twin = tuple(draw(st.permutations(names))[:len(new)])
+        bound = draw(st.sets(st.sampled_from(old), max_size=3))
+        # each bound variable's value: c0 + c1*(the first variable of the target)
+        values = {v: (draw(coeff), draw(st.sampled_from((0, 1, Rat(-2, 3))))) for v in bound}
+        return p, new, twin, values
+
+    def bindings(values, vs):
+        return {v: (c0 if not c1 else MPoly.const(vs, c0) + MPoly.variable(vs[0], vs) * c1)
+                for v, (c0, c1) in values.items()}
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        p, new, twin, values = case
+        seen["twins"] += set(new) != set(twin)
+        mpoly._plan.cache_clear()
+        # the second visit of ``new`` reads the plans cached by the first
+        for vs in (new, twin, new):
+            try:
+                ref = _table_ref(p, vs)
+            except ValueError as exc:
+                seen["refused"] += 1
+                with pytest.raises(ValueError, match=f"^variable {exc} present; cannot "
+                                                     "re-express over"):
+                    p.embed(vs)
+            else:
+                seen["moved"] += 1
+                seen["dropped"] += not set(p.vars) <= set(vs)
+                _same(p.embed(vs), ref)
+            b = bindings(values, vs)
+            try:
+                ref = _fsubs(p, b, vs)
+            except ValueError:
+                with pytest.raises(ValueError, match="present; not in"):
+                    p.subs(b, vs)
+            else:
+                got = p.subs(b, vs)
+                assert got.vars == vs
+                _same(got, ref)
+        # one plan per (table, table, bound names) met above
+        assert mpoly._plan.cache_info().currsize <= 4
+
+    check()
+    assert min(seen.values()) > 20, seen
+
+
+def test_homogeneous_parts_property():
+    # one split by degree in the state variables: the parts sum back to p,
+    # each holds exactly the terms of its degree, and homogeneous_part reads it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.builds(Rat, st.integers(-20, 20).filter(bool), st.integers(1, 6))
+    # the usual table, one without y, and one with the state variables apart
+    tables = (TAB, ("x", "eps", "a"), ("eps", "y", "a", "x"))
+
+    def polys(table):
+        return st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(table)), coeff,
+                               max_size=6).map(lambda terms: MPoly(table, terms))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(tables).flatmap(polys),
+                      st.sampled_from((("x", "y"), ("eps",), ("y", "a"))))
+    def check(p, state):
+        slots = [i for i, v in enumerate(p.vars) if v in state]
+
+        def degree(e):
+            return sum(e[i] for i in slots)
+
+        parts = p.homogeneous_parts(state)
+        assert list(parts) == sorted({degree(e) for e in p.terms})
+        total = MPoly.zero(p.vars)
+        for d, part in parts.items():
+            _check_form(part)
+            assert part.vars == p.vars and part
+            assert all(degree(e) == d for e in part.terms)
+            total = total + part
+        assert total == p
+        for d in range(-1, max(parts, default=0) + 2):
+            _same(p.homogeneous_part(d, state),
+                  {e: c for e, c in p.terms.items() if degree(e) == d})
+            assert p.homogeneous_part(d, state) == parts.get(d, MPoly.zero(p.vars))
+
+    check()
+    # the default state is (x, y), present or not
+    p = poly("x^2*eps + x + eps^3", ("x", "eps"))
+    assert p.homogeneous_parts() == {0: poly("eps^3", p.vars), 1: poly("x", p.vars),
+                                     2: poly("x^2*eps", p.vars)}
+    assert MPoly.zero(TAB).homogeneous_parts() == {}

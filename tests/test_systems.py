@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from centerlab.liapunov import DegreePass
@@ -5,6 +7,7 @@ from centerlab.mpoly import MPoly, Rat
 from centerlab.systems import (
     ClassificationError,
     PlaneSystem,
+    format_system,
     lie_derivative,
     parse_system,
     substitute,
@@ -151,3 +154,62 @@ def test_assumption_checked_on_specialization():
         substitute(s, {"a": -1})
     t = substitute(s, {"a": 2})
     assert t.assumptions == ()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SYSTEM_FILES = sorted([*ROOT.glob("sample_systems/*.sys"), *ROOT.glob("bench/systems/*.sys")])
+
+# linear class, eps factor and nonlinear degrees of every system file
+SYSTEM_FILE_VIEWS = {
+    "center_cubic_member": ("linear_type", None, [2, 3]),
+    "center_weighted_hamiltonian": ("degenerate", None, [3, 5]),
+    "cubic_family_a": ("nilpotent", None, [2, 3]),
+    "cubic_family_b": ("nilpotent", None, [2, 3]),
+    "cubic_k": ("nilpotent", None, [2, 3]),
+    "radial_focus": ("linear_type", None, [3]),
+    "sextic": ("nilpotent", None, [4, 5, 6]),
+    "degenerate_quintic": ("perturbed_degenerate", "eps", [3, 4, 5]),
+    "factored_quartic": ("degenerate", None, [3, 4]),
+    "homogeneous_cubic": ("degenerate", None, [3]),
+    "nilpotent_cubic_ab": ("nilpotent", None, [2, 3]),
+    "reversible_nilpotent": ("nilpotent", None, [2, 3]),
+}
+
+
+def _degree_part(p, d):
+    """The terms of p whose degree in x and y is d, read from the public view."""
+    ix, iy = p.vars.index("x"), p.vars.index("y")
+    return {e: c for e, c in p.terms.items() if e[ix] + e[iy] == d}
+
+
+@pytest.mark.parametrize("path", SYSTEM_FILES, ids=lambda p: p.stem)
+def test_part_views_of_every_system_file(path):
+    s = parse_system(path.read_text())
+    cls, eps_factor, degrees = SYSTEM_FILE_VIEWS[path.stem]
+    assert s.linear_class == cls
+    assert (None if s.eps_factor is None else str(s.eps_factor)) == eps_factor
+    P1, Q1 = s.linear_part()
+    assert (P1.terms, Q1.terms) == (_degree_part(s.P, 1), _degree_part(s.Q, 1))
+    parts = s.nonlinear_parts()
+    assert list(parts) == degrees
+    for d, (pd, qd) in parts.items():
+        assert pd.vars == qd.vars == s.vars
+        assert (pd.terms, qd.terms) == (_degree_part(s.P, d), _degree_part(s.Q, d))
+    # the views hand out fresh containers: changing one leaves the system as it was
+    parts.clear()
+    assert list(s.nonlinear_parts()) == degrees
+    assert reassemble(s) == (s.P, s.Q)
+
+
+@pytest.mark.parametrize("path", SYSTEM_FILES, ids=lambda p: p.stem)
+def test_stored_split_takes_no_part_in_equality(path):
+    s = parse_system(path.read_text())
+    for same in (parse_system(format_system(s)), substitute(s, {}), PlaneSystem(
+            s.P, s.Q, s.params, s.assumptions)):
+        assert same == s
+        if not s.assumptions:  # an Assumption does not hash
+            assert hash(same) == hash(s)
+    assert "_by_degree" not in repr(s)
+    # a system differing only in P is unequal, whatever its split
+    other = PlaneSystem(s.P + poly("x^7", s.vars), s.Q, s.params, s.assumptions)
+    assert other != s and other.nonlinear_parts()[7][0] == poly("x^7", s.vars)
