@@ -43,7 +43,9 @@ the ``Rat`` accessors :meth:`MPoly.constant_value`,
 :meth:`MPoly.coefficient_list`.  No other module reads exponent tuples
 by table position: they group terms through :meth:`MPoly.coefficients_in`
 and :meth:`MPoly.coefficients_in_vars` or take dense univariate lists
-from :meth:`MPoly.coefficient_list`.
+from :meth:`MPoly.coefficient_list`.  Dense univariate work (real roots,
+univariate gcds) belongs to :mod:`centerlab.realroots`, which imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 from typing import Iterable, Optional, Sequence, Union
+
+from .realroots import univariate_gcd
 
 #: Exact scalar type: an arbitrary-precision rational (reduced, positive
 #: denominator).
@@ -922,9 +926,10 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Greatest common divisor, primitive with positive leading coefficient.
 
     When one argument involves a single variable the gcd is built from
-    univariate gcds (:func:`_single_var_gcd`); otherwise content extraction
-    plus a primitive pseudo-remainder sequence on the first table variable
-    present in either argument.
+    univariate gcds (:func:`_single_var_gcd`), taken by the package's one
+    univariate integer layer, :func:`realroots.univariate_gcd`; otherwise
+    content extraction plus a primitive pseudo-remainder sequence on the
+    first table variable present in either argument.
     """
     a._check(b)
     if a.is_zero:
@@ -992,38 +997,21 @@ def _content_primitive(p: MPoly, var: str):
 
 
 def _univariate_gcd(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """Euclidean gcd for polynomials in a single variable, on integer
-    coefficients: each pseudo-remainder is made primitive."""
+    """gcd of two polynomials in ``var`` alone: the integer remainder
+    sequence of :func:`realroots.univariate_gcd` on their dense integer
+    coefficients."""
     ks = _keys(len(a.vars))
     i = a.vars.index(var)
     s = ks.shifts[i]
-    fa = {(e >> s) & _MASK: c for e, c in a._ints.items()}
-    fb = {(e >> s) & _MASK: c for e, c in b._ints.items()}
-    while fb:
-        db = max(fb)
-        lb = fb[db]
-        while fa and max(fa) >= db:
-            # fa <- (lb*fa - lr*var^(dr-db)*fb) / gcd(lb, lr): the leading term cancels
-            dr = max(fa)
-            g = gcd(fa[dr], lb)
-            ma, mb = lb // g, fa[dr] // g
-            if ma != 1:
-                for k in fa:
-                    fa[k] *= ma
-            for k, c in fb.items():
-                key = k + dr - db
-                s = fa.get(key, 0) - mb * c
-                if s:
-                    fa[key] = s
-                else:
-                    del fa[key]
-        if fa:
-            g = gcd(*fa.values())
-            if g != 1:
-                fa = {k: c // g for k, c in fa.items()}
-        fa, fb = fb, fa
-    g = MPoly._of(a.vars, 1, 1, {ks.var(i, k): c for k, c in fa.items()})
-    return g.primitive()
+
+    def dense(p: MPoly) -> list:
+        out = [0] * (p.degree_in(var) + 1)
+        for e, c in p._ints.items():
+            out[(e >> s) & _MASK] = c
+        return out
+
+    g = univariate_gcd(dense(a), dense(b))
+    return MPoly._of(a.vars, 1, 1, {ks.var(i, k): c for k, c in enumerate(g) if c})
 
 
 def _primitive_prs(a: MPoly, b: MPoly, var: str) -> MPoly:

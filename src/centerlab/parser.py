@@ -209,7 +209,7 @@ class ExprParser:
         self.error(f"unexpected {tok.text!r}" if tok.text.strip() else "unexpected end of expression")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assumption:
     """A side condition ``poly <op> 0`` checked on numeric specialization."""
 

@@ -253,7 +253,10 @@ def check_no_vanishing_singularities(family: PlaneSystem, eps_samples: Sequence,
 
 
 def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float, float]]:
-    """Non-origin real solutions of P = Q = 0 inside the disk (numeric)."""
+    """Non-origin real solutions of P = Q = 0 inside the disk (numeric): the
+    real roots of a resultant, and of each float polynomial on a ray or a
+    line, are isolated exactly by :mod:`realroots` and refined to floats,
+    and the points are then polished by Newton's method."""
     pts: List[Tuple[float, float]] = []
     g = poly_gcd(s.P, s.Q)
     f = compile_system(s)
@@ -302,8 +305,7 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
             res = None
         if res is not None and not res.is_zero:
             coeffs = res.coefficient_list("x")
-            for lo, hi, ex in isolate_real_roots(coeffs):
-                xr = float(ex) if ex is not None else refine_to_float(coeffs, lo, hi)
+            for xr in _real_roots_float(coeffs):
                 if abs(xr) > radius:
                     continue
                 for yr in _y_candidates(P1, Q1, xr, radius):
@@ -318,15 +320,12 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
 
 
 def _real_roots_float(coeffs) -> List[float]:
-    import numpy as np
-
-    arr = list(coeffs)
-    while arr and abs(arr[-1]) < 1e-300:
-        arr.pop()
-    if len(arr) <= 1:
-        return []
-    roots = np.roots(list(reversed(arr)))
-    return [float(r.real) for r in roots if abs(r.imag) < 1e-9]
+    """The distinct real roots, as floats, of the polynomial with ``Rat`` or
+    float coefficients (index = power), each float read as the exact
+    rational it is."""
+    exact = [Rat(c) for c in coeffs]
+    return [float(ex) if ex is not None else refine_to_float(exact, lo, hi)
+            for lo, hi, ex in isolate_real_roots(exact)]
 
 
 def _y_candidates(P1: MPoly, Q1: MPoly, xr: float, radius: float) -> List[float]:

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .mpoly import MPoly
 from .numeric import Trajectory, compile_system, integrate_adaptive, _refine_crossing
-from .realroots import poly_gcd_univ, real_root_count
+from .realroots import real_root_count, univariate_gcd
 from .systems import PlaneSystem
 
 
@@ -189,7 +189,7 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature) -> ConditionIV
     if s.P.lowest_degree_in("x") != 0 and s.Q.lowest_degree_in("x") != 0:
         raise ValueError("P and Q must be coprime; common factor x")
     on_x1 = [poly.coefficient_list("y", {"x": 1}) for poly in (s.P, s.Q)]
-    if len(poly_gcd_univ(*on_x1)) > 1:
+    if len(univariate_gcd(*on_x1)) > 1:
         raise ValueError("P and Q must be coprime; P(1, t) and Q(1, t) have a common factor")
     W = _weighted_form(s, sig)
     if W.is_zero:

@@ -1,26 +1,34 @@
-"""Exact real-root location for univariate polynomials over the rationals.
+"""Exact real roots and gcds of univariate polynomials over the integers.
 
-This is the package's one dense-list layer: polynomials are coefficient
-lists (index = power), and callers convert a univariate ``MPoly`` (or a
-quasi-homogeneous form on a line) to one only to count, isolate or refine
-its real roots or to take a gcd.  Real roots are isolated by Sturm
-bisection.  A rational root of the square-free part, made integer and
-primitive with leading coefficient a_n, has a denominator dividing a_n, so
-a_n*r is an integer: each isolating interval is bisected below width
-1/|a_n| and its one candidate is tested exactly.  Irrational roots are
-refined to floats by bisection on integer numerators over a common
-denominator.  Both bisections read signs from one homogenised integer
-Horner sum over that integer-primitive square-free part, which is computed
-once per polynomial and shared.
+This is the package's one univariate layer.  A polynomial is a coefficient
+sequence (index = power) of ``int`` or ``Fraction``; each entry point scales
+it once to an integer tuple with a positive content, made primitive, and
+all later work is on integers.  One remainder loop returns a positive
+multiple of ``a mod b``, made primitive: it serves the gcd, the square-free
+part and the Sturm chain.  A primitive remainder sequence over the integers
+gives the gcds and square-free parts of the rational one (Brown, JACM 18,
+1971), and scaling each step by ``|lc(b)|``, never by ``lc(b)``, keeps the
+rational chain's Sturm signs.
+
+Every sign is read from one homogenised integer Horner sum: the Sturm
+counts, the zero tests of the isolation midpoints, the rational-root test,
+the refinement and the root multiplicity.  Real roots are isolated by Sturm
+bisection over the square-free part, which is computed once per polynomial
+and shared.  A rational root of that integer-primitive part, with leading
+coefficient a_n, has a denominator dividing a_n, so a_n*r is an integer:
+each isolating interval is bisected below width 1/|a_n| and its one
+candidate is tested exactly.  Irrational roots are refined to floats by
+bisection on integer numerators over a common denominator.
+
+This module imports nothing from the package, so ``mpoly`` can use it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import List, Sequence, Tuple
-
-from .mpoly import Rat, rat_content
 
 
 def trim(p: Sequence) -> list:
@@ -30,96 +38,79 @@ def trim(p: Sequence) -> list:
     return p
 
 
-def degree(p: Sequence) -> int:
-    return len(trim(p)) - 1
-
-
-def eval_poly(p: Sequence, x):
-    acc = Rat(0)
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
-
-def derivative(p: Sequence) -> list:
-    return [c * k for k, c in enumerate(p)][1:]
-
-
-def poly_divmod(a: Sequence, b: Sequence) -> Tuple[list, list]:
-    """Quotient and remainder of ``a`` by a nonzero ``b``, both trimmed."""
-    r = trim(a)
-    b = trim(b)
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [Rat(0)] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        f = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            r[i + shift] -= f * c
-        r = trim(r)
-    return trim(q), r
-
-
-def poly_gcd_univ(a: Sequence, b: Sequence) -> list:
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def squarefree(p: Sequence) -> list:
+def _primitive(p: Sequence) -> Tuple[int, ...]:
+    """The trimmed ``int`` or ``Fraction`` coefficients of ``p`` over their
+    common denominator, divided by the (positive) gcd of the numerators."""
     p = trim(p)
-    if len(p) <= 1:
-        return p
-    g = poly_gcd_univ(p, derivative(p))
-    if len(g) <= 1:
-        return p
-    return poly_divmod(p, g)[0]
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
 
-def sturm_chain(p: Sequence) -> List[list]:
-    chain = [trim(p), trim(derivative(p))]
+def _remainder(a: Sequence[int], b: Sequence[int]) -> list:
+    """A positive multiple of ``a mod b`` (nonzero ``b``), made primitive.
+    Each step scales by ``|lc(b)|``, so the remainder keeps the signs of
+    the rational one."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        g = math.gcd(r[-1], lb)
+        ma = abs(lb) // g
+        mb = r[-1] // g if lb > 0 else -(r[-1] // g)
+        if ma != 1:
+            r = [ma * c for c in r]
+        shift = len(r) - 1 - db
+        for i, c in enumerate(b):
+            r[i + shift] -= mb * c
+        r = trim(r)
+    g = math.gcd(*r)
+    return [c // g for c in r] if g > 1 else r
+
+
+def _quotient(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+    """``a / b`` for integer ``a`` that the primitive ``b`` divides; by
+    Gauss's lemma the quotient has integer coefficients."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * (len(r) - db)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + db] // b[-1]
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+    return tuple(q)
+
+
+def univariate_gcd(a: Sequence, b: Sequence) -> Tuple[int, ...]:
+    """The primitive gcd of ``a`` and ``b`` with a positive leading
+    coefficient (``()`` when both are zero)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _remainder(a, b)
+    return tuple(a) if not a or a[-1] > 0 else tuple(-c for c in a)
+
+
+@functools.lru_cache(maxsize=64)
+def _squarefree(p: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The square-free part of the integer-primitive ``p``, primitive and
+    with ``p``'s leading sign.  Callers isolate the roots of a polynomial
+    and then refine each irrational one, so this is kept per polynomial."""
+    if len(p) <= 2:
+        return p
+    g = univariate_gcd(p, [k * c for k, c in enumerate(p)][1:])
+    return p if len(g) <= 1 else _quotient(p, g)
+
+
+def _sturm_chain(p: Sequence[int]) -> List[list]:
+    """``p``, ``p'`` and the negated remainders, each a positive multiple of
+    the rational chain's member."""
+    chain = [list(p), [k * c for k, c in enumerate(p)][1:]]
     while chain[-1]:
-        r = poly_divmod(chain[-2], chain[-1])[1]
+        r = _remainder(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])
     return [c for c in chain if c]
-
-
-def _sign_changes(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_count(chain: List[list], lo, hi) -> int:
-    """Number of distinct real roots in (lo, hi]."""
-    va = _sign_changes([eval_poly(c, lo) for c in chain])
-    vb = _sign_changes([eval_poly(c, hi) for c in chain])
-    return va - vb
-
-
-def root_bound(p: Sequence):
-    """Cauchy bound: all real roots lie in [-M, M]."""
-    p = trim(p)
-    lead = abs(p[-1])
-    m = max((abs(c) for c in p[:-1]), default=Rat(0))
-    return Rat(1) + m / lead
-
-
-@functools.lru_cache(maxsize=64)
-def _primitive_squarefree(p: Tuple) -> Tuple[int, ...]:
-    """The square-free part of the trimmed ``p``, made integer and
-    primitive (index = power).  Callers isolate the roots of a polynomial
-    and then refine each irrational one, so this is kept per polynomial."""
-    sf = squarefree(p)
-    content = rat_content(sf)
-    return tuple(int(c / content) for c in sf)
 
 
 def _homogenised(coeffs: Sequence[int], m: int, den: int) -> int:
@@ -133,9 +124,18 @@ def _homogenised(coeffs: Sequence[int], m: int, den: int) -> int:
     return acc
 
 
+def _sign_changes(values) -> int:
+    signs = [1 if v > 0 else -1 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _changes_at(chain: List[list], m: int, den: int) -> int:
+    return _sign_changes([_homogenised(c, m, den) for c in chain])
+
+
 def _common_denominator(lo, hi) -> Tuple[int, int, int]:
     """Integers a, b, den > 0 with lo = a / den and hi = b / den."""
-    lo, hi = Rat(lo), Rat(hi)
+    lo, hi = Fraction(lo), Fraction(hi)
     den = math.lcm(lo.denominator, hi.denominator)
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
@@ -146,55 +146,59 @@ def isolate_real_roots(p: Sequence) -> List[Tuple]:
     Returns a sorted list of (lo, hi, exact): an interval (lo, hi) holding
     exactly one root, and that root when it is rational, else None.
     """
-    coeffs = _primitive_squarefree(tuple(trim(p)))
-    if len(coeffs) <= 1:
+    sf = _squarefree(_primitive(p))
+    if len(sf) <= 1:
         return []
-    # a nonzero multiple of the square-free part: the same Sturm signs,
-    # root bound and zero tests
-    sf = [Rat(c) for c in coeffs]
-    chain = sturm_chain(sf)
-    M = root_bound(sf)
+    chain = _sturm_chain(sf)
     out = []
 
-    def split(lo, hi, n):
+    def split(a, b, den, n):
+        # the interval (a/den, b/den) holds n roots; the left half is
+        # searched first, so the intervals come out sorted
         if n == 0:
             return
         if n == 1:
-            out.append((lo, hi))
+            out.append((a, b, den))
             return
-        mid = (lo + hi) / 2
-        step = (hi - lo) / 4
-        while eval_poly(sf, mid) == 0:
-            mid = mid + step
-            step = step / 3
-        nl = sturm_count(chain, lo, mid)
-        split(lo, mid, nl)
-        split(mid, hi, n - nl)
+        a, b, den, mid = 2 * a, 2 * b, 2 * den, a + b
+        if not _homogenised(sf, mid, den):
+            # a root on the midpoint: step right by a quarter of the width,
+            # then by a third of the step before, until off every root
+            a, b, mid, den, step = 4 * a, 4 * b, 4 * mid + b - a, 4 * den, b - a
+            while not _homogenised(sf, mid, den):
+                a, b, mid, den = 3 * a, 3 * b, 3 * mid + step, 3 * den
+        nl = _changes_at(chain, a, den) - _changes_at(chain, mid, den)
+        split(a, mid, den, nl)
+        split(mid, b, den, n - nl)
 
-    split(-M, M, sturm_count(chain, -M, M))
-    return [(lo, hi, _rational_root_in(coeffs, lo, hi)) for lo, hi in sorted(out)]
+    # Cauchy's bound: every real root lies in [-M, M], M = 1 + max|c_i| / |a_n|
+    an = abs(sf[-1])
+    bound = an + max(abs(c) for c in sf[:-1])
+    split(-bound, bound, an, _changes_at(chain, -bound, an) - _changes_at(chain, bound, an))
+    return [(Fraction(a, den), Fraction(b, den), _rational_root_in(sf, a, b, den))
+            for a, b, den in out]
 
 
-def _rational_root_in(coeffs: Sequence[int], lo, hi):
-    """The root in (lo, hi) of the integer-primitive square-free ``coeffs``
-    if it is rational, else None.  A rational root has a denominator
-    dividing a_n, so it is a multiple of 1/|a_n|: the interval is bisected
-    below that width and its one candidate floor(hi*|a_n|)/|a_n| tested."""
+def _rational_root_in(coeffs: Sequence[int], a: int, b: int, den: int):
+    """The root in (a/den, b/den) of the integer-primitive square-free
+    ``coeffs`` if it is rational, else None.  A rational root has a
+    denominator dividing a_n, so it is a multiple of 1/|a_n|: the interval
+    is bisected below that width and its one candidate floor(hi*|a_n|)/|a_n|
+    tested."""
     an = abs(coeffs[-1])
-    a, b, den = _common_denominator(lo, hi)
     slo = _homogenised(coeffs, a, den) > 0
     while (b - a) * an >= den:
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
         fm = _homogenised(coeffs, mid, den)
         if not fm:
-            return Rat(mid, den)
+            return Fraction(mid, den)
         if (fm > 0) == slo:
             a = mid
         else:
             b = mid
     q = b * an // den
-    return Rat(q, an) if a * an < q * den and not _homogenised(coeffs, q, an) else None
+    return Fraction(q, an) if a * an < q * den and not _homogenised(coeffs, q, an) else None
 
 
 def refine_to_float(p: Sequence, lo, hi) -> float:
@@ -207,7 +211,7 @@ def refine_to_float(p: Sequence, lo, hi) -> float:
     midpoints, the stop test and the returned float are thus those of the
     same bisection in exact fractions.
     """
-    coeffs = _primitive_squarefree(tuple(trim(p)))
+    coeffs = _squarefree(_primitive(p))
     a, b, den = _common_denominator(lo, hi)
     fa = _homogenised(coeffs, a, den)
     if fa == 0:
@@ -233,6 +237,18 @@ def real_root_count(p: Sequence) -> int:
     """Number of distinct real roots of a nonzero p: the Sturm chain's sign
     changes at -infinity minus those at +infinity, read off the leading
     coefficients."""
-    chain = sturm_chain(p)
+    chain = _sturm_chain(_primitive(p))
     at_minus = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
     return _sign_changes(at_minus) - _sign_changes([c[-1] for c in chain])
+
+
+def root_multiplicity(p: Sequence, r: Fraction) -> int:
+    """Multiplicity of the rational ``r = num/den`` (lowest terms) as a root
+    of ``p``: how many times ``den*t - num`` divides it."""
+    coeffs = _primitive(p)
+    num, den = r.numerator, r.denominator
+    m = 0
+    while len(coeffs) > 1 and not _homogenised(coeffs, num, den):
+        coeffs = _quotient(coeffs, (-num, den))
+        m += 1
+    return m

@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .mpoly import MPoly, Rat, merge_tables, poly_gcd
 from .ratfunc import RatFunc
-from .realroots import isolate_real_roots, poly_divmod, refine_to_float
+from .realroots import isolate_real_roots, refine_to_float, root_multiplicity
 from .systems import PlaneSystem, lie_derivative
 
 
@@ -290,7 +290,6 @@ class Direction:
     angle: float           # direction angle in [0, pi)
     multiplicity: int
     exact: bool
-    interval: Optional[Tuple[Rat, Rat]] = None
 
     def __str__(self) -> str:
         if self.form is not None:
@@ -338,21 +337,11 @@ def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:
             if ex is not None:
                 r = ex
                 form = (y * Rat(r.denominator) - x * Rat(r.numerator)).primitive()
-                mult = _multiplicity(b, r)
+                mult = root_multiplicity(b, r)
                 directions.append(Direction(form, math.atan2(float(r), 1.0) % math.pi, mult, True))
             else:
                 rf = refine_to_float(b, lo, hi)
-                directions.append(Direction(None, math.atan2(rf, 1.0) % math.pi, 1, False,
-                                            interval=(lo, hi)))
+                directions.append(Direction(None, math.atan2(rf, 1.0) % math.pi, 1, False))
     directions.sort(key=lambda dd: dd.angle)
     return CharacteristicDirections(d, B, directions)
 
-
-def _multiplicity(b, r) -> int:
-    """Multiplicity of the root ``r`` of ``b``."""
-    m = 0
-    q, rem = poly_divmod(b, [-r, Rat(1)])
-    while not rem:
-        m += 1
-        q, rem = poly_divmod(q, [-r, Rat(1)])
-    return m

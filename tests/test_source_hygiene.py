@@ -42,8 +42,7 @@ def test_no_environment_variables_read_in_package():
 
 def test_no_function_local_imports_in_package():
     # imports sit at module top, so a module's dependencies are read off its
-    # head; the one exception is numpy, loaded only where perturb uses it
-    allowed = {("perturb.py", "numpy")}
+    # head
     found = set()
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -57,15 +56,14 @@ def test_no_function_local_imports_in_package():
                     names = [node.module or "."]
                 else:
                     continue
-                found.update(f"{path.name}:{node.lineno}:{name}" for name in names
-                             if (path.name, name) not in allowed)
+                found.update(f"{path.name}:{node.lineno}:{name}" for name in names)
     assert sorted(found) == []
 
 
 def test_numpy_not_imported_by_package_or_cli():
-    # numpy is loaded only where it is used (the companion-matrix roots in
-    # perturb); a stray top-level import would cost every run its set-up
-    # time and memory
+    # numpy is not a runtime dependency: every univariate root goes through
+    # the exact integer layer in realroots, and a stray import would cost
+    # every run its set-up time and memory
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
                                                       env.get("PYTHONPATH")]))
@@ -73,6 +71,21 @@ def test_numpy_not_imported_by_package_or_cli():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_realroots_imports_nothing_from_the_package():
+    # realroots is the univariate layer under mpoly (whose gcds it takes), so
+    # it may not import a package module: that would be an import cycle
+    tree = ast.parse((PACKAGE_DIR / "realroots.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0]
+                                                 == "centerlab"):
+            found.append(f"{node.lineno}:{'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}:{alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "centerlab"]
+    assert found == []
 
 
 def test_polynomial_representation_private_to_mpoly():

@@ -4,10 +4,9 @@ import random
 from centerlab.mpoly import MPoly, Rat
 from centerlab.parser import parse_first_integral
 from centerlab.ratfunc import RatFunc
-from centerlab.realroots import isolate_real_roots, poly_gcd_univ, refine_to_float, trim
+from centerlab.realroots import isolate_real_roots, refine_to_float, root_multiplicity, trim
 from centerlab.structure import (
     DarbouxExpr,
-    _multiplicity,
     _solve_on_circle,
     characteristic_directions,
     is_hamiltonian,
@@ -141,6 +140,19 @@ def _ref_sub(a, b):
                  for i in range(n)])
 
 
+def _ref_gcd(a, b):
+    # Euclid's algorithm in exact fractions, made monic
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            f = r[-1] / b[-1]
+            for i, c in enumerate(b):
+                r[i + len(r) - len(b)] -= f * c
+            r = trim(r)
+        a, b = b, r
+    return [c / a[-1] for c in a]
+
+
 def _ref_rat_sqrt(v):
     if v < 0:
         return None
@@ -170,7 +182,7 @@ def _ref_solve_on_circle(conditions, cname, sname):
     g = None
     for u in map(trim, unielims):
         if u:
-            g = u if g is None else poly_gcd_univ(g, u)
+            g = u if g is None else _ref_gcd(g, u)
     witnesses = [(float(c), float(s)) for c, s in exact]
     if g is not None and len(trim(g)) > 1:
         for lo, hi, ex in isolate_real_roots(g):
@@ -240,9 +252,11 @@ def test_solve_on_circle_matches_dense_reference():
 
 def test_multiplicity_of_rational_root():
     b = [Rat(c) for c in (-8, 12, -6, 1)]  # (t - 2)^3
-    assert _multiplicity(b, Rat(2)) == 3
-    assert _multiplicity(_ref_mul(b, [Rat(1), Rat(1)]), Rat(-1)) == 1
-    assert _multiplicity(b, Rat(1)) == 0
+    assert root_multiplicity(b, Rat(2)) == 3
+    assert root_multiplicity(_ref_mul(b, [Rat(1), Rat(1)]), Rat(-1)) == 1
+    assert root_multiplicity(b, Rat(1)) == 0
+    # a negative leading coefficient and a root with a denominator
+    assert root_multiplicity(_ref_mul(b, [Rat(3), Rat(-2), Rat(0), Rat(0)]), Rat(3, 2)) == 1
 
 
 # -- Darboux first integrals -----------------------------------------------------

@@ -207,8 +207,7 @@ def test_stored_split_takes_no_part_in_equality(path):
     for same in (parse_system(format_system(s)), substitute(s, {}), PlaneSystem(
             s.P, s.Q, s.params, s.assumptions)):
         assert same == s
-        if not s.assumptions:  # an Assumption does not hash
-            assert hash(same) == hash(s)
+        assert hash(same) == hash(s)
     assert "_by_degree" not in repr(s)
     # a system differing only in P is unequal, whatever its split
     other = PlaneSystem(s.P + poly("x^7", s.vars), s.Q, s.params, s.assumptions)
