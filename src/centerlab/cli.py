@@ -32,7 +32,6 @@ from .perturb import (
 from .qhomog import classify_qh_center, detect_quasi_homogeneity, qh_signature
 from .report import condition_entry, display_str, poly_terms, ratfunc_entry, to_json
 from .structure import (
-    DarbouxExpr,
     is_hamiltonian,
     reversibility_conditions,
     verify_darboux_integral,
@@ -194,7 +193,7 @@ def cmd_liapunov(args) -> int:
             for c in result.perturbation_conditions],
         "mixed_conditions": [condition_entry(c.eps_order, c.poly, constant=c.constant_index)
                              for c in result.mixed_conditions],
-        "side_conditions": [display_str(p) for p in result.side_conditions],
+        "side_conditions": [],
         "convention": result.convention.as_dict(),
     }
     _emit(args, data, t0)
@@ -204,9 +203,7 @@ def cmd_liapunov(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     s, source = _load_system(args)
-    parsed = parse_first_integral(args.integral, s.vars)
-    expr = DarbouxExpr(power_factors=parsed.power_factors, exp_factor=parsed.exp_factor,
-                       arg_factor=parsed.arg_factor)
+    expr = parse_first_integral(args.integral, s.vars)
     residual = verify_darboux_integral(s, expr)
     data = {
         "input": source,
@@ -216,7 +213,7 @@ def cmd_verify(args) -> int:
         "residual_terms": len(residual),
         "warnings": [],
     }
-    if parsed.arg_factor is not None:
+    if expr.arg_factor is not None:
         data["warnings"].append("argument factor: identity certified on u^2+v^2 > 0")
     _emit(args, data, t0)
     return 0

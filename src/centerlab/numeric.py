@@ -138,14 +138,6 @@ class Trajectory:
                 hi = mid
         return segs[lo].eval(t)
 
-    @property
-    def t_end(self) -> float:
-        return self.t[-1]
-
-    @property
-    def y_end(self) -> State:
-        return self.y[-1]
-
 
 class Crossing(NamedTuple):
     """The return map's stop test, run inside the stepping loop: the first

@@ -14,10 +14,10 @@ symbols are parameters, auto-declared on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple, Union
 
-from .mpoly import MPoly, merge_tables
+from .mpoly import MPoly, Rat, merge_tables
 from .ratfunc import RatFunc
 
 RESERVED = ("x", "y", "eps")
@@ -333,17 +333,31 @@ def parse_polynomial(text: str, table: Tuple[str, ...]) -> MPoly:
 
 
 @dataclass
-class ParsedIntegral:
-    """Components of a first-integral candidate in product form:
-    power factors (base, exponent), an optional exp((g)/(h)) factor, and an
-    optional argexp(kappa; u; v) factor."""
+class DarbouxExpr:
+    """A candidate first integral: product of polynomial powers, an optional
+    exponential of a rational function, and an optional factor
+    exp(kappa * arg(u + i v)).
 
-    power_factors: list
-    exp_factor: Optional[tuple] = None
-    arg_factor: Optional[tuple] = None
+    Power exponents may be rationals or polynomials in the parameters (for
+    exponents like -2c).  A rational-function base f = n/d contributes
+    n^lam * d^(-lam).
+    """
+
+    power_factors: List[Tuple[Union[MPoly, RatFunc], Union[int, Rat, MPoly]]] = field(default_factory=list)
+    exp_factor: Optional[Tuple[MPoly, MPoly]] = None  # exp(g/h)
+    arg_factor: Optional[Tuple[Rat, MPoly, MPoly]] = None  # kappa, u, v
+
+    def __post_init__(self):
+        if not self.power_factors and self.exp_factor is None and self.arg_factor is None:
+            raise ValueError("empty first-integral candidate")
+        for f, _ in self.power_factors:
+            if f.is_zero:
+                raise ValueError("zero power factor")
+        if self.exp_factor is not None and self.exp_factor[1].is_zero:
+            raise ValueError("zero denominator in exponential factor")
 
 
-def parse_first_integral(text: str, table: Tuple[str, ...]) -> ParsedIntegral:
+def parse_first_integral(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
     """Parse ``(1+x)^(-2*c) * (x^4+y^2) * exp((g)/(h)) * argexp(2; u; v)``.
 
     A plain rational expression (no exp/argexp and no symbolic powers) is
@@ -351,7 +365,7 @@ def parse_first_integral(text: str, table: Tuple[str, ...]) -> ParsedIntegral:
     """
     try:
         whole = parse_expression(text, table)
-        return ParsedIntegral([(whole, 1)])
+        return DarbouxExpr([(whole, 1)])
     except ParseError:
         pass
     tokens = tokenize(text)
@@ -402,7 +416,7 @@ def parse_first_integral(text: str, table: Tuple[str, ...]) -> ParsedIntegral:
         if p.peek().kind != "END":
             p.error(f"trailing input {p.peek().text!r}")
         break
-    return ParsedIntegral(powers, exp_factor, arg_factor)
+    return DarbouxExpr(powers, exp_factor, arg_factor)
 
 
 def _parse_base(p: ExprParser) -> RatFunc:

@@ -194,12 +194,7 @@ def _linear_solve_for(poly: MPoly, names: Sequence[str]) -> Optional[Tuple[str, 
 
 
 def _order_bound(v: RatFunc) -> int:
-    num_top = v.num.degree_in("eps") if "eps" in v.num.vars else 0
-    den_low = 0
-    if "eps" in v.den.vars and not v.den.is_constant:
-        den_by = v.den.coefficients_in("eps")
-        den_low = min(den_by)
-    return max(num_top - den_low, 0)
+    return max(v.num.degree_in("eps") - v.den.lowest_degree_in("eps"), 0)
 
 
 @dataclass
@@ -349,7 +344,10 @@ class PipelineResult:
 
     ``constants`` holds one (index, degree, V) entry per stage: each nonzero
     constant of the pass, computed on the family that the earlier stages'
-    solved conditions reduced.
+    solved conditions reduced.  Every condition is a primitive polynomial in
+    the parameters, read from one Laurent coefficient of a constant: its
+    denominator is in eps alone, so no side condition on the parameters
+    arises.
     """
 
     mode: str
@@ -357,7 +355,6 @@ class PipelineResult:
     base_conditions: List[Condition] = field(default_factory=list)
     perturbation_conditions: List[Condition] = field(default_factory=list)
     mixed_conditions: List[Condition] = field(default_factory=list)
-    side_conditions: List[MPoly] = field(default_factory=list)
     constants: List[Tuple[int, int, RatFunc]] = field(default_factory=list)
 
 
@@ -384,13 +381,9 @@ def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
         current = run.system
         index = len(result.constants) + 1
         result.constants.append((index, degree, V))
-        series = laurent_expand_eps(V, _order_bound(V))
-        if series.side_condition is not None:
-            result.side_conditions.append(series.side_condition)
-        items = series.items()
+        items = list(laurent_expand_eps(V, _order_bound(V)).items())
         if mode == FIRST_ORDER:
-            orders = sorted(k for k, c in items if not c.is_zero)[:2]
-            items = [(k, c) for k, c in items if k in orders]
+            items = items[:2]
 
         new_subs: Dict[str, MPoly] = {}
         # reduce only by conditions that were not eliminated by substitution;
@@ -398,7 +391,7 @@ def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
         # their leading terms would reintroduce eliminated parameters
         reducers = [c.poly for c in result.base_conditions if c.solved is None]
         for k, coeff in items:
-            poly = coeff.num.primitive().embed(current.vars)
+            poly = coeff.primitive().embed(current.vars)
             if new_subs:
                 poly = poly.subs(new_subs, current.vars)
             poly = _reduce_modulo(poly.embed(full_table), reducers).primitive()

@@ -89,17 +89,13 @@ def pq_period(p: int, q: int) -> float:
 
 @dataclass
 class PQCircle:
-    """One period of (Cs, Sn) with dense output."""
+    """One period of (Cs, Sn) with dense output: (Cs, Sn)(t) is
+    ``trajectory(t % tau)``."""
 
     p: int
     q: int
     tau: float
     trajectory: Trajectory
-
-    def cs_sn(self, theta: float) -> Tuple[float, float]:
-        z, w = self.trajectory(theta % self.tau)
-        return z, w
-
 
 
 def _pq_rhs(p: int, q: int):

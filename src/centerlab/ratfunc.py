@@ -4,13 +4,15 @@ A :class:`RatFunc` is reduced when it is built, on one path: one
 ``poly_gcd`` of numerator and denominator and two exact divisions, checked.
 The degree loop keeps its own numerators over known eps-only denominators
 (see :class:`centerlab.liapunov.DegreePass`), so gcds run only on the values
-that leave it (each V and the Laurent coefficients) and on parsed input.
+that leave it (each V) and on parsed input.  Every such denominator is a
+polynomial in eps alone, so the Laurent expansion is a univariate series in
+eps with polynomial coefficients: it builds no rational function and runs
+no gcd.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import Optional
 
 from .mpoly import EngineError, MPoly, Rat, Scalar, poly_gcd
 
@@ -156,14 +158,6 @@ class RatFunc:
             return RatFunc(self.den, self.num) ** (-k)
         return RatFunc(self.num ** k, self.den ** k)
 
-    def subs(self, bindings: Mapping[str, object], vars=None) -> "RatFunc":
-        num = self.num.subs(bindings, vars)
-        den = self.den.subs(bindings, vars)
-        return RatFunc(num, den)
-
-    def embed(self, vars) -> "RatFunc":
-        return RatFunc(self.num.embed(vars), self.den.embed(vars))
-
     def __str__(self) -> str:
         if self.den.is_constant and self.den.constant_value() == 1:
             return str(self.num)
@@ -173,107 +167,55 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-@dataclass
-class LaurentSeries:
-    """Laurent coefficients of a rational function of eps around eps = 0.
+def laurent_expand_eps(f: RatFunc, order: int) -> dict:
+    """The Laurent coefficients of ``f`` around eps = 0 through eps^order:
+    exponent (ascending) -> nonzero polynomial in the parameters.
 
-    ``coeffs`` maps the eps exponent to the coefficient, a rational function
-    of the parameters (a plain polynomial whenever the denominator's lowest
-    eps coefficient is constant).  ``side_condition`` records the parameter
-    polynomial that was assumed nonzero when it is not constant.
-    """
-
-    coeffs: dict
-    order: int
-    side_condition: Optional[MPoly] = None
-
-    def items(self) -> List[Tuple[int, RatFunc]]:
-        return sorted(self.coeffs.items())
-
-    def poly_items(self) -> List[Tuple[int, MPoly]]:
-        return [(k, c.as_poly()) for k, c in self.items()]
-
-    def coefficient(self, k: int) -> RatFunc:
-        if k in self.coeffs:
-            return self.coeffs[k]
-        vars = next(iter(self.coeffs.values())).vars if self.coeffs else ()
-        return RatFunc.zero(vars)
-
-    @property
-    def lowest_order(self) -> Optional[int]:
-        nonzero = [k for k, c in self.coeffs.items() if not c.is_zero]
-        return min(nonzero) if nonzero else None
-
-
-def laurent_expand_eps(f: RatFunc, order: int) -> LaurentSeries:
-    """Expand ``f`` as a Laurent series in eps through the eps^order term.
-
-    ``f`` must be free of the state variables x and y.  The denominator is
-    factored as eps^v * u(eps) with u(0) != 0 as a polynomial in the
-    parameters; when u(0) is parameter-dependent the expansion is formal and
-    u(0) is reported as a side condition.
+    ``f`` must be free of x and y, eps must be in its table, and its
+    denominator must be a polynomial in eps alone, as every denominator of
+    the engine is.  Written as
+    eps^v * u(eps) with u(0) != 0, 1/u is the rational series s_0 = 1/u_0,
+    s_k = -(sum_{j>=1} u_j * s_(k-j)) / u_0, and the eps^t coefficient of f
+    is sum_j s_j * N_(t+v-j) over the eps-coefficients N_i of the numerator.
     """
     present = set(f.num.variables_present()) | set(f.den.variables_present())
     if "x" in present or "y" in present:
         raise ValueError("Laurent expansion requires a function of eps and parameters only")
-    vars = f.vars
-    param_vars = tuple(v for v in vars if v not in ("x", "y", "eps"))
+    others = sorted(set(f.den.variables_present()) - {"eps"})
+    if others:
+        raise ValueError(f"Laurent expansion requires a denominator in eps alone, not in {others}")
     if f.is_zero:
-        return LaurentSeries({}, order)
-    if "eps" not in vars:
-        coeff = RatFunc(f.num.embed(param_vars), f.den.embed(param_vars))
-        return LaurentSeries({0: coeff} if 0 <= order else {}, order)
+        return {}
+    param_vars = tuple(v for v in f.vars if v not in ("x", "y", "eps"))
+    den = f.den.coefficient_list("eps")
+    v = next(k for k, c in enumerate(den) if c)
+    u = den[v:]
+    nums = {i: c.embed(param_vars) for i, c in f.num.coefficients_in("eps").items()}
+    w = min(nums)
 
-    den_by_eps = f.den.coefficients_in("eps")
-    v = min(den_by_eps)
-    u = {k - v: c.embed(param_vars) for k, c in den_by_eps.items()}
-    u0 = u[0]
-
-    num_by_eps = {k: c.embed(param_vars) for k, c in f.num.coefficients_in("eps").items()}
-    w = min(num_by_eps)
-
-    n_terms = order + v - w  # highest needed index of 1/u series beyond the base
-    if n_terms < 0:
-        return LaurentSeries({}, order, None if u0.is_constant else u0.primitive())
-
-    # 1/u = sum_k sigma_k / u0^(k+1) * eps^k  with the sigma_k polynomial.
-    sigma = [MPoly.const(param_vars, 1)]
-    for k in range(1, n_terms + 1):
-        acc = MPoly.zero(param_vars)
-        for j in range(1, k + 1):
-            uj = u.get(j)
-            if uj is None or uj.is_zero:
-                continue
-            acc = acc + uj * sigma[k - j] * (u0 ** (j - 1))
-        sigma.append(-acc)
+    s = [1 / u[0]]
+    for k in range(1, order + v - w + 1):
+        s.append(-sum(u[j] * s[k - j] for j in range(1, min(k, len(u) - 1) + 1)) / u[0])
 
     coeffs = {}
-    for target in range(w - v, order + 1):
-        # eps^target of f corresponds to eps^(target + v) of num/u
-        t = target + v
-        acc_num = MPoly.zero(param_vars)
-        top = t - w
-        for j in range(0, top + 1):
-            ni = num_by_eps.get(t - j)
-            if ni is None or ni.is_zero:
-                continue
-            acc_num = acc_num + ni * sigma[j] * (u0 ** (top - j))
-        c = RatFunc(acc_num, u0 ** (top + 1))
-        if not c.is_zero:
-            coeffs[target] = c
-    side = None if u0.is_constant else u0.primitive()
-    return LaurentSeries(coeffs, order, side)
+    for t in range(w - v, order + 1):
+        acc = MPoly.zero(param_vars)
+        for j in range(t + v - w + 1):
+            n = nums.get(t + v - j)
+            if n is not None and s[j]:
+                acc = acc + n * s[j]
+        if not acc.is_zero:
+            coeffs[t] = acc
+    return coeffs
 
 
-def laurent_resum(series: LaurentSeries, vars) -> RatFunc:
-    """Sum the series back into a rational function over ``vars`` (eps must be
-    in the table).  Used to check the expansion against the original."""
-    eps = MPoly.variable("eps", vars)
-    total = RatFunc.zero(vars)
+def laurent_resum(series: dict, vars) -> RatFunc:
+    """Sum the coefficients of :func:`laurent_expand_eps` back into one
+    rational function over ``vars`` (eps must be in the table):
+    sum_k c_k * eps^(k - low) over eps^(-low), low the least exponent or 0.
+    Used to check the expansion against the original."""
+    low = min([0, *series])
+    num = MPoly.zero(vars)
     for k, c in series.items():
-        piece = c.embed(vars)
-        if k >= 0:
-            total = total + piece * (eps ** k)
-        else:
-            total = total + piece / (eps ** (-k))
-    return total
+        num = num + c.embed(vars).shift("eps", k - low)
+    return RatFunc(num, MPoly.variable("eps", vars) ** -low)

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .mpoly import MPoly, Rat, merge_tables, poly_gcd
+from .parser import DarbouxExpr
 from .ratfunc import RatFunc
 from .realroots import isolate_real_roots, refine_to_float, root_multiplicity
 from .systems import PlaneSystem, lie_derivative
@@ -197,31 +198,6 @@ def _rat_sqrt(v) -> Optional[Rat]:
 # -- Darboux first integrals ---------------------------------------------------
 
 
-@dataclass
-class DarbouxExpr:
-    """A candidate first integral: product of polynomial powers, an optional
-    exponential of a rational function, and an optional factor
-    exp(kappa * arg(u + i v)).
-
-    Power exponents may be rationals or polynomials in the parameters (for
-    exponents like -2c).  A rational-function base f = n/d contributes
-    n^lam * d^(-lam).
-    """
-
-    power_factors: List[Tuple[Union[MPoly, RatFunc], Union[int, Rat, MPoly]]] = field(default_factory=list)
-    exp_factor: Optional[Tuple[MPoly, MPoly]] = None  # exp(g/h)
-    arg_factor: Optional[Tuple[Rat, MPoly, MPoly]] = None  # kappa, u, v
-
-    def __post_init__(self):
-        if not self.power_factors and self.exp_factor is None and self.arg_factor is None:
-            raise ValueError("empty first-integral candidate")
-        for f, _ in self.power_factors:
-            if (f.is_zero if isinstance(f, MPoly) else f.is_zero):
-                raise ValueError("zero power factor")
-        if self.exp_factor is not None and self.exp_factor[1].is_zero:
-            raise ValueError("zero denominator in exponential factor")
-
-
 def verify_darboux_integral(s: PlaneSystem, H: DarbouxExpr) -> MPoly:
     """Residual numerator of dH/dt along the flow; identically zero iff H is
     a first integral wherever its factors are defined (u^2 + v^2 > 0 for the
@@ -303,10 +279,6 @@ class CharacteristicDirections:
     lowest_form: MPoly
     directions: List[Direction]
     every_direction: bool = False  # x*Q - y*P identically zero
-
-    @property
-    def none_found(self) -> bool:
-        return not self.directions and not self.every_direction
 
 
 def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:

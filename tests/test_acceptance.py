@@ -13,6 +13,7 @@ import pytest
 from centerlab.liapunov import DegreePass, _linear_scalars, _solve_degree
 from centerlab.mpoly import MPoly, Rat
 from centerlab.numeric import compile_system, integrate_adaptive, return_map
+from centerlab.parser import DarbouxExpr
 from centerlab.perturb import (
     build_perturbation,
     center_conditions_pipeline,
@@ -26,9 +27,8 @@ from centerlab.qhomog import (
     pq_circle,
     pq_period,
 )
-from centerlab.ratfunc import RatFunc, laurent_expand_eps
+from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum
 from centerlab.structure import (
-    DarbouxExpr,
     characteristic_directions,
     is_hamiltonian,
     reversibility_conditions,
@@ -133,7 +133,7 @@ def test_criterion_1_oracle_constants():
     hv = dict(DegreePass(h, 4))[4] * scale
     series = laurent_expand_eps(hv, 0)
     checks.append(("1f eps^0 term homogeneous cubic",
-                   series.coefficient(0).num == poly("-8*lambda", ("lambda", "mu"))))
+                   series.get(0) == poly("-8*lambda", ("lambda", "mu"))))
 
     elapsed = time.time() - t0
     checks.append((f"1 runtime {elapsed:.1f}s <= 60s per computation", elapsed <= 60 * 8))
@@ -282,7 +282,8 @@ def test_criterion_4_structural():
                    len(cd.directions) == 1 and str(cd.directions[0].form) == "y"))
     cd2 = characteristic_directions(
         substitute(parse_system(HAM_QH_EPS), {"a": 1, "b": 1, "eps": 1}))
-    checks.append(("4c perturbed family has none", cd2.none_found))
+    checks.append(("4c perturbed family has none",
+                   not cd2.directions and not cd2.every_direction))
 
     for name, ok in checks:
         report(f"4 [{'PASS' if ok else 'FAIL'}] {name}")
@@ -303,8 +304,8 @@ def test_criterion_5_quasi_homogeneous():
 
     circle = pq_circle(2, 3)
     ths = [k * circle.tau / 400 for k in range(400)]
-    ident = max(abs(2 * circle.cs_sn(t)[0] ** 6 + 3 * circle.cs_sn(t)[1] ** 4 - 1)
-                for t in ths)
+    ident = max(abs(2 * cs ** 6 + 3 * sn ** 4 - 1)
+                for cs, sn in map(circle.trajectory, ths))
     checks.append((f"5b trig identity residual {ident:.2e} <= 1e-10", ident <= 1e-10))
 
     for p, q in ((1, 1), (1, 2), (2, 3)):
@@ -456,14 +457,8 @@ def test_criterion_7_laurent_multiply_back():
             continue
         f = RatFunc(num, den)
         series = laurent_expand_eps(f, 4)
-        if series.side_condition is not None:
-            continue
-        from centerlab.ratfunc import laurent_resum
-
         diff = f - laurent_resum(series, table)
-        if not diff.is_zero:
-            tail = laurent_expand_eps(diff, 4)
-            assert tail.lowest_order is None or tail.lowest_order > 4
+        assert all(k > 4 for k in laurent_expand_eps(diff, 4))
         count += 1
         if count >= 200:
             break
@@ -518,7 +513,7 @@ def test_criterion_7_energy_conservation():
         if escaped or not hit:
             continue
         h0 = H.eval_float({"x": x0, "y": 0.0})
-        h1 = H.eval_float({"x": traj.y_end[0], "y": traj.y_end[1]})
+        h1 = H.eval_float({"x": traj.y[-1][0], "y": traj.y[-1][1]})
         drift = abs(h1 - h0)
         worst = max(worst, drift)
         assert drift <= 1e-9

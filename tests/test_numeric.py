@@ -41,7 +41,7 @@ def test_circle_returns_after_two_pi():
     s = parse_system("xdot = -y; ydot = x")
     traj = integrate_system(s, (1.0, 0.0), (0.0, 2 * math.pi),
                             rel_tol=1e-12, abs_tol=1e-14)
-    assert np.hypot(traj.y_end[0] - 1.0, traj.y_end[1]) <= 1e-9
+    assert np.hypot(traj.y[-1][0] - 1.0, traj.y[-1][1]) <= 1e-9
 
 
 def test_dense_output_accuracy():
@@ -69,7 +69,7 @@ def test_energy_conservation_weighted_hamiltonian():
     traj = integrate_adaptive(compile_system(s), start, (0.0, 1e4),
                               rel_tol=1e-12, abs_tol=1e-14, step_callback=cb)
     h0 = H.eval_float({"x": start[0], "y": start[1]})
-    h1 = H.eval_float({"x": traj.y_end[0], "y": traj.y_end[1]})
+    h1 = H.eval_float({"x": traj.y[-1][0], "y": traj.y[-1][1]})
     assert hits
     assert abs(h1 - h0) <= 1e-9
 
@@ -82,7 +82,7 @@ def test_darboux_instance_first_integral_conserved():
 
     traj = integrate_system(s, (0.15, 0.0), (0.0, 12.0), rel_tol=1e-11, abs_tol=1e-13)
     h0 = H(0.15, 0.0)
-    drift = max(abs(H(*traj(t)) - h0) for t in np.linspace(0.1, traj.t_end, 40))
+    drift = max(abs(H(*traj(t)) - h0) for t in np.linspace(0.1, traj.t[-1], 40))
     assert drift <= 1e-8 * abs(h0)
 
 
@@ -143,8 +143,8 @@ def test_time_reversed_integration_recovers_start():
     f = compile_system(s)
     fwd = integrate_adaptive(f, (0.2, 0.05), (0.0, 3.0), rel_tol=1e-11, abs_tol=1e-13)
     back = integrate_adaptive(lambda x, y: tuple(-v for v in f(x, y)),
-                              fwd.y_end, (0.0, 3.0), rel_tol=1e-11, abs_tol=1e-13)
-    assert np.hypot(back.y_end[0] - 0.2, back.y_end[1] - 0.05) <= 1e-10
+                              fwd.y[-1], (0.0, 3.0), rel_tol=1e-11, abs_tol=1e-13)
+    assert np.hypot(back.y[-1][0] - 0.2, back.y[-1][1] - 0.05) <= 1e-10
 
 
 def test_compile_rejects_symbolic_system():
@@ -156,7 +156,7 @@ def test_classify_monodromic_combines_evidence():
     s = substitute(parse_system("xdot = -a*y^3; ydot = eps*x^3 + b*x^5"),
                    {"a": 1, "b": 1, "eps": 1})
     v = classify_monodromic(s, x0_list=[0.3, 0.5])
-    assert v.directions.none_found
+    assert not v.directions.directions and not v.directions.every_direction
     assert v.return_result.classification == "center_evidence"
 
     h = substitute(parse_system(HAM_QH), {"a": 1, "b": 1})
@@ -310,7 +310,7 @@ def _assert_same_run(f, state0, t_span, **kw):
 
     assert all(close(got(t), y) for t, y in zip(ref_t[1:], ref_y[1:]))
     if got.status == "finished":
-        assert got.t_end == ref_t[-1] and close(got.y_end, ref_y[-1])
+        assert got.t[-1] == ref_t[-1] and close(got.y[-1], ref_y[-1])
     for ref in ref_segs[::max(1, len(ref_segs) // 40)]:
         for theta in (0.1, 0.37, 0.5, 0.93):
             t = ref.t0 + theta * ref.h
@@ -385,7 +385,7 @@ def test_scalar_core_matches_numpy_reference_condition_ii(monkeypatch):
 def test_scalar_core_matches_numpy_reference_time_reversed():
     f = compile_system(parse_system(DEG_FACTORED))
     got, _ = _assert_same_run(f, (0.2, 0.05), (0.0, -3.0), rel_tol=1e-11, abs_tol=1e-13)
-    assert got.t_end == -3.0 and all(seg.h < 0 for seg in got.segments)
+    assert got.t[-1] == -3.0 and all(seg.h < 0 for seg in got.segments)
 
 
 def test_dense_output_on_time_reversed_span():
@@ -537,7 +537,7 @@ def test_generated_loop_bit_identical_condition_ii(monkeypatch):
 def test_generated_loop_bit_identical_time_reversed():
     f = compile_system(parse_system(DEG_FACTORED))
     got = _assert_bit_identical(f, (0.2, 0.05), (0.0, -3.0), rel_tol=1e-11, abs_tol=1e-13)
-    assert got.t_end == -3.0 and all(seg.h < 0 for seg in got.segments)
+    assert got.t[-1] == -3.0 and all(seg.h < 0 for seg in got.segments)
 
 
 def test_generated_loop_bit_identical_max_steps():
@@ -792,7 +792,7 @@ def test_crossing_tail_keeps_bounded_memory():
     assert len(got.segments) == 0 and len(got.t) <= 2 and len(got.y) <= 2
     assert (got.steps, got.nfev, got.closest_approach) == \
         (dense.steps, dense.nfev, dense.closest_approach)
-    assert (got.t_end, got.y_end) == (dense.t_end, dense.y_end)
+    assert (got.t[-1], got.y[-1]) == (dense.t[-1], dense.y[-1])
     # the same at max_steps, and at a crossing: one segment, the last one
     capped = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0), crossing=never, max_steps=3000,
                                 **kw)
@@ -829,5 +829,5 @@ def test_crossing_behind_the_origin_does_not_stop():
     assert third.y0[1] < 0 < dense.y[3][1] and dense.y[3][0] > 0
     assert _refine_crossing(third, ray.g)[1][0] < 0
     assert got.status == "finished" and got.crossing is None and not got.segments
-    assert (got.steps, got.nfev, got.t_end, got.y_end) == \
-        (dense.steps, dense.nfev, dense.t_end, dense.y_end)
+    assert (got.steps, got.nfev, got.t[-1], got.y[-1]) == \
+        (dense.steps, dense.nfev, dense.t[-1], dense.y[-1])

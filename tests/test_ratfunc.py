@@ -97,18 +97,13 @@ def test_zero_denominator_rejected():
 
 def test_laurent_simple_pole():
     f = RatFunc(poly("-a*mu", PTAB), poly("eps", PTAB))
-    series = laurent_expand_eps(f, 3)
-    items = series.poly_items()
-    assert len(items) == 1
-    k, c = items[0]
-    assert k == -1
-    assert c == poly("-a*mu", ("a", "mu"))
+    assert laurent_expand_eps(f, 3) == {-1: poly("-a*mu", ("a", "mu"))}
 
 
 def test_laurent_polynomial_identity():
     f = rf("3 - eps + 2*eps^4", TAB)
     series = laurent_expand_eps(f, 4)
-    assert [(k, str(c)) for k, c in series.poly_items()] == [
+    assert [(k, str(c)) for k, c in series.items()] == [
         (0, "3"), (1, "-1"), (4, "2")]
 
 
@@ -116,13 +111,11 @@ def test_laurent_inverse_series_multiply_back():
     den = poly("3 + 2*eps + 3*eps^2", TAB)
     f = RatFunc(MPoly.const(TAB, 1), den)
     series = laurent_expand_eps(f, 2)
-    assert series.poly_items()[0] == (0, MPoly.const((), Rat(1, 3)))
-    assert series.poly_items()[1][1].constant_value() == Rat(-2, 9)
+    assert series[0] == MPoly.const((), Rat(1, 3))
+    assert series[1].constant_value() == Rat(-2, 9)
     # multiplying back must match 1 through eps^2
     total = laurent_resum(series, TAB) * den
-    diff = total - 1
-    tail = laurent_expand_eps(diff, 2)
-    assert all(c.is_zero for _, c in tail.items())
+    assert laurent_expand_eps(total - 1, 2) == {}
 
 
 def test_laurent_resum_property(rng):
@@ -135,13 +128,8 @@ def test_laurent_resum_property(rng):
         f = RatFunc(num, den)
         order = 4
         series = laurent_expand_eps(f, order)
-        if series.side_condition is not None:
-            continue
         diff = f - laurent_resum(series, table)
-        if diff.is_zero:
-            continue
-        tail = laurent_expand_eps(diff, order)
-        assert tail.lowest_order is None or tail.lowest_order > order
+        assert all(k > order for k in laurent_expand_eps(diff, order))
 
 
 def test_laurent_rejects_state_variables():
@@ -149,13 +137,42 @@ def test_laurent_rejects_state_variables():
         laurent_expand_eps(rf("x/eps", TAB), 2)
 
 
-def test_laurent_parameter_denominator_side_condition():
+def test_laurent_rejects_parameter_denominator():
+    # every engine denominator is in eps alone; a parameter anywhere in the
+    # denominator, in its lowest eps-coefficient or above, is refused
     table = ("x", "y", "eps", "a")
-    f = RatFunc(MPoly.const(table, 1), poly("a + eps", table))
-    series = laurent_expand_eps(f, 1)
-    assert series.side_condition == poly("a", ("a",))
-    items = series.items()
-    assert items[0][0] == 0 and str(items[0][1]) == "(1)/(a)"
+    for den in ("a + eps", "1 + a*eps", "a"):
+        with pytest.raises(ValueError, match="eps alone"):
+            laurent_expand_eps(RatFunc(MPoly.const(table, 1), poly(den, table)), 1)
+
+
+def test_laurent_expansion_builds_no_ratfunc_and_runs_no_gcd(monkeypatch):
+    # the expansion is rational arithmetic on the denominator's series and
+    # polynomial sums on the numerator's eps-coefficients: no RatFunc is
+    # built and no gcd runs
+    f = RatFunc(poly("(a*b - eps)*(3 + eps) + a*eps^4", LTAB),
+                poly("eps^2*(2 - eps + 5*eps^2)", LTAB))
+    want = laurent_expand_eps(f, 3)
+    built, gcds = [], []
+    init, gcd = RatFunc.__init__, mpoly.poly_gcd
+
+    def recorded_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def recorded_gcd(a, b):
+        gcds.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(RatFunc, "__init__", recorded_init)
+    monkeypatch.setattr(ratfunc, "poly_gcd", recorded_gcd)
+    monkeypatch.setattr(mpoly, "poly_gcd", recorded_gcd)
+    got = laurent_expand_eps(f, 3)
+    assert (built, gcds) == ([], [])
+    assert [(k, c.terms) for k, c in got.items()] == [(k, c.terms) for k, c in want.items()]
+    assert min(got) == -2 and all(got.values())
+    # the spies see what they watch: the resum builds one rational function
+    assert laurent_resum(got, LTAB) and len(built) == 1 and len(gcds) == 1
 
 
 def test_arithmetic_and_pow():
@@ -171,41 +188,33 @@ LTAB = ("x", "y", "eps", "a", "b")
 
 
 def test_laurent_matches_sympy_series(rng):
-    # f = num / (eps^v * u(eps)) with u(0) a nonzero constant or a polynomial
-    # in the parameters; every coefficient through the order must match
-    # sympy's series, and resumming must reproduce f through that order
+    # f = num / (eps^v * u(eps)) with u in eps alone and u(0) a nonzero
+    # rational; every coefficient through the order must match sympy's
+    # series, and resumming must reproduce f through that order
     sympy = pytest.importorskip("sympy")
     eps_s = sympy.Symbol("eps")
     eps = poly("eps", LTAB)
     for trial in range(16):
         v = rng.randint(0, 2)
-        if trial % 2:
-            u0 = MPoly.const(LTAB, Rat(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)))
-        else:
-            u0 = poly(rng.choice(("a", "a + 2", "a*b - 1", "b^2 + 3")), LTAB)
-        u = u0 + eps * random_poly(rng, LTAB, ("eps", "a", "b"), max_degree=2, n_terms=2)
+        u0 = MPoly.const(LTAB, Rat(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)))
+        u = u0 + eps * random_poly(rng, LTAB, ("eps",), max_degree=2, n_terms=2)
         num = random_poly(rng, LTAB, ("eps", "a", "b"), max_degree=3, n_terms=4)
-        if num.is_zero:
-            continue
         f = RatFunc(num, eps ** v * u)
         order = rng.randint(0, 2)
         series = laurent_expand_eps(f, order)
-        den_by_eps = f.den.coefficients_in("eps")
-        low = den_by_eps[min(den_by_eps)].embed(("a", "b"))
-        assert series.side_condition == (None if low.is_constant else low.primitive())
+        assert list(series) == sorted(series) and all(series.values())
+        assert all(c.vars == ("a", "b") for c in series.values())
         # num/u is analytic at eps = 0: its Taylor coefficient of eps^(k+v)
         # is the Laurent coefficient of eps^k in f
         taylor = sympy.expand(sympy.series(to_sympy(num) / to_sympy(u),
                                            eps_s, 0, order + v + 1).removeO())
+        assert set(series) <= set(range(-v, order + 1)), trial
         for k in range(-v - 1, order + 1):
-            got = series.coefficient(k)
-            got_s = to_sympy(got.num) / to_sympy(got.den) if got else 0
+            got = to_sympy(series[k]) if k in series else 0
             want = taylor.coeff(eps_s, k + v) if k + v >= 0 else 0
-            assert sympy.cancel(got_s - want) == 0, (trial, k)
+            assert sympy.expand(got - want) == 0, (trial, k)
         diff = f - laurent_resum(series, LTAB)
-        if not diff.is_zero:
-            tail = laurent_expand_eps(diff, order)
-            assert tail.lowest_order is None or tail.lowest_order > order
+        assert all(k > order for k in laurent_expand_eps(diff, order)), trial
 
 
 def _hypothesis_polys_in(slots, max_size, top=2):
@@ -238,7 +247,7 @@ def test_eps_only_denominator_properties():
         assert (scaled.num.terms, scaled.den.terms) == (r.num.terms, r.den.terms)
         binding = {"a": val}
         lhs = RatFunc(n.subs(binding, ptab), d.subs(binding, ptab))
-        rhs = r.subs(binding, ptab)
+        rhs = RatFunc(r.num.subs(binding, ptab), r.den.subs(binding, ptab))
         assert (lhs.num.terms, lhs.den.terms) == (rhs.num.terms, rhs.den.terms)
 
     check()

@@ -275,13 +275,19 @@ def _unnamed_public_definitions(sources):
     """``module:name`` for each public module-level function or class of the
     sources (module file name -> text) that no module but ``__init__.py``
     names, as a name, an attribute or an imported name, and that
-    ``__init__.py`` does not import to re-export."""
-    defined, named, exported = [], set(), set()
+    ``__init__.py`` does not import to re-export; and ``module:Class.name``
+    for each public method or property of a module-level class whose name
+    no module but ``__init__.py`` names."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, methods, named, exported = [], [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [f"{module}:{node.name}" for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")]
+        for node in tree.body:
+            if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_"):
+                defined.append(f"{module}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                methods += [f"{module}:{node.name}.{m.name}" for m in node.body
+                            if isinstance(m, functions) and not m.name.startswith("_")]
         for node in ast.walk(tree):
             if module == "__init__.py":
                 if isinstance(node, ast.ImportFrom):
@@ -292,7 +298,8 @@ def _unnamed_public_definitions(sources):
                 named.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-    return [d for d in defined if d.split(":")[1] not in named | exported]
+    return ([d for d in defined if d.split(":")[1] not in named | exported]
+            + [m for m in methods if m.split(".")[-1] not in named])
 
 
 # public names that no package module calls yet, each with its reason
@@ -316,6 +323,10 @@ def test_every_public_definition_is_named_by_the_package():
         {"a.py": "class Report: ...\n", "b.py": "from .a import other\nother()\n"},
         {"a.py": "def f(): ...\n", "__init__.py": "from . import a\na.f\n"},
         {"a.py": "async def f(): ...\n", "b.py": "'f'\n"},
+        {"a.py": "class C:\n    def helper(self): ...\nC()\n"},
+        {"a.py": "class C:\n    @property\n    def end(self): ...\nC()\n",
+         "__init__.py": "from .a import C\nC().end\n"},
+        {"a.py": "class _C:\n    def f(self): ...\n_C()\n"},
     ]
     assert all(_unnamed_public_definitions(src) for src in caught)
     kept = [
@@ -325,6 +336,10 @@ def test_every_public_definition_is_named_by_the_package():
         {"a.py": "class C: ...\n", "b.py": "from . import a\na.C()\n"},
         {"a.py": "def f(): ...\n", "__init__.py": "from .a import f\n"},
         {"a.py": "def f(): ...\n", "b.py": "def g(x=f): ...\n", "__init__.py": "from .b import g\n"},
+        {"a.py": "class C:\n    def f(self): ...\n    def _g(self): ...\n    def __len__(self): ...\n",
+         "b.py": "from .a import C\nC().f()\n"},
+        {"a.py": "class C:\n    @property\n    def end(self): ...\n    def f(self):\n        self.end\n"
+                 "C().f()\n"},
     ]
     assert not any(_unnamed_public_definitions(src) for src in kept)
     sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.rglob("*.py"))}

@@ -2,11 +2,10 @@ import math
 import random
 
 from centerlab.mpoly import MPoly, Rat
-from centerlab.parser import parse_first_integral
+from centerlab.parser import DarbouxExpr, parse_first_integral
 from centerlab.ratfunc import RatFunc
 from centerlab.realroots import isolate_real_roots, refine_to_float, root_multiplicity, trim
 from centerlab.structure import (
-    DarbouxExpr,
     _solve_on_circle,
     characteristic_directions,
     is_hamiltonian,
@@ -376,13 +375,13 @@ def test_characteristic_directions_hamiltonian_family():
 def test_characteristic_directions_perturbed_none():
     s = substitute(parse_system(HAM_QH_EPS), {"a": 1, "b": 1, "eps": 1})
     cd = characteristic_directions(s)
-    assert cd.none_found
+    assert not cd.directions and not cd.every_direction
     assert cd.lowest_form == poly("x^4 + y^4", s.vars)
 
 
 def test_characteristic_directions_rotation_none():
     cd = characteristic_directions(parse_system("xdot = -y; ydot = x"))
-    assert cd.none_found
+    assert not cd.directions and not cd.every_direction
     assert cd.lowest_form == poly("x^2 + y^2", ("x", "y", "eps"))
 
 
