@@ -383,18 +383,25 @@ def test_criterion_7_homological_backsubstitution():
         residual = random_poly(rnd, s.vars, ("x", "y"), homogeneous=n, n_terms=4)
         if residual.is_zero:
             continue
-        H_num, f, V = _solve_degree(*_linear_scalars(s), n, residual,
-                                    MPoly.const(s.vars, 1))
-        applied = (H_num.diff("x") * s.P.homogeneous_part(1)
-                   + H_num.diff("y") * s.Q.homogeneous_part(1))
+        sigma, mu = _linear_scalars(s)
+        A, C, ell, delta = _solve_degree(sigma, mu, n, residual, MPoly.const(s.vars, 1))
+        # H_n = (A + V*C) / (sigma*mu)^ceil(n/2), with V = ell / delta at even n
+        f = (sigma * mu) ** ((n + 1) // 2)
+        H = RatFunc(A, f)
         target = RatFunc(-residual)
         if n % 2 == 0:
+            V = RatFunc(ell, delta)
+            H = H + V * RatFunc(C, f)
             circle = poly("x^2 + y^2", s.vars) ** (n // 2)
             target = target + V * RatFunc(circle)
             # kernel rule: no y^n term in H_n
             ix = s.vars.index("x")
-            assert all(e[ix] for e in H_num.terms)
-        assert RatFunc(applied, f) == target
+            assert all(e[ix] for p in (A, C) for e in p.terms)
+        else:
+            assert C.is_zero and ell is None
+        applied = (H.num.diff("x") * s.P.homogeneous_part(1)
+                   + H.num.diff("y") * s.Q.homogeneous_part(1))
+        assert RatFunc(applied, H.den) == target
         count += 1
     assert count >= 200
     report(f"7 [PASS] homological back-substitution exact on {count} random steps")

@@ -40,10 +40,15 @@ def _first_nonzero(constants):
 
 def _solve(s, residual, degree):
     """The degree-n homological solve for the linear part of ``s``: H_n as a
-    RatFunc, and V."""
-    one = MPoly.const(s.vars, 1)
-    num, f, V = _solve_degree(*_linear_scalars(s), degree, residual, one)
-    return RatFunc(num, f), V
+    RatFunc, and V (None at odd n, where the V column is zero)."""
+    sigma, mu = _linear_scalars(s)
+    A, C, ell, delta = _solve_degree(sigma, mu, degree, residual, MPoly.const(s.vars, 1))
+    f = (sigma * mu) ** ((degree + 1) // 2)
+    if ell is None:
+        assert C.is_zero
+        return RatFunc(A, f), None
+    V = RatFunc(ell, delta)
+    return RatFunc(A, f) + V * RatFunc(C, f), V
 
 
 def test_cubic_ab_first_and_second_constants():
@@ -134,27 +139,47 @@ def test_reversible_system_constants_vanish():
 
 
 def test_zero_constants_keep_delta_out_of_the_chain():
-    # every V_n vanishes, so no Delta_n enters the table: each f_n is the
-    # eps-monomial mu^h*sigma^h and the H_k still satisfy the identity
+    # every V_n vanishes, so no slot V(n) enters the table and each H_k is
+    # its numerator over the eps-monomial chain
     s = parse_system(NIL_REVERSIBLE_EPS)
     run = DegreePass(s, 14)
     V = dict(run)
     assert [n for n, v in V.items() if v.is_zero] == [4, 6, 8, 10, 12, 14]
     assert sorted(run.H) == list(range(2, 15))
-    assert all(len(f) == 1 for _, f in run.H.values())
+    assert not any(v.startswith("V(") for num in run.H.values()
+                   for v in num.variables_present())
+    assert all(len(h.den) == 1 for h in run.h_table().values())
     assert verify_backsubstitution(run, V)
 
 
-def test_nonzero_constants_keep_delta_in_the_chain():
+def test_nonzero_constants_keep_delta_out_of_the_chain():
+    # Delta_4, Delta_6 and Delta_8 have several terms, yet every chain factor
+    # is one term: a nonzero V_n enters the table as the symbol V(n), which
+    # is set to its value only in what leaves the pass
     s = parse_system(NIL_CUBIC_AB_EPS)
     run = DegreePass(s, 8)
     V = dict(run)
     for n in (4, 6, 8):
-        assert not V[n].is_zero
-        # f_n = mu^h*sigma^h*Delta_n with the multi-term Delta_n
-        assert len(run.H[n][1]) == n // 2 + 1, n
-    assert all(len(run.H[n][1]) == 1 for n in (3, 5, 7))
+        assert not V[n].is_zero and len(V[n].den) > 1, n
+        assert f"V({n})" in run.H[n].variables_present(), n
+    assert all(len(f) == 1 for f in run._factors.values())
+    for r in (*V.values(), *run.h_table().values()):
+        assert r.vars == s.vars
+        assert not any(v.startswith("V(") for p in (r.num, r.den) for v in p.variables_present())
     assert verify_backsubstitution(run, V)
+
+
+def test_assembly_rejects_a_product_of_slots():
+    # the table is affine in the V slots; the assembly refuses anything else
+    run = DegreePass(parse_system(NIL_CUBIC_AB_EPS), 8)
+    dict(run)
+    vars = run.H[2].vars
+    one = MPoly.const(vars, 1)
+    v4, v6 = MPoly.variable("V(4)", vars), MPoly.variable("V(6)", vars)
+    assert not run._assemble(v4 + v6, one).is_zero
+    for p in (v4 * v6, v4 ** 2 + v6, run.H[8] * v4):
+        with pytest.raises(EngineError):
+            run._assemble(p, one)
 
 
 def test_backsubstitution_invariant():
@@ -169,10 +194,10 @@ def test_backsubstitution_detects_a_perturbed_table():
     V = dict(run)
     assert verify_backsubstitution(run, V)
     # one extra term in one stored numerator breaks the identity at degree 5
-    num, f = run.H[5]
-    run.H[5] = (num + poly("x^5", s.vars), f)
+    num = run.H[5]
+    run.H[5] = num + poly("x^5", num.vars)
     assert not verify_backsubstitution(run, V)
-    run.H[5] = (num, f)
+    run.H[5] = num
     # so does a wrong constant
     assert not verify_backsubstitution(run, {**V, 4: V[4] + RatFunc(poly("1", s.vars))})
 

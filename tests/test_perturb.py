@@ -390,15 +390,17 @@ def _recorded_pass(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("text, degree", [(NIL_CUBIC_AB, 8), (CUBIC_FAMILY_B, 7)],
-                         ids=["ab-minimal-d8", "family-b-d7"])
-def test_specialised_h_table_matches_fresh_pass(monkeypatch, text, degree):
-    # the stored H_k, re-expressed by specialise (numerators substituted,
-    # chain factors dropped where they cancel), equal those of a pass run
-    # on the specialised family from the start
+@pytest.mark.parametrize("text, general_degree, degree",
+                         [(NIL_CUBIC_AB, None, 8), (CUBIC_FAMILY_B, None, 7),
+                          (NIL_CUBIC_K, 3, 8)],
+                         ids=["ab-minimal-d8", "family-b-d7", "k-general3-d8"])
+def test_specialised_h_table_matches_fresh_pass(monkeypatch, text, general_degree, degree):
+    # the stored H_k, re-expressed by specialise (numerators substituted, the
+    # slot of each V that vanishes set to 0), equal those of a pass run on
+    # the specialised family from the start
     runs = _recorded_pass(monkeypatch)
-    family, _ = _perturbed(text)
-    res = center_conditions_pipeline(family, degree)
+    family, pset = _perturbed(text, general_degree=general_degree)
+    res = center_conditions_pipeline(family, degree, perturbation_params=pset)
     assert any(c.solved for c in res.base_conditions)
     [run] = runs
     fresh = liapunov.DegreePass(run.system, degree)
@@ -407,18 +409,21 @@ def test_specialised_h_table_matches_fresh_pass(monkeypatch, text, degree):
     assert sorted(got) == sorted(want) == list(range(2, degree + 1))
     for k in want:
         assert (got[k].num, got[k].den) == (want[k].num, want[k].den), k
-    # the stored numerators and chain factors themselves agree: a factor that
-    # a vanishing V cancels is out of the specialised chain, as it never
-    # enters the fresh one
+    # the stored numerators themselves agree, slots included: on the K
+    # family, V_6 and V_8 stay nonzero through the specialisations at their
+    # stages, so their slots stay in both tables
     assert sorted(run.H) == sorted(fresh.H)
     for k in fresh.H:
         assert run.H[k] == fresh.H[k], k
+    if general_degree:
+        assert {"V(6)", "V(8)"} <= set(run.H[8].variables_present())
 
 
 def test_degree_pass_reduces_only_the_constants(monkeypatch):
-    # gcds run once per nonzero V, from the solve, and never from the
-    # residual or specialise (poly_lcm would reach mpoly.poly_gcd)
-    stacks = []
+    # gcds never run from the residual or specialise (poly_lcm would reach
+    # mpoly.poly_gcd); in the pass they run only where a V is assembled: one
+    # reduction per nonzero V and the lcms of the eps-only V denominators
+    calls = []
     gcd = ratfunc.poly_gcd
 
     def recorded(a, b):
@@ -426,7 +431,7 @@ def test_degree_pass_reduces_only_the_constants(monkeypatch):
         while frame is not None:
             names.append(frame.f_code.co_qualname)
             frame = frame.f_back
-        stacks.append(names)
+        calls.append((names, a, b))
         return gcd(a, b)
 
     monkeypatch.setattr(ratfunc, "poly_gcd", recorded)
@@ -435,11 +440,16 @@ def test_degree_pass_reduces_only_the_constants(monkeypatch):
     family, _ = _perturbed(NIL_CUBIC_AB)
     res = center_conditions_pipeline(family, 12)
     assert runs and any(c.solved for c in res.base_conditions)
-    in_pass = [names for names in stacks if "DegreePass.__iter__" in names]
-    assert all("_solve_degree" in names for names in in_pass)
-    assert len(in_pass) == len(res.constants) == len(range(4, 13, 2))
+    in_pass = [c for c in calls if "DegreePass.__iter__" in c[0]]
+    assert all("DegreePass._assemble" in names for names, _, _ in in_pass)
+    reductions = [c for c in in_pass if "RatFunc.__init__" in c[0]]
+    assert len(reductions) == len(res.constants) == len(range(4, 13, 2))
+    lcms = [c for c in in_pass if "RatFunc.__init__" not in c[0]]
+    assert lcms and all("poly_lcm" in names for names, _, _ in lcms)
+    assert all(set(a.variables_present()) | set(b.variables_present()) <= {"eps"}
+               for _, a, b in lcms)
     assert not any({"DegreePass._residual", "DegreePass.specialise"} & set(names)
-                   for names in stacks)
+                   for names, _, _ in calls)
 
 
 @pytest.mark.parametrize("text, degree", [(NIL_CUBIC_AB, 8), (CUBIC_FAMILY_B, 7)],
