@@ -5,11 +5,11 @@ perturbed-degenerate linear parts.
 The engine seeds H_2 (``(x^2+y^2)/2``, or ``(mu*x^2+y^2)/2`` when the linear
 part is (y, -mu*x)) and solves one homogeneous linear system per degree n so
 that the derivative of H along the flow is a combination of powers of
-(x^2+y^2).  Every supported linear part is (sigma*y, -mu*x), so that system
-splits into two bidiagonal recurrences, solved by one sweep each.  At even
-degrees the obstruction coefficient V is the unique value making the
-degree-n equation solvable; the kernel ambiguity in H_n is fixed by forcing
-the y^n coefficient to zero.  All arithmetic is exact.
+(x^2+y^2).  Every supported linear part is (sigma*y, -mu*x), sigma and mu
+eps-monomials, so the system splits into two bidiagonal recurrences, each a
+prefix sum with separable integer weights.  At even degrees V is the unique
+value making the degree-n equation solvable; the kernel ambiguity in H_n is
+fixed by forcing the y^n coefficient to zero.  All arithmetic is exact.
 
 :class:`DegreePass` is the engine's one entry: ``V = dict(DegreePass(s, N))``
 runs the degree loop, which keeps H_n as a numerator over the chain
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
+from math import lcm
+from operator import mul
 from typing import Dict, Iterator, Mapping, Tuple
 
 from .mpoly import EngineError, MPoly, Rat, poly_lcm
@@ -66,17 +67,6 @@ class ConventionRecord:
         }
 
 
-def _xy_coefficients(p: MPoly, n: int) -> Dict[int, MPoly]:
-    """Decompose an x,y-homogeneous polynomial of degree n: maps t to the
-    (x,y)-free coefficient of x^(n-t) y^t."""
-    out: Dict[int, MPoly] = {}
-    for (i, t), c in p.coefficients_in_vars(("x", "y")).items():
-        if i + t != n:
-            raise ValueError(f"polynomial is not x,y-homogeneous of degree {n}")
-        out[t] = c
-    return out
-
-
 def _monomial_xy(vars, i: int, j: int) -> MPoly:
     return MPoly.variable("x", vars) ** i * MPoly.variable("y", vars) ** j
 
@@ -94,8 +84,45 @@ def _seed(system: PlaneSystem) -> MPoly:
 def _linear_scalars(system: PlaneSystem) -> Tuple[MPoly, MPoly]:
     """(sigma, mu) with linear part (sigma*y, -mu*x); for every supported
     class each is a nonzero rational constant or c*eps."""
-    p1, q1 = system.linear_part()
-    return _xy_coefficients(p1, 1)[1], -_xy_coefficients(q1, 1)[0]
+    p1, q1 = (p.coefficients_in_vars(("x", "y")) for p in system.linear_part())
+    return p1[0, 1], -q1[1, 0]
+
+
+def _solve_plan(sigma: MPoly, mu: MPoly, n: int):
+    """The sweeps and scales of :meth:`MPoly.prefix_sums` for
+    :func:`_solve_degree` (output 0 is A, output 1 is ell at even n).  With
+    sigma = sn/sd*eps^se, mu = mn/md*eps^me, a = sn*md and b = sd*mn, each
+    weight X_k, Y_j there is an integer (powers of a and b times prefix
+    products) times eps^e, e >= 0: the forward Y_j are multiplied by
+    sigma^K*sd^K*md^K*P_K, the backward ones by mu^h*sd^(h-1)*md^h*U_h, and
+    each output's scale divides the same back out."""
+    if len(sigma) != 1 or len(mu) != 1 or {*sigma.variables_present(),
+                                           *mu.variables_present()} - {"eps"}:
+        raise EngineError(f"linear scalars {sigma}, {mu} are not eps-monomial terms")
+    (sn, sd), (mn, md) = (p.leading_coefficient().as_integer_ratio() for p in (sigma, mu))
+    se, me, a, b = sigma.degree_in("eps"), mu.degree_in("eps"), sn * md, sd * mn
+    h, even = (n + 1) // 2, n % 2 == 0
+    K = h - 1 + even  # the last forward step; at even n it reads row n into ell
+    P = list(accumulate(range(n - 1, n - 2 * K, -2), mul, initial=1))
+    Q = list(accumulate(range(1, 2 * K + 2, 2), mul, initial=1))
+    U = list(accumulate(range(2 * h, 0, -2), mul, initial=1))  # s_j = 2h-2j+1
+    N = list(accumulate(range(n - 2 * h + 2, n + 1, 2), mul, initial=1))
+    # A's targets (row, num, den, e), over sd^(2h-1)*md^(2h)
+    targets = [((n - 2 * k - 1, 2 * k + 1), a ** (h + k - K) * b ** (h - k - 1) * md * P[k],
+                Q[k + 1] * P[K], (h + k - K) * se + (h - k - 1) * me) for k in range(h)]
+    targets += [((n - 2 * h + 2 * j, 2 * h - 2 * j), a ** (h - j) * b ** j * U[j], N[j] * U[h],
+                 (h - j) * se + j * me) for j in range(1, h + 1)]
+    M = lcm(*(den for _, _, den, _ in targets))
+    targets = [(row, num * (M // den), e, 0) for row, num, den, e in targets]
+    forward = [((n - 2 * j, 2 * j), a ** (K - j) * b ** j * Q[j] * (P[K] // P[j]),
+                (K - j) * se + j * me) for j in range(K + 1)]
+    backward = [((n - 2 * h + 2 * j - 1, 2 * h - 2 * j + 1),
+                 -md * a ** (j - 1) * b ** (h - j) * N[j - 1] * (U[h] // U[j]),
+                 (j - 1) * se + (h - j) * me) for j in range(1, h + 1)]
+    return ((tuple(zip(forward, targets[:h] + [((0, 0), 1, 0, 1)] * even)),
+             tuple(zip(backward, targets[h:]))),
+            ((1, M * sd ** (2 * h - 1) * md ** (2 * h)),
+             *[(n + 1, Q[K + 1] * sd ** h * md ** h)] * even))
 
 
 def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
@@ -106,63 +133,34 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
 
         sigma*(n-s+1)*h_(s-1) - mu*(s+1)*h_(s+1) = V*c_s - r_s,
 
-    with c_s the coefficient of x^(n-s) y^s in (x^2+y^2)^(n/2) (zero at odd
-    n).  The even rows fix the odd coefficients in a forward sweep that
-    carries V symbolically; at even n row n then gives V over the eps-only
-    Delta_n, which vanishes exactly when the system is singular.  The odd
-    rows fix the even coefficients in a backward sweep from h_n = 0 (the
-    kernel rule) at even n, or h_(n+1) = 0 at odd n; the start depends on
-    the parity of n alone, not on V.
+    c_s the coefficient of x^(n-s) y^s in O = (x^2+y^2)^(n/2) (0 at odd n).
+    The even rows fix the odd coefficients in a forward sweep, row n gives
+    V, and the odd rows fix the even ones in a backward sweep from h_top = 0,
+    top = 2h, h = ceil(n/2).  sigma and mu are eps-monomials (else
+    EngineError), so each sweep is X_k * sum_(j<=k) Y_j*r_(s_j): forward
+    (s_j = 2j, target x^(n-2k-1) y^(2k+1)) X_k = sigma^(h+k) mu^(h-k-1)
+    P_k/Q_(k+1), Y_j = (mu/sigma)^j Q_j/P_j, P_k = prod_(i=1..k) (n-2i+1),
+    Q_k = prod_(i<k) (2i+1); backward (s_j = top-2j+1, target
+    x^(n-s_k+1) y^(s_k-1)) X_k = sigma^(h-k) mu^(h+k) U_k/N_k,
+    Y_j = -sigma^(j-1) mu^(-j) N_(j-1)/U_j, U_j = prod_(l<=j) (s_l+1),
+    N_j = prod_(l<=j) (n-s_l+1).  ell = sigma*(forward sum through row n-2)
+    + mu^h*r_n.  On c_s the map gives C = -A(O)*R_den and Delta_n = ell(O),
+    eps-only and zero exactly when the system is singular.
 
-    Returns (A, C, ell, delta): H_n = (A + V*C) / ((mu*sigma)^h * R_den) with
-    h = ceil(n/2) and C the parameter-free column of the b-sweep, and at
-    even n V = ell / (delta * R_den) with delta = Delta_n.  At odd n, C is
-    zero and ell and delta are None."""
-    vars = R_num.vars
-    zero = MPoly.zero(vars)
-    r = _xy_coefficients(R_num, n) if R_num else {}
-    even = n % 2 == 0
-    half = (n + 1) // 2  # steps in each sweep
-    mu_pow = list(accumulate([mu] * half, MPoly.__mul__, initial=MPoly.const(vars, 1)))
-    sigma_pow = list(accumulate([sigma] * half, MPoly.__mul__, initial=MPoly.const(vars, 1)))
-
-    # forward sweep over rows s = 2k: R_den*h_(2k+1) = (a_k - V*R_den*b_k) / mu^(k+1)
-    a, b = [], []
-    ak = bk = zero
-    for k in range(half):
-        s = 2 * k
-        w = sigma * (n - s + 1)
-        inv = Rat(1, s + 1)
-        ak = (w * ak + mu_pow[k] * r.get(s, zero)) * inv
-        a.append(ak)
-        if even:
-            bk = (w * bk + mu_pow[k] * comb(half, k)) * inv
-            b.append(bk)
-    ell = delta = None
-    if even:
-        # row n: sigma*h_(n-1) = V - r_n
-        delta = mu_pow[half] + sigma * bk
-        if delta.is_zero:
-            raise EngineError(
-                f"homological system at degree {n} is singular beyond the expected "
-                "one-dimensional obstruction")
-        ell = mu_pow[half] * r.get(n, zero) + sigma * ak
-
-    # every coefficient goes over the common denominator mu^half * sigma^half
-    scale = [mu_pow[half - k - 1] * sigma_pow[half] for k in range(half)]
-    coeffs = {(n - 2 * k - 1, 2 * k + 1): ak * scale[k] for k, ak in enumerate(a)}
-    column = {(n - 2 * k - 1, 2 * k + 1): bk * scale[k] for k, bk in enumerate(b)}
-
-    # backward sweep over odd rows s, from h_top = 0: h_(top-2j) = g_j / sigma^j
-    top = n if even else n + 1
-    g = zero
-    for j in range(1, half + 1):
-        s = top - 2 * j + 1
-        g = (mu * (s + 1) * g - sigma_pow[j - 1] * r.get(s, zero)) * Rat(1, n - s + 1)
-        coeffs[n - top + 2 * j, top - 2 * j] = g * (sigma_pow[half - j] * mu_pow[half])
-
-    C = -MPoly.from_coefficients(vars, ("x", "y"), column) * R_den
-    return MPoly.from_coefficients(vars, ("x", "y"), coeffs), C, ell, delta
+    Returns (A, C, ell, delta): H_n = (A + V*C) / ((mu*sigma)^h * R_den) and
+    at even n V = ell / (delta * R_den), delta = Delta_n; at odd n C is zero,
+    ell and delta None.  ValueError unless R_num is x,y-homogeneous in n."""
+    sweeps, scales = _solve_plan(sigma, mu, n)
+    A, *ell = R_num.prefix_sums(("x", "y"), "eps", sweeps, scales)
+    if not ell:
+        return A, MPoly.zero(A.vars), None, None
+    x, y = MPoly.variable("x", A.vars), MPoly.variable("y", A.vars)
+    circle = (x * x + y * y) ** (n // 2)
+    column, delta = circle.prefix_sums(("x", "y"), "eps", sweeps, scales)
+    if delta.is_zero:
+        raise EngineError(f"homological system at degree {n} is singular beyond the "
+                          "expected one-dimensional obstruction")
+    return A, -column * R_den, ell[0], delta
 
 
 class DegreePass:
@@ -195,6 +193,7 @@ class DegreePass:
         self._values: Dict[str, Tuple[MPoly, MPoly]] = {}  # slot -> (num, den) of a nonzero V
         self._use(system)
         self.H: Dict[int, MPoly] = {2: _seed(system).embed(self._vars)}
+        self._grads: Dict[int, Tuple[MPoly, MPoly]] = {}  # k -> (d/dx, d/dy) of num_k
 
     def _use(self, system: PlaneSystem) -> None:
         self.system = system
@@ -218,6 +217,7 @@ class DegreePass:
         self._values = {v: value for v, value in values.items() if value[0]}
         bindings = {**bindings, **{v: 0 for v in values if v not in self._values}}
         self.H = {k: num.subs(bindings, self._vars) for k, num in self.H.items()}
+        self._grads = {}
 
     def h_table(self) -> Dict[int, RatFunc]:
         """The stored H_k, slots set to their V, each reduced over its chain."""
@@ -262,7 +262,8 @@ class DegreePass:
     def _residual(self, n: int) -> Tuple[MPoly, MPoly]:
         """The degree-n part of the Lie derivative of H_2 + ... + H_(n-1)
         along the nonlinear terms, as (numerator, chain f_2*...*f_(n-1)).
-        Horner's rule over the chain: acc <- acc*f_k + grad(num_k).(P, Q)_(n+1-k)."""
+        Horner's rule over the chain: acc <- acc*f_k + grad(num_k).(P, Q)_(n+1-k),
+        each grad(num_k) kept from its first read to its last (or specialise)."""
         acc = MPoly.zero(self._vars)
         chain = MPoly.const(self._vars, 1)
         for k, num in self.H.items():
@@ -270,7 +271,10 @@ class DegreePass:
             acc, chain = acc * f, chain * f
             if n + 1 - k in self._parts:
                 pd, qd = self._parts[n + 1 - k]
-                acc = acc + num.diff("x") * pd + num.diff("y") * qd
+                grad = self._grads.pop(k, None) or (num.diff("x"), num.diff("y"))
+                if n + 1 - k < max(self._parts):  # read again at a later degree
+                    self._grads[k] = grad
+                acc = acc + grad[0] * pd + grad[1] * qd
         return acc, chain
 
 

@@ -40,10 +40,11 @@ Exponent tuples and ``Rat`` appear only at the public edge: the
 :meth:`MPoly.sorted_terms` and the read-only :attr:`MPoly.terms` view, plus
 the ``Rat`` accessors :meth:`MPoly.constant_value`,
 :meth:`MPoly.leading_coefficient`, :meth:`MPoly.content` and
-:meth:`MPoly.coefficient_list`.  No other module reads exponent tuples
-by table position: they group terms through :meth:`MPoly.coefficients_in`
-and :meth:`MPoly.coefficients_in_vars` or take dense univariate lists
-from :meth:`MPoly.coefficient_list`.  Dense univariate work (real roots,
+:meth:`MPoly.coefficient_list`.  No other module reads exponent tuples by
+table position: they group terms through :meth:`MPoly.coefficients_in` and
+:meth:`MPoly.coefficients_in_vars`, map rows of terms by running sums with
+:meth:`MPoly.prefix_sums` or take dense univariate lists from
+:meth:`MPoly.coefficient_list`.  Dense univariate work (real roots,
 univariate gcds) belongs to :mod:`centerlab.realroots`, which imports
 nothing from the package.
 """
@@ -52,11 +53,12 @@ from __future__ import annotations
 
 import heapq
 import struct
+from collections import defaultdict
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, Optional, Sequence, Union
 
 from .realroots import univariate_gcd
@@ -781,6 +783,47 @@ class MPoly:
             g[1][e - g[2]] = c
         return {k: MPoly._reduced(self.vars, self._num, self._den, t)
                 for k, t, _ in groups.values()}
+
+    def prefix_sums(self, names: Sequence[str], var: str, sweeps, scales) -> tuple:
+        """Running sums over rows (exponents in ``names``): each sweep's steps
+        ``(source, target)`` run in order on a sum ``S`` from 0; source ``(row,
+        w, e)`` adds ``w*var^e`` times the coefficient of ``names^row`` to
+        ``S``, then target ``(row, w, e, i)`` adds ``w*var^e*names^row*S`` to
+        output ``i``, times ``num/den = scales[i]`` at the end.  Integer
+        weights, exponents >= 0, rows distinct among the sources and among
+        an output's targets; ValueError when no source reads a row."""
+        ks = _keys(len(self.vars))
+        idx = [self.vars.index(v) for v in names]
+        # keys of the first powers: the key of names^row * var^e is linear
+        units, unit = [ks.var(i, 1) for i in idx], ks.var(self.vars.index(var), 1)
+        mask = sum(ks.masks[i] for i in idx)
+        rows = defaultdict(list)
+        for e, c in self._ints.items():
+            rows[e & mask].append((e, c))
+        outs = [{} for _ in scales]
+        for sweep in sweeps:
+            S: dict = {}
+            get = S.get
+            for (row, w, e), (trow, tw, te, i) in sweep:
+                part = sum(map(mul, row, units))
+                step = e * unit - part
+                for k, c in rows.pop(part & mask, ()):
+                    k += step
+                    s = get(k, 0) + w * c
+                    if s:
+                        S[k] = s
+                    elif k in S:
+                        del S[k]
+                if S:
+                    tkey = sum(map(mul, trow, units)) + te * unit
+                    outs[i].update(zip(map(tkey.__add__, S), map(tw.__mul__, S.values())))
+        if rows:
+            raise ValueError(f"terms outside the source rows in {tuple(names)}")
+        d = max((max(out) >> ks.top for out in outs if out), default=0)
+        if d >= _CAP:
+            _degree_limit(d)
+        return tuple(MPoly._reduced(self.vars, self._num * num, self._den * den, out)
+                     for out, (num, den) in zip(outs, scales))
 
     def coefficient_list(self, var: str, at: Optional[Mapping[str, Scalar]] = None) -> list:
         """The coefficients in ``var`` as ``Rat`` (index = power, no trailing

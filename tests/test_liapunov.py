@@ -5,11 +5,14 @@ from centerlab.liapunov import (
     EngineError,
     _linear_scalars,
     _solve_degree,
+    _solve_plan,
     verify_backsubstitution,
 )
 from centerlab.mpoly import MPoly, Rat
 from centerlab.ratfunc import RatFunc
 from centerlab.systems import ClassificationError, parse_system, substitute
+
+from two_sweep_solve import two_sweep_solve
 
 from conftest import (
     DEG_QUINTIC_EPS,
@@ -257,3 +260,49 @@ def test_singular_degree_system_raises_engine_error():
     one = MPoly.const(vars, 1)
     with pytest.raises(EngineError):
         _solve_degree(one, -one, 2, MPoly.zero(vars), one)
+
+
+def test_prefix_solve_matches_two_sweep_reference(rng):
+    # the prefix-sum solve gives exactly the (A, C, ell, delta) of the two
+    # MPoly sweeps it replaced: every tested linear part, plus one whose
+    # sigma has the higher eps order, n = 3..14, R_den 1 or a power of eps,
+    # and residuals that carry a parameter and V(j) slots of the table
+    texts = HOMOLOGICAL_LINEAR_PARTS + ("xdot = eps*y; ydot = -x",)
+    count = 0
+    for trial in range(264):
+        s = parse_system(texts[trial % len(texts)])
+        table = s.vars + ("a", "V(4)", "V(6)")
+        sigma, mu = (v.embed(table) for v in _linear_scalars(s))
+        n = 3 + trial % 12
+        R_num = MPoly.zero(table)
+        for _ in range(rng.randint(1, 3)):
+            rows = random_poly(rng, table, ("x", "y"), homogeneous=n, n_terms=rng.randint(1, 8))
+            coeff = random_poly(rng, table, ("eps", "a", "V(4)", "V(6)"), max_degree=3,
+                                n_terms=rng.randint(1, 4))
+            R_num = R_num + rows * coeff
+        R_den = MPoly.variable("eps", table) ** rng.randint(0, 4) * Rat(1, rng.randint(1, 3))
+        got = _solve_degree(sigma, mu, n, R_num, R_den)
+        assert got == two_sweep_solve(sigma, mu, n, R_num, R_den), (trial, n)
+        # every eps offset of the plan is a non-negative exponent
+        sweeps = _solve_plan(sigma, mu, n)[0]
+        assert all(src[2] >= 0 and tgt[2] >= 0 for sweep in sweeps for src, tgt in sweep)
+        count += bool(R_num)
+    assert count >= 200
+
+
+def test_solve_rejects_linear_scalars_that_are_not_one_eps_term():
+    vars = ("x", "y", "eps", "a")
+    one, eps = MPoly.const(vars, 1), MPoly.variable("eps", vars)
+    residual = poly("x^3*a + y^3", vars)
+    for sigma, mu in ((one + eps, one), (one, eps * MPoly.variable("a", vars)),
+                      (MPoly.zero(vars), one)):
+        with pytest.raises(EngineError):
+            _solve_degree(sigma, mu, 3, residual, one)
+
+
+def test_solve_rejects_a_residual_of_the_wrong_degree():
+    vars = ("x", "y", "eps")
+    one, eps = MPoly.const(vars, 1), MPoly.variable("eps", vars)
+    for residual in ("x^3", "x^4 + y^3", "eps*x^2*y^2 + eps*x", "eps^2"):
+        with pytest.raises(ValueError):
+            _solve_degree(one, eps, 4, poly(residual, vars), one)
