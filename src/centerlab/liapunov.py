@@ -25,6 +25,7 @@ exact oracle for a finished pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from math import lcm
 from operator import mul
@@ -191,6 +192,9 @@ class DegreePass:
                   if system.linear_class == PERTURBED_NILPOTENT else "(x^2+y^2)/2"))
         self._slots = tuple(f"V({j})" for j in range(MIN_EVEN_DEGREE, max_even_degree + 1, 2))
         self._values: Dict[str, Tuple[MPoly, MPoly]] = {}  # slot -> (num, den) of a nonzero V
+        sigma, mu = _linear_scalars(system)  # parameter-free: specialise only re-embeds them
+        self._scalars = (sigma, mu, *accumulate([sigma * mu] * ((max_even_degree + 1) // 2),
+                                                MPoly.__mul__, initial=MPoly.const(sigma.vars, 1)))
         self._use(system)
         self.H: Dict[int, MPoly] = {2: _seed(system).embed(self._vars)}
         self._grads: Dict[int, Tuple[MPoly, MPoly]] = {}  # k -> (d/dx, d/dy) of num_k
@@ -198,19 +202,17 @@ class DegreePass:
     def _use(self, system: PlaneSystem) -> None:
         self.system = system
         vars = self._vars = system.vars + self._slots
-        self._sigma, self._mu = (v.embed(vars) for v in _linear_scalars(system))
+        self._sigma, self._mu, *sm = (v.embed(vars) for v in self._scalars)
         self._parts = {d: (p.embed(vars), q.embed(vars))
                        for d, (p, q) in system.nonlinear_parts().items()}
-        sm = list(accumulate([self._sigma * self._mu] * ((self.max_even_degree + 1) // 2),
-                             MPoly.__mul__, initial=MPoly.const(vars, 1)))
         self._factors = {k: sm[(k + 1) // 2 if k > 2 else 0]
                          for k in range(2, self.max_even_degree + 1)}
 
     def specialise(self, bindings: Mapping[str, MPoly]) -> None:
-        """Substitute ``bindings`` into the family, the stored V numerators
-        and, with one ``subs`` each, the table numerators, in which the slot
-        of every V_j that the bindings make vanish is set to 0.  The chain is
-        eps-only and stays; no gcd runs."""
+        """Substitute ``bindings`` into the family (only its nonlinear parts
+        are read again), the stored V numerators and, with one ``subs`` each,
+        the table numerators, in which the slot of every V_j that the bindings
+        make vanish is set to 0.  sigma, mu and the chain stay; no gcd runs."""
         self._use(substitute(self.system, bindings))
         values = {v: (num.subs(bindings, self._vars), den.embed(self._vars))
                   for v, (num, den) in self._values.items()}
@@ -250,9 +252,7 @@ class DegreePass:
             raise EngineError("a product of V slots reached the H table, which must "
                               "be affine in the constants")
         values = {k: self._values[self._slots[k.index(1)]] for k in parts if any(k)}
-        D = MPoly.const(self._vars, 1)
-        for _, den_j in values.values():
-            D = poly_lcm(D, den_j)
+        D = reduce(poly_lcm, (den_j for _, den_j in values.values()), MPoly.const(self._vars, 1))
         total = parts.get((0,) * len(self._slots), MPoly.zero(self._vars)) * D
         for k, (num_j, den_j) in values.items():
             total = total + parts[k] * (num_j * D.try_div(den_j))
@@ -285,9 +285,8 @@ def verify_backsubstitution(run: DegreePass, constants: Mapping[int, RatFunc]) -
     degree."""
     vars = run.system.vars
     h_table = run.h_table()
-    D = MPoly.const(vars, 1)
-    for h in (*h_table.values(), *constants.values()):
-        D = poly_lcm(D, h.den)
+    D = reduce(poly_lcm, (h.den for h in (*h_table.values(), *constants.values())),
+               MPoly.const(vars, 1))
     circle = _monomial_xy(vars, 2, 0) + _monomial_xy(vars, 0, 2)
     H_scaled = MPoly.zero(vars)
     for h in h_table.values():

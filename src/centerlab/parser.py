@@ -8,8 +8,11 @@ System files look like::
 
 Expressions are signed sums of products of integer (or integer/integer)
 literals, symbols, and ``^`` powers; ``*`` is required between factors and
-whitespace is insignificant.  ``x``, ``y`` and ``eps`` are reserved; other
-symbols are parameters, auto-declared on first use.
+whitespace is insignificant.  Numbers are ASCII digits; a symbol is a letter
+or ``_``, then letters, ASCII digits or ``_``.  ``x``, ``y`` and ``eps``
+(also ``ε``) are reserved; other symbols are parameters, auto-declared on
+first use.  Values are :class:`MPoly`, or a :class:`RatFunc` while a
+division by a non-constant or a negative power leaves them non-polynomial.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from typing import List, Optional, Tuple, Union
 
 from .mpoly import MPoly, Rat, merge_tables
 from .ratfunc import RatFunc
+
+Value = Union[MPoly, RatFunc]  # a RatFunc value is never a polynomial
 
 RESERVED = ("x", "y", "eps")
 _KEYWORDS = {"xdot", "ydot", "params", "assume"}
@@ -45,56 +50,45 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
+    line, start = 1, 0  # start: the index of the line's first character
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("NL", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
+        ch, j, col = text[i], i + 1, i - start + 1
         if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] != "\n":
+                j += 1
+        elif "0" <= ch <= "9":
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_" or ch == "ε":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_" or text[j] == "ε"):
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalpha() or "0" <= text[j] <= "9" or text[j] == "_"):
                 j += 1
-            name = text[i:j]
-            if name == "ε":
-                name = "eps"
-            tokens.append(Token("NAME", name, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^()=;,:><!":
+            tokens.append(Token("NAME", "eps" if text[i:j] == "ε" else text[i:j], line, col))
+        elif ch == "\n":
+            tokens.append(Token("NL", ch, line, col))
+            line, start = line + 1, j
+        elif ch in "+-*/^()=;,:><!":
             tokens.append(Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", line, col))
+        elif ch not in " \t\r":
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i = j
+    tokens.append(Token("END", "", line, n - start + 1))
     return tokens
 
 
+def _lift(v: Value) -> RatFunc:
+    return v if isinstance(v, RatFunc) else RatFunc(v)
+
+
+def _lower(v: Value) -> Value:
+    return v.as_poly() if isinstance(v, RatFunc) and v.is_polynomial else v
+
+
 class ExprParser:
-    """Recursive-descent parser building rational functions over a fixed table."""
+    """Recursive-descent parser building polynomials over a fixed table, and
+    a :class:`RatFunc` only where a value is not a polynomial (see
+    :data:`Value`): "is polynomial" is a type test."""
 
     def __init__(self, tokens: List[Token], table: Tuple[str, ...], pos: int = 0):
         self.tokens = tokens
@@ -117,6 +111,14 @@ class ExprParser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def accept(self, op: str) -> bool:
+        """Consume the operator ``op`` if it comes next (only an OP token
+        has an operator's text)."""
+        if self.peek().text == op:
+            self.pos += 1
+            return True
+        return False
+
     def expect_op(self, op: str):
         t = self.peek()
         if t.kind != "OP" or t.text != op:
@@ -124,19 +126,19 @@ class ExprParser:
         return self.next()
 
     # expr := term (('+'|'-') term)*
-    def parse_expr(self) -> RatFunc:
+    def parse_expr(self) -> Value:
         t = self.parse_term()
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "+-":
                 self.next()
                 rhs = self.parse_term()
-                t = t + rhs if tok.text == "+" else t - rhs
+                t = _lower(t + rhs if tok.text == "+" else t - rhs)
             else:
                 return t
 
     # term := factor (('*'|'/') factor)*
-    def parse_term(self) -> RatFunc:
+    def parse_term(self) -> Value:
         t = self.parse_factor()
         while True:
             tok = self.peek()
@@ -144,16 +146,18 @@ class ExprParser:
                 self.next()
                 rhs = self.parse_factor()
                 if tok.text == "*":
-                    t = t * rhs
+                    t = _lower(t * rhs)
+                elif rhs.is_zero:
+                    self.error("division by zero", tok)
+                elif isinstance(rhs, MPoly) and rhs.is_constant:
+                    t = t * (1 / rhs.constant_value())
                 else:
-                    if rhs.is_zero:
-                        self.error("division by zero", tok)
-                    t = t / rhs
+                    t = _lower(_lift(t) / rhs)
             else:
                 return t
 
     # factor := ('+'|'-')* atom ('^' exponent)?
-    def parse_factor(self) -> RatFunc:
+    def parse_factor(self) -> Value:
         tok = self.peek()
         if tok.kind == "OP" and tok.text in "+-":
             self.next()
@@ -164,23 +168,17 @@ class ExprParser:
         if tok.kind == "OP" and tok.text == "^":
             self.next()
             k = self.parse_int_exponent()
-            if k < 0 and atom.is_zero:
+            if k >= 0:
+                return _lower(atom ** k)
+            if atom.is_zero:
                 self.error("zero to a negative power", tok)
-            return atom ** k
+            return _lower(_lift(atom) ** k)
         return atom
 
     def parse_int_exponent(self) -> int:
-        sign = 1
+        parens = self.accept("(")
+        sign = -1 if self.accept("-") else 1
         tok = self.peek()
-        parens = False
-        if tok.kind == "OP" and tok.text == "(":
-            self.next()
-            parens = True
-            tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.next()
-            sign = -1
-            tok = self.peek()
         if tok.kind != "NUM":
             self.error("expected an integer exponent")
         self.next()
@@ -188,11 +186,11 @@ class ExprParser:
             self.expect_op(")")
         return sign * int(tok.text)
 
-    def parse_atom(self) -> RatFunc:
+    def parse_atom(self) -> Value:
         tok = self.peek()
         if tok.kind == "NUM":
             self.next()
-            return RatFunc.const(self.table, int(tok.text))
+            return MPoly.const(self.table, int(tok.text))
         if tok.kind == "NAME":
             self.next()
             nxt = self.peek()
@@ -200,7 +198,7 @@ class ExprParser:
                 self.error(f"unknown function {tok.text!r}", tok)
             if tok.text not in self.table:
                 self.error(f"undeclared symbol {tok.text!r}", tok)
-            return RatFunc(MPoly.variable(tok.text, self.table))
+            return MPoly.variable(tok.text, self.table)
         if tok.kind == "OP" and tok.text == "(":
             self.next()
             inner = self.parse_expr()
@@ -268,10 +266,8 @@ def parse_system_source(text: str) -> ParsedSystem:
                     p.error(f"{t.text!r} is reserved", t)
                 declared.append(t.text)
                 p.next()
-                if p.peek().kind == "OP" and p.peek().text == ",":
-                    p.next()
-                    continue
-                break
+                if not p.accept(","):
+                    break
         elif tok.text == "assume":
             p.next()
             p.expect_op(":")
@@ -280,26 +276,24 @@ def parse_system_source(text: str) -> ParsedSystem:
             if op_tok.kind != "OP" or op_tok.text not in "><!=":
                 p.error("expected a comparison operator")
             p.next()
-            op = op_tok.text
-            if p.peek().kind == "OP" and p.peek().text == "=":
-                p.next()
-                op += "="
+            op = op_tok.text + "=" if p.accept("=") else op_tok.text
             rhs = p.parse_expr()
-            diff = lhs - rhs
-            if not diff.is_polynomial:
+            diff = _lower(lhs - rhs)
+            if isinstance(diff, RatFunc):
                 p.error("assumption must be polynomial", op_tok)
-            assumptions.append(Assumption(diff.as_poly(), op))
+            assumptions.append(Assumption(diff, op))
         elif tok.text in ("xdot", "ydot"):
+            if tok.text in dots:
+                p.error(f"{tok.text} defined twice")
             p.next()
             p.expect_op("=")
             start = p.peek()
             expr = p.parse_expr()
-            if not expr.is_polynomial:
+            if isinstance(expr, RatFunc):
                 raise ParseError("right-hand side must be polynomial (division only by constants)",
                                  start.line, start.col)
-            dots[tok.text] = expr.as_poly()
-            if p.peek().kind == "OP" and p.peek().text == ";":
-                p.next()
+            dots[tok.text] = expr
+            p.accept(";")
         else:
             p.error(f"unexpected {tok.text!r} (expected xdot/ydot/params/assume)")
     if len(dots) < 2:
@@ -313,10 +307,8 @@ def parse_system_source(text: str) -> ParsedSystem:
                         all_params, tuple(assumptions))
 
 
-def parse_expression(text: str, table: Tuple[str, ...]) -> RatFunc:
-    """Parse a standalone expression over a known variable table."""
-    tokens = tokenize(text)
-    p = ExprParser(tokens, table)
+def _parse_value(text: str, table: Tuple[str, ...]) -> Value:
+    p = ExprParser(tokenize(text), table)
     p.skip_newlines()
     expr = p.parse_expr()
     p.skip_newlines()
@@ -325,11 +317,16 @@ def parse_expression(text: str, table: Tuple[str, ...]) -> RatFunc:
     return expr
 
 
+def parse_expression(text: str, table: Tuple[str, ...]) -> RatFunc:
+    """Parse a standalone expression over a known variable table."""
+    return _lift(_parse_value(text, table))
+
+
 def parse_polynomial(text: str, table: Tuple[str, ...]) -> MPoly:
-    expr = parse_expression(text, table)
-    if not expr.is_polynomial:
+    expr = _parse_value(text, table)
+    if isinstance(expr, RatFunc):
         raise ValueError(f"not a polynomial: {text}")
-    return expr.as_poly()
+    return expr
 
 
 @dataclass
@@ -368,8 +365,7 @@ def parse_first_integral(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
         return DarbouxExpr([(whole, 1)])
     except ParseError:
         pass
-    tokens = tokenize(text)
-    p = ExprParser(tokens, table)
+    p = ExprParser(tokenize(text), table)
     p.skip_newlines()
     powers = []
     exp_factor = None
@@ -379,7 +375,7 @@ def parse_first_integral(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
         if tok.kind == "NAME" and tok.text == "exp":
             p.next()
             p.expect_op("(")
-            inner = p.parse_expr()
+            inner = _lift(p.parse_expr())
             p.expect_op(")")
             if exp_factor is not None:
                 raise ParseError("only one exp factor is supported", tok.line, tok.col)
@@ -393,24 +389,17 @@ def parse_first_integral(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
             p.expect_op(";")
             v = p.parse_expr()
             p.expect_op(")")
-            if not (kappa.is_polynomial and kappa.num.is_constant):
+            if not (isinstance(kappa, MPoly) and kappa.is_constant):
                 raise ParseError("argexp weight must be a rational constant", tok.line, tok.col)
-            if not (u.is_polynomial and v.is_polynomial):
+            if isinstance(u, RatFunc) or isinstance(v, RatFunc):
                 raise ParseError("argexp arguments must be polynomial", tok.line, tok.col)
             if arg_factor is not None:
                 raise ParseError("only one argexp factor is supported", tok.line, tok.col)
-            arg_factor = (kappa.as_poly().constant_value(), u.as_poly(), v.as_poly())
+            arg_factor = (kappa.constant_value(), u, v)
         else:
             base = _parse_base(p)
-            expo = 1
-            nxt = p.peek()
-            if nxt.kind == "OP" and nxt.text == "^":
-                p.next()
-                expo = _parse_symbolic_exponent(p)
-            powers.append((base, expo))
-        nxt = p.peek()
-        if nxt.kind == "OP" and nxt.text == "*":
-            p.next()
+            powers.append((base, _parse_symbolic_exponent(p) if p.accept("^") else 1))
+        if p.accept("*"):
             continue
         p.skip_newlines()
         if p.peek().kind != "END":
@@ -421,16 +410,12 @@ def parse_first_integral(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
 
 def _parse_base(p: ExprParser) -> RatFunc:
     tok = p.peek()
-    if tok.kind == "OP" and tok.text == "(":
-        p.next()
-        inner = p.parse_expr()
+    if p.accept("("):
+        inner = _lift(p.parse_expr())
         p.expect_op(")")
         # a parenthesized base may be followed by /( ... ) forming a quotient
-        while p.peek().kind == "OP" and p.peek().text == "/":
-            p.next()
-            nxt = p.peek()
-            if nxt.kind == "OP" and nxt.text == "(":
-                p.next()
+        while p.accept("/"):
+            if p.accept("("):
                 den = p.parse_expr()
                 p.expect_op(")")
             else:
@@ -440,8 +425,7 @@ def _parse_base(p: ExprParser) -> RatFunc:
     if tok.kind == "NUM":
         p.next()
         val = RatFunc.const(p.table, int(tok.text))
-        while p.peek().kind == "OP" and p.peek().text == "/":
-            p.next()
+        while p.accept("/"):
             d = p.peek()
             if d.kind != "NUM":
                 p.error("expected an integer denominator")
@@ -463,22 +447,18 @@ def _parse_symbolic_exponent(p: ExprParser):
     if tok.kind == "NUM":
         p.next()
         return int(tok.text)
-    if tok.kind == "OP" and tok.text == "-":
-        p.next()
+    if p.accept("-"):
         n = p.peek()
         if n.kind != "NUM":
             p.error("expected an integer exponent")
         p.next()
         return -int(n.text)
-    if tok.kind == "OP" and tok.text == "(":
-        p.next()
-        inner = p.parse_expr()
+    if p.accept("("):
+        poly = p.parse_expr()
         p.expect_op(")")
-        if not inner.is_polynomial:
+        if isinstance(poly, RatFunc):
             p.error("exponent must be polynomial in the parameters")
-        poly = inner.as_poly()
-        present = set(poly.variables_present())
-        if present & {"x", "y", "eps"}:
+        if set(poly.variables_present()) & {"x", "y", "eps"}:
             p.error("exponent may involve parameters only")
         return poly
     p.error("expected an exponent")

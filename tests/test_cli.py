@@ -185,6 +185,20 @@ def test_zero_to_a_negative_power_is_a_parse_error(sysfile, capsys, text, col):
         "xdot = y; ydot = -x")
 
 
+@pytest.mark.parametrize("text,position,message", [
+    ("xdot = y + 2*²; ydot = -x^3", "line 1, col 14", "unexpected character '²'"),
+    ("xdot = y; ydot = -x^٣", "line 1, col 21", "unexpected character '٣'"),
+    ("xdot = y + x²; ydot = -x^3", "line 1, col 13", "unexpected character '²'"),
+    ("xdot = y; ydot = -x^3; xdot = 5 + y", "line 1, col 24", "xdot defined twice"),
+], ids=["superscript-literal", "arabic-indic-exponent", "superscript-in-name", "repeated-xdot"])
+def test_non_ascii_digit_or_repeated_definition_is_a_parse_error(sysfile, capsys, text,
+                                                                 position, message):
+    # once an internal error (exit 3) or silently read as something else
+    rc = main(["liapunov", sysfile(text), "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", f"parse error: {position}: {message}\n")
+
+
 def test_verify_zero_integral_factor_to_a_negative_power(capsys):
     # the plain-expression parse refuses it, and the product form then
     # rejects the zero factor: exit 3, not an engine fault

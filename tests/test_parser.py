@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from centerlab.parser import ParseError, parse_expression
+from centerlab.ratfunc import RatFunc
 from centerlab.systems import format_system, parse_system
 
 from conftest import poly, random_poly
@@ -94,3 +96,63 @@ def test_roundtrip_random_systems(rng):
         t = parse_system(format_system(s))
         assert t.P == s.P and t.Q == s.Q and t.params == s.params
     assert count >= 200
+
+
+@pytest.mark.parametrize("text,line,col,char", [
+    ("xdot = y + 2*²; ydot = -x", 1, 14, "²"),
+    ("xdot = y; ydot = -x^٣", 1, 21, "٣"),
+    ("xdot = y + x²; ydot = -x", 1, 13, "²"),
+    ("xdot = y\nydot = -x + λ٣", 2, 14, "٣"),
+], ids=["superscript-literal", "arabic-indic-exponent", "superscript-in-name", "digit-in-name"])
+def test_non_ascii_digit_is_an_unexpected_character(text, line, col, char):
+    # numbers are [0-9]+ and a name continues with letters, ASCII digits or
+    # '_': any other digit is refused where it stands
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"unexpected character {char!r}", line, col)
+
+
+def test_unicode_letters_and_ascii_digits_make_names():
+    s = parse_system("xdot = y + λ2*x^2 + _k*x*y; ydot = -ε*x - x^3")
+    assert s.params == ("_k", "λ2")
+    assert s.linear_class == "perturbed_nilpotent"
+
+
+@pytest.mark.parametrize("name,text,line,col", [
+    ("xdot", "xdot = y; ydot = -x^3; xdot = 5 + y", 1, 24),
+    ("ydot", "xdot = y\nydot = -x^3\nydot = -x^3", 3, 1),
+], ids=["xdot", "ydot"])
+def test_repeated_definition_is_a_parse_error(name, text, line, col):
+    # the second definition is refused at its name, not silently kept
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"{name} defined twice", line, col)
+
+
+def test_parsing_system_files_builds_no_rational_function(monkeypatch):
+    # a polynomial system file is parsed in MPoly from its first atom: no
+    # RatFunc (with its gcd) is built for any sample or benchmark system
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(root.glob("sample_systems/*.sys")) + sorted(root.glob("bench/systems/*.sys"))
+    assert len(paths) >= 12
+    built = []
+    init = RatFunc.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    for path in paths:
+        parse_system(path.read_text())
+    assert built == []
+    # a division that cancels still gives a polynomial, and one that does not
+    # is still refused at the start of its right-hand side
+    s = parse_system("xdot = y + (x^3)/x; ydot = -x^3")
+    assert s.P == poly("y + x^2", s.vars)
+    with pytest.raises(ParseError) as err:
+        parse_system("xdot = y\nydot = -x + 1/(1+x)")
+    assert (err.value.line, err.value.col) == (2, 8)
+    assert err.value.message.startswith("right-hand side must be polynomial")

@@ -419,6 +419,22 @@ def test_specialised_h_table_matches_fresh_pass(monkeypatch, text, general_degre
         assert {"V(6)", "V(8)"} <= set(run.H[8].variables_present())
 
 
+def test_specialise_reads_only_the_nonlinear_parts(monkeypatch):
+    # sigma, mu and the chain factors carry no parameters: specialise keeps
+    # them, re-embedded into the new table, and reads the linear part of no
+    # substituted family
+    runs = _recorded_pass(monkeypatch)
+    read = []
+    scalars = liapunov._linear_scalars
+    monkeypatch.setattr(liapunov, "_linear_scalars", lambda s: read.append(s) or scalars(s))
+    family, pset = _perturbed(NIL_CUBIC_K, general_degree=3)
+    res = center_conditions_pipeline(family, 8, perturbation_params=pset)
+    assert any(c.solved for c in res.base_conditions)
+    [run] = runs
+    assert len(read) == 1 and run.system != read[0]
+    assert {run._sigma.vars, run._mu.vars} | {f.vars for f in run._factors.values()} == {run._vars}
+
+
 def test_degree_pass_reduces_only_the_constants(monkeypatch):
     # gcds never run from the residual or specialise (poly_lcm would reach
     # mpoly.poly_gcd); in the pass they run only where a V is assembled: one
