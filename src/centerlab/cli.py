@@ -365,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", default="auto",
                    help="auto | none | minimal | nilpotent | degenerate | "
                         "general[:D] | hamiltonian")
-    p.add_argument("--max-degree", default="8")
+    p.add_argument("--max-degree", default="8",
+                   help="truncation degree N; constants sit at even degrees, so the pass "
+                        "stops at the largest even degree <= N")
     p.add_argument("--mode", choices=["all-orders", "first-order"], default=None)
     p.set_defaults(func=cmd_liapunov)
 

@@ -165,16 +165,18 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
 
 
 class DegreePass:
-    """One pass over degrees 3..``max_even_degree``: iterating solves each
-    degree n once into the table ``H`` (degree -> num_n) and yields (n, V)
-    at every even n.  H_n is num_n over the chain f_2*...*f_n, f_2 = 1 and
+    """One pass over degrees 3..``max_even_degree`` (the bound floored to
+    even: no odd degree has a constant): iterating solves each degree n once
+    into the table ``H`` (degree -> num_n) and yields (n, V) at every even n.
+    H_n is num_n over the chain f_2*...*f_n, f_2 = 1 and
     f_k = (mu*sigma)^ceil(k/2).  The table has one slot ``V(j)`` per even j
     besides the system's variables (no parsed name has parentheses): a
     nonzero V_n enters num_n as ``V(n)*C`` (see :func:`_solve_degree`), so
     the numerators are affine in the slots, and its value is kept beside the
     table.  Between yields the consumer may :meth:`specialise` parameters.
     sigma and mu carry no parameters, so H_k of the specialised family is
-    the specialised H_k: the stored table is re-expressed, not recomputed.
+    the specialised H_k: the stored table is re-expressed, not recomputed,
+    at its next read (the next degree, :meth:`h_table`, ``system``, ``H``).
     """
 
     def __init__(self, system: PlaneSystem, max_even_degree: int):
@@ -186,7 +188,7 @@ class DegreePass:
                 "(-y, x), (y, 0), (0, 0), (y, -eps*x), (eps*y, -eps*x)")
         if max_even_degree < MIN_EVEN_DEGREE:
             raise ValueError(f"max_even_degree must be at least {MIN_EVEN_DEGREE}")
-        self.max_even_degree = max_even_degree
+        self.max_even_degree = max_even_degree = max_even_degree - max_even_degree % 2
         self.convention = ConventionRecord(
             seed=("(mu*x^2+y^2)/2 with mu = " + str(system.eps_factor)
                   if system.linear_class == PERTURBED_NILPOTENT else "(x^2+y^2)/2"))
@@ -196,11 +198,22 @@ class DegreePass:
         self._scalars = (sigma, mu, *accumulate([sigma * mu] * ((max_even_degree + 1) // 2),
                                                 MPoly.__mul__, initial=MPoly.const(sigma.vars, 1)))
         self._use(system)
-        self.H: Dict[int, MPoly] = {2: _seed(system).embed(self._vars)}
+        self._H: Dict[int, MPoly] = {2: _seed(system).embed(self._vars)}
         self._grads: Dict[int, Tuple[MPoly, MPoly]] = {}  # k -> (d/dx, d/dy) of num_k
+        self._pending: list = []  # bindings that specialise recorded, not yet applied
+
+    @property
+    def system(self) -> PlaneSystem:
+        self._apply_pending()
+        return self._system
+
+    @property
+    def H(self) -> Dict[int, MPoly]:
+        self._apply_pending()
+        return self._H
 
     def _use(self, system: PlaneSystem) -> None:
-        self.system = system
+        self._system = system
         vars = self._vars = system.vars + self._slots
         self._sigma, self._mu, *sm = (v.embed(vars) for v in self._scalars)
         self._parts = {d: (p.embed(vars), q.embed(vars))
@@ -212,26 +225,34 @@ class DegreePass:
         """Substitute ``bindings`` into the family (only its nonlinear parts
         are read again), the stored V numerators and, with one ``subs`` each,
         the table numerators, in which the slot of every V_j that the bindings
-        make vanish is set to 0.  sigma, mu and the chain stay; no gcd runs."""
-        self._use(substitute(self.system, bindings))
-        values = {v: (num.subs(bindings, self._vars), den.embed(self._vars))
-                  for v, (num, den) in self._values.items()}
-        self._values = {v: value for v, value in values.items() if value[0]}
-        bindings = {**bindings, **{v: 0 for v in values if v not in self._values}}
-        self.H = {k: num.subs(bindings, self._vars) for k, num in self.H.items()}
-        self._grads = {}
+        make vanish is set to 0.  sigma, mu and the chain stay; no gcd runs.
+        Deferred: recorded here, applied in order at the next read."""
+        self._pending.append(bindings)
+
+    def _apply_pending(self) -> None:
+        pending, self._pending = self._pending, []
+        for bindings in pending:
+            self._use(substitute(self._system, bindings))
+            values = {v: (num.subs(bindings, self._vars), den.embed(self._vars))
+                      for v, (num, den) in self._values.items()}
+            self._values = {v: value for v, value in values.items() if value[0]}
+            bindings = {**bindings, **{v: 0 for v in values if v not in self._values}}
+            self._H = {k: num.subs(bindings, self._vars) for k, num in self._H.items()}
+            self._grads = {}
 
     def h_table(self) -> Dict[int, RatFunc]:
         """The stored H_k, slots set to their V, each reduced over its chain."""
+        self._apply_pending()
         chain = MPoly.const(self._vars, 1)
         table = {}
-        for k, num in self.H.items():
+        for k, num in self._H.items():
             chain = chain * self._factors[k]
             table[k] = self._assemble(num, chain)
         return table
 
     def __iter__(self) -> Iterator[Tuple[int, RatFunc]]:
         for n in range(3, self.max_even_degree + 1):
+            self._apply_pending()
             R_num, R_den = self._residual(n)
             A, C, ell, delta = _solve_degree(self._sigma, self._mu, n, R_num, R_den)
             V = None if ell is None else self._assemble(ell, delta * R_den)
@@ -239,7 +260,7 @@ class DegreePass:
                 slot = f"V({n})"
                 self._values[slot] = (V.num.embed(self._vars), V.den.embed(self._vars))
                 A = A + MPoly.variable(slot, self._vars) * C
-            self.H[n] = A
+            self._H[n] = A
             if V is not None:
                 yield n, V
 
@@ -256,7 +277,7 @@ class DegreePass:
         total = parts.get((0,) * len(self._slots), MPoly.zero(self._vars)) * D
         for k, (num_j, den_j) in values.items():
             total = total + parts[k] * (num_j * D.try_div(den_j))
-        vars = self.system.vars
+        vars = self._system.vars
         return RatFunc(total.embed(vars), (D * den).embed(vars))
 
     def _residual(self, n: int) -> Tuple[MPoly, MPoly]:
@@ -266,7 +287,7 @@ class DegreePass:
         each grad(num_k) kept from its first read to its last (or specialise)."""
         acc = MPoly.zero(self._vars)
         chain = MPoly.const(self._vars, 1)
-        for k, num in self.H.items():
+        for k, num in self._H.items():
             f = self._factors[k]
             acc, chain = acc * f, chain * f
             if n + 1 - k in self._parts:

@@ -358,13 +358,21 @@ def parse_first_integral(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
     """Parse ``(1+x)^(-2*c) * (x^4+y^2) * exp((g)/(h)) * argexp(2; u; v)``.
 
     A plain rational expression (no exp/argexp and no symbolic powers) is
-    a single factor with exponent 1.
+    a single factor with exponent 1.  When neither form parses, the error
+    raised is the one that reached further into the text (on a tie, the
+    plain expression's).
     """
     try:
-        whole = parse_expression(text, table)
-        return DarbouxExpr([(whole, 1)])
-    except ParseError:
-        pass
+        return DarbouxExpr([(parse_expression(text, table), 1)])
+    except ParseError as exc:
+        plain = exc
+    try:
+        return _parse_product(text, table)
+    except ParseError as exc:
+        raise max(plain, exc, key=lambda e: (e.line, e.col))
+
+
+def _parse_product(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
     p = ExprParser(tokenize(text), table)
     p.skip_newlines()
     powers = []

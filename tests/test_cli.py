@@ -9,6 +9,7 @@ import pytest
 
 from centerlab import ratfunc
 from centerlab.cli import main
+from centerlab.liapunov import DegreePass
 from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables
 from centerlab.ratfunc import RatFunc
 from centerlab.systems import parse_system
@@ -18,11 +19,13 @@ from conftest import (
     DEG_QUINTIC,
     HOMOG_CUBIC,
     NIL_CUBIC_AB,
+    NIL_CUBIC_AB_EPS,
     NIL_REVERSIBLE,
     rf,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_systems"
+BENCH_SYSTEMS = SAMPLES.parent / "bench" / "systems"
 
 
 def poly_from_terms(terms, vars=None):
@@ -206,6 +209,16 @@ def test_verify_zero_integral_factor_to_a_negative_power(capsys):
                "--integral", "(x-x)^(-1)", "--no-timings"])
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (3, "", "error: zero power factor\n")
+
+
+def test_verify_reports_the_parse_error_that_reached_further(capsys):
+    # the plain-expression parse stops at the end of "x +", one column past
+    # where the product form sees trailing input
+    rc = main(["verify", str(SAMPLES / "factored_quartic.sys"),
+               "--integral", "x +", "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        2, "", "parse error: line 1, col 4: unexpected end of expression\n")
 
 
 def test_exit_code_class_mismatch(sysfile, capsys):
@@ -434,3 +447,30 @@ def test_consecutive_calls_share_no_option_values(sysfile, capsys):
     rc, again = run_cli(["classify", path, "--set", "lambda=1", "--set", "mu=1",
                          "--x0", "0.05", "--no-timings"], capsys)
     assert again == first
+
+
+@pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.sys")) + sorted(BENCH_SYSTEMS.glob("*.sys")),
+                         ids=lambda p: p.name)
+def test_odd_max_degree_reports_as_the_even_degree_below(path, capsys):
+    # constants sit at even degrees, so --max-degree 2k+1 computes and
+    # reports exactly what 2k does
+    for k in (2, 3):
+        outputs = []
+        for degree in (2 * k, 2 * k + 1):
+            rc = main(["liapunov", str(path), "--max-degree", str(degree), "--no-timings"])
+            outputs.append((rc, *capsys.readouterr()))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0], k
+
+
+@pytest.mark.parametrize("text", [NIL_CUBIC_AB_EPS, "xdot = y; ydot = -eps*x + x^2*y - x^3",
+                                  "xdot = -y + a*x^2 + b*x*y; ydot = x + c*y^2 + d*x^3"])
+def test_odd_bound_degree_pass_stops_at_the_even_degree_below(text):
+    s = parse_system(text)
+    odd, even = DegreePass(s, 7), DegreePass(s, 6)
+    assert odd.max_even_degree == even.max_even_degree == 6
+    assert dict(odd) == dict(even)
+    got, want = odd.h_table(), even.h_table()
+    assert sorted(got) == sorted(want) == list(range(2, 7))
+    for k in want:
+        assert (got[k].num, got[k].den) == (want[k].num, want[k].den), k

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from centerlab.parser import ParseError, parse_expression
+from centerlab.parser import ParseError, parse_expression, parse_first_integral
 from centerlab.ratfunc import RatFunc
 from centerlab.systems import format_system, parse_system
 
@@ -156,3 +156,17 @@ def test_parsing_system_files_builds_no_rational_function(monkeypatch):
         parse_system("xdot = y\nydot = -x + 1/(1+x)")
     assert (err.value.line, err.value.col) == (2, 8)
     assert err.value.message.startswith("right-hand side must be polynomial")
+
+
+@pytest.mark.parametrize("text, position, message", [
+    # the plain expression reads past the product form's trailing '+'
+    ("x +", (1, 4), "unexpected end of expression"),
+    # the product form reads past the plain expression's symbolic power
+    ("(1+x)^(-2*c) * (x^4+y^2) +", (1, 26), "trailing input '+'"),
+    # a tie: the plain expression's error
+    (")", (1, 1), "unexpected ')'"),
+])
+def test_first_integral_error_is_the_one_that_reached_further(text, position, message):
+    with pytest.raises(ParseError) as info:
+        parse_first_integral(text, ("x", "y", "eps", "c"))
+    assert ((info.value.line, info.value.col), info.value.message) == (position, message)

@@ -406,7 +406,7 @@ def test_specialised_h_table_matches_fresh_pass(monkeypatch, text, general_degre
     fresh = liapunov.DegreePass(run.system, degree)
     list(fresh)
     got, want = run.h_table(), fresh.h_table()
-    assert sorted(got) == sorted(want) == list(range(2, degree + 1))
+    assert sorted(got) == sorted(want) == list(range(2, degree - degree % 2 + 1))
     for k in want:
         assert (got[k].num, got[k].den) == (want[k].num, want[k].den), k
     # the stored numerators themselves agree, slots included: on the K
@@ -464,7 +464,8 @@ def test_degree_pass_reduces_only_the_constants(monkeypatch):
     assert lcms and all("poly_lcm" in names for names, _, _ in lcms)
     assert all(set(a.variables_present()) | set(b.variables_present()) <= {"eps"}
                for _, a, b in lcms)
-    assert not any({"DegreePass._residual", "DegreePass.specialise"} & set(names)
+    assert not any({"DegreePass._residual", "DegreePass.specialise",
+                    "DegreePass._apply_pending"} & set(names)
                    for names, _, _ in calls)
 
 
@@ -483,4 +484,67 @@ def test_pipeline_solves_each_degree_once(monkeypatch, text, degree):
     res = center_conditions_pipeline(family, degree)
     # the pass specialised the family at least once on the way
     assert any(c.solved for c in res.base_conditions)
-    assert solved == list(range(3, degree + 1))
+    assert solved == list(range(3, degree - degree % 2 + 1))
+
+
+@pytest.mark.parametrize("text, general_degree, degree, last_stage_solves",
+                         [(NIL_CUBIC_AB, None, 8, False), (CUBIC_FAMILY_B, None, 7, False),
+                          (NIL_CUBIC_K, 3, 5, True)],
+                         ids=["ab-minimal-d8", "family-b-d7", "k-general3-d5"])
+def test_pass_does_no_work_after_its_last_constant(monkeypatch, text, general_degree, degree,
+                                                    last_stage_solves):
+    # the pass stops at the last even degree, and the bindings of a last
+    # stage are recorded but not substituted, since no later degree reads them
+    events, solved, yielded = [], [], []
+
+    def from_pass():
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_code.co_qualname.startswith("DegreePass."):
+                return True
+            frame = frame.f_back
+        return False
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            if from_pass():
+                events.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    solve, iterate = liapunov._solve_degree, liapunov.DegreePass.__iter__
+    specialise = liapunov.DegreePass.specialise
+
+    def counted(sigma, mu, n, R_num, R_den):
+        solved.append(n)
+        return solve(sigma, mu, n, R_num, R_den)
+
+    def recorded_iter(self):
+        for n, V in iterate(self):
+            events.append("yield")
+            yielded.append(n)
+            yield n, V
+
+    def recorded_specialise(self, bindings):
+        events.append("specialise")
+        specialise(self, bindings)
+
+    monkeypatch.setattr(liapunov, "_solve_degree", counted)
+    monkeypatch.setattr(liapunov, "substitute", recording("substitute", liapunov.substitute))
+    monkeypatch.setattr(MPoly, "subs", recording("subs", MPoly.subs))
+    monkeypatch.setattr(liapunov.DegreePass, "__iter__", recorded_iter)
+    monkeypatch.setattr(liapunov.DegreePass, "specialise", recorded_specialise)
+    runs = _recorded_pass(monkeypatch)
+    family, pset = _perturbed(text, general_degree=general_degree)
+    res = center_conditions_pipeline(family, degree, perturbation_params=pset)
+    [run] = runs
+    last = degree - degree % 2
+    assert solved == list(range(3, last + 1)) and yielded[-1] == last
+    assert any(c.solved for c in res.base_conditions + res.perturbation_conditions)
+    after_last_yield = events[len(events) - events[::-1].index("yield"):]
+    assert after_last_yield == ["specialise"] * last_stage_solves
+    if last_stage_solves:
+        # the substitution runs at the next read, here of the table
+        del events[:]
+        run.h_table()
+        assert events[0] == "substitute" and events.count("subs") > len(run.H)
