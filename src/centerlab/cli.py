@@ -252,11 +252,10 @@ def cmd_qhcenter(args) -> int:
                 raise ClassificationError(
                     f"the system is not ({pq[0]},{pq[1]})-quasi-homogeneous")
         else:
-            sigs = detect_quasi_homogeneity(system, args.bound)
-            if not sigs:
+            sig = detect_quasi_homogeneity(system)
+            if sig is None:
                 return {**label, "verdict": "undecided",
                         "note": "no quasi-homogeneous structure detected"}
-            sig = sigs[0]
         verdict, info = classify_qh_center(system, sig)
         entry = {**label, "pq": [sig.p, sig.q], "weight_degree": sig.m,
                  "verdict": verdict,
@@ -384,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qhcenter", help="quasi-homogeneous center test")
     common(p)
-    p.add_argument("--pq", help="force the weights P,Q, e.g. 2,3 (not limited by --bound)")
-    p.add_argument("--bound", type=int, default=8, help="search bound for (p,q)")
+    p.add_argument("--pq", help="assert the weights P,Q, e.g. 2,3, instead of solving for them; "
+                                "a system that does not fit them is refused")
     p.add_argument("--sweep", metavar="NAME=A:B:STEP",
                    help="sweep one parameter over a rational range")
     p.set_defaults(func=cmd_qhcenter)

@@ -715,12 +715,6 @@ class MPoly:
 
     # -- monomial order ----------------------------------------------------
 
-    @staticmethod
-    def _key(expo: tuple):
-        """Graded-lex sort key of an exponent tuple; the integer order of
-        packed keys is this order."""
-        return (sum(expo), expo)
-
     def leading_monomial(self) -> tuple:
         if not self._ints:
             raise ValueError("zero polynomial has no leading monomial")

@@ -445,6 +445,8 @@ def _parse_base(p: ExprParser) -> RatFunc:
         if tok.text not in p.table:
             p.error(f"undeclared symbol {tok.text!r}", tok)
         return RatFunc(MPoly.variable(tok.text, p.table))
+    if tok.kind == "END":
+        p.error("unexpected end of first-integral expression")
     p.error(f"unexpected {tok.text!r} in first-integral expression")
 
 

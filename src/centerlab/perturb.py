@@ -20,7 +20,7 @@ from .liapunov import ConventionRecord, DegreePass
 from .mpoly import MPoly, Rat, merge_tables, poly_gcd
 from .numeric import compile_system
 from .ratfunc import RatFunc, laurent_expand_eps
-from .realroots import isolate_real_roots, refine_to_float
+from .realroots import isolate_real_roots
 from .systems import (
     DEGENERATE,
     NILPOTENT,
@@ -285,7 +285,7 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
         for k in range(720):
             th = 2 * math.pi * k / 720
             cs, sn = math.cos(th), math.sin(th)
-            for r in _real_roots_float([gd.eval_float({"x": cs, "y": sn}) for gd in parts]):
+            for _, r in isolate_real_roots([gd.eval_float({"x": cs, "y": sn}) for gd in parts]):
                 if 1e-9 < r <= radius:
                     pts.append((r * cs, r * sn))
         P1 = s.P.try_div(g)
@@ -300,7 +300,7 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
             res = None
         if res is not None and not res.is_zero:
             coeffs = res.coefficient_list("x")
-            for xr in _real_roots_float(coeffs):
+            for _, xr in isolate_real_roots(coeffs):
                 if abs(xr) > radius:
                     continue
                 for yr in _y_candidates(P1, Q1, xr, radius):
@@ -314,22 +314,13 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
     return pts
 
 
-def _real_roots_float(coeffs) -> List[float]:
-    """The distinct real roots, as floats, of the polynomial with ``Rat`` or
-    float coefficients (index = power), each float read as the exact
-    rational it is."""
-    exact = [Rat(c) for c in coeffs]
-    return [float(ex) if ex is not None else refine_to_float(exact, lo, hi)
-            for lo, hi, ex in isolate_real_roots(exact)]
-
-
 def _y_candidates(P1: MPoly, Q1: MPoly, xr: float, radius: float) -> List[float]:
     out = []
     for poly in (P1, Q1):
         by_y = poly.coefficients_in("y")
         dense = [by_y[k].eval_float({"x": xr}) if k in by_y else 0.0
                  for k in range(max(by_y, default=0) + 1)]
-        for r in _real_roots_float(dense):
+        for _, r in isolate_real_roots(dense):
             if abs(r) <= radius * 1.5:
                 out.append(r)
         if out:

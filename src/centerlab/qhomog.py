@@ -10,6 +10,10 @@ of the generalized trigonometric functions Cs, Sn, which solve
 
 and satisfy p*Cs^(2q) + q*Sn^(2p) = 1.
 
+Detection solves for the weights: each monomial fixes a linear relation
+between p, q and m, so two monomials fix the ray p:q and the rest must
+agree with it (see :func:`detect_quasi_homogeneity`).
+
 Condition (i) is decided exactly: weighted homogeneity reduces it to the
 real roots of the two univariate polynomials W(1, t) and W(-1, t), counted
 by Sturm chains.  Condition (ii) samples (Cs, Sn) through one cached map per
@@ -26,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .mpoly import MPoly
 from .numeric import Trajectory, compile_system, integrate_adaptive, _refine_crossing
@@ -65,14 +69,28 @@ def qh_signature(s: PlaneSystem, p: int, q: int) -> Optional[QHSignature]:
     return _signature(_xy_exponents(s), p, q)
 
 
-def detect_quasi_homogeneity(s: PlaneSystem, search_bound: int) -> List[QHSignature]:
-    """All coprime (p, q) up to the bound making the system quasi-homogeneous."""
+def detect_quasi_homogeneity(s: PlaneSystem) -> Optional[QHSignature]:
+    """The coprime weights (p, q) that make the system quasi-homogeneous,
+    with their weight degree, or None when there are none.
+
+    A monomial x^i y^j of P (c = 0) or of Q (c = 1) has weight degree
+    m = p*u + q*v + 1 with the row (u, v) = (i - 1 + c, j - c).  So two
+    distinct rows fix the ray p:q = (v' - v):(u - u'), which must be
+    positive; when every monomial has the same row, every ray fits and
+    (1, 1) is the one with the smallest weights."""
     if s.P.is_zero and s.Q.is_zero:
         raise ValueError("zero vector field")
     exponents = _xy_exponents(s)
-    sigs = (_signature(exponents, p, q) for p in range(1, search_bound + 1)
-            for q in range(1, search_bound + 1) if gcd(p, q) == 1)
-    return [sig for sig in sigs if sig is not None]
+    (u, v), *others = {(i - 1 + c, j - c) for i, j, c in exponents}
+    p = q = 1
+    if others:
+        u2, v2 = others[0]
+        p, q = (v2 - v, u - u2) if v2 > v else (v - v2, u2 - u)
+        if p <= 0 or q <= 0:
+            return None
+        g = gcd(p, q)
+        p, q = p // g, q // g
+    return _signature(exponents, p, q)
 
 
 # -- generalized trigonometric functions ---------------------------------------

@@ -1,9 +1,10 @@
 """Exact real roots and gcds of univariate polynomials over the integers.
 
 This is the package's one univariate layer.  A polynomial is a coefficient
-sequence (index = power) of ``int`` or ``Fraction``; each entry point scales
-it once to an integer tuple with a positive content, made primitive, and
-all later work is on integers.  One remainder loop returns a positive
+sequence (index = power) of ``int``, ``Fraction`` or ``float``, each read as
+the exact rational it is; each entry point scales it once to an integer
+tuple with a positive content, made primitive, and all later work is on
+integers.  One remainder loop returns a positive
 multiple of ``a mod b``, made primitive: it serves the gcd, the square-free
 part and the Sturm chain.  A primitive remainder sequence over the integers
 gives the gcds and square-free parts of the rational one (Brown, JACM 18,
@@ -13,22 +14,21 @@ rational chain's Sturm signs.
 Every sign is read from one homogenised integer Horner sum: the Sturm
 counts, the zero tests of the isolation midpoints, the rational-root test,
 the refinement and the root multiplicity.  Real roots are isolated by Sturm
-bisection over the square-free part, which is computed once per polynomial
-and shared.  A rational root of that integer-primitive part, with leading
+bisection over the square-free part, on integer numerators over one
+denominator.  A rational root of that integer-primitive part, with leading
 coefficient a_n, has a denominator dividing a_n, so a_n*r is an integer:
 each isolating interval is bisected below width 1/|a_n| and its one
-candidate is tested exactly.  Irrational roots are refined to floats by
-bisection on integer numerators over a common denominator.
+candidate is tested exactly.  An irrational root is refined to a float by
+bisecting the same integer interval further.
 
 This module imports nothing from the package, so ``mpoly`` can use it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 def trim(p: Sequence) -> list:
@@ -39,11 +39,11 @@ def trim(p: Sequence) -> list:
 
 
 def _primitive(p: Sequence) -> Tuple[int, ...]:
-    """The trimmed ``int`` or ``Fraction`` coefficients of ``p`` over their
-    common denominator, divided by the (positive) gcd of the numerators."""
-    p = trim(p)
-    den = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
+    """The trimmed coefficients of ``p`` over their common denominator,
+    divided by the (positive) gcd of the numerators."""
+    ratios = [c.as_integer_ratio() for c in trim(p)]
+    den = math.lcm(*(d for _, d in ratios))
+    ints = [n * (den // d) for n, d in ratios]
     g = math.gcd(*ints)
     return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
@@ -90,11 +90,9 @@ def univariate_gcd(a: Sequence, b: Sequence) -> Tuple[int, ...]:
     return tuple(a) if not a or a[-1] > 0 else tuple(-c for c in a)
 
 
-@functools.lru_cache(maxsize=64)
 def _squarefree(p: Tuple[int, ...]) -> Tuple[int, ...]:
     """The square-free part of the integer-primitive ``p``, primitive and
-    with ``p``'s leading sign.  Callers isolate the roots of a polynomial
-    and then refine each irrational one, so this is kept per polynomial."""
+    with ``p``'s leading sign."""
     if len(p) <= 2:
         return p
     g = univariate_gcd(p, [k * c for k, c in enumerate(p)][1:])
@@ -133,32 +131,25 @@ def _changes_at(chain: List[list], m: int, den: int) -> int:
     return _sign_changes([_homogenised(c, m, den) for c in chain])
 
 
-def _common_denominator(lo, hi) -> Tuple[int, int, int]:
-    """Integers a, b, den > 0 with lo = a / den and hi = b / den."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    den = math.lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
-
-
-def isolate_real_roots(p: Sequence) -> List[Tuple]:
-    """Isolating intervals for the distinct real roots of p.
-
-    Returns a sorted list of (lo, hi, exact): an interval (lo, hi) holding
-    exactly one root, and that root when it is rational, else None.
-    """
+def isolate_real_roots(p: Sequence) -> List[Tuple[Optional[Fraction], float]]:
+    """The distinct real roots of p, each once and in ascending order, as
+    (exact, value): the root as a ``Fraction`` when it is rational, else
+    None, and the root as a float.  An irrational root's float is refined
+    from its Sturm isolating interval."""
     sf = _squarefree(_primitive(p))
     if len(sf) <= 1:
         return []
     chain = _sturm_chain(sf)
-    out = []
+    roots = []
 
     def split(a, b, den, n):
         # the interval (a/den, b/den) holds n roots; the left half is
-        # searched first, so the intervals come out sorted
+        # searched first, so the roots come out sorted
         if n == 0:
             return
         if n == 1:
-            out.append((a, b, den))
+            exact = _rational_root_in(sf, a, b, den)
+            roots.append((exact, _refine(sf, a, b, den) if exact is None else float(exact)))
             return
         a, b, den, mid = 2 * a, 2 * b, 2 * den, a + b
         if not _homogenised(sf, mid, den):
@@ -175,8 +166,7 @@ def isolate_real_roots(p: Sequence) -> List[Tuple]:
     an = abs(sf[-1])
     bound = an + max(abs(c) for c in sf[:-1])
     split(-bound, bound, an, _changes_at(chain, -bound, an) - _changes_at(chain, bound, an))
-    return [(Fraction(a, den), Fraction(b, den), _rational_root_in(sf, a, b, den))
-            for a, b, den in out]
+    return roots
 
 
 def _rational_root_in(coeffs: Sequence[int], a: int, b: int, den: int):
@@ -201,18 +191,12 @@ def _rational_root_in(coeffs: Sequence[int], a: int, b: int, den: int):
     return Fraction(q, an) if a * an < q * den and not _homogenised(coeffs, q, an) else None
 
 
-def refine_to_float(p: Sequence, lo, hi) -> float:
-    """Bisection refinement of an isolating interval to a float root.
-
-    The bisection runs on integer numerators over one common denominator
-    ``den = D * 2^k``, D the lcm of the denominators of ``lo`` and ``hi``
-    and k the number of halvings so far, with signs from
-    :func:`_homogenised` over the integer-primitive square-free part.  The
-    midpoints, the stop test and the returned float are thus those of the
-    same bisection in exact fractions.
-    """
-    coeffs = _squarefree(_primitive(p))
-    a, b, den = _common_denominator(lo, hi)
+def _refine(coeffs: Sequence[int], a: int, b: int, den: int) -> float:
+    """The root in (a/den, b/den) of the integer-primitive square-free
+    ``coeffs``, to a float, by bisection on integer numerators until the
+    width is below 1e-14 relative (at most 200 halvings).  Each quotient of
+    integers rounds correctly, so the midpoints, the stop test and the
+    returned float are those of the same bisection in exact fractions."""
     fa = _homogenised(coeffs, a, den)
     if fa == 0:
         return a / den

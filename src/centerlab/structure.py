@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 from .mpoly import MPoly, Rat, merge_tables, poly_gcd
 from .parser import DarbouxExpr
 from .ratfunc import RatFunc
-from .realroots import isolate_real_roots, refine_to_float, root_multiplicity
+from .realroots import isolate_real_roots, root_multiplicity
 from .systems import PlaneSystem, lie_derivative
 
 
@@ -154,26 +154,19 @@ def _solve_on_circle(conditions: List[MPoly], cname: str, sname: str) -> Reversi
         g = poly_gcd(g, u)
     witnesses: List[Tuple[float, float]] = [(float(c), float(s)) for c, s in exact]
     if not g.is_constant:
-        dense = g.coefficient_list(cname)
-        for lo, hi, ex in isolate_real_roots(dense):
+        for ex, cf in isolate_real_roots(g.coefficient_list(cname)):
             if ex is not None:
-                cv = ex
-                if abs(cv) > 1:
+                if abs(ex) > 1:
                     continue
-                rs = _rat_sqrt(1 - cv * cv)
+                rs = _rat_sqrt(1 - ex * ex)
                 if rs is not None:
                     for sv in ([rs, -rs] if rs else [Rat(0)]):
-                        if all(gq.subs({cname: cv, sname: sv}, ()).is_zero for gq in conditions):
-                            if (cv, sv) not in exact:
-                                exact.append((cv, sv))
-                                witnesses.append((float(cv), float(sv)))
+                        if all(gq.subs({cname: ex, sname: sv}, ()).is_zero for gq in conditions):
+                            if (ex, sv) not in exact:
+                                exact.append((ex, sv))
+                                witnesses.append((cf, float(sv)))
                     continue
-                cf = float(cv)
-            else:
-                if hi < -1 or lo > 1:
-                    continue
-                cf = refine_to_float(dense, lo, hi)
-            if abs(cf) > 1:
+            elif abs(cf) > 1:
                 continue
             sf = math.sqrt(max(0.0, 1 - cf * cf))
             for sv in (sf, -sf):
@@ -305,15 +298,13 @@ def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:
     if x_mult > 0:
         directions.append(Direction(x, math.pi / 2, x_mult, True))
     if len(b) > 1:
-        for lo, hi, ex in isolate_real_roots(b):
-            if ex is not None:
-                r = ex
-                form = (y * Rat(r.denominator) - x * Rat(r.numerator)).primitive()
-                mult = root_multiplicity(b, r)
-                directions.append(Direction(form, math.atan2(float(r), 1.0) % math.pi, mult, True))
+        for r, rf in isolate_real_roots(b):
+            angle = math.atan2(rf, 1.0) % math.pi
+            if r is None:
+                directions.append(Direction(None, angle, 1, False))
             else:
-                rf = refine_to_float(b, lo, hi)
-                directions.append(Direction(None, math.atan2(rf, 1.0) % math.pi, 1, False))
+                form = (y * Rat(r.denominator) - x * Rat(r.numerator)).primitive()
+                directions.append(Direction(form, angle, root_multiplicity(b, r), True))
     directions.sort(key=lambda dd: dd.angle)
     return CharacteristicDirections(d, B, directions)
 

@@ -297,10 +297,10 @@ def test_criterion_4_structural():
 
 def test_criterion_5_quasi_homogeneous():
     checks = []
-    sigs = detect_quasi_homogeneity(parse_system(HAM_QH), 6)
-    checks.append(("5a detect (2,3,8)", QHSignature(2, 3, 8) in sigs))
-    sigs2 = detect_quasi_homogeneity(parse_system(HOMOG_CUBIC), 4)
-    checks.append(("5a detect (1,1,3)", QHSignature(1, 1, 3) in sigs2))
+    sig = detect_quasi_homogeneity(parse_system(HAM_QH))
+    checks.append(("5a detect (2,3,8)", sig == QHSignature(2, 3, 8)))
+    sig2 = detect_quasi_homogeneity(parse_system(HOMOG_CUBIC))
+    checks.append(("5a detect (1,1,3)", sig2 == QHSignature(1, 1, 3)))
 
     circle = pq_circle(2, 3)
     ths = [k * circle.tau / 400 for k in range(400)]

@@ -221,6 +221,15 @@ def test_verify_reports_the_parse_error_that_reached_further(capsys):
         2, "", "parse error: line 1, col 4: unexpected end of expression\n")
 
 
+def test_verify_names_the_end_of_a_first_integral_expression(capsys):
+    # the product form meets the end of input where a factor was expected
+    rc = main(["verify", str(SAMPLES / "factored_quartic.sys"),
+               "--integral", "exp((x)/(1)) * ", "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        2, "", "parse error: line 1, col 16: unexpected end of first-integral expression\n")
+
+
 def test_exit_code_class_mismatch(sysfile, capsys):
     rc = main(["liapunov", sysfile("xdot = x; ydot = -y"), "--no-timings"])
     assert rc == 3
@@ -410,11 +419,24 @@ def test_qhcenter_forced_weights_are_decided_directly(sysfile, capsys):
     center = ["qhcenter", path, "--set", "lambda=1", "--set", "mu=0", "--no-timings"]
     # not (1,2)-quasi-homogeneous: refused, not classified with weight degree -1
     _refused(capsys, main(center + ["--pq", "1,2"]), 3, "(1,2)")
-    # (1,1) lies outside a search bound of 0 and is still decided
-    rc, data = run_cli(center + ["--pq", "1,1", "--bound", "0"], capsys)
+    rc, data = run_cli(center + ["--pq", "1,1"], capsys)
     assert rc == 0
     assert (data["qhomog"]["pq"], data["qhomog"]["weight_degree"]) == ([1, 1], 3)
     assert data["qhomog"]["verdict"] == "center"
+
+
+def test_qhcenter_solves_for_weights_beyond_eight(sysfile, capsys):
+    rc, data = run_cli(["qhcenter", sysfile("xdot = y; ydot = -x^17"), "--no-timings"], capsys)
+    assert rc == 0
+    entry = data["qhomog"]
+    assert (entry["pq"], entry["weight_degree"], entry["verdict"]) == ([1, 9], 9, "center")
+
+
+def test_qhcenter_bound_option_is_refused(sysfile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qhcenter", sysfile(HOMOG_CUBIC), "--bound", "8", "--no-timings"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 8" in capsys.readouterr().err
 
 
 def test_classify_large_coefficient_finishes(sysfile, capsys):

@@ -1,10 +1,11 @@
 import cmath
 import math
+from pathlib import Path
 
 import pytest
 
 from centerlab import qhomog
-from centerlab.mpoly import Rat
+from centerlab.mpoly import MPoly, Rat
 from centerlab.numeric import _refine_crossing, compile_system, integrate_adaptive
 from centerlab.qhomog import (
     QHSignature,
@@ -16,7 +17,7 @@ from centerlab.qhomog import (
     pq_period,
     qh_signature,
 )
-from centerlab.systems import parse_system, substitute
+from centerlab.systems import PlaneSystem, parse_system, substitute
 
 from conftest import HAM_QH, HAM_QH_EPS, HOMOG_CUBIC, measured_period, poly
 
@@ -88,18 +89,95 @@ def _reference_verdict(value, error, zero_tol=1e-8):
 
 
 def test_detects_weighted_hamiltonian():
-    sigs = detect_quasi_homogeneity(parse_system(HAM_QH), 6)
-    assert QHSignature(2, 3, 8) in sigs
+    assert detect_quasi_homogeneity(parse_system(HAM_QH)) == QHSignature(2, 3, 8)
 
 
 def test_detects_homogeneous_cubic():
-    sigs = detect_quasi_homogeneity(parse_system(HOMOG_CUBIC), 4)
-    assert sigs == [QHSignature(1, 1, 3)]
+    assert detect_quasi_homogeneity(parse_system(HOMOG_CUBIC)) == QHSignature(1, 1, 3)
 
 
 def test_mixed_weights_empty():
     s = parse_system("xdot = y + x^2 + x^3; ydot = -x^3")
-    assert detect_quasi_homogeneity(s, 6) == []
+    assert detect_quasi_homogeneity(s) is None
+
+
+def test_detects_weights_beyond_any_small_bound():
+    # (1, 9): x^17 fixes the ray against y, and nothing caps the weights
+    s = parse_system("xdot = y; ydot = -x^17")
+    assert detect_quasi_homogeneity(s) == QHSignature(1, 9, 9)
+
+
+def _searched_signature(P, Q, bound=40):
+    # the coprime search that solving for the weights replaced: the first
+    # (p, q), p then q ascending up to the bound, at which every monomial
+    # x^i y^j of P gives one weight degree p*i + q*j - p + 1 (of Q:
+    # p*i + q*j - q + 1) and that degree is >= 0
+    for p in range(1, bound + 1):
+        for q in range(1, bound + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            ms = ({p * i + q * j - p + 1 for i, j in P}
+                  | {p * i + q * j - q + 1 for i, j in Q})
+            if len(ms) == 1 and min(ms) >= 0:
+                return QHSignature(p, q, min(ms))
+    return None
+
+
+def test_detection_matches_coprime_search_property():
+    # unconstrained monomial sets, sets on one weight ray (with an extra
+    # monomial or not), and sets along a line whose ray is not positive
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    expo = st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(any)
+    unconstrained = st.tuples(st.sets(expo, max_size=5), st.sets(expo, max_size=5))
+
+    @st.composite
+    def on_ray(draw):
+        p = draw(st.integers(1, 9))
+        q = draw(st.integers(1, 9).filter(lambda q: math.gcd(p, q) == 1))
+        m = draw(st.integers(0, 40))
+        # P has weight degree p - 1 + m and Q has q - 1 + m
+        fits = [[(i, j) for i in range(w // p + 1) for j in range(w // q + 1)
+                 if p * i + q * j == w and (i, j) != (0, 0)] for w in (p - 1 + m, q - 1 + m)]
+        P, Q = ({e for e in row if draw(st.booleans())} for row in fits)
+        if draw(st.booleans()):
+            (P if draw(st.booleans()) else Q).add(draw(expo))
+        return P, Q
+
+    @st.composite
+    def non_positive_ray(draw):
+        # the rows of P move by (k*di, k*dj) and those of Q too: no p, q > 0
+        # makes p*di + q*dj vanish
+        di, dj = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+        P, Q = set(), set()
+        for monomials in (P, Q):
+            i0, j0 = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+            for k in draw(st.sets(st.integers(0, 3), max_size=3)):
+                if (i0 + k * di, j0 + k * dj) != (0, 0):
+                    monomials.add((i0 + k * di, j0 + k * dj))
+        return P, Q
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(unconstrained, on_ray(), non_positive_ray()))
+    def check(monomials):
+        P, Q = monomials
+        hypothesis.assume(P or Q)
+        table = ("x", "y")
+        s = PlaneSystem(MPoly(table, dict.fromkeys(P, Rat(1))),
+                        MPoly(table, dict.fromkeys(Q, Rat(-2))))
+        assert detect_quasi_homogeneity(s) == _searched_signature(P, Q)
+
+    check()
+
+
+def test_detection_matches_coprime_search_on_sample_and_bench_systems():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "sample_systems").glob("*.sys")) + sorted((root / "bench" / "systems").glob("*.sys"))
+    assert len(paths) >= 10
+    for path in paths:
+        s = parse_system(path.read_text())
+        xy = [set(poly.coefficients_in_vars(("x", "y"))) for poly in (s.P, s.Q)]
+        assert detect_quasi_homogeneity(s) == _searched_signature(*xy), path.name
 
 
 # -- generalized trigonometric functions -------------------------------------------

@@ -8,7 +8,6 @@ from centerlab.mpoly import MPoly, Rat, poly_gcd, rat_content
 from centerlab.realroots import (
     isolate_real_roots,
     real_root_count,
-    refine_to_float,
     root_multiplicity,
     trim,
     univariate_gcd,
@@ -198,13 +197,13 @@ def test_isolated_root_counts_match_sympy():
         # would tie 10^25 and 10^25 + 1 and follow the set's hash order
         expected = list(dict.fromkeys(sympy.real_roots(_to_sympy(p, t))))
         assert len(roots) == len(expected)
-        for (lo, hi, ex), root in zip(roots, expected):
+        for (ex, value), root in zip(roots, expected):
             if ex is not None:
                 assert root.is_rational and ex == Rat(int(root.p), int(root.q))
+                assert value == float(ex)
             else:
                 assert not root.is_rational
-                assert lo < root < hi
-                assert abs(refine_to_float(p, lo, hi) - float(root)) <= 1e-12 * max(1, abs(float(root)))
+                assert abs(value - float(root)) <= 1e-12 * max(1, abs(float(root)))
         checked += len(roots)
     assert checked > 60
 
@@ -229,8 +228,8 @@ def test_real_root_count_matches_sympy():
 
 
 def _fraction_refine_to_float(p, lo, hi):
-    # the bisection in exact fractions that refine_to_float replaced: the
-    # oracle for its midpoints, its stop test and the float it returns
+    # the bisection in exact fractions that the integer refinement replaced:
+    # the oracle for its midpoints, its stop test and the float it returns
     sf = _ref_squarefree(p)
     flo, fhi = _ref_eval(sf, lo), _ref_eval(sf, hi)
     if flo == 0:
@@ -251,9 +250,10 @@ def _fraction_refine_to_float(p, lo, hi):
     return float((lo + hi) / 2)
 
 
-def test_refine_to_float_matches_fraction_bisection_property():
+def test_refinement_matches_fraction_bisection_property():
     # any interval, isolating or not, with roots at its ends, inside it or
-    # none: the same float as the bisection in fractions, not a close one
+    # none, and over a denominator that is not the least one: the same float
+    # as the bisection in fractions, not a close one
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rat = st.builds(Rat, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
@@ -266,30 +266,34 @@ def test_refine_to_float_matches_fraction_bisection_property():
     def check(p, a, b):
         hypothesis.assume(a != b)
         lo, hi = min(a, b), max(a, b)
-        assert refine_to_float(p, lo, hi) == _fraction_refine_to_float(p, lo, hi)
-        for lo, hi, ex in isolate_real_roots(p):
-            if ex is None:
-                assert refine_to_float(p, lo, hi) == _fraction_refine_to_float(p, lo, hi)
+        den = 3 * lo.denominator * hi.denominator
+        sf = realroots._squarefree(realroots._primitive(p))
+        got = realroots._refine(sf, lo.numerator * (den // lo.denominator),
+                                hi.numerator * (den // hi.denominator), den)
+        assert got == _fraction_refine_to_float(p, lo, hi)
+        assert isolate_real_roots(p) == _fraction_real_roots(p)
 
     check()
 
 
-def test_refine_to_float_matches_fraction_bisection_on_directions(monkeypatch):
+def test_refinement_matches_fraction_bisection_on_directions(monkeypatch):
     # the four irrational characteristic directions of this cubic are the
     # refinements whose Fraction Horner evaluations once dominated the cost
     # of characteristic_directions
     calls = []
 
-    def spy(p, lo, hi):
-        calls.append((p, lo, hi))
-        return refine_to_float(p, lo, hi)
+    def spy(p):
+        roots = isolate_real_roots(p)
+        calls.append((p, roots))
+        return roots
 
-    monkeypatch.setattr(structure, "refine_to_float", spy)
+    monkeypatch.setattr(structure, "isolate_real_roots", spy)
     s = parse_system("xdot = 2*x^3 - 3*x*y^2 + y^3; ydot = x^3 - 7*x^2*y + y^3")
     dirs = structure.characteristic_directions(s)
-    assert len(calls) == 4 and not any(d.exact for d in dirs.directions)
-    for p, lo, hi in calls:
-        assert refine_to_float(p, lo, hi) == _fraction_refine_to_float(p, lo, hi)
+    assert len(calls) == 1 and not any(d.exact for d in dirs.directions)
+    p, roots = calls[0]
+    assert len(roots) == 4 and all(ex is None for ex, _ in roots)
+    assert roots == _fraction_real_roots(p)
 
 
 def _fraction_isolate_real_roots(p):
@@ -337,9 +341,16 @@ def _fraction_isolate_real_roots(p):
     return [(lo, hi, rational_root_in(an, lo, hi)) for lo, hi in sorted(out)]
 
 
+def _fraction_real_roots(p):
+    # each root once, as (exact, float): the rational root, or the bisection
+    # in fractions of its isolating interval
+    return [(ex, float(ex) if ex is not None else _fraction_refine_to_float(p, lo, hi))
+            for lo, hi, ex in _fraction_isolate_real_roots(p)]
+
+
 def test_isolation_matches_fraction_reference():
-    # the same intervals (== and repr, so the same Fractions) and the same
-    # rational roots, on planted roots with large denominators, repeated
+    # the same rational roots (== and repr, so the same Fractions) and the
+    # same floats, on planted roots with large denominators, repeated
     # factors, either leading sign and roots on bisection midpoints
     rng = random.Random(23)
     cases = [[Rat(-1), Rat(0), Rat(1)], [Rat(0), Rat(3)], [Rat(-2), Rat(0), Rat(4)],
@@ -355,16 +366,16 @@ def test_isolation_matches_fraction_reference():
     found = 0
     for p in cases:
         got = isolate_real_roots(p)
-        assert got == _fraction_isolate_real_roots(p)
-        assert repr(got) == repr(_fraction_isolate_real_roots(p))
-        found += sum(ex is not None for _, _, ex in got)
+        assert got == _fraction_real_roots(p)
+        assert repr(got) == repr(_fraction_real_roots(p))
+        found += sum(ex is not None for ex, _ in got)
     assert found > 100
 
 
 def test_squarefree_part_computed_once_per_polynomial(monkeypatch):
     # characteristic_directions isolates the roots of one polynomial and
     # refines its four irrational roots: one square-free part (one gcd of
-    # the polynomial and its derivative) for all five
+    # the polynomial and its derivative) for all of them
     calls = []
 
     def spy(a, b):
@@ -372,7 +383,6 @@ def test_squarefree_part_computed_once_per_polynomial(monkeypatch):
         return univariate_gcd(a, b)
 
     monkeypatch.setattr(realroots, "univariate_gcd", spy)
-    realroots._squarefree.cache_clear()
     s = parse_system("xdot = 2*x^3 - 3*x*y^2 + y^3; ydot = x^3 - 7*x^2*y + y^3")
     dirs = structure.characteristic_directions(s)
     assert len(dirs.directions) == 4
@@ -418,14 +428,14 @@ def test_integer_layer_matches_fraction_reference_and_sympy_property():
         (p, planted), (q, _) = first, second
         hypothesis.assume(_ref_degree(p) >= 1)
         got = isolate_real_roots(p)
-        assert repr(got) == repr(_fraction_isolate_real_roots(p))
+        assert repr(got) == repr(_fraction_real_roots(p))
         chain = _ref_sturm_chain(p)
         M = _ref_root_bound(p)
         sp = _to_sympy(p, t)
         assert real_root_count(p) == len(got) == _ref_sturm_count(chain, -M, M) \
             == len(set(sympy.real_roots(sp)))
         rational = {Rat(int(r.p), int(r.q)): m for r, m in sympy.roots(sp, filter="Q").items()}
-        assert rational == {ex: root_multiplicity(p, ex) for _, _, ex in got if ex is not None}
+        assert rational == {ex: root_multiplicity(p, ex) for ex, _ in got if ex is not None}
         for r in planted + [Rat(1, 7)]:
             assert root_multiplicity(p, r) == rational.get(r, 0)
         # eps-only gcds: q shares p's planted factors, and on a larger table

@@ -344,3 +344,75 @@ def test_every_public_definition_is_named_by_the_package():
     assert not any(_unnamed_public_definitions(src) for src in kept)
     sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.rglob("*.py"))}
     assert sorted(_unnamed_public_definitions(sources)) == sorted(UNNAMED_PUBLIC_ALLOWED)
+
+
+def _unread_private_definitions(sources):
+    """``module:name`` for each private (underscore, not dunder) module-level
+    function and ``module:Class.name`` for each private method of a
+    module-level class of the sources (module file name -> text) whose name
+    no module reads, as a name, an attribute or a string, outside its own
+    body."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield sub.value
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    defined, read_by = [], {}   # read_by: name -> the definitions that read it
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owned = [(node.name, node)] if isinstance(node, functions) else []
+            if isinstance(node, ast.ClassDef):
+                owned = [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, functions)]
+                for m in node.body:
+                    if not isinstance(m, functions):
+                        for name in reads(m):
+                            read_by.setdefault(name, set()).add(None)
+                for deco in node.decorator_list + node.bases:
+                    for name in reads(deco):
+                        read_by.setdefault(name, set()).add(None)
+            elif not owned:
+                for name in reads(node):
+                    read_by.setdefault(name, set()).add(None)
+            for qual, func in owned:
+                key = f"{module}:{qual}"
+                if private(func.name):
+                    defined.append((key, func.name))
+                for name in reads(func):
+                    read_by.setdefault(name, set()).add(key)
+    return [key for key, name in defined if not read_by.get(name, set()) - {key}]
+
+
+def test_every_private_definition_is_read_by_the_package():
+    # a private helper that no package module calls is dead code or kept only
+    # for tests, which can hold their own copy
+    caught = [
+        {"a.py": "def _helper(): ...\n"},
+        {"a.py": "class C:\n    @staticmethod\n    def _key(e): ...\nC()\n"},
+        {"a.py": "def _walk(n):\n    return _walk(n - 1)\n"},
+        {"a.py": "def _f(): ...\n", "b.py": "def g():\n    return 1\ng()\n"},
+    ]
+    assert all(_unread_private_definitions(src) for src in caught)
+    kept = [
+        {"a.py": "def f(): ...\n"},
+        {"a.py": "def _f(): ...\ndef g():\n    return _f()\n"},
+        {"a.py": "def _f(): ...\n", "b.py": "from .a import _f\n"},
+        {"a.py": "class C:\n    def _g(self): ...\n    def f(self):\n        self._g()\n"},
+        {"a.py": "class C:\n    def __len__(self): ...\n"},
+        {"a.py": "def _f(): ...\nTABLE = {'f': _f}\n"},
+        {"a.py": "class C:\n    def _g(self): ...\n    h = _g\n"},
+    ]
+    assert not any(_unread_private_definitions(src) for src in kept)
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.rglob("*.py"))}
+    assert _unread_private_definitions(sources) == []

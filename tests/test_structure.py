@@ -4,7 +4,7 @@ import random
 from centerlab.mpoly import MPoly, Rat
 from centerlab.parser import DarbouxExpr, parse_first_integral
 from centerlab.ratfunc import RatFunc
-from centerlab.realroots import isolate_real_roots, refine_to_float, root_multiplicity, trim
+from centerlab.realroots import isolate_real_roots, root_multiplicity, trim
 from centerlab.structure import (
     _solve_on_circle,
     characteristic_directions,
@@ -184,7 +184,7 @@ def _ref_solve_on_circle(conditions, cname, sname):
             g = u if g is None else _ref_gcd(g, u)
     witnesses = [(float(c), float(s)) for c, s in exact]
     if g is not None and len(trim(g)) > 1:
-        for lo, hi, ex in isolate_real_roots(g):
+        for ex, cf in isolate_real_roots(g):
             if ex is not None:
                 if abs(ex) > 1:
                     continue
@@ -196,11 +196,6 @@ def _ref_solve_on_circle(conditions, cname, sname):
                                 exact.append((ex, sv))
                                 witnesses.append((float(ex), float(sv)))
                     continue
-                cf = float(ex)
-            else:
-                if hi < -1 or lo > 1:
-                    continue
-                cf = refine_to_float(g, lo, hi)
             if abs(cf) > 1:
                 continue
             sf = math.sqrt(max(0.0, 1 - cf * cf))
