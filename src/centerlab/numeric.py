@@ -4,15 +4,25 @@ The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6, 1980) with an I step-size controller.  It runs on
 plain Python floats, because on two or three components array overhead
 would cost far more than the right-hand side.  The stepping loop is Python
-source generated from the tableau's nonzero entries once per number of
-state components and compiled on first use: each component is a scalar
-local and every stage sum and the error sum are written out term by term.
-The order of those float operations is fixed (it is that of the tableau's
-rows, left to right), so a run repeats bit for bit and the loop gives the
-same states and step sizes as one over tuples and lists.
+source generated from the tableau's nonzero entries and compiled on first
+use: each component is a scalar local and every stage sum and the error sum
+are written out term by term.  The order of those float operations is fixed
+(it is that of the tableau's rows, left to right), so a run repeats bit for
+bit and the loop gives the same states and step sizes as one over tuples
+and lists.
+
+A plain callable right-hand side gets one loop per number of state
+components, which calls it at each stage.  A plane system compiled by
+:func:`compile_system` carries its float terms, and gets a loop of its own
+with that right-hand side written into each stage: no call and no stage
+tuple per stage, and each power of x and y computed once per stage.  Those
+floats equal the compiled function's bit for bit, because the inlined sums
+keep its terms and factors in order and differ only where IEEE arithmetic
+is exact: a factor 1.0 is left out, and a negative coefficient becomes a
+subtraction, since rounding is sign-symmetric.
 
 The stage sums, the error norm and the step-size control are shared by two
-tails of the loop, each compiled once per dimension.  The dense tail keeps
+tails of the loop, each compiled once per loop.  The dense tail keeps
 every accepted step's stage derivatives as tuples, builds the quartic
 dense-output interpolant from them only when a segment is evaluated, and
 calls a step callback.  The crossing tail runs the return map's test (guard
@@ -56,32 +66,54 @@ class IntegrationError(RuntimeError):
 
 
 def compile_system(s: PlaneSystem) -> Callable:
-    """Compile a parameter-free system into a float right-hand side f(x, y)."""
+    """Compile a parameter-free system into a float right-hand side f(x, y).
+
+    The function carries the system's float terms as ``f.float_terms``: per
+    component, the (coefficient, i, j) of each c*x**i*y**j in the order in
+    which ``f`` adds them.  :func:`integrate_adaptive` writes these terms
+    into its stepping loop.  A coefficient too large for a float raises
+    ValueError."""
     if not s.is_numeric():
         used = sorted((set(s.P.variables_present()) | set(s.Q.variables_present())) - {"x", "y"})
         raise ValueError(f"system must be numeric; specialize {used}")
-
-    def render(p) -> str:
-        if p.is_zero:
-            return "0.0"
-        parts = []
-        # descending graded-lex order, as MPoly.sorted_terms lists them
-        for (i, j), c in sorted(p.coefficients_in_vars(("x", "y")).items(),
-                                key=lambda t: (sum(t[0]), t[0]), reverse=True):
-            piece = repr(float(c.constant_value()))
-            if i:
-                piece += "*x" + (f"**{i}" if i > 1 else "")
-            if j:
-                piece += "*y" + (f"**{j}" if j > 1 else "")
-            parts.append(piece)
-        return " + ".join(parts)
-
-    p, q = render(s.P), render(s.Q)
+    terms = (_float_terms(s.P, "xdot"), _float_terms(s.Q, "ydot"))
+    p, q = _render(terms[0]), _render(terms[1])
     src = f"def _f(x, y):\n    return ({p}, {q})\n"
     ns: dict = {}
     # a label per system, so that a profile keeps one entry for each
     exec(compile(src, f"<rhs xdot = {p}; ydot = {q}>", "exec"), ns)
-    return ns["_f"]
+    f = ns["_f"]
+    f.float_terms = terms
+    return f
+
+
+def _float_terms(p, name: str) -> Tuple[Tuple[float, int, int], ...]:
+    """The (float coefficient, i, j) of each term c*x**i*y**j of ``p``, in
+    descending graded-lex order, as MPoly.sorted_terms lists them."""
+    out = []
+    for (i, j), c in sorted(p.coefficients_in_vars(("x", "y")).items(),
+                            key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        try:
+            out.append((float(c.constant_value()), i, j))
+        except OverflowError:
+            monomial = "*".join(v + (f"^{e}" if e > 1 else "")
+                                for v, e in (("x", i), ("y", j)) if e) or "1"
+            raise ValueError(f"{name}: the coefficient of {monomial} "
+                             "is too large for a float") from None
+    return tuple(out)
+
+
+def _render(terms) -> str:
+    """Source of the sum of ``terms`` in x and y, term by term from the left."""
+    parts = []
+    for c, i, j in terms:
+        piece = repr(c)
+        if i:
+            piece += "*x" + (f"**{i}" if i > 1 else "")
+        if j:
+            piece += "*y" + (f"**{j}" if j > 1 else "")
+        parts.append(piece)
+    return " + ".join(parts) or "0.0"
 
 
 @dataclass
@@ -180,8 +212,12 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     whose right-hand side overflows) is rejected and shrunk; if that never
     ends, the step size underflows and ``IntegrationError`` is raised.
 
-    The steps run in the loop that :func:`_dopri_loop` generates for the
-    state's number of components.  Its stage sums, error sum and
+    The steps run in the loop that :func:`_dopri_loop` generates: for a
+    function from :func:`compile_system` (it carries ``float_terms``), one
+    with that system's right-hand side written into each stage, and
+    otherwise one per number of state components that calls ``f``.  The
+    inlined right-hand side gives the floats that ``f`` returns, bit for
+    bit (see :func:`_inline_rhs`).  The stage sums, error sum and
     comparisons are written out in the one fixed order of the tableau's
     rows, so every state, step size and stage derivative, and every return
     map and report built from them, repeats bit for bit.  The loop has two
@@ -211,7 +247,9 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     d1 = max([abs(v) / s for v, s in zip(fy, scale)])
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = direction * min(h, abs(t1 - t0))
-    loop = _dopri_loop(len(y), crossing is not None)
+    terms = getattr(f, "float_terms", None)
+    loop = _dopri_loop(len(y), crossing is not None,
+                       None if terms is None else _inline_rhs(terms))
     return loop(f, t0, t1, direction, y, fy, h, closest, rel_tol, abs_tol, max_steps,
                 step_callback if crossing is None else crossing)
 
@@ -283,14 +321,13 @@ _DENSE_PROLOGUE = """\
     ys = [y]
     segments = []"""
 _DENSE_TAIL = """\
-        seg = DenseSegment(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
+        seg = DenseSegment(t, h, y, {ks})
         segments.append(seg)
         steps += 1
         t += h
         y = ({yn_})
         {y_} = y
-        k1 = k7
-        {k1_} = k7
+        {carry}
         ts.append(t)
         ys.append(y)
         r = hypot(y_0, y_1)
@@ -331,7 +368,7 @@ _CROSSING_TAIL = """\
             # wait until the orbit has genuinely left the section
             armed = abs(g) > arm_tol and g * want_sign < 0
         elif g_old * want_sign < 0 <= g * want_sign and cx * yn_0 + cy * yn_1 > 0:
-            seg = DenseSegment(t, h, ({y_}), (k1, k2, k3, k4, k5, k6, k7))
+            seg = DenseSegment(t, h, ({y_}), {ks})
             crossing = refine_crossing(seg, event.g)
             if event.radial(crossing[1]) > 0:
                 segments.append(seg)
@@ -343,8 +380,7 @@ _CROSSING_TAIL = """\
         g_old = g
         t += h
         {y_} = {yn_}
-        k1 = k7
-        {k1_} = k7"""
+        {carry}"""
 _CROSSING_RESULT = ("[t_start, t], [y, ({y_})], segments, status, nfev, steps, closest, "
                     "crossing")
 
@@ -362,11 +398,53 @@ def _weighted_sum(row, i: int) -> str:
     return out
 
 
-@functools.cache
-def _dopri_loop(n: int, crossing: bool = False) -> Callable:
+def _inline_rhs(terms) -> str:
+    """Source of one stage's right-hand side, from the terms that
+    :func:`compile_system` attaches: it reads the stage's state from ``rx``
+    and ``ry`` and writes ``{k}_0`` and ``{k}_1``, to be formatted with a
+    stage name.  Each power rx**e or ry**e with e > 1 is computed once (into
+    ``rx2``, ``ry3``, ...), a coefficient 1.0 is left out and a negative one
+    is written as a subtraction, or as a leading minus.
+
+    Every float equals the one the compiled ``f`` returns: 1.0*a is a,
+    a + (-c)*u*v is a - c*u*v because rounding is sign-symmetric, and a
+    power computed once is the same float each time it is read.  Powers stay
+    ``**``, and the terms and the factors of each keep ``f``'s order.  A
+    coefficient's sign is read from its repr, so -0.0 is written as a
+    subtraction too."""
+    powers = sorted({(v, e) for comp in terms for _, i, j in comp
+                     for v, e in (("rx", i), ("ry", j)) if e > 1})
+    lines = [f"{v}{e} = {v}**{e}" for v, e in powers]
+    for out, comp in zip(("{k}_0", "{k}_1"), terms):
+        expr = ""
+        for c, i, j in comp:
+            coef = repr(c)
+            factors = [v if e == 1 else f"{v}{e}" for v, e in (("rx", i), ("ry", j)) if e]
+            size = coef.lstrip("-")
+            if size != "1.0" or not factors:
+                factors.insert(0, size)
+            minus = coef.startswith("-")
+            if expr:
+                expr += f" {'-' if minus else '+'} {'*'.join(factors)}"
+            else:
+                expr = ("-" if minus else "") + "*".join(factors)
+        lines.append(f"{out} = {expr or '0.0'}")
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=16)
+def _dopri_loop(n: int, crossing: bool = False, rhs: Optional[str] = None) -> Callable:
     """The stepping loop of :func:`integrate_adaptive` for states of ``n``
     components, generated and compiled on first use: with the dense tail,
     or with the crossing tail when ``crossing`` is true.
+
+    Without ``rhs`` each stage calls the loop's argument ``f``.  Given the
+    source of :func:`_inline_rhs` (a plane system), each stage runs that
+    source in place of the call, so a step calls no right-hand side and
+    builds no stage tuple; the loop is then one system's, and its label
+    names the system, so that a profile keeps one entry per system.  The
+    cache is keyed by the source text, not by the float terms, since
+    ``0.0 == -0.0`` would let two systems share a loop.
 
     Each component is a scalar local (``y_0``, ``k3_1``, ...), so a step
     builds no list and calls no ``zip``; the states and stage derivatives
@@ -380,16 +458,20 @@ def _dopri_loop(n: int, crossing: bool = False) -> Callable:
     def names(prefix: str) -> str:
         return ", ".join(f"{prefix}{i}" for i in comps)
 
+    def evaluate(s: int, args) -> list:
+        # the stage derivative k{s} at the state args, as scalars k{s}_i
+        if rhs is None:
+            return [f"k{s} = f({', '.join(args)})", f"{names(f'k{s}_')} = k{s}"]
+        return [f"rx = {args[0]}", f"ry = {args[1]}"] + rhs.format(k=f"k{s}").splitlines()
+
     stages = []
     for s, row in enumerate(_STAGES, start=2):
         args = [f"y_{i} + h * ({_weighted_sum(row, i)})" for i in comps]
         if s < 7:
-            stages.append(f"k{s} = f({', '.join(args)})")
-            stages.append(f"{names(f'k{s}_')} = k{s}")
+            stages += evaluate(s, args)
         else:
             stages += [f"yn_{i} = {a}" for i, a in zip(comps, args)]
-    stages.append(f"k7 = f({names('yn_')})")
-    stages.append(f"{names('k7_')} = k7")
+    stages += evaluate(7, [f"yn_{i}" for i in comps])
     error = []
     for i in comps:
         error.append(f"u = abs(y_{i})")
@@ -398,6 +480,15 @@ def _dopri_loop(n: int, crossing: bool = False) -> Callable:
                      " / (abs_tol + rel_tol * (v if v > u else u))")
     error.append(f"err = sqrt(({' + '.join(f'r_{i} * r_{i}' for i in comps)}) / {n})")
     state = {"y_": names("y_"), "k1_": names("k1_"), "yn_": names("yn_")}
+    if rhs is None:
+        # the stage tuples that f returned; k7 is the next step's k1
+        state["ks"] = "(k1, k2, k3, k4, k5, k6, k7)"
+        state["carry"] = f"k1 = k7\n        {state['k1_']} = k7"
+    else:
+        # tuples only for a segment that is kept
+        kept = ", ".join(f"({names(f'k{s}_')})" for s in range(1, 8))
+        state["ks"] = f"({kept})"
+        state["carry"] = f"{state['k1_']} = {names('k7_')}"
     prologue, tail, result = ((_CROSSING_PROLOGUE, _CROSSING_TAIL, _CROSSING_RESULT)
                               if crossing else (_DENSE_PROLOGUE, _DENSE_TAIL, _DENSE_RESULT))
     src = _LOOP.format(
@@ -407,8 +498,11 @@ def _dopri_loop(n: int, crossing: bool = False) -> Callable:
     ns = {"DenseSegment": DenseSegment, "Trajectory": Trajectory,
           "IntegrationError": IntegrationError, "inf": math.inf,
           "sqrt": math.sqrt, "hypot": math.hypot, "refine_crossing": _refine_crossing}
-    label = f"<dopri n={n} crossing>" if crossing else f"<dopri n={n}>"
-    exec(compile(src, label, "exec"), ns)
+    label = f"dopri n={n} crossing" if crossing else f"dopri n={n}"
+    if rhs is not None:
+        xdot, ydot = (line.split(" = ", 1)[1] for line in rhs.splitlines()[-2:])
+        label += f" xdot = {xdot}; ydot = {ydot}"
+    exec(compile(src, f"<{label}>", "exec"), ns)
     return ns["dopri_loop"]
 
 

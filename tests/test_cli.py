@@ -409,6 +409,17 @@ def test_qhcenter_unconverged_quadrature_shows_detail(sysfile, capsys):
 
 
 @pytest.mark.parametrize("command", ["returnmap", "classify"])
+def test_exit_code_coefficient_too_large_for_a_float(sysfile, capsys, command):
+    # float(10^400) overflows: unusable input that names the coefficient,
+    # not an OverflowError traceback
+    rc = main([command, sysfile("xdot = -y + 10^400*x^5; ydot = x"), "--x0", "0.05",
+               "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err == "error: xdot: the coefficient of x^5 is too large for a float\n"
+
+
+@pytest.mark.parametrize("command", ["returnmap", "classify"])
 def test_exit_code_bad_transversal_is_parse_error(sysfile, capsys, command):
     rc = main([command, sysfile(NIL_REVERSIBLE), "--transversal", "abc", "--no-timings"])
     _refused(capsys, rc, 2, "--transversal")

@@ -1,6 +1,7 @@
 import glob
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from centerlab.numeric import (
     ReturnSample,
     Trajectory,
     _dopri_loop,
+    _inline_rhs,
     _ray,
     _refine_crossing,
     classify_monodromic,
@@ -150,6 +152,16 @@ def test_time_reversed_integration_recovers_start():
 def test_compile_rejects_symbolic_system():
     with pytest.raises(ValueError, match="numeric"):
         compile_system(parse_system("xdot = a*y; ydot = -x"))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("xdot = -y + 10^400*x^5; ydot = x", "xdot: the coefficient of x^5 "),
+    ("xdot = -y; ydot = x - 10^309*x^2*y/2", "ydot: the coefficient of x^2*y "),
+    ("xdot = -y + x*y/10^400; ydot = x + 10^400*y^3", "ydot: the coefficient of y^3 "),
+], ids=["xdot", "negative", "after-an-underflow"])
+def test_compile_names_a_coefficient_too_large_for_a_float(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}is too large for a float$"):
+        compile_system(parse_system(text))
 
 
 def test_classify_monodromic_combines_evidence():
@@ -569,8 +581,9 @@ def test_generated_loop_bit_identical_overflow_rejection():
 
 
 def test_loop_built_on_first_use_and_shared_per_dimension():
-    # importing numeric generates no loop; every 2-state integration runs the
-    # one loop built for n = 2, and a 3-state one builds its own
+    # importing numeric generates no loop; every 2-state integration of a
+    # plain callable runs the one loop built for n = 2, and a 3-state one
+    # builds its own
     code = (
         "from centerlab import numeric\n"
         "info = numeric._dopri_loop.cache_info\n"
@@ -580,8 +593,8 @@ def test_loop_built_on_first_use_and_shared_per_dimension():
         "assert info()[:2] == (1, 1) and info().currsize == 1, info()\n"
         "numeric.integrate_adaptive(lambda x, y, z: (-y, x, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0))\n"
         "assert info().currsize == 2, info()\n"
-        # a return map builds the crossing loop on its first call, and
-        # every later return map runs that one
+        # a return map builds its system's crossing loop on its first call,
+        # and every later return map of that system runs that one
         "from centerlab.systems import parse_system\n"
         "s = parse_system('xdot = -y; ydot = x')\n"
         "assert info().currsize == 2, info()\n"
@@ -590,6 +603,9 @@ def test_loop_built_on_first_use_and_shared_per_dimension():
         "hits = info().hits\n"
         "numeric.return_map(s, [0.3], transversal='y+')\n"
         "assert info().currsize == 3 and info().hits == hits + 1, info()\n"
+        # a second system builds its own crossing loop
+        "numeric.return_map(parse_system('xdot = -y^3; ydot = x^3'), [0.1])\n"
+        "assert info().currsize == 4 and info().hits == hits + 1, info()\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -598,7 +614,7 @@ def test_loop_built_on_first_use_and_shared_per_dimension():
     assert done.returncode == 0, done.stderr
 
 
-def test_generated_code_names_its_source():
+def test_generated_code_names_its_source(monkeypatch):
     # profiles and tracebacks name the compiled right-hand side and the
     # generated loop, not "<string>"; each system and each tail has its own
     # label, which cProfile keys its entries by
@@ -608,6 +624,25 @@ def test_generated_code_names_its_source():
     assert g.__code__.co_filename == "<rhs xdot = -1.0*y**3; ydot = 1.0*x**5 + 1.0*x**3>"
     assert _dopri_loop(2).__code__.co_filename == "<dopri n=2>"
     assert _dopri_loop(2, True).__code__.co_filename == "<dopri n=2 crossing>"
+    # a loop with a system's right-hand side inlined names that system
+    labels = {(fn, crossing): _dopri_loop(2, crossing, _inline_rhs(fn.float_terms))
+              .__code__.co_filename for fn in (f, g) for crossing in (False, True)}
+    assert labels == {
+        (f, False): "<dopri n=2 xdot = -ry; ydot = rx>",
+        (f, True): "<dopri n=2 crossing xdot = -ry; ydot = rx>",
+        (g, False): "<dopri n=2 xdot = -ry3; ydot = rx5 + rx3>",
+        (g, True): "<dopri n=2 crossing xdot = -ry3; ydot = rx5 + rx3>",
+    }
+    # and it is the loop that a return map of that system runs
+    loops = []
+
+    def spy(*args):
+        loops.append(_dopri_loop(*args))
+        return loops[-1]
+
+    monkeypatch.setattr(numeric, "_dopri_loop", spy)
+    return_map(parse_system("xdot = -y^3; ydot = x^3 + x^5"), [0.05])
+    assert [loop.__code__.co_filename for loop in loops] == [labels[g, True]]
 
 
 # -- bit-exact test against the return map that ran on the dense tail --
@@ -615,8 +650,11 @@ def test_generated_code_names_its_source():
 def _callback_return_map(s, x0_list, transversal="x+", rel_tol=1e-12, abs_tol=1e-14,
                          guard_radius=1.0):
     # the return map as a step callback on the dense tail, which keeps every
-    # segment: the oracle for the crossing tail
-    f = numeric.compile_system(s)
+    # segment: the oracle for the crossing tail.  f is a plain callable, so
+    # the oracle runs the loop that calls it at every stage, and the return
+    # map, which inlines the system, is checked against that loop too
+    compiled = numeric.compile_system(s)
+    f = lambda x, y: compiled(x, y)  # noqa: E731
     cx, cy, name = _ray(transversal)
 
     def gfun(state):
@@ -831,3 +869,123 @@ def test_crossing_behind_the_origin_does_not_stop():
     assert got.status == "finished" and got.crossing is None and not got.segments
     assert (got.steps, got.nfev, got.t[-1], got.y[-1]) == \
         (dense.steps, dense.nfev, dense.t[-1], dense.y[-1])
+
+
+# -- bit-exact test of the inlined right-hand side against the call path --
+
+def _with_float_terms(terms):
+    # a right-hand side rendered from float terms as compile_system renders
+    # one, for terms that no system can give (a constant term)
+    p, q = numeric._render(terms[0]), numeric._render(terms[1])
+    ns = {}
+    exec(f"def f(x, y):\n    return ({p}, {q})\n", ns)
+    ns["f"].float_terms = terms
+    return ns["f"]
+
+
+def _assert_inlined_bit_identical(f, state0, t_span, crossing=None, **kw):
+    # the oracle is f behind a plain lambda, which takes the loop that calls
+    # it at every stage; the inlined loop calls f only for the first stage of
+    # the first step.  == on every field (points, segments, status, nfev,
+    # steps, closest approach, crossing); repr also tells -0.0 from 0.0
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return f(x, y)
+
+    counted.float_terms = f.float_terms
+    ref = integrate_adaptive(lambda x, y: f(x, y), state0, t_span, crossing=crossing, **kw)
+    got = integrate_adaptive(counted, state0, t_span, crossing=crossing, **kw)
+    assert calls == [tuple(map(float, state0))] and got.nfev > 1
+    assert got == ref
+    assert repr(got) == repr(ref)
+    return got
+
+
+_INLINED_SYSTEMS = {
+    # coefficients exactly +1 and -1 (Q starts with -1.0*y**2), and another
+    # negative one
+    "unit-coefficients": "xdot = -y + x^2 - 3*x*y^2; ydot = x - y^2",
+    # a negative first term that is not -1
+    "negative-first-term": "xdot = -y - x^3/7; ydot = x - 2*x^2*y",
+    # powers up to 5, shared between P and Q
+    "shared-powers": "xdot = -y + x^5 - 2*x^2*y^3 + y^5/3; ydot = x + x^2*y^3 - x^5 + x*y^4",
+    # coefficients that underflow to 0.0 and to -0.0
+    "underflow-to-zero": "xdot = -y + x^3/10^400; ydot = x",
+    "underflow-to-minus-zero": "xdot = -y - x^3/10^400; ydot = x",
+}
+
+
+@pytest.mark.parametrize("text", _INLINED_SYSTEMS.values(), ids=_INLINED_SYSTEMS.keys())
+def test_inlined_rhs_bit_identical(text):
+    f = compile_system(parse_system(text))
+    kw = dict(rel_tol=1e-12, abs_tol=1e-14)
+    got = _assert_inlined_bit_identical(f, (0.1, 0.05), (0.0, 3.0), **kw)
+    assert got.status == "finished" and len(got.segments) == got.steps > 10
+    got = _assert_inlined_bit_identical(f, (0.1, 0.05), (0.0, -3.0), **kw)
+    assert got.status == "finished"
+    for x0 in (0.02, 0.1):
+        ray = Crossing(1.0, 0.0, 1.0 if f(x0, 0.0)[1] > 0 else -1.0, 1.0, x0)
+        got = _assert_inlined_bit_identical(f, (x0, 0.0), (0.0, 1e9), crossing=ray, **kw)
+        assert got.status == "event" and len(got.segments) == 1
+    _assert_same_return_map(parse_system(text), [0.02, 0.05], transversal="0.7")
+
+
+def test_inlined_rhs_bit_identical_on_constant_term_and_zero_component():
+    # xdot = 1 - y, ydot = x - 2.5 (a center at (2.5, 1)), and a constant
+    # first term of each sign
+    for terms in [(((1.0, 0, 0), (-1.0, 0, 1)), ((1.0, 1, 0), (-2.5, 0, 0))),
+                  (((-2.5, 0, 0), (1.0, 0, 1)), ((0.5, 0, 0), (-1.0, 1, 0)))]:
+        f = _with_float_terms(terms)
+        got = _assert_inlined_bit_identical(f, (0.1, 0.05), (0.0, 5.0), rel_tol=1e-10,
+                                            abs_tol=1e-12)
+        assert got.status == "finished"
+        ray = Crossing(1.0, 0.0, 1.0, 100.0, 0.1)
+        _assert_inlined_bit_identical(f, (0.1, 0.0), (0.0, 100.0), crossing=ray)
+    # a zero component: xdot = 0, so the orbit leaves the guard radius
+    f = compile_system(parse_system("xdot = 0; ydot = x + x^2"))
+    assert f.float_terms[0] == () and "{k}_0 = 0.0" in _inline_rhs(f.float_terms)
+    _assert_inlined_bit_identical(f, (0.3, -0.2), (0.0, 4.0))
+    got = _assert_inlined_bit_identical(f, (0.3, 0.0), (0.0, 1e9),
+                                        crossing=Crossing(1.0, 0.0, 1.0, 1.0, 0.3))
+    assert got.status == "escaped"
+
+
+def test_inlined_rhs_bit_identical_when_a_power_overflows():
+    # rx**2000 raises OverflowError on trial stages past x ~ 1.43: those
+    # steps are rejected until the step size underflows, in both loops
+    f = compile_system(parse_system("xdot = y + x^2000; ydot = x"))
+    errors = []
+    for g in (lambda x, y: f(x, y), f):
+        with pytest.raises(IntegrationError, match="step size underflow") as err:
+            integrate_adaptive(g, (1.0, 0.5), (0.0, 10.0))
+        errors.append((str(err.value), err.value.closest_approach))
+    assert errors[0] == errors[1]
+
+
+def test_inlined_loop_cached_by_source_text():
+    info = _dopri_loop.cache_info
+    # the same system, compiled again, reuses its loop
+    s = parse_system("xdot = -y + x^2*y/5; ydot = x - y^3/9")
+    return_map(s, [0.05])
+    before = info()
+    return_map(s, [0.03, 0.04])
+    assert (info().hits, info().misses) == (before.hits + 2, before.misses)
+    # coefficients that round to 0.0 and to -0.0 give equal float terms but
+    # two sources, so each system gets its own loop
+    plus, minus = (compile_system(parse_system(_INLINED_SYSTEMS[k]))
+                   for k in ("underflow-to-zero", "underflow-to-minus-zero"))
+    assert plus.float_terms == minus.float_terms
+    rhs_plus, rhs_minus = _inline_rhs(plus.float_terms), _inline_rhs(minus.float_terms)
+    assert rhs_plus != rhs_minus
+    assert _dopri_loop(2, True, rhs_plus) is not _dopri_loop(2, True, rhs_minus)
+    assert _dopri_loop(2, True, rhs_minus).__code__.co_filename == \
+        "<dopri n=2 crossing xdot = -0.0*rx3 - ry; ydot = rx>"
+    # a sweep of 40 distinct systems builds 40 loops and keeps at most the
+    # cache's small bound
+    before = info()
+    for k in range(1, 41):
+        return_map(parse_system(f"xdot = -y + {k}*x^3/41; ydot = x"), [0.05])
+    assert info().misses == before.misses + 40
+    assert info().currsize <= info().maxsize <= 16
