@@ -261,8 +261,10 @@ def cmd_qhcenter(args) -> int:
                  "verdict": verdict,
                  "condition_i": info["condition_i"].holds if "condition_i" in info else None}
         if "condition_ii" in info:
-            entry["integral"] = info["condition_ii"].value
-            entry["integral_error"] = info["condition_ii"].error
+            # JSON has no inf or nan: a non-finite float is written as null
+            res = info["condition_ii"]
+            entry["integral"] = res.value if math.isfinite(res.value) else None
+            entry["integral_error"] = res.error if math.isfinite(res.error) else None
             entry["numeric"] = True
         if "detail" in info:
             entry["detail"] = info["detail"]

@@ -22,15 +22,19 @@ is exact: a factor 1.0 is left out, and a negative coefficient becomes a
 subtraction, since rounding is sign-symmetric.
 
 The stage sums, the error norm and the step-size control are shared by two
-tails of the loop, each compiled once per loop.  The dense tail keeps
-every accepted step's stage derivatives as tuples, builds the quartic
+tails of the loop, each compiled once per loop.  The crossing tail runs the
+return map's test (guard radius, arming, sign change of the distance from
+the ray, radial side) inline after each accepted step and keeps nothing per
+step: only the segment of the crossing is built, and the crossing is
+refined by bisection on its dense output.  The dense tail keeps every
+accepted step's stage derivatives as tuples, builds the quartic
 dense-output interpolant from them only when a segment is evaluated, and
-calls a step callback.  The crossing tail runs the return map's test (guard
-radius, arming, sign change of the distance from the ray, radial side)
-inline after each accepted step and keeps nothing per step: only the
-segment of the crossing is built, and the crossing is refined by bisection
-on its dense output.  Verdicts produced here are evidence only; they never
-override an exact result.
+calls a step callback.  The package itself runs only compiled systems
+through the crossing tail; the dense tail, the step callback and the
+plain-callable loop serve the tests, as the reference runs that the
+crossing tail and the inlined right-hand side are checked against.
+Verdicts produced here are evidence only; they never override an exact
+result.
 """
 
 from __future__ import annotations
@@ -207,7 +211,8 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     """Integrate dstate/dt = f(*state) over t_span with local error control.
 
     ``step_callback(segment, y_new)`` may return a truthy value to stop the
-    integration early (used for event detection).  A step is accepted only
+    integration early (event detection in the tests' reference runs; no
+    package module passes one).  A step is accepted only
     when its error norm is at most 1, so a step with non-finite stages (or
     whose right-hand side overflows) is rejected and shrunk; if that never
     ends, the step size underflows and ``IntegrationError`` is raised.
@@ -221,12 +226,13 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     comparisons are written out in the one fixed order of the tableau's
     rows, so every state, step size and stage derivative, and every return
     map and report built from them, repeats bit for bit.  The loop has two
-    tails.  The dense tail keeps every accepted step as a segment and calls
-    ``step_callback``.  Given a ``crossing`` (a plane state only, and no
-    callback), the crossing tail runs that stop test after each accepted
-    step and keeps no per-step data: the trajectory holds the start and end
-    points and at most the one segment of the crossing, so its memory does
-    not grow with the number of steps.
+    tails.  Given a ``crossing`` (a plane state only, and no callback), the
+    crossing tail runs that stop test after each accepted step and keeps no
+    per-step data: the trajectory holds the start and end points and at
+    most the one segment of the crossing, so its memory does not grow with
+    the number of steps.  Otherwise the dense tail keeps every accepted step
+    as a segment and calls ``step_callback``; only the tests run it, and the
+    plain-callable loop, as references.
     """
     check_tolerance("rel_tol", rel_tol)
     check_tolerance("abs_tol", abs_tol)
@@ -438,7 +444,8 @@ def _dopri_loop(n: int, crossing: bool = False, rhs: Optional[str] = None) -> Ca
     components, generated and compiled on first use: with the dense tail,
     or with the crossing tail when ``crossing`` is true.
 
-    Without ``rhs`` each stage calls the loop's argument ``f``.  Given the
+    Without ``rhs`` each stage calls the loop's argument ``f``; the tests
+    keep that loop and the dense tail as references.  Given the
     source of :func:`_inline_rhs` (a plane system), each stage runs that
     source in place of the call, so a step calls no right-hand side and
     builds no stage tuple; the loop is then one system's, and its label

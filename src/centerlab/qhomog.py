@@ -16,24 +16,29 @@ agree with it (see :func:`detect_quasi_homogeneity`).
 
 Condition (i) is decided exactly: weighted homogeneity reduces it to the
 real roots of the two univariate polynomials W(1, t) and W(-1, t), counted
-by Sturm chains.  Condition (ii) samples (Cs, Sn) through one cached map per
-(p, q): exact cos/sin when p = q = 1 and otherwise the dense output of one
-tight integration of the system above.  It is the periodic trapezoid rule
-on N equally spaced nodes, which converges geometrically for an analytic
-periodic integrand (Trefethen & Weideman, SIAM Review 56, 2014); N doubles
-until two successive sums agree.
+by Sturm chains.  Condition (ii) integrates no ODE.  In weighted polar
+coordinates (Cs, Sn) = (rho^p*cos psi, rho^q*sin psi) the identity gives
+rho = (p*cos^(2q) psi + q*sin^(2p) psi)^(-1/(2pq)), and along the flow
+
+    p*z*w' - q*w*z' = 1 = rho^(p+q) * (p*cos^2 psi + q*sin^2 psi) * psi',
+
+so the period integral is the integral over psi in [0, 2pi) of F/G times
+dtheta/dpsi = rho^(p+q) * (p*cos^2 psi + q*sin^2 psi), in closed form (see
+:func:`pq_node`).  That integrand is periodic and analytic, so the periodic
+trapezoid rule on N equally spaced nodes converges geometrically
+(Trefethen & Weideman, SIAM Review 56, 2014); N doubles until two
+successive sums agree.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .mpoly import MPoly
-from .numeric import Trajectory, compile_system, integrate_adaptive, _refine_crossing
+from .numeric import compile_system
 from .realroots import real_root_count, univariate_gcd
 from .systems import PlaneSystem
 
@@ -96,73 +101,17 @@ def detect_quasi_homogeneity(s: PlaneSystem) -> Optional[QHSignature]:
 # -- generalized trigonometric functions ---------------------------------------
 
 
-def pq_period(p: int, q: int) -> float:
-    """Period of the (p,q)-trigonometric functions via the Gamma-function
-    formula."""
-    a = 1 / (2 * p)
-    b = 1 / (2 * q)
-    return (2 * p ** (-b) * q ** (-a)
-            * math.gamma(a) * math.gamma(b) / math.gamma(a + b))
-
-
-@dataclass
-class PQCircle:
-    """One period of (Cs, Sn) with dense output: (Cs, Sn)(t) is
-    ``trajectory(t % tau)``."""
-
-    p: int
-    q: int
-    tau: float
-    trajectory: Trajectory
-
-
-def _pq_rhs(p: int, q: int):
-    e1 = 2 * p - 1
-    e2 = 2 * q - 1
-
-    def f(z, w):
-        return (-(w ** e1), z ** e2)
-
-    return f
-
-
-# the tolerance of the (Cs, Sn) integration that the center conditions sample
-CIRCLE_REL_TOL = 1e-12
-
-
-def pq_circle(p: int, q: int, rel_tol: float = CIRCLE_REL_TOL, abs_tol: float = 1e-14) -> PQCircle:
-    """Integrate the defining system over one full period (the period itself
-    is located by the return of (Cs, Sn) to the initial point)."""
-    f = _pq_rhs(p, q)
-    z0 = p ** (-1 / (2 * q))
-    tau_formula = pq_period(p, q)
-    hit = {}
-
-    def callback(seg, y_new):
-        # return of w to 0 from below with z > 0, past half a period
-        t_new = seg.t0 + seg.h
-        if t_new < 0.5 * tau_formula:
-            return False
-        if seg.y0[1] < 0 <= y_new[1] and y_new[0] > 0:
-            tc, yc = _refine_crossing(seg, lambda st: st[1])
-            hit["t"] = tc
-            return True
-        return False
-
-    traj = integrate_adaptive(f, (z0, 0.0), (0.0, 2.5 * tau_formula),
-                              rel_tol=rel_tol, abs_tol=abs_tol, step_callback=callback)
-    return PQCircle(p, q, hit.get("t", tau_formula), traj)
-
-
-@functools.lru_cache(maxsize=16)
-def pq_sampler(p: int, q: int) -> Tuple[float, Callable[[float], Tuple[float, float]]]:
-    """``(tau, at)`` for the weights (p, q): the period and the map t ->
-    (Cs(t), Sn(t)) on [0, tau).  cos/sin when p = q = 1, otherwise the dense
-    output of one :func:`pq_circle` run, shared by every caller in the
-    process."""
+def pq_node(p: int, q: int, psi: float) -> Tuple[float, float, float]:
+    """``(z, w, dtheta/dpsi)`` at the weighted polar angle ``psi``: the point
+    (Cs, Sn) = (rho^p*cos psi, rho^q*sin psi) of the curve
+    p*z^(2q) + q*w^(2p) = 1 and the derivative of the period variable theta
+    along it.  Exactly (cos psi, sin psi, 1.0) when p = q = 1."""
+    c = math.cos(psi)
+    s = math.sin(psi)
     if p == q == 1:
-        return 2 * math.pi, lambda t: (math.cos(t), math.sin(t))
-    return pq_period(p, q), pq_circle(p, q).trajectory
+        return c, s, 1.0
+    rho = (p * c ** (2 * q) + q * s ** (2 * p)) ** (-1 / (2 * p * q))
+    return rho ** p * c, rho ** q * s, rho ** (p + q) * (p * c * c + q * s * s)
 
 
 # -- center conditions ----------------------------------------------------------
@@ -220,9 +169,12 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature) -> ConditionIV
 
 @dataclass
 class ConditionIIResult:
+    """The period integral by the trapezoid rule in psi: its value, an error
+    estimate from the halving difference and the tolerance, and how the
+    node doubling ended."""
+
     value: float
     error: float
-    period: float
     nodes: int            # trapezoid nodes of the returned value
     difference: float     # |I_nodes - I_(nodes/2)|
     converged: bool       # difference <= rel_tol * trapezoid sum of |F/G|
@@ -249,34 +201,34 @@ def condition_ii_integral(s: PlaneSystem, sig: QHSignature,
 def _period_integral(s: PlaneSystem, sig: QHSignature,
                      rel_tol: float = 1e-12) -> ConditionIIResult:
     """The integral of :func:`condition_ii_integral`, for a system whose
-    condition (i) is already known to hold, by the periodic trapezoid rule.
+    condition (i) is already known to hold, by the periodic trapezoid rule
+    in the weighted polar angle psi, on the nodes 2*pi*k/n of
+    :func:`pq_node`, each F/G weighted by dtheta/dpsi.
 
-    The node count doubles from ``MIN_NODES`` (each doubling evaluates F/G
-    at the new odd nodes only) until the halving difference is at most
-    ``rel_tol`` times the trapezoid sum of |F/G|, or until ``MAX_NODES``,
-    where the result is returned with ``converged`` false.  ``error`` is the
-    halving difference plus ``10*rel_tol*|I|``, plus, when p != q,
-    ``CIRCLE_REL_TOL`` times the integral of |F/G| for the error of the
-    integrated (Cs, Sn)."""
+    The node count doubles from ``MIN_NODES`` (each doubling evaluates the
+    integrand at the new odd nodes only) until the halving difference is at
+    most ``rel_tol`` times the trapezoid sum of its magnitude, or until
+    ``MAX_NODES``, where the result is returned with ``converged`` false.
+    ``error`` is the halving difference plus ``10*rel_tol*|I|``.  A
+    non-finite sum ends the doubling unconverged, with a non-finite value
+    or error."""
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
     fPQ = compile_system(s)
     p, q = sig.p, sig.q
     e1 = 2 * p - 1
     e2 = 2 * q - 1
-    tau, at = pq_sampler(p, q)
-    node_tol = 0.0 if p == q == 1 else CIRCLE_REL_TOL
+    tau = 2 * math.pi
 
     def sums(n, first, step):
-        # F/G at the nodes tau*k/n, k = first, first + step, ... < n
+        # the integrand at the nodes tau*k/n, k = first, first + step, ... < n
         total = size = 0.0
         for k in range(first, n, step):
-            z, w = at(tau * k / n)
+            z, w, dtheta = pq_node(p, q, tau * k / n)
             P, Q = fPQ(z, w)
             G = p * z * Q - q * w * P
-            # G rounding to 0 at a node makes the sums non-finite, which
-            # ends the doubling unconverged
-            v = (z ** e2 * P + w ** e1 * Q) / G if G else math.inf
+            # G rounding to 0 at a node makes the sums non-finite
+            v = (z ** e2 * P + w ** e1 * Q) / G * dtheta if G else math.inf
             total += v
             size += abs(v)
         return total, size
@@ -292,11 +244,10 @@ def _period_integral(s: PlaneSystem, sig: QHSignature,
         new = tau * total / n
         diff = abs(new - value)
         value = new
-        mass = tau * size / n
-        converged = diff <= rel_tol * mass
+        converged = diff <= rel_tol * (tau * size / n)
         if converged or n >= MAX_NODES or not math.isfinite(diff):
-            err = diff + abs(value) * rel_tol * 10 + node_tol * mass + 1e-15
-            return ConditionIIResult(value, err, tau, n, diff, converged)
+            err = diff + abs(value) * rel_tol * 10 + 1e-15
+            return ConditionIIResult(value, err, n, diff, converged)
 
 
 def classify_qh_center(s: PlaneSystem, sig: QHSignature) -> Tuple[str, dict]:
@@ -308,7 +259,8 @@ def classify_qh_center(s: PlaneSystem, sig: QHSignature) -> Tuple[str, dict]:
     still show a focus, since its error estimate carries the halving
     difference, but never a center: below the threshold it gives undecided.
     Either way an unconverged quadrature leaves a ``detail`` naming its node
-    count and halving difference."""
+    count and halving difference.  A non-finite value or error shows
+    nothing: it gives undecided, with a ``detail`` naming the cause."""
     info: dict = {}
     verdict_i = condition_i_no_real_factors(s, sig)
     info["condition_i"] = verdict_i
@@ -316,6 +268,10 @@ def classify_qh_center(s: PlaneSystem, sig: QHSignature) -> Tuple[str, dict]:
         return "undecided", info
     res = _period_integral(s, sig)
     info["condition_ii"] = res
+    if not (math.isfinite(res.value) and math.isfinite(res.error)):
+        info["detail"] = (f"period integral not finite (value {res.value}, error "
+                          f"{res.error}): F/G overflows or G rounds to 0 at a node")
+        return "undecided", info
     threshold = max(1e-8, 1e3 * res.error)
     info["threshold"] = threshold
     if not res.converged:

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from centerlab.mpoly import MPoly, Rat
+from centerlab.numeric import _refine_crossing, integrate_adaptive
 from centerlab.parser import parse_expression, parse_polynomial
-from centerlab.qhomog import pq_circle
 from centerlab.systems import parse_system
 
 # benchmark families used across the suite
@@ -49,10 +50,44 @@ HOMOLOGICAL_LINEAR_PARTS = (
 )
 
 
+def pq_period(p, q):
+    """Period of the (p,q)-trigonometric functions by the Gamma-function
+    formula."""
+    a = 1 / (2 * p)
+    b = 1 / (2 * q)
+    return (2 * p ** (-b) * q ** (-a)
+            * math.gamma(a) * math.gamma(b) / math.gamma(a + b))
+
+
+def integrated_circle(p, q, rel_tol=1e-12):
+    """``(tau, trajectory)``: one period of (Cs, Sn), the solution of
+    z' = -w^(2p-1), w' = z^(2q-1) from (p^(-1/(2q)), 0), integrated with
+    dense output; ``tau`` is its measured return time to the start."""
+    e1 = 2 * p - 1
+    e2 = 2 * q - 1
+    tau_formula = pq_period(p, q)
+    hit = {}
+
+    def callback(seg, y_new):
+        # return of w to 0 from below with z > 0, past half a period
+        if seg.t0 + seg.h < 0.5 * tau_formula:
+            return False
+        if seg.y0[1] < 0 <= y_new[1] and y_new[0] > 0:
+            hit["t"], _ = _refine_crossing(seg, lambda st: st[1])
+            return True
+        return False
+
+    traj = integrate_adaptive(lambda z, w: (-(w ** e1), z ** e2), (p ** (-1 / (2 * q)), 0.0),
+                              (0.0, 2.5 * tau_formula), rel_tol=rel_tol, abs_tol=1e-14,
+                              step_callback=callback)
+    assert "t" in hit, "integration did not close the period"
+    return hit["t"], traj
+
+
 def measured_period(p, q, rel_tol=1e-12):
     """Return time of (Cs, Sn) to the initial point, measured by adaptive
     integration (the oracle for the Gamma-function period formula)."""
-    return pq_circle(p, q, rel_tol=rel_tol).tau
+    return integrated_circle(p, q, rel_tol)[0]
 
 
 def sysfrom(text):

@@ -5,6 +5,7 @@ lines; plain ``pytest`` reports the same information through test outcomes.
 """
 
 import cmath
+import math
 import random
 import time
 
@@ -24,8 +25,7 @@ from centerlab.qhomog import (
     QHSignature,
     condition_ii_integral,
     detect_quasi_homogeneity,
-    pq_circle,
-    pq_period,
+    pq_node,
 )
 from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum
 from centerlab.structure import (
@@ -57,6 +57,7 @@ from conftest import (
     NIL_SEXTIC_EPS,
     measured_period,
     poly,
+    pq_period,
     random_poly,
     rf,
 )
@@ -302,10 +303,8 @@ def test_criterion_5_quasi_homogeneous():
     sig2 = detect_quasi_homogeneity(parse_system(HOMOG_CUBIC))
     checks.append(("5a detect (1,1,3)", sig2 == QHSignature(1, 1, 3)))
 
-    circle = pq_circle(2, 3)
-    ths = [k * circle.tau / 400 for k in range(400)]
-    ident = max(abs(2 * cs ** 6 + 3 * sn ** 4 - 1)
-                for cs, sn in map(circle.trajectory, ths))
+    nodes = [pq_node(2, 3, 2 * math.pi * k / 400) for k in range(400)]
+    ident = max(abs(2 * cs ** 6 + 3 * sn ** 4 - 1) for cs, sn, _ in nodes)
     checks.append((f"5b trig identity residual {ident:.2e} <= 1e-10", ident <= 1e-10))
 
     for p, q in ((1, 1), (1, 2), (2, 3)):

@@ -408,6 +408,19 @@ def test_qhcenter_unconverged_quadrature_shows_detail(sysfile, capsys):
                                       "halving difference ")
 
 
+def test_qhcenter_non_finite_integral_is_undecided_and_valid_json(sysfile, capsys):
+    # Q's coefficient underflows to 0.0, so G vanishes at a node and the sum
+    # is infinite: no verdict, and no Infinity or NaN in the report
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rc = main(["qhcenter", sysfile("xdot = -y^101; ydot = x^101/10^400"), "--no-timings"])
+    assert rc == 0
+    entry = json.loads(capsys.readouterr().out, parse_constant=refuse)["qhomog"]
+    assert (entry["verdict"], entry["integral"], entry["integral_error"]) == ("undecided", None, None)
+    assert entry["detail"].startswith("period integral not finite (value inf, error nan): ")
+
+
 @pytest.mark.parametrize("command", ["returnmap", "classify"])
 def test_exit_code_coefficient_too_large_for_a_float(sysfile, capsys, command):
     # float(10^400) overflows: unusable input that names the coefficient,

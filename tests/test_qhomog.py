@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from centerlab import qhomog
+from centerlab import numeric, qhomog
 from centerlab.mpoly import MPoly, Rat
 from centerlab.numeric import _refine_crossing, compile_system, integrate_adaptive
 from centerlab.qhomog import (
@@ -13,13 +13,20 @@ from centerlab.qhomog import (
     condition_i_no_real_factors,
     condition_ii_integral,
     detect_quasi_homogeneity,
-    pq_circle,
-    pq_period,
+    pq_node,
     qh_signature,
 )
 from centerlab.systems import PlaneSystem, parse_system, substitute
 
-from conftest import HAM_QH, HAM_QH_EPS, HOMOG_CUBIC, measured_period, poly
+from conftest import (
+    HAM_QH,
+    HAM_QH_EPS,
+    HOMOG_CUBIC,
+    integrated_circle,
+    measured_period,
+    poly,
+    pq_period,
+)
 
 SIG11 = QHSignature(1, 1, 3)
 SIG238 = QHSignature(2, 3, 8)
@@ -184,25 +191,64 @@ def test_detection_matches_coprime_search_on_sample_and_bench_systems():
 
 
 def test_classical_case_matches_cos_sin():
-    circle = pq_circle(1, 1)
+    # exactly, so that every p = q = 1 sum keeps its floats
     for th in (0.0, 0.3, 1.0, 2.5, 5.0):
-        cs, sn = circle.trajectory(th % circle.tau)
-        assert abs(cs - math.cos(th)) < 1e-10
-        assert abs(sn - math.sin(th)) < 1e-10
+        assert pq_node(1, 1, th) == (math.cos(th), math.sin(th), 1.0)
 
 
 def test_initial_condition():
-    for p, q in ((1, 1), (2, 3), (3, 2), (1, 2)):
-        cs, sn = pq_circle(p, q).trajectory(0.0)
+    for p, q in ((1, 1), (2, 3), (3, 2), (1, 2), (1, 9)):
+        cs, sn, _ = pq_node(p, q, 0.0)
         assert abs(cs - p ** (-1 / (2 * q))) < 1e-14
         assert sn == 0.0
 
 
 def test_identity_along_circle():
-    circle = pq_circle(2, 3)
-    ths = [k * circle.tau / 500 for k in range(500)]
-    assert max(abs(2 * cs ** 6 + 3 * sn ** 4 - 1)
-               for cs, sn in map(circle.trajectory, ths)) <= 1e-10
+    for p, q in ((2, 3), (3, 2), (1, 2), (1, 9)):
+        nodes = [pq_node(p, q, 2 * math.pi * k / 500) for k in range(500)]
+        assert max(abs(p * cs ** (2 * q) + q * sn ** (2 * p) - 1)
+                   for cs, sn, _ in nodes) <= 1e-14
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 2), (1, 9)])
+def test_node_map_solves_the_defining_system(p, q):
+    # (z(psi), w(psi)) runs along z' = -w^(2p-1), w' = z^(2q-1) at the speed
+    # dtheta/dpsi, and on the curve p*z^(2q) + q*w^(2p) = 1; the formulas are
+    # those of pq_node, whose floats they give at sample angles
+    sympy = pytest.importorskip("sympy")
+    psi = sympy.Symbol("psi", real=True)
+    c, s = sympy.cos(psi), sympy.sin(psi)
+    rho = (p * c ** (2 * q) + q * s ** (2 * p)) ** sympy.Rational(-1, 2 * p * q)
+    z, w, dtheta = rho ** p * c, rho ** q * s, rho ** (p + q) * (p * c ** 2 + q * s ** 2)
+    for residual in (sympy.diff(z, psi) + w ** (2 * p - 1) * dtheta,
+                     sympy.diff(w, psi) - z ** (2 * q - 1) * dtheta,
+                     p * z ** (2 * q) + q * w ** (2 * p) - 1):
+        assert sympy.simplify(residual) == 0
+    for angle in (0.0, 0.7, 2.0, 4.5):
+        exact = [float(e.subs(psi, angle).evalf(30)) for e in (z, w, dtheta)]
+        assert all(abs(a - b) <= 1e-15 * max(1.0, abs(b))
+                   for a, b in zip(pq_node(p, q, angle), exact))
+
+
+def test_node_map_matches_integrated_circle():
+    # psi and the period variable theta are tied by theta(psi) = integral of
+    # dtheta/dpsi: the node at psi is the integrated (Cs, Sn) at theta(psi)
+    mpmath = pytest.importorskip("mpmath")
+    p, q = 2, 3
+    tau, trajectory = integrated_circle(p, q)
+    for psi in (0.4, 1.3, 2.9, 4.0, 5.8):
+        theta = float(mpmath.quad(lambda t: pq_node(p, q, float(t))[2], [0, psi]))
+        cs, sn = trajectory(theta)
+        z, w, _ = pq_node(p, q, psi)
+        assert abs(z - cs) <= 1e-10 and abs(w - sn) <= 1e-10
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 2), (1, 9)])
+def test_trapezoid_sum_of_the_weight_is_the_period(p, q):
+    # the integral of dtheta/dpsi over one turn of psi is one period of theta
+    for n in (128, 256, 512):
+        total = math.fsum(pq_node(p, q, 2 * math.pi * k / n)[2] for k in range(n))
+        assert abs(2 * math.pi * total / n - pq_period(p, q)) <= 1e-14
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 2)])
@@ -385,13 +431,62 @@ def test_trapezoid_matches_double_dopri_reference(s, sig):
     parse_system("xdot = -y^3 + x^3*y; ydot = x^5"),
 ], ids=["ham-qh", "ham-qh-eps", "reversible"])
 def test_condition_ii_error_bounds_p_ne_q_centers(s):
-    # Hamiltonian or reversible, so the integral is exactly 0; the error of
-    # the integrated (Cs, Sn) dominates the halving difference and must be
-    # carried by the estimate (HAM_QH_EPS at eps = 1 is not
-    # (2,3)-quasi-homogeneous, so condition (i) would refuse it)
+    # Hamiltonian or reversible, so the integral is exactly 0, and the
+    # estimate must carry what rounding leaves of it (HAM_QH_EPS at eps = 1
+    # is not (2,3)-quasi-homogeneous, so condition (i) would refuse it)
     r = qhomog._period_integral(s, SIG238)
-    assert r.converged and r.difference < 1e-13
-    assert abs(r.value) <= r.error <= 1e-11
+    assert r.converged and r.difference < 1e-15
+    assert abs(r.value) <= r.error <= 1e-14
+
+
+def _mpmath_period_integral(mpmath, s, sig):
+    """The integral of F/G * dtheta/dpsi over psi in [0, 2pi), by tanh-sinh
+    quadrature at 30 digits on the exact coefficients of the system."""
+    p, q = sig.p, sig.q
+
+    def evaluator(poly):
+        terms = [(dict(zip(poly.vars, e)), mpmath.mpf(c.numerator) / c.denominator)
+                 for e, c in poly.sorted_terms()]
+        return lambda z, w: mpmath.fsum(c * z ** e.get("x", 0) * w ** e.get("y", 0)
+                                        for e, c in terms)
+
+    fP, fQ = evaluator(s.P), evaluator(s.Q)
+
+    def integrand(psi):
+        c, sn = mpmath.cos(psi), mpmath.sin(psi)
+        rho = (p * c ** (2 * q) + q * sn ** (2 * p)) ** (mpmath.mpf(-1) / (2 * p * q))
+        z, w = rho ** p * c, rho ** q * sn
+        P, Q = fP(z, w), fQ(z, w)
+        F = z ** (2 * q - 1) * P + w ** (2 * p - 1) * Q
+        G = p * z * Q - q * w * P
+        return F / G * rho ** (p + q) * (p * c ** 2 + q * sn ** 2)
+
+    with mpmath.workdps(30):
+        value, error = mpmath.quad(integrand, mpmath.linspace(0, 2 * mpmath.pi, 17),
+                                   error=True)
+        assert error < mpmath.mpf(10) ** -25
+        return value
+
+
+@pytest.mark.parametrize("text,sig,reference", [
+    ("xdot = -y + x^3; ydot = x^5 + x^2*y", QHSignature(1, 3, 3), 2.961921958772244),
+    ("xdot = y + 1/10*x^9; ydot = -x^17", QHSignature(1, 9, 9), -0.1059181130034966832),
+    ("xdot = y + 1/10*x^9; ydot = -x^17 + 1/3*x^8*y", QHSignature(1, 9, 9),
+     -0.1441491771714737668),
+    ("xdot = -y^3 + 1/2*x^3*y; ydot = x^5 + 1/2*x^2*y^2", SIG238, 0.0),
+], ids=["1-3-focus", "1-9-focus", "1-9-focus-xy", "2-3-reversible"])
+def test_condition_ii_matches_mpmath_p_ne_q(text, sig, reference):
+    # every (2,3) system of weight degree 8 is odd in y in P and even in Q,
+    # hence reversible: the (2,3) case is a center that is not Hamiltonian
+    mpmath = pytest.importorskip("mpmath")
+    s = parse_system(text)
+    verdict, info = classify_qh_center(s, sig)
+    r = info["condition_ii"]
+    ref = _mpmath_period_integral(mpmath, s, sig)
+    assert abs(float(ref) - reference) <= 1e-15 * max(1.0, abs(reference))
+    assert r.converged
+    assert abs(r.value - float(ref)) <= r.error
+    assert verdict == ("center" if reference == 0.0 else "focus")
 
 
 def test_condition_ii_weighted_hamiltonian_zero():
@@ -497,35 +592,33 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_sweep_integrates_the_circle_once(monkeypatch):
+def test_condition_ii_integrates_no_ode(monkeypatch):
     # (2,3)-quasi-homogeneous of weight degree 8 with a weighted form
-    # 2x^6 - c*x^3*y^2 + 3y^4; condition (i) is exact and samples nothing,
-    # condition (ii) samples the circle
+    # 2x^6 - c*x^3*y^2 + 3y^4; condition (i) is exact, and condition (ii)
+    # reads its nodes from the closed form at any weights
     family = parse_system("xdot = -y^3 + c*x^3*y; ydot = x^5 + c*x^2*y^2")
-    qhomog.pq_sampler.cache_clear()
-    circles = _count_calls(monkeypatch, qhomog, "pq_circle")
-    integrations = _count_calls(monkeypatch, qhomog, "integrate_adaptive")
+    integrations = _count_calls(monkeypatch, numeric, "integrate_adaptive")
+    loops = _count_calls(monkeypatch, numeric, "_dopri_loop")
     for k in range(1, 5):
         s = substitute(family, {"c": Rat(k, 8)})
         verdict, info = classify_qh_center(s, SIG238)
         assert info["condition_i"].holds and info["condition_ii"].converged
-    assert len(circles) == len(integrations) == 1
-    # at p = q = 1 the nodes are cos and sin: no integration at all
     for k in range(17):
         classify_qh_center(_cubic(1, Rat(k, 8)), SIG11)
-    assert len(circles) == len(integrations) == 1
+    assert integrations == loops == []
 
 
-def test_sampler_matches_circle():
-    tau, at = qhomog.pq_sampler(2, 3)
-    assert qhomog.pq_sampler(2, 3)[1] is at
-    assert tau == pq_period(2, 3)
-    circle = pq_circle(2, 3)
-    for k in range(16):
-        t = tau * k / 16
-        assert at(t) == circle.trajectory(t % circle.tau)
-    tau, at = qhomog.pq_sampler(1, 1)
-    assert tau == 2 * math.pi and at(1.0) == (math.cos(1.0), math.sin(1.0))
+def test_non_finite_integral_is_undecided():
+    # divergence-free, so a Hamiltonian center; Q's coefficient underflows
+    # to 0.0 and G vanishes at psi = 0, which makes the sum infinite
+    s = parse_system("xdot = -y^101; ydot = x^101/10^400")
+    sig = detect_quasi_homogeneity(s)
+    verdict, info = classify_qh_center(s, sig)
+    r = info["condition_ii"]
+    assert not math.isfinite(r.value) and not r.converged
+    assert verdict == "undecided"
+    assert info["detail"] == (f"period integral not finite (value {r.value}, error {r.error}): "
+                              "F/G overflows or G rounds to 0 at a node")
 
 
 def test_classify_condition_i_failure_undecided():
