@@ -279,6 +279,8 @@ def cmd_qhcenter(args) -> int:
                       for part, v in zip(("start", "end", "step"), bounds))
         if step <= 0:
             raise ParseError(f"--sweep step must be positive, got {step}")
+        if a > b:
+            raise ParseError(f"--sweep start {a} is above its end {b}")
         points = []
         v = a
         while v <= b:

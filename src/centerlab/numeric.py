@@ -2,45 +2,34 @@
 
 The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6, 1980) with an I step-size controller.  It runs on
-plain Python floats, because on two or three components array overhead
-would cost far more than the right-hand side.  The stepping loop is Python
-source generated from the tableau's nonzero entries and compiled on first
-use: each component is a scalar local and every stage sum and the error sum
-are written out term by term.  The order of those float operations is fixed
-(it is that of the tableau's rows, left to right), so a run repeats bit for
-bit and the loop gives the same states and step sizes as one over tuples
-and lists.
+plain Python floats, because on a plane state array overhead would cost far
+more than the right-hand side.  The stepping loop is Python source generated
+from the tableau's nonzero entries and compiled on first use, one loop per
+system compiled by :func:`compile_system`: both components are scalar
+locals, every stage sum and the error sum are written out term by term, and
+the system's right-hand side is written into each stage, so a stage calls
+no function, builds no tuple and computes each power of x and y once.  The
+order of the float operations is fixed (that of the tableau's rows, left to
+right, and of the system's terms), so a run repeats bit for bit.  The
+inlined right-hand side gives the floats that the compiled function
+returns: its sums keep that function's terms and factors in order and
+differ only where IEEE arithmetic is exact (a factor 1.0 is left out, and a
+negative coefficient becomes a subtraction, since rounding is
+sign-symmetric).
 
-A plain callable right-hand side gets one loop per number of state
-components, which calls it at each stage.  A plane system compiled by
-:func:`compile_system` carries its float terms, and gets a loop of its own
-with that right-hand side written into each stage: no call and no stage
-tuple per stage, and each power of x and y computed once per stage.  Those
-floats equal the compiled function's bit for bit, because the inlined sums
-keep its terms and factors in order and differ only where IEEE arithmetic
-is exact: a factor 1.0 is left out, and a negative coefficient becomes a
-subtraction, since rounding is sign-symmetric.
-
-The stage sums, the error norm and the step-size control are shared by two
-tails of the loop, each compiled once per loop.  The crossing tail runs the
-return map's test (guard radius, arming, sign change of the distance from
-the ray, radial side) inline after each accepted step and keeps nothing per
-step: only the segment of the crossing is built, and the crossing is
-refined by bisection on its dense output.  The dense tail keeps every
-accepted step's stage derivatives as tuples, builds the quartic
-dense-output interpolant from them only when a segment is evaluated, and
-calls a step callback.  The package itself runs only compiled systems
-through the crossing tail; the dense tail, the step callback and the
-plain-callable loop serve the tests, as the reference runs that the
-crossing tail and the inlined right-hand side are checked against.
-Verdicts produced here are evidence only; they never override an exact
-result.
+After each accepted step the loop runs the return map's test (guard radius,
+arming, sign change of the distance from the ray, radial side) and keeps
+nothing per step: only the segment of the crossing is built, and the
+crossing is refined by bisection on its dense output.  So a return map's
+memory does not grow with its number of steps.  Verdicts produced here are
+evidence only; they never override an exact result.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -61,6 +50,10 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+
+# A return map integrates towards this time and reports an orbit that gets
+# there without crossing its ray.
+HORIZON = 1e9
 
 
 class IntegrationError(RuntimeError):
@@ -142,13 +135,11 @@ class DenseSegment:
 
 @dataclass
 class Trajectory:
-    """An integration's kept points and segments, its counts and how it
-    ended.  With the dense tail every accepted step is kept; with the
-    crossing tail only the start and end points, and the one segment in
-    which the crossing was found, with ``crossing`` its refined (t, state).
-    ``status`` is "finished", "max_steps", "event" (stopped by the step
-    callback or at a crossing) or "escaped" (left a crossing's guard
-    radius)."""
+    """How an integration ended: its start and end points, its counts, and
+    at a crossing the one segment in which it was found (``segments``) with
+    ``crossing`` its refined (t, state).  ``status`` is "finished" (reached
+    the end of the span), "max_steps", "event" (stopped at a crossing) or
+    "escaped" (left the crossing's guard radius)."""
 
     t: List[float]
     y: List[State]
@@ -157,22 +148,7 @@ class Trajectory:
     nfev: int
     steps: int
     closest_approach: float
-    crossing: Optional[Tuple[float, State]] = None
-
-    def __call__(self, t: float) -> State:
-        segs = self.segments
-        if not segs:
-            return self.y[0]
-        # the first segment whose end is not before t in the direction of time
-        sign = 1.0 if segs[0].h > 0 else -1.0
-        lo, hi = 0, len(segs) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (segs[mid].t0 + segs[mid].h - t) * sign < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return segs[lo].eval(t)
+    crossing: Optional[Tuple[float, State]]
 
 
 class Crossing(NamedTuple):
@@ -204,40 +180,27 @@ def check_tolerance(name: str, value: float) -> None:
 
 
 def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float, float],
-                       rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-                       max_steps: int = 1_000_000,
-                       step_callback: Optional[Callable] = None,
-                       crossing: Optional[Crossing] = None) -> Trajectory:
-    """Integrate dstate/dt = f(*state) over t_span with local error control.
+                       crossing: Crossing, rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+                       max_steps: int = 1_000_000) -> Trajectory:
+    """Integrate the plane system ``f`` from :func:`compile_system` over
+    t_span with local error control, stopping at ``crossing``.
 
-    ``step_callback(segment, y_new)`` may return a truthy value to stop the
-    integration early (event detection in the tests' reference runs; no
-    package module passes one).  A step is accepted only
-    when its error norm is at most 1, so a step with non-finite stages (or
-    whose right-hand side overflows) is rejected and shrunk; if that never
-    ends, the step size underflows and ``IntegrationError`` is raised.
-
-    The steps run in the loop that :func:`_dopri_loop` generates: for a
-    function from :func:`compile_system` (it carries ``float_terms``), one
-    with that system's right-hand side written into each stage, and
-    otherwise one per number of state components that calls ``f``.  The
-    inlined right-hand side gives the floats that ``f`` returns, bit for
-    bit (see :func:`_inline_rhs`).  The stage sums, error sum and
-    comparisons are written out in the one fixed order of the tableau's
-    rows, so every state, step size and stage derivative, and every return
-    map and report built from them, repeats bit for bit.  The loop has two
-    tails.  Given a ``crossing`` (a plane state only, and no callback), the
-    crossing tail runs that stop test after each accepted step and keeps no
-    per-step data: the trajectory holds the start and end points and at
-    most the one segment of the crossing, so its memory does not grow with
-    the number of steps.  Otherwise the dense tail keeps every accepted step
-    as a segment and calls ``step_callback``; only the tests run it, and the
-    plain-callable loop, as references.
+    The steps run in the loop that :func:`_dopri_loop` generates for the
+    float terms that ``f`` carries; a function without them is refused with
+    ValueError.  ``f`` itself is called once, for the first stage of the
+    first step.  A step is accepted only when its error norm is at most 1,
+    so a step with non-finite stages (or whose right-hand side overflows) is
+    rejected and shrunk; if that never ends, the step size underflows and
+    ``IntegrationError`` is raised.  After each accepted step the loop runs
+    the stop test of ``crossing`` and keeps no per-step data: the trajectory
+    holds the start and end points and at most the one segment of the
+    crossing, so its memory does not grow with the number of steps.
     """
     check_tolerance("rel_tol", rel_tol)
     check_tolerance("abs_tol", abs_tol)
-    if crossing is not None and (step_callback is not None or len(state0) != 2):
-        raise ValueError("a crossing needs a plane state and no step callback")
+    terms = getattr(f, "float_terms", None)
+    if terms is None:
+        raise ValueError("the right-hand side must come from compile_system")
     t0, t1 = t_span
     direction = 1.0 if t1 >= t0 else -1.0
     y = tuple([float(v) for v in state0])
@@ -253,11 +216,8 @@ def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float
     d1 = max([abs(v) / s for v, s in zip(fy, scale)])
     h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
     h = direction * min(h, abs(t1 - t0))
-    terms = getattr(f, "float_terms", None)
-    loop = _dopri_loop(len(y), crossing is not None,
-                       None if terms is None else _inline_rhs(terms))
-    return loop(f, t0, t1, direction, y, fy, h, closest, rel_tol, abs_tol, max_steps,
-                step_callback if crossing is None else crossing)
+    loop = _dopri_loop(_inline_rhs(terms))
+    return loop(t0, t1, direction, y, fy, h, closest, rel_tol, abs_tol, max_steps, crossing)
 
 
 # Dormand-Prince RK5(4) tableau as (j, numerator, denominator) of its nonzero
@@ -275,15 +235,27 @@ _STAGES = (
 _ERROR = ((1, 71, 57600), (3, -71, 16695), (4, 71, 1920), (5, -17253, 339200),
           (6, 22, 525), (7, -1, 40))
 
-# The loop is one template with two tails.  Both share the stage sums, the
-# error norm, the rejection of a step and the step-size control; they differ
-# in what an accepted step keeps and in how the loop stops.
+# The stepping loop.  ``event`` is a Crossing.  An accepted step keeps
+# nothing; g = -cy*y_0 + cx*y_1 is the signed distance from the ray's line,
+# carried from one step to the next.  The loop stops when the orbit leaves
+# the guard radius, or at the first step after arming in which g changes
+# sign towards want_sign on the ray's side and the refined crossing is on
+# that side too: only that step's segment is built and kept.
 _LOOP = """\
-def dopri_loop(f, t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
+def dopri_loop(t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
                max_steps, event):
-    {y_} = y
-    {k1_} = k1
-{prologue}
+    y_0, y_1 = y
+    k1_0, k1_1 = k1
+    t_start = t
+    segments = []
+    crossing = None
+    cx = event.cx
+    cy = event.cy
+    want_sign = event.want_sign
+    guard_radius = event.guard_radius
+    arm_tol = 1e3 * abs_tol + 1e-12 * abs(event.x0)
+    g_old = -cy * y_0 + cx * y_1
+    armed = False
     nfev = 1
     steps = 0
     status = "finished"
@@ -308,59 +280,17 @@ def dopri_loop(f, t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
             err = inf
         else:
             # RMS norm of the embedded error estimate, scaled per component
-{error}
+            u = abs(y_0)
+            v = abs(yn_0)
+            r_0 = h * ({error_0}) / (abs_tol + rel_tol * (v if v > u else u))
+            u = abs(y_1)
+            v = abs(yn_1)
+            r_1 = h * ({error_1}) / (abs_tol + rel_tol * (v if v > u else u))
+            err = sqrt((r_0 * r_0 + r_1 * r_1) / 2)
         if not err <= 1.0:  # also rejects a NaN error
             factor = 0.9 * err ** (-0.2)
             h *= factor if factor > 0.2 else 0.2
             continue
-{tail}
-        factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
-        factor = factor if factor > 0.2 else 0.2
-        h *= factor if factor < 10.0 else 10.0
-    return Trajectory({result})
-"""
-
-# dense tail: every accepted step is kept as a segment and shown to the
-# step callback (``event``), which may stop the loop
-_DENSE_PROLOGUE = """\
-    ts = [t]
-    ys = [y]
-    segments = []"""
-_DENSE_TAIL = """\
-        seg = DenseSegment(t, h, y, {ks})
-        segments.append(seg)
-        steps += 1
-        t += h
-        y = ({yn_})
-        {y_} = y
-        {carry}
-        ts.append(t)
-        ys.append(y)
-        r = hypot(y_0, y_1)
-        closest = r if r < closest else closest
-        if event is not None and event(seg, y):
-            status = "event"
-            break"""
-_DENSE_RESULT = "ts, ys, segments, status, nfev, steps, closest"
-
-# crossing tail: ``event`` is a Crossing.  An accepted step keeps nothing;
-# g = -cy*y_0 + cx*y_1 is the signed distance from the ray's line, carried
-# from one step to the next.  The loop stops when the orbit leaves the
-# guard radius, or at the first step after arming in which g changes sign
-# towards want_sign on the ray's side and the refined crossing is on that
-# side too: only that step's segment is built and kept.
-_CROSSING_PROLOGUE = """\
-    t_start = t
-    segments = []
-    crossing = None
-    cx = event.cx
-    cy = event.cy
-    want_sign = event.want_sign
-    guard_radius = event.guard_radius
-    arm_tol = 1e3 * abs_tol + 1e-12 * abs(event.x0)
-    g_old = -cy * y_0 + cx * y_1
-    armed = False"""
-_CROSSING_TAIL = """\
         steps += 1
         r = hypot(yn_0, yn_1)
         closest = r if r < closest else closest
@@ -368,27 +298,30 @@ _CROSSING_TAIL = """\
         if r > guard_radius:
             status = "escaped"
             t += h
-            {y_} = {yn_}
+            y_0, y_1 = yn_0, yn_1
             break
         if not armed:
             # wait until the orbit has genuinely left the section
             armed = abs(g) > arm_tol and g * want_sign < 0
         elif g_old * want_sign < 0 <= g * want_sign and cx * yn_0 + cy * yn_1 > 0:
-            seg = DenseSegment(t, h, ({y_}), {ks})
+            seg = DenseSegment(t, h, (y_0, y_1), {ks})
             crossing = refine_crossing(seg, event.g)
             if event.radial(crossing[1]) > 0:
                 segments.append(seg)
                 status = "event"
                 t += h
-                {y_} = {yn_}
+                y_0, y_1 = yn_0, yn_1
                 break
             crossing = None
         g_old = g
         t += h
-        {y_} = {yn_}
-        {carry}"""
-_CROSSING_RESULT = ("[t_start, t], [y, ({y_})], segments, status, nfev, steps, closest, "
-                    "crossing")
+        y_0, y_1 = yn_0, yn_1
+        k1_0, k1_1 = k7_0, k7_1
+        factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
+        factor = factor if factor > 0.2 else 0.2
+        h *= factor if factor < 10.0 else 10.0
+    return Trajectory([t_start, t], [y, (y_0, y_1)], segments, status, nfev, steps, closest, crossing)
+"""
 
 
 def _weighted_sum(row, i: int) -> str:
@@ -439,77 +372,39 @@ def _inline_rhs(terms) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _dopri_loop(n: int, crossing: bool = False, rhs: Optional[str] = None) -> Callable:
-    """The stepping loop of :func:`integrate_adaptive` for states of ``n``
-    components, generated and compiled on first use: with the dense tail,
-    or with the crossing tail when ``crossing`` is true.
-
-    Without ``rhs`` each stage calls the loop's argument ``f``; the tests
-    keep that loop and the dense tail as references.  Given the
-    source of :func:`_inline_rhs` (a plane system), each stage runs that
-    source in place of the call, so a step calls no right-hand side and
-    builds no stage tuple; the loop is then one system's, and its label
-    names the system, so that a profile keeps one entry per system.  The
-    cache is keyed by the source text, not by the float terms, since
-    ``0.0 == -0.0`` would let two systems share a loop.
+def _dopri_loop(rhs: str) -> Callable:
+    """The stepping loop of :func:`integrate_adaptive` for one system,
+    generated and compiled on first use from ``rhs``, the source that
+    :func:`_inline_rhs` writes for its float terms: each stage runs that
+    source, so a step calls no right-hand side and builds no stage tuple.
+    The loop's label names the system, so that a profile keeps one entry
+    per system.  The cache is keyed by the source text, not by the float
+    terms, since ``0.0 == -0.0`` would let two systems share a loop.
 
     Each component is a scalar local (``y_0``, ``k3_1``, ...), so a step
-    builds no list and calls no ``zip``; the states and stage derivatives
-    that a segment keeps are still tuples.  ``max(u, v)`` is written
+    builds no list and calls no ``zip``; the state and stage derivatives of
+    a crossing's segment are still tuples.  ``max(u, v)`` is written
     ``v if v > u else u`` and ``min(u, v)`` ``v if v < u else u``, which is
     what the builtins compute, NaN included, and the error sum starts at its
     first square, which is what adding that square to 0.0 gives.
     """
-    comps = range(n)
-
-    def names(prefix: str) -> str:
-        return ", ".join(f"{prefix}{i}" for i in comps)
-
-    def evaluate(s: int, args) -> list:
-        # the stage derivative k{s} at the state args, as scalars k{s}_i
-        if rhs is None:
-            return [f"k{s} = f({', '.join(args)})", f"{names(f'k{s}_')} = k{s}"]
-        return [f"rx = {args[0]}", f"ry = {args[1]}"] + rhs.format(k=f"k{s}").splitlines()
-
     stages = []
     for s, row in enumerate(_STAGES, start=2):
-        args = [f"y_{i} + h * ({_weighted_sum(row, i)})" for i in comps]
+        x, y = (f"y_{i} + h * ({_weighted_sum(row, i)})" for i in (0, 1))
         if s < 7:
-            stages += evaluate(s, args)
+            stages += [f"rx = {x}", f"ry = {y}", *rhs.format(k=f"k{s}").splitlines()]
         else:
-            stages += [f"yn_{i} = {a}" for i, a in zip(comps, args)]
-    stages += evaluate(7, [f"yn_{i}" for i in comps])
-    error = []
-    for i in comps:
-        error.append(f"u = abs(y_{i})")
-        error.append(f"v = abs(yn_{i})")
-        error.append(f"r_{i} = h * ({_weighted_sum(_ERROR, i)})"
-                     " / (abs_tol + rel_tol * (v if v > u else u))")
-    error.append(f"err = sqrt(({' + '.join(f'r_{i} * r_{i}' for i in comps)}) / {n})")
-    state = {"y_": names("y_"), "k1_": names("k1_"), "yn_": names("yn_")}
-    if rhs is None:
-        # the stage tuples that f returned; k7 is the next step's k1
-        state["ks"] = "(k1, k2, k3, k4, k5, k6, k7)"
-        state["carry"] = f"k1 = k7\n        {state['k1_']} = k7"
-    else:
-        # tuples only for a segment that is kept
-        kept = ", ".join(f"({names(f'k{s}_')})" for s in range(1, 8))
-        state["ks"] = f"({kept})"
-        state["carry"] = f"{state['k1_']} = {names('k7_')}"
-    prologue, tail, result = ((_CROSSING_PROLOGUE, _CROSSING_TAIL, _CROSSING_RESULT)
-                              if crossing else (_DENSE_PROLOGUE, _DENSE_TAIL, _DENSE_RESULT))
-    src = _LOOP.format(
-        **state, prologue=prologue, tail=tail.format(**state), result=result.format(**state),
-        stages="\n".join(" " * 12 + line for line in stages),
-        error="\n".join(" " * 12 + line for line in error))
+            stages += [f"yn_0 = {x}", f"yn_1 = {y}"]
+    stages += ["rx = yn_0", "ry = yn_1", *rhs.format(k="k7").splitlines()]
+    # the state and stage derivatives of a crossing's segment, as tuples
+    ks = ", ".join(f"(k{s}_0, k{s}_1)" for s in range(1, 8))
+    src = _LOOP.format(stages="\n".join(" " * 12 + line for line in stages), ks=f"({ks})",
+                       error_0=_weighted_sum(_ERROR, 0), error_1=_weighted_sum(_ERROR, 1))
     ns = {"DenseSegment": DenseSegment, "Trajectory": Trajectory,
           "IntegrationError": IntegrationError, "inf": math.inf,
           "sqrt": math.sqrt, "hypot": math.hypot, "refine_crossing": _refine_crossing}
-    label = f"dopri n={n} crossing" if crossing else f"dopri n={n}"
-    if rhs is not None:
-        xdot, ydot = (line.split(" = ", 1)[1] for line in rhs.splitlines()[-2:])
-        label += f" xdot = {xdot}; ydot = {ydot}"
-    exec(compile(src, f"<{label}>", "exec"), ns)
+    xdot, ydot = (line.split(" = ", 1)[1] for line in rhs.splitlines()[-2:])
+    exec(compile(src, f"<dopri xdot = {xdot}; ydot = {ydot}>", "exec"), ns)
     return ns["dopri_loop"]
 
 
@@ -567,20 +462,35 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
                guard_radius: float = 1.0) -> ReturnMapResult:
     """First-return map on a ray from the origin.
 
-    For each starting radius the orbit is integrated until it crosses the ray
-    again in the direction of its initial departure; the crossing is refined
-    on the dense output of the step in which it happens.  The test runs in
-    the integrator's crossing tail (see :class:`Crossing`), so an orbit of
-    any number of steps keeps at most that one segment.  Classification:
-    center evidence when every |displacement| <= max(1e-9, 100*rel_tol)*x0,
-    focus evidence on a consistent sign, inconclusive otherwise.
+    For each starting radius x0 the orbit is integrated until it crosses the
+    ray again in the direction of its initial departure, or reaches the time
+    :data:`HORIZON`; the crossing is refined on the dense output of the step
+    in which it happens.  The test runs in the integrator's stepping loop
+    (see :class:`Crossing`), so an orbit of any number of steps keeps at most
+    that one segment.  The absolute tolerance of a radius is
+    min(abs_tol, rel_tol*x0), so that a small orbit is resolved relative to
+    its size, as the center test below reads it.  A radius beyond
+    ``guard_radius``, or whose tolerance is not a positive normal float, is
+    refused with ValueError before anything is integrated.
+    Classification: center evidence when every
+    |displacement| <= max(1e-9, 100*rel_tol)*x0, focus evidence on a
+    consistent sign, inconclusive otherwise.
     """
     f = compile_system(s)
     cx, cy, name = _ray(transversal)
+    atols = []
+    for x0 in x0_list:
+        if x0 > guard_radius:
+            raise ValueError(f"x0={x0} starts outside the guard radius {guard_radius}")
+        atols.append(min(abs_tol, rel_tol * x0))
+        if not atols[-1] >= sys.float_info.min:
+            raise ValueError(f"x0={x0} is too small: its absolute tolerance "
+                             f"min(abs_tol, rel_tol*x0) = {atols[-1]!r} is not a positive "
+                             "normal float")
     samples: List[ReturnSample] = []
     warnings: List[str] = []
     nfev = 0
-    for x0 in x0_list:
+    for x0, atol in zip(x0_list, atols):
         start = (cx * x0, cy * x0)
         ray = Crossing(cx, cy, 1.0, guard_radius, x0)
         g0dot = ray.g(f(*start))
@@ -589,12 +499,16 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
             continue
         if not g0dot > 0:
             ray = ray._replace(want_sign=-1.0)
-        traj = integrate_adaptive(f, start, (0.0, 1e9), rel_tol=rel_tol,
-                                  abs_tol=abs_tol, crossing=ray)
+        traj = integrate_adaptive(f, start, (0.0, HORIZON), ray, rel_tol=rel_tol,
+                                  abs_tol=atol)
         nfev += traj.nfev
         if traj.status == "escaped":
             warnings.append(f"x0={x0}: orbit left the guard radius {guard_radius} "
                             "(evidence against monodromy)")
+            continue
+        if traj.status == "finished":
+            warnings.append(f"x0={x0}: reached the time horizon {HORIZON:g} without a "
+                            f"return ({traj.steps} steps)")
             continue
         if traj.crossing is None:
             warnings.append(f"x0={x0}: no return within {traj.steps} steps ({traj.status})")

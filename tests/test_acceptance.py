@@ -473,7 +473,7 @@ def test_criterion_7_laurent_multiply_back():
 
 
 def test_criterion_7_energy_conservation():
-    from centerlab.numeric import IntegrationError
+    from centerlab.numeric import Crossing, IntegrationError
 
     rnd = random.Random(105)
     count = 0
@@ -495,28 +495,16 @@ def test_criterion_7_energy_conservation():
         f = compile_system(s)
         x0 = 0.15
         want = 1.0 if f(x0, 0.0)[1] > 0 else -1.0  # direction of departure
-        hit = []
-        escaped = []
-
-        def cb(seg, y_new):
-            if y_new[0] ** 2 + y_new[1] ** 2 > 0.5 ** 2:
-                escaped.append(True)
-                return True
-            if (seg.t0 + seg.h > 0.5 and seg.y0[1] * want < 0 <= y_new[1] * want
-                    and y_new[0] > 0):
-                hit.append(True)
-                return True
-            return False
-
+        ray = Crossing(1.0, 0.0, want, 0.5, x0)
         try:
-            # a loop around the origin returns within ~2*pi; draws that loop
-            # around some other critical point never cross the section and
-            # are skipped after a few revolutions' worth of time
-            traj = integrate_adaptive(f, (x0, 0.0), (0.0, 25.0), rel_tol=1e-12,
-                                      abs_tol=1e-14, step_callback=cb)
+            # a loop around the origin returns to the positive x-axis within
+            # ~2*pi; draws that leave the radius 0.5 or loop around some other
+            # critical point are skipped after a few revolutions' worth of time
+            traj = integrate_adaptive(f, (x0, 0.0), (0.0, 25.0), ray, rel_tol=1e-12,
+                                      abs_tol=1e-14)
         except IntegrationError:
             continue
-        if escaped or not hit:
+        if traj.status != "event":
             continue
         h0 = H.eval_float({"x": x0, "y": 0.0})
         h1 = H.eval_float({"x": traj.y[-1][0], "y": traj.y[-1][1]})

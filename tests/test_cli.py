@@ -342,10 +342,11 @@ def test_exit_code_bad_set_value_is_parse_error(sysfile, capsys, value):
     assert captured.err.startswith("parse error:")
 
 
-@pytest.mark.parametrize("sweep", ["mu=0:2:0", "mu=0:2:-1/4", "mu=0:2", "mu=0:1/0:1"])
+@pytest.mark.parametrize("sweep", ["mu=0:2:0", "mu=0:2:-1/4", "mu=0:2", "mu=0:1/0:1",
+                                   "mu=1:0:1/2"])
 def test_exit_code_bad_sweep_is_parse_error(sysfile, capsys, sweep):
-    # a step <= 0 never reaches the end of the range: it is refused before
-    # the first point
+    # a step <= 0 never reaches the end of the range, and a start above the
+    # end gives no point at all: both are refused before the first point
     rc = main(["qhcenter", sysfile(HOMOG_CUBIC), "--set", "lambda=1", "--sweep", sweep,
                "--no-timings"])
     captured = capsys.readouterr()
@@ -436,6 +437,48 @@ def test_exit_code_coefficient_too_large_for_a_float(sysfile, capsys, command):
 def test_exit_code_bad_transversal_is_parse_error(sysfile, capsys, command):
     rc = main([command, sysfile(NIL_REVERSIBLE), "--transversal", "abc", "--no-timings"])
     _refused(capsys, rc, 2, "--transversal")
+
+
+@pytest.mark.parametrize("command", ["returnmap", "classify"])
+def test_exit_code_start_the_return_map_cannot_use(capsys, command):
+    # a start outside the guard radius 1.0 is not evidence against
+    # monodromy, and a start whose absolute tolerance rel_tol*x0 underflows
+    # cannot be integrated: both are unusable input, refused before any
+    # integration; a start on the guard radius still runs
+    path = str(BENCH_SYSTEMS / "radial_focus.sys")
+    for x0, err in [("1.5", "error: x0=1.5 starts outside the guard radius 1.0\n"),
+                    ("1e-300", "error: x0=1e-300 is too small: its absolute tolerance "
+                               "min(abs_tol, rel_tol*x0) = 1e-312 is not a positive normal "
+                               "float\n")]:
+        rc = main([command, path, "--x0", "0.05", "--x0", x0, "--no-timings"])
+        assert (rc, capsys.readouterr()[:2]) == (3, ("", err))
+    rc, data = run_cli([command, path, "--x0", "1.0", "--no-timings"], capsys)
+    assert rc == 0 and [sm["x0"] for sm in data["numeric"]["samples"]] == [1.0]
+
+
+@pytest.mark.parametrize("x0", ["1e-5", "1e-8"])
+def test_returnmap_small_start_radius(sysfile, capsys, x0):
+    # each start is integrated with the absolute tolerance
+    # min(1e-14, rel_tol*x0), so a small orbit is resolved relative to its
+    # size: the reversible nilpotent center reads as a center and the linear
+    # focus x'' + x'/10 + x = 0 as a stable focus, down to tiny radii
+    rc, data = run_cli(["returnmap", sysfile(NIL_REVERSIBLE), "--x0", x0, "--no-timings"],
+                       capsys)
+    assert (rc, data["numeric"]["classification"]) == (0, "center_evidence")
+    rc, data = run_cli(["returnmap", sysfile("xdot = -y - x/10; ydot = x"), "--x0", x0,
+                        "--x0", "1e-100", "--no-timings"], capsys)
+    assert (rc, data["numeric"]["classification"]) == (0, "stable_focus_evidence")
+    assert len(data["numeric"]["samples"]) == 2
+
+
+def test_returnmap_names_the_time_horizon(sysfile, capsys):
+    # at x0 = 1e-11 this nilpotent center's return time is about 7e10, past
+    # the time horizon: the run ends there, not at a return
+    rc, data = run_cli(["returnmap", sysfile(NIL_REVERSIBLE), "--x0", "1e-11",
+                        "--no-timings"], capsys)
+    assert (rc, data["numeric"]["samples"]) == (0, [])
+    assert re.fullmatch(r"x0=1e-11: reached the time horizon 1e\+09 without a return "
+                        r"\(\d+ steps\)", data["warnings"][0])
 
 
 def test_qhcenter_forced_weights_are_decided_directly(sysfile, capsys):

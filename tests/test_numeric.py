@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,15 +13,10 @@ from centerlab.numeric import (
     Crossing,
     DenseSegment,
     IntegrationError,
-    ReturnMapResult,
-    ReturnSample,
-    Trajectory,
     _dopri_loop,
     _inline_rhs,
-    _ray,
     _refine_crossing,
     classify_monodromic,
-    check_tolerance,
     compile_system,
     integrate_adaptive,
     return_map,
@@ -30,49 +24,60 @@ from centerlab.numeric import (
 from centerlab.systems import parse_system, substitute
 
 from conftest import DEG_FACTORED, HAM_QH, HOMOG_CUBIC, NIL_DARBOUX, NIL_REVERSIBLE, poly
+from reference_dopri import (
+    _REF_P,
+    _RefSegment,
+    _callback_return_map,
+    _reference_integrate,
+    _tuple_loop_integrate,
+    crossing_run,
+)
 
 import test_qhomog
 
+# A crossing test that never stops a run: its ray has no direction, so the
+# orbit never arms it, and its guard radius is infinite.  A run with it ends
+# at the end of its span or at max_steps.
+NEVER = Crossing(0.0, 0.0, 1.0, math.inf, 0.0)
 
-def integrate_system(s, state0, t_span, rel_tol=1e-10, abs_tol=1e-12, **kw):
-    return integrate_adaptive(compile_system(s), state0, t_span,
+
+def integrate_system(s, state0, t_span, crossing=NEVER, rel_tol=1e-10, abs_tol=1e-12, **kw):
+    return integrate_adaptive(compile_system(s), state0, t_span, crossing,
                               rel_tol=rel_tol, abs_tol=abs_tol, **kw)
 
 
+def _with_float_terms(terms):
+    # a right-hand side rendered from float terms as compile_system renders
+    # one, for terms that no system can give (a constant term, or repeated
+    # and cancelling terms)
+    p, q = numeric._render(terms[0]), numeric._render(terms[1])
+    ns = {}
+    exec(f"def f(x, y):\n    return ({p}, {q})\n", ns)
+    ns["f"].float_terms = terms
+    return ns["f"]
+
+
+HARMONIC = "xdot = -y; ydot = x"
+
+
 def test_circle_returns_after_two_pi():
-    s = parse_system("xdot = -y; ydot = x")
+    s = parse_system(HARMONIC)
     traj = integrate_system(s, (1.0, 0.0), (0.0, 2 * math.pi),
                             rel_tol=1e-12, abs_tol=1e-14)
+    assert traj.status == "finished" and traj.t[-1] == 2 * math.pi
     assert np.hypot(traj.y[-1][0] - 1.0, traj.y[-1][1]) <= 1e-9
-
-
-def test_dense_output_accuracy():
-    s = parse_system("xdot = -y; ydot = x")
-    traj = integrate_system(s, (1.0, 0.0), (0.0, 6.0), rel_tol=1e-12, abs_tol=1e-14)
-    for t in (0.5, 1.7, 3.3, 5.9):
-        state = traj(t)
-        assert abs(state[0] - math.cos(t)) < 1e-9
-        assert abs(state[1] - math.sin(t)) < 1e-9
 
 
 def test_energy_conservation_weighted_hamiltonian():
     s = substitute(parse_system(HAM_QH), {"a": 1, "b": 1})
     H = poly("y^4/4 + x^6/6", s.vars)
     start = (0.8, 0.0)
-    # one revolution: return to the x-axis from below
-    hits = []
-
-    def cb(seg, y_new):
-        if seg.t0 + seg.h > 0.5 and seg.y0[1] < 0 <= y_new[1] and y_new[0] > 0:
-            hits.append(seg.t0 + seg.h)
-            return True
-        return False
-
-    traj = integrate_adaptive(compile_system(s), start, (0.0, 1e4),
-                              rel_tol=1e-12, abs_tol=1e-14, step_callback=cb)
+    # one revolution: the return to the positive x-axis from below
+    traj = integrate_system(s, start, (0.0, 1e4), Crossing(1.0, 0.0, 1.0, math.inf, 0.8),
+                            rel_tol=1e-12, abs_tol=1e-14)
     h0 = H.eval_float({"x": start[0], "y": start[1]})
     h1 = H.eval_float({"x": traj.y[-1][0], "y": traj.y[-1][1]})
-    assert hits
+    assert traj.status == "event"
     assert abs(h1 - h0) <= 1e-9
 
 
@@ -82,14 +87,15 @@ def test_darboux_instance_first_integral_conserved():
     def H(x, y):
         return (1 + x) ** (-2.0) * (1 + y) ** (-2.0) * (x ** 4 + y ** 2)
 
-    traj = integrate_system(s, (0.15, 0.0), (0.0, 12.0), rel_tol=1e-11, abs_tol=1e-13)
     h0 = H(0.15, 0.0)
-    drift = max(abs(H(*traj(t)) - h0) for t in np.linspace(0.1, traj.t[-1], 40))
+    ends = [integrate_system(s, (0.15, 0.0), (0.0, float(t)), rel_tol=1e-11,
+                             abs_tol=1e-13).y[-1] for t in np.linspace(0.1, 12.0, 12)]
+    drift = max(abs(H(*y) - h0) for y in ends)
     assert drift <= 1e-8 * abs(h0)
 
 
 def test_tolerance_rejected_out_of_range():
-    s = parse_system("xdot = -y; ydot = x")
+    s = parse_system(HARMONIC)
     with pytest.raises(ValueError):
         integrate_system(s, (1, 0), (0, 1), rel_tol=1e-3)
 
@@ -142,10 +148,9 @@ def test_displacement_shrinks_with_tolerance():
 
 def test_time_reversed_integration_recovers_start():
     s = parse_system(DEG_FACTORED)
-    f = compile_system(s)
-    fwd = integrate_adaptive(f, (0.2, 0.05), (0.0, 3.0), rel_tol=1e-11, abs_tol=1e-13)
-    back = integrate_adaptive(lambda x, y: tuple(-v for v in f(x, y)),
-                              fwd.y[-1], (0.0, 3.0), rel_tol=1e-11, abs_tol=1e-13)
+    fwd = integrate_system(s, (0.2, 0.05), (0.0, 3.0), rel_tol=1e-11, abs_tol=1e-13)
+    back = integrate_system(s, fwd.y[-1], (3.0, 0.0), rel_tol=1e-11, abs_tol=1e-13)
+    assert back.t[-1] == 0.0
     assert np.hypot(back.y[-1][0] - 0.2, back.y[-1][1] - 0.05) <= 1e-10
 
 
@@ -182,136 +187,62 @@ def test_classify_monodromic_combines_evidence():
 
 
 def test_step_underflow_reports_closest_approach():
-    # finite-time blowup forces the step size under the floor
-    with pytest.raises(IntegrationError) as err:
-        integrate_adaptive(lambda x, y: (1 + x * x, 0.0), (0.0, 0.0), (0.0, 10.0),
-                           rel_tol=1e-10, abs_tol=1e-12)
-    assert err.value.closest_approach is not None
+    # finite-time blowup of x' = 1 + x^2 at pi/2 forces the step size under
+    # the floor
+    f = _with_float_terms((((1.0, 2, 0), (1.0, 0, 0)), ()))
+    with pytest.raises(IntegrationError, match="underflow at t=1.5708") as err:
+        integrate_adaptive(f, (0.0, 0.0), (0.0, 10.0), NEVER, rel_tol=1e-10, abs_tol=1e-12)
+    assert err.value.closest_approach == 0.0
+
+
+_BIG = sys.float_info.max
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_step_is_rejected(bad):
     # a NaN error norm compares false with 1.0; such a step must not be
-    # accepted: the step shrinks until it underflows
+    # accepted: the step shrinks until it underflows.  With y = 2 held
+    # constant, xdot is 1 up to x = 0.5 and then ``bad``: the doubled product
+    # _BIG*x*y overflows to inf there, and the terms after it leave inf,
+    # turn it to -inf, or subtract an equal inf
+    terms = {"nan": ((_BIG, 1, 1), (-_BIG, 1, 1), (1.0, 0, 0)),
+             "inf": ((_BIG, 1, 1), (-_BIG, 1, 0), (-_BIG, 1, 0), (1.0, 0, 0)),
+             "-inf": ((-_BIG, 1, 1), (_BIG, 1, 0), (_BIG, 1, 0), (1.0, 0, 0))}[repr(bad)]
+    f = _with_float_terms((terms, ()))
+    assert f(0.5, 2.0) == (1.0, 0.0) and repr(f(0.5000000000000001, 2.0)[0]) == repr(bad)
     with pytest.raises(IntegrationError) as err:
-        integrate_adaptive(lambda x, y: (bad if x > 0.5 else 1.0, 0.0), (0.0, 0.25), (0.0, 10.0))
+        integrate_adaptive(f, (0.0, 2.0), (0.0, 10.0), NEVER)
     assert "underflow at t=0.5" in str(err.value)
-    assert err.value.closest_approach == pytest.approx(0.25)
-
-
-def test_right_hand_side_overflow_is_rejected():
-    # float ** raises OverflowError once 2^(2000 x) passes the float range,
-    # near x = 0.512; the trial steps beyond it are rejected until underflow
-    with pytest.raises(IntegrationError) as err:
-        integrate_adaptive(lambda x, y: (1.0, 2.0 ** (2000 * x)), (0.0, 0.0), (0.0, 10.0))
-    assert "underflow at t=0.512" in str(err.value)
-    assert err.value.closest_approach == 0.0
-    with pytest.raises(IntegrationError, match="not finite") as err:
-        integrate_adaptive(lambda x, y: (x ** 2000, 0.0), (2.0, 0.0), (0.0, 1.0))
     assert err.value.closest_approach == 2.0
 
 
-# -- differential test against the numpy stepping loop the scalar core replaced --
-
-_REF_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_REF_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-_REF_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+def test_right_hand_side_overflow_is_rejected():
+    # float ** raises OverflowError once x^2000 passes the float range, near
+    # x = 1.426; the trial steps beyond it are rejected until underflow
+    with pytest.raises(IntegrationError) as err:
+        integrate_adaptive(_with_float_terms((((1.0, 0, 0),), ((1.0, 2000, 0),))),
+                           (0.0, 0.0), (0.0, 10.0), NEVER)
+    assert "underflow at t=1.42603" in str(err.value)
+    assert err.value.closest_approach == 0.0
+    with pytest.raises(IntegrationError, match="not finite") as err:
+        integrate_adaptive(_with_float_terms((((1.0, 2000, 0),), ())), (2.0, 0.0), (0.0, 1.0),
+                           NEVER)
+    assert err.value.closest_approach == 2.0
 
 
-@dataclass
-class _RefSegment:
-    t0: float
-    h: float
-    y0: np.ndarray
-    Q: np.ndarray  # state_dim x 4
-
-    def eval(self, t):
-        theta = (t - self.t0) / self.h
-        powers = np.array([theta, theta ** 2, theta ** 3, theta ** 4])
-        return self.y0 + self.h * (self.Q @ powers)
-
-
-def _reference_integrate(f, state0, t_span, rel_tol=1e-10, abs_tol=1e-12,
-                         max_steps=1_000_000, step_callback=None):
-    # the stepping loop as it was on numpy arrays, with its rejected-step count
-    t0, t1 = t_span
-    direction = 1.0 if t1 >= t0 else -1.0
-    y = np.asarray(state0, dtype=float)
-    n = len(y)
-    t = t0
-    k = np.empty((7, n))
-    fy = np.asarray(f(*y))
-    nfev = 1
-    scale = abs_tol + rel_tol * np.abs(y)
-    d0 = float(np.max(np.abs(y) / scale))
-    d1 = float(np.max(np.abs(fy) / scale))
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = direction * min(h, abs(t1 - t0))
-    ts, ys, segments = [t], [y.copy()], []
-    steps, rejected, status = 0, 0, "finished"
-    hmin = 16 * abs(t1 - t0) * np.finfo(float).eps + 1e-300
-    while (t - t1) * direction < 0:
-        if steps >= max_steps:
-            status = "max_steps"
-            break
-        if abs(h) < hmin or abs(h) < 1e-15 * max(1.0, abs(t)):
-            raise IntegrationError(f"step size underflow at t={t:.6g}")
-        if (t + h - t1) * direction > 0:
-            h = t1 - t
-        k[0] = fy
-        for i in range(1, 7):
-            yi = y + h * (k[:i].T @ _REF_A[i])
-            k[i] = f(*yi)
-        nfev += 6
-        y_new = yi
-        err_vec = h * (k.T @ _REF_E)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err > 1.0:
-            rejected += 1
-            h *= max(0.2, 0.9 * err ** (-0.2))
-            continue
-        seg = _RefSegment(t, h, y.copy(), k.T @ _REF_P)
-        segments.append(seg)
-        steps += 1
-        t += h
-        y = y_new.copy()
-        fy = k[6].copy()
-        ts.append(t)
-        ys.append(y.copy())
-        if step_callback is not None and step_callback(seg, y):
-            status = "event"
-            break
-        factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
-        h *= min(10.0, max(0.2, factor))
-    return ts, ys, segments, status, nfev, steps, rejected
-
+# -- differential test of the tuple reference loop against the numpy loop --
 
 def _assert_same_run(f, state0, t_span, **kw):
     # numpy sums the stage dot products in BLAS (with fused multiply-adds), so
     # the two loops round differently and their step sizes agree only to the
     # rounding that the error estimate's cancellation amplifies.  The step
-    # sequence (steps, evaluations, rejections) must be the same, and the new
-    # dense output must reproduce the reference states at the reference times.
+    # sequence (steps, evaluations, rejections) must be the same, and the
+    # tuple loop's dense output must reproduce the numpy states at the numpy
+    # times.  The tuple loop is in turn bit-identical to the package's loop
+    # (the tests below).
     ref_t, ref_y, ref_segs, ref_status, ref_nfev, ref_steps, ref_rejected = \
         _reference_integrate(f, state0, t_span, **kw)
-    got = integrate_adaptive(f, state0, t_span, **kw)
+    got = _tuple_loop_integrate(f, state0, t_span, **kw)
     assert (got.status, got.steps, got.nfev) == (ref_status, ref_steps, ref_nfev)
     assert (got.nfev - 1) // 6 - got.steps == ref_rejected
     assert len(got.segments) == len(ref_segs) == got.steps
@@ -377,13 +308,13 @@ def test_scalar_core_matches_numpy_reference_condition_ii(monkeypatch):
     # captured from the integrations of the double Dormand-Prince quadrature
     # that test_qhomog keeps as the reference for the trapezoid rule
     calls = []
-    real = test_qhomog.integrate_adaptive
+    real = test_qhomog._tuple_loop_integrate
 
     def spy(*args, **kw):
         calls.append((args, kw))
         return real(*args, **kw)
 
-    monkeypatch.setattr(test_qhomog, "integrate_adaptive", spy)
+    monkeypatch.setattr(test_qhomog, "_tuple_loop_integrate", spy)
     s = substitute(parse_system(HOMOG_CUBIC), {"lambda": 1, "mu": 1})
     test_qhomog.reference_period_integral(s, qhomog.QHSignature(1, 1, 3))
     three_state = [c for c in calls if len(c[0][1]) == 3]
@@ -400,212 +331,121 @@ def test_scalar_core_matches_numpy_reference_time_reversed():
     assert got.t[-1] == -3.0 and all(seg.h < 0 for seg in got.segments)
 
 
-def test_dense_output_on_time_reversed_span():
-    traj = integrate_adaptive(lambda x, y: (-y, x), (1.0, 0.0), (0.0, -3.0),
-                              rel_tol=1e-11, abs_tol=1e-13)
-    for t in (-0.4, -1.0, -2.9):
-        state = traj(t)
-        assert abs(state[0] - math.cos(t)) < 1e-9
-        assert abs(state[1] - math.sin(t)) < 1e-9
-
-
 def test_scalar_core_matches_numpy_reference_max_steps():
     got, _ = _assert_same_run(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 100.0),
                               rel_tol=1e-12, abs_tol=1e-14, max_steps=25)
     assert got.status == "max_steps" and got.steps == 25
 
 
-# -- bit-exact test against the tuple loop that the generated loop replaced --
+# -- bit-exact test of the generated loop against the tuple reference loop --
 
-def _tuple_loop_integrate(f, state0, t_span, rel_tol=1e-10, abs_tol=1e-12,
-                          max_steps=1_000_000, step_callback=None):
-    # the stepping loop on float tuples, with list comprehensions over zip
-    check_tolerance("rel_tol", rel_tol)
-    check_tolerance("abs_tol", abs_tol)
-    t0, t1 = t_span
-    direction = 1.0 if t1 >= t0 else -1.0
-    y = tuple([float(v) for v in state0])
-    n = len(y)
-    t = t0
-    closest = math.hypot(y[0], y[1])
-    try:
-        fy = f(*y)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise IntegrationError(f"right-hand side not finite at t={t:.6g}",
-                               closest_approach=closest) from exc
-    nfev = 1
-    scale = [abs_tol + rel_tol * abs(v) for v in y]
-    d0 = max([abs(v) / s for v, s in zip(y, scale)])
-    d1 = max([abs(v) / s for v, s in zip(fy, scale)])
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = direction * min(h, abs(t1 - t0))
-    ts = [t]
-    ys = [y]
-    segments = []
-    steps = 0
-    status = "finished"
-    while (t - t1) * direction < 0:
-        if steps >= max_steps:
-            status = "max_steps"
-            break
-        if abs(h) < 1e-15 * max(1.0, abs(t)):
-            raise IntegrationError(
-                f"step size underflow at t={t:.6g}", closest_approach=closest)
-        if (t + h - t1) * direction > 0:
-            h = t1 - t
-        k1 = fy
-        nfev += 6
-        try:
-            k2 = f(*[a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
-            k3 = f(*[a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
-            k4 = f(*[a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
-                     for a, b1, b2, b3 in zip(y, k1, k2, k3)])
-            k5 = f(*[a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
-                              - 212 / 729 * b4)
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-            k6 = f(*[a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3
-                              + 49 / 176 * b4 - 5103 / 18656 * b5)
-                     for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = tuple([a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
-                                    - 2187 / 6784 * b5 + 11 / 84 * b6)
-                           for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)])
-            k7 = f(*y_new)
-        except (OverflowError, ZeroDivisionError):
-            err = math.inf
-        else:
-            acc = 0.0
-            for a, a_new, b1, b3, b4, b5, b6, b7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                r = (h * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
-                          - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
-                     / (abs_tol + rel_tol * max(abs(a), abs(a_new))))
-                acc += r * r
-            err = math.sqrt(acc / n)
-        if not err <= 1.0:
-            h *= max(0.2, 0.9 * err ** (-0.2))
-            continue
-        seg = DenseSegment(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
-        segments.append(seg)
-        steps += 1
-        t += h
-        y = y_new
-        fy = k7
-        ts.append(t)
-        ys.append(y)
-        closest = min(closest, math.hypot(y[0], y[1]))
-        if step_callback is not None and step_callback(seg, y):
-            status = "event"
-            break
-        factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
-        h *= min(10.0, max(0.2, factor))
-    return Trajectory(ts, ys, segments, status, nfev, steps, closest)
+def _assert_bit_identical(f, state0, t_span, crossing=NEVER, **kw):
+    # the oracle is the tuple loop, which calls f at every stage, with the
+    # crossing test as its step callback (crossing_run); the generated loop
+    # calls f only for the first stage of the first step.  == on every field
+    # of the Trajectory (end points, the segment of a crossing, status, nfev,
+    # steps, closest approach, crossing); repr also tells -0.0 from 0.0.
+    # Returns the Trajectory and the tuple loop's full run.
+    calls = []
 
+    def counted(x, y):
+        calls.append((x, y))
+        return f(x, y)
 
-def _assert_bit_identical(f, state0, t_span, **kw):
-    # == on every field (t, y, each segment's t0/h/y0/k, nfev, steps, status,
-    # closest_approach); repr also tells -0.0 from 0.0
-    ref = _tuple_loop_integrate(f, state0, t_span, **kw)
-    got = integrate_adaptive(f, state0, t_span, **kw)
+    counted.float_terms = f.float_terms
+    ref, run = crossing_run(f, state0, t_span, crossing, **kw)
+    got = integrate_adaptive(counted, state0, t_span, crossing, **kw)
+    assert calls == [tuple(map(float, state0))] and got.nfev > 1
     assert got == ref
     assert repr(got) == repr(ref)
-    return got
+    return got, run
 
 
 def test_generated_loop_bit_identical_harmonic():
-    got = _assert_bit_identical(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 6.0),
-                                rel_tol=1e-12, abs_tol=1e-14)
+    got, _ = _assert_bit_identical(compile_system(parse_system(HARMONIC)), (1.0, 0.0),
+                                   (0.0, 6.0), rel_tol=1e-12, abs_tol=1e-14)
     assert got.status == "finished" and got.steps > 100
 
 
 def test_generated_loop_bit_identical_return_map_stop():
+    # the first return to the positive x-axis from above
     f = compile_system(parse_system(NIL_REVERSIBLE))
-
-    def callback(seg, y_new):
-        return seg.y0[1] > 0 >= y_new[1] and y_new[0] > 0
-
-    got = _assert_bit_identical(f, (0.1, 0.0), (0.0, 1e9), rel_tol=1e-12, abs_tol=1e-14,
-                                step_callback=callback)
-    assert got.status == "event" and got.steps > 100
+    got, _ = _assert_bit_identical(f, (0.1, 0.0), (0.0, 1e9),
+                                   Crossing(1.0, 0.0, -1.0, math.inf, 0.1),
+                                   rel_tol=1e-12, abs_tol=1e-14)
+    assert got.status == "event" and got.steps > 100 and len(got.segments) == 1
 
 
-def test_generated_loop_bit_identical_condition_ii(monkeypatch):
-    # the 3-state (Cs, Sn, integral) right-hand side of condition (ii), as in
-    # the numpy-reference test above
-    calls = []
-    real = test_qhomog.integrate_adaptive
-
-    def spy(*args, **kw):
-        calls.append((args, kw))
-        return real(*args, **kw)
-
-    monkeypatch.setattr(test_qhomog, "integrate_adaptive", spy)
-    s = substitute(parse_system(HOMOG_CUBIC), {"lambda": 1, "mu": 1})
-    test_qhomog.reference_period_integral(s, qhomog.QHSignature(1, 1, 3))
-    three_state = [c for c in calls if len(c[0][1]) == 3]
-    assert len(three_state) == 2
-    for args, kw in three_state:
-        assert _assert_bit_identical(*args, **kw).status == "event"
+def test_generated_loop_bit_identical_condition_ii():
+    # the (Cs, Sn) circle of condition (ii) at weights (2, 3),
+    # z' = -w^3, w' = z^5 from (2^(-1/6), 0), over one period: a run with
+    # rejected steps, stopped at its crossing
+    z0 = 2 ** (-1 / 6)
+    f = compile_system(parse_system("xdot = -y^3; ydot = x^5"))
+    got, _ = _assert_bit_identical(f, (z0, 0.0), (0.0, 1e9),
+                                   Crossing(1.0, 0.0, 1.0, math.inf, z0),
+                                   rel_tol=1e-12, abs_tol=1e-14)
+    assert got.status == "event" and (got.nfev - 1) // 6 > got.steps
+    assert abs(got.crossing[0] - test_qhomog.pq_period(2, 3)) <= 1e-9
 
 
 def test_generated_loop_bit_identical_time_reversed():
     f = compile_system(parse_system(DEG_FACTORED))
-    got = _assert_bit_identical(f, (0.2, 0.05), (0.0, -3.0), rel_tol=1e-11, abs_tol=1e-13)
-    assert got.t[-1] == -3.0 and all(seg.h < 0 for seg in got.segments)
+    got, run = _assert_bit_identical(f, (0.2, 0.05), (0.0, -3.0), rel_tol=1e-11,
+                                     abs_tol=1e-13)
+    assert got.t[-1] == -3.0 and all(seg.h < 0 for seg in run.segments)
 
 
 def test_generated_loop_bit_identical_max_steps():
-    got = _assert_bit_identical(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 100.0),
-                                rel_tol=1e-12, abs_tol=1e-14, max_steps=25)
+    got, _ = _assert_bit_identical(compile_system(parse_system(HARMONIC)), (1.0, 0.0),
+                                   (0.0, 100.0), rel_tol=1e-12, abs_tol=1e-14, max_steps=25)
     assert got.status == "max_steps" and got.steps == 25
 
 
 def test_generated_loop_bit_identical_overflow_rejection():
-    # math.exp raises OverflowError on trial stages that leave |y| < 1.001:
-    # those steps are rejected and shrunk, and the run still finishes
+    # ydot = x + 1e-300*y^710200, and y^710200 raises OverflowError once
+    # |y| > 1.001: the trial stages that go there are rejected and shrunk,
+    # and the run still finishes
+    f = _with_float_terms((((-1.0, 0, 1),), ((1e-300, 0, 710200), (1.0, 1, 0))))
     overflows = []
 
-    def f(x, y):
-        if abs(y) > 1.001:
+    def watched(x, y):
+        try:
+            return f(x, y)
+        except OverflowError:
             overflows.append(y)
-            return (-y, math.exp(1e3))
-        return (-y, x)
+            raise
 
-    got = _assert_bit_identical(f, (1.0, 0.0), (0.0, 6.0), rel_tol=1e-4, abs_tol=1e-6)
+    watched.float_terms = f.float_terms
+    got, _ = _assert_bit_identical(watched, (1.0, 0.0), (0.0, 6.0), rel_tol=1e-4,
+                                   abs_tol=1e-6)
     assert got.status == "finished" and overflows
     # and a run that ends in step-size underflow raises the same error
+    g = _with_float_terms((((1.0, 0, 0),), ((1.0, 2000, 0),)))
     errors = []
-    for integrate in (_tuple_loop_integrate, integrate_adaptive):
+    for integrate in (crossing_run, integrate_adaptive):
         with pytest.raises(IntegrationError) as err:
-            integrate(lambda x, y: (1.0, 2.0 ** (2000 * x)), (0.0, 0.0), (0.0, 10.0))
+            integrate(g, (0.0, 0.0), (0.0, 10.0), NEVER)
         errors.append((str(err.value), err.value.closest_approach))
     assert errors[0] == errors[1]
 
 
-def test_loop_built_on_first_use_and_shared_per_dimension():
-    # importing numeric generates no loop; every 2-state integration of a
-    # plain callable runs the one loop built for n = 2, and a 3-state one
-    # builds its own
+def test_loop_built_on_first_use_and_shared_per_system():
+    # importing numeric generates no loop; a return map builds its system's
+    # loop on its first call, and every later return map of that system runs
+    # that one; a second system builds its own
     code = (
         "from centerlab import numeric\n"
+        "from centerlab.systems import parse_system\n"
         "info = numeric._dopri_loop.cache_info\n"
         "assert info().currsize == 0, info()\n"
-        "numeric.integrate_adaptive(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 1.0))\n"
-        "numeric.integrate_adaptive(lambda x, y: (y, -x), (0.5, 0.0), (0.0, 2.0))\n"
-        "assert info()[:2] == (1, 1) and info().currsize == 1, info()\n"
-        "numeric.integrate_adaptive(lambda x, y, z: (-y, x, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0))\n"
-        "assert info().currsize == 2, info()\n"
-        # a return map builds its system's crossing loop on its first call,
-        # and every later return map of that system runs that one
-        "from centerlab.systems import parse_system\n"
         "s = parse_system('xdot = -y; ydot = x')\n"
-        "assert info().currsize == 2, info()\n"
         "numeric.return_map(s, [0.1, 0.2])\n"
-        "assert info().currsize == 3, info()\n"
-        "hits = info().hits\n"
+        "assert info()[:2] == (1, 1) and info().currsize == 1, info()\n"
         "numeric.return_map(s, [0.3], transversal='y+')\n"
-        "assert info().currsize == 3 and info().hits == hits + 1, info()\n"
-        # a second system builds its own crossing loop
+        "assert info()[:2] == (2, 1), info()\n"
         "numeric.return_map(parse_system('xdot = -y^3; ydot = x^3'), [0.1])\n"
-        "assert info().currsize == 4 and info().hits == hits + 1, info()\n"
+        "assert info()[:2] == (2, 2) and info().currsize == 2, info()\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -616,23 +456,17 @@ def test_loop_built_on_first_use_and_shared_per_dimension():
 
 def test_generated_code_names_its_source(monkeypatch):
     # profiles and tracebacks name the compiled right-hand side and the
-    # generated loop, not "<string>"; each system and each tail has its own
-    # label, which cProfile keys its entries by
-    f = compile_system(parse_system("xdot = -y; ydot = x"))
+    # generated loop, not "<string>"; each system has its own label, which
+    # cProfile keys its entries by
+    f = compile_system(parse_system(HARMONIC))
     assert f.__code__.co_filename == "<rhs xdot = -1.0*y; ydot = 1.0*x>"
     g = compile_system(parse_system("xdot = -y^3; ydot = x^3 + x^5"))
     assert g.__code__.co_filename == "<rhs xdot = -1.0*y**3; ydot = 1.0*x**5 + 1.0*x**3>"
-    assert _dopri_loop(2).__code__.co_filename == "<dopri n=2>"
-    assert _dopri_loop(2, True).__code__.co_filename == "<dopri n=2 crossing>"
-    # a loop with a system's right-hand side inlined names that system
-    labels = {(fn, crossing): _dopri_loop(2, crossing, _inline_rhs(fn.float_terms))
-              .__code__.co_filename for fn in (f, g) for crossing in (False, True)}
-    assert labels == {
-        (f, False): "<dopri n=2 xdot = -ry; ydot = rx>",
-        (f, True): "<dopri n=2 crossing xdot = -ry; ydot = rx>",
-        (g, False): "<dopri n=2 xdot = -ry3; ydot = rx5 + rx3>",
-        (g, True): "<dopri n=2 crossing xdot = -ry3; ydot = rx5 + rx3>",
-    }
+    # the loop with a system's right-hand side inlined names that system
+    labels = {fn: _dopri_loop(_inline_rhs(fn.float_terms)).__code__.co_filename
+              for fn in (f, g)}
+    assert labels == {f: "<dopri xdot = -ry; ydot = rx>",
+                      g: "<dopri xdot = -ry3; ydot = rx5 + rx3>"}
     # and it is the loop that a return map of that system runs
     loops = []
 
@@ -642,87 +476,16 @@ def test_generated_code_names_its_source(monkeypatch):
 
     monkeypatch.setattr(numeric, "_dopri_loop", spy)
     return_map(parse_system("xdot = -y^3; ydot = x^3 + x^5"), [0.05])
-    assert [loop.__code__.co_filename for loop in loops] == [labels[g, True]]
+    assert [loop.__code__.co_filename for loop in loops] == [labels[g]]
 
 
-# -- bit-exact test against the return map that ran on the dense tail --
-
-def _callback_return_map(s, x0_list, transversal="x+", rel_tol=1e-12, abs_tol=1e-14,
-                         guard_radius=1.0):
-    # the return map as a step callback on the dense tail, which keeps every
-    # segment: the oracle for the crossing tail.  f is a plain callable, so
-    # the oracle runs the loop that calls it at every stage, and the return
-    # map, which inlines the system, is checked against that loop too
-    compiled = numeric.compile_system(s)
-    f = lambda x, y: compiled(x, y)  # noqa: E731
-    cx, cy, name = _ray(transversal)
-
-    def gfun(state):
-        return -cy * state[0] + cx * state[1]
-
-    def radial(state):
-        return cx * state[0] + cy * state[1]
-
-    samples, warnings, nfev, trajs = [], [], 0, []
-    for x0 in x0_list:
-        start = (cx * x0, cy * x0)
-        g0dot = gfun(f(*start))
-        if g0dot == 0:
-            warnings.append(f"x0={x0}: orbit tangent to the transversal at start")
-            continue
-        want_sign = 1.0 if g0dot > 0 else -1.0
-        state = {"armed": False, "hit": None, "escaped": False, "g": gfun(start)}
-
-        def callback(seg, y_new):
-            g_old = state["g"]
-            g_new = state["g"] = gfun(y_new)
-            if math.hypot(*y_new) > guard_radius:
-                state["escaped"] = True
-                return True
-            if not state["armed"]:
-                if abs(g_new) > 1e3 * abs_tol + 1e-12 * abs(x0) and g_new * want_sign < 0:
-                    state["armed"] = True
-                return False
-            if g_old * want_sign < 0 <= g_new * want_sign and radial(y_new) > 0:
-                tc, yc = _refine_crossing(seg, gfun)
-                if radial(yc) > 0:
-                    state["hit"] = (tc, yc)
-                    return True
-            return False
-
-        traj = integrate_adaptive(f, start, (0.0, 1e9), rel_tol=rel_tol,
-                                  abs_tol=abs_tol, step_callback=callback)
-        trajs.append(traj)
-        nfev += traj.nfev
-        if state["escaped"]:
-            warnings.append(f"x0={x0}: orbit left the guard radius {guard_radius} "
-                            "(evidence against monodromy)")
-            continue
-        if state["hit"] is None:
-            warnings.append(f"x0={x0}: no return within {traj.steps} steps ({traj.status})")
-            continue
-        tc, yc = state["hit"]
-        value = radial(yc)
-        samples.append(ReturnSample(x0, value, value - x0, tc))
-    if not samples:
-        cls = "inconclusive"
-    else:
-        tol = max(1e-9, 1e2 * rel_tol)
-        if all(abs(sm.displacement) <= tol * sm.x0 for sm in samples):
-            cls = "center_evidence"
-        elif all(sm.displacement < 0 for sm in samples):
-            cls = "stable_focus_evidence"
-        elif all(sm.displacement > 0 for sm in samples):
-            cls = "unstable_focus_evidence"
-        else:
-            cls = "inconclusive"
-    return ReturnMapResult(name, samples, cls, rel_tol, warnings, nfev), trajs
-
+# -- bit-exact test of the return map against the tuple reference loop --
 
 def _assert_same_return_map(s, x0_list, **kw):
-    # == and repr on every sample, warning, nfev and the classification; the
-    # crossing tail's steps, counts, closest approach and end point equal the
-    # dense tail's, and it keeps at most the segment of the crossing
+    # == and repr on every sample, warning, nfev and the classification, and
+    # on the Trajectory of each integration: its steps, counts, closest
+    # approach and end points equal the tuple loop's, and it keeps at most
+    # the segment of the crossing
     ref, ref_trajs = _callback_return_map(s, x0_list, **kw)
     got_trajs = []
     real = numeric.integrate_adaptive
@@ -738,13 +501,8 @@ def _assert_same_return_map(s, x0_list, **kw):
         numeric.integrate_adaptive = real
     assert got == ref
     assert repr(got) == repr(ref)
-    assert len(got_trajs) == len(ref_trajs)
-    for g, r in zip(got_trajs, ref_trajs):
-        assert (g.steps, g.nfev, g.closest_approach) == (r.steps, r.nfev, r.closest_approach)
-        assert (g.t, g.y) == ([r.t[0], r.t[-1]], [r.y[0], r.y[-1]])
-        assert g.status == ("escaped" if r.status == "event" and g.crossing is None
-                            else r.status)
-        assert g.segments == ([] if g.crossing is None else [r.segments[-1]])
+    assert got_trajs == ref_trajs
+    assert repr(got_trajs) == repr(ref_trajs)
     return got
 
 
@@ -779,16 +537,17 @@ def test_system_files_cover_the_return_map_benchmark():
 
 
 def test_crossing_tail_bit_identical_on_stops_without_return():
-    # leaving the guard radius: one orbit after some steps, one at once
+    # leaving the guard radius: one orbit after some steps, and one that
+    # starts on it, at once
     unstable = parse_system("xdot = -y + x*(x^2 + y^2); ydot = x + y*(x^2 + y^2)")
-    got = _assert_same_return_map(unstable, [0.9, 1.5, 0.05], guard_radius=1.0)
+    got = _assert_same_return_map(unstable, [0.9, 1.0, 0.05], guard_radius=1.0)
     assert sum("guard radius" in w for w in got.warnings) == 2 and len(got.samples) == 1
     # the orbit leaves the x-axis and settles at (0, x0) on the y-axis, so
-    # the run reaches the far horizon without a return
+    # the run reaches the time horizon without a return
     node = parse_system("xdot = -x^3; ydot = x^3")
     got = _assert_same_return_map(node, [0.05, 0.1])
-    assert [w.endswith("(finished)") and "no return within" in w for w in got.warnings] \
-        == [True, True]
+    assert [re.fullmatch(r"x0=0\.\d+: reached the time horizon 1e\+09 without a return "
+                         r"\(\d+ steps\)", w) is not None for w in got.warnings] == [True, True]
     # orbits tangent to the ray at the start are not integrated
     got = _assert_same_return_map(parse_system("xdot = -x; ydot = -y"), [0.05, 0.1])
     assert all("tangent" in w for w in got.warnings) and got.nfev == 0
@@ -797,16 +556,55 @@ def test_crossing_tail_bit_identical_on_stops_without_return():
     assert got.classification == "unstable_focus_evidence"
 
 
+def test_return_map_refuses_a_start_it_cannot_use(monkeypatch):
+    # a start outside the guard radius, or one whose absolute tolerance
+    # min(abs_tol, rel_tol*x0) is not a positive normal float, is refused
+    # before any integration
+    integrations = []
+    monkeypatch.setattr(numeric, "integrate_adaptive",
+                        lambda *args, **kw: integrations.append(args))
+    s = parse_system("xdot = -y + x*(x^2 + y^2); ydot = x + y*(x^2 + y^2)")
+    with pytest.raises(ValueError, match=r"^x0=1\.5 starts outside the guard radius 1\.0$"):
+        return_map(s, [0.05, 1.5])
+    with pytest.raises(ValueError, match=r"^x0=1e-300 is too small: .* = 1e-312 is not a "
+                                         r"positive normal float$"):
+        return_map(s, [0.05, 1e-300])
+    with pytest.raises(ValueError, match="x0=0.5 is too small"):
+        return_map(s, [0.5], abs_tol=0.0)
+    assert integrations == []
+
+
+@pytest.mark.parametrize("x0", [1e-5, 1e-8])
+def test_return_map_small_start_radius(x0):
+    # the absolute tolerance scales with the start: a center stays a center,
+    # and the linear focus x'' + x'/10 + x = 0 a stable focus, with the
+    # same work at every radius
+    rm = return_map(parse_system(NIL_REVERSIBLE), [x0])
+    assert rm.classification == "center_evidence" and 3000 < rm.nfev < 4000
+    lf = return_map(parse_system("xdot = -y - x/10; ydot = x"), [x0, x0 * 1e-90])
+    assert lf.classification == "stable_focus_evidence" and lf.nfev < 2 * 2500
+    assert all(abs(sm.value / sm.x0 - math.exp(-math.pi / 10 / math.sqrt(0.9975)))
+               <= 1e-9 for sm in lf.samples)
+    _assert_same_return_map(parse_system(NIL_REVERSIBLE), [x0])
+
+
 @pytest.mark.parametrize("rhs,message", [
     # finite-time blowup inside a far guard radius: the step size underflows
-    (lambda x, y: (1.0 + x * x, 1.0 + y * y), "step size underflow"),
+    (lambda: _with_float_terms((((1.0, 2, 0), (1.0, 0, 0)), ((1.0, 0, 2), (1.0, 0, 0)))),
+     "step size underflow"),
     # trial stages whose right-hand side overflows are rejected until the
-    # step size underflows
-    (lambda x, y: (1.0, 2.0 ** (2000 * x)), "step size underflow at t=0.502"),
+    # step size underflows: ydot is 1 up to x = 0.512, where the doubled
+    # product 2*c*x passes the float range, and inf beyond
+    (lambda: _with_float_terms((((1.0, 0, 0),), ((_BIG / 1.024, 1, 0), (_BIG / 1.024, 1, 0),
+                                                  (-_BIG / 1.024, 1, 0), (-_BIG / 1.024, 1, 0),
+                                                  (1.0, 0, 0)))),
+     "step size underflow at t=0.502"),
 ])
 def test_crossing_tail_raises_as_dense_tail(monkeypatch, rhs, message):
-    monkeypatch.setattr(numeric, "compile_system", lambda s: rhs)
-    s = parse_system("xdot = -y; ydot = x")
+    # the return map raises what its tuple-loop oracle raises
+    f = rhs()
+    monkeypatch.setattr(numeric, "compile_system", lambda s: f)
+    s = parse_system(HARMONIC)
     errors = []
     for run in (lambda: _callback_return_map(s, [0.01], guard_radius=math.inf),
                 lambda: return_map(s, [0.01], guard_radius=math.inf)):
@@ -819,89 +617,51 @@ def test_crossing_tail_raises_as_dense_tail(monkeypatch, rhs, message):
 
 def test_crossing_tail_keeps_bounded_memory():
     # an orbit that never meets the crossing test runs thousands of steps:
-    # the crossing tail keeps its two end points and no segment, with the
-    # dense tail's steps, evaluations, closest approach and end point
-    f = lambda x, y: (-y, x)  # noqa: E731
+    # the loop keeps its two end points and no segment, with the tuple
+    # loop's steps, evaluations, closest approach and end point
+    f = compile_system(parse_system(HARMONIC))
     never = Crossing(1.0, 0.0, -1.0, 2.0, 1.0)
     kw = dict(rel_tol=1e-10, abs_tol=1e-12)
-    got = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0), crossing=never, **kw)
-    dense = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0), **kw)
-    assert got.steps > 5000 and got.status == dense.status == "finished"
-    assert len(got.segments) == 0 and len(got.t) <= 2 and len(got.y) <= 2
-    assert (got.steps, got.nfev, got.closest_approach) == \
-        (dense.steps, dense.nfev, dense.closest_approach)
-    assert (got.t[-1], got.y[-1]) == (dense.t[-1], dense.y[-1])
+    got, run = _assert_bit_identical(f, (1.0, 0.0), (0.0, 600.0), never, **kw)
+    assert got.steps > 5000 and got.status == run.status == "finished"
+    assert len(got.segments) == 0 and len(got.t) == len(got.y) == 2
+    assert len(run.segments) == got.steps
     # the same at max_steps, and at a crossing: one segment, the last one
-    capped = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0), crossing=never, max_steps=3000,
-                                **kw)
+    capped, _ = _assert_bit_identical(f, (1.0, 0.0), (0.0, 600.0), never, max_steps=3000, **kw)
     assert capped.status == "max_steps" and capped.steps == 3000 and not capped.segments
-    hit = integrate_adaptive(f, (1.0, 0.0), (0.0, 600.0),
-                             crossing=Crossing(1.0, 0.0, 1.0, 2.0, 1.0), **kw)
+    hit, run = _assert_bit_identical(f, (1.0, 0.0), (0.0, 600.0),
+                                     Crossing(1.0, 0.0, 1.0, 2.0, 1.0), **kw)
     assert hit.status == "event" and len(hit.segments) == 1 and len(hit.t) == 2
+    assert hit.segments == run.segments[-1:]
     assert abs(hit.crossing[0] - 2 * math.pi) < 1e-8
     assert hit.segments[0].t0 < hit.crossing[0] <= hit.segments[0].t0 + hit.segments[0].h
 
 
 def test_crossing_checks_its_inputs():
     ray = Crossing(1.0, 0.0, 1.0, 2.0, 1.0)
+    f = _with_float_terms((((1.0, 2000, 0),), ()))
     with pytest.raises(IntegrationError, match="not finite") as err:
-        integrate_adaptive(lambda x, y: (x ** 2000, 0.0), (2.0, 0.0), (0.0, 1.0), crossing=ray)
+        integrate_adaptive(f, (2.0, 0.0), (0.0, 1.0), ray)
     assert err.value.closest_approach == 2.0
-    with pytest.raises(ValueError, match="plane state"):
-        integrate_adaptive(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 1.0), crossing=ray,
-                           step_callback=lambda seg, y: False)
-    with pytest.raises(ValueError, match="plane state"):
-        integrate_adaptive(lambda x, y, z: (-y, x, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0),
-                           crossing=ray)
+    # the loop inlines the right-hand side, so it needs compile_system's terms
+    with pytest.raises(ValueError, match="compile_system"):
+        integrate_adaptive(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 1.0), ray)
 
 
 def test_crossing_behind_the_origin_does_not_stop():
     # a straight orbit whose third step ends with x > 0 after crossing y = 0
     # at x = -0.005: the refined crossing lies behind the origin, so the run
     # goes on to the end of the span, as the step callback's did
-    f = lambda x, y: (1.0, 1.0)  # noqa: E731
+    f = _with_float_terms((((1.0, 0, 0),), ((1.0, 0, 0),)))
     ray = Crossing(1.0, 0.0, 1.0, 100.0, 0.1)
-    got = integrate_adaptive(f, (-0.105, -0.1), (0.0, 10.0), crossing=ray)
-    dense = integrate_adaptive(f, (-0.105, -0.1), (0.0, 10.0))
-    third = dense.segments[2]
-    assert third.y0[1] < 0 < dense.y[3][1] and dense.y[3][0] > 0
+    got, run = _assert_bit_identical(f, (-0.105, -0.1), (0.0, 10.0), ray)
+    third = run.segments[2]
+    assert third.y0[1] < 0 < run.y[3][1] and run.y[3][0] > 0
     assert _refine_crossing(third, ray.g)[1][0] < 0
     assert got.status == "finished" and got.crossing is None and not got.segments
-    assert (got.steps, got.nfev, got.t[-1], got.y[-1]) == \
-        (dense.steps, dense.nfev, dense.t[-1], dense.y[-1])
 
 
 # -- bit-exact test of the inlined right-hand side against the call path --
-
-def _with_float_terms(terms):
-    # a right-hand side rendered from float terms as compile_system renders
-    # one, for terms that no system can give (a constant term)
-    p, q = numeric._render(terms[0]), numeric._render(terms[1])
-    ns = {}
-    exec(f"def f(x, y):\n    return ({p}, {q})\n", ns)
-    ns["f"].float_terms = terms
-    return ns["f"]
-
-
-def _assert_inlined_bit_identical(f, state0, t_span, crossing=None, **kw):
-    # the oracle is f behind a plain lambda, which takes the loop that calls
-    # it at every stage; the inlined loop calls f only for the first stage of
-    # the first step.  == on every field (points, segments, status, nfev,
-    # steps, closest approach, crossing); repr also tells -0.0 from 0.0
-    calls = []
-
-    def counted(x, y):
-        calls.append((x, y))
-        return f(x, y)
-
-    counted.float_terms = f.float_terms
-    ref = integrate_adaptive(lambda x, y: f(x, y), state0, t_span, crossing=crossing, **kw)
-    got = integrate_adaptive(counted, state0, t_span, crossing=crossing, **kw)
-    assert calls == [tuple(map(float, state0))] and got.nfev > 1
-    assert got == ref
-    assert repr(got) == repr(ref)
-    return got
-
 
 _INLINED_SYSTEMS = {
     # coefficients exactly +1 and -1 (Q starts with -1.0*y**2), and another
@@ -921,13 +681,13 @@ _INLINED_SYSTEMS = {
 def test_inlined_rhs_bit_identical(text):
     f = compile_system(parse_system(text))
     kw = dict(rel_tol=1e-12, abs_tol=1e-14)
-    got = _assert_inlined_bit_identical(f, (0.1, 0.05), (0.0, 3.0), **kw)
-    assert got.status == "finished" and len(got.segments) == got.steps > 10
-    got = _assert_inlined_bit_identical(f, (0.1, 0.05), (0.0, -3.0), **kw)
+    got, _ = _assert_bit_identical(f, (0.1, 0.05), (0.0, 3.0), **kw)
+    assert got.status == "finished" and got.steps > 10
+    got, _ = _assert_bit_identical(f, (0.1, 0.05), (0.0, -3.0), **kw)
     assert got.status == "finished"
     for x0 in (0.02, 0.1):
         ray = Crossing(1.0, 0.0, 1.0 if f(x0, 0.0)[1] > 0 else -1.0, 1.0, x0)
-        got = _assert_inlined_bit_identical(f, (x0, 0.0), (0.0, 1e9), crossing=ray, **kw)
+        got, _ = _assert_bit_identical(f, (x0, 0.0), (0.0, 1e9), ray, **kw)
         assert got.status == "event" and len(got.segments) == 1
     _assert_same_return_map(parse_system(text), [0.02, 0.05], transversal="0.7")
 
@@ -938,17 +698,16 @@ def test_inlined_rhs_bit_identical_on_constant_term_and_zero_component():
     for terms in [(((1.0, 0, 0), (-1.0, 0, 1)), ((1.0, 1, 0), (-2.5, 0, 0))),
                   (((-2.5, 0, 0), (1.0, 0, 1)), ((0.5, 0, 0), (-1.0, 1, 0)))]:
         f = _with_float_terms(terms)
-        got = _assert_inlined_bit_identical(f, (0.1, 0.05), (0.0, 5.0), rel_tol=1e-10,
-                                            abs_tol=1e-12)
+        got, _ = _assert_bit_identical(f, (0.1, 0.05), (0.0, 5.0), rel_tol=1e-10,
+                                       abs_tol=1e-12)
         assert got.status == "finished"
         ray = Crossing(1.0, 0.0, 1.0, 100.0, 0.1)
-        _assert_inlined_bit_identical(f, (0.1, 0.0), (0.0, 100.0), crossing=ray)
+        _assert_bit_identical(f, (0.1, 0.0), (0.0, 100.0), ray)
     # a zero component: xdot = 0, so the orbit leaves the guard radius
     f = compile_system(parse_system("xdot = 0; ydot = x + x^2"))
     assert f.float_terms[0] == () and "{k}_0 = 0.0" in _inline_rhs(f.float_terms)
-    _assert_inlined_bit_identical(f, (0.3, -0.2), (0.0, 4.0))
-    got = _assert_inlined_bit_identical(f, (0.3, 0.0), (0.0, 1e9),
-                                        crossing=Crossing(1.0, 0.0, 1.0, 1.0, 0.3))
+    _assert_bit_identical(f, (0.3, -0.2), (0.0, 4.0))
+    got, _ = _assert_bit_identical(f, (0.3, 0.0), (0.0, 1e9), Crossing(1.0, 0.0, 1.0, 1.0, 0.3))
     assert got.status == "escaped"
 
 
@@ -957,9 +716,9 @@ def test_inlined_rhs_bit_identical_when_a_power_overflows():
     # steps are rejected until the step size underflows, in both loops
     f = compile_system(parse_system("xdot = y + x^2000; ydot = x"))
     errors = []
-    for g in (lambda x, y: f(x, y), f):
+    for integrate in (crossing_run, integrate_adaptive):
         with pytest.raises(IntegrationError, match="step size underflow") as err:
-            integrate_adaptive(g, (1.0, 0.5), (0.0, 10.0))
+            integrate(f, (1.0, 0.5), (0.0, 10.0), NEVER)
         errors.append((str(err.value), err.value.closest_approach))
     assert errors[0] == errors[1]
 
@@ -979,9 +738,9 @@ def test_inlined_loop_cached_by_source_text():
     assert plus.float_terms == minus.float_terms
     rhs_plus, rhs_minus = _inline_rhs(plus.float_terms), _inline_rhs(minus.float_terms)
     assert rhs_plus != rhs_minus
-    assert _dopri_loop(2, True, rhs_plus) is not _dopri_loop(2, True, rhs_minus)
-    assert _dopri_loop(2, True, rhs_minus).__code__.co_filename == \
-        "<dopri n=2 crossing xdot = -0.0*rx3 - ry; ydot = rx>"
+    assert _dopri_loop(rhs_plus) is not _dopri_loop(rhs_minus)
+    assert _dopri_loop(rhs_minus).__code__.co_filename == \
+        "<dopri xdot = -0.0*rx3 - ry; ydot = rx>"
     # a sweep of 40 distinct systems builds 40 loops and keeps at most the
     # cache's small bound
     before = info()

@@ -6,7 +6,7 @@ import pytest
 
 from centerlab import numeric, qhomog
 from centerlab.mpoly import MPoly, Rat
-from centerlab.numeric import _refine_crossing, compile_system, integrate_adaptive
+from centerlab.numeric import _refine_crossing, compile_system
 from centerlab.qhomog import (
     QHSignature,
     classify_qh_center,
@@ -27,6 +27,7 @@ from conftest import (
     poly,
     pq_period,
 )
+from reference_dopri import _tuple_loop_integrate
 
 SIG11 = QHSignature(1, 1, 3)
 SIG238 = QHSignature(2, 3, 8)
@@ -51,8 +52,9 @@ def _closed_form(mu, lam=1.0):
 
 def reference_period_integral(s, sig, rel_tol=1e-12):
     """The double Dormand-Prince quadrature that the trapezoid rule replaced:
-    the 3-state (Cs, Sn, I) system integrated once at ``rel_tol`` and once at
-    ``100*rel_tol`` up to the return of (Cs, Sn) to its start."""
+    the 3-state (Cs, Sn, I) system integrated on the tests' reference loop
+    once at ``rel_tol`` and once at ``100*rel_tol`` up to the return of
+    (Cs, Sn) to its start."""
     fPQ = compile_system(s)
     p, q = sig.p, sig.q
     e1 = 2 * p - 1
@@ -78,8 +80,8 @@ def reference_period_integral(s, sig, rel_tol=1e-12):
                 return True
             return False
 
-        integrate_adaptive(rhs, (z0, 0.0, 0.0), (0.0, 2.5 * tau_formula),
-                           rel_tol=tol, abs_tol=tol * 1e-2, step_callback=callback)
+        _tuple_loop_integrate(rhs, (z0, 0.0, 0.0), (0.0, 2.5 * tau_formula),
+                              rel_tol=tol, abs_tol=tol * 1e-2, step_callback=callback)
         assert "I" in hit, "integration did not close the period"
         return hit["I"]
 
