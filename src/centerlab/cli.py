@@ -32,6 +32,7 @@ from .perturb import (
 from .qhomog import classify_qh_center, detect_quasi_homogeneity, qh_signature
 from .report import condition_entry, display_str, poly_terms, ratfunc_entry, to_json
 from .structure import (
+    characteristic_directions,
     is_hamiltonian,
     reversibility_conditions,
     verify_darboux_integral,
@@ -44,7 +45,7 @@ from .systems import (
     parse_system,
     substitute,
 )
-from .numeric import check_tolerance, classify_monodromic, return_map
+from .numeric import check_tolerance, return_map
 
 
 def _rat(option: str, text: str):
@@ -324,8 +325,9 @@ def cmd_returnmap(args) -> int:
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     s, source = _load_system(args)
-    verdict = classify_monodromic(s, _radii(args), transversal=_transversal(args.transversal))
-    dirs = verdict.directions
+    # both parts are evidence, not proof: an exact result overrides them
+    dirs = characteristic_directions(s)
+    rm = return_map(s, _radii(args), transversal=_transversal(args.transversal))
     data = {
         "input": source,
         "class": s.linear_class,
@@ -336,12 +338,12 @@ def cmd_classify(args) -> int:
             "lowest_degree": dirs.lowest_degree,
         },
         "numeric": {
-            "classification": verdict.return_result.classification,
-            "samples": [{"x0": sm.x0, "displacement": sm.displacement}
-                        for sm in verdict.return_result.samples],
+            "classification": rm.classification,
+            "samples": [{"x0": sm.x0, "displacement": sm.displacement} for sm in rm.samples],
         },
-        "summary": verdict.summary,
-        "warnings": verdict.return_result.warnings + ["combined verdict is evidence, not proof"],
+        "summary": (f"{len(dirs.directions)} candidate characteristic direction(s); "
+                    f"return map: {rm.classification}"),
+        "warnings": rm.warnings + ["combined verdict is evidence, not proof"],
     }
     _emit(args, data, t0)
     return 0

@@ -1,27 +1,32 @@
-"""Adaptive ODE integration and Poincare return maps for numeric systems.
+"""Poincare return maps over one turn of a weighted polar angle.
+
+:func:`structure.monodromy_weights` shows a point monodromic: W =
+p*x*Q - q*y*P keeps one sign near it.  In the coordinates x = r^p*cos(psi),
+y = r^q*sin(psi) the flow has W = r^(p+q)*(p*cos^2 psi + q*sin^2 psi)*psi',
+so psi turns one way while W keeps its sign, and an orbit is the graph of
+
+    dr/dpsi = r*(r^q*cos(psi)*P + r^p*sin(psi)*Q)/W,
+    dt/dpsi = r^(p+q)*(p*cos^2 psi + q*sin^2 psi)/W.
+
+A return integrates (r, t) from psi0 to the fixed end psi0 +- 2*pi, with no
+crossing to detect and no time horizon.  A stage where W has lost its sign
+is rejected like one that overflows; the run stops when an accepted point
+leaves the guard radius ("escaped"), when the steps shrink to nothing after
+such a stage ("stalled": psi' vanishes on the orbit, which so does not turn
+around the origin at that size), or at ``max_steps``.
 
 The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
-J. Comput. Appl. Math. 6, 1980) with an I step-size controller.  It runs on
-plain Python floats, because on a plane state array overhead would cost far
-more than the right-hand side.  The stepping loop is Python source generated
-from the tableau's nonzero entries and compiled on first use, one loop per
-system compiled by :func:`compile_system`: both components are scalar
-locals, every stage sum and the error sum are written out term by term, and
-the system's right-hand side is written into each stage, so a stage calls
-no function, builds no tuple and computes each power of x and y once.  The
-order of the float operations is fixed (that of the tableau's rows, left to
-right, and of the system's terms), so a run repeats bit for bit.  The
-inlined right-hand side gives the floats that the compiled function
-returns: its sums keep that function's terms and factors in order and
-differ only where IEEE arithmetic is exact (a factor 1.0 is left out, and a
-negative coefficient becomes a subtraction, since rounding is
-sign-symmetric).
-
-After each accepted step the loop runs the return map's test (guard radius,
-arming, sign change of the distance from the ray, radial side) and keeps
-nothing per step: only the segment of the crossing is built, and the
-crossing is refined by bisection on its dense output.  So a return map's
-memory does not grow with its number of steps.  Verdicts produced here are
+J. Comput. Appl. Math. 6, 1980) with an I step-size controller, on plain
+Python floats.  Its stepping loop is Python source generated from the
+tableau's nonzero entries and compiled on first use, one per system and
+weights: both components are scalar locals, every stage sum and the error
+sum are written out term by term, and the system's P and Q are written into
+each stage, so a stage calls only cos and sin, builds no tuple and computes
+each power of x and y once.  The order of the float operations is fixed, so
+a run repeats bit for bit, and the inlined P and Q are the floats that
+:func:`compile_system`'s function returns (a factor 1.0 is left out and a
+negative coefficient becomes a subtraction, which IEEE rounding makes
+exact).  The loop keeps nothing per step.  Verdicts produced here are
 evidence only; they never override an exact result.
 """
 
@@ -31,35 +36,20 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
+from .structure import MonodromyWeights, monodromy_weights
 from .systems import PlaneSystem
-from .structure import CharacteristicDirections, characteristic_directions
-
-State = Tuple[float, ...]
-
-# Dense-output weights of the quartic interpolant of the 5(4) pair: row s
-# holds the coefficients of theta, theta^2, theta^3, theta^4 multiplying the
-# stage derivative k_s, for the stages 1, 3, 4, 5, 6, 7 (the row of stage 2
-# is zero).
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-
-# A return map integrates towards this time and reports an orbit that gets
-# there without crossing its ray.
-HORIZON = 1e9
-
 
 class IntegrationError(RuntimeError):
-    def __init__(self, message: str, closest_approach: Optional[float] = None):
+    def __init__(self, message: str, closest_approach: float):
         super().__init__(message)
         self.closest_approach = closest_approach
+
+
+class _Turned(Exception):
+    """Raised in a stage where W is finite and lacks the sign that it keeps
+    near the origin; the stepping loop rejects that step."""
 
 
 def compile_system(s: PlaneSystem) -> Callable:
@@ -114,63 +104,23 @@ def _render(terms) -> str:
 
 
 @dataclass
-class DenseSegment:
-    """One accepted step: its start time, step size, start state and the
-    seven stage derivatives, from which ``eval`` builds the interpolant."""
-
-    t0: float
-    h: float
-    y0: State
-    k: Tuple[State, ...]
-
-    def eval(self, t: float) -> State:
-        th = (t - self.t0) / self.h
-        w1, w3, w4, w5, w6, w7 = [th * (a + th * (b + th * (c + th * d)))
-                                  for a, b, c, d in _P]
-        h = self.h
-        k1, _, k3, k4, k5, k6, k7 = self.k
-        return tuple([a + h * (w1 * b1 + w3 * b3 + w4 * b4 + w5 * b5 + w6 * b6 + w7 * b7)
-                      for a, b1, b3, b4, b5, b6, b7 in zip(self.y0, k1, k3, k4, k5, k6, k7)])
-
-
-@dataclass
 class Trajectory:
-    """How an integration ended: its start and end points, its counts, and
-    at a crossing the one segment in which it was found (``segments``) with
-    ``crossing`` its refined (t, state).  ``status`` is "finished" (reached
-    the end of the span), "max_steps", "event" (stopped at a crossing) or
-    "escaped" (left the crossing's guard radius)."""
+    """How an integration over psi ended: psi and the state (r, t) at its
+    start and at its end, its counts and the least Euclidean radius of its
+    accepted points.  ``status`` is "finished" (reached the end of the
+    span), "max_steps", "escaped" (left the guard radius) or "stalled" (W
+    lacks its sign at the start, or the steps shrank to nothing where it
+    lost it)."""
 
-    t: List[float]
-    y: List[State]
-    segments: List[DenseSegment]
+    psi: List[float]
+    y: List[Tuple[float, float]]
     status: str
     nfev: int
     steps: int
     closest_approach: float
-    crossing: Optional[Tuple[float, State]]
-
-
-class Crossing(NamedTuple):
-    """The return map's stop test, run inside the stepping loop: the first
-    crossing of the ray from the origin along (cx, cy) in the direction
-    ``want_sign`` of g, after the orbit has left the ray's line, or leaving
-    ``guard_radius``.  ``x0`` is the starting radius, which sets how far
-    from the line the orbit must get before a crossing counts."""
-
-    cx: float
-    cy: float
-    want_sign: float
-    guard_radius: float
-    x0: float
-
-    def g(self, state: State) -> float:
-        """Signed distance of ``state`` from the ray's line."""
-        return -self.cy * state[0] + self.cx * state[1]
-
-    def radial(self, state: State) -> float:
-        """Coordinate of ``state`` along the ray."""
-        return self.cx * state[0] + self.cy * state[1]
+    # no step is stored: a tracer that counts the stored segments
+    # (bench/spans.py) reads this
+    segments = ()
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -179,45 +129,39 @@ def check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in (0, 1e-4]")
 
 
-def integrate_adaptive(f: Callable, state0: Sequence[float], t_span: Tuple[float, float],
-                       crossing: Crossing, rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+def integrate_adaptive(f: Callable, weights: MonodromyWeights, r0: float,
+                       psi_span: Tuple[float, float], guard_radius: float = math.inf,
+                       rel_tol: float = 1e-10, abs_tol: float = 1e-12,
                        max_steps: int = 1_000_000) -> Trajectory:
-    """Integrate the plane system ``f`` from :func:`compile_system` over
-    t_span with local error control, stopping at ``crossing``.
+    """Integrate (r, t) over ``psi_span`` for the system ``f`` from
+    :func:`compile_system`, in the weighted polar coordinates of
+    ``weights`` = (p, q, sign), from r = ``r0`` and t = 0, in the loop that
+    :func:`_dopri_loop` generates for ``f``'s float terms (a function
+    without them is refused with ValueError).
 
-    The steps run in the loop that :func:`_dopri_loop` generates for the
-    float terms that ``f`` carries; a function without them is refused with
-    ValueError.  ``f`` itself is called once, for the first stage of the
-    first step.  A step is accepted only when its error norm is at most 1,
-    so a step with non-finite stages (or whose right-hand side overflows) is
-    rejected and shrunk; if that never ends, the step size underflows and
-    ``IntegrationError`` is raised.  After each accepted step the loop runs
-    the stop test of ``crossing`` and keeps no per-step data: the trajectory
-    holds the start and end points and at most the one segment of the
-    crossing, so its memory does not grow with the number of steps.
+    ``sign`` is the sign that W = p*x*Q - q*y*P must keep: where W lacks it
+    at the start, or the steps shrink to nothing on stages where it does,
+    the run is "stalled".  psi may run either way; t increases along the
+    flow when psi runs the way of ``sign``.  The error of t is measured
+    against ``abs_tol + rel_tol*|t|`` and that of r against
+    ``(abs_tol/r0 + rel_tol)*r``, which follows r down as an orbit (a flat
+    one, say) comes close to the origin.  A step with non-finite stages (or
+    whose right-hand side overflows) is rejected and shrunk; if that never
+    ends, the step size underflows and ``IntegrationError`` is raised.  The
+    last step ends exactly on the end of the span.
     """
     check_tolerance("rel_tol", rel_tol)
     check_tolerance("abs_tol", abs_tol)
+    if not r0 > 0:
+        raise ValueError(f"r0 must be positive, got {r0!r}")
     terms = getattr(f, "float_terms", None)
     if terms is None:
         raise ValueError("the right-hand side must come from compile_system")
-    t0, t1 = t_span
-    direction = 1.0 if t1 >= t0 else -1.0
-    y = tuple([float(v) for v in state0])
-    closest = math.hypot(y[0], y[1])
-    try:
-        fy = f(*y)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise IntegrationError(f"right-hand side not finite at t={t0:.6g}",
-                               closest_approach=closest) from exc
-    # initial step heuristic
-    scale = [abs_tol + rel_tol * abs(v) for v in y]
-    d0 = max([abs(v) / s for v, s in zip(y, scale)])
-    d1 = max([abs(v) / s for v, s in zip(fy, scale)])
-    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
-    h = direction * min(h, abs(t1 - t0))
-    loop = _dopri_loop(_inline_rhs(terms))
-    return loop(t0, t1, direction, y, fy, h, closest, rel_tol, abs_tol, max_steps, crossing)
+    p, q, sign = weights
+    loop = _dopri_loop(_inline_rhs(terms), p, q)
+    psi0, psi1 = psi_span
+    return loop(float(psi0), float(psi1), float(r0), float(sign), guard_radius,
+                rel_tol, abs_tol, max_steps)
 
 
 # Dormand-Prince RK5(4) tableau as (j, numerator, denominator) of its nonzero
@@ -231,46 +175,69 @@ _STAGES = (
     ((1, 9017, 3168), (2, -355, 33), (3, 46732, 5247), (4, 49, 176), (5, -5103, 18656)),
     ((1, 35, 384), (3, 500, 1113), (4, 125, 192), (5, -2187, 6784), (6, 11, 84)),
 )
+# the nodes c_s of stages 2 to 5; stages 6 and 7 sit at the step's end
+_NODES = ((1, 5), (3, 10), (4, 5), (8, 9))
 # weights of the embedded error estimate (5th- minus 4th-order solution)
 _ERROR = ((1, 71, 57600), (3, -71, 16695), (4, 71, 1920), (5, -17253, 339200),
           (6, 22, 525), (7, -1, 40))
 
-# The stepping loop.  ``event`` is a Crossing.  An accepted step keeps
-# nothing; g = -cy*y_0 + cx*y_1 is the signed distance from the ray's line,
-# carried from one step to the next.  The loop stops when the orbit leaves
-# the guard radius, or at the first step after arming in which g changes
-# sign towards want_sign on the ray's side and the refined crossing is on
-# that side too: only that step's segment is built and kept.
+# The stepping loop.  y_0 is r and y_1 is t; the right-hand side does not
+# read t, so only the 5th-order solution sums its stages.  pn is the end of
+# the step: psi + h, or psi1 itself on the last step, so that the run ends
+# exactly there.  Each stage leaves the point (rx, ry) of its node, so after
+# stage 7 it is the step's end, which the guard radius is tested on.
 _LOOP = """\
-def dopri_loop(t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
-               max_steps, event):
-    y_0, y_1 = y
-    k1_0, k1_1 = k1
-    t_start = t
-    segments = []
-    crossing = None
-    cx = event.cx
-    cy = event.cy
-    want_sign = event.want_sign
-    guard_radius = event.guard_radius
-    arm_tol = 1e3 * abs_tol + 1e-12 * abs(event.x0)
-    g_old = -cy * y_0 + cx * y_1
-    armed = False
+def dopri_loop(psi, psi1, r0, sign, guard_radius, rel_tol, abs_tol, max_steps):
+    direction = 1.0 if psi1 >= psi else -1.0
+    psi_start = psi
+    y_0 = r0
+    y_1 = 0.0
+    ps = psi
+    rr = r0
+{point}
+    closest = hypot(rx, ry)
+    try:
+{field}
+    except OverflowError:
+        W = nan
+    v = W * sign
+    if not -inf < v < inf:
+        raise IntegrationError(f"right-hand side not finite at psi={{psi:.6g}}",
+                               closest_approach=closest)
+    if v <= 0:
+        return Trajectory([psi, psi], [(r0, 0.0), (r0, 0.0)], "stalled", 1, 0, closest)
+{slope}
+    # r's error is measured relative to r: abs_tol at r0, shrinking with r
+    tol_r = abs_tol / r0 + rel_tol
+    # initial step heuristic, on r alone: t starts at 0, where its scale
+    # would be abs_tol, which return_map sizes for r
+    u = tol_r * abs(y_0)
+    d0 = abs(y_0) / u
+    d1 = abs(k1_0) / u
+    h = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+    v = abs(psi1 - psi)
+    h = direction * (v if v < h else h)
     nfev = 1
     steps = 0
     status = "finished"
-    while (t - t1) * direction < 0:
+    turned = False
+    while (psi - psi1) * direction < 0:
         if steps >= max_steps:
             status = "max_steps"
             break
-        # the floor is the float resolution at t, not a share of the span:
-        # a return map runs towards a far horizon that it never reaches
-        at = abs(t)
-        if abs(h) < 1e-15 * (at if at > 1.0 else 1.0):
+        ap = abs(psi)
+        if abs(h) < 1e-15 * (ap if ap > 1.0 else 1.0):
+            if turned:
+                # the steps shrank onto a point where psi' vanishes
+                status = "stalled"
+                break
             raise IntegrationError(
-                f"step size underflow at t={{t:.6g}}", closest_approach=closest)
-        if (t + h - t1) * direction > 0:
-            h = t1 - t
+                f"step size underflow at psi={{psi:.6g}}", closest_approach=closest)
+        if (psi + h - psi1) * direction >= 0:
+            h = psi1 - psi
+            pn = psi1
+        else:
+            pn = psi + h
         nfev += 6
         try:
 {stages}
@@ -278,11 +245,16 @@ def dopri_loop(t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
             # float ** and / raise where a non-finite value would result:
             # reject the step like one with a non-finite error
             err = inf
+            turned = False
+        except Turned:
+            # W lacks its sign at a stage: reject the step likewise
+            err = inf
+            turned = True
         else:
             # RMS norm of the embedded error estimate, scaled per component
             u = abs(y_0)
             v = abs(yn_0)
-            r_0 = h * ({error_0}) / (abs_tol + rel_tol * (v if v > u else u))
+            r_0 = h * ({error_0}) / (tol_r * (v if v > u else u))
             u = abs(y_1)
             v = abs(yn_1)
             r_1 = h * ({error_1}) / (abs_tol + rel_tol * (v if v > u else u))
@@ -292,35 +264,19 @@ def dopri_loop(t, t1, direction, y, k1, h, closest, rel_tol, abs_tol,
             h *= factor if factor > 0.2 else 0.2
             continue
         steps += 1
-        r = hypot(yn_0, yn_1)
-        closest = r if r < closest else closest
-        g = -cy * yn_0 + cx * yn_1
-        if r > guard_radius:
-            status = "escaped"
-            t += h
-            y_0, y_1 = yn_0, yn_1
-            break
-        if not armed:
-            # wait until the orbit has genuinely left the section
-            armed = abs(g) > arm_tol and g * want_sign < 0
-        elif g_old * want_sign < 0 <= g * want_sign and cx * yn_0 + cy * yn_1 > 0:
-            seg = DenseSegment(t, h, (y_0, y_1), {ks})
-            crossing = refine_crossing(seg, event.g)
-            if event.radial(crossing[1]) > 0:
-                segments.append(seg)
-                status = "event"
-                t += h
-                y_0, y_1 = yn_0, yn_1
-                break
-            crossing = None
-        g_old = g
-        t += h
+        turned = False
+        psi = pn
         y_0, y_1 = yn_0, yn_1
+        d = hypot(rx, ry)
+        closest = d if d < closest else closest
+        if d > guard_radius:
+            status = "escaped"
+            break
         k1_0, k1_1 = k7_0, k7_1
         factor = 0.9 * err ** (-0.2) if err > 1e-10 else 10.0
         factor = factor if factor > 0.2 else 0.2
         h *= factor if factor < 10.0 else 10.0
-    return Trajectory([t_start, t], [y, (y_0, y_1)], segments, status, nfev, steps, closest, crossing)
+    return Trajectory([psi_start, psi], [(r0, 0.0), (y_0, y_1)], status, nfev, steps, closest)
 """
 
 
@@ -338,12 +294,12 @@ def _weighted_sum(row, i: int) -> str:
 
 
 def _inline_rhs(terms) -> str:
-    """Source of one stage's right-hand side, from the terms that
-    :func:`compile_system` attaches: it reads the stage's state from ``rx``
-    and ``ry`` and writes ``{k}_0`` and ``{k}_1``, to be formatted with a
-    stage name.  Each power rx**e or ry**e with e > 1 is computed once (into
-    ``rx2``, ``ry3``, ...), a coefficient 1.0 is left out and a negative one
-    is written as a subtraction, or as a leading minus.
+    """Source of P and Q at one stage's point, from the terms that
+    :func:`compile_system` attaches: it reads the point from ``rx`` and
+    ``ry`` and writes ``fP`` and ``fQ``.  Each power rx**e or ry**e with
+    e > 1 is computed once (into ``rx2``, ``ry3``, ...), a coefficient 1.0
+    is left out and a negative one is written as a subtraction, or as a
+    leading minus.
 
     Every float equals the one the compiled ``f`` returns: 1.0*a is a,
     a + (-c)*u*v is a - c*u*v because rounding is sign-symmetric, and a
@@ -354,7 +310,7 @@ def _inline_rhs(terms) -> str:
     powers = sorted({(v, e) for comp in terms for _, i, j in comp
                      for v, e in (("rx", i), ("ry", j)) if e > 1})
     lines = [f"{v}{e} = {v}**{e}" for v, e in powers]
-    for out, comp in zip(("{k}_0", "{k}_1"), terms):
+    for out, comp in zip(("fP", "fQ"), terms):
         expr = ""
         for c, i, j in comp:
             coef = repr(c)
@@ -372,67 +328,63 @@ def _inline_rhs(terms) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _dopri_loop(rhs: str) -> Callable:
-    """The stepping loop of :func:`integrate_adaptive` for one system,
-    generated and compiled on first use from ``rhs``, the source that
-    :func:`_inline_rhs` writes for its float terms: each stage runs that
-    source, so a step calls no right-hand side and builds no stage tuple.
-    The loop's label names the system, so that a profile keeps one entry
-    per system.  The cache is keyed by the source text, not by the float
-    terms, since ``0.0 == -0.0`` would let two systems share a loop.
+def _dopri_loop(rhs: str, p: int, q: int) -> Callable:
+    """The stepping loop of :func:`integrate_adaptive` for one system and
+    its weights, generated and compiled on first use from ``rhs``, the
+    source that :func:`_inline_rhs` writes for its float terms: each stage
+    runs that source, so a step calls no right-hand side and builds no
+    stage tuple.  The loop's label names the weights and the system, so
+    that a profile keeps one entry per system.  The cache is keyed by the
+    source text, not by the float terms, since ``0.0 == -0.0`` would let two
+    systems share a loop.
 
-    Each component is a scalar local (``y_0``, ``k3_1``, ...), so a step
-    builds no list and calls no ``zip``; the state and stage derivatives of
-    a crossing's segment are still tuples.  ``max(u, v)`` is written
-    ``v if v > u else u`` and ``min(u, v)`` ``v if v < u else u``, which is
-    what the builtins compute, NaN included, and the error sum starts at its
-    first square, which is what adding that square to 0.0 gives.
+    A stage at node ``ps`` and radius ``rr`` computes the point
+    rx = rr**p*cos(ps), ry = rr**q*sin(ps), P and Q there (``rhs``),
+    W = p*rx*Q - q*ry*P and the two slopes; a weight 1 is left out, since
+    rr**1 is rr and 1*a is a.  ``max(u, v)`` is written ``v if v > u else
+    u`` and ``min(u, v)`` ``v if v < u else u``, which is what the builtins
+    compute, NaN included, and the error sum starts at its first square,
+    which is what adding that square to 0.0 gives.
     """
+    rp, rq = ("rr" if e == 1 else f"r{e}" for e in (p, q))
+    wp, wq = ("" if e == 1 else f"{e} * " for e in (p, q))
+    point = ["cs = cos(ps)", "sn = sin(ps)"]
+    point += [f"{name} = rr ** {e}" for name, e in ((rp, p), (rq, q)) if e > 1]
+    point += [f"rx = {rp} * cs", f"ry = {rq} * sn"]
+    field_ = [*rhs.splitlines(), f"W = {wp}rx * fQ - {wq}ry * fP"]
+    # a finite W without its sign; a non-finite one makes a non-finite error
+    check = ["if -inf < W * sign <= 0:", "    raise Turned"]
+
+    def slope(k):
+        return [f"k{k}_0 = rr * ({rq} * cs * fP + {rp} * sn * fQ) / W",
+                f"k{k}_1 = {rp} * {rq} * ({wp}cs * cs + {wq}sn * sn) / W"]
+
     stages = []
     for s, row in enumerate(_STAGES, start=2):
-        x, y = (f"y_{i} + h * ({_weighted_sum(row, i)})" for i in (0, 1))
+        r_new = f"y_0 + h * ({_weighted_sum(row, 0)})"
         if s < 7:
-            stages += [f"rx = {x}", f"ry = {y}", *rhs.format(k=f"k{s}").splitlines()]
+            node = f"psi + {_NODES[s - 2][0] / _NODES[s - 2][1]!r} * h" if s < 6 else "pn"
+            stages += [f"ps = {node}", f"rr = {r_new}", *point, *field_, *check, *slope(s)]
         else:
-            stages += [f"yn_0 = {x}", f"yn_1 = {y}"]
-    stages += ["rx = yn_0", "ry = yn_1", *rhs.format(k="k7").splitlines()]
-    # the state and stage derivatives of a crossing's segment, as tuples
-    ks = ", ".join(f"(k{s}_0, k{s}_1)" for s in range(1, 8))
-    src = _LOOP.format(stages="\n".join(" " * 12 + line for line in stages), ks=f"({ks})",
+            stages += [f"yn_0 = {r_new}", f"yn_1 = y_1 + h * ({_weighted_sum(row, 1)})"]
+    stages += ["ps = pn", "rr = yn_0", *point, *field_, *check, *slope(7)]
+    src = _LOOP.format(point="\n".join(" " * 4 + line for line in point),
+                       field="\n".join(" " * 8 + line for line in field_),
+                       slope="\n".join(" " * 4 + line for line in slope(1)),
+                       stages="\n".join(" " * 12 + line for line in stages),
                        error_0=_weighted_sum(_ERROR, 0), error_1=_weighted_sum(_ERROR, 1))
-    ns = {"DenseSegment": DenseSegment, "Trajectory": Trajectory,
-          "IntegrationError": IntegrationError, "inf": math.inf,
-          "sqrt": math.sqrt, "hypot": math.hypot, "refine_crossing": _refine_crossing}
+    ns = {"Trajectory": Trajectory, "IntegrationError": IntegrationError, "Turned": _Turned,
+          "inf": math.inf, "nan": math.nan,
+          "sqrt": math.sqrt, "hypot": math.hypot, "cos": math.cos, "sin": math.sin}
     xdot, ydot = (line.split(" = ", 1)[1] for line in rhs.splitlines()[-2:])
-    exec(compile(src, f"<dopri xdot = {xdot}; ydot = {ydot}>", "exec"), ns)
+    exec(compile(src, f"<dopri ({p},{q}) xdot = {xdot}; ydot = {ydot}>", "exec"), ns)
     return ns["dopri_loop"]
-
-
-def _refine_crossing(seg: DenseSegment, gfun: Callable) -> Tuple[float, State]:
-    """Bisection for g(y(t)) = 0 over one dense segment; the bracket is
-    shrunk until the crossing coordinate is within 1e-12."""
-    lo, hi = seg.t0, seg.t0 + seg.h
-    glo = gfun(seg.eval(lo))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = gfun(seg.eval(mid))
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-        if abs(gm) < 1e-12 and (hi - lo) < 1e-12 * max(1.0, abs(mid)):
-            break
-    tcross = 0.5 * (lo + hi)
-    return tcross, seg.eval(tcross)
 
 
 @dataclass
 class ReturnSample:
     x0: float
-    value: float          # Pi(x0), radial coordinate on the transversal
+    value: float          # Pi(x0), the returned point's coordinate on the section
     displacement: float
     return_time: float
 
@@ -447,37 +399,48 @@ class ReturnMapResult:
     nfev: int = 0
 
 
+NO_WEIGHTS = ("no weights (p,q) of the Newton polygon make p*x*Q - q*y*P definite: "
+              "monodromy not shown, nothing integrated")
 
-def _ray(transversal) -> Tuple[float, float, str]:
+
+def _section(transversal, p: int, q: int) -> Tuple[float, int, str]:
+    """The section's psi0, the exponent e for which a point r of it has the
+    coordinate r**e along it, and its name.  An angle is a section of the
+    weighted polar coordinates only when p = q = 1 (ValueError otherwise)."""
     if transversal in ("x+", "x"):
-        return 1.0, 0.0, "positive x-axis"
+        return 0.0, p, "positive x-axis"
     if transversal in ("y+", "y"):
-        return 0.0, 1.0, "positive y-axis"
+        return math.pi / 2, q, "positive y-axis"
     angle = float(transversal)
-    return math.cos(angle), math.sin(angle), f"ray at angle {angle:.6f}"
+    if p != q:
+        raise ValueError(f"the monodromy weights are ({p},{q}), so a ray at an angle is "
+                         "not a section of their polar angle; use the transversal x+ or y+")
+    return angle, 1, f"ray at angle {angle:.6f}"
 
 
 def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
                rel_tol: float = 1e-12, abs_tol: float = 1e-14,
                guard_radius: float = 1.0) -> ReturnMapResult:
-    """First-return map on a ray from the origin.
+    """First-return map on a section of the weighted polar angle.
 
-    For each starting radius x0 the orbit is integrated until it crosses the
-    ray again in the direction of its initial departure, or reaches the time
-    :data:`HORIZON`; the crossing is refined on the dense output of the step
-    in which it happens.  The test runs in the integrator's stepping loop
-    (see :class:`Crossing`), so an orbit of any number of steps keeps at most
-    that one segment.  The absolute tolerance of a radius is
-    min(abs_tol, rel_tol*x0), so that a small orbit is resolved relative to
-    its size, as the center test below reads it.  A radius beyond
-    ``guard_radius``, or whose tolerance is not a positive normal float, is
-    refused with ValueError before anything is integrated.
+    The weights come from :func:`structure.monodromy_weights`; with none,
+    monodromy is not shown and nothing is integrated: the result is
+    inconclusive, with the warning :data:`NO_WEIGHTS`.  Each x0 starts on
+    the section psi0: x = x0 on the positive x-axis (psi0 = 0,
+    r0 = x0^(1/p)), y = x0 on the positive y-axis (psi0 = pi/2,
+    r0 = x0^(1/q)), or radius x0 on a ray at an angle, which needs
+    p = q = 1.  One turn of psi later, the value is the end's coordinate on
+    the section and the return time its t.  A run that escapes, stalls or
+    reaches max_steps gives a warning and no sample.  The absolute
+    tolerance of a radius is min(abs_tol, rel_tol*x0), so that a small orbit
+    is resolved relative to its size, as the center test reads it; a radius
+    beyond ``guard_radius``, or whose tolerance is not a positive normal
+    float, is refused with ValueError before anything is integrated.
     Classification: center evidence when every
     |displacement| <= max(1e-9, 100*rel_tol)*x0, focus evidence on a
     consistent sign, inconclusive otherwise.
     """
     f = compile_system(s)
-    cx, cy, name = _ray(transversal)
     atols = []
     for x0 in x0_list:
         if x0 > guard_radius:
@@ -487,35 +450,31 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
             raise ValueError(f"x0={x0} is too small: its absolute tolerance "
                              f"min(abs_tol, rel_tol*x0) = {atols[-1]!r} is not a positive "
                              "normal float")
+    weights = monodromy_weights(s)
+    if weights is None:
+        name = _section(transversal, 1, 1)[2]
+        return ReturnMapResult(name, [], "inconclusive", rel_tol, [NO_WEIGHTS])
+    psi0, e, name = _section(transversal, weights.p, weights.q)
+    span = (psi0, psi0 + weights.sign * 2 * math.pi)
     samples: List[ReturnSample] = []
     warnings: List[str] = []
     nfev = 0
     for x0, atol in zip(x0_list, atols):
-        start = (cx * x0, cy * x0)
-        ray = Crossing(cx, cy, 1.0, guard_radius, x0)
-        g0dot = ray.g(f(*start))
-        if g0dot == 0:
-            warnings.append(f"x0={x0}: orbit tangent to the transversal at start")
-            continue
-        if not g0dot > 0:
-            ray = ray._replace(want_sign=-1.0)
-        traj = integrate_adaptive(f, start, (0.0, HORIZON), ray, rel_tol=rel_tol,
-                                  abs_tol=atol)
+        traj = integrate_adaptive(f, weights, x0 ** (1 / e), span, guard_radius,
+                                  rel_tol=rel_tol, abs_tol=atol)
         nfev += traj.nfev
         if traj.status == "escaped":
             warnings.append(f"x0={x0}: orbit left the guard radius {guard_radius} "
                             "(evidence against monodromy)")
-            continue
-        if traj.status == "finished":
-            warnings.append(f"x0={x0}: reached the time horizon {HORIZON:g} without a "
-                            f"return ({traj.steps} steps)")
-            continue
-        if traj.crossing is None:
+        elif traj.status == "stalled":
+            warnings.append(f"x0={x0}: psi' vanished at psi={traj.psi[-1]:.6g}, where "
+                            "p*x*Q - q*y*P lost its sign: no return")
+        elif traj.status != "finished":
             warnings.append(f"x0={x0}: no return within {traj.steps} steps ({traj.status})")
-            continue
-        tc, yc = traj.crossing
-        value = ray.radial(yc)
-        samples.append(ReturnSample(x0, value, value - x0, tc))
+        else:
+            r, t = traj.y[-1]
+            value = r ** e
+            samples.append(ReturnSample(x0, value, value - x0, t))
 
     if not samples:
         cls = "inconclusive"
@@ -530,24 +489,3 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
         else:
             cls = "inconclusive"
     return ReturnMapResult(name, samples, cls, rel_tol, warnings, nfev)
-
-
-@dataclass
-class MonodromicVerdict:
-    directions: CharacteristicDirections
-    return_result: ReturnMapResult
-    summary: str
-
-
-def classify_monodromic(s: PlaneSystem, x0_list: Sequence[float] = (0.02, 0.05, 0.1),
-                        transversal="x+") -> MonodromicVerdict:
-    """Candidate characteristic directions together with return-map evidence.
-
-    Both parts are evidence, not proof; discrepancies with exact results
-    should be resolved in favor of the exact ones.
-    """
-    dirs = characteristic_directions(s)
-    rm = return_map(s, x0_list, transversal=transversal)
-    summary = (f"{len(dirs.directions)} candidate characteristic direction(s); "
-               f"return map: {rm.classification}")
-    return MonodromicVerdict(dirs, rm, summary)

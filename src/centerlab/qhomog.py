@@ -39,7 +39,8 @@ from typing import Optional, Tuple
 
 from .mpoly import MPoly
 from .numeric import compile_system
-from .realroots import real_root_count, univariate_gcd
+from .realroots import univariate_gcd
+from .structure import weighted_form_sign
 from .systems import PlaneSystem
 
 
@@ -124,24 +125,15 @@ class ConditionIVerdict:
     detail: str = ""
 
 
-def _weighted_form(s: PlaneSystem, sig: QHSignature) -> MPoly:
-    table = s.vars
-    x = MPoly.variable("x", table)
-    y = MPoly.variable("y", table)
-    return x * s.Q * sig.p - y * s.P * sig.q
-
-
 def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature) -> ConditionIVerdict:
     """Decide exactly whether the weighted form W = p*x*Q - q*y*P vanishes
     anywhere off the origin (equivalently whether it has a real factor).
 
-    Weighted homogeneity, W(l^p*x, l^q*y) = l^d*W(x, y) for l > 0, moves
-    every point off the origin onto the line x = 1, the line x = -1 or the
-    point (0, +-1).  So W keeps one strict sign off the origin exactly when
-    W(0, 1), its pure y-power coefficient, is nonzero and neither W(1, t)
-    nor W(-1, t) has a real root (two Sturm counts each); the sign is that
-    of W(0, 1).  The same scaling makes the coprimality of P and Q
-    univariate: a common factor is x or divides gcd(P(1, t), Q(1, t)).
+    Weighted homogeneity decides it on the lines x = 1 and x = -1 and at
+    the point (0, 1) (:func:`structure.weighted_form_sign`, which the
+    monodromy weights of the return map share).  The same scaling makes the
+    coprimality of P and Q univariate: a common factor is x or divides
+    gcd(P(1, t), Q(1, t)).
     Raises ``ValueError`` when the system is not quasi-homogeneous with the
     signature ``sig`` or when P and Q are not coprime.
     """
@@ -154,17 +146,9 @@ def condition_i_no_real_factors(s: PlaneSystem, sig: QHSignature) -> ConditionIV
     on_x1 = [poly.coefficient_list("y", {"x": 1}) for poly in (s.P, s.Q)]
     if len(univariate_gcd(*on_x1)) > 1:
         raise ValueError("P and Q must be coprime; P(1, t) and Q(1, t) have a common factor")
-    W = _weighted_form(s, sig)
-    if W.is_zero:
-        return ConditionIVerdict(False, detail="weighted form is identically zero")
-    c = sum(W.coefficient_list("y", {"x": 0}))  # W(0, 1)
-    if not c:
-        return ConditionIVerdict(False, detail="x divides the weighted form")
-    for x0 in (1, -1):
-        if real_root_count(W.coefficient_list("y", {"x": x0})):
-            return ConditionIVerdict(False, detail=f"W({x0}, t) has a real root")
-    return ConditionIVerdict(True, sign=1 if c > 0 else -1,
-                             detail="W(1, t) and W(-1, t) have no real root (Sturm counts)")
+    x, y = (MPoly.variable(v, s.vars) for v in ("x", "y"))
+    sign, detail = weighted_form_sign(x * s.Q * sig.p - y * s.P * sig.q)
+    return ConditionIVerdict(bool(sign), sign=sign or None, detail=detail)
 
 
 @dataclass

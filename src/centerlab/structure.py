@@ -1,17 +1,17 @@
 """Structural center mechanisms: Hamiltonian test, time-reversibility about a
-rotated axis, Darboux-type first-integral verification, and candidate
-characteristic directions."""
+rotated axis, Darboux-type first-integral verification, candidate
+characteristic directions, and the weights that show a point monodromic."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .mpoly import MPoly, Rat, merge_tables, poly_gcd
 from .parser import DarbouxExpr
 from .ratfunc import RatFunc
-from .realroots import isolate_real_roots, root_multiplicity
+from .realroots import isolate_real_roots, real_root_count, root_multiplicity
 from .systems import PlaneSystem, lie_derivative
 
 
@@ -308,3 +308,74 @@ def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:
     directions.sort(key=lambda dd: dd.angle)
     return CharacteristicDirections(d, B, directions)
 
+
+
+# -- monodromy -------------------------------------------------------------------
+
+
+def weighted_form_sign(W: MPoly) -> Tuple[int, str]:
+    """The sign (1 or -1) that a (p,q)-quasi-homogeneous form W in x and y
+    keeps off the origin, or 0 when it vanishes somewhere there, with a
+    detail that says which.
+
+    Weighted homogeneity, W(l^p*x, l^q*y) = l^d*W(x, y) for l > 0, moves
+    every point off the origin onto the line x = 1, the line x = -1 or the
+    point (0, +-1).  So W keeps one strict sign off the origin exactly when
+    W(0, 1), its pure y-power coefficient, is nonzero and neither W(1, t)
+    nor W(-1, t) has a real root (two Sturm counts each); the sign is that
+    of W(0, 1)."""
+    if W.is_zero:
+        return 0, "weighted form is identically zero"
+    c = sum(W.coefficient_list("y", {"x": 0}))  # W(0, 1)
+    if not c:
+        return 0, "x divides the weighted form"
+    for x0 in (1, -1):
+        if real_root_count(W.coefficient_list("y", {"x": x0})):
+            return 0, f"W({x0}, t) has a real root"
+    return (1 if c > 0 else -1), "W(1, t) and W(-1, t) have no real root (Sturm counts)"
+
+
+class MonodromyWeights(NamedTuple):
+    """Weights whose polar angle turns monotonically near the origin, the
+    way of ``sign``, the sign of p*x*Q - q*y*P there."""
+
+    p: int
+    q: int
+    sign: int
+
+
+def monodromy_weights(s: PlaneSystem) -> Optional[MonodromyWeights]:
+    """The weights that show the origin monodromic, or None.
+
+    A monomial x^i y^j of P (c = 0) or Q (c = 1) has the row
+    (i - 1 + c, j - c).  An edge of the lower-left Newton polygon of the rows
+    fixes weights (p, q) > 0 and the lowest parts P_low, Q_low on it; when
+    W = p*x*Q_low - q*y*P_low keeps a strict sign off the origin
+    (:func:`weighted_form_sign`), so does p*x*Q - q*y*P near the origin.
+    Such a W is nonzero at (0, 1) and (1, 0), so its edge holds the row
+    (-1, j) of a pure power y^j of P and the row (i, -1) of a pure power x^i
+    of Q.  Rows lie in u, v >= -1, so only a polygon whose one edge joins
+    the lowest such (-1, j) to the leftmost such (i, -1) can qualify, with
+    p:q = (j + 1):(i + 1).  Parameters must be specialized."""
+    if not s.is_numeric():
+        raise ValueError("specialize parameters first")
+    parts = [poly.coefficients_in_vars(("x", "y")) for poly in (s.P, s.Q)]
+    j = min((j for i, j in parts[0] if i == 0), default=None)
+    i = min((i for i, j in parts[1] if j == 0), default=None)
+    if i is None or j is None:
+        return None
+    g = math.gcd(i + 1, j + 1)
+    p, q = (j + 1) // g, (i + 1) // g
+    low = q * j - p  # the weight of the rows (-1, j) and (i, -1)
+    weight = {(c, e): p * (e[0] - 1 + c) + q * (e[1] - c)
+              for c, terms in enumerate(parts) for e in terms}
+    if min(weight.values()) < low:
+        return None  # a row below the edge: the polygon has other edges
+    # p*x*Q_low - q*y*P_low, term by term
+    W = [MPoly.from_coefficients(s.vars, ("x", "y"),
+                                 {(a + c, b + 1 - c): coeff * (p if c else -q)
+                                  for (a, b), coeff in terms.items()
+                                  if weight[c, (a, b)] == low})
+         for c, terms in enumerate(parts)]
+    sign, _ = weighted_form_sign(W[0] + W[1])
+    return MonodromyWeights(p, q, sign) if sign else None

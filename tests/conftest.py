@@ -4,11 +4,10 @@ import random
 import pytest
 
 from centerlab.mpoly import MPoly, Rat
-from centerlab.numeric import _refine_crossing
 from centerlab.parser import parse_expression, parse_polynomial
 from centerlab.systems import parse_system
 
-from reference_dopri import _tuple_loop_integrate
+from reference_dopri import _tuple_loop_integrate, refine_crossing
 
 # benchmark families used across the suite
 NIL_CUBIC_K = "xdot = y + x^2 + k2*x*y; ydot = k1*x^2 - x^3"
@@ -71,12 +70,12 @@ def integrated_circle(p, q, rel_tol=1e-12):
     tau_formula = pq_period(p, q)
     hit = {}
 
-    def callback(seg, y_new):
+    def callback(seg, t_new, y_new):
         # return of w to 0 from below with z > 0, past half a period
-        if seg.t0 + seg.h < 0.5 * tau_formula:
+        if t_new < 0.5 * tau_formula:
             return False
         if seg.y0[1] < 0 <= y_new[1] and y_new[0] > 0:
-            hit["t"], _ = _refine_crossing(seg, lambda st: st[1])
+            hit["t"], _ = refine_crossing(seg, lambda st: st[1])
             return True
         return False
 

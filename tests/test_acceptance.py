@@ -31,6 +31,7 @@ from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum
 from centerlab.structure import (
     characteristic_directions,
     is_hamiltonian,
+    monodromy_weights,
     reversibility_conditions,
     verify_darboux_integral,
 )
@@ -360,6 +361,11 @@ def test_criterion_6_return_maps():
     checks.append(("6 radial focus: consistent negative displacement",
                    rm.classification == "stable_focus_evidence"))
 
+    # a node shows no monodromy weights: its return map integrates nothing
+    rm = return_map(parse_system("xdot = -x; ydot = x - y"), [0.05])
+    checks.append(("6 node: no monodromy weights, nothing integrated",
+                   (rm.classification, rm.samples, rm.nfev) == ("inconclusive", [], 0)))
+
     for name, ok in checks:
         report(f"6 [{'PASS' if ok else 'FAIL'}] {name}")
     assert all(ok for _, ok in checks)
@@ -473,7 +479,7 @@ def test_criterion_7_laurent_multiply_back():
 
 
 def test_criterion_7_energy_conservation():
-    from centerlab.numeric import Crossing, IntegrationError
+    from centerlab.numeric import IntegrationError
 
     rnd = random.Random(105)
     count = 0
@@ -492,22 +498,22 @@ def test_criterion_7_energy_conservation():
             H = H + extra * Rat(1, 4)
         s_text = f"xdot = {H.diff('y')}; ydot = {-H.diff('x')}"
         s = parse_system(s_text)
-        f = compile_system(s)
+        w = monodromy_weights(s)
         x0 = 0.15
-        want = 1.0 if f(x0, 0.0)[1] > 0 else -1.0  # direction of departure
-        ray = Crossing(1.0, 0.0, want, 0.5, x0)
         try:
-            # a loop around the origin returns to the positive x-axis within
-            # ~2*pi; draws that leave the radius 0.5 or loop around some other
-            # critical point are skipped after a few revolutions' worth of time
-            traj = integrate_adaptive(f, (x0, 0.0), (0.0, 25.0), ray, rel_tol=1e-12,
-                                      abs_tol=1e-14)
+            # one turn of the polar angle from (x0, 0); draws that leave the
+            # radius 0.5, or whose level curve stops turning around the
+            # origin (W loses its sign on it), are skipped
+            traj = integrate_adaptive(compile_system(s), w, x0, (0.0, w.sign * 2 * math.pi),
+                                      0.5, rel_tol=1e-12, abs_tol=1e-14)
         except IntegrationError:
             continue
-        if traj.status != "event":
+        if traj.status != "finished":
             continue
+        r = traj.y[-1][0]
+        x, y = r * math.cos(traj.psi[-1]), r * math.sin(traj.psi[-1])
         h0 = H.eval_float({"x": x0, "y": 0.0})
-        h1 = H.eval_float({"x": traj.y[-1][0], "y": traj.y[-1][1]})
+        h1 = H.eval_float({"x": x, "y": y})
         drift = abs(h1 - h0)
         worst = max(worst, drift)
         assert drift <= 1e-9

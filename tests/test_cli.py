@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from centerlab import ratfunc
+from centerlab import numeric, ratfunc
 from centerlab.cli import main
 from centerlab.liapunov import DegreePass
 from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables
@@ -471,14 +471,48 @@ def test_returnmap_small_start_radius(sysfile, capsys, x0):
     assert len(data["numeric"]["samples"]) == 2
 
 
-def test_returnmap_names_the_time_horizon(sysfile, capsys):
-    # at x0 = 1e-11 this nilpotent center's return time is about 7e10, past
-    # the time horizon: the run ends there, not at a return
+def test_returnmap_tiny_radius_returns_after_one_turn(sysfile, capsys):
+    # at x0 = 1e-11 this nilpotent center's return time is about 7e11: one
+    # turn of psi gets there, with no time horizon to stop it
     rc, data = run_cli(["returnmap", sysfile(NIL_REVERSIBLE), "--x0", "1e-11",
                         "--no-timings"], capsys)
-    assert (rc, data["numeric"]["samples"]) == (0, [])
-    assert re.fullmatch(r"x0=1e-11: reached the time horizon 1e\+09 without a return "
-                        r"\(\d+ steps\)", data["warnings"][0])
+    assert (rc, data["numeric"]["classification"]) == (0, "center_evidence")
+    [sm] = data["numeric"]["samples"]
+    assert 6e11 < sm["return_time"] < 8e11 and abs(sm["displacement"]) <= 1e-9 * 1e-11
+    assert data["warnings"] == ["return-map verdicts are evidence, not proof"]
+
+
+@pytest.mark.parametrize("command", ["returnmap", "classify"])
+def test_no_monodromy_weights_integrates_nothing(sysfile, capsys, monkeypatch, command):
+    # a node: no edge of the Newton polygon makes p*x*Q - q*y*P definite, so
+    # monodromy is not shown and no orbit is integrated: the command ends at
+    # once, not after an orbit that decays into the node has run to max_steps
+    integrations = []
+    real = numeric.integrate_adaptive
+    monkeypatch.setattr(numeric, "integrate_adaptive",
+                        lambda *args, **kw: integrations.append(args) or real(*args, **kw))
+    t0 = time.perf_counter()
+    rc, data = run_cli([command, sysfile("xdot = -x; ydot = x - y"), "--x0", "0.05",
+                        "--no-timings"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, integrations) == (0, [])
+    assert (data["numeric"]["classification"], data["numeric"]["samples"]) == ("inconclusive", [])
+    assert data["warnings"][0] == ("no weights (p,q) of the Newton polygon make "
+                                   "p*x*Q - q*y*P definite: monodromy not shown, "
+                                   "nothing integrated")
+
+
+@pytest.mark.parametrize("command", ["returnmap", "classify"])
+def test_angle_transversal_refused_at_unequal_weights(sysfile, capsys, command):
+    # the reversible nilpotent point is monodromic in the weights (1,2): a
+    # ray at an angle is no section of their polar angle, the axes are
+    rc = main([command, sysfile(NIL_REVERSIBLE), "--transversal", "0.7", "--no-timings"])
+    assert (rc, capsys.readouterr()[:2]) == (3, ("", (
+        "error: the monodromy weights are (1,2), so a ray at an angle is not a section of "
+        "their polar angle; use the transversal x+ or y+\n")))
+    rc, data = run_cli([command, sysfile(NIL_REVERSIBLE), "--transversal", "y+",
+                        "--x0", "0.02", "--no-timings"], capsys)
+    assert (rc, data["numeric"]["classification"]) == (0, "center_evidence")
 
 
 def test_qhcenter_forced_weights_are_decided_directly(sysfile, capsys):
@@ -509,8 +543,9 @@ def test_qhcenter_bound_option_is_refused(sysfile, capsys):
 def test_classify_large_coefficient_finishes(sysfile, capsys):
     # a 21-digit leading coefficient: the characteristic form 7*x^4 +
     # (10^20 + 39)*y^4 has no real root, which root isolation shows without
-    # factoring its coefficients, and the fast flow needs steps far below a
-    # share of the return map's horizon
+    # factoring its coefficients, and the orbits are so flat that r falls by
+    # five orders of magnitude along a turn, which the error control of r
+    # follows
     path = sysfile("xdot = -100000000000000000039*y^3; ydot = 7*x^3")
     t0 = time.perf_counter()
     rc, data = run_cli(["classify", path, "--no-timings"], capsys)

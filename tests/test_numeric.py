@@ -10,46 +10,53 @@ import pytest
 
 from centerlab import numeric, qhomog
 from centerlab.numeric import (
-    Crossing,
-    DenseSegment,
+    NO_WEIGHTS,
     IntegrationError,
     _dopri_loop,
     _inline_rhs,
-    _refine_crossing,
-    classify_monodromic,
     compile_system,
     integrate_adaptive,
     return_map,
 )
+from centerlab.structure import MonodromyWeights, characteristic_directions, monodromy_weights
 from centerlab.systems import parse_system, substitute
 
 from conftest import DEG_FACTORED, HAM_QH, HOMOG_CUBIC, NIL_DARBOUX, NIL_REVERSIBLE, poly
 from reference_dopri import (
     _REF_P,
+    DenseSegment,
     _RefSegment,
-    _callback_return_map,
     _reference_integrate,
     _tuple_loop_integrate,
-    crossing_run,
+    psi_point,
+    psi_run,
+    reference_return_map,
+    refine_crossing,
 )
 
+import reference_dopri
 import test_qhomog
 
-# A crossing test that never stops a run: its ray has no direction, so the
-# orbit never arms it, and its guard radius is infinite.  A run with it ends
-# at the end of its span or at max_steps.
-NEVER = Crossing(0.0, 0.0, 1.0, math.inf, 0.0)
+# weights (1, 1) with W > 0: the polar angle, turning counterclockwise
+POLAR = MonodromyWeights(1, 1, 1)
 
 
-def integrate_system(s, state0, t_span, crossing=NEVER, rel_tol=1e-10, abs_tol=1e-12, **kw):
-    return integrate_adaptive(compile_system(s), state0, t_span, crossing,
+def integrate_system(s, r0, psi_span, rel_tol=1e-10, abs_tol=1e-12, **kw):
+    """A run of the package's loop on ``s`` in its own monodromy weights."""
+    return integrate_adaptive(compile_system(s), monodromy_weights(s), r0, psi_span,
                               rel_tol=rel_tol, abs_tol=abs_tol, **kw)
+
+
+def end_point(s, traj):
+    """The plane point at the end of a run of :func:`integrate_system`."""
+    w = monodromy_weights(s)
+    return psi_point(w.p, w.q, traj.psi[-1], traj.y[-1][0])
 
 
 def _with_float_terms(terms):
     # a right-hand side rendered from float terms as compile_system renders
-    # one, for terms that no system can give (a constant term, or repeated
-    # and cancelling terms)
+    # one, for terms that no system can give (a constant term, a power past
+    # the parser's degree limit, or repeated and cancelling terms)
     p, q = numeric._render(terms[0]), numeric._render(terms[1])
     ns = {}
     exec(f"def f(x, y):\n    return ({p}, {q})\n", ns)
@@ -61,35 +68,37 @@ HARMONIC = "xdot = -y; ydot = x"
 
 
 def test_circle_returns_after_two_pi():
+    # r stays 1 and t = psi: one turn ends exactly at 2*pi after time 2*pi
     s = parse_system(HARMONIC)
-    traj = integrate_system(s, (1.0, 0.0), (0.0, 2 * math.pi),
-                            rel_tol=1e-12, abs_tol=1e-14)
-    assert traj.status == "finished" and traj.t[-1] == 2 * math.pi
-    assert np.hypot(traj.y[-1][0] - 1.0, traj.y[-1][1]) <= 1e-9
+    traj = integrate_system(s, 1.0, (0.0, 2 * math.pi), rel_tol=1e-12, abs_tol=1e-14)
+    assert traj.status == "finished" and traj.psi[-1] == 2 * math.pi
+    r, t = traj.y[-1]
+    assert r == 1.0 and abs(t - 2 * math.pi) <= 1e-12
 
 
 def test_energy_conservation_weighted_hamiltonian():
+    # one turn of the (2,3) polar angle around the level of H through (0.8, 0)
     s = substitute(parse_system(HAM_QH), {"a": 1, "b": 1})
+    assert monodromy_weights(s) == (2, 3, 1)
     H = poly("y^4/4 + x^6/6", s.vars)
-    start = (0.8, 0.0)
-    # one revolution: the return to the positive x-axis from below
-    traj = integrate_system(s, start, (0.0, 1e4), Crossing(1.0, 0.0, 1.0, math.inf, 0.8),
-                            rel_tol=1e-12, abs_tol=1e-14)
-    h0 = H.eval_float({"x": start[0], "y": start[1]})
-    h1 = H.eval_float({"x": traj.y[-1][0], "y": traj.y[-1][1]})
-    assert traj.status == "event"
-    assert abs(h1 - h0) <= 1e-9
+    traj = integrate_system(s, 0.8 ** 0.5, (0.0, 2 * math.pi), rel_tol=1e-12, abs_tol=1e-14)
+    x, y = end_point(s, traj)
+    assert traj.status == "finished"
+    assert abs(H.eval_float({"x": x, "y": y}) - H.eval_float({"x": 0.8, "y": 0.0})) <= 1e-9
 
 
 def test_darboux_instance_first_integral_conserved():
     s = substitute(parse_system(NIL_DARBOUX), {"a": 1, "c": 1})
+    w = monodromy_weights(s)
+    assert w == (1, 2, -1)
 
     def H(x, y):
         return (1 + x) ** (-2.0) * (1 + y) ** (-2.0) * (x ** 4 + y ** 2)
 
     h0 = H(0.15, 0.0)
-    ends = [integrate_system(s, (0.15, 0.0), (0.0, float(t)), rel_tol=1e-11,
-                             abs_tol=1e-13).y[-1] for t in np.linspace(0.1, 12.0, 12)]
+    ends = [end_point(s, integrate_system(s, 0.15, (0.0, -float(psi)), rel_tol=1e-11,
+                                          abs_tol=1e-13))
+            for psi in np.linspace(0.1, 2 * math.pi, 12)]
     drift = max(abs(H(*y) - h0) for y in ends)
     assert drift <= 1e-8 * abs(h0)
 
@@ -97,7 +106,7 @@ def test_darboux_instance_first_integral_conserved():
 def test_tolerance_rejected_out_of_range():
     s = parse_system(HARMONIC)
     with pytest.raises(ValueError):
-        integrate_system(s, (1, 0), (0, 1), rel_tol=1e-3)
+        integrate_system(s, 1.0, (0, 1), rel_tol=1e-3)
 
 
 def test_return_map_reversible_nilpotent_center():
@@ -122,10 +131,13 @@ def test_return_map_perturbed_cubic_center():
 
 
 def test_return_map_radial_focus():
+    # r' = -r^3 with psi' = 1: one turn maps x0 to x0/sqrt(1 + 4*pi*x0^2)
     s = parse_system("xdot = -y - x*(x^2 + y^2); ydot = x - y*(x^2 + y^2)")
     rm = return_map(s, [0.05, 0.1, 0.2])
     assert rm.classification == "stable_focus_evidence"
     assert all(sm.displacement < 0 for sm in rm.samples)
+    assert all(abs(sm.value - sm.x0 / math.sqrt(1 + 4 * math.pi * sm.x0 ** 2)) <= 1e-12
+               for sm in rm.samples)
     s2 = parse_system("xdot = -y + x*(x^2 + y^2); ydot = x + y*(x^2 + y^2)")
     rm2 = return_map(s2, [0.05, 0.1])
     assert rm2.classification == "unstable_focus_evidence"
@@ -147,11 +159,13 @@ def test_displacement_shrinks_with_tolerance():
 
 
 def test_time_reversed_integration_recovers_start():
+    # psi run backwards integrates back in time: t returns to 0
     s = parse_system(DEG_FACTORED)
-    fwd = integrate_system(s, (0.2, 0.05), (0.0, 3.0), rel_tol=1e-11, abs_tol=1e-13)
-    back = integrate_system(s, fwd.y[-1], (3.0, 0.0), rel_tol=1e-11, abs_tol=1e-13)
-    assert back.t[-1] == 0.0
-    assert np.hypot(back.y[-1][0] - 0.2, back.y[-1][1] - 0.05) <= 1e-10
+    fwd = integrate_system(s, 0.2, (0.0, 3.0), rel_tol=1e-11, abs_tol=1e-13)
+    (r, t), = fwd.y[-1:]
+    back = integrate_system(s, r, (3.0, 0.0), rel_tol=1e-11, abs_tol=1e-13)
+    assert back.psi[-1] == 0.0 and t > 0
+    assert abs(back.y[-1][0] - 0.2) <= 1e-10 and abs(back.y[-1][1] + t) <= 1e-10 * t
 
 
 def test_compile_rejects_symbolic_system():
@@ -170,29 +184,29 @@ def test_compile_names_a_coefficient_too_large_for_a_float(text, message):
 
 
 def test_classify_monodromic_combines_evidence():
+    # the two parts of ``classify``: characteristic directions, and the
+    # return map in the weights that show monodromy
     s = substitute(parse_system("xdot = -a*y^3; ydot = eps*x^3 + b*x^5"),
                    {"a": 1, "b": 1, "eps": 1})
-    v = classify_monodromic(s, x0_list=[0.3, 0.5])
-    assert not v.directions.directions and not v.directions.every_direction
-    assert v.return_result.classification == "center_evidence"
+    dirs = characteristic_directions(s)
+    assert not dirs.directions and not dirs.every_direction
+    assert return_map(s, [0.3, 0.5]).classification == "center_evidence"
 
     h = substitute(parse_system(HAM_QH), {"a": 1, "b": 1})
-    v2 = classify_monodromic(h, x0_list=[0.5], transversal="y+")
-    assert len(v2.directions.directions) == 1
-    assert v2.return_result.classification == "center_evidence"
+    assert len(characteristic_directions(h).directions) == 1
+    assert return_map(h, [0.5], transversal="y+").classification == "center_evidence"
 
     lf = parse_system("xdot = -y - x/10; ydot = x")
-    v3 = classify_monodromic(lf, x0_list=[0.05, 0.1])
-    assert v3.return_result.classification == "stable_focus_evidence"
+    assert return_map(lf, [0.05, 0.1]).classification == "stable_focus_evidence"
 
 
 def test_step_underflow_reports_closest_approach():
-    # finite-time blowup of x' = 1 + x^2 at pi/2 forces the step size under
-    # the floor
-    f = _with_float_terms((((1.0, 2, 0), (1.0, 0, 0)), ()))
-    with pytest.raises(IntegrationError, match="underflow at t=1.5708") as err:
-        integrate_adaptive(f, (0.0, 0.0), (0.0, 10.0), NEVER, rel_tol=1e-10, abs_tol=1e-12)
-    assert err.value.closest_approach == 0.0
+    # r' = r^3 with psi' = 1 blows up at psi = 1/(2*r0^2) = 0.5 for r0 = 1:
+    # the step size falls under the floor there
+    s = parse_system("xdot = -y + x*(x^2 + y^2); ydot = x + y*(x^2 + y^2)")
+    with pytest.raises(IntegrationError, match=r"underflow at psi=0\.5$") as err:
+        integrate_system(s, 1.0, (0.0, 10.0))
+    assert err.value.closest_approach == 1.0
 
 
 _BIG = sys.float_info.max
@@ -201,33 +215,56 @@ _BIG = sys.float_info.max
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_step_is_rejected(bad):
     # a NaN error norm compares false with 1.0; such a step must not be
-    # accepted: the step shrinks until it underflows.  With y = 2 held
-    # constant, xdot is 1 up to x = 0.5 and then ``bad``: the doubled product
-    # _BIG*x*y overflows to inf there, and the terms after it leave inf,
-    # turn it to -inf, or subtract an equal inf
-    terms = {"nan": ((_BIG, 1, 1), (-_BIG, 1, 1), (1.0, 0, 0)),
-             "inf": ((_BIG, 1, 1), (-_BIG, 1, 0), (-_BIG, 1, 0), (1.0, 0, 0)),
-             "-inf": ((-_BIG, 1, 1), (_BIG, 1, 0), (_BIG, 1, 0), (1.0, 0, 0))}[repr(bad)]
-    f = _with_float_terms((terms, ()))
-    assert f(0.5, 2.0) == (1.0, 0.0) and repr(f(0.5000000000000001, 2.0)[0]) == repr(bad)
-    with pytest.raises(IntegrationError) as err:
-        integrate_adaptive(f, (0.0, 2.0), (0.0, 10.0), NEVER)
-    assert "underflow at t=0.5" in str(err.value)
-    assert err.value.closest_approach == 2.0
+    # accepted: the step shrinks until it underflows.  xdot = -y until the
+    # product (_BIG*x)*y overflows at x*y = 1 (with x < 1), and ``bad`` past
+    # it: the terms after it subtract an equal inf, or leave it; -y comes
+    # last.  On the circle r = 2, run from the y-axis down, that is at
+    # psi = 5*pi/12
+    terms = {"nan": ((_BIG, 1, 1), (-_BIG, 1, 1), (-1.0, 0, 1)),
+             "inf": ((_BIG, 1, 1), (-_BIG / 2, 1, 1), (-_BIG / 2, 1, 1), (-1.0, 0, 1)),
+             "-inf": ((-_BIG, 1, 1), (_BIG / 2, 1, 1), (_BIG / 2, 1, 1), (-1.0, 0, 1))}[repr(bad)]
+    f = _with_float_terms((terms, ((1.0, 1, 0),)))
+    assert f(0.5, 2.0) == (-2.0, 0.5) and repr(f(0.5000000000000001, 2.0)[0]) == repr(bad)
+    errors = []
+    for run in (psi_run, integrate_adaptive):
+        with pytest.raises(IntegrationError) as err:
+            run(f, POLAR, 2.0, (math.pi / 2, 0.0))
+        errors.append((str(err.value), err.value.closest_approach))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == "step size underflow at psi=1.309"
+    assert abs(errors[0][1] - 2.0) <= 1e-15
 
 
 def test_right_hand_side_overflow_is_rejected():
-    # float ** raises OverflowError once x^2000 passes the float range, near
-    # x = 1.426; the trial steps beyond it are rejected until underflow
-    with pytest.raises(IntegrationError) as err:
-        integrate_adaptive(_with_float_terms((((1.0, 0, 0),), ((1.0, 2000, 0),))),
-                           (0.0, 0.0), (0.0, 10.0), NEVER)
-    assert "underflow at t=1.42603" in str(err.value)
-    assert err.value.closest_approach == 0.0
-    with pytest.raises(IntegrationError, match="not finite") as err:
-        integrate_adaptive(_with_float_terms((((1.0, 2000, 0),), ())), (2.0, 0.0), (0.0, 1.0),
-                           NEVER)
-    assert err.value.closest_approach == 2.0
+    # float ** raises OverflowError once x^710200 passes the float range,
+    # past x = 1.001; r' = r^3 drives the orbit from (0.9, 0) to where the
+    # term 1e-300*x^710200 of both components takes over, and the trial steps
+    # beyond it are rejected until underflow
+    wall = (1e-300, 710200, 0)
+    f = _with_float_terms((((1.0, 3, 0), (1.0, 1, 2), (-1.0, 0, 1), wall),
+                           ((1.0, 2, 1), (1.0, 0, 3), (1.0, 1, 0), wall)))
+    overflows = []
+
+    def watched(x, y):
+        try:
+            return f(x, y)
+        except OverflowError:
+            overflows.append(x)
+            raise
+
+    watched.float_terms = f.float_terms
+    errors = []
+    for run in (psi_run, integrate_adaptive):
+        with pytest.raises(IntegrationError) as err:
+            run(watched, POLAR, 0.9, (0.0, 0.5))
+        errors.append((str(err.value), err.value.closest_approach))
+    assert errors[0] == errors[1] == ("step size underflow at psi=0.126179", 0.9)
+    assert overflows
+    # at the start itself the right-hand side is not finite
+    for run in (psi_run, integrate_adaptive):
+        with pytest.raises(IntegrationError, match=r"not finite at psi=0$") as err:
+            run(f, POLAR, 1.5, (0.0, 1.0))
+        assert err.value.closest_approach == 1.5
 
 
 # -- differential test of the tuple reference loop against the numpy loop --
@@ -239,7 +276,7 @@ def _assert_same_run(f, state0, t_span, **kw):
     # sequence (steps, evaluations, rejections) must be the same, and the
     # tuple loop's dense output must reproduce the numpy states at the numpy
     # times.  The tuple loop is in turn bit-identical to the package's loop
-    # (the tests below).
+    # on the psi right-hand side (the tests below).
     ref_t, ref_y, ref_segs, ref_status, ref_nfev, ref_steps, ref_rejected = \
         _reference_integrate(f, state0, t_span, **kw)
     got = _tuple_loop_integrate(f, state0, t_span, **kw)
@@ -284,14 +321,14 @@ def test_scalar_core_matches_numpy_reference_harmonic():
 
 
 def test_scalar_core_matches_numpy_reference_return_map_stop():
-    # reversible nilpotent center: first return to the positive x-axis,
-    # located on the dense output
+    # reversible nilpotent center stepped in time: first return to the
+    # positive x-axis, located on the dense output
     f = compile_system(parse_system(NIL_REVERSIBLE))
     hit = []
 
-    def callback(seg, y_new):
+    def callback(seg, t_new, y_new):
         if seg.y0[1] > 0 >= y_new[1] and y_new[0] > 0:
-            hit.append(_refine_crossing(seg, lambda st: st[1]))
+            hit.append(refine_crossing(seg, lambda st: st[1]))
             return True
         return False
 
@@ -339,13 +376,12 @@ def test_scalar_core_matches_numpy_reference_max_steps():
 
 # -- bit-exact test of the generated loop against the tuple reference loop --
 
-def _assert_bit_identical(f, state0, t_span, crossing=NEVER, **kw):
-    # the oracle is the tuple loop, which calls f at every stage, with the
-    # crossing test as its step callback (crossing_run); the generated loop
-    # calls f only for the first stage of the first step.  == on every field
-    # of the Trajectory (end points, the segment of a crossing, status, nfev,
-    # steps, closest approach, crossing); repr also tells -0.0 from 0.0.
-    # Returns the Trajectory and the tuple loop's full run.
+def _assert_bit_identical(f, weights, r0, psi_span, **kw):
+    # the oracle is the tuple loop on the psi right-hand side, which calls f
+    # at every stage (psi_run); the generated loop inlines f and never calls
+    # it.  == on every field of the Trajectory (end points, status, nfev,
+    # steps, closest approach); repr also tells -0.0 from 0.0.  Returns the
+    # Trajectory and the tuple loop's full run.
     calls = []
 
     def counted(x, y):
@@ -353,81 +389,89 @@ def _assert_bit_identical(f, state0, t_span, crossing=NEVER, **kw):
         return f(x, y)
 
     counted.float_terms = f.float_terms
-    ref, run = crossing_run(f, state0, t_span, crossing, **kw)
-    got = integrate_adaptive(counted, state0, t_span, crossing, **kw)
-    assert calls == [tuple(map(float, state0))] and got.nfev > 1
+    ref, run = psi_run(f, weights, r0, psi_span, **kw)
+    got = integrate_adaptive(counted, weights, r0, psi_span, **kw)
+    assert calls == [] and got.nfev >= 1
     assert got == ref
     assert repr(got) == repr(ref)
     return got, run
 
 
 def test_generated_loop_bit_identical_harmonic():
-    got, _ = _assert_bit_identical(compile_system(parse_system(HARMONIC)), (1.0, 0.0),
+    # r' = 0 exactly, so the steps grow tenfold up to the end of the span
+    got, _ = _assert_bit_identical(compile_system(parse_system(HARMONIC)), POLAR, 1.0,
                                    (0.0, 6.0), rel_tol=1e-12, abs_tol=1e-14)
-    assert got.status == "finished" and got.steps > 100
+    assert got.status == "finished" and got.psi[-1] == 6.0 and got.y[-1][0] == 1.0
 
 
 def test_generated_loop_bit_identical_return_map_stop():
-    # the first return to the positive x-axis from above
-    f = compile_system(parse_system(NIL_REVERSIBLE))
-    got, _ = _assert_bit_identical(f, (0.1, 0.0), (0.0, 1e9),
-                                   Crossing(1.0, 0.0, -1.0, math.inf, 0.1),
-                                   rel_tol=1e-12, abs_tol=1e-14)
-    assert got.status == "event" and got.steps > 100 and len(got.segments) == 1
+    # one turn of the (1,2) polar angle, clockwise, from x = 0.1
+    s = parse_system(NIL_REVERSIBLE)
+    got, _ = _assert_bit_identical(compile_system(s), monodromy_weights(s), 0.1,
+                                   (0.0, -2 * math.pi), rel_tol=1e-12, abs_tol=1e-14)
+    assert got.status == "finished" and got.steps > 100
+    assert got.psi[-1] == -2 * math.pi and abs(got.y[-1][0] - 0.1) <= 1e-12
 
 
 def test_generated_loop_bit_identical_condition_ii():
-    # the (Cs, Sn) circle of condition (ii) at weights (2, 3),
-    # z' = -w^3, w' = z^5 from (2^(-1/6), 0), over one period: a run with
-    # rejected steps, stopped at its crossing
+    # the (Cs, Sn) curve of condition (ii) at weights (2, 3): the orbit of
+    # z' = -w^3, w' = z^5 through (2^(-1/6), 0), over one turn of psi, which
+    # takes one period, with rejected steps
     z0 = 2 ** (-1 / 6)
     f = compile_system(parse_system("xdot = -y^3; ydot = x^5"))
-    got, _ = _assert_bit_identical(f, (z0, 0.0), (0.0, 1e9),
-                                   Crossing(1.0, 0.0, 1.0, math.inf, z0),
-                                   rel_tol=1e-12, abs_tol=1e-14)
-    assert got.status == "event" and (got.nfev - 1) // 6 > got.steps
-    assert abs(got.crossing[0] - test_qhomog.pq_period(2, 3)) <= 1e-9
+    got, _ = _assert_bit_identical(f, MonodromyWeights(2, 3, 1), z0 ** 0.5,
+                                   (0.0, 2 * math.pi), rel_tol=1e-12, abs_tol=1e-14)
+    assert got.status == "finished" and (got.nfev - 1) // 6 > got.steps
+    assert abs(got.y[-1][1] - test_qhomog.pq_period(2, 3)) <= 1e-9
 
 
 def test_generated_loop_bit_identical_time_reversed():
     f = compile_system(parse_system(DEG_FACTORED))
-    got, run = _assert_bit_identical(f, (0.2, 0.05), (0.0, -3.0), rel_tol=1e-11,
+    got, run = _assert_bit_identical(f, POLAR, 0.2, (0.0, -3.0), rel_tol=1e-11,
                                      abs_tol=1e-13)
-    assert got.t[-1] == -3.0 and all(seg.h < 0 for seg in run.segments)
+    assert got.psi[-1] == -3.0 and got.y[-1][1] < 0
+    assert all(seg.h < 0 for seg in run.segments)
 
 
 def test_generated_loop_bit_identical_max_steps():
-    got, _ = _assert_bit_identical(compile_system(parse_system(HARMONIC)), (1.0, 0.0),
-                                   (0.0, 100.0), rel_tol=1e-12, abs_tol=1e-14, max_steps=25)
+    s = parse_system(NIL_REVERSIBLE)
+    got, _ = _assert_bit_identical(compile_system(s), monodromy_weights(s), 0.1,
+                                   (0.0, -2 * math.pi), rel_tol=1e-12, abs_tol=1e-14,
+                                   max_steps=25)
     assert got.status == "max_steps" and got.steps == 25
 
 
 def test_generated_loop_bit_identical_overflow_rejection():
-    # ydot = x + 1e-300*y^710200, and y^710200 raises OverflowError once
-    # |y| > 1.001: the trial stages that go there are rejected and shrunk,
-    # and the run still finishes
-    f = _with_float_terms((((-1.0, 0, 1),), ((1e-300, 0, 710200), (1.0, 1, 0))))
+    # r' = r^3 drives the orbit from (0.9, 0) towards ydot's term
+    # 1e-300*x^710200, which grows past ydot's other terms near x = 1.00098
+    # and raises OverflowError past x = 1.001: the orbit stops short of that
+    # wall, and the trial stages beyond it are rejected and shrunk; the run
+    # still finishes
+    f = _with_float_terms((((1.0, 3, 0), (1.0, 1, 2), (-1.0, 0, 1)),
+                           ((1.0, 2, 1), (1.0, 0, 3), (1.0, 1, 0), (1e-300, 710200, 0))))
     overflows = []
 
     def watched(x, y):
         try:
             return f(x, y)
         except OverflowError:
-            overflows.append(y)
+            overflows.append(x)
             raise
 
     watched.float_terms = f.float_terms
-    got, _ = _assert_bit_identical(watched, (1.0, 0.0), (0.0, 6.0), rel_tol=1e-4,
+    got, _ = _assert_bit_identical(watched, POLAR, 0.9, (0.0, 0.13), rel_tol=1e-4,
                                    abs_tol=1e-6)
     assert got.status == "finished" and overflows
-    # and a run that ends in step-size underflow raises the same error
-    g = _with_float_terms((((1.0, 0, 0),), ((1.0, 2000, 0),)))
+    assert 1.0009 < got.y[-1][0] * math.cos(0.13) < 1.001
+    # and a run that ends in step-size underflow raises the same error: r'
+    # = r^3 blows up at psi = 1/(2*r0^2) = 0.5
+    g = _with_float_terms((f.float_terms[0], f.float_terms[1][:3]))
     errors = []
-    for integrate in (crossing_run, integrate_adaptive):
+    for integrate in (psi_run, integrate_adaptive):
         with pytest.raises(IntegrationError) as err:
-            integrate(g, (0.0, 0.0), (0.0, 10.0), NEVER)
+            integrate(g, POLAR, 1.0, (0.0, 10.0))
         errors.append((str(err.value), err.value.closest_approach))
-    assert errors[0] == errors[1]
+    assert errors[0] == errors[1] == ("step size underflow at psi=0.5", 1.0)
 
 
 def test_loop_built_on_first_use_and_shared_per_system():
@@ -462,11 +506,12 @@ def test_generated_code_names_its_source(monkeypatch):
     assert f.__code__.co_filename == "<rhs xdot = -1.0*y; ydot = 1.0*x>"
     g = compile_system(parse_system("xdot = -y^3; ydot = x^3 + x^5"))
     assert g.__code__.co_filename == "<rhs xdot = -1.0*y**3; ydot = 1.0*x**5 + 1.0*x**3>"
-    # the loop with a system's right-hand side inlined names that system
-    labels = {fn: _dopri_loop(_inline_rhs(fn.float_terms)).__code__.co_filename
+    # the loop with a system's right-hand side inlined names its weights and
+    # that system
+    labels = {fn: _dopri_loop(_inline_rhs(fn.float_terms), 1, 1).__code__.co_filename
               for fn in (f, g)}
-    assert labels == {f: "<dopri xdot = -ry; ydot = rx>",
-                      g: "<dopri xdot = -ry3; ydot = rx5 + rx3>"}
+    assert labels == {f: "<dopri (1,1) xdot = -ry; ydot = rx>",
+                      g: "<dopri (1,1) xdot = -ry3; ydot = rx5 + rx3>"}
     # and it is the loop that a return map of that system runs
     loops = []
 
@@ -484,9 +529,8 @@ def test_generated_code_names_its_source(monkeypatch):
 def _assert_same_return_map(s, x0_list, **kw):
     # == and repr on every sample, warning, nfev and the classification, and
     # on the Trajectory of each integration: its steps, counts, closest
-    # approach and end points equal the tuple loop's, and it keeps at most
-    # the segment of the crossing
-    ref, ref_trajs = _callback_return_map(s, x0_list, **kw)
+    # approach and end points equal the tuple loop's
+    ref, ref_trajs = reference_return_map(s, x0_list, **kw)
     got_trajs = []
     real = numeric.integrate_adaptive
 
@@ -525,6 +569,13 @@ _BENCH_RADII = [k / 100 for k in range(2, 11)]
 @pytest.mark.parametrize("transversal", ["x+", "y+", "0.7"])
 @pytest.mark.parametrize("name,system", _NUMERIC_SYSTEMS, ids=[n for n, _ in _NUMERIC_SYSTEMS])
 def test_crossing_tail_bit_identical_on_system_files(name, system, transversal):
+    # every return of the package's loop, its stop tests included, is the
+    # tuple loop's; a ray at an angle is a section only at weights (1, 1)
+    if monodromy_weights(system)[:2] != (1, 1) and transversal == "0.7":
+        with pytest.raises(ValueError, match=r"^the monodromy weights are \(1,2\), so a ray "
+                                             r"at an angle .*; use the transversal x\+ or y\+$"):
+            return_map(system, _BENCH_RADII, transversal=transversal)
+        return
     got = _assert_same_return_map(system, _BENCH_RADII, transversal=transversal)
     assert len(got.samples) + len(got.warnings) == len(_BENCH_RADII)
     if transversal == "x+":
@@ -542,18 +593,38 @@ def test_crossing_tail_bit_identical_on_stops_without_return():
     unstable = parse_system("xdot = -y + x*(x^2 + y^2); ydot = x + y*(x^2 + y^2)")
     got = _assert_same_return_map(unstable, [0.9, 1.0, 0.05], guard_radius=1.0)
     assert sum("guard radius" in w for w in got.warnings) == 2 and len(got.samples) == 1
-    # the orbit leaves the x-axis and settles at (0, x0) on the y-axis, so
-    # the run reaches the time horizon without a return
-    node = parse_system("xdot = -x^3; ydot = x^3")
-    got = _assert_same_return_map(node, [0.05, 0.1])
-    assert [re.fullmatch(r"x0=0\.\d+: reached the time horizon 1e\+09 without a return "
-                         r"\(\d+ steps\)", w) is not None for w in got.warnings] == [True, True]
-    # orbits tangent to the ray at the start are not integrated
-    got = _assert_same_return_map(parse_system("xdot = -x; ydot = -y"), [0.05, 0.1])
-    assert all("tangent" in w for w in got.warnings) and got.nfev == 0
+    # nodes have no monodromy weights: nothing is integrated
+    for node in ("xdot = -x^3; ydot = x^3", "xdot = -x; ydot = -y"):
+        got = _assert_same_return_map(parse_system(node), [0.05, 0.1])
+        assert (got.samples, got.warnings, got.nfev) == ([], [NO_WEIGHTS], 0)
+        assert got.classification == "inconclusive"
     # a ray at an angle that the focus crosses with y < 0
     got = _assert_same_return_map(unstable, [0.05, 0.1], transversal="-2.5")
     assert got.classification == "unstable_focus_evidence"
+
+
+# W = (x^2 + y^2)*(1 - 5*x): definite near the origin, and zero on the line
+# x = 1/5, which this spiral (r' = r/2 while psi' = 1 - 5*x) runs into
+TURNING = "xdot = x/2 - y + 5*x*y; ydot = y/2 + x - 5*x^2"
+
+
+def test_return_map_reports_psi_vanishing_along_the_orbit():
+    # psi' changes sign where the orbit meets x = 1/5: the psi loop cannot go
+    # on past that point, and the run ends there as "stalled", not with a
+    # step-size error; a start beyond the line stops before any step
+    s = parse_system(TURNING)
+    assert monodromy_weights(s) == (1, 1, 1)
+    got = _assert_same_return_map(s, [0.05, 0.1, 0.25])
+    assert got.samples == [] and got.classification == "inconclusive"
+    psis = [float(re.fullmatch(r"x0=0\.\d+: psi' vanished at psi=(\S+), where "
+                               r"p\*x\*Q - q\*y\*P lost its sign: no return", w)[1])
+            for w in got.warnings]
+    assert psis[2] == 0 and 0 < psis[1] < psis[0] < 2 * math.pi
+    # the orbit of x0 = 0.1 does meet the line there
+    f = compile_system(s)
+    traj = integrate_adaptive(f, POLAR, 0.1, (0.0, 2 * math.pi), 1.0, 1e-12, 1e-14)
+    x, y = psi_point(1, 1, traj.psi[-1], traj.y[-1][0])
+    assert traj.status == "stalled" and abs(x - 0.2) <= 1e-6 and traj.steps > 10
 
 
 def test_return_map_refuses_a_start_it_cannot_use(monkeypatch):
@@ -580,7 +651,7 @@ def test_return_map_small_start_radius(x0):
     # and the linear focus x'' + x'/10 + x = 0 a stable focus, with the
     # same work at every radius
     rm = return_map(parse_system(NIL_REVERSIBLE), [x0])
-    assert rm.classification == "center_evidence" and 3000 < rm.nfev < 4000
+    assert rm.classification == "center_evidence" and 2000 < rm.nfev < 4000
     lf = return_map(parse_system("xdot = -y - x/10; ydot = x"), [x0, x0 * 1e-90])
     assert lf.classification == "stable_focus_evidence" and lf.nfev < 2 * 2500
     assert all(abs(sm.value / sm.x0 - math.exp(-math.pi / 10 / math.sqrt(0.9975)))
@@ -588,77 +659,61 @@ def test_return_map_small_start_radius(x0):
     _assert_same_return_map(parse_system(NIL_REVERSIBLE), [x0])
 
 
+_WALL = (1e-300, 710200, 0)
+
+
 @pytest.mark.parametrize("rhs,message", [
-    # finite-time blowup inside a far guard radius: the step size underflows
-    (lambda: _with_float_terms((((1.0, 2, 0), (1.0, 0, 0)), ((1.0, 0, 2), (1.0, 0, 0)))),
+    # r' = r^3 blows up at psi = 1/(2*0.5^2) = 2 from x0 = 0.5, inside a far
+    # guard radius: the step size underflows
+    (lambda: (compile_system(parse_system("xdot = -y + x*(x^2 + y^2); "
+                                          "ydot = x + y*(x^2 + y^2)")), 0.5),
      "step size underflow"),
-    # trial stages whose right-hand side overflows are rejected until the
-    # step size underflows: ydot is 1 up to x = 0.512, where the doubled
-    # product 2*c*x passes the float range, and inf beyond
-    (lambda: _with_float_terms((((1.0, 0, 0),), ((_BIG / 1.024, 1, 0), (_BIG / 1.024, 1, 0),
-                                                  (-_BIG / 1.024, 1, 0), (-_BIG / 1.024, 1, 0),
-                                                  (1.0, 0, 0)))),
-     "step size underflow at t=0.502"),
+    # from x0 = 0.9, trial stages whose right-hand side overflows
+    # (x^710200 past x = 1.001) are rejected until the step size underflows
+    (lambda: (_with_float_terms((((1.0, 3, 0), (1.0, 1, 2), (-1.0, 0, 1), _WALL),
+                                 ((1.0, 2, 1), (1.0, 0, 3), (1.0, 1, 0), _WALL))), 0.9),
+     "step size underflow at psi=0.126179"),
 ])
 def test_crossing_tail_raises_as_dense_tail(monkeypatch, rhs, message):
     # the return map raises what its tuple-loop oracle raises
-    f = rhs()
+    f, x0 = rhs()
     monkeypatch.setattr(numeric, "compile_system", lambda s: f)
+    monkeypatch.setattr(reference_dopri, "compile_system", lambda s: f)
     s = parse_system(HARMONIC)
     errors = []
-    for run in (lambda: _callback_return_map(s, [0.01], guard_radius=math.inf),
-                lambda: return_map(s, [0.01], guard_radius=math.inf)):
+    for run in (lambda: reference_return_map(s, [x0], guard_radius=math.inf),
+                lambda: return_map(s, [x0], guard_radius=math.inf)):
         with pytest.raises(IntegrationError) as err:
             run()
         errors.append((str(err.value), err.value.closest_approach))
     assert errors[0] == errors[1]
-    assert message in errors[0][0] and errors[0][1] is not None
+    assert message in errors[0][0] and errors[0][1] == x0
 
 
 def test_crossing_tail_keeps_bounded_memory():
-    # an orbit that never meets the crossing test runs thousands of steps:
-    # the loop keeps its two end points and no segment, with the tuple
-    # loop's steps, evaluations, closest approach and end point
-    f = compile_system(parse_system(HARMONIC))
-    never = Crossing(1.0, 0.0, -1.0, 2.0, 1.0)
-    kw = dict(rel_tol=1e-10, abs_tol=1e-12)
-    got, run = _assert_bit_identical(f, (1.0, 0.0), (0.0, 600.0), never, **kw)
+    # a run of thousands of steps keeps its two end points and stores no
+    # step, with the tuple loop's steps, evaluations, closest approach and
+    # end point
+    s = parse_system("xdot = y + y^2; ydot = -x - x^3 + x*y^2")
+    f, w = compile_system(s), monodromy_weights(s)
+    kw = dict(rel_tol=1e-12, abs_tol=1e-14)
+    got, run = _assert_bit_identical(f, w, 0.5, (0.0, -600.0), **kw)
     assert got.steps > 5000 and got.status == run.status == "finished"
-    assert len(got.segments) == 0 and len(got.t) == len(got.y) == 2
+    assert len(got.psi) == len(got.y) == 2 and got.segments == ()
     assert len(run.segments) == got.steps
-    # the same at max_steps, and at a crossing: one segment, the last one
-    capped, _ = _assert_bit_identical(f, (1.0, 0.0), (0.0, 600.0), never, max_steps=3000, **kw)
-    assert capped.status == "max_steps" and capped.steps == 3000 and not capped.segments
-    hit, run = _assert_bit_identical(f, (1.0, 0.0), (0.0, 600.0),
-                                     Crossing(1.0, 0.0, 1.0, 2.0, 1.0), **kw)
-    assert hit.status == "event" and len(hit.segments) == 1 and len(hit.t) == 2
-    assert hit.segments == run.segments[-1:]
-    assert abs(hit.crossing[0] - 2 * math.pi) < 1e-8
-    assert hit.segments[0].t0 < hit.crossing[0] <= hit.segments[0].t0 + hit.segments[0].h
+    # the same at max_steps
+    capped, _ = _assert_bit_identical(f, w, 0.5, (0.0, -600.0), max_steps=3000, **kw)
+    assert capped.status == "max_steps" and capped.steps == 3000
 
 
 def test_crossing_checks_its_inputs():
-    ray = Crossing(1.0, 0.0, 1.0, 2.0, 1.0)
-    f = _with_float_terms((((1.0, 2000, 0),), ()))
+    f = _with_float_terms((((-1.0, 0, 1),), ((1.0, 2000, 0),)))
     with pytest.raises(IntegrationError, match="not finite") as err:
-        integrate_adaptive(f, (2.0, 0.0), (0.0, 1.0), ray)
+        integrate_adaptive(f, POLAR, 2.0, (0.0, 1.0))
     assert err.value.closest_approach == 2.0
     # the loop inlines the right-hand side, so it needs compile_system's terms
     with pytest.raises(ValueError, match="compile_system"):
-        integrate_adaptive(lambda x, y: (-y, x), (1.0, 0.0), (0.0, 1.0), ray)
-
-
-def test_crossing_behind_the_origin_does_not_stop():
-    # a straight orbit whose third step ends with x > 0 after crossing y = 0
-    # at x = -0.005: the refined crossing lies behind the origin, so the run
-    # goes on to the end of the span, as the step callback's did
-    f = _with_float_terms((((1.0, 0, 0),), ((1.0, 0, 0),)))
-    ray = Crossing(1.0, 0.0, 1.0, 100.0, 0.1)
-    got, run = _assert_bit_identical(f, (-0.105, -0.1), (0.0, 10.0), ray)
-    third = run.segments[2]
-    assert third.y0[1] < 0 < run.y[3][1] and run.y[3][0] > 0
-    assert _refine_crossing(third, ray.g)[1][0] < 0
-    assert got.status == "finished" and got.crossing is None and not got.segments
+        integrate_adaptive(lambda x, y: (-y, x), POLAR, 1.0, (0.0, 1.0))
 
 
 # -- bit-exact test of the inlined right-hand side against the call path --
@@ -681,44 +736,38 @@ _INLINED_SYSTEMS = {
 def test_inlined_rhs_bit_identical(text):
     f = compile_system(parse_system(text))
     kw = dict(rel_tol=1e-12, abs_tol=1e-14)
-    got, _ = _assert_bit_identical(f, (0.1, 0.05), (0.0, 3.0), **kw)
-    assert got.status == "finished" and got.steps > 10
-    got, _ = _assert_bit_identical(f, (0.1, 0.05), (0.0, -3.0), **kw)
-    assert got.status == "finished"
-    for x0 in (0.02, 0.1):
-        ray = Crossing(1.0, 0.0, 1.0 if f(x0, 0.0)[1] > 0 else -1.0, 1.0, x0)
-        got, _ = _assert_bit_identical(f, (x0, 0.0), (0.0, 1e9), ray, **kw)
-        assert got.status == "event" and len(got.segments) == 1
+    for span in ((0.0, 3.0), (0.0, -3.0), (0.7, 0.7 + 2 * math.pi)):
+        got, _ = _assert_bit_identical(f, POLAR, 0.1, span, **kw)
+        assert got.status == "finished" and got.steps > 3
     _assert_same_return_map(parse_system(text), [0.02, 0.05], transversal="0.7")
 
 
 def test_inlined_rhs_bit_identical_on_constant_term_and_zero_component():
     # xdot = 1 - y, ydot = x - 2.5 (a center at (2.5, 1)), and a constant
-    # first term of each sign
+    # first term of each sign, away from the origin where W > 0
     for terms in [(((1.0, 0, 0), (-1.0, 0, 1)), ((1.0, 1, 0), (-2.5, 0, 0))),
                   (((-2.5, 0, 0), (1.0, 0, 1)), ((0.5, 0, 0), (-1.0, 1, 0)))]:
         f = _with_float_terms(terms)
-        got, _ = _assert_bit_identical(f, (0.1, 0.05), (0.0, 5.0), rel_tol=1e-10,
-                                       abs_tol=1e-12)
+        sign = 1 if f(3.0, 0.0)[1] > 0 else -1
+        got, _ = _assert_bit_identical(f, MonodromyWeights(1, 1, sign), 3.0, (0.0, 0.5 * sign),
+                                       rel_tol=1e-10, abs_tol=1e-12)
         assert got.status == "finished"
-        ray = Crossing(1.0, 0.0, 1.0, 100.0, 0.1)
-        _assert_bit_identical(f, (0.1, 0.0), (0.0, 100.0), ray)
-    # a zero component: xdot = 0, so the orbit leaves the guard radius
+    # a zero component: xdot = 0, so the orbit runs up the line x = 0.3 and
+    # leaves the guard radius
     f = compile_system(parse_system("xdot = 0; ydot = x + x^2"))
-    assert f.float_terms[0] == () and "{k}_0 = 0.0" in _inline_rhs(f.float_terms)
-    _assert_bit_identical(f, (0.3, -0.2), (0.0, 4.0))
-    got, _ = _assert_bit_identical(f, (0.3, 0.0), (0.0, 1e9), Crossing(1.0, 0.0, 1.0, 1.0, 0.3))
+    assert f.float_terms[0] == () and "fP = 0.0" in _inline_rhs(f.float_terms)
+    got, _ = _assert_bit_identical(f, POLAR, 0.3, (0.0, 2 * math.pi), guard_radius=1.0)
     assert got.status == "escaped"
 
 
 def test_inlined_rhs_bit_identical_when_a_power_overflows():
     # rx**2000 raises OverflowError on trial stages past x ~ 1.43: those
     # steps are rejected until the step size underflows, in both loops
-    f = compile_system(parse_system("xdot = y + x^2000; ydot = x"))
+    f = _with_float_terms((((-1.0, 0, 1), (1.0, 2000, 0)), ((1.0, 1, 0),)))
     errors = []
-    for integrate in (crossing_run, integrate_adaptive):
+    for integrate in (psi_run, integrate_adaptive):
         with pytest.raises(IntegrationError, match="step size underflow") as err:
-            integrate(f, (1.0, 0.5), (0.0, 10.0), NEVER)
+            integrate(f, POLAR, 1.2, (0.0, -2.0))
         errors.append((str(err.value), err.value.closest_approach))
     assert errors[0] == errors[1]
 
@@ -738,9 +787,11 @@ def test_inlined_loop_cached_by_source_text():
     assert plus.float_terms == minus.float_terms
     rhs_plus, rhs_minus = _inline_rhs(plus.float_terms), _inline_rhs(minus.float_terms)
     assert rhs_plus != rhs_minus
-    assert _dopri_loop(rhs_plus) is not _dopri_loop(rhs_minus)
-    assert _dopri_loop(rhs_minus).__code__.co_filename == \
-        "<dopri xdot = -0.0*rx3 - ry; ydot = rx>"
+    assert _dopri_loop(rhs_plus, 1, 1) is not _dopri_loop(rhs_minus, 1, 1)
+    assert _dopri_loop(rhs_minus, 1, 1).__code__.co_filename == \
+        "<dopri (1,1) xdot = -0.0*rx3 - ry; ydot = rx>"
+    # and the weights are part of the key
+    assert _dopri_loop(rhs_plus, 1, 2) is not _dopri_loop(rhs_plus, 1, 1)
     # a sweep of 40 distinct systems builds 40 loops and keeps at most the
     # cache's small bound
     before = info()

@@ -6,7 +6,7 @@ import pytest
 
 from centerlab import numeric, qhomog
 from centerlab.mpoly import MPoly, Rat
-from centerlab.numeric import _refine_crossing, compile_system
+from centerlab.numeric import compile_system
 from centerlab.qhomog import (
     QHSignature,
     classify_qh_center,
@@ -27,7 +27,7 @@ from conftest import (
     poly,
     pq_period,
 )
-from reference_dopri import _tuple_loop_integrate
+from reference_dopri import _tuple_loop_integrate, refine_crossing
 
 SIG11 = QHSignature(1, 1, 3)
 SIG238 = QHSignature(2, 3, 8)
@@ -71,11 +71,11 @@ def reference_period_integral(s, sig, rel_tol=1e-12):
         tau_formula = pq_period(p, q)
         hit = {}
 
-        def callback(seg, y_new):
-            if seg.t0 + seg.h < 0.5 * tau_formula:
+        def callback(seg, t_new, y_new):
+            if t_new < 0.5 * tau_formula:
                 return False
             if seg.y0[1] < 0 <= y_new[1] and y_new[0] > 0:
-                _, yc = _refine_crossing(seg, lambda st: st[1])
+                _, yc = refine_crossing(seg, lambda st: st[1])
                 hit["I"] = yc[2]
                 return True
             return False

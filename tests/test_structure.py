@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from centerlab.mpoly import MPoly, Rat
 from centerlab.parser import DarbouxExpr, parse_first_integral
 from centerlab.ratfunc import RatFunc
@@ -9,8 +11,10 @@ from centerlab.structure import (
     _solve_on_circle,
     characteristic_directions,
     is_hamiltonian,
+    monodromy_weights,
     reversibility_conditions,
     verify_darboux_integral,
+    weighted_form_sign,
 )
 from centerlab.systems import PlaneSystem, parse_system, substitute
 
@@ -411,3 +415,99 @@ def test_direction_parse_of_integral_text():
         ("x", "y", "eps"))
     assert parsed3.arg_factor is not None
     assert parsed3.arg_factor[0] == 2
+
+
+# -- monodromy weights -----------------------------------------------------------
+
+MONODROMY_CASES = [
+    # the return-map systems: two (1,2) nilpotent centers and five (1,1) points
+    ("xdot = y + x^2; ydot = -x^3", (1, 2, -1)),
+    ("xdot = -y + x*y + y^2 + x^3; ydot = x^3", (1, 2, 1)),
+    ("xdot = (-y + y^2)*(x^2 + y^2); ydot = (x + 2*x^2)*(x^2 + y^2)", (1, 1, 1)),
+    ("xdot = y + y^2; ydot = -x - x^3 + x*y^2", (1, 1, -1)),
+    ("xdot = -y^3; ydot = x^3 + x^5", (1, 1, 1)),
+    ("xdot = -y - x*(x^2 + y^2); ydot = x - y*(x^2 + y^2)", (1, 1, 1)),
+    ("xdot = -y - x/10; ydot = x", (1, 1, 1)),
+    ("xdot = -100000000000000000039*y^3; ydot = 7*x^3", (1, 1, 1)),
+    # quasi-homogeneous centers: HAM_QH and the sextic at a = b = c = 1
+    ("xdot = -y^3; ydot = x^5", (2, 3, 1)),
+    ("xdot = -y; ydot = x^5 + x^6 + y*(x^3 + x^4)", (1, 3, 1)),
+    # nodes, a saddle, a cusp and a line of equilibria: no weights
+    ("xdot = -x; ydot = x - y", None),
+    ("xdot = -x^3; ydot = x^3", None),
+    ("xdot = -x; ydot = -y", None),
+    ("xdot = y; ydot = x^3", None),
+    ("xdot = y; ydot = x^2", None),
+    ("xdot = 0; ydot = x + x^2", None),
+    # Andreev's nilpotent family y' = -x^3 + b*x*y: monodromic iff b^2 < 8
+    ("xdot = y; ydot = -x^3 + 14/5*x*y", (1, 2, -1)),
+    ("xdot = y; ydot = -x^3 + 3*x*y", None),
+]
+
+
+@pytest.mark.parametrize("text,want", MONODROMY_CASES, ids=[t for t, _ in MONODROMY_CASES])
+def test_monodromy_weights(text, want):
+    assert monodromy_weights(parse_system(text)) == want
+
+
+@pytest.mark.parametrize("b", ["0", "2", "-14/5", "141/50", "283/100", "-3", "4"])
+def test_monodromy_weights_follow_andreev_on_the_nilpotent_family(b):
+    # x' = y, y' = -x^3 + b*x*y has the monodromic nilpotent origin exactly
+    # when b^2 < 8 (Andreev's theorem); the weights are (1, 2)
+    s = substitute(parse_system("xdot = y; ydot = -x^3 + b*x*y"), {"b": Rat(b)})
+    want = (1, 2, -1) if Rat(b) ** 2 < 8 else None
+    assert monodromy_weights(s) == want
+
+
+def _edge_walk_weights(s):
+    """The weights by walking the lower-left Newton polygon of the rows from
+    the y-axis side, first edge whose lowest part of p*x*Q - q*y*P is
+    definite first: the oracle for monodromy_weights."""
+    terms = [(c, i, j, coeff) for c, poly in enumerate((s.P, s.Q))
+             for (i, j), coeff in poly.coefficients_in_vars(("x", "y")).items()]
+    rows = sorted({(i - 1 + c, j - c) for c, i, j, _ in terms})
+    hull = []
+    for b in rows:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (b[1] - hull[-2][1])
+                                 - (hull[-1][1] - hull[-2][1]) * (b[0] - hull[-2][0])) <= 0:
+            hull.pop()
+        hull.append(b)
+    x, y = MPoly.variable("x", s.vars), MPoly.variable("y", s.vars)
+    for (u, v), (u2, v2) in zip(hull, hull[1:]):
+        if v2 >= v:
+            break
+        g = math.gcd(v - v2, u2 - u)
+        p, q = (v - v2) // g, (u2 - u) // g
+        low = min(p * a + q * b for a, b in rows)
+        W = MPoly.zero(s.vars)
+        for c, i, j, coeff in terms:
+            if p * (i - 1 + c) + q * (j - c) == low:
+                W = W + coeff * x ** i * y ** j * (x * p if c else y * -q)
+        sign, _ = weighted_form_sign(W)
+        if sign:
+            return p, q, sign
+    return None
+
+
+def test_monodromy_weights_match_the_edge_walk():
+    rnd = random.Random(29)
+    found = 0
+    for _ in range(300):
+        # a pure power of y in P and one of x in Q most of the time, and a
+        # few other terms of degree up to 6
+        def term():
+            i, j = rnd.choice([(i, j) for i in range(5) for j in range(5) if i + j])
+            return f"{rnd.randint(-3, 3)}*x^{i}*y^{j}"
+
+        P = [term() for _ in range(rnd.randint(0, 3))]
+        Q = [term() for _ in range(rnd.randint(0, 3))]
+        if rnd.random() < 0.8:
+            P.append(f"{rnd.choice([-2, -1, 1, 3])}*y^{rnd.randint(1, 5)}")
+            Q.append(f"{rnd.choice([-2, -1, 1, 3])}*x^{rnd.randint(1, 5)}")
+        s = parse_system(f"xdot = 0 + {' + '.join(P) or '0'}; ydot = 0 + {' + '.join(Q) or '0'}")
+        if s.P.is_zero and s.Q.is_zero:
+            continue
+        want = _edge_walk_weights(s)
+        assert monodromy_weights(s) == want, str(s)
+        found += want is not None
+    assert found > 30
