@@ -29,7 +29,7 @@ from .perturb import (
     general_perturbation,
     minimal_perturbation,
 )
-from .qhomog import classify_qh_center, detect_quasi_homogeneity, qh_signature
+from .qhomog import classify_qh_center, detect_quasi_homogeneity
 from .report import condition_entry, display_str, poly_terms, ratfunc_entry, to_json
 from .structure import (
     characteristic_directions,
@@ -92,17 +92,6 @@ def _rel_tol(text: str) -> float:
     return value
 
 
-def _weights(text: str) -> tuple:
-    """The ``--pq P,Q`` weights: two coprime positive integers."""
-    try:
-        p, q = (int(v) for v in text.split(","))
-    except ValueError:
-        p = q = 0
-    if p < 1 or q < 1 or math.gcd(p, q) != 1:
-        raise ParseError(f"--pq expects two coprime positive integers P,Q, got {text!r}")
-    return p, q
-
-
 def _radius(text: str) -> float:
     value = _number("--x0", text)
     if value <= 0:
@@ -126,10 +115,10 @@ def _load_system(args) -> tuple:
     if args.set:
         binds = {}
         for item in args.set:
-            name, _, val = item.partition("=")
-            if not val:
+            name, _, val = (part.strip() for part in item.partition("="))
+            if not (name and val):
                 raise ParseError(f"--set expects name=value, got {item!r}")
-            binds[name.strip()] = _rat(f"--set {name.strip()}", val.strip())
+            binds[name] = _rat(f"--set {name}", val)
         s = substitute(s, binds)
     return s, source
 
@@ -244,19 +233,12 @@ def cmd_reversible(args) -> int:
 def cmd_qhcenter(args) -> int:
     t0 = time.perf_counter()
     s, source = _load_system(args)
-    pq = _weights(args.pq) if args.pq else None
 
     def analyze(system: PlaneSystem, label: dict) -> dict:
-        if pq:
-            sig = qh_signature(system, *pq)
-            if sig is None:
-                raise ClassificationError(
-                    f"the system is not ({pq[0]},{pq[1]})-quasi-homogeneous")
-        else:
-            sig = detect_quasi_homogeneity(system)
-            if sig is None:
-                return {**label, "verdict": "undecided",
-                        "note": "no quasi-homogeneous structure detected"}
+        sig = detect_quasi_homogeneity(system)
+        if sig is None:
+            return {**label, "verdict": "undecided",
+                    "note": "no quasi-homogeneous structure detected"}
         verdict, info = classify_qh_center(system, sig)
         entry = {**label, "pq": [sig.p, sig.q], "weight_degree": sig.m,
                  "verdict": verdict,
@@ -273,8 +255,9 @@ def cmd_qhcenter(args) -> int:
 
     if args.sweep:
         name, _, rng = args.sweep.partition("=")
+        name = name.strip()
         bounds = rng.split(":")
-        if len(bounds) != 3:
+        if not name or len(bounds) != 3:
             raise ParseError(f"--sweep expects NAME=A:B:STEP, got {args.sweep!r}")
         a, b, step = (_rat(f"--sweep {part}", v)
                       for part, v in zip(("start", "end", "step"), bounds))
@@ -389,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qhcenter", help="quasi-homogeneous center test")
     common(p)
-    p.add_argument("--pq", help="assert the weights P,Q, e.g. 2,3, instead of solving for them; "
-                                "a system that does not fit them is refused")
     p.add_argument("--sweep", metavar="NAME=A:B:STEP",
                    help="sweep one parameter over a rational range")
     p.set_defaults(func=cmd_qhcenter)

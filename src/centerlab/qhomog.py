@@ -2,13 +2,8 @@
 
 A system is (p,q)-quasi-homogeneous of weight degree m when P and Q are
 (p,q)-quasi-homogeneous of weight degrees p-1+m and q-1+m.  For coprime P, Q
-the centers are characterized by (i) the weighted form p*x*Q - q*y*P having
-no real factors and (ii) the vanishing of the integral of F/G over one period
-of the generalized trigonometric functions Cs, Sn, which solve
-
-    z' = -w^(2p-1),  w' = z^(2q-1),  z(0) = p^(-1/(2q)),  w(0) = 0
-
-and satisfy p*Cs^(2q) + q*Sn^(2p) = 1.
+the centers are characterized by (i) the weighted form W = p*x*Q - q*y*P
+having no real factors and (ii) the vanishing of the period integral.
 
 Detection solves for the weights: each monomial fixes a linear relation
 between p, q and m, so two monomials fix the ray p:q and the rest must
@@ -16,18 +11,25 @@ agree with it (see :func:`detect_quasi_homogeneity`).
 
 Condition (i) is decided exactly: weighted homogeneity reduces it to the
 real roots of the two univariate polynomials W(1, t) and W(-1, t), counted
-by Sturm chains.  Condition (ii) integrates no ODE.  In weighted polar
-coordinates (Cs, Sn) = (rho^p*cos psi, rho^q*sin psi) the identity gives
-rho = (p*cos^(2q) psi + q*sin^(2p) psi)^(-1/(2pq)), and along the flow
+by Sturm chains.  Condition (ii) integrates no ODE.  In the weighted polar
+coordinates x = r^p*cos psi, y = r^q*sin psi of the return map (see
+:mod:`centerlab.numeric`), quasi-homogeneity factors r^(p+q-1+m) out of
 
-    p*z*w' - q*w*z' = 1 = rho^(p+q) * (p*cos^2 psi + q*sin^2 psi) * psi',
+    dr/dpsi = r * (r^q*cos psi*P + r^p*sin psi*Q) / W,
 
-so the period integral is the integral over psi in [0, 2pi) of F/G times
-dtheta/dpsi = rho^(p+q) * (p*cos^2 psi + q*sin^2 psi), in closed form (see
-:func:`pq_node`).  That integrand is periodic and analytic, so the periodic
-trapezoid rule on N equally spaced nodes converges geometrically
-(Trefethen & Weideman, SIAM Review 56, 2014); N doubles until two
-successive sums agree.
+so one turn of psi multiplies r by exp(I), with
+
+    I = integral over psi in [0, 2pi) of (c*P + s*Q)/W at (c, s) = (cos psi, sin psi).
+
+I is the classical integral of F/G over one period of Liapunov's
+generalized trigonometric functions: both are the logarithm of the return
+ratio on the section psi = 0, where their two radii differ by a constant
+factor.  The integrand is periodic and analytic, so the periodic trapezoid
+rule on N equally spaced nodes converges geometrically (Trefethen &
+Weideman, SIAM Review 56, 2014); N doubles until two successive sums agree.
+Node N - k is the reflection (c, -s) of node k, and each reflected pair is
+added before it enters the sum, so a center that is reversible under
+(x, y, t) -> (x, -y, -t) sums to exactly 0.0.
 """
 
 from __future__ import annotations
@@ -99,29 +101,13 @@ def detect_quasi_homogeneity(s: PlaneSystem) -> Optional[QHSignature]:
     return _signature(exponents, p, q)
 
 
-# -- generalized trigonometric functions ---------------------------------------
-
-
-def pq_node(p: int, q: int, psi: float) -> Tuple[float, float, float]:
-    """``(z, w, dtheta/dpsi)`` at the weighted polar angle ``psi``: the point
-    (Cs, Sn) = (rho^p*cos psi, rho^q*sin psi) of the curve
-    p*z^(2q) + q*w^(2p) = 1 and the derivative of the period variable theta
-    along it.  Exactly (cos psi, sin psi, 1.0) when p = q = 1."""
-    c = math.cos(psi)
-    s = math.sin(psi)
-    if p == q == 1:
-        return c, s, 1.0
-    rho = (p * c ** (2 * q) + q * s ** (2 * p)) ** (-1 / (2 * p * q))
-    return rho ** p * c, rho ** q * s, rho ** (p + q) * (p * c * c + q * s * s)
-
-
 # -- center conditions ----------------------------------------------------------
 
 
 @dataclass
 class ConditionIVerdict:
     holds: bool
-    sign: Optional[int] = None       # sign of G along the circle when it holds
+    sign: Optional[int] = None       # sign of W off the origin when it holds
     detail: str = ""
 
 
@@ -161,7 +147,7 @@ class ConditionIIResult:
     error: float
     nodes: int            # trapezoid nodes of the returned value
     difference: float     # |I_nodes - I_(nodes/2)|
-    converged: bool       # difference <= rel_tol * trapezoid sum of |F/G|
+    converged: bool       # difference <= rel_tol * trapezoid sum of the integrand's magnitude
 
 
 # the trapezoid rule starts from this many nodes, so that an early chance
@@ -170,25 +156,17 @@ MIN_NODES = 64
 MAX_NODES = 2 ** 16
 
 
-def condition_ii_integral(s: PlaneSystem, sig: QHSignature,
-                          rel_tol: float = 1e-12) -> ConditionIIResult:
-    """Integral of F/G over one period of the (p,q)-trigonometric functions.
-
-    F = Cs^(2q-1) P(Cs,Sn) + Sn^(2p-1) Q(Cs,Sn) and
-    G = p Cs Q(Cs,Sn) - q Sn P(Cs,Sn); condition (i) must hold first."""
-    verdict = condition_i_no_real_factors(s, sig)
-    if not verdict.holds:
-        raise ValueError(f"condition (i) fails: {verdict.detail}")
-    return _period_integral(s, sig, rel_tol)
-
-
 def _period_integral(s: PlaneSystem, sig: QHSignature,
                      rel_tol: float = 1e-12) -> ConditionIIResult:
-    """The integral of :func:`condition_ii_integral`, for a system whose
+    """The condition (ii) integral of (c*P + s*Q)/W over psi in [0, 2pi),
+    with (c, s) = (cos psi, sin psi) and W = p*c*Q - q*s*P, for a system whose
     condition (i) is already known to hold, by the periodic trapezoid rule
-    in the weighted polar angle psi, on the nodes 2*pi*k/n of
-    :func:`pq_node`, each F/G weighted by dtheta/dpsi.
+    on the nodes 2*pi*k/n (the slope d(log r)/dpsi of the return map at
+    r = 1, see the module docstring).
 
+    Only the upper half turn k <= n/2 calls cos and sin, with psi = pi taken
+    as exactly (-1.0, 0.0): node n - k is the reflection (c, -s) of node k,
+    and each reflected pair is added together before it enters the sum.
     The node count doubles from ``MIN_NODES`` (each doubling evaluates the
     integrand at the new odd nodes only) until the halving difference is at
     most ``rel_tol`` times the trapezoid sum of its magnitude, or until
@@ -200,21 +178,30 @@ def _period_integral(s: PlaneSystem, sig: QHSignature,
         raise ValueError("rel_tol must be positive")
     fPQ = compile_system(s)
     p, q = sig.p, sig.q
-    e1 = 2 * p - 1
-    e2 = 2 * q - 1
     tau = 2 * math.pi
 
+    def integrand(c, sn):
+        P, Q = fPQ(c, sn)
+        W = p * c * Q - q * sn * P
+        # W rounding to 0 at a node makes the sums non-finite
+        return (c * P + sn * Q) / W if W else math.inf
+
     def sums(n, first, step):
-        # the integrand at the nodes tau*k/n, k = first, first + step, ... < n
+        # the integrand at the nodes tau*k/n, k = first, first + step, ... < n:
+        # each node of the upper half turn and its reflection (c, -s)
         total = size = 0.0
-        for k in range(first, n, step):
-            z, w, dtheta = pq_node(p, q, tau * k / n)
-            P, Q = fPQ(z, w)
-            G = p * z * Q - q * w * P
-            # G rounding to 0 at a node makes the sums non-finite
-            v = (z ** e2 * P + w ** e1 * Q) / G * dtheta if G else math.inf
-            total += v
+        for k in range(first, n // 2 + 1, step):
+            if 2 * k == n:
+                c, sn = -1.0, 0.0
+            else:
+                c, sn = math.cos(tau * k / n), math.sin(tau * k / n)
+            v = integrand(c, sn)
             size += abs(v)
+            if 0 < 2 * k < n:
+                u = integrand(c, -sn)
+                size += abs(u)
+                v += u
+            total += v
         return total, size
 
     n = MIN_NODES
@@ -254,7 +241,7 @@ def classify_qh_center(s: PlaneSystem, sig: QHSignature) -> Tuple[str, dict]:
     info["condition_ii"] = res
     if not (math.isfinite(res.value) and math.isfinite(res.error)):
         info["detail"] = (f"period integral not finite (value {res.value}, error "
-                          f"{res.error}): F/G overflows or G rounds to 0 at a node")
+                          f"{res.error}): (c*P + s*Q)/W overflows or W rounds to 0 at a node")
         return "undecided", info
     threshold = max(1e-8, 1e3 * res.error)
     info["threshold"] = threshold

@@ -21,12 +21,7 @@ from centerlab.perturb import (
     general_perturbation,
     minimal_perturbation,
 )
-from centerlab.qhomog import (
-    QHSignature,
-    condition_ii_integral,
-    detect_quasi_homogeneity,
-    pq_node,
-)
+from centerlab.qhomog import QHSignature, classify_qh_center, detect_quasi_homogeneity
 from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum
 from centerlab.structure import (
     characteristic_directions,
@@ -56,6 +51,7 @@ from conftest import (
     NIL_REVERSIBLE_EPS,
     NIL_SEXTIC,
     NIL_SEXTIC_EPS,
+    integrated_circle,
     measured_period,
     poly,
     pq_period,
@@ -304,8 +300,9 @@ def test_criterion_5_quasi_homogeneous():
     sig2 = detect_quasi_homogeneity(parse_system(HOMOG_CUBIC))
     checks.append(("5a detect (1,1,3)", sig2 == QHSignature(1, 1, 3)))
 
-    nodes = [pq_node(2, 3, 2 * math.pi * k / 400) for k in range(400)]
-    ident = max(abs(2 * cs ** 6 + 3 * sn ** 4 - 1) for cs, sn, _ in nodes)
+    tau, circle = integrated_circle(2, 3)
+    nodes = [circle(tau * k / 400) for k in range(400)]
+    ident = max(abs(2 * cs ** 6 + 3 * sn ** 4 - 1) for cs, sn in nodes)
     checks.append((f"5b trig identity residual {ident:.2e} <= 1e-10", ident <= 1e-10))
 
     for p, q in ((1, 1), (1, 2), (2, 3)):
@@ -316,10 +313,11 @@ def test_criterion_5_quasi_homogeneous():
     cub = parse_system(HOMOG_CUBIC)
     sig = QHSignature(1, 1, 3)
     for lam, mu in ((0, 1), (1, 0)):
-        val = condition_ii_integral(substitute(cub, {"lambda": lam, "mu": mu}), sig).value
+        _, info = classify_qh_center(substitute(cub, {"lambda": lam, "mu": mu}), sig)
+        val = info["condition_ii"].value
         checks.append((f"5d integral at (lambda,mu)=({lam},{mu}) is {val:.2e} <= 1e-8",
                        abs(val) <= 1e-8))
-    r = condition_ii_integral(substitute(cub, {"lambda": 1, "mu": 1}), sig)
+    r = classify_qh_center(substitute(cub, {"lambda": 1, "mu": 1}), sig)[1]["condition_ii"]
     checks.append((f"5d integral at (1,1) is {r.value:.6f} >= 1e-3", abs(r.value) >= 1e-3))
     s3 = cmath.sqrt(-17 - cmath.sqrt(145))
     s4 = cmath.sqrt(-17 + cmath.sqrt(145))

@@ -11,9 +11,7 @@ from centerlab.qhomog import (
     QHSignature,
     classify_qh_center,
     condition_i_no_real_factors,
-    condition_ii_integral,
     detect_quasi_homogeneity,
-    pq_node,
     qh_signature,
 )
 from centerlab.systems import PlaneSystem, parse_system, substitute
@@ -22,7 +20,6 @@ from conftest import (
     HAM_QH,
     HAM_QH_EPS,
     HOMOG_CUBIC,
-    integrated_circle,
     measured_period,
     poly,
     pq_period,
@@ -192,67 +189,6 @@ def test_detection_matches_coprime_search_on_sample_and_bench_systems():
 # -- generalized trigonometric functions -------------------------------------------
 
 
-def test_classical_case_matches_cos_sin():
-    # exactly, so that every p = q = 1 sum keeps its floats
-    for th in (0.0, 0.3, 1.0, 2.5, 5.0):
-        assert pq_node(1, 1, th) == (math.cos(th), math.sin(th), 1.0)
-
-
-def test_initial_condition():
-    for p, q in ((1, 1), (2, 3), (3, 2), (1, 2), (1, 9)):
-        cs, sn, _ = pq_node(p, q, 0.0)
-        assert abs(cs - p ** (-1 / (2 * q))) < 1e-14
-        assert sn == 0.0
-
-
-def test_identity_along_circle():
-    for p, q in ((2, 3), (3, 2), (1, 2), (1, 9)):
-        nodes = [pq_node(p, q, 2 * math.pi * k / 500) for k in range(500)]
-        assert max(abs(p * cs ** (2 * q) + q * sn ** (2 * p) - 1)
-                   for cs, sn, _ in nodes) <= 1e-14
-
-
-@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 2), (1, 9)])
-def test_node_map_solves_the_defining_system(p, q):
-    # (z(psi), w(psi)) runs along z' = -w^(2p-1), w' = z^(2q-1) at the speed
-    # dtheta/dpsi, and on the curve p*z^(2q) + q*w^(2p) = 1; the formulas are
-    # those of pq_node, whose floats they give at sample angles
-    sympy = pytest.importorskip("sympy")
-    psi = sympy.Symbol("psi", real=True)
-    c, s = sympy.cos(psi), sympy.sin(psi)
-    rho = (p * c ** (2 * q) + q * s ** (2 * p)) ** sympy.Rational(-1, 2 * p * q)
-    z, w, dtheta = rho ** p * c, rho ** q * s, rho ** (p + q) * (p * c ** 2 + q * s ** 2)
-    for residual in (sympy.diff(z, psi) + w ** (2 * p - 1) * dtheta,
-                     sympy.diff(w, psi) - z ** (2 * q - 1) * dtheta,
-                     p * z ** (2 * q) + q * w ** (2 * p) - 1):
-        assert sympy.simplify(residual) == 0
-    for angle in (0.0, 0.7, 2.0, 4.5):
-        exact = [float(e.subs(psi, angle).evalf(30)) for e in (z, w, dtheta)]
-        assert all(abs(a - b) <= 1e-15 * max(1.0, abs(b))
-                   for a, b in zip(pq_node(p, q, angle), exact))
-
-
-def test_node_map_matches_integrated_circle():
-    # psi and the period variable theta are tied by theta(psi) = integral of
-    # dtheta/dpsi: the node at psi is the integrated (Cs, Sn) at theta(psi)
-    mpmath = pytest.importorskip("mpmath")
-    p, q = 2, 3
-    tau, trajectory = integrated_circle(p, q)
-    for psi in (0.4, 1.3, 2.9, 4.0, 5.8):
-        theta = float(mpmath.quad(lambda t: pq_node(p, q, float(t))[2], [0, psi]))
-        cs, sn = trajectory(theta)
-        z, w, _ = pq_node(p, q, psi)
-        assert abs(z - cs) <= 1e-10 and abs(w - sn) <= 1e-10
-
-
-@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 2), (1, 9)])
-def test_trapezoid_sum_of_the_weight_is_the_period(p, q):
-    # the integral of dtheta/dpsi over one turn of psi is one period of theta
-    for n in (128, 256, 512):
-        total = math.fsum(pq_node(p, q, 2 * math.pi * k / n)[2] for k in range(n))
-        assert abs(2 * math.pi * total / n - pq_period(p, q)) <= 1e-14
-
-
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 3), (3, 2)])
 def test_period_formula_matches_ode(p, q):
     assert abs(pq_period(p, q) - measured_period(p, q)) <= 1e-9
@@ -373,14 +309,18 @@ def test_condition_i_matches_sympy_property():
 # -- condition (ii) ------------------------------------------------------------------
 
 
+def _condition_ii(s, sig):
+    return classify_qh_center(s, sig)[1]["condition_ii"]
+
+
 def test_condition_ii_center_cases():
     for lam, mu in ((0, 1), (1, 0)):
-        r = condition_ii_integral(_cubic(lam, mu), SIG11)
+        r = _condition_ii(_cubic(lam, mu), SIG11)
         assert abs(r.value) <= 1e-8
 
 
 def test_condition_ii_focus_case_matches_closed_form():
-    r = condition_ii_integral(_cubic(1, 1), SIG11)
+    r = _condition_ii(_cubic(1, 1), SIG11)
     assert abs(r.value) >= 1e-3
     mu, lam = 1.0, 1.0
     s1 = cmath.sqrt(9 * mu - 25)
@@ -397,7 +337,7 @@ def test_condition_ii_focus_case_matches_closed_form():
 @pytest.mark.parametrize("mu", [Rat(1, 2), Rat(1), Rat(3, 2), Rat(2), Rat(5, 2)])
 def test_condition_ii_matches_closed_form_to_rounding(mu):
     # the double Dormand-Prince quadrature was off by up to 3e-12 here
-    r = condition_ii_integral(_cubic(1, mu), SIG11)
+    r = _condition_ii(_cubic(1, mu), SIG11)
     closed = _closed_form(float(mu))
     assert r.converged
     assert abs(r.value - closed) <= 1e-12 * abs(closed)
@@ -476,7 +416,9 @@ def _mpmath_period_integral(mpmath, s, sig):
     ("xdot = y + 1/10*x^9; ydot = -x^17 + 1/3*x^8*y", QHSignature(1, 9, 9),
      -0.1441491771714737668),
     ("xdot = -y^3 + 1/2*x^3*y; ydot = x^5 + 1/2*x^2*y^2", SIG238, 0.0),
-], ids=["1-3-focus", "1-9-focus", "1-9-focus-xy", "2-3-reversible"])
+    ("xdot = -y^5 + 1/3*x^5*y^2; ydot = x^9 + 1/5*x^4*y^3", QHSignature(3, 5, 23),
+     0.1237536281709147050),
+], ids=["1-3-focus", "1-9-focus", "1-9-focus-xy", "2-3-reversible", "3-5-focus"])
 def test_condition_ii_matches_mpmath_p_ne_q(text, sig, reference):
     # every (2,3) system of weight degree 8 is odd in y in P and even in Q,
     # hence reversible: the (2,3) case is a center that is not Hamiltonian
@@ -491,35 +433,48 @@ def test_condition_ii_matches_mpmath_p_ne_q(text, sig, reference):
     assert verdict == ("center" if reference == 0.0 else "focus")
 
 
+@pytest.mark.parametrize("text,sig", [
+    ("xdot = -y^3 + 1/2*x^3*y; ydot = x^5 + 1/2*x^2*y^2", SIG238),
+    ("xdot = -y^3 + x^2*y; ydot = x^3 + x*y^2", SIG11),
+], ids=["2-3", "1-1"])
+def test_reversible_centers_sum_to_exact_zero(text, sig):
+    # P odd and Q even in y: the integrand is odd under (c, s) -> (c, -s),
+    # and each node meets its reflection before it enters the sum
+    r = _condition_ii(parse_system(text), sig)
+    assert r.value == 0.0 and r.difference == 0.0
+
+
 def test_condition_ii_weighted_hamiltonian_zero():
     s = substitute(parse_system(HAM_QH), {"a": 1, "b": 1})
-    r = condition_ii_integral(s, QHSignature(2, 3, 8))
+    r = _condition_ii(s, QHSignature(2, 3, 8))
     assert abs(r.value) <= 1e-8
 
 
 def test_condition_ii_requires_condition_i():
-    with pytest.raises(ValueError, match="condition"):
-        condition_ii_integral(_cubic(0, 3), SIG11)
+    # the integral is taken only where the weighted form is definite
+    verdict, info = classify_qh_center(_cubic(0, 3), SIG11)
+    assert verdict == "undecided"
+    assert not info["condition_i"].holds and "condition_ii" not in info
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan])
 def test_condition_ii_rejects_tolerance_out_of_range(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
-        condition_ii_integral(_cubic(1, 1), SIG11, rel_tol=rel_tol)
+        qhomog._period_integral(_cubic(1, 1), SIG11, rel_tol=rel_tol)
 
 
 def test_condition_ii_invariant_under_time_rescaling():
     s = _cubic(1, 1)
     scaled = parse_system(f"xdot = 3*({s.P}); ydot = 3*({s.Q})")
-    r1 = condition_ii_integral(s, SIG11)
-    r2 = condition_ii_integral(scaled, SIG11)
+    r1 = _condition_ii(s, SIG11)
+    r2 = _condition_ii(scaled, SIG11)
     assert abs(r1.value - r2.value) <= 1e-9
 
 
 def test_condition_ii_odd_symmetry_zero():
-    # odd-symmetric integrand: F/G has period-pi antisymmetry, exact zero
+    # odd-symmetric integrand: it has period-pi antisymmetry, exact zero
     s = parse_system("xdot = -y^3; ydot = x^3")
-    r = condition_ii_integral(s, QHSignature(1, 1, 3))
+    r = _condition_ii(s, QHSignature(1, 1, 3))
     assert abs(r.value) <= 1e-10
 
 
@@ -547,8 +502,8 @@ def test_classify_quartic_hamiltonian_center():
 
 @pytest.mark.parametrize("digits,verdict", [(4, "focus"), (6, "focus"), (8, "undecided")])
 def test_classify_near_singular_is_never_center(digits, verdict):
-    # mu just below 25/9, where condition (i) still holds: G nearly vanishes
-    # at theta = pi/2, F/G has a peak of width about 10^(-digits/2) and the
+    # mu just below 25/9, where condition (i) still holds: W nearly vanishes
+    # at psi = pi/2, the integrand has a peak of width about 10^(-digits/2) and the
     # integral is large.  At 1e-4 the trapezoid rule converges; at 1e-6 it
     # reaches the node cap, but |I| already exceeds 1000 halving differences,
     # which shows the focus that the double Dormand-Prince quadrature read;
@@ -597,7 +552,7 @@ def _count_calls(monkeypatch, module, name):
 def test_condition_ii_integrates_no_ode(monkeypatch):
     # (2,3)-quasi-homogeneous of weight degree 8 with a weighted form
     # 2x^6 - c*x^3*y^2 + 3y^4; condition (i) is exact, and condition (ii)
-    # reads its nodes from the closed form at any weights
+    # sums the return map's slope at r = 1 at any weights
     family = parse_system("xdot = -y^3 + c*x^3*y; ydot = x^5 + c*x^2*y^2")
     integrations = _count_calls(monkeypatch, numeric, "integrate_adaptive")
     loops = _count_calls(monkeypatch, numeric, "_dopri_loop")
@@ -612,7 +567,7 @@ def test_condition_ii_integrates_no_ode(monkeypatch):
 
 def test_non_finite_integral_is_undecided():
     # divergence-free, so a Hamiltonian center; Q's coefficient underflows
-    # to 0.0 and G vanishes at psi = 0, which makes the sum infinite
+    # to 0.0 and W vanishes at psi = 0, which makes the sum infinite
     s = parse_system("xdot = -y^101; ydot = x^101/10^400")
     sig = detect_quasi_homogeneity(s)
     verdict, info = classify_qh_center(s, sig)
@@ -620,7 +575,7 @@ def test_non_finite_integral_is_undecided():
     assert not math.isfinite(r.value) and not r.converged
     assert verdict == "undecided"
     assert info["detail"] == (f"period integral not finite (value {r.value}, error {r.error}): "
-                              "F/G overflows or G rounds to 0 at a node")
+                              "(c*P + s*Q)/W overflows or W rounds to 0 at a node")
 
 
 def test_classify_condition_i_failure_undecided():
@@ -640,6 +595,5 @@ def test_classify_decides_condition_i_once(monkeypatch):
     verdict, info = classify_qh_center(_cubic(1, 1), SIG11)
     assert verdict == "focus"
     assert len(calls) == 1
-    # the stand-alone integral still checks condition (i) itself
-    assert info["condition_ii"] == condition_ii_integral(_cubic(1, 1), SIG11)
-    assert len(calls) == 2
+    assert info["condition_ii"] == qhomog._period_integral(_cubic(1, 1), SIG11)
+    assert len(calls) == 1

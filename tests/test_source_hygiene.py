@@ -310,8 +310,6 @@ UNNAMED_PUBLIC_ALLOWED = {
         "test oracle of the Laurent expansion, to be run from the CLI as a check",
     "perturb.py:check_no_vanishing_singularities":
         "test oracle of the no-collapse condition, to be run from the CLI as a check",
-    "qhomog.py:condition_ii_integral":
-        "the public form of the period integral: it checks condition (i) before integrating",
 }
 
 
