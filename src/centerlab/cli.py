@@ -6,7 +6,11 @@ the requested analysis and prints one JSON report (deterministic up to the
 timings block, which ``--no-timings`` removes).
 
 Exit codes: 0 ok, 2 parse error, 3 class mismatch / unusable input,
-4 internal engine fault.
+4 internal engine fault.  A ``qhcenter --sweep`` point whose substitution or
+analysis is unusable input (exit 3) is reported as ``"verdict": "refused"``
+with its ``"reason"``, and the sweep goes on; only a sweep in which every
+point is refused exits 3, with the first point's message.  An engine fault
+still ends the sweep with exit 4.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .perturb import (
     minimal_perturbation,
 )
 from .qhomog import classify_qh_center, detect_quasi_homogeneity
-from .report import condition_entry, display_str, poly_terms, ratfunc_entry, to_json
+from .report import condition_entry, display_str, ratfunc_entry, to_json
 from .structure import (
     characteristic_directions,
     is_hamiltonian,
@@ -219,7 +223,7 @@ def cmd_reversible(args) -> int:
         "structure": {
             "verdict": r.verdict,
             "axis_symbols": list(r.axis_symbols),
-            "conditions": [{"terms": poly_terms(p), "canonical": display_str(p)}
+            "conditions": [{"terms": p, "canonical": display_str(p)}
                            for p in r.conditions],
             "all_angles": r.all_angles,
             "witness_angles": r.witness_angles(),
@@ -270,8 +274,20 @@ def cmd_qhcenter(args) -> int:
         while v <= b:
             points.append(v)
             v = v + step
-        qdata = {"sweep": [analyze(substitute(s, {name: v}), {"sweep": {name: str(v)}})
-                           for v in points]}
+        entries, refused = [], []
+        for v in points:
+            label = {"sweep": {name: str(v)}}
+            try:
+                entries.append(analyze(substitute(s, {name: v}), label))
+            except (ClassificationError, ValueError, RuntimeError) as exc:
+                # what main maps to exit 3 refuses this point alone
+                if isinstance(exc, (ParseError, EngineError)):
+                    raise
+                refused.append(exc)
+                entries.append({**label, "verdict": "refused", "reason": str(exc)})
+        if len(refused) == len(points):
+            raise refused[0]
+        qdata = {"sweep": entries}
     else:
         qdata = analyze(s, {})
     data = {

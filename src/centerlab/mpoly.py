@@ -37,11 +37,14 @@ plan that moves keys between two tables (:meth:`MPoly.embed`,
 Exponent tuples and ``Rat`` appear only at the public edge: the
 ``MPoly(vars, terms)`` constructor, :meth:`MPoly.monomial`,
 :meth:`MPoly.coefficient`, :meth:`MPoly.leading_monomial`,
-:meth:`MPoly.sorted_terms` and the read-only :attr:`MPoly.terms` view, plus
+:meth:`MPoly.integer_terms` and the read-only :attr:`MPoly.terms` view, plus
 the ``Rat`` accessors :meth:`MPoly.constant_value`,
 :meth:`MPoly.leading_coefficient`, :meth:`MPoly.content` and
-:meth:`MPoly.coefficient_list`.  No other module reads exponent tuples by
-table position: they group terms through :meth:`MPoly.coefficients_in` and
+:meth:`MPoly.coefficient_list`.  :meth:`MPoly.integer_terms` lists each term
+with its coefficient as an integer pair, in print order; it is the edge that
+printing (:meth:`MPoly.render`) and the report writer read.  No other module
+reads exponent tuples by table position: the rest group terms through
+:meth:`MPoly.coefficients_in` and
 :meth:`MPoly.coefficients_in_vars`, map rows of terms by running sums with
 :meth:`MPoly.prefix_sums` or take dense univariate lists from
 :meth:`MPoly.coefficient_list`.  Dense univariate work (real roots,
@@ -723,12 +726,15 @@ class MPoly:
     def leading_coefficient(self):
         return Rat(self._num * self._ints[max(self._ints)], self._den)
 
-    def sorted_terms(self):
-        """Terms in descending graded-lex order."""
+    def integer_terms(self) -> list:
+        """Each term as ``(exponents, num, den)`` in descending graded-lex
+        order: the coefficient is ``num/den`` in lowest terms with
+        ``den > 0``.  Builds no ``Fraction``."""
         num, den = self._num, self._den
         unpack = _keys(len(self.vars)).unpack
-        return [(unpack(e), Rat(num * n, den)) for e, n in
-                sorted(self._ints.items(), reverse=True)]
+        # the content num/den is in lowest terms, so gcd(num*n, den) = gcd(n, den)
+        return [(unpack(e), n // (g := gcd(n, den)) * num, den // g)
+                for e, n in sorted(self._ints.items(), reverse=True)]
 
     # -- pieces ------------------------------------------------------------
 
@@ -919,30 +925,31 @@ class MPoly:
 
     # -- printing ------------------------------------------------------------
 
-    def __str__(self) -> str:
+    def render(self, names: Optional[Mapping[str, str]] = None) -> str:
+        """The polynomial as text, terms in descending graded-lex order;
+        ``names`` maps a variable to the name it is shown as."""
         if not self._ints:
             return "0"
+        shown = [names.get(v, v) for v in self.vars] if names else self.vars
         pieces = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(self.vars, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            neg = c < 0
-            mag = -c if neg else c
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = f"{mag}*" + "*".join(factors)
+        for e, num, den in self.integer_terms():
+            factors = "*".join([name if k == 1 else f"{name}^{k}"
+                                for name, k in zip(shown, e) if k])
+            mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
+            if not factors:
+                body = mag
+            elif mag == "1":
+                body = factors
             else:
-                body = f"{mag}"
-            if not pieces:
-                pieces.append(("-" if neg else "") + body)
+                body = f"{mag}*{factors}"
+            if pieces:
+                pieces.append((" - " if num < 0 else " + ") + body)
             else:
-                pieces.append((" - " if neg else " + ") + body)
+                pieces.append(("-" if num < 0 else "") + body)
         return "".join(pieces)
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self) -> str:
         return f"MPoly({self})"

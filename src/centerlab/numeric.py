@@ -76,7 +76,7 @@ def compile_system(s: PlaneSystem) -> Callable:
 
 def _float_terms(p, name: str) -> Tuple[Tuple[float, int, int], ...]:
     """The (float coefficient, i, j) of each term c*x**i*y**j of ``p``, in
-    descending graded-lex order, as MPoly.sorted_terms lists them."""
+    descending graded-lex order, as MPoly.integer_terms lists them."""
     out = []
     for (i, j), c in sorted(p.coefficients_in_vars(("x", "y")).items(),
                             key=lambda t: (sum(t[0]), t[0]), reverse=True):

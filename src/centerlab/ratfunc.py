@@ -12,7 +12,7 @@ no gcd.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from .mpoly import EngineError, MPoly, Rat, Scalar, poly_gcd
 
@@ -158,10 +158,16 @@ class RatFunc:
             return RatFunc(self.den, self.num) ** (-k)
         return RatFunc(self.num ** k, self.den ** k)
 
-    def __str__(self) -> str:
+    def render(self, names: Optional[Mapping[str, str]] = None) -> str:
+        """The function as text, ``(num)/(den)`` or ``num`` over 1; ``names``
+        maps a variable to the name it is shown as (:meth:`MPoly.render`)."""
+        num = self.num.render(names)
         if self.den.is_constant and self.den.constant_value() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+            return num
+        return f"({num})/({self.den.render(names)})"
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"

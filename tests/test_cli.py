@@ -332,6 +332,31 @@ def test_qhcenter_sweep(sysfile, capsys):
     assert [e["sweep"]["mu"] for e in entries] == ["0", "1", "2"]
 
 
+def test_qhcenter_sweep_reports_a_refused_point_and_goes_on(sysfile, capsys):
+    # at lambda = 0, mu = 0 the system has the common factor 9x^2 + 25y^2:
+    # that point is refused with its reason, and the other 24 are analysed
+    rc, data = run_cli(["qhcenter", sysfile(HOMOG_CUBIC), "--set", "lambda=0",
+                        "--sweep", "mu=0:3:1/8", "--no-timings"], capsys)
+    assert rc == 0
+    entries = data["qhomog"]["sweep"]
+    assert len(entries) == 25
+    assert entries[0] == {"sweep": {"mu": "0"}, "verdict": "refused",
+                          "reason": "P and Q must be coprime; P(1, t) and Q(1, t) "
+                                    "have a common factor"}
+    assert all(e["verdict"] in ("center", "focus", "undecided") for e in entries[1:])
+    assert [e["sweep"]["mu"] for e in entries[1:3]] == ["1/8", "1/4"]
+
+
+def test_qhcenter_sweep_with_every_point_refused_exits_3(sysfile, capsys):
+    rc = main(["qhcenter", sysfile(HOMOG_CUBIC), "--set", "lambda=0",
+               "--sweep", "mu=0:0:1/8", "--no-timings"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == ("error: P and Q must be coprime; P(1, t) and Q(1, t) "
+                            "have a common factor\n")
+
+
 @pytest.mark.parametrize("item", ["A=1/0", "A=x", "A=1/2/3", "A=", "A=1.5", "=1", " =1"],
                          ids=["1/0", "x", "1/2/3", "", "1.5", "=1", " =1"])
 def test_exit_code_bad_set_value_is_parse_error(sysfile, capsys, item):

@@ -387,8 +387,8 @@ def _mpmath_period_integral(mpmath, s, sig):
     p, q = sig.p, sig.q
 
     def evaluator(poly):
-        terms = [(dict(zip(poly.vars, e)), mpmath.mpf(c.numerator) / c.denominator)
-                 for e, c in poly.sorted_terms()]
+        terms = [(dict(zip(poly.vars, e)), mpmath.mpf(num) / den)
+                 for e, num, den in poly.integer_terms()]
         return lambda z, w: mpmath.fsum(c * z ** e.get("x", 0) * w ** e.get("y", 0)
                                         for e, c in terms)
 
