@@ -10,7 +10,10 @@ Exit codes: 0 ok, 2 parse error, 3 class mismatch / unusable input,
 analysis is unusable input (exit 3) is reported as ``"verdict": "refused"``
 with its ``"reason"``, and the sweep goes on; only a sweep in which every
 point is refused exits 3, with the first point's message.  An engine fault
-still ends the sweep with exit 4.
+still ends the sweep with exit 4.  A system file that cannot be opened or
+read, or an ``-o`` path that cannot be written, exits 3 with one line
+``error: <path>: <reason>``.  System files are read and reports written as
+UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -113,8 +116,11 @@ def _transversal(text: str):
 
 
 def _load_system(args) -> tuple:
-    with open(args.system) as fh:
-        source = fh.read()
+    try:
+        with open(args.system, encoding="utf-8") as fh:
+            source = fh.read()
+    except OSError as exc:
+        raise ValueError(f"{args.system}: {exc.strerror}") from exc
     s = parse_system(source)
     if args.set:
         binds = {}
@@ -132,10 +138,16 @@ def _emit(args, data: dict, t0: float) -> None:
     data["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
     text = to_json(data, no_timings=args.no_timings)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"{args.output}: {exc.strerror}") from exc
     else:
-        print(text)
+        # UTF-8 bytes whatever the locale's encoding ("eps" prints as U+03B5)
+        sys.stdout.flush()
+        sys.stdout.buffer.write((text + "\n").encode("utf-8"))
+        sys.stdout.buffer.flush()
 
 
 def cmd_liapunov(args) -> int:

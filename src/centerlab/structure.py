@@ -1,6 +1,11 @@
 """Structural center mechanisms: Hamiltonian test, time-reversibility about a
 rotated axis, Darboux-type first-integral verification, candidate
-characteristic directions, and the weights that show a point monodromic."""
+characteristic directions, and the weights that show a point monodromic.
+
+The symmetry axes of a parameter-free system are solved on the rational
+parametrization of the circle, (c, s) = ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)):
+the axes are the real roots of one integer gcd in t, plus (-1, 0), checked
+exactly, and a rational t is an exact rational axis point."""
 
 from __future__ import annotations
 
@@ -8,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .mpoly import MPoly, Rat, merge_tables, poly_gcd
+from .mpoly import MPoly, Rat, merge_tables
 from .parser import DarbouxExpr
 from .ratfunc import RatFunc
-from .realroots import isolate_real_roots, real_root_count, root_multiplicity
+from .realroots import isolate_real_roots, real_root_count, root_multiplicity, univariate_gcd
 from .systems import PlaneSystem, lie_derivative
 
 
@@ -103,9 +108,6 @@ def reversibility_conditions(s: PlaneSystem) -> ReversibilityResult:
     )
     if params_present:
         return ReversibilityResult(conditions, (cname, sname), "undetermined")
-    if not conditions:
-        return ReversibilityResult([], (cname, sname), "reversible", all_angles=True,
-                                   witnesses=[(1.0, 0.0)], exact_witnesses=[(Rat(1), Rat(0))])
     return _solve_on_circle(conditions, cname, sname)
 
 
@@ -130,62 +132,49 @@ def _linear_reduce(poly: MPoly, rows: Sequence[MPoly]) -> MPoly:
     return poly
 
 
+# the points on the axes come first among the witnesses, in this order
+_AXES = ((Rat(1), Rat(0)), (Rat(0), Rat(1)), (Rat(-1), Rat(0)), (Rat(0), Rat(-1)))
+
+
 def _solve_on_circle(conditions: List[MPoly], cname: str, sname: str) -> ReversibilityResult:
-    exact: List[Tuple[Rat, Rat]] = []
-    # axis cases first, checked exactly
-    for cv, sv in ((Rat(1), Rat(0)), (Rat(0), Rat(1)), (Rat(-1), Rat(0)), (Rat(0), Rat(-1))):
-        if all(g.subs({cname: cv, sname: sv}, ()).is_zero for g in conditions):
-            exact.append((cv, sv))
+    """The symmetry axes: the common zeros of the parameter-free
+    ``conditions`` on c^2 + s^2 = 1.
 
-    # each condition is A(c) + B(c)*s modulo s^2 = 1 - c^2
-    zero = MPoly.zero(conditions[0].vars)
-    reduced = []
+    A condition with parts of degrees k <= d in (c, s), each part taken at
+    (1 - t^2, 2t) times (1 + t^2)^(d - k), is a polynomial in t whose real
+    roots are its zeros on the circle but (-1, 0); 1 + t^2 has no real root.
+    The axes are the real roots of the gcd of these polynomials, plus
+    (-1, 0) when every condition vanishes there.  A rational root t gives an
+    exact witness, an irrational one the point at t's refined float,
+    rounded.  The witnesses are the points of ``_AXES`` in that order, then
+    the others by ascending c, positive s first.  When every condition
+    vanishes on the whole circle, or there is none, the gcd is zero and
+    every angle is an axis: the result reads ``all_angles``, witness (1, 0)."""
+    t = _fresh("t", {v for g in conditions for v in g.vars})
+    T = MPoly.variable(t, (t,))
+    at_t = {cname: 1 - T * T, sname: T * 2}
+    gcd: Tuple[int, ...] = ()
     for g in conditions:
-        by_s = _circle_reduce_poly(g, cname, sname).coefficients_in(sname)
-        reduced.append((by_s.get(0, zero), by_s.get(1, zero)))
-    one_minus_c2 = 1 - MPoly.variable(cname, zero.vars) ** 2
-    # s = -A/B on solutions, so s^2 = 1 - c^2 gives A^2 - (1-c^2) B^2 = 0, and
-    # two conditions agree on s only where A_i B_j - A_j B_i = 0
-    unielims = [A if B.is_zero else A * A - one_minus_c2 * (B * B) for A, B in reduced]
-    unielims += [Ai * Bj - Aj * Bi for i, (Ai, Bi) in enumerate(reduced)
-                 for Aj, Bj in reduced[i + 1:]]
-    g = zero
-    for u in filter(None, unielims):
-        g = poly_gcd(g, u)
-    witnesses: List[Tuple[float, float]] = [(float(c), float(s)) for c, s in exact]
-    if not g.is_constant:
-        for ex, cf in isolate_real_roots(g.coefficient_list(cname)):
-            if ex is not None:
-                if abs(ex) > 1:
-                    continue
-                rs = _rat_sqrt(1 - ex * ex)
-                if rs is not None:
-                    for sv in ([rs, -rs] if rs else [Rat(0)]):
-                        if all(gq.subs({cname: ex, sname: sv}, ()).is_zero for gq in conditions):
-                            if (ex, sv) not in exact:
-                                exact.append((ex, sv))
-                                witnesses.append((cf, float(sv)))
-                    continue
-            elif abs(cf) > 1:
-                continue
-            sf = math.sqrt(max(0.0, 1 - cf * cf))
-            for sv in (sf, -sf):
-                if all(abs(gq.eval_float({cname: cf, sname: sv})) < 1e-9 for gq in conditions):
-                    if not any(abs(w[0] - cf) < 1e-9 and abs(w[1] - sv) < 1e-9 for w in witnesses):
-                        witnesses.append((cf, sv))
-    verdict = "reversible" if witnesses else "not_reversible"
+        parts = g.homogeneous_parts(state=(cname, sname))
+        d = max(parts, default=0)
+        on_t = sum((part.subs(at_t, (t,)) * (1 + T * T) ** (d - k)
+                    for k, part in parts.items()), MPoly.zero((t,)))
+        gcd = univariate_gcd(gcd, on_t.coefficient_list(t))
+    if not gcd:
+        return ReversibilityResult(conditions, (cname, sname), "reversible", all_angles=True,
+                                   witnesses=[(1.0, 0.0)], exact_witnesses=[(Rat(1), Rat(0))])
+    points = []  # (c, s, exact)
+    for tr, tf in isolate_real_roots(gcd):
+        tq = Rat(tf) if tr is None else tr
+        points.append(((1 - tq * tq) / (1 + tq * tq), 2 * tq / (1 + tq * tq), tr is not None))
+    if all(g.subs({cname: -1, sname: 0}, ()).is_zero for g in conditions):
+        points.append((Rat(-1), Rat(0), True))
+    points.sort(key=lambda p: (_AXES.index(p[:2]) if p[:2] in _AXES else len(_AXES),
+                               p[0], -p[1]))
+    verdict = "reversible" if points else "not_reversible"
     return ReversibilityResult(conditions, (cname, sname), verdict,
-                               witnesses=witnesses, exact_witnesses=exact)
-
-
-def _rat_sqrt(v) -> Optional[Rat]:
-    if v < 0:
-        return None
-    pn = math.isqrt(v.numerator)
-    pd = math.isqrt(v.denominator)
-    if pn * pn == v.numerator and pd * pd == v.denominator:
-        return Rat(pn, pd)
-    return None
+                               witnesses=[(float(c), float(s)) for c, s, _ in points],
+                               exact_witnesses=[(c, s) for c, s, exact in points if exact])
 
 
 # -- Darboux first integrals ---------------------------------------------------

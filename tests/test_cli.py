@@ -1,4 +1,7 @@
+import errno
 import json
+import math
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import centerlab
 from centerlab import numeric, ratfunc
 from centerlab.cli import main
 from centerlab.liapunov import DegreePass
@@ -116,6 +120,79 @@ def test_reversible_command(sysfile, capsys):
     assert data["structure"]["verdict"] == "not_reversible"
     conds = {c["canonical"] for c in data["structure"]["conditions"]}
     assert conds == {"2*c^2*s - c*s^2", "c^3 - 2*s^3"}
+
+
+@pytest.mark.parametrize("B", ["1", "1000000", "1000000000"])
+def test_reversible_swap_symmetric_system_at_large_coefficients(sysfile, capsys, B):
+    # Q(x, y) = -P(y, x): reversible about the axes at -pi/4 and 3*pi/4 for
+    # every B; at B = 10^9 the conditions are about 10^9 times steeper there
+    # than the witness's float is accurate, and the axes still read exactly
+    rc, data = run_cli(["reversible", sysfile(f"xdot = -y + 2*x^2 + {B}*x*y + 3*y^2; "
+                                              f"ydot = x - 2*y^2 - {B}*x*y - 3*x^2"),
+                        "--no-timings"], capsys)
+    assert rc == 0
+    assert data["structure"]["verdict"] == "reversible"
+    assert data["structure"]["witness_angles"] == pytest.approx(
+        [3 * math.pi / 4, -math.pi / 4], abs=1e-12)
+
+
+def test_reversible_weighted_hamiltonian_about_both_axes(capsys):
+    rc, data = run_cli(["reversible", str(BENCH_SYSTEMS / "center_weighted_hamiltonian.sys"),
+                        "--no-timings"], capsys)
+    assert rc == 0
+    assert data["structure"]["witness_angles"] == [0.0, math.pi / 2, math.pi, -math.pi / 2]
+
+
+@pytest.mark.parametrize("case", ["missing system file", "system path is a directory",
+                                  "output directory missing"])
+def test_file_error_exits_3_with_one_line(tmp_path, capsys, case):
+    # a system file that cannot be read or a report that cannot be written
+    # is unusable input: one line naming the path, no traceback
+    missing = tmp_path / "missing.sys"
+    out = tmp_path / "no" / "dir" / "out.json"
+    argv, path, errno_ = {
+        "missing system file": (["liapunov", str(missing)], missing, errno.ENOENT),
+        "system path is a directory": (["reversible", str(tmp_path)], tmp_path, errno.EISDIR),
+        "output directory missing": (["reversible", str(SAMPLES / "factored_quartic.sys"),
+                                      "-o", str(out)], out, errno.ENOENT),
+    }[case]
+    rc = main(argv + ["--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err == f"error: {path}: {os.strerror(errno_)}\n"
+
+
+def _run_in_locale(argv, utf8):
+    """The exit code and stdout bytes of the CLI in a fresh interpreter under
+    a UTF-8 locale, or under the C locale with UTF-8 mode and locale
+    coercion both off (so the locale's encoding is ASCII)."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "PYTHON")) and k != "LANG"}
+    env["PYTHONPATH"] = str(Path(centerlab.__file__).parent.parent)
+    env.update({"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"} if utf8 else
+               {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})
+    out = subprocess.run([sys.executable, "-m", "centerlab.cli", *argv], env=env,
+                         capture_output=True)
+    return out.returncode, out.stdout
+
+
+@pytest.mark.parametrize("spelling", ["eps", "ε"])
+def test_reports_are_utf8_bytes_whatever_the_locale(tmp_path, spelling):
+    # the same bytes on stdout and in -o under the C and a UTF-8 locale, with
+    # eps written as U+03B5 in the report and, for one input, in the file
+    system = tmp_path / "system.sys"
+    system.write_bytes(NIL_CUBIC_AB_EPS.replace("eps", spelling).encode("utf-8"))
+    runs = []
+    for utf8 in (True, False):
+        argv = ["liapunov", str(system), "--max-degree", "6", "--no-timings"]
+        report = tmp_path / f"out-{utf8}.json"
+        rc_stdout, stdout = _run_in_locale(argv, utf8)
+        rc_file, _ = _run_in_locale(argv + ["-o", str(report)], utf8)
+        runs.append((rc_stdout, rc_file, stdout, report.read_bytes()))
+    assert runs[0] == runs[1]
+    rc_stdout, rc_file, stdout, written = runs[0]
+    assert (rc_stdout, rc_file) == (0, 0)
+    assert stdout == written and "ε".encode("utf-8") in stdout
 
 
 def test_qhcenter_command(sysfile, capsys):

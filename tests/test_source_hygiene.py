@@ -414,3 +414,53 @@ def test_every_private_definition_is_read_by_the_package():
     assert not any(_unread_private_definitions(src) for src in kept)
     sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.rglob("*.py"))}
     assert _unread_private_definitions(sources) == []
+
+
+def _opens_without_encoding(source):
+    """``line`` for each call of ``open`` (the builtin or an ``.open``
+    method) in text mode that names no ``encoding``; a mode given as a
+    string constant with ``b`` in it is binary and needs none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not ((isinstance(func, ast.Name) and func.id == "open")
+                or (isinstance(func, ast.Attribute) and func.attr == "open")):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        # the builtin takes the mode second, a Path's open first
+        positional = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+        mode = keywords.get("mode", positional[0] if positional else None)
+        if (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and "b" in mode.value):
+            continue
+        if "encoding" not in keywords:
+            found.append(f"{node.lineno}")
+    return found
+
+
+def test_every_open_in_package_names_its_encoding():
+    # system files and reports are UTF-8 whatever the locale, so no text-mode
+    # open may fall back to the locale's encoding
+    caught = [
+        "open(path)\n",
+        "with open(path, 'w') as fh: pass\n",
+        "path.open()\n",
+        "open(path, mode='r', errors='strict')\n",
+        "io.open(path, 'a')\n",
+    ]
+    assert all(_opens_without_encoding(src) for src in caught)
+    kept = [
+        "open(path, encoding='utf-8')\n",
+        "with open(path, 'w', encoding='utf-8') as fh: pass\n",
+        "open(path, 'rb')\n",
+        "path.open('wb')\n",
+        "open(path, mode='rb')\n",
+        "reopen(path)\n",
+    ]
+    assert not any(_opens_without_encoding(src) for src in kept)
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        found += [f"{path.name}:{hit}" for hit in _opens_without_encoding(path.read_text())]
+    assert found == []

@@ -6,7 +6,7 @@ import pytest
 from centerlab.mpoly import MPoly, Rat
 from centerlab.parser import DarbouxExpr, parse_first_integral
 from centerlab.ratfunc import RatFunc
-from centerlab.realroots import isolate_real_roots, root_multiplicity, trim
+from centerlab.realroots import root_multiplicity, trim
 from centerlab.structure import (
     _solve_on_circle,
     characteristic_directions,
@@ -28,6 +28,7 @@ from conftest import (
     poly,
     random_poly,
     rf,
+    to_sympy,
 )
 
 
@@ -109,23 +110,6 @@ def test_reversibility_witness_satisfies_invariance_numerically():
         assert abs(Q1 - Q2) <= 1e-12
 
 
-# reference: the circle solve on dense coefficient lists in c, kept to check
-# the MPoly version against
-
-def _ref_reduce_circle(g, cname, sname):
-    # g = A(c) + B(c) s modulo s^2 -> 1 - c^2, as dense lists
-    A, B = {}, {}
-    ic, isn = g.vars.index(cname), g.vars.index(sname)
-    for e, coeff in g.terms.items():
-        k, m = e[isn], e[ic]
-        target = B if k % 2 else A
-        for j in range(k // 2 + 1):
-            target[m + 2 * j] = target.get(m + 2 * j, Rat(0)) \
-                + coeff * math.comb(k // 2, j) * (-1) ** j
-    return (trim([A.get(i, Rat(0)) for i in range(max(A) + 1 if A else 0)]),
-            trim([B.get(i, Rat(0)) for i in range(max(B) + 1 if B else 0)]))
-
-
 def _ref_mul(a, b):
     a, b = trim(a), trim(b)
     if not a or not b:
@@ -137,80 +121,6 @@ def _ref_mul(a, b):
     return out
 
 
-def _ref_sub(a, b):
-    n = max(len(a), len(b))
-    return trim([(a[i] if i < len(a) else Rat(0)) - (b[i] if i < len(b) else Rat(0))
-                 for i in range(n)])
-
-
-def _ref_gcd(a, b):
-    # Euclid's algorithm in exact fractions, made monic
-    while b:
-        r = list(a)
-        while len(r) >= len(b):
-            f = r[-1] / b[-1]
-            for i, c in enumerate(b):
-                r[i + len(r) - len(b)] -= f * c
-            r = trim(r)
-        a, b = b, r
-    return [c / a[-1] for c in a]
-
-
-def _ref_rat_sqrt(v):
-    if v < 0:
-        return None
-    pn, pd = math.isqrt(v.numerator), math.isqrt(v.denominator)
-    return Rat(pn, pd) if pn * pn == v.numerator and pd * pd == v.denominator else None
-
-
-def _ref_solve_on_circle(conditions, cname, sname):
-    exact = []
-    for cv, sv in ((Rat(1), Rat(0)), (Rat(0), Rat(1)), (Rat(-1), Rat(0)), (Rat(0), Rat(-1))):
-        if all(g.subs({cname: cv, sname: sv}, ()).is_zero for g in conditions):
-            exact.append((cv, sv))
-    reduced = [_ref_reduce_circle(g, cname, sname) for g in conditions]
-    unielims = []
-    for A, B in reduced:
-        if not trim(B):
-            unielims.append(A)
-        else:
-            unielims.append(_ref_sub(_ref_mul(A, A),
-                                     _ref_mul([Rat(1), Rat(0), Rat(-1)], _ref_mul(B, B))))
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            cross = _ref_sub(_ref_mul(reduced[i][0], reduced[j][1]),
-                             _ref_mul(reduced[j][0], reduced[i][1]))
-            if cross:
-                unielims.append(cross)
-    g = None
-    for u in map(trim, unielims):
-        if u:
-            g = u if g is None else _ref_gcd(g, u)
-    witnesses = [(float(c), float(s)) for c, s in exact]
-    if g is not None and len(trim(g)) > 1:
-        for ex, cf in isolate_real_roots(g):
-            if ex is not None:
-                if abs(ex) > 1:
-                    continue
-                rs = _ref_rat_sqrt(1 - ex * ex)
-                if rs is not None:
-                    for sv in ([rs, -rs] if rs else [Rat(0)]):
-                        if all(gq.subs({cname: ex, sname: sv}, ()).is_zero for gq in conditions):
-                            if (ex, sv) not in exact:
-                                exact.append((ex, sv))
-                                witnesses.append((float(ex), float(sv)))
-                    continue
-            if abs(cf) > 1:
-                continue
-            sf = math.sqrt(max(0.0, 1 - cf * cf))
-            for sv in (sf, -sf):
-                if all(abs(gq.eval_float({cname: cf, sname: sv})) < 1e-9 for gq in conditions):
-                    if not any(abs(w[0] - cf) < 1e-9 and abs(w[1] - sv) < 1e-9
-                               for w in witnesses):
-                        witnesses.append((cf, sv))
-    return ("reversible" if witnesses else "not_reversible"), witnesses, exact
-
-
 CS = ("c", "s")
 # lines through points of the unit circle: rational points, and the
 # irrational points where s = c and s = 2c
@@ -218,13 +128,54 @@ CIRCLE_LINES = (
     "c - 3/5", "s - 4/5", "5*c + 12*s - 13", "c + 3/5", "s + 12/13", "8*c - 15*s",
     "s - c", "s - 2*c", "c", "s", "c - 1", "s + 1",
 )
+# the witness order: the axis points in this order, then ascending c with
+# positive s first
+AXIS_ORDER = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def test_solve_on_circle_matches_dense_reference():
+def _witness_rank(w):
+    return (AXIS_ORDER.index(w) if w in AXIS_ORDER else len(AXIS_ORDER), w[0], -w[1])
+
+
+def _sympy_circle_points(sympy, conditions):
+    """The real common zeros of ``conditions`` and c^2 + s^2 - 1 as (c, s)
+    sympy numbers, or None when they fill the circle.  The candidate c and s
+    are the real roots of the eliminants that lex Groebner bases in both
+    variable orders give; a rational pair is tested by exact substitution,
+    any other pair at 60 digits."""
+    c, s = sympy.symbols(CS)
+    eqs = [to_sympy(g) for g in conditions] + [c ** 2 + s ** 2 - 1]
+    roots = []
+    for var, other in ((c, s), (s, c)):
+        basis = sympy.groebner(eqs, other, var, order="lex").exprs
+        if basis == [1]:
+            return []
+        eliminants = [h for h in basis if not h.has(other)]
+        if not eliminants:
+            return None
+        roots.append(set(sympy.Poly(eliminants[0], var).real_roots()))
+    points = []
+    for c0 in roots[0]:
+        for s0 in roots[1]:
+            if c0.is_Rational and s0.is_Rational:
+                on = all(h.subs({c: c0, s: s0}) == 0 for h in eqs)
+            else:
+                at = {c: c0.evalf(60), s: s0.evalf(60)}
+                on = all(abs(h.subs(at)) < 1e-40 for h in eqs)
+            if on:
+                points.append((c0, s0))
+    return points
+
+
+def test_solve_on_circle_matches_sympy_groebner_solutions():
+    # planted lines times random factors, sometimes plus a multiple of the
+    # circle: the verdict, the exact witnesses as a set and the float
+    # witnesses within 1e-12 against sympy's real solutions
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(31)
     lines = [poly(t, CS) for t in CIRCLE_LINES]
     circle = poly("c^2 + s^2 - 1", CS)
-    verdicts = set()
+    seen = set()
     for _ in range(120):
         planted = rng.sample(lines, rng.randint(0, 2))
         conditions = []
@@ -239,13 +190,44 @@ def test_solve_on_circle_matches_dense_reference():
                 conditions.append(g)
         if not conditions:
             continue
+        points = _sympy_circle_points(sympy, conditions)
         got = _solve_on_circle(conditions, "c", "s")
-        verdict, witnesses, exact = _ref_solve_on_circle(conditions, "c", "s")
-        assert (got.verdict, got.witnesses, got.exact_witnesses) == (verdict, witnesses, exact)
-        verdicts.add((verdict, bool(exact), len(witnesses) > len(exact)))
-    # both verdicts, exact witnesses and float-only witnesses were exercised
-    assert {v for v, _, _ in verdicts} == {"reversible", "not_reversible"}
-    assert any(e for _, e, _ in verdicts) and any(f for _, _, f in verdicts)
+        assert points is not None and not got.all_angles
+        assert got.verdict == ("reversible" if points else "not_reversible")
+        exact = {(Rat(int(c0.p), int(c0.q)), Rat(int(s0.p), int(s0.q)))
+                 for c0, s0 in points if c0.is_Rational and s0.is_Rational}
+        assert set(got.exact_witnesses) == exact
+        assert len(got.exact_witnesses) == len(exact)
+        want = sorted((float(c0), float(s0)) for c0, s0 in points)
+        assert len(got.witnesses) == len(want)
+        for (gc, gs), (wc, ws) in zip(sorted(got.witnesses), want):
+            assert abs(gc - wc) <= 1e-12 and abs(gs - ws) <= 1e-12
+        assert got.witnesses == sorted(got.witnesses, key=_witness_rank)
+        assert [(float(c0), float(s0)) for c0, s0 in got.exact_witnesses] == \
+            [w for w in got.witnesses if w in {(float(a), float(b)) for a, b in exact}]
+        if not points:
+            seen.add("none")
+        if (Rat(-1), Rat(0)) in exact:
+            seen.add("(-1, 0)")
+        for c0, s0 in points:
+            seen.add("rational point" if c0.is_Rational and s0.is_Rational
+                     else "rational c" if c0.is_Rational
+                     else "irrational point" if not s0.is_Rational else "rational s")
+    assert {"none", "rational point", "rational c", "irrational point", "(-1, 0)"} <= seen
+
+
+def test_solve_on_circle_conditions_vanishing_on_the_circle_give_all_angles():
+    # no condition, or only multiples of c^2 + s^2 - 1: every angle is an axis
+    circle = poly("c^2 + s^2 - 1", CS)
+    for conditions in ([], [circle], [circle * poly("c - 2*s", CS), circle * circle]):
+        r = _solve_on_circle(conditions, "c", "s")
+        assert (r.verdict, r.all_angles) == ("reversible", True)
+        assert (r.witnesses, r.exact_witnesses) == ([(1.0, 0.0)], [(Rat(1), Rat(0))])
+    # one condition that does not vanish on the circle decides
+    r = _solve_on_circle([circle, poly("s - c", CS)], "c", "s")
+    assert not r.all_angles and r.exact_witnesses == []
+    h = math.sqrt(0.5)
+    assert [v for w in r.witnesses for v in w] == pytest.approx([-h, -h, h, h], abs=1e-15)
 
 
 def test_multiplicity_of_rational_root():
