@@ -10,10 +10,10 @@ Exit codes: 0 ok, 2 parse error, 3 class mismatch / unusable input,
 analysis is unusable input (exit 3) is reported as ``"verdict": "refused"``
 with its ``"reason"``, and the sweep goes on; only a sweep in which every
 point is refused exits 3, with the first point's message.  An engine fault
-still ends the sweep with exit 4.  A system file that cannot be opened or
-read, or an ``-o`` path that cannot be written, exits 3 with one line
-``error: <path>: <reason>``.  System files are read and reports written as
-UTF-8, whatever the locale.
+still ends the sweep with exit 4.  A system file that cannot be opened,
+read or decoded as UTF-8, or an ``-o`` path that cannot be written, exits 3
+with one line ``error: <path>: <reason>``.  System files are read and
+reports written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def _load_system(args) -> tuple:
             source = fh.read()
     except OSError as exc:
         raise ValueError(f"{args.system}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.system}: {exc}") from exc
     s = parse_system(source)
     if args.set:
         binds = {}

@@ -971,9 +971,12 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
 
     When one argument involves a single variable the gcd is built from
     univariate gcds (:func:`_single_var_gcd`), taken by the package's one
-    univariate integer layer, :func:`realroots.univariate_gcd`; otherwise
-    content extraction plus a primitive pseudo-remainder sequence on the
-    first table variable present in either argument.
+    univariate integer layer, :func:`realroots.univariate_gcd`.  Otherwise
+    the main variable is the one of least higher degree in the pair, then
+    of least lower degree, then first in the table: the gcd is the gcd of
+    the two contents in it times the primitive part of the last nonzero
+    term of the subresultant sequence of the two primitive parts
+    (:func:`_subresultants`).
     """
     a._check(b)
     if a.is_zero:
@@ -986,18 +989,14 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     if len(pa) == 1 or len(pb) == 1:
         return _single_var_gcd(a, b, pa[0]) if len(pa) == 1 else _single_var_gcd(b, a, pb[0])
     present = set(pa) | set(pb)
-    var = next(v for v in a.vars if v in present)
-    if a.degree_in(var) == 0 or b.degree_in(var) == 0:
-        # One argument is free of the main variable: the gcd divides the
-        # content of the other with respect to it.
-        free, full = (a, b) if a.degree_in(var) == 0 else (b, a)
-        cont = _coeff_gcd(list(full.coefficients_in(var).values()))
-        return poly_gcd(free, cont)
-    ca, pa = _content_primitive(a, var)
-    cb, pb = _content_primitive(b, var)
-    cg = poly_gcd(ca, cb)
-    g = _primitive_prs(pa, pb, var)
-    return (cg * g).primitive()
+    var = min((v for v in a.vars if v in present),
+              key=lambda v: sorted((a.degree_in(v), b.degree_in(v)), reverse=True))
+    ca, cb = _content(a, var), _content(b, var)
+    a, b = _exact(a, ca), _exact(b, cb)
+    if a.degree_in(var) < b.degree_in(var):
+        a, b = b, a
+    last, _ = _subresultants(a, b, var)
+    return (poly_gcd(ca, cb) * _exact(last, _content(last, var))).primitive()
 
 
 def _single_var_gcd(u: MPoly, other: MPoly, var: str) -> MPoly:
@@ -1019,27 +1018,6 @@ def _single_var_gcd(u: MPoly, other: MPoly, var: str) -> MPoly:
     return g.shift(var, low)
 
 
-def _coeff_gcd(polys) -> MPoly:
-    g = polys[0]
-    for p in polys[1:]:
-        if g.is_constant and not g.is_zero:
-            break
-        g = poly_gcd(g, p)
-    return g
-
-
-def _content_primitive(p: MPoly, var: str):
-    coeffs = list(p.coefficients_in(var).values())
-    cont = _coeff_gcd(coeffs)
-    if cont.is_constant:
-        cont = MPoly.const(p.vars, 1)
-        return cont, p.primitive()
-    pp = p.try_div(cont)
-    if pp is None:
-        raise EngineError(f"content in {var} does not divide the polynomial exactly")
-    return cont, pp.primitive()
-
-
 def _univariate_gcd(a: MPoly, b: MPoly, var: str) -> MPoly:
     """gcd of two polynomials in ``var`` alone: the integer remainder
     sequence of :func:`realroots.univariate_gcd` on their dense integer
@@ -1058,50 +1036,82 @@ def _univariate_gcd(a: MPoly, b: MPoly, var: str) -> MPoly:
     return MPoly._of(a.vars, 1, 1, {ks.var(i, k): c for k, c in enumerate(g) if c})
 
 
-def _primitive_prs(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """gcd of two primitive polynomials via a primitive pseudo-remainder chain."""
-    if a.degree_in(var) < b.degree_in(var):
-        a, b = b, a
-    while True:
-        r = _pseudo_rem(a, b, var)
-        if r.is_zero:
-            return b.primitive()
-        if r.degree_in(var) <= 0:
-            return MPoly.const(a.vars, 1)
-        _, r = _content_primitive(r, var)
-        a, b = b, r
+def _content(p: MPoly, var: str) -> MPoly:
+    """The content of nonzero ``p`` in ``var``: the gcd of its coefficients,
+    shortest first, primitive; 1 as soon as it is constant."""
+    g = None
+    for c in sorted(p.coefficients_in(var).values(), key=len):
+        g = c if g is None else poly_gcd(g, c)
+        if g.is_constant:
+            return MPoly.const(p.vars, 1)
+    return g.primitive()
+
+
+def _exact(p: MPoly, d: MPoly) -> MPoly:
+    """``p / d``, which the algebra says is exact: a remainder is an engine
+    fault."""
+    q = p.try_div(d)
+    if q is None:
+        raise EngineError("an exact division of the gcd or resultant left a remainder")
+    return q
 
 
 def _pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """Pseudo-remainder of a by b with respect to ``var``, up to a rational
-    factor (the rational content is stripped each step to limit growth; only
-    similarity classes matter inside the gcd chain)."""
+    """The pseudo-remainder ``lc(b)^(deg a - deg b + 1) * a mod b`` in
+    ``var``, for ``deg a >= deg b >= 0``."""
+    db = b.degree_in(var)
+    lc = b.coefficients_in(var)[db]
+    tail = b - lc.shift(var, db)
+    r, k = a, a.degree_in(var) - db + 1
+    while r and (dr := r.degree_in(var)) >= db:
+        # the leading terms cancel: neither product forms them
+        lead = r.coefficients_in(var)[dr]
+        r = (r - lead.shift(var, dr)) * lc - tail * lead.shift(var, dr - db)
+        k -= 1
+    return r * lc ** k if k else r
+
+
+def _subresultants(a: MPoly, b: MPoly, var: str) -> tuple:
+    """The subresultant sequence of nonzero ``a`` and ``b`` in ``var``, with
+    ``deg a >= deg b``: its last nonzero term, which is the gcd of ``a`` and
+    ``b`` times a factor free of ``var``, and the resultant of ``a`` and
+    ``b`` in ``var``.  Every division is exact and no gcd runs between the
+    steps (Collins, JACM 14, 1967; Brown and Traub, JACM 18, 1971)."""
+    g = h = MPoly.const(a.vars, 1)
+    sign = 1
+    while True:
+        da, db = a.degree_in(var), b.degree_in(var)
+        if db == 0:
+            res = h if da == 0 else _exact(b ** da, h ** (da - 1))
+            return b, res * sign
+        if da & db & 1:
+            sign = -sign
+        r = _pseudo_rem(a, b, var)
+        if r.is_zero:
+            return b, r
+        delta = da - db
+        a, b = b, _exact(r, g * h ** delta)
+        g = a.coefficients_in(var)[db]
+        if delta:
+            h = _exact(g ** delta, h ** (delta - 1))
+
+
+def resultant(a: MPoly, b: MPoly, var: str) -> MPoly:
+    """Resultant of ``a`` and ``b`` in ``var``, a polynomial in the other
+    variables: the determinant of their Sylvester matrix, read off the
+    subresultant sequence.  It is 1 when neither argument involves ``var``;
+    ValueError on a zero argument."""
+    a._check(b)
     da, db = a.degree_in(var), b.degree_in(var)
+    if da < 0 or db < 0:
+        raise ValueError("resultant of a zero polynomial")
     if da < db:
-        return a
-    ks = _keys(len(a.vars))
-    i = a.vars.index(var)
-    b_coeffs = b.coefficients_in(var)
-    lc_b = b_coeffs[db]
-    r = a
-    while not r.is_zero and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        r_coeffs = r.coefficients_in(var)
-        lc_r = r_coeffs[dr]
-        shift = MPoly._of(a.vars, 1, 1, {ks.var(i, dr - db): 1})
-        r = r * lc_b - b * (lc_r * shift)
-        if r and len(r) > 8:
-            c = r.content()
-            if c != 1:
-                r = r * (_ONE / c)
-    return r
+        r = _subresultants(b, a, var)[1]
+        return -r if da & db & 1 else r
+    return _subresultants(a, b, var)[1]
 
 
 def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
     if a.is_zero or b.is_zero:
         return MPoly.zero(a.vars)
-    g = poly_gcd(a, b)
-    q = a.try_div(g)
-    if q is None:
-        raise EngineError("lcm: the gcd does not divide its argument exactly")
-    return (q * b).primitive()
+    return (_exact(a, poly_gcd(a, b)) * b).primitive()

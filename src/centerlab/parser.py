@@ -373,41 +373,51 @@ def parse_first_integral(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
 
 
 def _parse_product(text: str, table: Tuple[str, ...]) -> DarbouxExpr:
+    """product := factor (('*' | '/') factor)*, where a factor is a power
+    ``base ^ exponent``, ``exp(...)`` or ``argexp(...)``.  A ``/`` negates
+    the exponent of the power after it, and may not precede exp or argexp."""
     p = ExprParser(tokenize(text), table)
     p.skip_newlines()
     powers = []
     exp_factor = None
     arg_factor = None
+    divide = False
     while True:
         tok = p.peek()
-        if tok.kind == "NAME" and tok.text == "exp":
+        if tok.kind == "NAME" and tok.text in ("exp", "argexp"):
             p.next()
             p.expect_op("(")
-            inner = _lift(p.parse_expr())
-            p.expect_op(")")
-            if exp_factor is not None:
-                raise ParseError("only one exp factor is supported", tok.line, tok.col)
-            exp_factor = (inner.num, inner.den)
-        elif tok.kind == "NAME" and tok.text == "argexp":
-            p.next()
-            p.expect_op("(")
-            kappa = p.parse_expr()
-            p.expect_op(";")
-            u = p.parse_expr()
-            p.expect_op(";")
-            v = p.parse_expr()
-            p.expect_op(")")
-            if not (isinstance(kappa, MPoly) and kappa.is_constant):
-                raise ParseError("argexp weight must be a rational constant", tok.line, tok.col)
-            if isinstance(u, RatFunc) or isinstance(v, RatFunc):
-                raise ParseError("argexp arguments must be polynomial", tok.line, tok.col)
-            if arg_factor is not None:
-                raise ParseError("only one argexp factor is supported", tok.line, tok.col)
-            arg_factor = (kappa.constant_value(), u, v)
+            if divide:
+                p.error(f"'/' may not precede {tok.text}(...); negate its argument instead")
+            if tok.text == "exp":
+                inner = _lift(p.parse_expr())
+                p.expect_op(")")
+                if exp_factor is not None:
+                    raise ParseError("only one exp factor is supported", tok.line, tok.col)
+                exp_factor = (inner.num, inner.den)
+            else:
+                # an argument's own error sits at its first token
+                args = []
+                for close in (";", ";", ")"):
+                    args.append((p.peek(), p.parse_expr()))
+                    p.expect_op(close)
+                (k_tok, kappa), (u_tok, u), (v_tok, v) = args
+                if not (isinstance(kappa, MPoly) and kappa.is_constant):
+                    p.error("argexp weight must be a rational constant", k_tok)
+                for at, arg in ((u_tok, u), (v_tok, v)):
+                    if isinstance(arg, RatFunc):
+                        p.error("argexp arguments must be polynomial", at)
+                if arg_factor is not None:
+                    raise ParseError("only one argexp factor is supported", tok.line, tok.col)
+                arg_factor = (kappa.constant_value(), u, v)
         else:
             base = _parse_base(p)
-            powers.append((base, _parse_symbolic_exponent(p) if p.accept("^") else 1))
-        if p.accept("*"):
+            k = _parse_symbolic_exponent(p) if p.accept("^") else 1
+            powers.append((base, -k if divide else k))
+        op = p.peek()
+        if op.kind == "OP" and op.text in "*/":
+            p.next()
+            divide = op.text == "/"
             continue
         p.skip_newlines()
         if p.peek().kind != "END":
@@ -421,25 +431,10 @@ def _parse_base(p: ExprParser) -> RatFunc:
     if p.accept("("):
         inner = _lift(p.parse_expr())
         p.expect_op(")")
-        # a parenthesized base may be followed by /( ... ) forming a quotient
-        while p.accept("/"):
-            if p.accept("("):
-                den = p.parse_expr()
-                p.expect_op(")")
-            else:
-                den = p.parse_atom()
-            inner = inner / den
         return inner
     if tok.kind == "NUM":
         p.next()
-        val = RatFunc.const(p.table, int(tok.text))
-        while p.accept("/"):
-            d = p.peek()
-            if d.kind != "NUM":
-                p.error("expected an integer denominator")
-            p.next()
-            val = val / RatFunc.const(p.table, int(d.text))
-        return val
+        return RatFunc.const(p.table, int(tok.text))
     if tok.kind == "NAME":
         p.next()
         if tok.text not in p.table:

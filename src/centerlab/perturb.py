@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import sylvester_resultant
 from .liapunov import ConventionRecord, DegreePass
-from .mpoly import MPoly, Rat, merge_tables, poly_gcd
+from .mpoly import MPoly, Rat, merge_tables, poly_gcd, resultant
 from .numeric import compile_system
 from .ratfunc import RatFunc, laurent_expand_eps
 from .realroots import isolate_real_roots
@@ -294,11 +293,8 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
         P1, Q1 = s.P, s.Q
 
     if not P1.is_zero and not Q1.is_zero and P1.degree_in("y") + Q1.degree_in("y") > 0:
-        try:
-            res = sylvester_resultant(P1, Q1, "y")
-        except ValueError:
-            res = None
-        if res is not None and not res.is_zero:
+        res = resultant(P1, Q1, "y")
+        if not res.is_zero:
             coeffs = res.coefficient_list("x")
             for _, xr in isolate_real_roots(coeffs):
                 if abs(xr) > radius:

@@ -24,6 +24,7 @@ from conftest import (
     HOMOG_CUBIC,
     NIL_CUBIC_AB,
     NIL_CUBIC_AB_EPS,
+    NIL_DARBOUX,
     NIL_REVERSIBLE,
     rf,
 )
@@ -160,6 +161,17 @@ def test_file_error_exits_3_with_one_line(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (3, "")
     assert captured.err == f"error: {path}: {os.strerror(errno_)}\n"
+
+
+def test_system_file_not_utf8_exits_3_naming_the_file(tmp_path, capsys):
+    # a Latin-1 e-acute is not UTF-8: one line that names the file
+    path = tmp_path / "latin1.sys"
+    path.write_bytes("xdot = -y + café*x\nydot = x\n".encode("latin-1"))
+    rc = main(["reversible", str(path), "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "can't decode byte 0xe9" in captured.err and captured.err.count("\n") == 1
 
 
 def _run_in_locale(argv, utf8):
@@ -305,6 +317,54 @@ def test_verify_names_the_end_of_a_first_integral_expression(capsys):
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (
         2, "", "parse error: line 1, col 16: unexpected end of first-integral expression\n")
+
+
+@pytest.mark.parametrize("integral", [
+    "(x^4+y^2)/(1+x)^(2*c) * (1+y)^(-2*a)",
+    "(x^4+y^2)/(1+x)^(2*c)/(1+y)^(2*a)",
+])
+def test_verify_quotient_in_the_product_form(sysfile, capsys, integral):
+    # a '/' divides by the whole power after it, so these are the Darboux
+    # integral (1+x)^(-2*c) * (1+y)^(-2*a) * (x^4+y^2)
+    rc, data = run_cli(["verify", sysfile(NIL_DARBOUX), "--integral", integral,
+                        "--no-timings"], capsys)
+    assert (rc, data["residual_zero"], data["residual_terms"]) == (0, True, 0)
+
+
+@pytest.mark.parametrize("integral, col, message", [
+    ("argexp(x; x; y)", 8, "argexp weight must be a rational constant"),
+    ("argexp(2; x/(1+y); y)", 11, "argexp arguments must be polynomial"),
+])
+def test_verify_argexp_errors_name_the_argument(capsys, integral, col, message):
+    rc = main(["verify", str(SAMPLES / "factored_quartic.sys"),
+               "--integral", integral, "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        2, "", f"parse error: line 1, col {col}: {message}\n")
+
+
+def test_verify_argexp_integral_warns_of_its_domain(capsys):
+    rc, data = run_cli(["verify", str(SAMPLES / "reversible_nilpotent.sys"), "--integral",
+                        "argexp(2; x^2; x^2 + 2*y) * (x^4 + 2*x^2*y + 2*y^2)",
+                        "--no-timings"], capsys)
+    assert (rc, data["residual_zero"]) == (0, True)
+    assert data["warnings"] == ["argument factor: identity certified on u^2+v^2 > 0"]
+
+
+def test_unknown_perturb_choice_is_a_parse_error(capsys):
+    rc = main(["liapunov", str(SAMPLES / "reversible_nilpotent.sys"), "--perturb", "foo",
+               "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        2, "", "parse error: unknown --perturb choice 'foo'\n")
+
+
+def test_qhcenter_without_quasi_homogeneous_structure_is_undecided(sysfile, capsys):
+    rc, data = run_cli(["qhcenter", sysfile("xdot = -y + x^2; ydot = x"), "--no-timings"],
+                       capsys)
+    assert rc == 0
+    assert data["qhomog"] == {"verdict": "undecided",
+                              "note": "no quasi-homogeneous structure detected"}
 
 
 def test_exit_code_class_mismatch(sysfile, capsys):

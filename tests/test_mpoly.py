@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from centerlab.mpoly import (EngineError, MPoly, Rat, merge_tables, poly_gcd, poly_lcm,
-                             rat_content)
+                             rat_content, resultant)
 
 from conftest import from_sympy, poly, random_poly, to_sympy
 
@@ -86,6 +86,17 @@ def test_inexact_division_in_lcm_raises(monkeypatch):
     monkeypatch.setattr(MPoly, "try_div", lambda self, divisor: None)
     with pytest.raises(EngineError):
         poly_lcm(a, b)
+
+
+def test_inexact_division_in_gcd_or_resultant_raises(monkeypatch):
+    # every division of the subresultant sequence is checked: an engine
+    # fault (exit 4), not a wrong gcd
+    a, b = poly("x*y^2 + eps", TAB), poly("x^2*y - eps*y + 1", TAB)
+    monkeypatch.setattr(MPoly, "try_div", lambda self, divisor: None)
+    with pytest.raises(EngineError):
+        poly_gcd(a, b)
+    with pytest.raises(EngineError):
+        resultant(a, b, "y")
 
 
 def test_negative_power_rejected():

@@ -170,3 +170,31 @@ def test_first_integral_error_is_the_one_that_reached_further(text, position, me
     with pytest.raises(ParseError) as info:
         parse_first_integral(text, ("x", "y", "eps", "c"))
     assert ((info.value.line, info.value.col), info.value.message) == (position, message)
+
+
+def _power_factors(text, table=("x", "y", "eps", "c")):
+    return [(str(f.num), str(f.den), str(k))
+            for f, k in parse_first_integral(text, table).power_factors]
+
+
+def test_product_form_division_negates_the_next_exponent():
+    # '/' binds like '*': it divides by the power after it, exponent and all
+    assert _power_factors("(1+x)/(1-y)^2 * exp(x)") == [("x + 1", "1", "1"),
+                                                         ("-y + 1", "1", "-2")]
+    assert _power_factors("(x^4+y^2)/(1+x)^(2*c)/(1+y)^(-1)") == [
+        ("x^4 + y^2", "1", "1"), ("x + 1", "1", "-2*c"), ("y + 1", "1", "1")]
+    # numeric bases, and the integer exponents ^2 and ^-1
+    assert _power_factors("3/2 * (1+x)^(2*c)") == [("3", "1", "1"), ("2", "1", "-1"),
+                                                    ("x + 1", "1", "2*c")]
+    assert _power_factors("2^2/x^-1 * (1+x)^(c)") == [("2", "1", "2"), ("x", "1", "1"),
+                                                       ("x + 1", "1", "c")]
+    # a parenthesized quotient stays one base
+    assert _power_factors("((x^2+y^2)/(1+x))^(c)") == [("x^2 + y^2", "x + 1", "c")]
+
+
+@pytest.mark.parametrize("text, col", [("(1+x)/exp(x)", 11), ("x/argexp(2; x; y)", 10)])
+def test_product_form_division_before_exp_or_argexp_is_an_error(text, col):
+    with pytest.raises(ParseError) as info:
+        parse_first_integral(text, ("x", "y", "eps"))
+    assert (info.value.line, info.value.col) == (1, col)
+    assert info.value.message.startswith("'/' may not precede")

@@ -82,7 +82,7 @@ def test_eps_power_denominator_needs_no_gcd(monkeypatch):
         raise AssertionError("gcd kernel called for an eps-power denominator")
 
     monkeypatch.setattr(mpoly, "_univariate_gcd", no_gcd)
-    monkeypatch.setattr(mpoly, "_primitive_prs", no_gcd)
+    monkeypatch.setattr(mpoly, "_subresultants", no_gcd)
     r = RatFunc(poly("eps^2*(x + a) + eps^5*y", PTAB), poly("2*eps^3", PTAB))
     assert r.num == poly("(x + a + eps^3*y)/2", PTAB)
     assert r.den == poly("eps", PTAB)
@@ -258,13 +258,13 @@ RTAB = ("eps", "a", "b")
 
 def _hypothesis_ratfuncs():
     """Rational functions over (eps, a, b) with denominators in all three.
-    Each part has at most two terms of degree at most 1 in each variable:
-    the laws multiply three of them, and the primitive remainder sequence in
-    ``poly_gcd`` grows fast on coprime inputs with more terms."""
+    Each part has at most three terms of degree at most 2 in each variable,
+    so the laws, which multiply and add three of them, run multivariate
+    gcds of coprime pairs up to degree 8 in a variable."""
     st = pytest.importorskip("hypothesis.strategies")
     coeff = st.builds(Rat, st.integers(-5, 5).filter(bool), st.integers(1, 3))
-    expo = st.tuples(*[st.integers(0, 1)] * len(RTAB))
-    polys = st.dictionaries(expo, coeff, min_size=1, max_size=2).map(
+    expo = st.tuples(*[st.integers(0, 2)] * len(RTAB))
+    polys = st.dictionaries(expo, coeff, min_size=1, max_size=3).map(
         lambda terms: MPoly(RTAB, terms))
     return st.builds(RatFunc, polys, polys)
 
@@ -309,6 +309,24 @@ def test_multivariate_normalisation_matches_sympy_cancel(rng):
         assert r.den == want_den.primitive()
         assert r.num * want_den == from_sympy(pn, RTAB) * r.den
         cases += 1
+
+
+def test_coprime_triple_product_matches_sympy_cancel():
+    # three coprime quotients over (eps, a, b): the gcds of the products
+    # finish, and the reduced product is sympy's
+    sympy = pytest.importorskip("sympy")
+    f = rf("(-3*a^2*b^2 - 10*eps*a - 10*a^2)/(12*eps*a*b - 15*b^2 + 8*eps)", RTAB)
+    g = rf("(-3/2*eps^2*a + 2*b^2)/(eps*a^2 - b)", RTAB)
+    h = rf("(3*eps^2*a^2 - 18*eps*a)/(3*eps^2*b - 2)", RTAB)
+    r = (f * g) * h
+    assert r == f * (g * h)
+    whole = sympy.Integer(1)
+    for q in (f, g, h):
+        whole *= to_sympy(q.num) / to_sympy(q.den)
+    pn, pd = sympy.fraction(sympy.cancel(whole))
+    want_den = from_sympy(pd, RTAB)
+    assert r.den == want_den.primitive()
+    assert r.num * want_den == from_sympy(pn, RTAB) * r.den
 
 
 def test_constant_ratfunc_hashes_like_its_value():
