@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: liapunov, verify, reversible, qhcenter, returnmap, classify.
-Every command reads a system file, applies ``--set`` specializations, runs
-the requested analysis and prints one JSON report (deterministic up to the
-timings block, which ``--no-timings`` removes).
+:func:`main` reads the system file and applies ``--set`` specializations
+before any command reads its own options; the command runs its analysis and
+returns its keys, and :func:`main` prints them in one JSON report with the
+input and class (deterministic up to the timings block, which
+``--no-timings`` removes).
 
 Exit codes: 0 ok, 2 parse error, 3 class mismatch / unusable input,
 4 internal engine fault.  A ``qhcenter --sweep`` point whose substitution or
@@ -31,10 +33,9 @@ from .parser import ParseError, parse_first_integral
 from .perturb import (
     ALL_ORDERS,
     FIRST_ORDER,
+    MAX_TEMPLATE_DEGREE,
     build_perturbation,
     center_conditions_pipeline,
-    general_perturbation,
-    minimal_perturbation,
 )
 from .qhomog import classify_qh_center, detect_quasi_homogeneity
 from .report import condition_entry, display_str, ratfunc_entry, to_json
@@ -135,6 +136,27 @@ def _load_system(args) -> tuple:
     return s, source
 
 
+def _perturbation(choice: str, base_class: str) -> tuple:
+    """The ``(kind, degree)`` that :func:`build_perturbation` takes for a
+    ``--perturb`` choice on a system of ``base_class``: kind None for no
+    perturbation, degree None for the minimal family."""
+    if choice == "auto":
+        choice = "minimal" if base_class in (NILPOTENT, DEGENERATE) else "none"
+    default_kind = "nilpotent" if base_class == NILPOTENT else "degenerate"
+    if choice in ("none", "minimal", "nilpotent", "degenerate", "hamiltonian"):
+        return {"none": None, "minimal": default_kind}.get(choice, choice), None
+    if choice == "general":
+        return default_kind, 5
+    if not choice.startswith("general:"):
+        raise ParseError(f"unknown --perturb choice {choice!r}")
+    text = choice.partition(":")[2]
+    degree = _int_at_least("--perturb general:D", text, 1)
+    if degree > MAX_TEMPLATE_DEGREE:
+        raise ParseError(f"--perturb general:D expects an integer <= {MAX_TEMPLATE_DEGREE}, "
+                         f"got {text!r}")
+    return default_kind, degree
+
+
 def _emit(args, data: dict, t0: float) -> None:
     data.setdefault("warnings", [])
     data["timings"] = {"total_s": round(time.perf_counter() - t0, 6)}
@@ -152,42 +174,25 @@ def _emit(args, data: dict, t0: float) -> None:
         sys.stdout.buffer.flush()
 
 
-def cmd_liapunov(args) -> int:
-    t0 = time.perf_counter()
+def cmd_liapunov(args, s: PlaneSystem) -> dict:
     max_degree = _int_at_least("--max-degree", args.max_degree, MIN_EVEN_DEGREE)
-    s, source = _load_system(args)
     base_class = s.linear_class
+    kind, degree = _perturbation(args.perturb, base_class)
     perturb_desc = {"kind": "none"}
     perturbation_params: List[str] = []
-    mode = {"all-orders": ALL_ORDERS, "first-order": FIRST_ORDER}.get(args.mode)
-
-    choice = args.perturb
-    if choice == "auto":
-        choice = "minimal" if base_class in (NILPOTENT, DEGENERATE) else "none"
-    if choice != "none":
-        default_kind = "nilpotent" if base_class == NILPOTENT else "degenerate"
-        if choice == "general" or choice.startswith("general:"):
-            deg = 5
-            if ":" in choice:
-                deg = _int_at_least("--perturb general:D", choice.partition(":")[2], 1)
-            spec = general_perturbation(s, degree=deg, kind=default_kind)
-            perturb_desc = {"kind": default_kind, "template": "general", "degree": deg}
-        elif choice in ("minimal", "nilpotent", "degenerate", "hamiltonian"):
-            kind = default_kind if choice == "minimal" else choice
-            spec = minimal_perturbation(kind)
-            perturb_desc = {"kind": kind, "template": "minimal"}
-        else:
-            raise ParseError(f"unknown --perturb choice {choice!r}")
+    if kind is not None:
+        perturb_desc = ({"kind": kind, "template": "minimal"} if degree is None else
+                        {"kind": kind, "template": "general", "degree": degree})
         before = set(s.params)
-        s = build_perturbation(s, spec)
+        s = build_perturbation(s, kind, degree)
         perturbation_params = [p for p in s.params if p not in before]
+    mode = {"all-orders": ALL_ORDERS, "first-order": FIRST_ORDER}.get(args.mode)
     if mode is None:
         mode = FIRST_ORDER if base_class == DEGENERATE else ALL_ORDERS
 
     result = center_conditions_pipeline(s, max_degree, mode=mode,
                                         perturbation_params=perturbation_params)
-    data = {
-        "input": source,
+    return {
         "class": {"base": base_class, "analyzed": s.linear_class},
         "perturbation": perturb_desc,
         "mode": mode,
@@ -204,36 +209,23 @@ def cmd_liapunov(args) -> int:
         "side_conditions": [],
         "convention": result.convention.as_dict(),
     }
-    _emit(args, data, t0)
-    return 0
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    s, source = _load_system(args)
+def cmd_verify(args, s: PlaneSystem) -> dict:
     expr = parse_first_integral(args.integral, s.vars)
     residual = verify_darboux_integral(s, expr)
-    data = {
-        "input": source,
-        "class": s.linear_class,
+    return {
         "integral": args.integral,
         "residual_zero": residual.is_zero,
         "residual_terms": len(residual),
-        "warnings": [],
+        "warnings": (["argument factor: identity certified on u^2+v^2 > 0"]
+                     if expr.arg_factor is not None else []),
     }
-    if expr.arg_factor is not None:
-        data["warnings"].append("argument factor: identity certified on u^2+v^2 > 0")
-    _emit(args, data, t0)
-    return 0
 
 
-def cmd_reversible(args) -> int:
-    t0 = time.perf_counter()
-    s, source = _load_system(args)
+def cmd_reversible(args, s: PlaneSystem) -> dict:
     r = reversibility_conditions(s)
-    data = {
-        "input": source,
-        "class": s.linear_class,
+    return {
         "structure": {
             "verdict": r.verdict,
             "axis_symbols": list(r.axis_symbols),
@@ -242,16 +234,10 @@ def cmd_reversible(args) -> int:
             "all_angles": r.all_angles,
             "witness_angles": r.witness_angles(),
         },
-        "warnings": [],
     }
-    _emit(args, data, t0)
-    return 0
 
 
-def cmd_qhcenter(args) -> int:
-    t0 = time.perf_counter()
-    s, source = _load_system(args)
-
+def cmd_qhcenter(args, s: PlaneSystem) -> dict:
     def analyze(system: PlaneSystem, label: dict) -> dict:
         sig = detect_quasi_homogeneity(system)
         if sig is None:
@@ -304,24 +290,16 @@ def cmd_qhcenter(args) -> int:
         qdata = {"sweep": entries}
     else:
         qdata = analyze(s, {})
-    data = {
-        "input": source,
-        "class": s.linear_class,
+    return {
         "qhomog": qdata,
         "warnings": ["quasi-homogeneous verdicts are numeric (quadrature-based)"],
     }
-    _emit(args, data, t0)
-    return 0
 
 
-def cmd_returnmap(args) -> int:
-    t0 = time.perf_counter()
-    s, source = _load_system(args)
+def cmd_returnmap(args, s: PlaneSystem) -> dict:
     rm = return_map(s, _radii(args), transversal=_transversal(args.transversal),
                     rel_tol=_rel_tol(args.rel_tol))
-    data = {
-        "input": source,
-        "class": s.linear_class,
+    return {
         "numeric": {
             "transversal": rm.transversal,
             "classification": rm.classification,
@@ -331,19 +309,13 @@ def cmd_returnmap(args) -> int:
         },
         "warnings": rm.warnings + ["return-map verdicts are evidence, not proof"],
     }
-    _emit(args, data, t0)
-    return 0
 
 
-def cmd_classify(args) -> int:
-    t0 = time.perf_counter()
-    s, source = _load_system(args)
+def cmd_classify(args, s: PlaneSystem) -> dict:
     # both parts are evidence, not proof: an exact result overrides them
     dirs = characteristic_directions(s)
     rm = return_map(s, _radii(args), transversal=_transversal(args.transversal))
-    data = {
-        "input": source,
-        "class": s.linear_class,
+    return {
         "structure": {
             "hamiltonian": is_hamiltonian(s),
             "characteristic_directions": [str(d) for d in dirs.directions],
@@ -358,8 +330,6 @@ def cmd_classify(args) -> int:
                     f"return map: {rm.classification}"),
         "warnings": rm.warnings + ["combined verdict is evidence, not proof"],
     }
-    _emit(args, data, t0)
-    return 0
 
 
 @functools.cache
@@ -371,60 +341,55 @@ def build_parser() -> argparse.ArgumentParser:
                                              "polynomial systems")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("system", help="system file (xdot = ...; ydot = ...)")
         p.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
                        help="specialize a parameter (exact rational, e.g. 1/10)")
         p.add_argument("--no-timings", action="store_true")
         p.add_argument("-o", "--output", help="write the JSON report to a file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("liapunov", help="obstruction constants and center conditions")
-    common(p)
+    p = command("liapunov", cmd_liapunov, "obstruction constants and center conditions")
     p.add_argument("--perturb", default="auto",
                    help="auto | none | minimal | nilpotent | degenerate | "
-                        "general[:D] | hamiltonian")
+                        f"general[:D] (D <= {MAX_TEMPLATE_DEGREE}) | hamiltonian")
     p.add_argument("--max-degree", default="8",
                    help="truncation degree N; constants sit at even degrees, so the pass "
                         "stops at the largest even degree <= N")
     p.add_argument("--mode", choices=["all-orders", "first-order"], default=None)
-    p.set_defaults(func=cmd_liapunov)
 
-    p = sub.add_parser("verify", help="check a first-integral candidate exactly")
-    common(p)
+    p = command("verify", cmd_verify, "check a first-integral candidate exactly")
     p.add_argument("--integral", required=True,
                    help="product form, e.g. \"(1+x)^(-2*c)*(x^4+y^2)\" or exp((g)/(h)) "
                         "or argexp(k; u; v) factors")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reversible", help="time-reversibility about a rotated axis")
-    common(p)
-    p.set_defaults(func=cmd_reversible)
+    command("reversible", cmd_reversible, "time-reversibility about a rotated axis")
 
-    p = sub.add_parser("qhcenter", help="quasi-homogeneous center test")
-    common(p)
+    p = command("qhcenter", cmd_qhcenter, "quasi-homogeneous center test")
     p.add_argument("--sweep", metavar="NAME=A:B:STEP",
                    help="sweep one parameter over a rational range")
-    p.set_defaults(func=cmd_qhcenter)
 
-    p = sub.add_parser("returnmap", help="numeric first-return map")
-    common(p)
+    p = command("returnmap", cmd_returnmap, "numeric first-return map")
     p.add_argument("--x0", action="append", help="initial radius (repeatable)")
     p.add_argument("--transversal", default="x+", help="x+ | y+ | angle in radians")
     p.add_argument("--rel-tol", default="1e-12")
-    p.set_defaults(func=cmd_returnmap)
 
-    p = sub.add_parser("classify", help="characteristic directions + return map")
-    common(p)
+    p = command("classify", cmd_classify, "characteristic directions + return map")
     p.add_argument("--x0", action="append")
     p.add_argument("--transversal", default="x+")
-    p.set_defaults(func=cmd_classify)
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        s, source = _load_system(args)
+        # each command returns its own keys; a "class" entry replaces the default
+        _emit(args, {"input": source, "class": s.linear_class, **args.func(args, s)}, t0)
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -755,10 +755,6 @@ class MPoly:
         return {d: MPoly._reduced(self.vars, self._num, self._den, split[d])
                 for d in sorted(split)}
 
-    def homogeneous_part(self, degree: int, state=("x", "y")) -> "MPoly":
-        """The part whose total degree in the state variables equals ``degree``."""
-        return self.homogeneous_parts(state).get(degree) or MPoly.zero(self.vars)
-
     def coefficients_in(self, var: str) -> dict:
         """View as univariate in ``var``: maps exponent -> MPoly (same table)."""
         return {k: c for (k,), c in self.coefficients_in_vars((var,)).items()}

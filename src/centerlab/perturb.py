@@ -1,12 +1,13 @@
-"""Perturbation builders and extraction of center conditions.
+"""The eps-family of a nilpotent or degenerate system, and the center
+conditions read from it.
 
-A nilpotent system (y + F1, F2) is embedded in the family
-(y + F1 + eps*x*G1, -eps*x + F2 + eps*x*G2); a degenerate system in
-(eps*y + F1 + eps*G1, -eps*x + F2 + eps*G2); a Hamiltonian degenerate system
-in (-eps*y + F1, eps*x + F2).  For eps > 0 (nilpotent) or eps != 0 small
-(degenerate) the perturbed family is of linear type, so the elliptic
-machinery applies, and center conditions for the original system fall out of
-the eps-order analysis of the obstruction constants.
+:func:`build_perturbation` embeds a nilpotent system (y + F1, F2) in the
+family (y + F1 + eps*x*G1, -eps*x + F2 + eps*x*G2), a degenerate system in
+(eps*y + F1 + eps*G1, -eps*x + F2 + eps*G2) and a Hamiltonian degenerate one
+in (-eps*y + F1, eps*x + F2), with G1 = G2 = 0 (minimal) or a fresh parameter
+on every monomial of G1 and G2 (general).  For eps > 0 (nilpotent) or eps != 0
+small (degenerate) the family is of linear type, and the eps-orders of its
+obstruction constants give the center conditions of the original system.
 """
 
 from __future__ import annotations
@@ -31,108 +32,64 @@ from .systems import (
 ALL_ORDERS = "all_orders"
 FIRST_ORDER = "first_order"
 
-
-@dataclass
-class PerturbationSpec:
-    """How to embed a nilpotent or degenerate system in an elliptic family.
-
-    ``nilpotent``: G1, G2 enter multiplied by eps*x and must have no constant
-    term.  ``degenerate``: G1, G2 enter multiplied by eps and must lack
-    constant and linear terms.  ``hamiltonian``: bare rotation only.
-    """
-
-    kind: str  # nilpotent | degenerate | hamiltonian
-    G1: Optional[MPoly] = None
-    G2: Optional[MPoly] = None
-
-    def __post_init__(self):
-        if self.kind not in ("nilpotent", "degenerate", "hamiltonian"):
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.kind == "hamiltonian":
-            if (self.G1 and not self.G1.is_zero) or (self.G2 and not self.G2.is_zero):
-                raise ValueError("hamiltonian perturbation takes no G terms")
-        for g in (self.G1, self.G2):
-            if g is None or g.is_zero:
-                continue
-            parts = g.homogeneous_parts()
-            if 0 in parts:
-                raise ValueError("G terms must have no constant term")
-            if self.kind == "degenerate" and 1 in parts:
-                raise ValueError("degenerate-kind G terms must have no linear part")
+# the general template names the coefficient of x^i*y^j "a" or "b" followed
+# by the digits of i and j: distinct while i + j <= 10, but x^11 and x*y^10
+# would both give a110
+MAX_TEMPLATE_DEGREE = 10
 
 
-def minimal_perturbation(kind: str) -> PerturbationSpec:
-    return PerturbationSpec(kind)
+def build_perturbation(system: PlaneSystem, kind: str,
+                       degree: Optional[int] = None) -> PlaneSystem:
+    """Embed the system in its eps-family of ``kind``: ``nilpotent``,
+    ``degenerate`` or ``hamiltonian``.
 
-
-def general_perturbation(system: PlaneSystem, degree: int = 5,
-                         kind: Optional[str] = None) -> PerturbationSpec:
-    """Fill G1, G2 with fresh parameters a_ij, b_ij up to total degree
-    ``degree`` (from degree 1 for a nilpotent system, degree 2 for a
-    degenerate one)."""
-    if kind is None:
-        kind = "nilpotent" if system.linear_class == NILPOTENT else "degenerate"
-    lo = 1 if kind == "nilpotent" else 2
-    names = []
-    for prefix in ("a", "b"):
-        for d in range(lo, degree + 1):
-            for i in range(d + 1):
-                names.append(f"{prefix}{i}{d - i}")
-    clash = set(names) & set(system.params)
-    if clash:
-        raise ValueError(
-            f"perturbation parameter names collide with system parameters: {sorted(clash)}")
-    table = merge_tables(system.vars, names)
-
-    def fill(prefix):
-        # the coefficient of x^i*y^j is the parameter named prefix + "ij"
-        return MPoly.from_coefficients(table, ("x", "y"), {
-            (i, d - i): MPoly.variable(f"{prefix}{i}{d - i}", table)
-            for d in range(lo, degree + 1) for i in range(d + 1)})
-
-    return PerturbationSpec(kind, fill("a"), fill("b"))
-
-
-def build_perturbation(system: PlaneSystem, spec: PerturbationSpec) -> PlaneSystem:
-    """Embed the system in its eps-family according to ``spec``.
-
+    With ``degree=None`` the family is the minimal one.  With a degree (1 to
+    :data:`MAX_TEMPLATE_DEGREE`) it is the general template: G1 gets one
+    fresh parameter ``a_ij`` per monomial x^i*y^j and G2 one ``b_ij``, of
+    total degree from 1 (nilpotent) or 2 (degenerate) up to ``degree``.
     Substituting eps = 0 in the result returns the original system exactly.
     """
-    cls = system.linear_class
-    if spec.kind == "nilpotent":
-        if cls != NILPOTENT:
-            raise ClassificationError(
-                f"nilpotent perturbation needs a nilpotent system, got {cls}")
-    else:
-        if cls != DEGENERATE:
-            raise ClassificationError(
-                f"{spec.kind} perturbation needs a degenerate system, got {cls}")
+    lo = 1 if kind == "nilpotent" else 2
+    names = []
+    if degree is not None:
+        if not 1 <= degree <= MAX_TEMPLATE_DEGREE:
+            raise ValueError(f"general template degree must be 1 to {MAX_TEMPLATE_DEGREE}, "
+                             f"got {degree}")
+        names = [f"{prefix}{i}{d - i}" for prefix in "ab"
+                 for d in range(lo, degree + 1) for i in range(d + 1)]
+        clash = set(names) & set(system.params)
+        if clash:
+            raise ValueError(
+                f"perturbation parameter names collide with system parameters: {sorted(clash)}")
+    if kind not in ("nilpotent", "degenerate", "hamiltonian"):
+        raise ValueError(f"unknown perturbation kind {kind!r}")
+    if kind == "hamiltonian" and degree is not None:
+        raise ValueError("hamiltonian perturbation takes no G terms")
+    cls, needs = system.linear_class, NILPOTENT if kind == "nilpotent" else DEGENERATE
+    if cls != needs:
+        raise ClassificationError(f"{kind} perturbation needs a {needs} system, got {cls}")
 
-    extra = tuple(v for g in (spec.G1, spec.G2) if g is not None
-                  for v in g.variables_present() if v not in ("x", "y", "eps"))
-    table = merge_tables(system.vars, extra)
-    P = system.P.embed(table)
-    Q = system.Q.embed(table)
-    x = MPoly.variable("x", table)
-    y = MPoly.variable("y", table)
-    eps = MPoly.variable("eps", table)
-    G1 = spec.G1.embed(table) if spec.G1 is not None else MPoly.zero(table)
-    G2 = spec.G2.embed(table) if spec.G2 is not None else MPoly.zero(table)
-
-    if spec.kind == "nilpotent":
+    table = merge_tables(system.vars, names)
+    P, Q = system.P.embed(table), system.Q.embed(table)
+    x, y, eps = (MPoly.variable(v, table) for v in ("x", "y", "eps"))
+    if kind == "nilpotent":
         # respect the overall scaling of the (y, 0) linear part so the
         # perturbed part stays elliptic
-        sigma = P.homogeneous_part(1).coefficients_in("y")[1].constant_value()
-        P2 = P + eps * x * G1
-        Q2 = Q - (eps * x) * sigma + eps * x * G2
-    elif spec.kind == "degenerate":
-        P2 = P + eps * y + eps * G1
-        Q2 = Q - eps * x + eps * G2
-    else:  # hamiltonian
-        P2 = P - eps * y
-        Q2 = Q + eps * x
+        sigma = system.linear_part()[0].coefficients_in("y")[1].constant_value()
+        Q = Q - (eps * x) * sigma
+        scale = eps * x
+    elif kind == "degenerate":
+        P, Q, scale = P + eps * y, Q - eps * x, eps
+    else:
+        P, Q = P - eps * y, Q + eps * x
+    if names:
+        # the coefficient of x^i*y^j in G1 is the parameter a_ij, in G2 b_ij
+        G1, G2 = (MPoly.from_coefficients(table, ("x", "y"), {
+            (i, d - i): MPoly.variable(f"{prefix}{i}{d - i}", table)
+            for d in range(lo, degree + 1) for i in range(d + 1)}) for prefix in "ab")
+        P, Q = P + scale * G1, Q + scale * G2
     params = tuple(v for v in table if v not in ("x", "y", "eps"))
-    return PlaneSystem(P2, Q2, params, system.assumptions)
+    return PlaneSystem(P, Q, params, system.assumptions)
 
 
 @dataclass

@@ -18,8 +18,6 @@ from centerlab.parser import DarbouxExpr
 from centerlab.perturb import (
     build_perturbation,
     center_conditions_pipeline,
-    general_perturbation,
-    minimal_perturbation,
 )
 from centerlab.qhomog import QHSignature, classify_qh_center, detect_quasi_homogeneity
 from centerlab.ratfunc import RatFunc, laurent_expand_eps, laurent_resum
@@ -104,7 +102,7 @@ def test_criterion_1_oracle_constants():
 
     # k-family: the bracketed eps expansion of V1 under the general template
     k = parse_system(NIL_CUBIC_K)
-    pert = build_perturbation(k, general_perturbation(k, degree=5))
+    pert = build_perturbation(k, "nilpotent", 5)
     b1 = dict(DegreePass(pert, 4))[4] * scale
     bracket = ("2*k1 + (2*b10 + 2*a10*k1 + b01*k1 - k2)*eps"
                " - (a01 - 3*a20 - 2*a10*b10 - b01*b10 - b11 + a10*k2)*eps^2"
@@ -147,12 +145,8 @@ def test_criterion_1_oracle_constants():
 
 def _base_set(text, max_degree, general_degree=None, mode=None):
     s = parse_system(text)
-    if general_degree is not None:
-        spec = general_perturbation(s, degree=general_degree)
-    else:
-        spec = minimal_perturbation(
-            "nilpotent" if s.linear_class == "nilpotent" else "degenerate")
-    pert = build_perturbation(s, spec)
+    kind = "nilpotent" if s.linear_class == "nilpotent" else "degenerate"
+    pert = build_perturbation(s, kind, general_degree)
     pset = [p for p in pert.params if p not in s.params]
     res = center_conditions_pipeline(pert, max_degree, mode=mode or "all_orders",
                                      perturbation_params=pset)
@@ -402,8 +396,8 @@ def test_criterion_7_homological_backsubstitution():
             assert all(e[ix] for p in (A, C) for e in p.terms)
         else:
             assert C.is_zero and ell is None
-        applied = (H.num.diff("x") * s.P.homogeneous_part(1)
-                   + H.num.diff("y") * s.Q.homogeneous_part(1))
+        P1, Q1 = s.linear_part()
+        applied = H.num.diff("x") * P1 + H.num.diff("y") * Q1
         assert RatFunc(applied, H.den) == target
         count += 1
     assert count >= 200
@@ -440,9 +434,9 @@ def test_criterion_7_parse_print_roundtrip():
     while count < 200 and guard < 2000:
         guard += 1
         P = random_poly(rnd, table, ("x", "y", "eps", "a"), max_degree=3, n_terms=4)
-        P = P - P.homogeneous_part(0) - P.homogeneous_part(1) + poly("y", table)
+        P = sum((v for d, v in P.homogeneous_parts().items() if d >= 2), poly("y", table))
         Q = random_poly(rnd, table, ("x", "y", "b"), max_degree=3, n_terms=4)
-        Q = Q - Q.homogeneous_part(0) - Q.homogeneous_part(1)
+        Q = sum((v for d, v in Q.homogeneous_parts().items() if d >= 2), poly("0", table))
         try:
             s = parse_system(f"xdot = {P}; ydot = {Q}")
         except Exception:

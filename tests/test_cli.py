@@ -177,13 +177,15 @@ def test_system_file_not_utf8_exits_3_naming_the_file(tmp_path, capsys):
 def _run_in_locale(argv, utf8):
     """The exit code and stdout bytes of the CLI in a fresh interpreter under
     a UTF-8 locale, or under the C locale with UTF-8 mode and locale
-    coercion both off (so the locale's encoding is ASCII)."""
+    coercion both off (so the locale's encoding is ASCII).  ``-B`` keeps the
+    interpreter from writing bytecode into the checkout, since the
+    environment it gets has no ``PYTHONDONTWRITEBYTECODE``."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("LC_", "PYTHON")) and k != "LANG"}
     env["PYTHONPATH"] = str(Path(centerlab.__file__).parent.parent)
     env.update({"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"} if utf8 else
                {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})
-    out = subprocess.run([sys.executable, "-m", "centerlab.cli", *argv], env=env,
+    out = subprocess.run([sys.executable, "-B", "-m", "centerlab.cli", *argv], env=env,
                          capture_output=True)
     return out.returncode, out.stdout
 
@@ -359,6 +361,74 @@ def test_unknown_perturb_choice_is_a_parse_error(capsys):
         2, "", "parse error: unknown --perturb choice 'foo'\n")
 
 
+DEG_CUBIC = "xdot = -y^3 + x^2*y; ydot = x^3 + x*y^2"
+LINEAR_TYPE = "xdot = -y + x^2; ydot = x"
+NIL_FAMILY = {"base": "nilpotent", "analyzed": "perturbed_nilpotent"}
+DEG_FAMILY = {"base": "degenerate", "analyzed": "perturbed_degenerate"}
+
+
+@pytest.mark.parametrize("text,choice,perturbation,cls,mode", [
+    (NIL_CUBIC_AB, "auto", {"kind": "nilpotent", "template": "minimal"}, NIL_FAMILY,
+     "all_orders"),
+    (NIL_CUBIC_AB, "minimal", {"kind": "nilpotent", "template": "minimal"}, NIL_FAMILY,
+     "all_orders"),
+    (NIL_CUBIC_AB, "nilpotent", {"kind": "nilpotent", "template": "minimal"}, NIL_FAMILY,
+     "all_orders"),
+    (NIL_CUBIC_AB, "general", {"kind": "nilpotent", "template": "general", "degree": 5},
+     NIL_FAMILY, "all_orders"),
+    (NIL_CUBIC_AB, "general:2", {"kind": "nilpotent", "template": "general", "degree": 2},
+     NIL_FAMILY, "all_orders"),
+    (DEG_CUBIC, "auto", {"kind": "degenerate", "template": "minimal"}, DEG_FAMILY,
+     "first_order"),
+    (DEG_CUBIC, "minimal", {"kind": "degenerate", "template": "minimal"}, DEG_FAMILY,
+     "first_order"),
+    (DEG_CUBIC, "degenerate", {"kind": "degenerate", "template": "minimal"}, DEG_FAMILY,
+     "first_order"),
+    (DEG_CUBIC, "hamiltonian", {"kind": "hamiltonian", "template": "minimal"}, DEG_FAMILY,
+     "first_order"),
+    (DEG_CUBIC, "general", {"kind": "degenerate", "template": "general", "degree": 5},
+     DEG_FAMILY, "first_order"),
+    (DEG_CUBIC, "general:2", {"kind": "degenerate", "template": "general", "degree": 2},
+     DEG_FAMILY, "first_order"),
+    (LINEAR_TYPE, "auto", {"kind": "none"},
+     {"base": "linear_type", "analyzed": "linear_type"}, "all_orders"),
+    (LINEAR_TYPE, "none", {"kind": "none"},
+     {"base": "linear_type", "analyzed": "linear_type"}, "all_orders"),
+])
+def test_every_perturb_spelling_reports_its_family(sysfile, capsys, text, choice,
+                                                   perturbation, cls, mode):
+    rc, data = run_cli(["liapunov", sysfile(text), "--perturb", choice,
+                        "--max-degree", "4", "--no-timings"], capsys)
+    assert rc == 0
+    assert (data["perturbation"], data["class"], data["mode"]) == (perturbation, cls, mode)
+
+
+@pytest.mark.parametrize("text,choice,message", [
+    (NIL_CUBIC_AB, "hamiltonian",
+     "hamiltonian perturbation needs a degenerate system, got nilpotent\n"),
+    (NIL_CUBIC_AB, "degenerate",
+     "degenerate perturbation needs a degenerate system, got nilpotent\n"),
+    (DEG_CUBIC, "nilpotent", "nilpotent perturbation needs a nilpotent system, got degenerate\n"),
+    (NIL_CUBIC_AB, "none", "Liapunov computation needs a linear_type, perturbed_nilpotent or "
+                           "perturbed_degenerate system, got 'nilpotent'; "),
+])
+def test_perturbation_of_the_wrong_class_exits_3(sysfile, capsys, text, choice, message):
+    rc = main(["liapunov", sysfile(text), "--perturb", choice, "--max-degree", "4",
+               "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.startswith(f"class mismatch: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("choice", ["none:3", "minimal:2", "hamiltonian:2", "nilpotent:2"])
+def test_a_degree_on_a_minimal_choice_is_a_parse_error(sysfile, capsys, choice):
+    rc = main(["liapunov", sysfile(DEG_CUBIC), "--perturb", choice, "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        2, "", f"parse error: unknown --perturb choice {choice!r}\n")
+
+
 def test_qhcenter_without_quasi_homogeneous_structure_is_undecided(sysfile, capsys):
     rc, data = run_cli(["qhcenter", sysfile("xdot = -y + x^2; ydot = x"), "--no-timings"],
                        capsys)
@@ -528,7 +598,7 @@ def _refused(capsys, rc, code, option):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("choice", ["general:x", "general:0", "general:"])
+@pytest.mark.parametrize("choice", ["general:x", "general:0", "general:", "general:11"])
 def test_exit_code_bad_general_degree_is_parse_error(sysfile, capsys, choice):
     rc = main(["liapunov", sysfile(NIL_CUBIC_AB), "--perturb", choice, "--no-timings"])
     _refused(capsys, rc, 2, "--perturb")
@@ -552,6 +622,15 @@ def test_exit_code_bad_x0_is_parse_error(sysfile, capsys, command, value):
 def test_exit_code_out_of_range_option_is_parse_error(sysfile, capsys, argv, option):
     rc = main(argv[:1] + [sysfile(NIL_REVERSIBLE)] + argv[1:] + ["--no-timings"])
     _refused(capsys, rc, 2, option)
+
+
+def test_unreadable_system_file_is_reported_before_a_bad_max_degree(tmp_path, capsys):
+    # every command reads its system file before it reads its own options
+    missing = tmp_path / "missing.sys"
+    rc = main(["liapunov", str(missing), "--max-degree", "2", "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err == f"error: {missing}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_qhcenter_unconverged_quadrature_shows_detail(sysfile, capsys):

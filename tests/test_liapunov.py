@@ -246,8 +246,8 @@ def test_homological_step_random_backsubstitution(rng):
         H, V = _solve(s, residual, n)
         assert V is None
         # L(H) must equal -residual exactly
-        applied = (H.num.diff("x") * s.P.homogeneous_part(1)
-                   + H.num.diff("y") * s.Q.homogeneous_part(1))
+        P1, Q1 = s.linear_part()
+        applied = H.num.diff("x") * P1 + H.num.diff("y") * Q1
         assert RatFunc(applied, H.den) == RatFunc(-residual)
         count += 1
     assert count >= 190

@@ -593,8 +593,9 @@ def test_diff_embed_pieces_primitive_match_fraction_reference(rng):
             assert list(got) == list(ref)
             for k in ref:
                 _same(got[k], ref[k])
+        parts = p.homogeneous_parts()
         for d in range(4):
-            _same(p.homogeneous_part(d),
+            _same(parts.get(d, MPoly.zero(p.vars)),
                   {e: c for e, c in p.terms.items() if e[0] + e[1] == d})
         _same(p.primitive(), _fprimitive(p.terms))
         _same((-p).primitive(), _fprimitive(p.terms))
@@ -684,7 +685,7 @@ def test_representation_invariant_property():
         results = [p, p + q, p - q, p - p, -p, p * c, c * p, p * q, p ** 2,
                    (p * q).try_div(q), p.diff("x"), p.diff("eps"), p.primitive(),
                    p.subs({"y": free_of_y}, TAB), p.subs({"x": c}),
-                   p.embed(merge_tables(TAB, ("a",))), p.homogeneous_part(1),
+                   p.embed(merge_tables(TAB, ("a",))), *p.homogeneous_parts().values(),
                    MPoly.from_coefficients(TAB, ("x", "y"), p.coefficients_in_vars(("x", "y")))]
         results += list(p.coefficients_in("y").values())
         for r in results:
@@ -1010,7 +1011,7 @@ def test_move_plans_match_term_reference_property():
 
 def test_homogeneous_parts_property():
     # one split by degree in the state variables: the parts sum back to p,
-    # each holds exactly the terms of its degree, and homogeneous_part reads it
+    # each holds exactly the terms of its degree
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     coeff = st.builds(Rat, st.integers(-20, 20).filter(bool), st.integers(1, 6))
@@ -1040,10 +1041,6 @@ def test_homogeneous_parts_property():
             assert all(degree(e) == d for e in part.terms)
             total = total + part
         assert total == p
-        for d in range(-1, max(parts, default=0) + 2):
-            _same(p.homogeneous_part(d, state),
-                  {e: c for e, c in p.terms.items() if degree(e) == d})
-            assert p.homogeneous_part(d, state) == parts.get(d, MPoly.zero(p.vars))
 
     check()
     # the default state is (x, y), present or not

@@ -85,8 +85,8 @@ def test_roundtrip_random_systems(rng):
         P = random_poly(rng, table, ("x", "y", "eps", "a"), max_degree=3, n_terms=4)
         Q = random_poly(rng, table, ("x", "y", "b"), max_degree=3, n_terms=4)
         # force a parseable system: drop constant terms, keep a nilpotent part
-        P = P - P.homogeneous_part(0) - P.homogeneous_part(1) + poly("y", table)
-        Q = Q - Q.homogeneous_part(0) - Q.homogeneous_part(1)
+        P = sum((v for d, v in P.homogeneous_parts().items() if d >= 2), poly("y", table))
+        Q = sum((v for d, v in Q.homogeneous_parts().items() if d >= 2), poly("0", table))
         text = f"xdot = {P}; ydot = {Q}"
         try:
             s = parse_system(text)

@@ -9,14 +9,12 @@ from centerlab.mpoly import MPoly
 from centerlab.perturb import (
     ALL_ORDERS,
     FIRST_ORDER,
+    MAX_TEMPLATE_DEGREE,
     Condition,
-    PerturbationSpec,
     PipelineResult,
     build_perturbation,
     center_conditions_pipeline,
     check_no_vanishing_singularities,
-    general_perturbation,
-    minimal_perturbation,
 )
 from centerlab.ratfunc import laurent_expand_eps
 from centerlab.structure import is_hamiltonian
@@ -44,7 +42,7 @@ def _conds(result):
 
 def test_minimal_nilpotent_perturbation_matches_reference_form():
     s = parse_system(NIL_CUBIC_AB)
-    pert = build_perturbation(s, minimal_perturbation("nilpotent"))
+    pert = build_perturbation(s, "nilpotent")
     assert pert.linear_class == "perturbed_nilpotent"
     assert pert.Q == poly("-eps*x - x^3 + K*x*y^2 + L*y^3", pert.vars)
     back = substitute(pert, {"eps": 0})
@@ -54,14 +52,14 @@ def test_minimal_nilpotent_perturbation_matches_reference_form():
 def test_minimal_respects_linear_scaling():
     # (-y, 0) base: the elliptic perturbation must flip sign with it
     s = parse_system(NIL_SEXTIC.replace(" + eps*x", ""))
-    pert = build_perturbation(s, minimal_perturbation("nilpotent"))
+    pert = build_perturbation(s, "nilpotent")
     assert pert.linear_class == "perturbed_nilpotent"
-    assert pert.Q.homogeneous_part(1) == poly("eps*x", pert.vars)
+    assert pert.Q.homogeneous_parts()[1] == poly("eps*x", pert.vars)
 
 
 def test_degenerate_perturbation_form():
     s = parse_system(DEG_QUINTIC)
-    pert = build_perturbation(s, minimal_perturbation("degenerate"))
+    pert = build_perturbation(s, "degenerate")
     assert pert.linear_class == "perturbed_degenerate"
     ref = parse_system(DEG_QUINTIC_EPS)
     assert pert.P == ref.P.embed(pert.vars) and pert.Q == ref.Q.embed(pert.vars)
@@ -72,7 +70,7 @@ def test_hamiltonian_perturbation_preserves_divergence_and_integral():
     # rotation term, keeping divergence zero and eps*(x^2+y^2)/2 + H0 invariant
     s = parse_system("xdot = -y^3; ydot = x^3")
     assert is_hamiltonian(s)
-    pert = build_perturbation(s, minimal_perturbation("hamiltonian"))
+    pert = build_perturbation(s, "hamiltonian")
     assert is_hamiltonian(pert)
     assert pert.linear_class == "perturbed_degenerate"
     H = poly("eps*(x^2 + y^2)/2 + x^4/4 + y^4/4", pert.vars)
@@ -81,34 +79,56 @@ def test_hamiltonian_perturbation_preserves_divergence_and_integral():
 
 
 def test_spec_invariants_rejected():
-    with pytest.raises(ValueError):
-        PerturbationSpec("nilpotent", MPoly.const(("x", "y", "eps"), 1), None)
-    with pytest.raises(ValueError):
-        PerturbationSpec("degenerate", poly("x", ("x", "y", "eps")), None)
-    with pytest.raises(ValueError):
-        PerturbationSpec("hamiltonian", poly("x^2", ("x", "y", "eps")), None)
-    with pytest.raises(ClassificationError):
-        build_perturbation(parse_system("xdot = -y; ydot = x"),
-                           minimal_perturbation("nilpotent"))
+    s = parse_system(DEG_QUINTIC)
+    with pytest.raises(ValueError, match="unknown perturbation kind 'elliptic'"):
+        build_perturbation(s, "elliptic")
+    with pytest.raises(ValueError, match="hamiltonian perturbation takes no G terms"):
+        build_perturbation(s, "hamiltonian", 2)
+    for degree in (0, MAX_TEMPLATE_DEGREE + 1):
+        with pytest.raises(ValueError, match="general template degree must be 1 to 10"):
+            build_perturbation(s, "degenerate", degree)
+    with pytest.raises(ClassificationError,
+                       match="nilpotent perturbation needs a nilpotent system, got linear_type"):
+        build_perturbation(parse_system("xdot = -y; ydot = x"), "nilpotent")
+    with pytest.raises(ClassificationError,
+                       match="hamiltonian perturbation needs a degenerate system, got nilpotent"):
+        build_perturbation(parse_system(NIL_CUBIC_AB), "hamiltonian")
 
 
 def test_general_perturbation_template():
     s = parse_system(NIL_CUBIC_K)
-    spec = general_perturbation(s, degree=2)
-    names = {v for v in spec.G1.variables_present()} | {v for v in spec.G2.variables_present()}
-    assert names == {"x", "y", "a10", "a01", "a20", "a11", "a02",
-                     "b10", "b01", "b20", "b11", "b02"}
-    pert = build_perturbation(s, spec)
+    pert = build_perturbation(s, "nilpotent", 2)
+    assert set(pert.params) - set(s.params) == {"a10", "a01", "a20", "a11", "a02",
+                                                "b10", "b01", "b20", "b11", "b02"}
     assert pert.linear_class == "perturbed_nilpotent"
+    ref = parse_system(K_RAW)
+    assert pert.P == ref.P.embed(pert.vars) and pert.Q == ref.Q.embed(pert.vars)
     # eps -> 0 recovers the base exactly
     base = substitute(pert, {"eps": 0})
     assert base.P.embed(s.vars) == s.P and base.Q.embed(s.vars) == s.Q
 
 
+@pytest.mark.parametrize("text,kind,count", [(NIL_CUBIC_AB, "nilpotent", 65),
+                                             (DEG_QUINTIC, "degenerate", 63)])
+def test_general_template_names_stay_distinct_up_to_degree_10(text, kind, count):
+    # one parameter per monomial of G1 (a_ij) and of G2 (b_ij), degrees lo..10
+    s = parse_system(text)
+    pert = build_perturbation(s, kind, 10)
+    new = set(pert.params) - set(s.params)
+    assert len([p for p in new if p[0] == "a"]) == len([p for p in new if p[0] == "b"]) == count
+    lo = 1 if kind == "nilpotent" else 2
+    scale = "eps*x" if kind == "nilpotent" else "eps"
+    minimal = build_perturbation(s, kind)
+    for prefix, got, base in (("a", pert.P, minimal.P), ("b", pert.Q, minimal.Q)):
+        G = " + ".join(f"{prefix}{i}{d - i}*x^{i}*y^{d - i}"
+                       for d in range(lo, 11) for i in range(d + 1))
+        assert got - base.embed(pert.vars) == poly(f"{scale}*({G})", pert.vars)
+
+
 def test_general_perturbation_name_collision():
     s = parse_system(CUBIC_FAMILY_A)
     with pytest.raises(ValueError, match="collide"):
-        general_perturbation(s, degree=3)
+        build_perturbation(s, "nilpotent", 3)
 
 
 def test_pipeline_all_orders_separates_kinds():
@@ -152,8 +172,7 @@ def test_pipeline_reports_the_first_stage_convention():
 
 def test_pipeline_cubic_k_family_general_degree5():
     s = parse_system(NIL_CUBIC_K)
-    spec = general_perturbation(s, degree=5)
-    pert = build_perturbation(s, spec)
+    pert = build_perturbation(s, "nilpotent", 5)
     pset = [p for p in pert.params if p not in ("k1", "k2")]
     res = center_conditions_pipeline(pert, 6, perturbation_params=pset)
     assert _conds(res) == {"k1", "k2"}
@@ -164,21 +183,21 @@ def test_pipeline_cubic_k_family_general_degree5():
 
 def test_pipeline_cubic_ab_family():
     s = parse_system(NIL_CUBIC_AB)
-    pert = build_perturbation(s, minimal_perturbation("nilpotent"))
+    pert = build_perturbation(s, "nilpotent")
     res = center_conditions_pipeline(pert, 6)
     assert _conds(res) == {"A*B - 3*L", "A^3*B - 2*A*B*K"}
 
 
 def test_pipeline_sextic_family():
     s = parse_system(NIL_SEXTIC)
-    pert = build_perturbation(s, minimal_perturbation("nilpotent"))
+    pert = build_perturbation(s, "nilpotent")
     res = center_conditions_pipeline(pert, 10)
     assert _conds(res) == {"c", "a*b"}
 
 
 def test_pipeline_cubic_family_a():
     s = parse_system(CUBIC_FAMILY_A)
-    pert = build_perturbation(s, minimal_perturbation("nilpotent"))
+    pert = build_perturbation(s, "nilpotent")
     res = center_conditions_pipeline(pert, 6)
     assert [str(c.poly) for c in res.base_conditions] == [
         "a30", "a02*a11 + a12", "a02*a11*a21", "a02*a03*a11"]
@@ -186,7 +205,7 @@ def test_pipeline_cubic_family_a():
 
 def test_pipeline_cubic_family_b():
     s = parse_system(CUBIC_FAMILY_B)
-    pert = build_perturbation(s, minimal_perturbation("nilpotent"))
+    pert = build_perturbation(s, "nilpotent")
     res = center_conditions_pipeline(pert, 6)
     assert [str(c.poly) for c in res.base_conditions] == [
         "a02*a11 - a21", "a03", "a02*a11*a30", "3*a02^3*a11 + 2*a02*a11*a12"]
@@ -194,14 +213,14 @@ def test_pipeline_cubic_family_b():
 
 def test_pipeline_first_order_degenerate():
     s = parse_system(DEG_QUINTIC)
-    pert = build_perturbation(s, minimal_perturbation("degenerate"))
+    pert = build_perturbation(s, "degenerate")
     res = center_conditions_pipeline(pert, 10, mode=FIRST_ORDER)
     assert [str(c.poly) for c in res.base_conditions] == ["a*mu", "a*lambda"]
 
 
 def test_pipeline_homogeneous_cubic_first_order():
     s = parse_system(HOMOG_CUBIC)
-    pert = build_perturbation(s, minimal_perturbation("hamiltonian"))
+    pert = build_perturbation(s, "hamiltonian")
     res = center_conditions_pipeline(pert, 4, mode=FIRST_ORDER)
     assert [str(c.poly) for c in res.base_conditions] == ["lambda"]
 
@@ -209,7 +228,7 @@ def test_pipeline_homogeneous_cubic_first_order():
 def test_conditions_annihilate_constants():
     # substituting the solved conditions back kills every reported constant
     s = parse_system(NIL_CUBIC_AB)
-    pert = build_perturbation(s, minimal_perturbation("nilpotent"))
+    pert = build_perturbation(s, "nilpotent")
     res = center_conditions_pipeline(pert, 6)
     sub = {"L": rf("A*B/3", pert.vars).as_poly(), "K": rf("A^2/2", pert.vars).as_poly()}
     for _, _, v in res.constants:
@@ -318,9 +337,7 @@ def _raw(text, base_params=None):
 
 def _perturbed(text, kind="nilpotent", general_degree=None):
     s = parse_system(text)
-    spec = (general_perturbation(s, degree=general_degree) if general_degree
-            else minimal_perturbation(kind))
-    pert = build_perturbation(s, spec)
+    pert = build_perturbation(s, kind, general_degree)
     return pert, [p for p in pert.params if p not in s.params]
 
 
