@@ -38,7 +38,7 @@ from .perturb import (
     center_conditions_pipeline,
 )
 from .qhomog import classify_qh_center, detect_quasi_homogeneity
-from .report import condition_entry, display_str, ratfunc_entry, to_json
+from .report import condition_entry, polynomial_entry, ratfunc_entry, to_json
 from .structure import (
     characteristic_directions,
     is_hamiltonian,
@@ -139,22 +139,29 @@ def _load_system(args) -> tuple:
 def _perturbation(choice: str, base_class: str) -> tuple:
     """The ``(kind, degree)`` that :func:`build_perturbation` takes for a
     ``--perturb`` choice on a system of ``base_class``: kind None for no
-    perturbation, degree None for the minimal family."""
+    perturbation, degree None for the minimal family.  ``minimal`` and
+    ``general[:D]`` take the kind of a nilpotent or degenerate system and
+    refuse any other class (ClassificationError)."""
     if choice == "auto":
         choice = "minimal" if base_class in (NILPOTENT, DEGENERATE) else "none"
-    default_kind = "nilpotent" if base_class == NILPOTENT else "degenerate"
-    if choice in ("none", "minimal", "nilpotent", "degenerate", "hamiltonian"):
-        return {"none": None, "minimal": default_kind}.get(choice, choice), None
+    if choice in ("none", "nilpotent", "degenerate", "hamiltonian"):
+        return (None if choice == "none" else choice), None
+    degree = None
     if choice == "general":
-        return default_kind, 5
-    if not choice.startswith("general:"):
+        degree = 5
+    elif choice.startswith("general:"):
+        text = choice.partition(":")[2]
+        degree = _int_at_least("--perturb general:D", text, 1)
+        if degree > MAX_TEMPLATE_DEGREE:
+            raise ParseError(f"--perturb general:D expects an integer <= {MAX_TEMPLATE_DEGREE}, "
+                             f"got {text!r}")
+    elif choice != "minimal":
         raise ParseError(f"unknown --perturb choice {choice!r}")
-    text = choice.partition(":")[2]
-    degree = _int_at_least("--perturb general:D", text, 1)
-    if degree > MAX_TEMPLATE_DEGREE:
-        raise ParseError(f"--perturb general:D expects an integer <= {MAX_TEMPLATE_DEGREE}, "
-                         f"got {text!r}")
-    return default_kind, degree
+    # minimal and general take the kind of the system's own class
+    if base_class not in (NILPOTENT, DEGENERATE):
+        raise ClassificationError(f"--perturb {choice} needs a nilpotent or degenerate "
+                                  f"system, got {base_class}")
+    return ("nilpotent" if base_class == NILPOTENT else "degenerate"), degree
 
 
 def _emit(args, data: dict, t0: float) -> None:
@@ -229,8 +236,7 @@ def cmd_reversible(args, s: PlaneSystem) -> dict:
         "structure": {
             "verdict": r.verdict,
             "axis_symbols": list(r.axis_symbols),
-            "conditions": [{"terms": p, "canonical": display_str(p)}
-                           for p in r.conditions],
+            "conditions": [polynomial_entry(p) for p in r.conditions],
             "all_angles": r.all_angles,
             "witness_angles": r.witness_angles(),
         },

@@ -37,12 +37,17 @@ plan that moves keys between two tables (:meth:`MPoly.embed`,
 Exponent tuples and ``Rat`` appear only at the public edge: the
 ``MPoly(vars, terms)`` constructor, :meth:`MPoly.monomial`,
 :meth:`MPoly.coefficient`, :meth:`MPoly.leading_monomial`,
-:meth:`MPoly.integer_terms` and the read-only :attr:`MPoly.terms` view, plus
+:meth:`MPoly.integer_terms`, :meth:`MPoly.integer_terms_in`,
+:meth:`MPoly.exponents_in` and the read-only :attr:`MPoly.terms` view, plus
 the ``Rat`` accessors :meth:`MPoly.constant_value`,
 :meth:`MPoly.leading_coefficient`, :meth:`MPoly.content` and
 :meth:`MPoly.coefficient_list`.  :meth:`MPoly.integer_terms` lists each term
 with its coefficient as an integer pair, in print order; it is the edge that
-printing (:meth:`MPoly.render`) and the report writer read.  No other module
+printing (:meth:`MPoly.render`, :func:`render_terms`) and the report writer
+read.  :meth:`MPoly.integer_terms_in` lists the terms of a polynomial in a
+few variables alone (the float right-hand sides of :mod:`centerlab.numeric`)
+and :meth:`MPoly.exponents_in` the exponents of some variables that occur
+(quasi-homogeneity detection), both straight from the keys.  No other module
 reads exponent tuples by table position: the rest group terms through
 :meth:`MPoly.coefficients_in` and
 :meth:`MPoly.coefficients_in_vars`, map rows of terms by running sums with
@@ -736,6 +741,34 @@ class MPoly:
         return [(unpack(e), n // (g := gcd(n, den)) * num, den // g)
                 for e, n in sorted(self._ints.items(), reverse=True)]
 
+    def integer_terms_in(self, names: Sequence[str]) -> list:
+        """:meth:`integer_terms` of a polynomial in ``names`` alone, each
+        exponent tuple cut to ``names`` (one entry per name), in descending
+        graded-lex order of those tuples; ValueError when another variable
+        is present."""
+        ks = _keys(len(self.vars))
+        idx = [self.vars.index(v) for v in names]
+        mask = sum(ks.masks[i] for i in idx)
+        if reduce(or_, self._ints, 0) & (sum(ks.masks) - mask):
+            raise ValueError(f"variables other than {tuple(names)} present")
+        num, den = self._num, self._den
+        out = []
+        for e, n in self._ints.items():
+            expo = ks.unpack(e)
+            g = gcd(n, den)
+            out.append((tuple([expo[i] for i in idx]), n // g * num, den // g))
+        out.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return out
+
+    def exponents_in(self, names: Sequence[str]) -> set:
+        """The exponent tuples of ``names`` (one entry per name) that the
+        terms have, read from the keys alone."""
+        ks = _keys(len(self.vars))
+        idx = [self.vars.index(v) for v in names]
+        mask = sum(ks.masks[i] for i in idx)
+        return {tuple([expo[i] for i in idx])
+                for expo in map(ks.unpack, {e & mask for e in self._ints})}
+
     # -- pieces ------------------------------------------------------------
 
     def homogeneous_parts(self, state=("x", "y")) -> dict:
@@ -924,31 +957,38 @@ class MPoly:
     def render(self, names: Optional[Mapping[str, str]] = None) -> str:
         """The polynomial as text, terms in descending graded-lex order;
         ``names`` maps a variable to the name it is shown as."""
-        if not self._ints:
-            return "0"
-        shown = [names.get(v, v) for v in self.vars] if names else self.vars
-        pieces = []
-        for e, num, den in self.integer_terms():
-            factors = "*".join([name if k == 1 else f"{name}^{k}"
-                                for name, k in zip(shown, e) if k])
-            mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
-            if not factors:
-                body = mag
-            elif mag == "1":
-                body = factors
-            else:
-                body = f"{mag}*{factors}"
-            if pieces:
-                pieces.append((" - " if num < 0 else " + ") + body)
-            else:
-                pieces.append(("-" if num < 0 else "") + body)
-        return "".join(pieces)
+        return render_terms(self.vars, self.integer_terms(), names)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"MPoly({self})"
+
+
+def render_terms(vars: Sequence[str], terms: list,
+                 names: Optional[Mapping[str, str]] = None) -> str:
+    """The text of :meth:`MPoly.render` from the polynomial's table and its
+    :meth:`MPoly.integer_terms` list."""
+    if not terms:
+        return "0"
+    shown = [names.get(v, v) for v in vars] if names else vars
+    pieces = []
+    for e, num, den in terms:
+        factors = "*".join([name if k == 1 else f"{name}^{k}"
+                            for name, k in zip(shown, e) if k])
+        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
+        if not factors:
+            body = mag
+        elif mag == "1":
+            body = factors
+        else:
+            body = f"{mag}*{factors}"
+        if pieces:
+            pieces.append((" - " if num < 0 else " + ") + body)
+        else:
+            pieces.append(("-" if num < 0 else "") + body)
+    return "".join(pieces)
 
 
 def merge_tables(*tables: Sequence[str]) -> tuple:

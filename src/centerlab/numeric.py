@@ -18,16 +18,31 @@ around the origin at that size), or at ``max_steps``.
 The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6, 1980) with an I step-size controller, on plain
 Python floats.  Its stepping loop is Python source generated from the
-tableau's nonzero entries and compiled on first use, one per system and
-weights: both components are scalar locals, every stage sum and the error
-sum are written out term by term, and the system's P and Q are written into
-each stage, so a stage calls only cos and sin, builds no tuple and computes
-each power of x and y once.  The order of the float operations is fixed, so
-a run repeats bit for bit, and the inlined P and Q are the floats that
+tableau's nonzero entries and compiled on first use, one per system,
+weights and sign of W: both components are scalar locals, every stage sum
+and the error sum are written out term by term, and the system's P and Q
+are written into each stage, so a stage calls only cos and sin, builds no
+tuple and computes each power of x and y once.  Stage 7 reuses stage 6's
+cos, sin and p*cos^2 + q*sin^2 (both sit at the step's end), stage 2's
+t-slope, which nothing reads, is left out, and the sign of W is written
+into each stage's test.  The order of the float operations is fixed, so a
+run repeats bit for bit, and the inlined P and Q are the floats that
 :func:`compile_system`'s function returns (a factor 1.0 is left out and a
 negative coefficient becomes a subtraction, which IEEE rounding makes
-exact).  The loop keeps nothing per step.  Verdicts produced here are
-evidence only; they never override an exact result.
+exact).  Every power stays ``**``: with CPython 3.11 on glibc, ``x**2`` and
+``x*x`` differ in the last bit for about 1 in 1,200 uniform random floats,
+so a product in place of a power would change the floats.  The loop keeps
+nothing per step.
+:func:`return_map` reads the system's :func:`float_terms` and compiles only
+its loop.
+
+The condition (ii) quadrature of :mod:`centerlab.qhomog` runs in a second
+generated function, :func:`trapezoid_kernel`: one per monomial structure
+of P and Q and weights (p, q), to which a system passes its float
+coefficients, so the points of a parameter sweep whose monomials stay the
+same share one compiled kernel.  Its floats are those of the compiled
+right-hand side, by the same rules.  Verdicts produced here are evidence
+only; they never override an exact result.
 """
 
 from __future__ import annotations
@@ -52,18 +67,38 @@ class _Turned(Exception):
     near the origin; the stepping loop rejects that step."""
 
 
-def compile_system(s: PlaneSystem) -> Callable:
-    """Compile a parameter-free system into a float right-hand side f(x, y).
-
-    The function carries the system's float terms as ``f.float_terms``: per
-    component, the (coefficient, i, j) of each c*x**i*y**j in the order in
-    which ``f`` adds them.  :func:`integrate_adaptive` writes these terms
-    into its stepping loop.  A coefficient too large for a float raises
-    ValueError."""
+def float_terms(s: PlaneSystem) -> Tuple[Tuple[Tuple[float, int, int], ...], ...]:
+    """The float terms of a parameter-free system: per component, the
+    (coefficient, i, j) of each c*x**i*y**j in descending graded-lex order,
+    as MPoly.integer_terms lists them.  A system with parameters, or a
+    coefficient too large for a float, raises ValueError."""
     if not s.is_numeric():
         used = sorted((set(s.P.variables_present()) | set(s.Q.variables_present())) - {"x", "y"})
         raise ValueError(f"system must be numeric; specialize {used}")
-    terms = (_float_terms(s.P, "xdot"), _float_terms(s.Q, "ydot"))
+    return _float_terms(s.P, "xdot"), _float_terms(s.Q, "ydot")
+
+
+def _float_terms(p, name: str) -> Tuple[Tuple[float, int, int], ...]:
+    out = []
+    for (i, j), num, den in p.integer_terms_in(("x", "y")):
+        try:
+            out.append((num / den, i, j))
+        except OverflowError:
+            monomial = "*".join(v + (f"^{e}" if e > 1 else "")
+                                for v, e in (("x", i), ("y", j)) if e) or "1"
+            raise ValueError(f"{name}: the coefficient of {monomial} "
+                             "is too large for a float") from None
+    return tuple(out)
+
+
+def compile_system(s: PlaneSystem) -> Callable:
+    """Compile a parameter-free system into a float right-hand side f(x, y).
+
+    The function carries the system's :func:`float_terms` as
+    ``f.float_terms``, in the order in which ``f`` adds them: the loop that
+    :func:`integrate_adaptive` generates from them computes the floats that
+    ``f`` returns."""
+    terms = float_terms(s)
     p, q = _render(terms[0]), _render(terms[1])
     src = f"def _f(x, y):\n    return ({p}, {q})\n"
     ns: dict = {}
@@ -72,22 +107,6 @@ def compile_system(s: PlaneSystem) -> Callable:
     f = ns["_f"]
     f.float_terms = terms
     return f
-
-
-def _float_terms(p, name: str) -> Tuple[Tuple[float, int, int], ...]:
-    """The (float coefficient, i, j) of each term c*x**i*y**j of ``p``, in
-    descending graded-lex order, as MPoly.integer_terms lists them."""
-    out = []
-    for (i, j), c in sorted(p.coefficients_in_vars(("x", "y")).items(),
-                            key=lambda t: (sum(t[0]), t[0]), reverse=True):
-        try:
-            out.append((float(c.constant_value()), i, j))
-        except OverflowError:
-            monomial = "*".join(v + (f"^{e}" if e > 1 else "")
-                                for v, e in (("x", i), ("y", j)) if e) or "1"
-            raise ValueError(f"{name}: the coefficient of {monomial} "
-                             "is too large for a float") from None
-    return tuple(out)
 
 
 def _render(terms) -> str:
@@ -129,21 +148,20 @@ def check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in (0, 1e-4]")
 
 
-def integrate_adaptive(f: Callable, weights: MonodromyWeights, r0: float,
+def integrate_adaptive(terms, weights: MonodromyWeights, r0: float,
                        psi_span: Tuple[float, float], guard_radius: float = math.inf,
                        rel_tol: float = 1e-10, abs_tol: float = 1e-12,
                        max_steps: int = 1_000_000) -> Trajectory:
-    """Integrate (r, t) over ``psi_span`` for the system ``f`` from
-    :func:`compile_system`, in the weighted polar coordinates of
+    """Integrate (r, t) over ``psi_span`` for the system whose
+    :func:`float_terms` are ``terms``, in the weighted polar coordinates of
     ``weights`` = (p, q, sign), from r = ``r0`` and t = 0, in the loop that
-    :func:`_dopri_loop` generates for ``f``'s float terms (a function
-    without them is refused with ValueError).
+    :func:`_dopri_loop` generates for those terms.
 
-    ``sign`` is the sign that W = p*x*Q - q*y*P must keep: where W lacks it
-    at the start, or the steps shrink to nothing on stages where it does,
-    the run is "stalled".  psi may run either way; t increases along the
-    flow when psi runs the way of ``sign``.  The error of t is measured
-    against ``abs_tol + rel_tol*|t|`` and that of r against
+    ``sign`` (1 or -1) is the sign that W = p*x*Q - q*y*P must keep: where
+    W lacks it at the start, or the steps shrink to nothing on stages where
+    it does, the run is "stalled".  psi may run either way; t increases
+    along the flow when psi runs the way of ``sign``.  The error of t is
+    measured against ``abs_tol + rel_tol*|t|`` and that of r against
     ``(abs_tol/r0 + rel_tol)*r``, which follows r down as an orbit (a flat
     one, say) comes close to the origin.  A step with non-finite stages (or
     whose right-hand side overflows) is rejected and shrunk; if that never
@@ -154,14 +172,12 @@ def integrate_adaptive(f: Callable, weights: MonodromyWeights, r0: float,
     check_tolerance("abs_tol", abs_tol)
     if not r0 > 0:
         raise ValueError(f"r0 must be positive, got {r0!r}")
-    terms = getattr(f, "float_terms", None)
-    if terms is None:
-        raise ValueError("the right-hand side must come from compile_system")
     p, q, sign = weights
-    loop = _dopri_loop(_inline_rhs(terms), p, q)
+    if sign not in (1, -1):
+        raise ValueError(f"the sign of W must be 1 or -1, got {sign!r}")
+    loop = _dopri_loop(_inline_rhs(terms), p, q, sign > 0)
     psi0, psi1 = psi_span
-    return loop(float(psi0), float(psi1), float(r0), float(sign), guard_radius,
-                rel_tol, abs_tol, max_steps)
+    return loop(float(psi0), float(psi1), float(r0), guard_radius, rel_tol, abs_tol, max_steps)
 
 
 # Dormand-Prince RK5(4) tableau as (j, numerator, denominator) of its nonzero
@@ -187,7 +203,7 @@ _ERROR = ((1, 71, 57600), (3, -71, 16695), (4, 71, 1920), (5, -17253, 339200),
 # exactly there.  Each stage leaves the point (rx, ry) of its node, so after
 # stage 7 it is the step's end, which the guard radius is tested on.
 _LOOP = """\
-def dopri_loop(psi, psi1, r0, sign, guard_radius, rel_tol, abs_tol, max_steps):
+def dopri_loop(psi, psi1, r0, guard_radius, rel_tol, abs_tol, max_steps):
     direction = 1.0 if psi1 >= psi else -1.0
     psi_start = psi
     y_0 = r0
@@ -200,11 +216,10 @@ def dopri_loop(psi, psi1, r0, sign, guard_radius, rel_tol, abs_tol, max_steps):
 {field}
     except OverflowError:
         W = nan
-    v = W * sign
-    if not -inf < v < inf:
+    if not -inf < W < inf:
         raise IntegrationError(f"right-hand side not finite at psi={{psi:.6g}}",
                                closest_approach=closest)
-    if v <= 0:
+    if {stalled}:
         return Trajectory([psi, psi], [(r0, 0.0), (r0, 0.0)], "stalled", 1, 0, closest)
 {slope}
     # r's error is measured relative to r: abs_tol at r0, shrinking with r
@@ -294,14 +309,14 @@ def _weighted_sum(row, i: int) -> str:
 
 
 def _inline_rhs(terms) -> str:
-    """Source of P and Q at one stage's point, from the terms that
-    :func:`compile_system` attaches: it reads the point from ``rx`` and
+    """Source of P and Q at one stage's point, from a system's
+    :func:`float_terms`: it reads the point from ``rx`` and
     ``ry`` and writes ``fP`` and ``fQ``.  Each power rx**e or ry**e with
     e > 1 is computed once (into ``rx2``, ``ry3``, ...), a coefficient 1.0
     is left out and a negative one is written as a subtraction, or as a
     leading minus.
 
-    Every float equals the one the compiled ``f`` returns: 1.0*a is a,
+    Every float equals the one :func:`compile_system`'s ``f`` returns: 1.0*a is a,
     a + (-c)*u*v is a - c*u*v because rounding is sign-symmetric, and a
     power computed once is the same float each time it is read.  Powers stay
     ``**``, and the terms and the factors of each keep ``f``'s order.  A
@@ -328,48 +343,61 @@ def _inline_rhs(terms) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _dopri_loop(rhs: str, p: int, q: int) -> Callable:
-    """The stepping loop of :func:`integrate_adaptive` for one system and
-    its weights, generated and compiled on first use from ``rhs``, the
-    source that :func:`_inline_rhs` writes for its float terms: each stage
-    runs that source, so a step calls no right-hand side and builds no
-    stage tuple.  The loop's label names the weights and the system, so
-    that a profile keeps one entry per system.  The cache is keyed by the
-    source text, not by the float terms, since ``0.0 == -0.0`` would let two
-    systems share a loop.
+def _dopri_loop(rhs: str, p: int, q: int, positive: bool) -> Callable:
+    """The stepping loop of :func:`integrate_adaptive` for one system, its
+    weights and the sign of W (``positive``), generated and compiled on
+    first use from ``rhs``, the source that :func:`_inline_rhs` writes for
+    its float terms: each stage runs that source, so a step calls no
+    right-hand side and builds no stage tuple.  The loop's label names the
+    weights and the system, so that a profile keeps one entry per system.
+    The cache is keyed by the source text, not by the float terms, since
+    ``0.0 == -0.0`` would let two systems share a loop.
 
     A stage at node ``ps`` and radius ``rr`` computes the point
     rx = rr**p*cos(ps), ry = rr**q*sin(ps), P and Q there (``rhs``),
     W = p*rx*Q - q*ry*P and the two slopes; a weight 1 is left out, since
-    rr**1 is rr and 1*a is a.  ``max(u, v)`` is written ``v if v > u else
-    u`` and ``min(u, v)`` ``v if v < u else u``, which is what the builtins
-    compute, NaN included, and the error sum starts at its first square,
-    which is what adding that square to 0.0 gives.
+    rr**1 is rr and 1*a is a.  A stage where W is finite and lacks its sign
+    raises ``Turned``: the test is written for the sign, ``0 >= W > -inf``
+    or ``0 <= W < inf``, which is ``-inf < W*sign <= 0`` for a sign of +-1.
+    Stages 6 and 7 both sit at the step's end, so stage 7 reads stage 6's
+    cos, sin and p*cos^2 + q*sin^2; stage 2's t-slope is left out, since
+    neither the 5th-order row nor the error row reads it.  ``max(u, v)`` is
+    written ``v if v > u else u`` and ``min(u, v)`` ``v if v < u else u``,
+    which is what the builtins compute, NaN included, and the error sum
+    starts at its first square, which is what adding that square to 0.0
+    gives.
     """
     rp, rq = ("rr" if e == 1 else f"r{e}" for e in (p, q))
     wp, wq = ("" if e == 1 else f"{e} * " for e in (p, q))
-    point = ["cs = cos(ps)", "sn = sin(ps)"]
-    point += [f"{name} = rr ** {e}" for name, e in ((rp, p), (rq, q)) if e > 1]
-    point += [f"rx = {rp} * cs", f"ry = {rq} * sn"]
+    angle = ["cs = cos(ps)", "sn = sin(ps)"]
+    radius = [f"{name} = rr ** {e}" for name, e in ((rp, p), (rq, q)) if e > 1]
+    radius += [f"rx = {rp} * cs", f"ry = {rq} * sn"]
     field_ = [*rhs.splitlines(), f"W = {wp}rx * fQ - {wq}ry * fP"]
     # a finite W without its sign; a non-finite one makes a non-finite error
-    check = ["if -inf < W * sign <= 0:", "    raise Turned"]
+    check = ["if 0 >= W > -inf:" if positive else "if 0 <= W < inf:", "    raise Turned"]
 
-    def slope(k):
+    def slope(k, weight=f"({wp}cs * cs + {wq}sn * sn)"):
         return [f"k{k}_0 = rr * ({rq} * cs * fP + {rp} * sn * fQ) / W",
-                f"k{k}_1 = {rp} * {rq} * ({wp}cs * cs + {wq}sn * sn) / W"]
+                f"k{k}_1 = {rp} * {rq} * {weight} / W"]
 
     stages = []
     for s, row in enumerate(_STAGES, start=2):
         r_new = f"y_0 + h * ({_weighted_sum(row, 0)})"
-        if s < 7:
-            node = f"psi + {_NODES[s - 2][0] / _NODES[s - 2][1]!r} * h" if s < 6 else "pn"
-            stages += [f"ps = {node}", f"rr = {r_new}", *point, *field_, *check, *slope(s)]
+        if s < 6:
+            node = f"psi + {_NODES[s - 2][0] / _NODES[s - 2][1]!r} * h"
+            # no row reads stage 2's t-slope
+            stages += [f"ps = {node}", f"rr = {r_new}", *angle, *radius, *field_, *check,
+                       *slope(s)[:1 if s == 2 else 2]]
+        elif s == 6:
+            stages += ["ps = pn", f"rr = {r_new}", *angle, *radius, *field_, *check,
+                       f"ang = {wp}cs * cs + {wq}sn * sn", *slope(6, weight="ang")]
         else:
             stages += [f"yn_0 = {r_new}", f"yn_1 = y_1 + h * ({_weighted_sum(row, 1)})"]
-    stages += ["ps = pn", "rr = yn_0", *point, *field_, *check, *slope(7)]
-    src = _LOOP.format(point="\n".join(" " * 4 + line for line in point),
+    # stage 7 at ps = pn, where stage 6 left cs, sn and ang
+    stages += ["rr = yn_0", *radius, *field_, *check, *slope(7, weight="ang")]
+    src = _LOOP.format(point="\n".join(" " * 4 + line for line in angle + radius),
                        field="\n".join(" " * 8 + line for line in field_),
+                       stalled="W <= 0" if positive else "W >= 0",
                        slope="\n".join(" " * 4 + line for line in slope(1)),
                        stages="\n".join(" " * 12 + line for line in stages),
                        error_0=_weighted_sum(_ERROR, 0), error_1=_weighted_sum(_ERROR, 1))
@@ -379,6 +407,82 @@ def _dopri_loop(rhs: str, p: int, q: int) -> Callable:
     xdot, ydot = (line.split(" = ", 1)[1] for line in rhs.splitlines()[-2:])
     exec(compile(src, f"<dopri ({p},{q}) xdot = {xdot}; ydot = {ydot}>", "exec"), ns)
     return ns["dopri_loop"]
+
+
+# The trapezoid sums of the condition (ii) integrand (c*P + s*Q)/W, with
+# W = p*c*Q - q*s*P, at the nodes tau*k/n, k = first, first + step, ... of
+# the upper half turn k <= n/2, each node with its reflection (c, -s) when
+# 0 < 2k < n.  {unpack} binds the coefficients; {node} computes P, Q, W and
+# the integrand v at (c, s) and {reflected} the same as u at (c, -s).
+_TRAPEZOID = """\
+def trapezoid_sums(cP, cQ, n, first, step):
+{unpack}
+    total = size = 0.0
+    for k in range(first, n // 2 + 1, step):
+        if 2 * k == n:
+            c, s = -1.0, 0.0
+        else:
+            c, s = cos(tau * k / n), sin(tau * k / n)
+{node}
+        size += abs(v)
+        if 0 < 2 * k < n:
+            m = -s
+{reflected}
+            size += abs(u)
+            v += u
+        total += v
+    return total, size
+"""
+
+
+def _integrand_source(exponents, x: str, y: str, p: int, q: int, out: str) -> list:
+    """Lines that compute the integrand at the point (``x``, ``y``) into
+    ``out``: the powers of ``y`` (those of ``x`` are shared), P and Q from
+    the coefficients ``a0, a1, ...`` and ``b0, b1, ...`` as :func:`_render`
+    writes the terms, left to right, and (x*P + y*Q)/W, or inf where W is 0."""
+    lines = [f"{y}{e} = {y} ** {e}" for e in sorted({j for comp in exponents
+                                                      for _, j in comp if j > 1})]
+    for name, coef, comp in (("P", "a", exponents[0]), ("Q", "b", exponents[1])):
+        parts = []
+        for k, (i, j) in enumerate(comp):
+            factors = [f"{coef}{k}"] + [v if e == 1 else f"{v}{e}"
+                                        for v, e in ((x, i), (y, j)) if e]
+            parts.append(" * ".join(factors))
+        lines.append(f"{name}_{out} = {' + '.join(parts) or '0.0'}")
+    wp, wq = ("" if e == 1 else f"{e} * " for e in (p, q))
+    lines += [f"W = {wp}{x} * Q_{out} - {wq}{y} * P_{out}",
+              f"{out} = ({x} * P_{out} + {y} * Q_{out}) / W if W else inf"]
+    return lines
+
+
+@functools.lru_cache(maxsize=16)
+def trapezoid_kernel(exponents, p: int, q: int) -> Callable:
+    """The trapezoid sums of the condition (ii) integrand for one monomial
+    structure and weights, generated and compiled on first use:
+    ``exponents`` holds the (i, j) of each term of P and of Q, in the order
+    of :func:`float_terms`.  The kernel is called as ``kernel(cP, cQ, n,
+    first, step)`` with the terms' float coefficients and returns the sum of
+    the integrand and the sum of its magnitude over the nodes
+    2*pi*k/n, k = first, first + step, ... <= n/2, with psi = pi taken as
+    exactly (-1.0, 0.0) and each node 0 < 2k < n joined by its reflection
+    (c, -s), which is added to it before it enters the sum.
+
+    Every float is the one :func:`compile_system`'s function gives at the
+    node: each term is coefficient * x**i * y**j from the left, with a power
+    computed once and read where it recurs, and the terms are added in
+    order; a weight 1 is left out, since 1*a is a."""
+    xs = sorted({i for comp in exponents for i, _ in comp if i > 1})
+    node = [f"c{e} = c ** {e}" for e in xs] + _integrand_source(exponents, "c", "s", p, q, "v")
+    reflected = _integrand_source(exponents, "c", "m", p, q, "u")
+    unpack = ["".join(f"{coef}{k}, " for k in range(len(comp))) + f"= {arg}"
+              for coef, arg, comp in (("a", "cP", exponents[0]), ("b", "cQ", exponents[1]))
+              if comp]
+    src = _TRAPEZOID.format(unpack="\n".join(" " * 4 + line for line in unpack),
+                            node="\n".join(" " * 8 + line for line in node),
+                            reflected="\n".join(" " * 12 + line for line in reflected))
+    ns = {"cos": math.cos, "sin": math.sin, "inf": math.inf, "tau": 2 * math.pi}
+    exec(compile(src, f"<trapezoid ({p},{q}) {exponents}>", "exec"), ns)
+    return ns["trapezoid_sums"]
 
 
 @dataclass
@@ -440,7 +544,7 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
     |displacement| <= max(1e-9, 100*rel_tol)*x0, focus evidence on a
     consistent sign, inconclusive otherwise.
     """
-    f = compile_system(s)
+    terms = float_terms(s)
     atols = []
     for x0 in x0_list:
         if x0 > guard_radius:
@@ -460,7 +564,7 @@ def return_map(s: PlaneSystem, x0_list: Sequence[float], transversal="x+",
     warnings: List[str] = []
     nfev = 0
     for x0, atol in zip(x0_list, atols):
-        traj = integrate_adaptive(f, weights, x0 ** (1 / e), span, guard_radius,
+        traj = integrate_adaptive(terms, weights, x0 ** (1 / e), span, guard_radius,
                                   rel_tol=rel_tol, abs_tol=atol)
         nfev += traj.nfev
         if traj.status == "escaped":

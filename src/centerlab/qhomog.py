@@ -29,7 +29,12 @@ rule on N equally spaced nodes converges geometrically (Trefethen &
 Weideman, SIAM Review 56, 2014); N doubles until two successive sums agree.
 Node N - k is the reflection (c, -s) of node k, and each reflected pair is
 added before it enters the sum, so a center that is reversible under
-(x, y, t) -> (x, -y, -t) sums to exactly 0.0.
+(x, y, t) -> (x, -y, -t) sums to exactly 0.0.  The sums run in
+:func:`numeric.trapezoid_kernel`, generated once per monomial structure and
+weights; a system passes its float coefficients (:func:`numeric.float_terms`),
+so the points of a sweep that keep their monomials compile nothing.
+Detection and the signature check read the exponents of P and Q from their
+keys (:meth:`MPoly.exponents_in`) and build no coefficient polynomial.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from math import gcd
 from typing import Optional, Tuple
 
 from .mpoly import MPoly
-from .numeric import compile_system
+from .numeric import float_terms, trapezoid_kernel
 from .realroots import univariate_gcd
 from .structure import weighted_form_sign
 from .systems import PlaneSystem
@@ -59,7 +64,7 @@ class QHSignature:
 def _xy_exponents(s: PlaneSystem) -> set:
     """(i, j, 0) for each monomial x^i y^j of P and (i, j, 1) for each of Q."""
     return {(i, j, c) for c, poly in enumerate((s.P, s.Q))
-            for i, j in poly.coefficients_in_vars(("x", "y"))}
+            for i, j in poly.exponents_in(("x", "y"))}
 
 
 def _signature(exponents: set, p: int, q: int) -> Optional[QHSignature]:
@@ -162,7 +167,8 @@ def _period_integral(s: PlaneSystem, sig: QHSignature,
     with (c, s) = (cos psi, sin psi) and W = p*c*Q - q*s*P, for a system whose
     condition (i) is already known to hold, by the periodic trapezoid rule
     on the nodes 2*pi*k/n (the slope d(log r)/dpsi of the return map at
-    r = 1, see the module docstring).
+    r = 1, see the module docstring), summed by the kernel of the system's
+    monomials and weights.
 
     Only the upper half turn k <= n/2 calls cos and sin, with psi = pi taken
     as exactly (-1.0, 0.0): node n - k is the reflection (c, -s) of node k,
@@ -176,40 +182,17 @@ def _period_integral(s: PlaneSystem, sig: QHSignature,
     or error."""
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
-    fPQ = compile_system(s)
-    p, q = sig.p, sig.q
+    terms = float_terms(s)
+    kernel = trapezoid_kernel(tuple(tuple((i, j) for _, i, j in comp) for comp in terms),
+                              sig.p, sig.q)
+    cP, cQ = (tuple(c for c, _, _ in comp) for comp in terms)
     tau = 2 * math.pi
-
-    def integrand(c, sn):
-        P, Q = fPQ(c, sn)
-        W = p * c * Q - q * sn * P
-        # W rounding to 0 at a node makes the sums non-finite
-        return (c * P + sn * Q) / W if W else math.inf
-
-    def sums(n, first, step):
-        # the integrand at the nodes tau*k/n, k = first, first + step, ... < n:
-        # each node of the upper half turn and its reflection (c, -s)
-        total = size = 0.0
-        for k in range(first, n // 2 + 1, step):
-            if 2 * k == n:
-                c, sn = -1.0, 0.0
-            else:
-                c, sn = math.cos(tau * k / n), math.sin(tau * k / n)
-            v = integrand(c, sn)
-            size += abs(v)
-            if 0 < 2 * k < n:
-                u = integrand(c, -sn)
-                size += abs(u)
-                v += u
-            total += v
-        return total, size
-
     n = MIN_NODES
-    total, size = sums(n, 0, 1)
+    total, size = kernel(cP, cQ, n, 0, 1)
     value = tau * total / n
     while True:
         n *= 2
-        odd_total, odd_size = sums(n, 1, 2)
+        odd_total, odd_size = kernel(cP, cQ, n, 1, 2)
         total += odd_total
         size += odd_size
         new = tau * total / n

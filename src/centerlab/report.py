@@ -18,10 +18,13 @@ otherwise (a key that is not a string, a value of another type) raises
 A polynomial is written straight from its integer edge,
 :meth:`MPoly.integer_terms`: the key text of each table's exponents is built
 once, in name order (the ``sort_keys`` order), and each term is one
-formatted string, so no ``Fraction`` and no dict is built per term.  The
-canonical string is :meth:`MPoly.render` with eps shown as ``ε``.  Table
-names are letters, ASCII digits and ``_``, so this is the variable eps alone:
-a name such as ``keps`` or ``eps2`` keeps its letters.
+formatted string, so no ``Fraction`` and no dict is built per term.  An
+entry (:func:`polynomial_entry`, :func:`condition_entry`,
+:func:`ratfunc_entry`) sorts and unpacks each polynomial once: its term list
+and its canonical string (the text of :meth:`MPoly.render`, with eps shown
+as ``ε``) are both written from that one list.  Table names are letters,
+ASCII digits and ``_``, so this is the variable eps alone: a name such as
+``keps`` or ``eps2`` keeps its letters.
 
 The writer walks the data itself because ``json`` encodes indented output
 with its pure-Python encoder, and the benchmark's reference outputs pin the
@@ -37,32 +40,50 @@ from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import Optional
 
-from .mpoly import MPoly
+from .mpoly import MPoly, render_terms
 from .ratfunc import RatFunc
 
 _SHOWN = {"eps": "ε"}
 _INDENT = "  "
 
 
-def display_str(obj) -> str:
-    """The canonical string of an ``MPoly`` or ``RatFunc``, eps shown as ε."""
-    return obj.render(_SHOWN)
+class _Listed:
+    """A polynomial as the writer takes it: its table and its
+    :meth:`MPoly.integer_terms` list, read once for both its term list and
+    its canonical string."""
+
+    __slots__ = ("vars", "rows")
+
+    def __init__(self, p: MPoly):
+        self.vars = p.vars
+        self.rows = p.integer_terms()
+
+    def canonical(self) -> str:
+        return render_terms(self.vars, self.rows, _SHOWN)
+
+
+def polynomial_entry(poly: MPoly, key: str = "terms", **extra) -> dict:
+    """``{key: the term list of poly, "canonical": its canonical string}``
+    plus ``extra``."""
+    listed = _Listed(poly)
+    return {key: listed, "canonical": listed.canonical(), **extra}
 
 
 def ratfunc_entry(v: RatFunc, k: Optional[int], degree: int) -> dict:
+    num, den = _Listed(v.num), _Listed(v.den)
+    # RatFunc.render: the numerator alone over the denominator 1
+    text, den_text = num.canonical(), den.canonical()
     return {
         "k": k,
         "degree": degree,
-        "num_terms": v.num,
-        "den_terms": v.den,
-        "canonical": display_str(v),
+        "num_terms": num,
+        "den_terms": den,
+        "canonical": text if den_text == "1" else f"({text})/({den_text})",
     }
 
 
 def condition_entry(eps_order: int, poly: MPoly, **extra) -> dict:
-    d = {"eps_order": eps_order, "poly": poly, "canonical": display_str(poly)}
-    d.update(extra)
-    return d
+    return polynomial_entry(poly, "poly", eps_order=eps_order, **extra)
 
 
 def to_json(report: dict, no_timings: bool = False) -> str:
@@ -117,8 +138,10 @@ def _write(value, nl: str, out: list) -> None:
             sep = "," + inner
             _write(value[key], inner, out)
         out.append(nl + "}")
+    elif isinstance(value, _Listed):
+        out.append(_terms_text(value.vars, value.rows, nl))
     elif isinstance(value, MPoly):
-        out.append(_terms_text(value, nl))
+        out.append(_terms_text(value.vars, value.integer_terms(), nl))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -131,14 +154,15 @@ def _exponent_keys(names: tuple, nl: str) -> tuple:
                  for i in sorted(range(len(names)), key=names.__getitem__))
 
 
-def _terms_text(p: MPoly, nl: str) -> str:
-    """The term list of ``p`` as its list of term dicts would be written."""
-    terms = p.integer_terms()
+def _terms_text(table: tuple, terms: list, nl: str) -> str:
+    """The term list of a polynomial over ``table`` with the
+    :meth:`MPoly.integer_terms` list ``terms``, as its list of term dicts
+    would be written."""
     if not terms:
         return "[]"
     t1 = nl + _INDENT
     t2 = t1 + _INDENT
-    keys = _exponent_keys(p.vars, t2 + _INDENT)
+    keys = _exponent_keys(table, t2 + _INDENT)
     head, num_key, exp_key = f'{{{t2}"coeff_den": ', f',{t2}"coeff_num": ', f',{t2}"exponents": '
     items = []
     for e, num, den in terms:

@@ -13,7 +13,7 @@ import pytest
 
 from centerlab.liapunov import DegreePass, _linear_scalars, _solve_degree
 from centerlab.mpoly import MPoly, Rat
-from centerlab.numeric import compile_system, integrate_adaptive, return_map
+from centerlab.numeric import float_terms, integrate_adaptive, return_map
 from centerlab.parser import DarbouxExpr
 from centerlab.perturb import (
     build_perturbation,
@@ -496,7 +496,7 @@ def test_criterion_7_energy_conservation():
             # one turn of the polar angle from (x0, 0); draws that leave the
             # radius 0.5, or whose level curve stops turning around the
             # origin (W loses its sign on it), are skipped
-            traj = integrate_adaptive(compile_system(s), w, x0, (0.0, w.sign * 2 * math.pi),
+            traj = integrate_adaptive(float_terms(s), w, x0, (0.0, w.sign * 2 * math.pi),
                                       0.5, rel_tol=1e-12, abs_tol=1e-14)
         except IntegrationError:
             continue

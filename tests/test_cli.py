@@ -421,6 +421,29 @@ def test_perturbation_of_the_wrong_class_exits_3(sysfile, capsys, text, choice, 
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("path,cls", [
+    (SAMPLES.parent / "bench" / "systems" / "center_cubic_member.sys", "linear_type"),
+    (SAMPLES / "degenerate_quintic.sys", "perturbed_degenerate"),
+])
+@pytest.mark.parametrize("choice", ["minimal", "general", "general:3"])
+def test_minimal_or_general_on_another_class_names_the_choice(capsys, path, cls, choice):
+    # minimal and general take the kind of a nilpotent or degenerate system:
+    # on any other class the refusal names the command-line choice and the
+    # class, not a kind the command line never asked for
+    rc = main(["liapunov", str(path), "--perturb", choice, "--no-timings"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err == (f"class mismatch: --perturb {choice} needs a nilpotent or "
+                            f"degenerate system, got {cls}\n")
+
+
+def test_a_bad_general_degree_is_a_parse_error_on_any_class(capsys):
+    # the choice is parsed before the class is checked
+    path = SAMPLES.parent / "bench" / "systems" / "center_cubic_member.sys"
+    rc = main(["liapunov", str(path), "--perturb", "general:x", "--no-timings"])
+    assert (rc, capsys.readouterr().out) == (2, "")
+
+
 @pytest.mark.parametrize("choice", ["none:3", "minimal:2", "hamiltonian:2", "nilpotent:2"])
 def test_a_degree_on_a_minimal_choice_is_a_parse_error(sysfile, capsys, choice):
     rc = main(["liapunov", sysfile(DEG_CUBIC), "--perturb", choice, "--no-timings"])

@@ -619,6 +619,25 @@ def test_coefficients_in_vars_round_trip(rng):
         assert back == p and back.terms == p.terms
 
 
+def test_exponents_in_and_integer_terms_in_match_the_terms_view(rng):
+    for table, p, _ in _kernel_cases(rng):
+        names = table[:2] if rng.random() < 0.5 else (table[2], table[0])
+        idx = [table.index(v) for v in names]
+        assert p.exponents_in(names) == {tuple(e[i] for i in idx) for e in p.terms}
+        assert p.exponents_in(names) == set(p.coefficients_in_vars(names))
+        # a polynomial in names alone: its terms cut to names, in descending
+        # graded-lex order of the cut tuples, each coefficient in lowest terms
+        only = MPoly(table, {e: c for e, c in p.terms.items()
+                             if all(k == 0 for i, k in enumerate(e) if i not in idx)})
+        cut = [(tuple(e[i] for i in idx), c) for e, c in only.terms.items()]
+        cut.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        assert only.integer_terms_in(names) == [
+            (k, c.numerator, c.denominator) for k, c in cut]
+        if len(only) < len(p):
+            with pytest.raises(ValueError, match="variables other than"):
+                p.integer_terms_in(names)
+
+
 def test_subs_matches_fraction_reference(rng):
     table = merge_tables(TAB, ("a", "b"))
     cancelled = 0

@@ -15,6 +15,7 @@ from centerlab.numeric import (
     _dopri_loop,
     _inline_rhs,
     compile_system,
+    float_terms,
     integrate_adaptive,
     return_map,
 )
@@ -43,7 +44,7 @@ POLAR = MonodromyWeights(1, 1, 1)
 
 def integrate_system(s, r0, psi_span, rel_tol=1e-10, abs_tol=1e-12, **kw):
     """A run of the package's loop on ``s`` in its own monodromy weights."""
-    return integrate_adaptive(compile_system(s), monodromy_weights(s), r0, psi_span,
+    return integrate_adaptive(float_terms(s), monodromy_weights(s), r0, psi_span,
                               rel_tol=rel_tol, abs_tol=abs_tol, **kw)
 
 
@@ -62,6 +63,11 @@ def _with_float_terms(terms):
     exec(f"def f(x, y):\n    return ({p}, {q})\n", ns)
     ns["f"].float_terms = terms
     return ns["f"]
+
+
+def _inlined(f, *args, **kw):
+    # the package's loop on the float terms of f, called as psi_run calls f
+    return integrate_adaptive(f.float_terms, *args, **kw)
 
 
 HARMONIC = "xdot = -y; ydot = x"
@@ -226,7 +232,7 @@ def test_non_finite_step_is_rejected(bad):
     f = _with_float_terms((terms, ((1.0, 1, 0),)))
     assert f(0.5, 2.0) == (-2.0, 0.5) and repr(f(0.5000000000000001, 2.0)[0]) == repr(bad)
     errors = []
-    for run in (psi_run, integrate_adaptive):
+    for run in (psi_run, _inlined):
         with pytest.raises(IntegrationError) as err:
             run(f, POLAR, 2.0, (math.pi / 2, 0.0))
         errors.append((str(err.value), err.value.closest_approach))
@@ -254,14 +260,14 @@ def test_right_hand_side_overflow_is_rejected():
 
     watched.float_terms = f.float_terms
     errors = []
-    for run in (psi_run, integrate_adaptive):
+    for run in (psi_run, _inlined):
         with pytest.raises(IntegrationError) as err:
             run(watched, POLAR, 0.9, (0.0, 0.5))
         errors.append((str(err.value), err.value.closest_approach))
     assert errors[0] == errors[1] == ("step size underflow at psi=0.126179", 0.9)
     assert overflows
     # at the start itself the right-hand side is not finite
-    for run in (psi_run, integrate_adaptive):
+    for run in (psi_run, _inlined):
         with pytest.raises(IntegrationError, match=r"not finite at psi=0$") as err:
             run(f, POLAR, 1.5, (0.0, 1.0))
         assert err.value.closest_approach == 1.5
@@ -378,20 +384,13 @@ def test_scalar_core_matches_numpy_reference_max_steps():
 
 def _assert_bit_identical(f, weights, r0, psi_span, **kw):
     # the oracle is the tuple loop on the psi right-hand side, which calls f
-    # at every stage (psi_run); the generated loop inlines f and never calls
-    # it.  == on every field of the Trajectory (end points, status, nfev,
-    # steps, closest approach); repr also tells -0.0 from 0.0.  Returns the
+    # at every stage (psi_run); the generated loop inlines f's float terms.
+    # == on every field of the Trajectory (end points, status, nfev, steps,
+    # closest approach); repr also tells -0.0 from 0.0.  Returns the
     # Trajectory and the tuple loop's full run.
-    calls = []
-
-    def counted(x, y):
-        calls.append((x, y))
-        return f(x, y)
-
-    counted.float_terms = f.float_terms
     ref, run = psi_run(f, weights, r0, psi_span, **kw)
-    got = integrate_adaptive(counted, weights, r0, psi_span, **kw)
-    assert calls == [] and got.nfev >= 1
+    got = integrate_adaptive(f.float_terms, weights, r0, psi_span, **kw)
+    assert got.nfev >= 1
     assert got == ref
     assert repr(got) == repr(ref)
     return got, run
@@ -467,7 +466,7 @@ def test_generated_loop_bit_identical_overflow_rejection():
     # = r^3 blows up at psi = 1/(2*r0^2) = 0.5
     g = _with_float_terms((f.float_terms[0], f.float_terms[1][:3]))
     errors = []
-    for integrate in (psi_run, integrate_adaptive):
+    for integrate in (psi_run, _inlined):
         with pytest.raises(IntegrationError) as err:
             integrate(g, POLAR, 1.0, (0.0, 10.0))
         errors.append((str(err.value), err.value.closest_approach))
@@ -508,7 +507,7 @@ def test_generated_code_names_its_source(monkeypatch):
     assert g.__code__.co_filename == "<rhs xdot = -1.0*y**3; ydot = 1.0*x**5 + 1.0*x**3>"
     # the loop with a system's right-hand side inlined names its weights and
     # that system
-    labels = {fn: _dopri_loop(_inline_rhs(fn.float_terms), 1, 1).__code__.co_filename
+    labels = {fn: _dopri_loop(_inline_rhs(fn.float_terms), 1, 1, True).__code__.co_filename
               for fn in (f, g)}
     assert labels == {f: "<dopri (1,1) xdot = -ry; ydot = rx>",
                       g: "<dopri (1,1) xdot = -ry3; ydot = rx5 + rx3>"}
@@ -622,7 +621,7 @@ def test_return_map_reports_psi_vanishing_along_the_orbit():
     assert psis[2] == 0 and 0 < psis[1] < psis[0] < 2 * math.pi
     # the orbit of x0 = 0.1 does meet the line there
     f = compile_system(s)
-    traj = integrate_adaptive(f, POLAR, 0.1, (0.0, 2 * math.pi), 1.0, 1e-12, 1e-14)
+    traj = integrate_adaptive(f.float_terms, POLAR, 0.1, (0.0, 2 * math.pi), 1.0, 1e-12, 1e-14)
     x, y = psi_point(1, 1, traj.psi[-1], traj.y[-1][0])
     assert traj.status == "stalled" and abs(x - 0.2) <= 1e-6 and traj.steps > 10
 
@@ -677,7 +676,7 @@ _WALL = (1e-300, 710200, 0)
 def test_crossing_tail_raises_as_dense_tail(monkeypatch, rhs, message):
     # the return map raises what its tuple-loop oracle raises
     f, x0 = rhs()
-    monkeypatch.setattr(numeric, "compile_system", lambda s: f)
+    monkeypatch.setattr(numeric, "float_terms", lambda s: f.float_terms)
     monkeypatch.setattr(reference_dopri, "compile_system", lambda s: f)
     s = parse_system(HARMONIC)
     errors = []
@@ -709,11 +708,11 @@ def test_crossing_tail_keeps_bounded_memory():
 def test_crossing_checks_its_inputs():
     f = _with_float_terms((((-1.0, 0, 1),), ((1.0, 2000, 0),)))
     with pytest.raises(IntegrationError, match="not finite") as err:
-        integrate_adaptive(f, POLAR, 2.0, (0.0, 1.0))
+        integrate_adaptive(f.float_terms, POLAR, 2.0, (0.0, 1.0))
     assert err.value.closest_approach == 2.0
-    # the loop inlines the right-hand side, so it needs compile_system's terms
-    with pytest.raises(ValueError, match="compile_system"):
-        integrate_adaptive(lambda x, y: (-y, x), POLAR, 1.0, (0.0, 1.0))
+    # the sign of W is 1 or -1
+    with pytest.raises(ValueError, match="the sign of W must be 1 or -1, got 0"):
+        integrate_adaptive(f.float_terms, MonodromyWeights(1, 1, 0), 1.0, (0.0, 1.0))
 
 
 # -- bit-exact test of the inlined right-hand side against the call path --
@@ -765,7 +764,7 @@ def test_inlined_rhs_bit_identical_when_a_power_overflows():
     # steps are rejected until the step size underflows, in both loops
     f = _with_float_terms((((-1.0, 0, 1), (1.0, 2000, 0)), ((1.0, 1, 0),)))
     errors = []
-    for integrate in (psi_run, integrate_adaptive):
+    for integrate in (psi_run, _inlined):
         with pytest.raises(IntegrationError, match="step size underflow") as err:
             integrate(f, POLAR, 1.2, (0.0, -2.0))
         errors.append((str(err.value), err.value.closest_approach))
@@ -787,11 +786,12 @@ def test_inlined_loop_cached_by_source_text():
     assert plus.float_terms == minus.float_terms
     rhs_plus, rhs_minus = _inline_rhs(plus.float_terms), _inline_rhs(minus.float_terms)
     assert rhs_plus != rhs_minus
-    assert _dopri_loop(rhs_plus, 1, 1) is not _dopri_loop(rhs_minus, 1, 1)
-    assert _dopri_loop(rhs_minus, 1, 1).__code__.co_filename == \
+    assert _dopri_loop(rhs_plus, 1, 1, True) is not _dopri_loop(rhs_minus, 1, 1, True)
+    assert _dopri_loop(rhs_minus, 1, 1, True).__code__.co_filename == \
         "<dopri (1,1) xdot = -0.0*rx3 - ry; ydot = rx>"
-    # and the weights are part of the key
-    assert _dopri_loop(rhs_plus, 1, 2) is not _dopri_loop(rhs_plus, 1, 1)
+    # and the weights and the sign of W are part of the key
+    assert _dopri_loop(rhs_plus, 1, 2, True) is not _dopri_loop(rhs_plus, 1, 1, True)
+    assert _dopri_loop(rhs_plus, 1, 1, False) is not _dopri_loop(rhs_plus, 1, 1, True)
     # a sweep of 40 distinct systems builds 40 loops and keeps at most the
     # cache's small bound
     before = info()

@@ -1,10 +1,11 @@
 import cmath
 import math
+import random
 from pathlib import Path
 
 import pytest
 
-from centerlab import numeric, qhomog
+from centerlab import cli, numeric, qhomog
 from centerlab.mpoly import MPoly, Rat
 from centerlab.numeric import compile_system
 from centerlab.qhomog import (
@@ -365,6 +366,115 @@ def test_trapezoid_matches_double_dopri_reference(s, sig):
         assert verdict == _reference_verdict(value, error)
     # the halving difference is far below the double integration's estimate
     assert r.error <= error
+
+
+def compiled_period_integral(s, sig, rel_tol=1e-12):
+    """The trapezoid rule as the package ran it before its generated kernel:
+    the integrand calls ``compile_system``'s function at each node, and a
+    Python loop sums each node of the upper half turn with its reflection."""
+    fPQ = compile_system(s)
+    p, q = sig.p, sig.q
+    tau = 2 * math.pi
+
+    def integrand(c, sn):
+        P, Q = fPQ(c, sn)
+        W = p * c * Q - q * sn * P
+        return (c * P + sn * Q) / W if W else math.inf
+
+    def sums(n, first, step):
+        total = size = 0.0
+        for k in range(first, n // 2 + 1, step):
+            if 2 * k == n:
+                c, sn = -1.0, 0.0
+            else:
+                c, sn = math.cos(tau * k / n), math.sin(tau * k / n)
+            v = integrand(c, sn)
+            size += abs(v)
+            if 0 < 2 * k < n:
+                u = integrand(c, -sn)
+                size += abs(u)
+                v += u
+            total += v
+        return total, size
+
+    n = qhomog.MIN_NODES
+    total, size = sums(n, 0, 1)
+    value = tau * total / n
+    while True:
+        n *= 2
+        odd_total, odd_size = sums(n, 1, 2)
+        total += odd_total
+        size += odd_size
+        new = tau * total / n
+        diff = abs(new - value)
+        value = new
+        converged = diff <= rel_tol * (tau * size / n)
+        if converged or n >= qhomog.MAX_NODES or not math.isfinite(diff):
+            err = diff + abs(value) * rel_tol * 10 + 1e-15
+            return qhomog.ConditionIIResult(value, err, n, diff, converged)
+
+
+def _random_qh_systems(seed, count):
+    """``count`` seeded (p,q)-quasi-homogeneous systems with small rational
+    coefficients whose condition (i) holds, each with its signature."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p, q = rng.choice([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3)])
+        m = rng.randint(1, 7)
+        terms = []
+        for w in (p - 1 + m, q - 1 + m):
+            fits = [(i, j) for i in range(w // p + 1) for j in range(w // q + 1)
+                    if p * i + q * j == w]
+            picked = rng.sample(fits, rng.randint(1, len(fits))) if fits else []
+            terms.append({e: Rat(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 7))
+                          for e in picked})
+        if not all(terms):
+            continue
+        s = PlaneSystem(MPoly(("x", "y"), terms[0]), MPoly(("x", "y"), terms[1]))
+        sig = detect_quasi_homogeneity(s)
+        if sig is None:
+            continue
+        try:
+            if not condition_i_no_real_factors(s, sig).holds:
+                continue
+        except ValueError:
+            continue
+        out.append((s, sig))
+    return out
+
+
+_KERNEL_CASES = (
+    [(f"cubic-lambda={lam}-mu={k}/8", _cubic(lam, Rat(k, 8)), SIG11)
+     for lam in (0, 1) for k in range(25)]
+    + [(f"ham-qh-{a}-{b}", substitute(parse_system(HAM_QH), {"a": a, "b": b}), SIG238)
+       for a, b in ((1, 1), (3, Rat(2, 7)), (-1, 5))]
+    + [(f"random-{k}", s, sig) for k, (s, sig) in enumerate(_random_qh_systems(20261020, 12))])
+
+
+@pytest.mark.parametrize("s,sig", [c[1:] for c in _KERNEL_CASES],
+                         ids=[c[0] for c in _KERNEL_CASES])
+def test_kernel_matches_compiled_integrand(s, sig):
+    # the generated kernel gives every float of the integrand that calls the
+    # compiled right-hand side: value, error, nodes, halving difference and
+    # convergence are identical (repr tells -0.0 and nan apart as == cannot)
+    got = qhomog._period_integral(s, sig)
+    ref = compiled_period_integral(s, sig)
+    assert [repr(getattr(got, f)) for f in ("value", "error", "nodes", "difference", "converged")] \
+        == [repr(getattr(ref, f)) for f in ("value", "error", "nodes", "difference", "converged")]
+
+
+def test_sweep_with_a_fixed_structure_compiles_one_kernel(tmp_path):
+    # the six points of a sweep share their monomials and weights, so they
+    # share one kernel and pass only their coefficients
+    root = Path(__file__).resolve().parents[1]
+    numeric.trapezoid_kernel.cache_clear()
+    rc = cli.main(["qhcenter", str(root / "sample_systems" / "homogeneous_cubic.sys"),
+                   "--set", "lambda=1", "--sweep", "mu=1/2:7/4:1/4", "--no-timings",
+                   "-o", str(tmp_path / "out.json")])
+    assert rc == 0
+    info = numeric.trapezoid_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 @pytest.mark.parametrize("s", [

@@ -16,7 +16,7 @@ import pytest
 
 from centerlab.mpoly import MPoly
 from centerlab.ratfunc import RatFunc
-from centerlab.report import condition_entry, display_str, ratfunc_entry, to_json
+from centerlab.report import condition_entry, polynomial_entry, ratfunc_entry, to_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -166,7 +166,7 @@ def test_polynomial_terms_and_canonical_string_match_the_old_writer_property():
     def check(p):
         assert to_json({"t": p}) == dumps({"t": old_poly_terms(p)})
         assert str(p) == old_str(p)
-        assert display_str(p) == old_display(old_str(p))
+        assert polynomial_entry(p)["canonical"] == old_display(old_str(p))
         entry = condition_entry(2, p, constant=1, solved=None)
         old = {"eps_order": 2, "poly": old_poly_terms(p),
                "canonical": old_display(old_str(p)), "constant": 1, "solved": None}
@@ -199,9 +199,15 @@ def test_rational_function_entries_match_the_old_writer_property():
 def test_canonical_string_shows_only_the_variable_eps_as_epsilon():
     table = ("x", "y", "eps", "eps2", "eps_a", "keps", "λeps")
     p = MPoly(table, {(0, 0, 1, 1, 1, 1, 1): 3, (0, 0, 2, 0, 0, 0, 0): Fraction(-1, 2)})
+    def display_str(obj):
+        if isinstance(obj, RatFunc):
+            return ratfunc_entry(obj, None, 0)["canonical"]
+        return polynomial_entry(obj)["canonical"]
+
     assert display_str(p) == "3*ε*eps2*eps_a*keps*λeps - 1/2*ε^2"
     v = RatFunc(MPoly.variable("keps", table), MPoly.variable("eps", table) + 1)
     assert display_str(v) == "(keps)/(ε + 1)"
+    assert display_str(RatFunc(MPoly.variable("keps", table), MPoly.const(table, 1))) == "keps"
     assert display_str(MPoly.const(table, Fraction(-5, 3))) == "-5/3"
     assert display_str(MPoly.zero(table)) == "0"
 

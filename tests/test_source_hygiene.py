@@ -73,6 +73,25 @@ def test_numpy_not_imported_by_package_or_cli():
     assert out.stdout.strip() == "False"
 
 
+def _exec_calls(source):
+    """``line:name`` for each call of the builtin ``exec``, ``eval`` or
+    ``compile`` in the module source."""
+    return [f"{node.lineno}:{node.func.id}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")]
+
+
+def test_generated_code_is_compiled_only_in_numeric():
+    # numeric generates and compiles its kernels from a system's float
+    # terms; no other module runs generated source
+    caught = ["exec(src, ns)\n", "f = eval('1')\n", "c = compile(src, 'x', 'exec')\n"]
+    assert all(_exec_calls(src) for src in caught)
+    assert _exec_calls("re.compile('a')\nmodel.eval()\n") == []
+    found = {path.name: _exec_calls(path.read_text()) for path in sorted(PACKAGE_DIR.rglob("*.py"))}
+    assert found.pop("numeric.py")
+    assert [f"{name}:{hit}" for name, hits in found.items() for hit in hits] == []
+
+
 def test_realroots_imports_nothing_from_the_package():
     # realroots is the univariate layer under mpoly (whose gcds it takes), so
     # it may not import a package module: that would be an import cycle
