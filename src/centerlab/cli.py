@@ -12,7 +12,9 @@ Exit codes: 0 ok, 2 parse error, 3 class mismatch / unusable input,
 analysis is unusable input (exit 3) is reported as ``"verdict": "refused"``
 with its ``"reason"``, and the sweep goes on; only a sweep in which every
 point is refused exits 3, with the first point's message.  An engine fault
-still ends the sweep with exit 4.  A system file that cannot be opened,
+still ends the sweep with exit 4.  A sweep of more than
+:data:`MAX_SWEEP_POINTS` points is a parse error (exit 2), read from the
+range before any point is built.  A system file that cannot be opened,
 read or decoded as UTF-8, or an ``-o`` path that cannot be written, exits 3
 with one line ``error: <path>: <reason>``.  System files are read and
 reports written as UTF-8, whatever the locale.
@@ -25,7 +27,7 @@ import functools
 import math
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .liapunov import MIN_EVEN_DEGREE, EngineError
 from .mpoly import Rat
@@ -37,7 +39,7 @@ from .perturb import (
     build_perturbation,
     center_conditions_pipeline,
 )
-from .qhomog import classify_qh_center, detect_quasi_homogeneity
+from .qhomog import QHPoint, classify_qh_center, detect_quasi_homogeneity, sweep_table
 from .report import condition_entry, polynomial_entry, ratfunc_entry, to_json
 from .structure import (
     characteristic_directions,
@@ -54,6 +56,9 @@ from .systems import (
     substitute,
 )
 from .numeric import check_tolerance, return_map
+
+#: the most points one ``qhcenter --sweep`` may ask for (exit 2 above it)
+MAX_SWEEP_POINTS = 10_000
 
 
 def _rat(option: str, text: str):
@@ -244,7 +249,7 @@ def cmd_reversible(args, s: PlaneSystem) -> dict:
 
 
 def cmd_qhcenter(args, s: PlaneSystem) -> dict:
-    def analyze(system: PlaneSystem, label: dict) -> dict:
+    def analyze(system: Union[PlaneSystem, QHPoint], label: dict) -> dict:
         sig = detect_quasi_homogeneity(system)
         if sig is None:
             return {**label, "verdict": "undecided",
@@ -275,16 +280,20 @@ def cmd_qhcenter(args, s: PlaneSystem) -> dict:
             raise ParseError(f"--sweep step must be positive, got {step}")
         if a > b:
             raise ParseError(f"--sweep start {a} is above its end {b}")
-        points = []
-        v = a
-        while v <= b:
-            points.append(v)
-            v = v + step
+        count = (b - a) // step + 1
+        if count > MAX_SWEEP_POINTS:
+            raise ParseError(f"--sweep gives {count} points, more than {MAX_SWEEP_POINTS}")
+        points = [a + k * step for k in range(count)]
+        # one integer table of the family; a point where it does not serve
+        # (see qhomog.QHTable.at and sweep_table) substitutes
+        table = sweep_table(s, name)
         entries, refused = [], []
         for v in points:
             label = {"sweep": {name: str(v)}}
             try:
-                entries.append(analyze(substitute(s, {name: v}), label))
+                point = table.at(v) if table else None
+                entries.append(analyze(substitute(s, {name: v}) if point is None else point,
+                                       label))
             except (ClassificationError, ValueError, RuntimeError) as exc:
                 # what main maps to exit 3 refuses this point alone
                 if isinstance(exc, (ParseError, EngineError)):

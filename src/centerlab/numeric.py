@@ -79,16 +79,22 @@ def float_terms(s: PlaneSystem) -> Tuple[Tuple[Tuple[float, int, int], ...], ...
 
 
 def _float_terms(p, name: str) -> Tuple[Tuple[float, int, int], ...]:
-    out = []
-    for (i, j), num, den in p.integer_terms_in(("x", "y")):
-        try:
-            out.append((num / den, i, j))
-        except OverflowError:
-            monomial = "*".join(v + (f"^{e}" if e > 1 else "")
-                                for v, e in (("x", i), ("y", j)) if e) or "1"
-            raise ValueError(f"{name}: the coefficient of {monomial} "
-                             "is too large for a float") from None
-    return tuple(out)
+    return tuple((coefficient_float(num, den, name, i, j), i, j)
+                 for (i, j), num, den in p.integer_terms_in(("x", "y")))
+
+
+def coefficient_float(num: int, den: int, name: str, i: int, j: int) -> float:
+    """The float of the coefficient ``num/den`` (``den > 0``) of x^i*y^j in
+    the component ``name``.  Division of ints rounds correctly, so the float
+    depends on the rational alone, not on its terms; a value too large for
+    a float raises ValueError naming the term."""
+    try:
+        return num / den
+    except OverflowError:
+        monomial = "*".join(v + (f"^{e}" if e > 1 else "")
+                            for v, e in (("x", i), ("y", j)) if e) or "1"
+        raise ValueError(f"{name}: the coefficient of {monomial} "
+                         "is too large for a float") from None
 
 
 def compile_system(s: PlaneSystem) -> Callable:

@@ -19,7 +19,9 @@ denominator.  A rational root of that integer-primitive part, with leading
 coefficient a_n, has a denominator dividing a_n, so a_n*r is an integer:
 each isolating interval is bisected below width 1/|a_n| and its one
 candidate is tested exactly.  An irrational root is refined to a float by
-bisecting the same integer interval further.
+bisecting the same integer interval further.  The same sum evaluates a
+family's integer coefficients at a rational point for
+:class:`centerlab.qhomog.QHTable`.
 
 This module imports nothing from the package, so ``mpoly`` can use it.
 """
@@ -111,10 +113,12 @@ def _sturm_chain(p: Sequence[int]) -> List[list]:
     return [c for c in chain if c]
 
 
-def _homogenised(coeffs: Sequence[int], m: int, den: int) -> int:
+def homogenised(coeffs: Sequence[int], m: int, den: int) -> int:
     """``den^d`` times the polynomial with integer ``coeffs`` (index =
-    power, degree d) at ``m / den``: ``sum_i c_i m^i den^(d-i)`` by Horner's
-    rule.  For ``den > 0`` it has the sign of the value at ``m / den``."""
+    power, d = len(coeffs) - 1) at ``m / den``: ``sum_i c_i m^i den^(d-i)``
+    by Horner's rule.  For ``den > 0`` it has the sign of the value at
+    ``m / den``.  Trailing zeros count in d, so lists padded to one length
+    are evaluated over one common power of ``den``."""
     acc, power = 0, 1
     for c in reversed(coeffs):
         acc = acc * m + c * power
@@ -128,7 +132,7 @@ def _sign_changes(values) -> int:
 
 
 def _changes_at(chain: List[list], m: int, den: int) -> int:
-    return _sign_changes([_homogenised(c, m, den) for c in chain])
+    return _sign_changes([homogenised(c, m, den) for c in chain])
 
 
 def isolate_real_roots(p: Sequence) -> List[Tuple[Optional[Fraction], float]]:
@@ -152,11 +156,11 @@ def isolate_real_roots(p: Sequence) -> List[Tuple[Optional[Fraction], float]]:
             roots.append((exact, _refine(sf, a, b, den) if exact is None else float(exact)))
             return
         a, b, den, mid = 2 * a, 2 * b, 2 * den, a + b
-        if not _homogenised(sf, mid, den):
+        if not homogenised(sf, mid, den):
             # a root on the midpoint: step right by a quarter of the width,
             # then by a third of the step before, until off every root
             a, b, mid, den, step = 4 * a, 4 * b, 4 * mid + b - a, 4 * den, b - a
-            while not _homogenised(sf, mid, den):
+            while not homogenised(sf, mid, den):
                 a, b, mid, den = 3 * a, 3 * b, 3 * mid + step, 3 * den
         nl = _changes_at(chain, a, den) - _changes_at(chain, mid, den)
         split(a, mid, den, nl)
@@ -176,11 +180,11 @@ def _rational_root_in(coeffs: Sequence[int], a: int, b: int, den: int):
     is bisected below that width and its one candidate floor(hi*|a_n|)/|a_n|
     tested."""
     an = abs(coeffs[-1])
-    slo = _homogenised(coeffs, a, den) > 0
+    slo = homogenised(coeffs, a, den) > 0
     while (b - a) * an >= den:
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
-        fm = _homogenised(coeffs, mid, den)
+        fm = homogenised(coeffs, mid, den)
         if not fm:
             return Fraction(mid, den)
         if (fm > 0) == slo:
@@ -188,7 +192,7 @@ def _rational_root_in(coeffs: Sequence[int], a: int, b: int, den: int):
         else:
             b = mid
     q = b * an // den
-    return Fraction(q, an) if a * an < q * den and not _homogenised(coeffs, q, an) else None
+    return Fraction(q, an) if a * an < q * den and not homogenised(coeffs, q, an) else None
 
 
 def _refine(coeffs: Sequence[int], a: int, b: int, den: int) -> float:
@@ -197,15 +201,15 @@ def _refine(coeffs: Sequence[int], a: int, b: int, den: int) -> float:
     width is below 1e-14 relative (at most 200 halvings).  Each quotient of
     integers rounds correctly, so the midpoints, the stop test and the
     returned float are those of the same bisection in exact fractions."""
-    fa = _homogenised(coeffs, a, den)
+    fa = homogenised(coeffs, a, den)
     if fa == 0:
         return a / den
-    if _homogenised(coeffs, b, den) == 0:
+    if homogenised(coeffs, b, den) == 0:
         return b / den
     for _ in range(200):
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
-        fm = _homogenised(coeffs, mid, den)
+        fm = homogenised(coeffs, mid, den)
         if fm == 0:
             return mid / den
         if (fm > 0) == (fa > 0):
@@ -232,7 +236,7 @@ def root_multiplicity(p: Sequence, r: Fraction) -> int:
     coeffs = _primitive(p)
     num, den = r.numerator, r.denominator
     m = 0
-    while len(coeffs) > 1 and not _homogenised(coeffs, num, den):
+    while len(coeffs) > 1 and not homogenised(coeffs, num, den):
         coeffs = _quotient(coeffs, (-num, den))
         m += 1
     return m

@@ -312,16 +312,24 @@ def weighted_form_sign(W: MPoly) -> Tuple[int, str]:
     point (0, +-1).  So W keeps one strict sign off the origin exactly when
     W(0, 1), its pure y-power coefficient, is nonzero and neither W(1, t)
     nor W(-1, t) has a real root (two Sturm counts each); the sign is that
-    of W(0, 1)."""
-    if W.is_zero:
+    of W(0, 1) (:func:`weighted_sign_on_lines`)."""
+    return weighted_sign_on_lines(sum(W.coefficient_list("y", {"x": 0})),
+                                  *(W.coefficient_list("y", {"x": x0}) for x0 in (1, -1)))
+
+
+def weighted_sign_on_lines(at_0_1, on_x1: Sequence, on_xm1: Sequence) -> Tuple[int, str]:
+    """:func:`weighted_form_sign` from the values it reads: W(0, 1) and the
+    coefficients of W(1, t) and W(-1, t) (index = power of t), all scaled
+    by one positive number or not at all.  A quasi-homogeneous W has at
+    most one term per power of y, so it is zero exactly when W(1, t) is."""
+    if not any(on_x1):
         return 0, "weighted form is identically zero"
-    c = sum(W.coefficient_list("y", {"x": 0}))  # W(0, 1)
-    if not c:
+    if not at_0_1:
         return 0, "x divides the weighted form"
-    for x0 in (1, -1):
-        if real_root_count(W.coefficient_list("y", {"x": x0})):
+    for x0, line in ((1, on_x1), (-1, on_xm1)):
+        if real_root_count(line):
             return 0, f"W({x0}, t) has a real root"
-    return (1 if c > 0 else -1), "W(1, t) and W(-1, t) have no real root (Sturm counts)"
+    return (1 if at_0_1 > 0 else -1), "W(1, t) and W(-1, t) have no real root (Sturm counts)"
 
 
 class MonodromyWeights(NamedTuple):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import centerlab
-from centerlab import numeric, ratfunc
+from centerlab import cli, numeric, ratfunc
 from centerlab.cli import main
 from centerlab.liapunov import DegreePass
 from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables
@@ -610,6 +610,31 @@ def test_exit_code_bad_sweep_is_parse_error(sysfile, capsys, sweep):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("sweep,count", [("mu=0:1000:1/100000", 100000001),
+                                         ("mu=0:10000:1", 10001)])
+def test_sweep_with_too_many_points_is_refused_before_any_point(sysfile, capsys, monkeypatch,
+                                                                 sweep, count):
+    # the count is read from the range, so no point list is built: no
+    # analysis runs, and a range of 10^8 points fails at once
+    analysed = []
+    monkeypatch.setattr(cli, "sweep_table", lambda *a: analysed.append(a))
+    rc = main(["qhcenter", sysfile(HOMOG_CUBIC), "--set", "lambda=1", "--sweep", sweep,
+               "--no-timings"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and analysed == []
+    assert captured.err == (f"parse error: --sweep gives {count} points, more than "
+                            f"{cli.MAX_SWEEP_POINTS}\n")
+
+
+def test_sweep_of_exactly_the_most_points_runs(sysfile, capsys):
+    rc, data = run_cli(["qhcenter", sysfile(HOMOG_CUBIC), "--set", "lambda=1", "--sweep",
+                        f"mu=0:{cli.MAX_SWEEP_POINTS - 1}:1", "--no-timings"], capsys)
+    assert rc == 0
+    entries = data["qhomog"]["sweep"]
+    assert len(entries) == cli.MAX_SWEEP_POINTS
+    assert entries[-1]["sweep"] == {"mu": str(cli.MAX_SWEEP_POINTS - 1)}
 
 
 def _refused(capsys, rc, code, option):

@@ -1,11 +1,16 @@
 import cmath
+import contextlib
+import io
+import json
 import math
 import random
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from centerlab import cli, numeric, qhomog
+from centerlab import cli, numeric, qhomog, systems
 from centerlab.mpoly import MPoly, Rat
 from centerlab.numeric import compile_system
 from centerlab.qhomog import (
@@ -13,7 +18,6 @@ from centerlab.qhomog import (
     classify_qh_center,
     condition_i_no_real_factors,
     detect_quasi_homogeneity,
-    qh_signature,
 )
 from centerlab.systems import PlaneSystem, parse_system, substitute
 
@@ -360,7 +364,7 @@ def test_trapezoid_matches_double_dopri_reference(s, sig):
     assert abs(r.value - value) <= 1e-9
     # HAM_QH_EPS at eps = 1 is not (2,3)-quasi-homogeneous, so it has no
     # verdict to compare; its integral is still defined
-    if qh_signature(s, sig.p, sig.q) == sig:
+    if detect_quasi_homogeneity(s) == sig:
         verdict, info = classify_qh_center(s, sig)
         assert info["condition_ii"] == r
         assert verdict == _reference_verdict(value, error)
@@ -475,6 +479,129 @@ def test_sweep_with_a_fixed_structure_compiles_one_kernel(tmp_path):
     assert rc == 0
     info = numeric.trapezoid_kernel.cache_info()
     assert (info.misses, info.hits) == (1, 5)
+
+
+# -- sweeps from one integer table ------------------------------------------------
+
+CUBIC_FILE = Path(__file__).resolve().parents[1] / "sample_systems" / "homogeneous_cubic.sys"
+
+
+def _qhomog_report(argv, path):
+    """The qhomog block of one in-process qhcenter run, or the exit code and
+    the error line when it exits nonzero."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["qhcenter", str(CUBIC_FILE), *argv, "--no-timings", "-o", str(path)])
+    if rc:
+        return rc, err.getvalue()
+    return json.loads(path.read_text())["qhomog"]
+
+
+def test_table_points_match_the_substituted_system_property():
+    # the family table at a point gives the monomials, float coefficients
+    # and signature of the system that substitute builds there, and None
+    # exactly where that system has fewer monomials
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    family = parse_system(CUBIC_FILE.read_text())
+    rationals = st.fractions(-4, 4, max_denominator=12)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(rationals, st.one_of(rationals, st.sampled_from([Rat(25, 9), Rat(0)])))
+    def check(lam, mu):
+        s = substitute(family, {"lambda": lam})
+        point = qhomog.sweep_table(s, "mu").at(mu)
+        fixed = substitute(s, {"mu": mu})
+        terms = numeric.float_terms(fixed)
+        exponents = tuple(tuple((i, j) for _, i, j in comp) for comp in terms)
+        if point is None:
+            assert exponents != qhomog.sweep_table(s, "mu").exponents
+            return
+        assert point.table.exponents == exponents
+        assert point.floats() == tuple(tuple(c for c, _, _ in comp) for comp in terms)
+        assert detect_quasi_homogeneity(point) == detect_quasi_homogeneity(fixed)
+        assert [Fraction(n, point.den) for comp in point.numerators for n in comp] \
+            == [Fraction(num, den) for poly in (fixed.P, fixed.Q)
+                for _, num, den in poly.integer_terms_in(("x", "y"))]
+
+    check()
+
+
+def test_sweep_entries_match_one_point_runs_property(tmp_path):
+    # every entry of a sweep, apart from its label, is the qhomog block of
+    # the one-point run at its value, refusals included
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    out = tmp_path / "out.json"
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.fractions(-3, 3, max_denominator=6),
+                      st.fractions(-2, 4, max_denominator=9),
+                      st.fractions(Fraction(1, 9), 1, max_denominator=9))
+    def check(lam, start, step):
+        end = start + 2 * step
+        swept = _qhomog_report(["--set", f"lambda={lam}", "--sweep", f"mu={start}:{end}:{step}"],
+                               out)
+        singles = [_qhomog_report(["--set", f"lambda={lam}", "--set", f"mu={v}"], out)
+                   for v in (start, start + step, end)]
+        if isinstance(swept, tuple):
+            # every point refused: the sweep exits with the first one's error
+            assert all(isinstance(r, tuple) for r in singles) and swept == singles[0]
+            return
+        for entry, single, v in zip(swept["sweep"], singles, (start, start + step, end)):
+            assert entry.pop("sweep") == {"mu": str(v)}
+            if entry["verdict"] == "refused":
+                assert single == (3, f"error: {entry['reason']}\n")
+            else:
+                assert entry == single
+
+    check()
+
+
+def test_sweep_reads_a_new_structure_through_substitute(monkeypatch, tmp_path):
+    # at lambda = 1, mu = 25/9 removes P's y^3 term: that point alone is
+    # built by substitute, and its entry is the one-point run's (x divides
+    # W there, so condition (i) fails and no second kernel is compiled)
+    calls = _count_calls(monkeypatch, cli, "substitute")
+    swept = _qhomog_report(["--set", "lambda=1", "--sweep", "mu=2:3:1/9"], tmp_path / "a.json")
+    assert [c[1] for c in calls] == [{"lambda": Rat(1)}, {"mu": Rat(25, 9)}]
+    entry = swept["sweep"][7]
+    assert entry.pop("sweep") == {"mu": "25/9"}
+    assert entry == _qhomog_report(["--set", "lambda=1", "--set", "mu=25/9"], tmp_path / "b.json")
+    assert entry["verdict"] == "undecided" and entry["condition_i"] is False
+
+
+def test_a_refused_point_of_the_table_keeps_its_reason(tmp_path):
+    # at lambda = 0, mu = 0 every monomial of the family stays, so the point
+    # is read from the table, and the gcd of P(1, t) and Q(1, t) refuses it
+    s = substitute(parse_system(CUBIC_FILE.read_text()), {"lambda": 0})
+    point = qhomog.sweep_table(s, "mu").at(Rat(0))
+    assert point is not None
+    reason = "P and Q must be coprime; P(1, t) and Q(1, t) have a common factor"
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        condition_i_no_real_factors(point, SIG11)
+    swept = _qhomog_report(["--set", "lambda=0", "--sweep", "mu=0:1/8:1/8"], tmp_path / "a.json")
+    assert swept["sweep"][0] == {"sweep": {"mu": "0"}, "verdict": "refused", "reason": reason}
+    assert _qhomog_report(["--set", "lambda=0", "--set", "mu=0"], tmp_path / "b.json") \
+        == (3, f"error: {reason}\n")
+
+
+def test_a_generic_sweep_point_substitutes_and_multiplies_nothing(monkeypatch, tmp_path):
+    # the table is built once; a point that keeps the family's monomials is
+    # read from it with no substitute, no MPoly product and no Fraction
+    # coefficient list
+    path = tmp_path / "cubic.sys"
+    path.write_text("params: mu\nxdot = 12*x^3 - 9*x^2*y - 20*x*y^2 - 25*y^3 + 9*mu*y^3\n"
+                    "ydot = 9*x^3 + 12*x^2*y + 25*x*y^2 - 20*y^3\n")
+    args = cli.build_parser().parse_args(["qhcenter", str(path), "--sweep", "mu=1/2:7/4:1/4"])
+    s = parse_system(path.read_text())
+    counted = [_count_calls(monkeypatch, cli, "substitute"),
+               _count_calls(monkeypatch, systems, "substitute"),
+               _count_calls(monkeypatch, MPoly, "__mul__"),
+               _count_calls(monkeypatch, MPoly, "coefficient_list")]
+    entries = cli.cmd_qhcenter(args, s)["qhomog"]["sweep"]
+    assert [e["verdict"] for e in entries] == ["focus"] * 6
+    assert counted == [[], [], [], []]
 
 
 @pytest.mark.parametrize("s", [
