@@ -16,10 +16,15 @@ runs the degree loop, which keeps H_n as a numerator over the chain
 f_3*...*f_n of eps-monomials f_k = (mu*sigma)^ceil(k/2): a nonzero V_n enters
 the table as the symbol V(n), so its eps-only denominator Delta_n never
 does.  No gcd runs on the table, and parameters can be specialised between
-degrees.  Only the values that leave the loop (each V, and the H table of
-:meth:`DegreePass.h_table`) get the symbols' values and are reduced to a
-:class:`RatFunc`.  :func:`verify_backsubstitution` (run, constants) is the
-exact oracle for a finished pass.
+degrees.  Only the values that leave the loop (each nonzero V, and the H
+table of :meth:`DegreePass.h_table`) get the symbols' values and are
+reduced to a :class:`RatFunc`.  Every denominator there depends on eps
+alone, so it is kept as exponents over the pass's :class:`EpsBasis`, a
+pairwise coprime basis refined by each new Delta_n: lcms are maxima of
+exponents, and the reduction is one gcd per basis element against a few
+eps-slices of the numerator, with no multivariate gcd.
+:func:`verify_backsubstitution` (run, constants) is the exact oracle for a
+finished pass.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from math import lcm
+from math import comb, lcm
 from operator import mul
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .mpoly import EngineError, MPoly, Rat, poly_lcm
+from .realroots import quotient, univariate_gcd
 from .ratfunc import RatFunc
 from .systems import (
     LINEAR_TYPE,
@@ -146,22 +152,176 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
     Y_j = -sigma^(j-1) mu^(-j) N_(j-1)/U_j, U_j = prod_(l<=j) (s_l+1),
     N_j = prod_(l<=j) (n-s_l+1).  ell = sigma*(forward sum through row n-2)
     + mu^h*r_n.  On c_s the map gives C = -A(O)*R_den and Delta_n = ell(O),
-    eps-only and zero exactly when the system is singular.
+    eps-only and zero exactly when the system is singular.  O has only the
+    even rows c_2j = C(n/2, j), so Delta_n is the forward sweep's weights
+    applied to those binomials, and a zero ell (V = 0) needs no A(O): the
+    circle and its column are built only for a nonzero ell.
 
     Returns (A, C, ell, delta): H_n = (A + V*C) / ((mu*sigma)^h * R_den) and
-    at even n V = ell / (delta * R_den), delta = Delta_n; at odd n C is zero,
-    ell and delta None.  ValueError unless R_num is x,y-homogeneous in n."""
+    at even n V = ell / (delta * R_den), delta = Delta_n; C is zero at odd n
+    (ell and delta None) and when ell is zero.  ValueError unless R_num is
+    x,y-homogeneous in n; EngineError when Delta_n is zero."""
     sweeps, scales = _solve_plan(sigma, mu, n)
     A, *ell = R_num.prefix_sums(("x", "y"), "eps", sweeps, scales)
+    C = MPoly.zero(A.vars)
     if not ell:
-        return A, MPoly.zero(A.vars), None, None
-    x, y = MPoly.variable("x", A.vars), MPoly.variable("y", A.vars)
-    circle = (x * x + y * y) ** (n // 2)
-    column, delta = circle.prefix_sums(("x", "y"), "eps", sweeps, scales)
+        return A, C, None, None
+    ell = ell[0]
+    if ell:
+        x, y = MPoly.variable("x", A.vars), MPoly.variable("y", A.vars)
+        column, delta = ((x * x + y * y) ** (n // 2)).prefix_sums(("x", "y"), "eps",
+                                                                 sweeps, scales)
+        C = -column * R_den
+    else:
+        # O has only the even rows C(n/2, j), all read by the forward sweep
+        rows: Dict[int, int] = {}
+        for ((_, t), w, e), _ in sweeps[0]:
+            rows[e] = rows.get(e, 0) + w * comb(n // 2, t // 2)
+        num, den = scales[1]
+        delta = MPoly.from_coefficients(A.vars, ("eps",), {
+            (e,): MPoly.const(A.vars, Rat(c * num, den)) for e, c in rows.items()})
     if delta.is_zero:
         raise EngineError(f"homological system at degree {n} is singular beyond the "
                           "expected one-dimensional obstruction")
-    return A, -column * R_den, ell[0], delta
+    return A, C, ell, delta
+
+
+# eps as an element of an EpsBasis: its coefficients, index = power
+_E = (0, 1)
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two dense integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return tuple(out)
+
+
+class EpsBasis:
+    """A pairwise coprime basis of eps-only denominators: eps and primitive
+    integer polynomials b in eps with b(0) != 0 and a positive leading
+    coefficient, each its coefficient tuple (index = power).  A denominator
+    is a constant times prod b^e, kept as exponents {b: e}.  The basis is
+    refined (Bach, Driscoll and Shallit, "Factor refinement", J. Algorithms
+    15, 1993) by each new denominator and by each gcd that splits an
+    element, so it rests on no factorisation of its elements; exponents over
+    an element that a refinement retired are re-expressed by
+    :meth:`exponents`."""
+
+    def __init__(self):
+        self._elements: list = []  # all but eps
+        self._split: Dict[tuple, list] = {}  # retired element -> [(element, power)]
+        self._powers: Dict[tuple, tuple] = {}  # (element, k) -> its k-th power
+
+    def factor(self, den: MPoly) -> Tuple[Rat, dict]:
+        """``den``, nonzero and in eps alone, as (c, exponents) with
+        den = c * prod b^e, after refining the basis by den's part."""
+        coeffs = den.integer_coefficients("eps")
+        v = den.lowest_degree_in("eps")
+        sign = 1 if coeffs[-1] > 0 else -1
+        u = tuple(sign * c for c in coeffs[v:])
+        exps = {_E: v} if v else {}
+        if len(u) > 1:
+            self._refine(u)
+            exps.update(self.exponents({u: 1}))
+        return den.content() * sign, exps
+
+    def exponents(self, exps: Mapping[tuple, int]) -> dict:
+        """``exps`` over the current basis."""
+        out: Dict[tuple, int] = {}
+        for b, e in exps.items():
+            for f, k in [(b, 1)] if b == _E or b in self._elements else self._split_of(b):
+                out[f] = out.get(f, 0) + k * e
+        return out
+
+    def _split_of(self, b: tuple) -> list:
+        """A retired element as powers of the current ones, by trial division."""
+        got = self._split.get(b)
+        if got is None:
+            got, rest = [], b
+            for f in self._elements:
+                k = 0
+                while (q := quotient(rest, f)) is not None:
+                    rest, k = q, k + 1
+                if k:
+                    got.append((f, k))
+            self._split[b] = got
+        return got
+
+    def _refine(self, u: tuple) -> None:
+        """Make the basis and ``u`` pairwise coprime: a piece sharing a gcd g
+        with an element is replaced, with that element, by both cofactors and
+        g, until every piece is coprime to the rest."""
+        clean = list(self._elements)
+        dirty = [u]
+        while dirty:
+            a = dirty.pop()
+            if len(a) < 2:
+                continue
+            for i, b in enumerate(clean):
+                g = univariate_gcd(a, b)
+                if len(g) > 1:
+                    del clean[i]
+                    dirty += [quotient(a, g), quotient(b, g), g]
+                    break
+            else:
+                clean.append(a)
+        if set(clean) != set(self._elements):
+            self._split = {}
+        self._elements = clean
+
+    def _power(self, b: tuple, k: int) -> tuple:
+        got = self._powers.get((b, k))
+        if got is None:
+            got = self._powers[b, k] = _times(self._power(b, k - 1), b) if k else (1,)
+        return got
+
+    def poly(self, exps: Mapping[tuple, int], vars) -> MPoly:
+        """prod b^e over the table ``vars``, for exponents over the current basis."""
+        p = (1,)
+        for b, e in exps.items():
+            if b != _E:
+                p = _times(p, self._power(b, e))
+        return MPoly.univariate(vars, "eps", p).shift("eps", exps.get(_E, 0))
+
+    def reduce(self, num: MPoly, exps: Mapping[tuple, int]) -> Tuple[MPoly, dict]:
+        """``num / prod b^e`` in lowest terms, as (numerator, exponents).  The
+        gcd is eps^min(e, v) (v the eps-valuation of num) times, for each
+        other element b, g_b = gcd(b^e, slice mod b^e) over the eps-slices
+        of num, shortest first, stopping at 1: exact for any b, since the
+        elements are pairwise coprime.  A g_b that is not a power of b
+        refines the basis, and the reduction starts again."""
+        exps = self.exponents(exps)
+        if not num:
+            return num, {}
+        slices = sorted(num.coefficients_in_vars([v for v in num.vars if v != "eps"]).values(),
+                        key=len)
+        common = {}
+        for b, e in exps.items():
+            if b == _E:
+                k = min(e, num.lowest_degree_in("eps"))
+            elif len(slices[0]) == 1:  # c*eps^j is coprime to b
+                continue
+            else:
+                g = self._power(b, e)
+                for piece in slices:
+                    g = univariate_gcd(piece.integer_coefficients("eps"), g)
+                    if len(g) == 1:
+                        break
+                k = (len(g) - 1) // (len(b) - 1)
+                if g != self._power(b, k):
+                    self._refine(g)
+                    return self.reduce(num, exps)
+            if k:
+                common[b] = k
+        if common:
+            num = num.try_div(self.poly(common, num.vars))
+            if num is None:
+                raise EngineError("a common factor of a reduction does not divide the numerator")
+        return num, {b: e - common.get(b, 0) for b, e in exps.items() if e > common.get(b, 0)}
 
 
 class DegreePass:
@@ -177,6 +337,9 @@ class DegreePass:
     sigma and mu carry no parameters, so H_k of the specialised family is
     the specialised H_k: the stored table is re-expressed, not recomputed,
     at its next read (the next degree, :meth:`h_table`, ``system``, ``H``).
+    A zero V is yielded without assembly.  Each nonzero one is assembled
+    once (:meth:`_assemble`), and its denominator is kept as exponents over
+    the pass's :class:`EpsBasis`, which every Delta_n refines.
     """
 
     def __init__(self, system: PlaneSystem, max_even_degree: int):
@@ -193,7 +356,8 @@ class DegreePass:
             seed=("(mu*x^2+y^2)/2 with mu = " + str(system.eps_factor)
                   if system.linear_class == PERTURBED_NILPOTENT else "(x^2+y^2)/2"))
         self._slots = tuple(f"V({j})" for j in range(MIN_EVEN_DEGREE, max_even_degree + 1, 2))
-        self._values: Dict[str, Tuple[MPoly, MPoly]] = {}  # slot -> (num, den) of a nonzero V
+        self._values: Dict[str, Tuple[MPoly, dict]] = {}  # slot -> (num, den exponents) of a nonzero V
+        self._basis = EpsBasis()
         sigma, mu = _linear_scalars(system)  # parameter-free: specialise only re-embeds them
         self._scalars = (sigma, mu, *accumulate([sigma * mu] * ((max_even_degree + 1) // 2),
                                                 MPoly.__mul__, initial=MPoly.const(sigma.vars, 1)))
@@ -233,8 +397,8 @@ class DegreePass:
         pending, self._pending = self._pending, []
         for bindings in pending:
             self._use(substitute(self._system, bindings))
-            values = {v: (num.subs(bindings, self._vars), den.embed(self._vars))
-                      for v, (num, den) in self._values.items()}
+            values = {v: (num.subs(bindings, self._vars), exps)
+                      for v, (num, exps) in self._values.items()}
             self._values = {v: value for v, value in values.items() if value[0]}
             bindings = {**bindings, **{v: 0 for v in values if v not in self._values}}
             self._H = {k: num.subs(bindings, self._vars) for k, num in self._H.items()}
@@ -255,30 +419,56 @@ class DegreePass:
             self._apply_pending()
             R_num, R_den = self._residual(n)
             A, C, ell, delta = _solve_degree(self._sigma, self._mu, n, R_num, R_den)
-            V = None if ell is None else self._assemble(ell, delta * R_den)
+            if ell is None:
+                V = None
+            elif ell:
+                V = self._assemble(ell, delta * R_den, f"V({n})")
+            else:
+                V = RatFunc.zero(self._system.vars)
             if V:
-                slot = f"V({n})"
-                self._values[slot] = (V.num.embed(self._vars), V.den.embed(self._vars))
-                A = A + MPoly.variable(slot, self._vars) * C
+                A = A + MPoly.variable(f"V({n})", self._vars) * C
             self._H[n] = A
             if V is not None:
                 yield n, V
 
-    def _assemble(self, p: MPoly, den: MPoly) -> RatFunc:
+    def _assemble(self, p: MPoly, den: MPoly, slot: Optional[str] = None) -> RatFunc:
         """p / den with every slot set to its V, as one RatFunc over the
-        system's table: for p = p_0 + sum_j p_j*V(j) and D the lcm of the
-        eps-only den_j, (p_0*D + sum_j p_j*num_j*(D/den_j)) / (D*den)."""
+        system's table, for an eps-only den: for p = p_0 + sum_j p_j*V(j),
+        V(j) = num_j/den_j and D the lcm of the den_j, (p_0*D + sum_j
+        p_j*num_j*(D/den_j)) / (D*den).  Every denominator is kept as
+        exponents over the pass's :class:`EpsBasis`, so D is their maximum,
+        each D/den_j a product of basis powers, and the reduction is
+        :meth:`EpsBasis.reduce`; no gcd of polynomials runs.  A nonzero
+        result is stored as the value of ``slot`` when one is given."""
         parts = p.coefficients_in_vars(self._slots)
         if any(sum(k) > 1 for k in parts):
             raise EngineError("a product of V slots reached the H table, which must "
                               "be affine in the constants")
-        values = {k: self._values[self._slots[k.index(1)]] for k in parts if any(k)}
-        D = reduce(poly_lcm, (den_j for _, den_j in values.values()), MPoly.const(self._vars, 1))
-        total = parts.get((0,) * len(self._slots), MPoly.zero(self._vars)) * D
-        for k, (num_j, den_j) in values.items():
-            total = total + parts[k] * (num_j * D.try_div(den_j))
-        vars = self._system.vars
-        return RatFunc(total.embed(vars), (D * den).embed(vars))
+        basis, vars = self._basis, self._vars
+        c, exps = basis.factor(den)
+        values = {}
+        for k in parts:
+            if any(k):
+                num_j, exps_j = self._values[self._slots[k.index(1)]]
+                values[k] = num_j, basis.exponents(exps_j)
+        D: Dict[tuple, int] = {}
+        for _, exps_j in values.values():
+            for b, e in exps_j.items():
+                D[b] = max(D.get(b, 0), e)
+        total = parts.get((0,) * len(self._slots), MPoly.zero(vars))
+        if D:
+            total = total * basis.poly(D, vars)
+        for k, (num_j, exps_j) in values.items():
+            cofactor = basis.poly({b: e - exps_j.get(b, 0) for b, e in D.items()}, vars)
+            total = total + parts[k] * (num_j * cofactor)
+        for b, e in D.items():
+            exps[b] = exps.get(b, 0) + e
+        num, exps = basis.reduce(total, exps)
+        V = RatFunc.coprime((num * (1 / c)).embed(self._system.vars),
+                            basis.poly(exps, self._system.vars))
+        if slot and V:
+            self._values[slot] = (V.num.embed(vars), exps)
+        return V
 
     def _residual(self, n: int) -> Tuple[MPoly, MPoly]:
         """The degree-n part of the Lie derivative of H_2 + ... + H_(n-1)

@@ -52,7 +52,9 @@ reads exponent tuples by table position: the rest group terms through
 :meth:`MPoly.coefficients_in` and
 :meth:`MPoly.coefficients_in_vars`, map rows of terms by running sums with
 :meth:`MPoly.prefix_sums` or take dense univariate lists from
-:meth:`MPoly.coefficient_list`.  Dense univariate work (real roots,
+:meth:`MPoly.coefficient_list` (``Rat``) or
+:meth:`MPoly.integer_coefficients` (the integer part, which
+:meth:`MPoly.univariate` builds back).  Dense univariate work (real roots,
 univariate gcds) belongs to :mod:`centerlab.realroots`, which imports
 nothing from the package.
 """
@@ -65,7 +67,7 @@ from collections import defaultdict
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 from operator import mul, or_
 from typing import Iterable, Optional, Sequence, Union
 
@@ -364,6 +366,16 @@ class MPoly:
     @classmethod
     def monomial(cls, vars: Sequence[str], expo: Sequence[int], c: Scalar = 1) -> "MPoly":
         return cls(vars, {tuple(expo): c})
+
+    @classmethod
+    def univariate(cls, vars: Sequence[str], var: str, coeffs: Sequence[int]) -> "MPoly":
+        """sum_k coeffs[k]*var^k over ``vars``, for integer ``coeffs``: the
+        inverse of :meth:`integer_coefficients` up to the content."""
+        vs = tuple(vars)
+        if len(coeffs) > _CAP:
+            _degree_limit(len(coeffs) - 1)
+        ks, i = _keys(len(vs)), vs.index(var)
+        return cls._reduced(vs, 1, 1, {ks.var(i, k): c for k, c in enumerate(coeffs) if c})
 
     @classmethod
     def from_coefficients(cls, vars: Sequence[str], names: Sequence[str],
@@ -884,6 +896,20 @@ class MPoly:
         top = max((k for k, n in sums.items() if n), default=-1)
         return [Rat(self._num * sums.get(k, 0), self._den * den) for k in range(top + 1)]
 
+    def integer_coefficients(self, var: str) -> list:
+        """The coefficients in ``var`` of the primitive integer part (index =
+        power, no trailing zeros): :meth:`coefficient_list` over the positive
+        content, with no ``Fraction`` built; ValueError when another variable
+        is present."""
+        ks = _keys(len(self.vars))
+        m, s = self._field(var)
+        if reduce(or_, self._ints, 0) & (sum(ks.masks) - m):
+            raise ValueError(f"variables other than {var} present")
+        out = [0] * (self.degree_in(var) + 1)
+        for e, c in self._ints.items():
+            out[(e & m) >> s] = c
+        return out
+
     # -- exact division, content, gcd ---------------------------------------
 
     def try_div(self, divisor: "MPoly") -> Optional["MPoly"]:
@@ -942,6 +968,62 @@ class MPoly:
                         del rem[te]
         return MPoly._of(self.vars, *_ratio_mul(self._num, self._den, divisor._den, divisor._num),
                          qterms)
+
+    def remainder(self, divisors: Sequence["MPoly"]) -> "MPoly":
+        """The remainder of ``self`` on division by ``divisors`` in graded-lex
+        order: the leading term of what is left is cancelled by the first
+        divisor whose leading monomial divides it, or else moved to the
+        remainder; zero divisors are skipped.  Each step removes the leading
+        term and adds only smaller ones, and graded-lex order is a
+        well-order, so the loop ends.  It runs on the integer parts, with a
+        max-heap of keys and the guard-bit test of :meth:`try_div`; a
+        coefficient becomes a ``Fraction`` only where a leading coefficient
+        does not divide it."""
+        divs = []
+        for d in divisors:
+            self._check(d)
+            if d._ints:
+                lm = max(d._ints)
+                divs.append((lm, d._ints[lm], [(e, c) for e, c in d._ints.items() if e != lm]))
+        if not divs or not self._ints:
+            return self
+        guard = _keys(len(self.vars)).guard
+        work = dict(self._ints)
+        heap = [-e for e in work]
+        heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        rem = {}
+        while heap:
+            e = -heappop(heap)
+            c = work.pop(e, None)
+            if c is None:
+                continue
+            for lm, lc, tail in divs:
+                qe = e - lm
+                if qe < 0 or qe & guard:
+                    continue
+                if type(c) is int:
+                    q = c // lc if c % lc == 0 else Rat(c, lc)
+                else:
+                    q = c / lc
+                for de, dc in tail:
+                    te = qe + de
+                    old = work.get(te)
+                    if old is None:
+                        work[te] = -(q * dc)
+                        heappush(heap, -te)
+                    else:
+                        s = old - q * dc
+                        if s:
+                            work[te] = s
+                        else:
+                            del work[te]
+                break
+            else:
+                rem[e] = c
+        den = lcm(1, *(c.denominator for c in rem.values() if type(c) is not int))
+        return MPoly._reduced(self.vars, self._num, self._den * den,
+                              {e: int(c * den) for e, c in rem.items()})
 
     def primitive(self) -> "MPoly":
         """Divide out the rational content and fix the leading sign positive."""
@@ -1058,18 +1140,8 @@ def _univariate_gcd(a: MPoly, b: MPoly, var: str) -> MPoly:
     """gcd of two polynomials in ``var`` alone: the integer remainder
     sequence of :func:`realroots.univariate_gcd` on their dense integer
     coefficients."""
-    ks = _keys(len(a.vars))
-    i = a.vars.index(var)
-    s = ks.shifts[i]
-
-    def dense(p: MPoly) -> list:
-        out = [0] * (p.degree_in(var) + 1)
-        for e, c in p._ints.items():
-            out[(e >> s) & _MASK] = c
-        return out
-
-    g = univariate_gcd(dense(a), dense(b))
-    return MPoly._of(a.vars, 1, 1, {ks.var(i, k): c for k, c in enumerate(g) if c})
+    return MPoly.univariate(a.vars, var, univariate_gcd(a.integer_coefficients(var),
+                                                        b.integer_coefficients(var)))
 
 
 def _content(p: MPoly, var: str) -> MPoly:

@@ -106,31 +106,6 @@ class Condition:
         return f"{self.poly} = 0"
 
 
-def _reduce_modulo(poly: MPoly, conditions: Sequence[MPoly]) -> MPoly:
-    """Remainder of ``poly`` on division by the conditions (graded lex): the
-    leading term of what is left is cancelled by the first condition whose
-    leading monomial divides it, or else moved to the remainder.  Each step
-    removes the leading term and adds only smaller ones, and graded-lex
-    order is a well-order, so the loop ends."""
-    divisors = [(c.leading_monomial(), c.leading_coefficient(), c)
-                for c in conditions if not c.is_zero]
-    if not divisors:
-        return poly
-    vars = poly.vars
-    rem = MPoly.zero(vars)
-    while poly:
-        lm, lc = poly.leading_monomial(), poly.leading_coefficient()
-        for dm, dc, c in divisors:
-            q = tuple(i - j for i, j in zip(lm, dm))
-            if min(q) >= 0:
-                poly = poly - c * MPoly.monomial(vars, q, lc / dc)
-                break
-        else:
-            lead = MPoly.monomial(vars, lm, lc)
-            rem, poly = rem + lead, poly - lead
-    return rem
-
-
 def _linear_solve_for(poly: MPoly, names: Sequence[str]) -> Optional[Tuple[str, MPoly]]:
     """Solve poly = 0 for the first listed parameter that appears linearly
     with a constant coefficient."""
@@ -338,7 +313,7 @@ def center_conditions_pipeline(perturbed: PlaneSystem, max_even_degree: int,
             poly = coeff.primitive().embed(current.vars)
             if new_subs:
                 poly = poly.subs(new_subs, current.vars)
-            poly = _reduce_modulo(poly.embed(full_table), reducers).primitive()
+            poly = poly.embed(full_table).remainder(reducers).primitive()
             if poly.is_zero:
                 continue
             present = set(poly.variables_present())

@@ -1,13 +1,15 @@
 """Reduced rational functions and Laurent expansion around eps = 0.
 
-A :class:`RatFunc` is reduced when it is built, on one path: one
-``poly_gcd`` of numerator and denominator and two exact divisions, checked.
-The degree loop keeps its own numerators over known eps-only denominators
-(see :class:`centerlab.liapunov.DegreePass`), so gcds run only on the values
-that leave it (each V) and on parsed input.  Every such denominator is a
-polynomial in eps alone, so the Laurent expansion is a univariate series in
-eps with polynomial coefficients: it builds no rational function and runs
-no gcd.
+A :class:`RatFunc` is reduced when it is built.  ``RatFunc(num, den)``
+runs one ``poly_gcd`` of numerator and denominator and two exact divisions,
+checked: the path of parsed input and of the arithmetic operators.
+:meth:`RatFunc.coprime` takes a pair already known to be coprime and runs
+only the canonical scaling: the degree loop reduces each value that leaves
+it over a basis of its known eps-only factors (see
+:class:`centerlab.liapunov.EpsBasis`) and builds it that way, so no
+``poly_gcd`` runs in the engine.  Every such denominator is a polynomial in
+eps alone, so the Laurent expansion is a univariate series in eps with
+polynomial coefficients: it builds no rational function and runs no gcd.
 """
 
 from __future__ import annotations
@@ -33,17 +35,29 @@ class RatFunc:
         num._check(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num = num
-            self.den = MPoly.const(num.vars, 1)
-            return
-        g = poly_gcd(num, den)
-        if not g.is_constant:
-            num, den = num.try_div(g), den.try_div(g)
-            if num is None or den is None:
-                raise EngineError("the gcd does not divide numerator and denominator exactly")
+        if num:
+            g = poly_gcd(num, den)
+            if not g.is_constant:
+                num, den = num.try_div(g), den.try_div(g)
+                if num is None or den is None:
+                    raise EngineError("the gcd does not divide numerator and denominator "
+                                      "exactly")
+        self._scale(num, den)
+
+    @classmethod
+    def coprime(cls, num: MPoly, den: MPoly) -> "RatFunc":
+        """``num/den`` for a pair already known coprime (nonzero ``den``):
+        only the canonical scaling runs, no gcd."""
+        out = cls.__new__(cls)
+        out._scale(num, den)
+        return out
+
+    def _scale(self, num: MPoly, den: MPoly) -> None:
         # scale so den is integer-primitive with positive leading coefficient:
         # a scalar product changes only the content (and negates on a sign)
+        if num.is_zero:
+            self.num, self.den = num, MPoly.const(num.vars, 1)
+            return
         c = den.content()
         if den.leading_coefficient() < 0:
             c = -c

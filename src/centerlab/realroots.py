@@ -70,17 +70,21 @@ def _remainder(a: Sequence[int], b: Sequence[int]) -> list:
     return [c // g for c in r] if g > 1 else r
 
 
-def _quotient(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    """``a / b`` for integer ``a`` that the primitive ``b`` divides; by
-    Gauss's lemma the quotient has integer coefficients."""
+def quotient(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """``a / b`` for integer ``a`` and primitive ``b``, or None when ``b``
+    does not divide ``a``: by Gauss's lemma an exact quotient has integer
+    coefficients, so a step that does not divide already means "not exact"."""
     r = list(a)
     db = len(b) - 1
-    q = [0] * (len(r) - db)
+    q = [0] * max(len(r) - db, 0)
     for k in reversed(range(len(q))):
-        c = q[k] = r[k + db] // b[-1]
+        c, m = divmod(r[k + db], b[-1])
+        if m:
+            return None
+        q[k] = c
         for i, bc in enumerate(b):
             r[k + i] -= c * bc
-    return tuple(q)
+    return None if any(r[:db]) else tuple(q)
 
 
 def univariate_gcd(a: Sequence, b: Sequence) -> Tuple[int, ...]:
@@ -98,7 +102,7 @@ def _squarefree(p: Tuple[int, ...]) -> Tuple[int, ...]:
     if len(p) <= 2:
         return p
     g = univariate_gcd(p, [k * c for k, c in enumerate(p)][1:])
-    return p if len(g) <= 1 else _quotient(p, g)
+    return p if len(g) <= 1 else quotient(p, g)
 
 
 def _sturm_chain(p: Sequence[int]) -> List[list]:
@@ -237,6 +241,6 @@ def root_multiplicity(p: Sequence, r: Fraction) -> int:
     num, den = r.numerator, r.denominator
     m = 0
     while len(coeffs) > 1 and not homogenised(coeffs, num, den):
-        coeffs = _quotient(coeffs, (-num, den))
+        coeffs = quotient(coeffs, (-num, den))
         m += 1
     return m

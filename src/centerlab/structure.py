@@ -16,7 +16,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .mpoly import MPoly, Rat, merge_tables
 from .parser import DarbouxExpr
 from .ratfunc import RatFunc
-from .realroots import isolate_real_roots, real_root_count, root_multiplicity, univariate_gcd
+from .realroots import (isolate_real_roots, real_root_count, root_multiplicity, trim,
+                        univariate_gcd)
 from .systems import PlaneSystem, lie_derivative
 
 
@@ -321,14 +322,20 @@ def weighted_sign_on_lines(at_0_1, on_x1: Sequence, on_xm1: Sequence) -> Tuple[i
     """:func:`weighted_form_sign` from the values it reads: W(0, 1) and the
     coefficients of W(1, t) and W(-1, t) (index = power of t), all scaled
     by one positive number or not at all.  A quasi-homogeneous W has at
-    most one term per power of y, so it is zero exactly when W(1, t) is."""
+    most one term per power of y, so it is zero exactly when W(1, t) is.
+    When W(-1, t) = +-W(1, -t), as W(-x, -y) = +-W(x, y) makes it whenever
+    p and q are both odd, the two have the same real roots up to sign, and
+    only W(1, t) is counted."""
     if not any(on_x1):
         return 0, "weighted form is identically zero"
     if not at_0_1:
         return 0, "x divides the weighted form"
-    for x0, line in ((1, on_x1), (-1, on_xm1)):
-        if real_root_count(line):
-            return 0, f"W({x0}, t) has a real root"
+    if real_root_count(on_x1):
+        return 0, "W(1, t) has a real root"
+    plus = trim(on_x1)
+    mirror = [-c if k % 2 else c for k, c in enumerate(plus)]
+    if trim(on_xm1) not in (mirror, [-c for c in mirror]) and real_root_count(on_xm1):
+        return 0, "W(-1, t) has a real root"
     return (1 if at_0_1 > 0 else -1), "W(1, t) and W(-1, t) have no real root (Sturm counts)"
 
 

@@ -7,6 +7,7 @@ from centerlab.mpoly import (EngineError, MPoly, Rat, merge_tables, poly_gcd, po
                              rat_content, resultant)
 
 from conftest import from_sympy, poly, random_poly, to_sympy
+from reduce_modulo import reduce_modulo
 
 TAB = ("x", "y", "eps")
 
@@ -241,6 +242,33 @@ def test_product_divides_back_property():
         assert (p * d).try_div(d) == p
 
     check()
+
+
+def test_remainder_matches_term_loop_reference_property():
+    # the packed-key remainder against the term-by-term MPoly loop that the
+    # center-condition pipeline ran before it: 1 to 3 divisors with non-unit
+    # leading coefficients and rational contents, a divisor whose leading
+    # monomial divides no term (total degree above any reachable one), and
+    # zero as dividend and as divisor
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    polys = _hypothesis_polys()
+    zero = MPoly.zero(TAB)
+    far = MPoly.monomial(TAB, (5,) * len(TAB), Rat(3, 7)) + poly("x", TAB)
+    divisors = st.lists(st.one_of(polys, polys, st.just(far), st.just(zero)),
+                        min_size=1, max_size=3)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.one_of(polys, st.just(zero)), divisors)
+    def check(p, ds):
+        got = p.remainder(ds)
+        assert got == reduce_modulo(p, ds)
+        assert all(type(c) is Rat for c in got.terms.values())
+
+    check()
+    # a reduction with non-integral quotients: 2*x*y - y^2 by 3*x - 1
+    assert poly("2*x*y - y^2", TAB).remainder([poly("3*x - 1", TAB)]) == poly("2/3*y - y^2", TAB)
 
 
 def _fraction_mul(p, q):

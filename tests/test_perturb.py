@@ -34,6 +34,7 @@ from conftest import (
     poly,
     rf,
 )
+from reduce_modulo import reduce_modulo
 
 
 def _conds(result):
@@ -262,13 +263,13 @@ def test_reduce_modulo_long_reduction_terminates():
     # a reduction of 1001 steps is no fault either
     table = ("x", "y", "eps", "a", "b")
     target, cond = poly("a^3", table), poly("a - b", table)
-    assert perturb._reduce_modulo(target, [cond]) == poly("b^3", table)
+    assert target.remainder([cond]) == poly("b^3", table)
     a, b = poly("a", table), poly("b", table)
     long = MPoly.zero(table)
     for k in range(1001):
         long = long + a * b ** k
-    assert perturb._reduce_modulo(long, [a]).is_zero
-    assert perturb._reduce_modulo(long + b, [a]) == b
+    assert long.remainder([a]).is_zero
+    assert (long + b).remainder([a]) == b
 
 
 def _restart_pipeline(perturbed, max_even_degree, mode=ALL_ORDERS, perturbation_params=()):
@@ -300,7 +301,7 @@ def _restart_pipeline(perturbed, max_even_degree, mode=ALL_ORDERS, perturbation_
             poly_k = coeff.primitive().embed(current.vars)
             if new_subs:
                 poly_k = poly_k.subs(new_subs, current.vars)
-            poly_k = perturb._reduce_modulo(poly_k.embed(full_table), reducers).primitive()
+            poly_k = reduce_modulo(poly_k.embed(full_table), reducers).primitive()
             if poly_k.is_zero:
                 continue
             present = set(poly_k.variables_present())
@@ -453,37 +454,31 @@ def test_specialise_reads_only_the_nonlinear_parts(monkeypatch):
 
 
 def test_degree_pass_reduces_only_the_constants(monkeypatch):
-    # gcds never run from the residual or specialise (poly_lcm would reach
-    # mpoly.poly_gcd); in the pass they run only where a V is assembled: one
-    # reduction per nonzero V and the lcms of the eps-only V denominators
-    calls = []
-    gcd = ratfunc.poly_gcd
+    # no poly_gcd runs in the pipeline: each nonzero V is reduced once, where
+    # _assemble builds it, over the pass's basis of eps-only factors, and
+    # neither the residual, specialise nor a zero V reduces anything
+    gcds, reductions = [], []
+    gcd, reduce = mpoly.poly_gcd, liapunov.EpsBasis.reduce
 
-    def recorded(a, b):
-        frame, names = sys._getframe(1), []
-        while frame is not None:
-            names.append(frame.f_code.co_qualname)
-            frame = frame.f_back
-        calls.append((names, a, b))
+    def recorded_gcd(a, b):
+        gcds.append((a, b))
         return gcd(a, b)
 
-    monkeypatch.setattr(ratfunc, "poly_gcd", recorded)
-    monkeypatch.setattr(mpoly, "poly_gcd", recorded)
+    def recorded_reduce(self, num, exps):
+        reductions.append(sys._getframe(1).f_code.co_qualname)
+        return reduce(self, num, exps)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", recorded_gcd)
+    monkeypatch.setattr(mpoly, "poly_gcd", recorded_gcd)
+    monkeypatch.setattr(liapunov.EpsBasis, "reduce", recorded_reduce)
     runs = _recorded_pass(monkeypatch)
     family, _ = _perturbed(NIL_CUBIC_AB)
     res = center_conditions_pipeline(family, 12)
     assert runs and any(c.solved for c in res.base_conditions)
-    in_pass = [c for c in calls if "DegreePass.__iter__" in c[0]]
-    assert all("DegreePass._assemble" in names for names, _, _ in in_pass)
-    reductions = [c for c in in_pass if "RatFunc.__init__" in c[0]]
-    assert len(reductions) == len(res.constants) == len(range(4, 13, 2))
-    lcms = [c for c in in_pass if "RatFunc.__init__" not in c[0]]
-    assert lcms and all("poly_lcm" in names for names, _, _ in lcms)
-    assert all(set(a.variables_present()) | set(b.variables_present()) <= {"eps"}
-               for _, a, b in lcms)
-    assert not any({"DegreePass._residual", "DegreePass.specialise",
-                    "DegreePass._apply_pending"} & set(names)
-                   for names, _, _ in calls)
+    assert gcds == []
+    # a reduction that refines the basis starts again from EpsBasis.reduce
+    assert reductions.count("DegreePass._assemble") == len(res.constants) == len(range(4, 13, 2))
+    assert set(reductions) <= {"DegreePass._assemble", "EpsBasis.reduce"}
 
 
 @pytest.mark.parametrize("text, degree", [(NIL_CUBIC_AB, 8), (CUBIC_FAMILY_B, 7)],

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from centerlab import cli, numeric, qhomog, systems
+from centerlab import cli, numeric, qhomog, structure, systems
 from centerlab.mpoly import MPoly, Rat
 from centerlab.numeric import compile_system
 from centerlab.qhomog import (
@@ -834,3 +834,48 @@ def test_classify_decides_condition_i_once(monkeypatch):
     assert len(calls) == 1
     assert info["condition_ii"] == qhomog._period_integral(_cubic(1, 1), SIG11)
     assert len(calls) == 1
+
+
+def _sign_counting_both_lines(at_0_1, on_x1, on_xm1):
+    """Reference: :func:`structure.weighted_sign_on_lines` with a Sturm count
+    on each of W(1, t) and W(-1, t), whatever p and q are."""
+    if not any(on_x1):
+        return 0, "weighted form is identically zero"
+    if not at_0_1:
+        return 0, "x divides the weighted form"
+    for x0, line in ((1, on_x1), (-1, on_xm1)):
+        if structure.real_root_count(line):
+            return 0, f"W({x0}, t) has a real root"
+    return (1 if at_0_1 > 0 else -1), "W(1, t) and W(-1, t) have no real root (Sturm counts)"
+
+
+def test_condition_i_counts_one_line_when_p_and_q_are_odd(monkeypatch, tmp_path):
+    # p = q = 1: W(-1, t) = +-W(1, -t), so each sweep point that reaches the
+    # Sturm counts runs one, and every verdict and detail is the one that
+    # counting both lines gives
+    sweeps = [["--set", "lambda=1", "--sweep", "mu=1/2:7/4:1/4"],
+              ["--set", "lambda=0", "--sweep", "mu=0:3:1/8"],
+              ["--set", "lambda=1", "--sweep", "mu=0:3:1/8"],
+              ["--set", "mu=1", "--sweep", "lambda=-1:1:1/4"]]
+    reference = []
+    with monkeypatch.context() as m:
+        m.setattr(qhomog, "weighted_sign_on_lines", _sign_counting_both_lines)
+        for k, argv in enumerate(sweeps):
+            reference.append(_qhomog_report(argv, tmp_path / f"ref{k}.json"))
+    counts = _count_calls(monkeypatch, structure, "real_root_count")
+    for k, argv in enumerate(sweeps):
+        assert _qhomog_report(argv, tmp_path / f"new{k}.json") == reference[k]
+    counts.clear()
+    passing = _qhomog_report(sweeps[0], tmp_path / "a.json")["sweep"]
+    assert len(passing) == 6 and all(e["condition_i"] for e in passing)
+    assert len(counts) == len(passing)
+    # odd powers of t: W = x^4 + x^3*y + y^4 gives W(-1, t) = W(1, -t)
+    counts.clear()
+    W = MPoly(("x", "y"), {(4, 0): 1, (3, 1): 1, (0, 4): 1})
+    assert structure.weighted_form_sign(W)[0] == 1 and len(counts) == 1
+    # weights (2, 3): W = x^3 + y^2 gives W(-1, t) = t^2 - 1, no mirror of
+    # W(1, t) = t^2 + 1, so both lines are counted
+    counts.clear()
+    W = MPoly(("x", "y"), {(3, 0): 1, (0, 2): 1})
+    assert structure.weighted_form_sign(W) == (0, "W(-1, t) has a real root")
+    assert len(counts) == 2

@@ -140,7 +140,7 @@ def test_remainder_matches_sympy_rem():
         assert realroots._remainder(A, B) == (_positive_primitive(r) if r else [])
         AB = realroots._primitive(_mul(a, b)) if a else ()
         if AB:
-            q = realroots._quotient(AB, B)
+            q = realroots.quotient(AB, B)
             assert _mul([Rat(c) for c in q], [Rat(c) for c in B]) == [Rat(c) for c in AB]
             checked += 1
     assert checked > 100

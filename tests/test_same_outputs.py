@@ -50,6 +50,17 @@ def test_the_fixed_list_names_the_required_runs(same_outputs):
                  cubic + "--set lambda=1 --sweep mu=1/2:7/4:1/4",
                  cubic + "--set lambda=1 --sweep mu=1/2:9/8:1/8"):
         assert line in commands and line in quick
+    # the deep lines of list version 2
+    ab = "liapunov sample_systems/nilpotent_cubic_ab.sys --perturb "
+    for line in (*(ab + f"minimal --max-degree {d}" for d in (16, 18, 20)),
+                 "liapunov bench/systems/cubic_k.sys --perturb general:5 --max-degree 8",
+                 "liapunov bench/systems/cubic_k.sys --perturb general:3 --max-degree 8",
+                 ab + "general:3 --max-degree 8",
+                 "liapunov bench/systems/sextic.sys --perturb minimal --max-degree 16",
+                 "liapunov sample_systems/degenerate_quintic.sys --perturb auto "
+                 "--mode first-order --max-degree 16"):
+        assert line in commands
+    assert same_outputs.LIST_VERSION == 2
     files = sorted(str(p.relative_to(ROOT)) for d in ("sample_systems", "bench/systems")
                    for p in (ROOT / d).glob("*.sys"))
     assert sorted(same_outputs.FILES) == files and len(files) == 12

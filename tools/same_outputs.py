@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-LIST_VERSION = 1
+LIST_VERSION = 2
 # a tree without the sweep-point limit builds the whole point list of the
 # over-long sweep below: these bounds stop it
 MEMORY_BYTES = 1 << 30
@@ -110,6 +110,16 @@ liapunov sample_systems/reversible_nilpotent.sys --perturb general:8 --max-degre
 liapunov bench/systems/cubic_family_a.sys --max-degree 7
 liapunov bench/systems/cubic_family_b.sys --max-degree 7
 liapunov sample_systems/nilpotent_cubic_ab.sys --perturb minimal --max-degree 14
+# deep runs, where most nonzero constants carry new eps-only factors (list
+# version 2)
+liapunov sample_systems/nilpotent_cubic_ab.sys --perturb minimal --max-degree 16
+liapunov sample_systems/nilpotent_cubic_ab.sys --perturb minimal --max-degree 18
+liapunov sample_systems/nilpotent_cubic_ab.sys --perturb minimal --max-degree 20
+liapunov bench/systems/cubic_k.sys --perturb general:5 --max-degree 8
+liapunov bench/systems/cubic_k.sys --perturb general:3 --max-degree 8
+liapunov sample_systems/nilpotent_cubic_ab.sys --perturb general:3 --max-degree 8
+liapunov bench/systems/sextic.sys --perturb minimal --max-degree 16
+liapunov sample_systems/degenerate_quintic.sys --perturb auto --mode first-order --max-degree 16
 # the return-map jobs of bench/run.py --workload evidence --seed 0
 * returnmap sample_systems/reversible_nilpotent.sys --x0 0.08 --x0 0.10 --x0 0.02
 returnmap sample_systems/factored_quartic.sys --x0 0.06 --x0 0.09 --x0 0.05
