@@ -34,10 +34,10 @@ from functools import reduce
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 from .mpoly import EngineError, MPoly, Rat, poly_lcm
-from .realroots import quotient, univariate_gcd
+from .realroots import product, quotient, univariate_gcd
 from .ratfunc import RatFunc
 from .systems import (
     LINEAR_TYPE,
@@ -154,8 +154,8 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
     + mu^h*r_n.  On c_s the map gives C = -A(O)*R_den and Delta_n = ell(O),
     eps-only and zero exactly when the system is singular.  O has only the
     even rows c_2j = C(n/2, j), so Delta_n is the forward sweep's weights
-    applied to those binomials, and a zero ell (V = 0) needs no A(O): the
-    circle and its column are built only for a nonzero ell.
+    applied to those binomials, and A(O) is needed only for C: the circle
+    and its column are built only for a nonzero ell.
 
     Returns (A, C, ell, delta): H_n = (A + V*C) / ((mu*sigma)^h * R_den) and
     at even n V = ell / (delta * R_den), delta = Delta_n; C is zero at odd n
@@ -166,38 +166,24 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
     C = MPoly.zero(A.vars)
     if not ell:
         return A, C, None, None
-    ell = ell[0]
-    if ell:
-        x, y = MPoly.variable("x", A.vars), MPoly.variable("y", A.vars)
-        column, delta = ((x * x + y * y) ** (n // 2)).prefix_sums(("x", "y"), "eps",
-                                                                 sweeps, scales)
-        C = -column * R_den
-    else:
-        # O has only the even rows C(n/2, j), all read by the forward sweep
-        rows: Dict[int, int] = {}
-        for ((_, t), w, e), _ in sweeps[0]:
-            rows[e] = rows.get(e, 0) + w * comb(n // 2, t // 2)
-        num, den = scales[1]
-        delta = MPoly.from_coefficients(A.vars, ("eps",), {
-            (e,): MPoly.const(A.vars, Rat(c * num, den)) for e, c in rows.items()})
+    rows: Dict[int, int] = {}
+    for ((_, t), w, e), _ in sweeps[0]:
+        rows[e] = rows.get(e, 0) + w * comb(n // 2, t // 2)
+    num, den = scales[1]
+    delta = MPoly.from_coefficients(A.vars, ("eps",), {
+        (e,): MPoly.const(A.vars, Rat(c * num, den)) for e, c in rows.items()})
     if delta.is_zero:
         raise EngineError(f"homological system at degree {n} is singular beyond the "
                           "expected one-dimensional obstruction")
-    return A, C, ell, delta
+    if ell[0]:
+        x, y = MPoly.variable("x", A.vars), MPoly.variable("y", A.vars)
+        circle = (x * x + y * y) ** (n // 2)
+        C = -circle.prefix_sums(("x", "y"), "eps", sweeps, scales)[0] * R_den
+    return A, C, ell[0], delta
 
 
 # eps as an element of an EpsBasis: its coefficients, index = power
 _E = (0, 1)
-
-
-def _times(a: tuple, b: tuple) -> tuple:
-    """The product of two dense integer polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return tuple(out)
 
 
 class EpsBasis:
@@ -276,7 +262,7 @@ class EpsBasis:
     def _power(self, b: tuple, k: int) -> tuple:
         got = self._powers.get((b, k))
         if got is None:
-            got = self._powers[b, k] = _times(self._power(b, k - 1), b) if k else (1,)
+            got = self._powers[b, k] = product(self._power(b, k - 1), b) if k else (1,)
         return got
 
     def poly(self, exps: Mapping[tuple, int], vars) -> MPoly:
@@ -284,7 +270,7 @@ class EpsBasis:
         p = (1,)
         for b, e in exps.items():
             if b != _E:
-                p = _times(p, self._power(b, e))
+                p = product(p, self._power(b, e))
         return MPoly.univariate(vars, "eps", p).shift("eps", exps.get(_E, 0))
 
     def reduce(self, num: MPoly, exps: Mapping[tuple, int]) -> Tuple[MPoly, dict]:
@@ -411,7 +397,7 @@ class DegreePass:
         table = {}
         for k, num in self._H.items():
             chain = chain * self._factors[k]
-            table[k] = self._assemble(num, chain)
+            table[k] = self._assemble(num, chain)[0]
         return table
 
     def __iter__(self) -> Iterator[Tuple[int, RatFunc]]:
@@ -422,24 +408,26 @@ class DegreePass:
             if ell is None:
                 V = None
             elif ell:
-                V = self._assemble(ell, delta * R_den, f"V({n})")
+                V, exps = self._assemble(ell, delta * R_den)
             else:
                 V = RatFunc.zero(self._system.vars)
             if V:
-                A = A + MPoly.variable(f"V({n})", self._vars) * C
+                slot = f"V({n})"
+                self._values[slot] = (V.num.embed(self._vars), exps)
+                A = A + MPoly.variable(slot, self._vars) * C
             self._H[n] = A
             if V is not None:
                 yield n, V
 
-    def _assemble(self, p: MPoly, den: MPoly, slot: Optional[str] = None) -> RatFunc:
+    def _assemble(self, p: MPoly, den: MPoly) -> Tuple[RatFunc, dict]:
         """p / den with every slot set to its V, as one RatFunc over the
         system's table, for an eps-only den: for p = p_0 + sum_j p_j*V(j),
         V(j) = num_j/den_j and D the lcm of the den_j, (p_0*D + sum_j
         p_j*num_j*(D/den_j)) / (D*den).  Every denominator is kept as
         exponents over the pass's :class:`EpsBasis`, so D is their maximum,
         each D/den_j a product of basis powers, and the reduction is
-        :meth:`EpsBasis.reduce`; no gcd of polynomials runs.  A nonzero
-        result is stored as the value of ``slot`` when one is given."""
+        :meth:`EpsBasis.reduce`; no gcd of polynomials runs.  Returns the
+        RatFunc and its denominator's exponents over the basis."""
         parts = p.coefficients_in_vars(self._slots)
         if any(sum(k) > 1 for k in parts):
             raise EngineError("a product of V slots reached the H table, which must "
@@ -464,11 +452,8 @@ class DegreePass:
         for b, e in D.items():
             exps[b] = exps.get(b, 0) + e
         num, exps = basis.reduce(total, exps)
-        V = RatFunc.coprime((num * (1 / c)).embed(self._system.vars),
-                            basis.poly(exps, self._system.vars))
-        if slot and V:
-            self._values[slot] = (V.num.embed(vars), exps)
-        return V
+        return RatFunc.coprime((num * (1 / c)).embed(self._system.vars),
+                               basis.poly(exps, self._system.vars)), exps
 
     def _residual(self, n: int) -> Tuple[MPoly, MPoly]:
         """The degree-n part of the Lie derivative of H_2 + ... + H_(n-1)

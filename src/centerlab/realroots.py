@@ -87,6 +87,16 @@ def quotient(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, ...]]:
     return None if any(r[:db]) else tuple(q)
 
 
+def product(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+    """``a * b`` for nonempty integer ``a`` and ``b``."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return tuple(out)
+
+
 def univariate_gcd(a: Sequence, b: Sequence) -> Tuple[int, ...]:
     """The primitive gcd of ``a`` and ``b`` with a positive leading
     coefficient (``()`` when both are zero)."""
