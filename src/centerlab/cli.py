@@ -14,7 +14,9 @@ with its ``"reason"``, and the sweep goes on; only a sweep in which every
 point is refused exits 3, with the first point's message.  An engine fault
 still ends the sweep with exit 4.  A sweep of more than
 :data:`MAX_SWEEP_POINTS` points is a parse error (exit 2), read from the
-range before any point is built.  A system file that cannot be opened,
+range before any point is built, and so is a ``--max-degree`` above
+:data:`~centerlab.mpoly.MAX_DEGREE`, the highest degree a packed key
+holds, read before any table is built.  A system file that cannot be opened,
 read or decoded as UTF-8, or an ``-o`` path that cannot be written, exits 3
 with one line ``error: <path>: <reason>``.  System files are read and
 reports written as UTF-8, whatever the locale.
@@ -29,7 +31,7 @@ import sys
 import time
 from typing import List, Optional, Union
 
-from .liapunov import MIN_EVEN_DEGREE, EngineError
+from .liapunov import MAX_DEGREE, MIN_EVEN_DEGREE, EngineError
 from .mpoly import Rat
 from .parser import ParseError, parse_first_integral
 from .perturb import (
@@ -188,6 +190,8 @@ def _emit(args, data: dict, t0: float) -> None:
 
 def cmd_liapunov(args, s: PlaneSystem) -> dict:
     max_degree = _int_at_least("--max-degree", args.max_degree, MIN_EVEN_DEGREE)
+    if max_degree > MAX_DEGREE:
+        raise ParseError(f"--max-degree expects an integer <= {MAX_DEGREE}, got {args.max_degree!r}")
     base_class = s.linear_class
     kind, degree = _perturbation(args.perturb, base_class)
     perturb_desc = {"kind": "none"}

@@ -7,7 +7,12 @@ part is (y, -mu*x)) and solves one homogeneous linear system per degree n so
 that the derivative of H along the flow is a combination of powers of
 (x^2+y^2).  Every supported linear part is (sigma*y, -mu*x), sigma and mu
 eps-monomials, so the system splits into two bidiagonal recurrences, each a
-prefix sum with separable integer weights.  At even degrees V is the unique
+prefix sum with separable integer weights.  Those weights, the obstruction
+Delta_n and the column of (x^2+y^2)^(n/2) depend on (sigma, mu, n) alone,
+so this parameter-free half of a degree is kept per (sigma, mu, n) in one
+bounded cache (:func:`_degree_table`): a process that solves the same
+linear part again pays for it once, and a single run pays for it at the
+first solve of each degree as before.  At even degrees V is the unique
 value making the degree-n equation solvable; the kernel ambiguity in H_n is
 fixed by forcing the y^n coefficient to zero.  All arithmetic is exact.
 
@@ -30,13 +35,13 @@ finished pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 from typing import Dict, Iterator, Mapping, Tuple
 
-from .mpoly import EngineError, MPoly, Rat, poly_lcm
+from .mpoly import MAX_DEGREE, EngineError, MPoly, Rat, poly_lcm
 from .realroots import product, quotient, univariate_gcd
 from .ratfunc import RatFunc
 from .systems import (
@@ -52,6 +57,10 @@ from .systems import (
 SUPPORTED_CLASSES = (LINEAR_TYPE, PERTURBED_NILPOTENT, PERTURBED_DEGENERATE)
 # the least max_even_degree: the first constant sits at degree 4
 MIN_EVEN_DEGREE = 4
+# the most degree tables kept: a full exact-deep pass asks for 32
+_TABLES = 64
+# the table of each cached Delta_n and circle column
+_XYE = ("x", "y", "eps")
 
 
 @dataclass
@@ -95,19 +104,27 @@ def _linear_scalars(system: PlaneSystem) -> Tuple[MPoly, MPoly]:
     return p1[0, 1], -q1[1, 0]
 
 
-def _solve_plan(sigma: MPoly, mu: MPoly, n: int):
-    """The sweeps and scales of :meth:`MPoly.prefix_sums` for
-    :func:`_solve_degree` (output 0 is A, output 1 is ell at even n).  With
-    sigma = sn/sd*eps^se, mu = mn/md*eps^me, a = sn*md and b = sd*mn, each
-    weight X_k, Y_j there is an integer (powers of a and b times prefix
-    products) times eps^e, e >= 0: the forward Y_j are multiplied by
-    sigma^K*sd^K*md^K*P_K, the backward ones by mu^h*sd^(h-1)*md^h*U_h, and
-    each output's scale divides the same back out."""
+def _linear_key(sigma: MPoly, mu: MPoly) -> Tuple[int, int, int, int, int, int]:
+    """(sn, sd, se, mn, md, me) with sigma = sn/sd*eps^se and mu =
+    mn/md*eps^me (sd, md > 0); EngineError unless each is one eps-term."""
     if len(sigma) != 1 or len(mu) != 1 or {*sigma.variables_present(),
                                            *mu.variables_present()} - {"eps"}:
         raise EngineError(f"linear scalars {sigma}, {mu} are not eps-monomial terms")
     (sn, sd), (mn, md) = (p.leading_coefficient().as_integer_ratio() for p in (sigma, mu))
-    se, me, a, b = sigma.degree_in("eps"), mu.degree_in("eps"), sn * md, sd * mn
+    return sn, sd, sigma.degree_in("eps"), mn, md, mu.degree_in("eps")
+
+
+def _solve_plan(sn: int, sd: int, se: int, mn: int, md: int, me: int, n: int):
+    """The sweeps and scales of :meth:`MPoly.prefix_sums` for
+    :func:`_solve_degree` (output 0 is A, output 1 is ell at even n), from
+    the linear part sigma = sn/sd*eps^se, mu = mn/md*eps^me alone: part of
+    the parameter-free half of degree n, kept per (sigma, mu, n) in one
+    bounded cache (:func:`_degree_table`).  With a = sn*md and b = sd*mn,
+    each weight X_k, Y_j there is an integer (powers of a and b times prefix
+    products) times eps^e, e >= 0: the forward Y_j are multiplied by
+    sigma^K*sd^K*md^K*P_K, the backward ones by mu^h*sd^(h-1)*md^h*U_h, and
+    each output's scale divides the same back out."""
+    a, b = sn * md, sd * mn
     h, even = (n + 1) // 2, n % 2 == 0
     K = h - 1 + even  # the last forward step; at even n it reads row n into ell
     P = list(accumulate(range(n - 1, n - 2 * K, -2), mul, initial=1))
@@ -154,32 +171,64 @@ def _solve_degree(sigma: MPoly, mu: MPoly, n: int, R_num: MPoly, R_den: MPoly):
     + mu^h*r_n.  On c_s the map gives C = -A(O)*R_den and Delta_n = ell(O),
     eps-only and zero exactly when the system is singular.  O has only the
     even rows c_2j = C(n/2, j), so Delta_n is the forward sweep's weights
-    applied to those binomials, and A(O) is needed only for C: the circle
-    and its column are built only for a nonzero ell.
+    applied to those binomials, and A(O) is needed only for C.
+
+    The plan, Delta_n and the column -A(O) are the parameter-free half of
+    degree n, kept per (sigma, mu, n) in one bounded cache
+    (:func:`_degree_table`); the column is formed the first time a nonzero
+    ell asks for it.  A call decodes sigma and mu, runs the plan on R_num,
+    re-expresses Delta_n over R_num's table and, for a nonzero ell only,
+    multiplies the column by R_den.
 
     Returns (A, C, ell, delta): H_n = (A + V*C) / ((mu*sigma)^h * R_den) and
     at even n V = ell / (delta * R_den), delta = Delta_n; C is zero at odd n
     (ell and delta None) and when ell is zero.  ValueError unless R_num is
     x,y-homogeneous in n; EngineError when Delta_n is zero."""
-    sweeps, scales = _solve_plan(sigma, mu, n)
-    A, *ell = R_num.prefix_sums(("x", "y"), "eps", sweeps, scales)
+    table = _degree_table(*_linear_key(sigma, mu), n)
+    A, *ell = R_num.prefix_sums(("x", "y"), "eps", table.sweeps, table.scales)
     C = MPoly.zero(A.vars)
     if not ell:
         return A, C, None, None
-    rows: Dict[int, int] = {}
-    for ((_, t), w, e), _ in sweeps[0]:
-        rows[e] = rows.get(e, 0) + w * comb(n // 2, t // 2)
-    num, den = scales[1]
-    delta = MPoly.from_coefficients(A.vars, ("eps",), {
-        (e,): MPoly.const(A.vars, Rat(c * num, den)) for e, c in rows.items()})
-    if delta.is_zero:
+    if table.delta.is_zero:
         raise EngineError(f"homological system at degree {n} is singular beyond the "
                           "expected one-dimensional obstruction")
     if ell[0]:
-        x, y = MPoly.variable("x", A.vars), MPoly.variable("y", A.vars)
-        circle = (x * x + y * y) ** (n // 2)
-        C = -circle.prefix_sums(("x", "y"), "eps", sweeps, scales)[0] * R_den
-    return A, C, ell[0], delta
+        C = table.column().embed(A.vars) * R_den
+    return A, C, ell[0], table.delta.embed(A.vars)
+
+
+class _DegreeTable:
+    """The parameter-free half of degree n for sigma = sn/sd*eps^se and
+    mu = mn/md*eps^me, over ``("x", "y", "eps")``: the plan of
+    :func:`_solve_plan` (``sweeps``, ``scales``), Delta_n at even n
+    (``delta``; None at odd n) and the column -A((x^2+y^2)^(n/2)), formed at
+    the first :meth:`column` call."""
+
+    __slots__ = ("n", "sweeps", "scales", "delta", "_column")
+
+    def __init__(self, sn: int, sd: int, se: int, mn: int, md: int, me: int, n: int):
+        self.n = n
+        self.sweeps, self.scales = _solve_plan(sn, sd, se, mn, md, me, n)
+        self.delta = self._column = None
+        if n % 2 == 0:
+            rows: Dict[int, int] = {}
+            for ((_, t), w, e), _ in self.sweeps[0]:
+                rows[e] = rows.get(e, 0) + w * comb(n // 2, t // 2)
+            num, den = self.scales[1]
+            self.delta = MPoly.from_coefficients(_XYE, ("eps",), {
+                (e,): MPoly.const(_XYE, Rat(c * num, den)) for e, c in rows.items()})
+
+    def column(self) -> MPoly:
+        if self._column is None:
+            x, y = MPoly.variable("x", _XYE), MPoly.variable("y", _XYE)
+            circle = (x * x + y * y) ** (self.n // 2)
+            self._column = -circle.prefix_sums(("x", "y"), "eps", self.sweeps, self.scales)[0]
+        return self._column
+
+
+# the tables of the _TABLES most recently solved (sigma, mu, n): a process
+# solving the same family again asks for the same ones
+_degree_table = lru_cache(maxsize=_TABLES)(_DegreeTable)
 
 
 # eps as an element of an EpsBasis: its coefficients, index = power
@@ -337,6 +386,8 @@ class DegreePass:
                 "(-y, x), (y, 0), (0, 0), (y, -eps*x), (eps*y, -eps*x)")
         if max_even_degree < MIN_EVEN_DEGREE:
             raise ValueError(f"max_even_degree must be at least {MIN_EVEN_DEGREE}")
+        if max_even_degree > MAX_DEGREE:  # no packed key holds a higher degree
+            raise ValueError(f"max_even_degree must be at most {MAX_DEGREE}")
         self.max_even_degree = max_even_degree = max_even_degree - max_even_degree % 2
         self.convention = ConventionRecord(
             seed=("(mu*x^2+y^2)/2 with mu = " + str(system.eps_factor)

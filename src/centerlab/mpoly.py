@@ -88,6 +88,8 @@ _ONE = Rat(1)
 _W = 16
 _CAP = 1 << (_W - 1)
 _MASK = (1 << _W) - 1
+#: the highest total degree a packed key holds
+MAX_DEGREE = _CAP - 1
 
 
 class EngineError(RuntimeError):

@@ -109,8 +109,9 @@ class Condition:
 def _linear_solve_for(poly: MPoly, names: Sequence[str]) -> Optional[Tuple[str, MPoly]]:
     """Solve poly = 0 for the first listed parameter that appears linearly
     with a constant coefficient."""
+    present = set(poly.variables_present())
     for p in names:
-        if p not in poly.vars or poly.degree_in(p) != 1:
+        if p not in present or poly.degree_in(p) != 1:
             continue
         by_p = poly.coefficients_in(p)
         lead = by_p.get(1)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import centerlab
 from centerlab import cli, numeric, ratfunc
 from centerlab.cli import main
 from centerlab.liapunov import DegreePass
-from centerlab.mpoly import EngineError, MPoly, Rat, merge_tables
+from centerlab.mpoly import MAX_DEGREE, EngineError, MPoly, Rat, merge_tables
 from centerlab.ratfunc import RatFunc
 from centerlab.systems import parse_system
 
@@ -887,3 +888,45 @@ def test_odd_bound_degree_pass_stops_at_the_even_degree_below(text):
     assert sorted(got) == sorted(want) == list(range(2, 7))
     for k in want:
         assert (got[k].num, got[k].den) == (want[k].num, want[k].den), k
+
+
+def test_max_degree_no_packed_key_holds_is_refused_before_any_table(tmp_path):
+    # a bound of 2^15 or more is a parse error, read before the pass builds
+    # its V(j) slots and its chain; in a fresh interpreter with at most
+    # 1 GiB of address space, so that a tree without the check cannot
+    # exhaust the machine
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(SAMPLES.parent / "src")}
+    out = subprocess.run([sys.executable, "-B", "-m", "centerlab.cli", "liapunov",
+                          str(SAMPLES / "nilpotent_cubic_ab.sys"), "--max-degree", "40000"],
+                         env=env, capture_output=True, timeout=120, preexec_fn=bounded)
+    assert (out.returncode, out.stdout) == (2, b"")
+    assert out.stderr == (f"parse error: --max-degree expects an integer <= {MAX_DEGREE}, "
+                          "got '40000'\n").encode()
+    with pytest.raises(ValueError, match="at most"):
+        DegreePass(parse_system(NIL_CUBIC_AB_EPS), MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("job,other", [
+    (["liapunov", "sample_systems/nilpotent_cubic_ab.sys", "--max-degree", "12"],
+     ["liapunov", "sample_systems/degenerate_quintic.sys", "--mode", "first-order", "--max-degree", "10"]),
+    (["liapunov", "bench/systems/cubic_k.sys", "--perturb", "general:3", "--max-degree", "8"],
+     ["liapunov", "sample_systems/degenerate_quintic.sys", "--max-degree", "8"]),
+    (["qhcenter", "sample_systems/homogeneous_cubic.sys", "--set", "lambda=1", "--sweep", "mu=1/2:7/4:1/4"],
+     ["classify", "sample_systems/reversible_nilpotent.sys"]),
+    (["returnmap", "sample_systems/reversible_nilpotent.sys", "--x0", "0.05"],
+     ["liapunov", "sample_systems/factored_quartic.sys", "--max-degree", "8"]),
+], ids=["ab", "cubic-k-general", "qhcenter", "returnmap"])
+def test_a_job_run_again_in_one_process_writes_the_same_report(tmp_path, job, other):
+    # the degree tables, the compiled integration loops and the quadrature
+    # kernels are kept between jobs of one process: the second run of a job,
+    # after a job on another linear part, writes the same bytes as the first
+    reports = []
+    for k, argv in enumerate((job, other, job)):
+        report = tmp_path / f"report{k}.json"
+        assert main([argv[0], str(SAMPLES.parent / argv[1]), *argv[2:], "--no-timings",
+                     "-o", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[2] == reports[0]

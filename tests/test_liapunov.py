@@ -1,9 +1,11 @@
 import pytest
 
+from centerlab import liapunov
 from centerlab.liapunov import (
     DegreePass,
     EngineError,
     EpsBasis,
+    _linear_key,
     _linear_scalars,
     _solve_degree,
     _solve_plan,
@@ -257,11 +259,49 @@ def test_homological_step_random_backsubstitution(rng):
 
 def test_singular_degree_system_raises_engine_error():
     # the saddle linear part (y, x), outside every supported class, makes the
-    # degree-2 system singular: Delta_2 = mu + sigma = 0
+    # degree-2 system singular: Delta_2 = mu + sigma = 0; its degree table is
+    # kept, and the second call, which reads it from the cache, raises too
     vars = ("x", "y", "eps")
     one = MPoly.const(vars, 1)
-    with pytest.raises(EngineError):
-        _solve_degree(one, -one, 2, MPoly.zero(vars), one)
+    liapunov._degree_table.cache_clear()
+    for _ in range(2):
+        with pytest.raises(EngineError):
+            _solve_degree(one, -one, 2, MPoly.zero(vars), one)
+    assert liapunov._degree_table.cache_info().hits == 1
+
+
+def test_cached_degree_tables_match_the_reference_solve(monkeypatch):
+    # passes on every tested linear part, run degree by degree side by side
+    # with solves on (eps*y, -x) (no pass accepts it), so that each degree
+    # asks for tables the others put in the cache: the constants are the
+    # same on a cleared cache, on a warm one and with the two-sweep
+    # reference solve
+    texts = [f"{x} + x^2 + a*x*y^2; {y} + x*y + b*x^3"
+             for x, y in (t.split(";") for t in HOMOLOGICAL_LINEAR_PARTS)]
+    systems = [parse_system(t) for t in texts]
+    odd = parse_system("xdot = eps*y; ydot = -x + a*x^2")
+    sigma, mu = _linear_scalars(odd)
+    one = MPoly.const(odd.vars, 1)
+
+    def interleaved(solve):
+        out = []
+        for row in zip(*(DegreePass(s, 10) for s in systems)):
+            for n in (row[0][0] - 1, row[0][0]):
+                residual = poly(f"a*x^{n} + x^{n - 1}*y + eps*y^{n}", odd.vars)
+                A, C, ell, delta = solve(sigma, mu, n, residual, one)
+                out.append((row, A, ell, delta, C if ell else None))
+        return out
+
+    liapunov._degree_table.cache_clear()
+    cold = interleaved(_solve_degree)
+    asked = 8 * (len(systems) + 1)  # degrees 3..10 of each linear part
+    assert liapunov._degree_table.cache_info()[:2] == (0, asked)
+    warm = interleaved(_solve_degree)
+    assert liapunov._degree_table.cache_info()[:2] == (asked, asked)
+    monkeypatch.setattr(liapunov, "_solve_degree", two_sweep_solve)
+    reference = interleaved(two_sweep_solve)
+    assert cold == warm == reference
+    assert sum(bool(V) for row, *_ in cold for _, V in row) >= 4 * len(systems)
 
 
 def test_prefix_solve_matches_two_sweep_reference(rng):
@@ -291,7 +331,7 @@ def test_prefix_solve_matches_two_sweep_reference(rng):
             got, want = got[::2] + got[3:], want[::2] + want[3:]
         assert got == want, (trial, n)
         # every eps offset of the plan is a non-negative exponent
-        sweeps = _solve_plan(sigma, mu, n)[0]
+        sweeps = _solve_plan(*_linear_key(sigma, mu), n)[0]
         assert all(src[2] >= 0 and tgt[2] >= 0 for sweep in sweeps for src, tgt in sweep)
         count += bool(R_num)
     assert count >= 200
@@ -316,15 +356,18 @@ def test_solve_rejects_a_residual_of_the_wrong_degree():
 
 
 def test_zero_constant_builds_no_circle_column(monkeypatch):
-    # every V_n of the reversible family is zero: each degree runs the one
-    # prefix sum of its residual, and no power of the circle is formed
+    # on a cleared cache, every V_n of the reversible family is zero: each
+    # degree runs the one prefix sum of its residual, and no power of the
+    # circle is formed
     read = []
     prefix_sums = MPoly.prefix_sums
     monkeypatch.setattr(MPoly, "prefix_sums", lambda p, *args: read.append(p) or prefix_sums(p, *args))
+    liapunov._degree_table.cache_clear()
     V = _constants(parse_system(NIL_REVERSIBLE_EPS), 14)
     assert [n for n, v in V.items() if v.is_zero] == [4, 6, 8, 10, 12, 14]
     assert len(read) == len(range(3, 15))
-    # one solve: a zero ell reads the residual only, a nonzero one the circle too
+    # one solve: a zero ell reads the residual only; the first nonzero one
+    # reads the circle too, and later ones find its column formed
     s = parse_system(NIL_CUBIC_AB_EPS)
     sigma, mu = _linear_scalars(s)
     one = MPoly.const(s.vars, 1)
@@ -332,8 +375,11 @@ def test_zero_constant_builds_no_circle_column(monkeypatch):
         read.clear()
         _, C, ell, _ = _solve_degree(sigma, mu, n, poly(f"x^{n - 1}*y", s.vars), one)
         assert ell.is_zero and C.is_zero and len(read) == 1
-        _, C, ell, _ = _solve_degree(sigma, mu, n, poly(f"x^{n}", s.vars), one)
-        assert not ell.is_zero and not C.is_zero and len(read) == 3
+        for _ in range(2):
+            _, C, ell, _ = _solve_degree(sigma, mu, n, poly(f"x^{n}", s.vars), one)
+            assert not ell.is_zero and not C.is_zero
+        circle = poly(f"(x^2 + y^2)^{n // 2}", ("x", "y", "eps"))
+        assert len(read) == 4 and [p == circle for p in read] == [False, False, True, False], n
 
 
 def test_delta_is_the_legendre_form():
