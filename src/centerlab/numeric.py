@@ -18,31 +18,28 @@ around the origin at that size), or at ``max_steps``.
 The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
 J. Comput. Appl. Math. 6, 1980) with an I step-size controller, on plain
 Python floats.  Its stepping loop is Python source generated from the
-tableau's nonzero entries and compiled on first use, one per system,
-weights and sign of W: both components are scalar locals, every stage sum
-and the error sum are written out term by term, and the system's P and Q
-are written into each stage, so a stage calls only cos and sin, builds no
-tuple and computes each power of x and y once.  Stage 7 reuses stage 6's
-cos, sin and p*cos^2 + q*sin^2 (both sit at the step's end), stage 2's
-t-slope, which nothing reads, is left out, and the sign of W is written
-into each stage's test.  The order of the float operations is fixed, so a
-run repeats bit for bit, and the inlined P and Q are the floats that
-:func:`compile_system`'s function returns (a factor 1.0 is left out and a
-negative coefficient becomes a subtraction, which IEEE rounding makes
-exact).  Every power stays ``**``: with CPython 3.11 on glibc, ``x**2`` and
+tableau's nonzero entries and compiled on first use, one per monomial
+structure of P and Q, weights and sign of W, to which a system passes its
+float coefficients: both components are scalar locals, every stage sum and
+the error sum are written out term by term, and P and Q are written into
+each stage, so a stage calls only cos and sin, builds no tuple and computes
+each power of x and y once.  Stage 7 reuses stage 6's cos, sin and
+p*cos^2 + q*sin^2 (both sit at the step's end), stage 2's t-slope, which
+nothing reads, is left out, and the sign of W is written into each stage's
+test.  The order of the float operations is fixed, so a run repeats bit for
+bit.  Every power stays ``**``: with CPython 3.11 on glibc, ``x**2`` and
 ``x*x`` differ in the last bit for about 1 in 1,200 uniform random floats,
 so a product in place of a power would change the floats.  The loop keeps
 nothing per step.
-:func:`return_map` reads the system's :func:`float_terms` and compiles only
-its loop.
 
 The condition (ii) quadrature of :mod:`centerlab.qhomog` runs in a second
 generated function, :func:`trapezoid_kernel`: one per monomial structure
-of P and Q and weights (p, q), to which a system passes its float
-coefficients, so the points of a parameter sweep whose monomials stay the
-same share one compiled kernel.  Its floats are those of the compiled
-right-hand side, by the same rules.  Verdicts produced here are evidence
-only; they never override an exact result.
+of P and Q and weights (p, q), so the points of a parameter sweep whose
+monomials stay the same share one compiled kernel.  Both write P and Q
+through one emitter, :func:`_poly_source`, each term c*x**i*y**j from the
+left and the terms in the order of :func:`float_terms`, so their floats are
+those of that sum.  Verdicts produced here are evidence only; they never
+override an exact result.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
 from .structure import MonodromyWeights, monodromy_weights
-from .systems import PlaneSystem
+from .systems import PlaneSystem, require_numeric
 
 class IntegrationError(RuntimeError):
     def __init__(self, message: str, closest_approach: float):
@@ -72,9 +69,7 @@ def float_terms(s: PlaneSystem) -> Tuple[Tuple[Tuple[float, int, int], ...], ...
     (coefficient, i, j) of each c*x**i*y**j in descending graded-lex order,
     as MPoly.integer_terms lists them.  A system with parameters, or a
     coefficient too large for a float, raises ValueError."""
-    if not s.is_numeric():
-        used = sorted((set(s.P.variables_present()) | set(s.Q.variables_present())) - {"x", "y"})
-        raise ValueError(f"system must be numeric; specialize {used}")
+    require_numeric(s)
     return _float_terms(s.P, "xdot"), _float_terms(s.Q, "ydot")
 
 
@@ -95,37 +90,6 @@ def coefficient_float(num: int, den: int, name: str, i: int, j: int) -> float:
                             for v, e in (("x", i), ("y", j)) if e) or "1"
         raise ValueError(f"{name}: the coefficient of {monomial} "
                          "is too large for a float") from None
-
-
-def compile_system(s: PlaneSystem) -> Callable:
-    """Compile a parameter-free system into a float right-hand side f(x, y).
-
-    The function carries the system's :func:`float_terms` as
-    ``f.float_terms``, in the order in which ``f`` adds them: the loop that
-    :func:`integrate_adaptive` generates from them computes the floats that
-    ``f`` returns."""
-    terms = float_terms(s)
-    p, q = _render(terms[0]), _render(terms[1])
-    src = f"def _f(x, y):\n    return ({p}, {q})\n"
-    ns: dict = {}
-    # a label per system, so that a profile keeps one entry for each
-    exec(compile(src, f"<rhs xdot = {p}; ydot = {q}>", "exec"), ns)
-    f = ns["_f"]
-    f.float_terms = terms
-    return f
-
-
-def _render(terms) -> str:
-    """Source of the sum of ``terms`` in x and y, term by term from the left."""
-    parts = []
-    for c, i, j in terms:
-        piece = repr(c)
-        if i:
-            piece += "*x" + (f"**{i}" if i > 1 else "")
-        if j:
-            piece += "*y" + (f"**{j}" if j > 1 else "")
-        parts.append(piece)
-    return " + ".join(parts) or "0.0"
 
 
 @dataclass
@@ -161,7 +125,7 @@ def integrate_adaptive(terms, weights: MonodromyWeights, r0: float,
     """Integrate (r, t) over ``psi_span`` for the system whose
     :func:`float_terms` are ``terms``, in the weighted polar coordinates of
     ``weights`` = (p, q, sign), from r = ``r0`` and t = 0, in the loop that
-    :func:`_dopri_loop` generates for those terms.
+    :func:`_dopri_loop` generates for their monomials and unit coefficients.
 
     ``sign`` (1 or -1) is the sign that W = p*x*Q - q*y*P must keep: where
     W lacks it at the start, or the steps shrink to nothing on stages where
@@ -181,9 +145,14 @@ def integrate_adaptive(terms, weights: MonodromyWeights, r0: float,
     p, q, sign = weights
     if sign not in (1, -1):
         raise ValueError(f"the sign of W must be 1 or -1, got {sign!r}")
-    loop = _dopri_loop(_inline_rhs(terms), p, q, sign > 0)
+    exponents = tuple(tuple((i, j) for _, i, j in comp) for comp in terms)
+    units = tuple(tuple(1 if c == 1.0 else -1 if c == -1.0 else 0 for c, _, _ in comp)
+                  for comp in terms)
+    loop = _dopri_loop(exponents, units, p, q, sign > 0)
+    cP, cQ = (tuple(c for c, _, _ in comp) for comp in terms)
     psi0, psi1 = psi_span
-    return loop(float(psi0), float(psi1), float(r0), guard_radius, rel_tol, abs_tol, max_steps)
+    return loop(cP, cQ, float(psi0), float(psi1), float(r0), guard_radius, rel_tol, abs_tol,
+                max_steps)
 
 
 # Dormand-Prince RK5(4) tableau as (j, numerator, denominator) of its nonzero
@@ -203,13 +172,15 @@ _NODES = ((1, 5), (3, 10), (4, 5), (8, 9))
 _ERROR = ((1, 71, 57600), (3, -71, 16695), (4, 71, 1920), (5, -17253, 339200),
           (6, 22, 525), (7, -1, 40))
 
-# The stepping loop.  y_0 is r and y_1 is t; the right-hand side does not
-# read t, so only the 5th-order solution sums its stages.  pn is the end of
-# the step: psi + h, or psi1 itself on the last step, so that the run ends
-# exactly there.  Each stage leaves the point (rx, ry) of its node, so after
-# stage 7 it is the step's end, which the guard radius is tested on.
+# The stepping loop.  {unpack} binds the coefficients of P and Q.  y_0 is r
+# and y_1 is t; the right-hand side does not read t, so only the 5th-order
+# solution sums its stages.  pn is the end of the step: psi + h, or psi1
+# itself on the last step, so that the run ends exactly there.  Each stage
+# leaves the point (rx, ry) of its node, so after stage 7 it is the step's
+# end, which the guard radius is tested on.
 _LOOP = """\
-def dopri_loop(psi, psi1, r0, guard_radius, rel_tol, abs_tol, max_steps):
+def dopri_loop(cP, cQ, psi, psi1, r0, guard_radius, rel_tol, abs_tol, max_steps):
+{unpack}
     direction = 1.0 if psi1 >= psi else -1.0
     psi_start = psi
     y_0 = r0
@@ -314,57 +285,63 @@ def _weighted_sum(row, i: int) -> str:
     return out
 
 
-def _inline_rhs(terms) -> str:
-    """Source of P and Q at one stage's point, from a system's
-    :func:`float_terms`: it reads the point from ``rx`` and
-    ``ry`` and writes ``fP`` and ``fQ``.  Each power rx**e or ry**e with
-    e > 1 is computed once (into ``rx2``, ``ry3``, ...), a coefficient 1.0
-    is left out and a negative one is written as a subtraction, or as a
-    leading minus.
+def _powers(exponents, v: str, axis: int) -> List[str]:
+    """Lines that compute each power ``v**e`` with e > 1 that a term of P or
+    Q reads (e is the term's i for ``axis`` 0, its j for ``axis`` 1) once,
+    into ``v2``, ``v3``, ...; ``exponents`` holds the (i, j) of each term of
+    P and of Q."""
+    return [f"{v}{e} = {v} ** {e}"
+            for e in sorted({m[axis] for comp in exponents for m in comp if m[axis] > 1})]
 
-    Every float equals the one :func:`compile_system`'s ``f`` returns: 1.0*a is a,
-    a + (-c)*u*v is a - c*u*v because rounding is sign-symmetric, and a
-    power computed once is the same float each time it is read.  Powers stay
-    ``**``, and the terms and the factors of each keep ``f``'s order.  A
-    coefficient's sign is read from its repr, so -0.0 is written as a
-    subtraction too."""
-    powers = sorted({(v, e) for comp in terms for _, i, j in comp
-                     for v, e in (("rx", i), ("ry", j)) if e > 1})
-    lines = [f"{v}{e} = {v}**{e}" for v, e in powers]
-    for out, comp in zip(("fP", "fQ"), terms):
-        expr = ""
-        for c, i, j in comp:
-            coef = repr(c)
-            factors = [v if e == 1 else f"{v}{e}" for v, e in (("rx", i), ("ry", j)) if e]
-            size = coef.lstrip("-")
-            if size != "1.0" or not factors:
-                factors.insert(0, size)
-            minus = coef.startswith("-")
-            if expr:
-                expr += f" {'-' if minus else '+'} {'*'.join(factors)}"
-            else:
-                expr = ("-" if minus else "") + "*".join(factors)
-        lines.append(f"{out} = {expr or '0.0'}")
-    return "\n".join(lines)
+
+def _poly_source(exponents, units, coef: str, x: str, y: str) -> str:
+    """Source of the sum of the terms c_k * x**i * y**j, (i, j) =
+    ``exponents[k]``, from the left and in order, each power read from the
+    name that :func:`_powers` binds.  ``units[k]`` is 1 or -1 when c_k is
+    exactly that float and 0 otherwise: a term 0 reads c_k as ``{coef}{k}``,
+    a term 1 is the product of its factors and a term -1 is subtracted, or
+    negated when it comes first.  The floats are those of the plain sum of
+    c_k*x**i*y**j: 1.0*a is a, and, rounding being sign-symmetric,
+    a + (-1.0*u)*v is a - u*v."""
+    out = ""
+    for k, ((i, j), unit) in enumerate(zip(exponents, units)):
+        factors = [v if e == 1 else f"{v}{e}" for v, e in ((x, i), (y, j)) if e]
+        product = " * ".join(factors if unit else [f"{coef}{k}", *factors]) or "1.0"
+        if out:
+            out += f" {'-' if unit < 0 else '+'} {product}"
+        else:
+            out = ("-" if unit < 0 else "") + product
+    return out or "0.0"
+
+
+def _unpack(exponents) -> List[str]:
+    """Lines that bind the coefficients ``a0, a1, ...`` of P from ``cP`` and
+    ``b0, b1, ...`` of Q from ``cQ``."""
+    return ["".join(f"{coef}{k}, " for k in range(len(comp))) + f"= {arg}"
+            for coef, arg, comp in (("a", "cP", exponents[0]), ("b", "cQ", exponents[1]))
+            if comp]
 
 
 @functools.lru_cache(maxsize=16)
-def _dopri_loop(rhs: str, p: int, q: int, positive: bool) -> Callable:
-    """The stepping loop of :func:`integrate_adaptive` for one system, its
-    weights and the sign of W (``positive``), generated and compiled on
-    first use from ``rhs``, the source that :func:`_inline_rhs` writes for
-    its float terms: each stage runs that source, so a step calls no
-    right-hand side and builds no stage tuple.  The loop's label names the
-    weights and the system, so that a profile keeps one entry per system.
-    The cache is keyed by the source text, not by the float terms, since
-    ``0.0 == -0.0`` would let two systems share a loop.
+def _dopri_loop(exponents, units, p: int, q: int, positive: bool) -> Callable:
+    """The stepping loop of :func:`integrate_adaptive` for one monomial
+    structure of P and Q, its unit coefficients, the weights and the sign of
+    W (``positive``), generated and compiled on first use.  ``exponents``
+    and ``units`` hold, per component, the (i, j) of each term and its unit
+    (1 or -1 for a coefficient exactly 1.0 or -1.0, else 0, which
+    :func:`_poly_source` reads); the loop is called as ``loop(cP, cQ, psi,
+    psi1, r0, guard_radius, rel_tol, abs_tol, max_steps)`` with the terms'
+    float coefficients.  Each stage computes P and Q in place, so a step
+    calls no right-hand side and builds no stage tuple.  The loop's label
+    names the weights and the emitted P and Q, so that a profile keeps one
+    entry per loop.
 
     A stage at node ``ps`` and radius ``rr`` computes the point
-    rx = rr**p*cos(ps), ry = rr**q*sin(ps), P and Q there (``rhs``),
-    W = p*rx*Q - q*ry*P and the two slopes; a weight 1 is left out, since
-    rr**1 is rr and 1*a is a.  A stage where W is finite and lacks its sign
-    raises ``Turned``: the test is written for the sign, ``0 >= W > -inf``
-    or ``0 <= W < inf``, which is ``-inf < W*sign <= 0`` for a sign of +-1.
+    rx = rr**p*cos(ps), ry = rr**q*sin(ps), P and Q there, W = p*rx*Q -
+    q*ry*P and the two slopes; a weight 1 is left out, since rr**1 is rr and
+    1*a is a.  A stage where W is finite and lacks its sign raises
+    ``Turned``: the test is written for the sign, ``0 >= W > -inf`` or
+    ``0 <= W < inf``, which is ``-inf < W*sign <= 0`` for a sign of +-1.
     Stages 6 and 7 both sit at the step's end, so stage 7 reads stage 6's
     cos, sin and p*cos^2 + q*sin^2; stage 2's t-slope is left out, since
     neither the 5th-order row nor the error row reads it.  ``max(u, v)`` is
@@ -378,7 +355,10 @@ def _dopri_loop(rhs: str, p: int, q: int, positive: bool) -> Callable:
     angle = ["cs = cos(ps)", "sn = sin(ps)"]
     radius = [f"{name} = rr ** {e}" for name, e in ((rp, p), (rq, q)) if e > 1]
     radius += [f"rx = {rp} * cs", f"ry = {rq} * sn"]
-    field_ = [*rhs.splitlines(), f"W = {wp}rx * fQ - {wq}ry * fP"]
+    fP, fQ = (_poly_source(comp, unit, coef, "rx", "ry")
+              for comp, unit, coef in zip(exponents, units, "ab"))
+    field_ = [*_powers(exponents, "rx", 0), *_powers(exponents, "ry", 1), f"fP = {fP}",
+              f"fQ = {fQ}", f"W = {wp}rx * fQ - {wq}ry * fP"]
     # a finite W without its sign; a non-finite one makes a non-finite error
     check = ["if 0 >= W > -inf:" if positive else "if 0 <= W < inf:", "    raise Turned"]
 
@@ -401,7 +381,8 @@ def _dopri_loop(rhs: str, p: int, q: int, positive: bool) -> Callable:
             stages += [f"yn_0 = {r_new}", f"yn_1 = y_1 + h * ({_weighted_sum(row, 1)})"]
     # stage 7 at ps = pn, where stage 6 left cs, sn and ang
     stages += ["rr = yn_0", *radius, *field_, *check, *slope(7, weight="ang")]
-    src = _LOOP.format(point="\n".join(" " * 4 + line for line in angle + radius),
+    src = _LOOP.format(unpack="\n".join(" " * 4 + line for line in _unpack(exponents)),
+                       point="\n".join(" " * 4 + line for line in angle + radius),
                        field="\n".join(" " * 8 + line for line in field_),
                        stalled="W <= 0" if positive else "W >= 0",
                        slope="\n".join(" " * 4 + line for line in slope(1)),
@@ -410,8 +391,7 @@ def _dopri_loop(rhs: str, p: int, q: int, positive: bool) -> Callable:
     ns = {"Trajectory": Trajectory, "IntegrationError": IntegrationError, "Turned": _Turned,
           "inf": math.inf, "nan": math.nan,
           "sqrt": math.sqrt, "hypot": math.hypot, "cos": math.cos, "sin": math.sin}
-    xdot, ydot = (line.split(" = ", 1)[1] for line in rhs.splitlines()[-2:])
-    exec(compile(src, f"<dopri ({p},{q}) xdot = {xdot}; ydot = {ydot}>", "exec"), ns)
+    exec(compile(src, f"<dopri ({p},{q}) xdot = {fP}; ydot = {fQ}>", "exec"), ns)
     return ns["dopri_loop"]
 
 
@@ -444,17 +424,11 @@ def trapezoid_sums(cP, cQ, n, first, step):
 def _integrand_source(exponents, x: str, y: str, p: int, q: int, out: str) -> list:
     """Lines that compute the integrand at the point (``x``, ``y``) into
     ``out``: the powers of ``y`` (those of ``x`` are shared), P and Q from
-    the coefficients ``a0, a1, ...`` and ``b0, b1, ...`` as :func:`_render`
-    writes the terms, left to right, and (x*P + y*Q)/W, or inf where W is 0."""
-    lines = [f"{y}{e} = {y} ** {e}" for e in sorted({j for comp in exponents
-                                                      for _, j in comp if j > 1})]
+    the coefficients ``a0, a1, ...`` and ``b0, b1, ...`` and (x*P + y*Q)/W,
+    or inf where W is 0."""
+    lines = _powers(exponents, y, 1)
     for name, coef, comp in (("P", "a", exponents[0]), ("Q", "b", exponents[1])):
-        parts = []
-        for k, (i, j) in enumerate(comp):
-            factors = [f"{coef}{k}"] + [v if e == 1 else f"{v}{e}"
-                                        for v, e in ((x, i), (y, j)) if e]
-            parts.append(" * ".join(factors))
-        lines.append(f"{name}_{out} = {' + '.join(parts) or '0.0'}")
+        lines.append(f"{name}_{out} = {_poly_source(comp, (0,) * len(comp), coef, x, y)}")
     wp, wq = ("" if e == 1 else f"{e} * " for e in (p, q))
     lines += [f"W = {wp}{x} * Q_{out} - {wq}{y} * P_{out}",
               f"{out} = ({x} * P_{out} + {y} * Q_{out}) / W if W else inf"]
@@ -471,19 +445,12 @@ def trapezoid_kernel(exponents, p: int, q: int) -> Callable:
     the integrand and the sum of its magnitude over the nodes
     2*pi*k/n, k = first, first + step, ... <= n/2, with psi = pi taken as
     exactly (-1.0, 0.0) and each node 0 < 2k < n joined by its reflection
-    (c, -s), which is added to it before it enters the sum.
-
-    Every float is the one :func:`compile_system`'s function gives at the
-    node: each term is coefficient * x**i * y**j from the left, with a power
-    computed once and read where it recurs, and the terms are added in
-    order; a weight 1 is left out, since 1*a is a."""
-    xs = sorted({i for comp in exponents for i, _ in comp if i > 1})
-    node = [f"c{e} = c ** {e}" for e in xs] + _integrand_source(exponents, "c", "s", p, q, "v")
+    (c, -s), which is added to it before it enters the sum.  Every
+    coefficient is read by name, so a sweep whose coefficients pass through
+    1.0 keeps its one kernel; a weight 1 is left out, since 1*a is a."""
+    node = _powers(exponents, "c", 0) + _integrand_source(exponents, "c", "s", p, q, "v")
     reflected = _integrand_source(exponents, "c", "m", p, q, "u")
-    unpack = ["".join(f"{coef}{k}, " for k in range(len(comp))) + f"= {arg}"
-              for coef, arg, comp in (("a", "cP", exponents[0]), ("b", "cQ", exponents[1]))
-              if comp]
-    src = _TRAPEZOID.format(unpack="\n".join(" " * 4 + line for line in unpack),
+    src = _TRAPEZOID.format(unpack="\n".join(" " * 4 + line for line in _unpack(exponents)),
                             node="\n".join(" " * 8 + line for line in node),
                             reflected="\n".join(" " * 12 + line for line in reflected))
     ns = {"cos": math.cos, "sin": math.sin, "inf": math.inf, "tau": 2 * math.pi}

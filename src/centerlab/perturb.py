@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liapunov import ConventionRecord, DegreePass
 from .mpoly import MPoly, Rat, merge_tables, poly_gcd, resultant
-from .numeric import compile_system
 from .ratfunc import RatFunc, laurent_expand_eps
 from .realroots import isolate_real_roots
 from .systems import (
@@ -26,6 +25,7 @@ from .systems import (
     NILPOTENT,
     ClassificationError,
     PlaneSystem,
+    require_numeric,
     substitute,
 )
 
@@ -184,9 +184,9 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
     real roots of a resultant, and of each float polynomial on a ray or a
     line, are isolated exactly by :mod:`realroots` and refined to floats,
     and the points are then polished by Newton's method."""
+    require_numeric(s)
     pts: List[Tuple[float, float]] = []
     g = poly_gcd(s.P, s.Q)
-    f = compile_system(s)
 
     def newton_polish(x0, y0):
         Px, Py = s.P.diff("x"), s.P.diff("y")
@@ -194,7 +194,7 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
         ev = lambda p, x, y: p.eval_float({"x": x, "y": y})
         x, y = x0, y0
         for _ in range(40):
-            p, q = f(x, y)
+            p, q = ev(s.P, x, y), ev(s.Q, x, y)
             a, b, c, d = ev(Px, x, y), ev(Py, x, y), ev(Qx, x, y), ev(Qy, x, y)
             det = a * d - b * c
             if abs(det) < 1e-300:
@@ -204,7 +204,7 @@ def _singular_points_numeric(s: PlaneSystem, radius: float) -> List[Tuple[float,
             x, y = x - dx, y - dy
             if abs(dx) + abs(dy) < 1e-14 * (1 + abs(x) + abs(y)):
                 break
-        p, q = f(x, y)
+        p, q = ev(s.P, x, y), ev(s.Q, x, y)
         if abs(p) + abs(q) < 1e-9:
             return (x, y)
         return None

@@ -61,7 +61,7 @@ from .mpoly import Rat
 from .numeric import coefficient_float, trapezoid_kernel
 from .realroots import homogenised, univariate_gcd
 from .structure import weighted_sign_on_lines
-from .systems import PlaneSystem
+from .systems import PlaneSystem, require_numeric
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,7 @@ class QHPoint:
 def _point(s: Union[PlaneSystem, QHPoint]) -> QHPoint:
     if isinstance(s, QHPoint):
         return s
-    if not s.is_numeric():
-        raise ValueError("specialize parameters first")
+    require_numeric(s)
     return QHTable(s).at()
 
 

@@ -18,7 +18,7 @@ from .parser import DarbouxExpr
 from .ratfunc import RatFunc
 from .realroots import (isolate_real_roots, real_root_count, root_multiplicity, trim,
                         univariate_gcd)
-from .systems import PlaneSystem, lie_derivative
+from .systems import PlaneSystem, lie_derivative, require_numeric
 
 
 def is_hamiltonian(s: PlaneSystem) -> bool:
@@ -279,9 +279,8 @@ def characteristic_directions(s: PlaneSystem) -> CharacteristicDirections:
     parts = M.homogeneous_parts()
     d = min(parts)
     B = parts[d]
-    used = set(B.variables_present()) - {"x", "y"}
-    if used:
-        raise ValueError(f"specialize parameters first: {sorted(used)}")
+    if set(B.variables_present()) - {"x", "y"}:
+        require_numeric(s)
     b = B.coefficient_list("y", {"x": 1})
     directions: List[Direction] = []
     x_mult = d - (len(b) - 1)
@@ -361,8 +360,7 @@ def monodromy_weights(s: PlaneSystem) -> Optional[MonodromyWeights]:
     of Q.  Rows lie in u, v >= -1, so only a polygon whose one edge joins
     the lowest such (-1, j) to the leftmost such (i, -1) can qualify, with
     p:q = (j + 1):(i + 1).  Parameters must be specialized."""
-    if not s.is_numeric():
-        raise ValueError("specialize parameters first")
+    require_numeric(s)
     parts = [poly.coefficients_in_vars(("x", "y")) for poly in (s.P, s.Q)]
     j = min((j for i, j in parts[0] if i == 0), default=None)
     i = min((i for i, j in parts[1] if j == 0), default=None)

@@ -82,9 +82,10 @@ class PlaneSystem:
         """Maps degree (>= 2) to (P_d, Q_d), skipping zero pairs."""
         return {d: pq for d, pq in self._by_degree.items() if d >= 2}
 
-    def is_numeric(self) -> bool:
+    def free_names(self) -> list:
+        """Every name other than x and y that P or Q holds, sorted."""
         used = set(self.P.variables_present()) | set(self.Q.variables_present())
-        return used <= {"x", "y"}
+        return sorted(used - {"x", "y"})
 
     def __str__(self) -> str:
         return format_system(self)
@@ -137,6 +138,15 @@ def _classify(split: dict, zero: MPoly):
         if mu is not None:
             return PERTURBED_DEGENERATE, mu
     return OTHER, None
+
+
+def require_numeric(s: PlaneSystem) -> None:
+    """Refuse a system whose P or Q holds a name other than x and y: a
+    numeric analysis needs every parameter (and eps) specialized.  The
+    ValueError names each such name."""
+    free = s.free_names()
+    if free:
+        raise ValueError(f"specialize parameters first: {free}")
 
 
 def parse_system(text: str) -> PlaneSystem:

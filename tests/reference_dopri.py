@@ -1,9 +1,14 @@
 """Test-only reference stepping loops for ``centerlab.numeric``.
 
 The package generates one Dormand-Prince 5(4) loop, which integrates (r, t)
-over the weighted polar angle psi with a compiled system inlined into its
-stages.  The tests check it against loops of their own, kept here; the
-package does not import this module.
+over the weighted polar angle psi with P and Q written into its stages.
+The tests check it against loops of their own, kept here; the package does
+not import this module.
+
+- ``compile_system`` renders a system's float terms as a plain Python
+  function f(x, y), each term ``c*x**i*y**j`` with its coefficient written
+  out (``_render``), independently of the package's emitter.  It is the
+  right-hand side that the references call.
 
 - ``_tuple_loop_integrate`` steps on float tuples with list comprehensions,
   calls the right-hand side at every stage (given the stage's node when
@@ -34,11 +39,44 @@ from centerlab.numeric import (
     ReturnSample,
     Trajectory,
     check_tolerance,
-    compile_system,
+    float_terms,
 )
 from centerlab.structure import monodromy_weights
+from centerlab.systems import PlaneSystem
 
 State = Tuple[float, ...]
+
+
+def compile_system(s: PlaneSystem) -> Callable:
+    """Compile a parameter-free system into a float right-hand side f(x, y).
+
+    The function carries the system's :func:`float_terms` as
+    ``f.float_terms``, in the order in which ``f`` adds them: the loop that
+    :func:`integrate_adaptive` generates from them computes the floats that
+    ``f`` returns."""
+    terms = float_terms(s)
+    p, q = _render(terms[0]), _render(terms[1])
+    src = f"def _f(x, y):\n    return ({p}, {q})\n"
+    ns: dict = {}
+    # a label per system, so that a profile keeps one entry for each
+    exec(compile(src, f"<rhs xdot = {p}; ydot = {q}>", "exec"), ns)
+    f = ns["_f"]
+    f.float_terms = terms
+    return f
+
+
+def _render(terms) -> str:
+    """Source of the sum of ``terms`` in x and y, term by term from the left."""
+    parts = []
+    for c, i, j in terms:
+        piece = repr(c)
+        if i:
+            piece += "*x" + (f"**{i}" if i > 1 else "")
+        if j:
+            piece += "*y" + (f"**{j}" if j > 1 else "")
+        parts.append(piece)
+    return " + ".join(parts) or "0.0"
+
 
 # Dense-output weights of the quartic interpolant of the 5(4) pair: row s
 # holds the coefficients of theta, theta^2, theta^3, theta^4 multiplying the

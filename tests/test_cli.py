@@ -857,7 +857,7 @@ def test_consecutive_calls_share_no_option_values(sysfile, capsys):
     assert rc == 0 and [sm["x0"] for sm in data["numeric"]["samples"]] == [0.02, 0.05, 0.1]
     # without --set the parameters stay symbolic and the command is refused
     assert main(["classify", path, "--no-timings"]) == 3
-    assert "specialize parameters first: ['mu']" in capsys.readouterr().err
+    assert "specialize parameters first: ['lambda', 'mu']" in capsys.readouterr().err
     rc, again = run_cli(["classify", path, "--set", "lambda=1", "--set", "mu=1",
                          "--x0", "0.05", "--no-timings"], capsys)
     assert again == first

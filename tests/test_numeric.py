@@ -13,8 +13,6 @@ from centerlab.numeric import (
     NO_WEIGHTS,
     IntegrationError,
     _dopri_loop,
-    _inline_rhs,
-    compile_system,
     float_terms,
     integrate_adaptive,
     return_map,
@@ -29,6 +27,7 @@ from reference_dopri import (
     _RefSegment,
     _reference_integrate,
     _tuple_loop_integrate,
+    compile_system,
     psi_point,
     psi_run,
     reference_return_map,
@@ -58,7 +57,7 @@ def _with_float_terms(terms):
     # a right-hand side rendered from float terms as compile_system renders
     # one, for terms that no system can give (a constant term, a power past
     # the parser's degree limit, or repeated and cancelling terms)
-    p, q = numeric._render(terms[0]), numeric._render(terms[1])
+    p, q = reference_dopri._render(terms[0]), reference_dopri._render(terms[1])
     ns = {}
     exec(f"def f(x, y):\n    return ({p}, {q})\n", ns)
     ns["f"].float_terms = terms
@@ -175,8 +174,9 @@ def test_time_reversed_integration_recovers_start():
 
 
 def test_compile_rejects_symbolic_system():
-    with pytest.raises(ValueError, match="numeric"):
-        compile_system(parse_system("xdot = a*y; ydot = -x"))
+    # the refusal names every free name of P and Q, eps included
+    with pytest.raises(ValueError, match=r"^specialize parameters first: \['a', 'eps'\]$"):
+        float_terms(parse_system("xdot = a*y; ydot = -eps*x"))
 
 
 @pytest.mark.parametrize("text,message", [
@@ -186,7 +186,7 @@ def test_compile_rejects_symbolic_system():
 ], ids=["xdot", "negative", "after-an-underflow"])
 def test_compile_names_a_coefficient_too_large_for_a_float(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}is too large for a float$"):
-        compile_system(parse_system(text))
+        float_terms(parse_system(text))
 
 
 def test_classify_monodromic_combines_evidence():
@@ -497,30 +497,46 @@ def test_loop_built_on_first_use_and_shared_per_system():
     assert done.returncode == 0, done.stderr
 
 
-def test_generated_code_names_its_source(monkeypatch):
-    # profiles and tracebacks name the compiled right-hand side and the
-    # generated loop, not "<string>"; each system has its own label, which
-    # cProfile keys its entries by
-    f = compile_system(parse_system(HARMONIC))
-    assert f.__code__.co_filename == "<rhs xdot = -1.0*y; ydot = 1.0*x>"
-    g = compile_system(parse_system("xdot = -y^3; ydot = x^3 + x^5"))
-    assert g.__code__.co_filename == "<rhs xdot = -1.0*y**3; ydot = 1.0*x**5 + 1.0*x**3>"
-    # the loop with a system's right-hand side inlined names its weights and
-    # that system
-    labels = {fn: _dopri_loop(_inline_rhs(fn.float_terms), 1, 1, True).__code__.co_filename
-              for fn in (f, g)}
-    assert labels == {f: "<dopri (1,1) xdot = -ry; ydot = rx>",
-                      g: "<dopri (1,1) xdot = -ry3; ydot = rx5 + rx3>"}
-    # and it is the loop that a return map of that system runs
+def _loops_of(call):
+    """The loops that ``_dopri_loop`` hands out while ``call()`` runs."""
     loops = []
+    real = numeric._dopri_loop
 
-    def spy(*args):
-        loops.append(_dopri_loop(*args))
+    def spy(*key):
+        loops.append(real(*key))
         return loops[-1]
 
-    monkeypatch.setattr(numeric, "_dopri_loop", spy)
-    return_map(parse_system("xdot = -y^3; ydot = x^3 + x^5"), [0.05])
-    assert [loop.__code__.co_filename for loop in loops] == [labels[g]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "_dopri_loop", spy)
+        call()
+    return loops
+
+
+def _loop_for(terms, weights=POLAR):
+    """The loop that ``integrate_adaptive`` runs on these float terms and
+    weights."""
+    loop, = _loops_of(lambda: integrate_adaptive(terms, weights, 0.1, (0.0, 0.0)))
+    return loop
+
+
+def test_generated_code_names_its_source():
+    # profiles and tracebacks name the generated loop, not "<string>": its
+    # label names its weights and the P and Q that the emitter wrote, a
+    # coefficient 1.0 or -1.0 as a product or a subtraction and any other
+    # by name, and cProfile keys its entries by that label
+    labels = [_loop_for(float_terms(parse_system(text)), w).__code__.co_filename
+              for text, w in ((HARMONIC, POLAR),
+                              ("xdot = -y^3; ydot = x^3 + x^5", POLAR),
+                              ("xdot = -y^3/2; ydot = x^3 - 2*x^5", POLAR),
+                              ("xdot = -x*y + 3*x^2*y^3; ydot = x", MonodromyWeights(2, 3, -1)))]
+    assert labels == ["<dopri (1,1) xdot = -ry; ydot = rx>",
+                      "<dopri (1,1) xdot = -ry3; ydot = rx5 + rx3>",
+                      "<dopri (1,1) xdot = a0 * ry3; ydot = b0 * rx5 + rx3>",
+                      "<dopri (2,3) xdot = a0 * rx2 * ry3 - rx * ry; ydot = rx>"]
+    # and it is the loop that a return map of that system runs
+    loops = _loops_of(lambda: return_map(parse_system("xdot = -y^3/2; ydot = x^3 - 2*x^5"),
+                                         [0.05]))
+    assert [loop.__code__.co_filename for loop in loops] == [labels[2]]
 
 
 # -- bit-exact test of the return map against the tuple reference loop --
@@ -556,7 +572,7 @@ def _numeric_system_files():
                        + glob.glob(os.path.join(root, "bench", "systems", "*.sys"))):
         with open(path) as fh:
             s = parse_system(fh.read())
-        if s.is_numeric():
+        if not s.free_names():
             out.append((os.path.basename(path), s))
     return out
 
@@ -754,7 +770,9 @@ def test_inlined_rhs_bit_identical_on_constant_term_and_zero_component():
     # a zero component: xdot = 0, so the orbit runs up the line x = 0.3 and
     # leaves the guard radius
     f = compile_system(parse_system("xdot = 0; ydot = x + x^2"))
-    assert f.float_terms[0] == () and "fP = 0.0" in _inline_rhs(f.float_terms)
+    assert f.float_terms[0] == ()
+    assert _loop_for(f.float_terms).__code__.co_filename == \
+        "<dopri (1,1) xdot = 0.0; ydot = rx2 + rx>"
     got, _ = _assert_bit_identical(f, POLAR, 0.3, (0.0, 2 * math.pi), guard_radius=1.0)
     assert got.status == "escaped"
 
@@ -771,31 +789,88 @@ def test_inlined_rhs_bit_identical_when_a_power_overflows():
     assert errors[0] == errors[1]
 
 
-def test_inlined_loop_cached_by_source_text():
+# coefficients the emitter treats apart (units, signed zeros), subnormals,
+# and values near 1e300 whose products overflow
+_SPECIAL_COEFFICIENTS = [1.0, -1.0, 0.0, -0.0, 2.0, -2.0, 5e-324, -2.5e-310, 1e300, -3e299,
+                         8e300]
+
+
+def _outcome(run):
+    # the repr of what a run returns, or the message and closest approach of
+    # the IntegrationError it raises
+    try:
+        return repr(run())
+    except IntegrationError as exc:
+        return str(exc), repr(exc.closest_approach)
+
+
+def test_generated_code_bit_identical_on_random_terms_property():
+    # random float terms: the package's loop returns the tuple loop's
+    # Trajectory (or raises its error) on the test-side compile_system, and
+    # the trapezoid kernel returns the sums of a node loop that calls it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(st.sampled_from(_SPECIAL_COEFFICIENTS),
+                            st.floats(-10, 10, allow_nan=False))
+    component = st.lists(st.tuples(coefficient, st.integers(0, 5), st.integers(0, 5)),
+                         max_size=4).map(tuple)
+    weights = st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 1)])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(component, component, weights, st.floats(0.01, 1.0),
+                      st.floats(0.0, 0.7), st.floats(-2 * math.pi, 2 * math.pi),
+                      st.sampled_from([(8, 0, 1), (16, 1, 2), (12, 1, 2)]))
+    def check(P, Q, pq, r0, psi0, turn, nodes):
+        f = _with_float_terms((P, Q))
+        p, q = pq
+        try:
+            x, y = psi_point(p, q, psi0, r0)
+            fP, fQ = f(x, y)
+            sign = 1 if p * x * fQ - q * y * fP >= 0 else -1
+        except OverflowError:
+            sign = 1
+        w = MonodromyWeights(p, q, sign)
+        kw = dict(rel_tol=1e-8, abs_tol=1e-10, max_steps=40)
+        span = (psi0, psi0 + turn)
+        assert _outcome(lambda: _inlined(f, w, r0, span, **kw)) == \
+            _outcome(lambda: psi_run(f, w, r0, span, **kw)[0])
+        exponents = tuple(tuple((i, j) for _, i, j in comp) for comp in (P, Q))
+        kernel = numeric.trapezoid_kernel(exponents, p, q)
+        coefficients = (tuple(c for c, _, _ in comp) for comp in (P, Q))
+        assert repr(kernel(*coefficients, *nodes)) == \
+            repr(test_qhomog.node_sums(f, p, q, *nodes))
+
+    check()
+
+
+def test_loop_cached_by_structure_and_units():
+    _dopri_loop.cache_clear()
     info = _dopri_loop.cache_info
-    # the same system, compiled again, reuses its loop
+    # the same system again reuses its loop
     s = parse_system("xdot = -y + x^2*y/5; ydot = x - y^3/9")
     return_map(s, [0.05])
-    before = info()
     return_map(s, [0.03, 0.04])
-    assert (info().hits, info().misses) == (before.hits + 2, before.misses)
-    # coefficients that round to 0.0 and to -0.0 give equal float terms but
-    # two sources, so each system gets its own loop
-    plus, minus = (compile_system(parse_system(_INLINED_SYSTEMS[k]))
-                   for k in ("underflow-to-zero", "underflow-to-minus-zero"))
-    assert plus.float_terms == minus.float_terms
-    rhs_plus, rhs_minus = _inline_rhs(plus.float_terms), _inline_rhs(minus.float_terms)
-    assert rhs_plus != rhs_minus
-    assert _dopri_loop(rhs_plus, 1, 1, True) is not _dopri_loop(rhs_minus, 1, 1, True)
-    assert _dopri_loop(rhs_minus, 1, 1, True).__code__.co_filename == \
-        "<dopri (1,1) xdot = -0.0*rx3 - ry; ydot = rx>"
-    # and the weights and the sign of W are part of the key
-    assert _dopri_loop(rhs_plus, 1, 2, True) is not _dopri_loop(rhs_plus, 1, 1, True)
-    assert _dopri_loop(rhs_plus, 1, 1, False) is not _dopri_loop(rhs_plus, 1, 1, True)
-    # a sweep of 40 distinct systems builds 40 loops and keeps at most the
-    # cache's small bound
-    before = info()
+    assert (info().hits, info().misses) == (2, 1)
+    # a family whose members keep their monomials and their unit
+    # coefficients passes only its coefficients: 40 members, one loop
     for k in range(1, 41):
         return_map(parse_system(f"xdot = -y + {k}*x^3/41; ydot = x"), [0.05])
-    assert info().misses == before.misses + 40
+    assert (info().hits, info().misses) == (41, 2)
+    # a coefficient that moves from 1.0 to 2.0 changes what the loop writes
+    one, two, three = (_loop_for(float_terms(parse_system(f"xdot = -y + {c}*x^3; ydot = x")))
+                       for c in (1, 2, 3))
+    assert one is not two and two is three
+    assert one.__code__.co_filename == "<dopri (1,1) xdot = rx3 - ry; ydot = rx>"
+    # coefficients that round to 0.0 and to -0.0 share their loop, and each
+    # run stays the reference's, bit for bit
+    plus, minus = (compile_system(parse_system(_INLINED_SYSTEMS[k]))
+                   for k in ("underflow-to-zero", "underflow-to-minus-zero"))
+    assert repr(plus.float_terms) != repr(minus.float_terms)
+    assert _loop_for(plus.float_terms) is _loop_for(minus.float_terms) is two
+    for f in (plus, minus):
+        _assert_bit_identical(f, POLAR, 0.1, (0.0, 3.0), rel_tol=1e-12, abs_tol=1e-14)
+    # the weights and the sign of W are part of the key
+    loops = {_loop_for(plus.float_terms, w)
+             for w in (POLAR, MonodromyWeights(1, 2, 1), MonodromyWeights(1, 1, -1))}
+    assert len(loops) == 3
     assert info().currsize <= info().maxsize <= 16

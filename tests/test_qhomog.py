@@ -12,7 +12,6 @@ import pytest
 
 from centerlab import cli, numeric, qhomog, structure, systems
 from centerlab.mpoly import MPoly, Rat
-from centerlab.numeric import compile_system
 from centerlab.qhomog import (
     QHSignature,
     classify_qh_center,
@@ -29,7 +28,7 @@ from conftest import (
     poly,
     pq_period,
 )
-from reference_dopri import _tuple_loop_integrate, refine_crossing
+from reference_dopri import _tuple_loop_integrate, compile_system, refine_crossing
 
 SIG11 = QHSignature(1, 1, 3)
 SIG238 = QHSignature(2, 3, 8)
@@ -372,12 +371,10 @@ def test_trapezoid_matches_double_dopri_reference(s, sig):
     assert r.error <= error
 
 
-def compiled_period_integral(s, sig, rel_tol=1e-12):
-    """The trapezoid rule as the package ran it before its generated kernel:
-    the integrand calls ``compile_system``'s function at each node, and a
-    Python loop sums each node of the upper half turn with its reflection."""
-    fPQ = compile_system(s)
-    p, q = sig.p, sig.q
+def node_sums(fPQ, p, q, n, first, step):
+    """What ``numeric.trapezoid_kernel`` returns, from a Python loop over the
+    nodes of the upper half turn that calls ``fPQ`` (a ``compile_system``
+    function) at each node and at its reflection."""
     tau = 2 * math.pi
 
     def integrand(c, sn):
@@ -385,21 +382,31 @@ def compiled_period_integral(s, sig, rel_tol=1e-12):
         W = p * c * Q - q * sn * P
         return (c * P + sn * Q) / W if W else math.inf
 
+    total = size = 0.0
+    for k in range(first, n // 2 + 1, step):
+        if 2 * k == n:
+            c, sn = -1.0, 0.0
+        else:
+            c, sn = math.cos(tau * k / n), math.sin(tau * k / n)
+        v = integrand(c, sn)
+        size += abs(v)
+        if 0 < 2 * k < n:
+            u = integrand(c, -sn)
+            size += abs(u)
+            v += u
+        total += v
+    return total, size
+
+
+def compiled_period_integral(s, sig, rel_tol=1e-12):
+    """The trapezoid rule as the package ran it before its generated kernel:
+    the node loop of :func:`node_sums`, doubled until the halving difference
+    is small."""
+    fPQ = compile_system(s)
+    tau = 2 * math.pi
+
     def sums(n, first, step):
-        total = size = 0.0
-        for k in range(first, n // 2 + 1, step):
-            if 2 * k == n:
-                c, sn = -1.0, 0.0
-            else:
-                c, sn = math.cos(tau * k / n), math.sin(tau * k / n)
-            v = integrand(c, sn)
-            size += abs(v)
-            if 0 < 2 * k < n:
-                u = integrand(c, -sn)
-                size += abs(u)
-                v += u
-            total += v
-        return total, size
+        return node_sums(fPQ, sig.p, sig.q, n, first, step)
 
     n = qhomog.MIN_NODES
     total, size = sums(n, 0, 1)

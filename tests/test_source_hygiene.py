@@ -73,23 +73,72 @@ def test_numpy_not_imported_by_package_or_cli():
     assert out.stdout.strip() == "False"
 
 
+_RUNS_SOURCE = ("exec", "eval", "compile")
+
+
+def _runs_source(node):
+    """Whether ``node`` calls the builtin ``exec``, ``eval`` or ``compile``,
+    by name or through ``builtins``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return (func.attr in _RUNS_SOURCE and isinstance(func.value, ast.Name)
+                and func.value.id in ("builtins", "__builtins__"))
+    return isinstance(func, ast.Name) and func.id in _RUNS_SOURCE
+
+
 def _exec_calls(source):
     """``line:name`` for each call of the builtin ``exec``, ``eval`` or
     ``compile`` in the module source."""
-    return [f"{node.lineno}:{node.func.id}" for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("exec", "eval", "compile")]
+    return [f"{node.lineno}:{ast.unparse(node.func)}" for node in ast.walk(ast.parse(source))
+            if _runs_source(node)]
+
+
+def _compilers_off_emitter(source, emitter):
+    """The module-level functions of the source that call ``exec``, ``eval``
+    or ``compile`` but do not reach ``emitter`` through the module's own
+    calls, and the lines of such calls outside any module-level function."""
+    tree = ast.parse(source)
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    calls = {name: {sub.func.id for sub in ast.walk(func) if isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Name) and sub.func.id in funcs}
+             for name, func in funcs.items()}
+
+    def reaches(name, seen=()):
+        return name == emitter or any(reaches(c, seen + (name,)) for c in calls[name]
+                                      if c not in seen)
+
+    inside = {id(sub) for func in funcs.values() for sub in ast.walk(func)}
+    return ([name for name, func in funcs.items()
+             if any(_runs_source(sub) for sub in ast.walk(func)) and not reaches(name)]
+            + [node.lineno for node in ast.walk(tree) if _runs_source(node)
+               and id(node) not in inside])
 
 
 def test_generated_code_is_compiled_only_in_numeric():
     # numeric generates and compiles its kernels from a system's float
     # terms; no other module runs generated source
-    caught = ["exec(src, ns)\n", "f = eval('1')\n", "c = compile(src, 'x', 'exec')\n"]
+    caught = ["exec(src, ns)\n", "f = eval('1')\n", "c = compile(src, 'x', 'exec')\n",
+              "import builtins\nbuiltins.exec(src)\n"]
     assert all(_exec_calls(src) for src in caught)
     assert _exec_calls("re.compile('a')\nmodel.eval()\n") == []
     found = {path.name: _exec_calls(path.read_text()) for path in sorted(PACKAGE_DIR.rglob("*.py"))}
     assert found.pop("numeric.py")
     assert [f"{name}:{hit}" for name, hits in found.items() for hit in hits] == []
+
+
+def test_generated_code_writes_p_and_q_through_one_emitter():
+    # every function of numeric that compiles generated source reaches
+    # _poly_source, so P and Q are written by one emitter under one set of
+    # rules; a kernel that wrote its own terms would not
+    caught = ["def emit(): ...\ndef k():\n    exec(emit_own())\n",
+              "def emit(): ...\nexec('x = 1')\n"]
+    assert all(_compilers_off_emitter(src, "emit") for src in caught)
+    kept = "def emit(): ...\ndef lines():\n    return emit()\ndef k():\n    exec(lines())\n"
+    assert _compilers_off_emitter(kept, "emit") == []
+    numeric_source = (PACKAGE_DIR / "numeric.py").read_text()
+    assert _compilers_off_emitter(numeric_source, "_poly_source") == []
 
 
 def test_realroots_imports_nothing_from_the_package():

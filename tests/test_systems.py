@@ -119,7 +119,7 @@ def test_substitute_specializes_and_reclassifies():
     t = substitute(s, {"A": 1, "B": 3, "K": 0, "L": 1, "eps": Rat(1, 10)})
     assert t.params == ()
     assert t.linear_class == "perturbed_nilpotent"
-    assert t.is_numeric()
+    assert t.free_names() == []
 
 
 def test_substitute_eps_to_zero_recovers_base():
